@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all fmt vet build lint lint-fixtures test race smoke check bench bench-compare ci
+.PHONY: all fmt vet build lint lint-fixtures test race smoke check bench bench-compare bench-selftest ci
 
 all: ci
 
@@ -116,4 +116,12 @@ bench-compare:
 	@$(MAKE) --no-print-directory bench BENCHOUT=bench-new.txt
 	$(GO) run ./cmd/benchcmp -baseline BENCH_BASELINE.txt bench-new.txt
 
-ci: fmt vet build lint race smoke
+# bench-selftest vets and tests the end-to-end benchmark harness (bench/
+# is its own module, so `go test ./...` at the root never reaches it):
+# BENCHMARK.json <-> harness identity, check failures fail the command,
+# profile aggregation, compare statuses. Under 5 s; measures nothing.
+bench-selftest:
+	$(GO) vet -C bench ./...
+	$(GO) test -C bench ./...
+
+ci: fmt vet build lint race bench-selftest smoke

@@ -118,11 +118,13 @@ func (s *checkSweep) Tick(cycle uint64) {
 // assembled network before Run, turning it into the differential oracle's
 // deliberately simple sequential interpreter: every component ticks every
 // cycle (Waker.Sleep becomes a no-op, so the engine never goes quiescent
-// and RunUntil never fast-forwards) and generators allocate every packet
-// freshly instead of drawing from the source freelists. By the engine's
-// wake-protocol contract and the pool-safety guarantees both changes are
-// semantically invisible, so a reference run must match the optimized
-// engine bit for bit — DiffRuns asserts exactly that. Call after the
+// and RunUntil never fast-forwards), sources poll their generators once
+// per cycle and never ask them to look ahead (router.NextWaker), and
+// generators allocate every packet freshly instead of drawing from the
+// source freelists. By the engine's wake-protocol contract, the NextWaker
+// contract and the pool-safety guarantees all three are semantically
+// invisible, so a reference run must match the optimized engine bit for
+// bit — DiffRuns asserts exactly that. Call after the
 // topology builder and before Run.
 func (n *Network) SetReferenceMode() {
 	n.Eng.DisableSleep()

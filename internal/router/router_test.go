@@ -363,3 +363,53 @@ func TestVCAExclusiveOwnership(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// gapGen emits a packet every period cycles and counts how it is driven.
+type gapGen struct {
+	period            uint64
+	generates, asksNP int
+}
+
+func (g *gapGen) Generate(cycle uint64) *noc.Packet {
+	g.generates++
+	if cycle%g.period != 0 {
+		return nil
+	}
+	return &noc.Packet{ID: cycle + 1, Src: 5, Dst: 9, NumFlits: 1}
+}
+
+func (g *gapGen) NextPending(from uint64) (uint64, bool) {
+	g.asksNP++
+	return (from + g.period - 1) / g.period * g.period, true
+}
+
+// A source on a sleeping engine rides its generator's NextPending through
+// the gaps; on a DisableSleep engine (the conformance oracle's reference
+// schedule) it polls Generate every cycle and never asks.
+func TestSourceConsultsNextWakerOnlyWhenItCanSleep(t *testing.T) {
+	run := func(disableSleep bool) *gapGen {
+		eng := sim.NewEngine()
+		if disableSleep {
+			eng.DisableSleep()
+		}
+		src := NewSource(5, nopConduit{}, 1, 1<<20)
+		src.SetWaker(eng.RegisterWakeable(sim.PhaseCompute, src))
+		g := &gapGen{period: 100}
+		src.SetGenerator(g)
+		eng.Run(1000)
+		if src.Injected != 10 {
+			t.Fatalf("disableSleep=%v: injected %d packets, want 10", disableSleep, src.Injected)
+		}
+		return g
+	}
+	if g := run(false); g.asksNP == 0 || g.generates >= 100 {
+		t.Fatalf("sleeping engine: %d NextPending calls, %d Generate calls; want look-ahead", g.asksNP, g.generates)
+	}
+	if g := run(true); g.asksNP != 0 || g.generates != 1000 {
+		t.Fatalf("DisableSleep engine: %d NextPending calls, %d Generate calls; want 0 and 1000", g.asksNP, g.generates)
+	}
+}
+
+type nopConduit struct{}
+
+func (nopConduit) Send(*noc.Flit) {}

@@ -14,13 +14,17 @@ type Generator interface {
 	Generate(cycle uint64) *noc.Packet
 }
 
-// NextWaker is an optional Generator extension for generators whose
-// schedule is known in advance (trace replay): NextPending returns the
-// earliest cycle >= from at which Generate may produce a packet, and
-// false when the generator is exhausted. Sources use it to sleep through
-// generation gaps. Generators that draw randomness per cycle (Bernoulli)
-// must NOT implement it: skipping their cycles would change the RNG
-// stream and break bit-for-bit reproducibility.
+// NextWaker is an optional Generator extension for generators that can
+// tell when their next packet is due: NextPending returns the earliest
+// cycle >= from at which Generate may produce a packet, and false when
+// the generator is exhausted. Sources use it to sleep through generation
+// gaps, so Generate is then not called on the cycles in between. A
+// generator may implement it only if that is unobservable: a known
+// schedule (trace replay), or randomness that is private to the generator
+// and drawn in a fixed order, so that NextPending can consume the skipped
+// cycles' draws itself (traffic.Bernoulli). Called with every cycle
+// before from already offered to Generate; never called under
+// Engine.DisableSleep, where the source polls Generate every cycle.
 type NextWaker interface {
 	NextPending(from uint64) (uint64, bool)
 }
@@ -119,9 +123,8 @@ func (s *Source) SetConduit(out noc.Conduit) { s.out = out }
 // SetWaker installs the source's scheduling handle (from
 // sim.Engine.RegisterWakeable). A source sleeps only when it has nothing
 // queued or in flight AND its generator is provably idle: absent, or a
-// NextWaker reporting a known next cycle. Generators that draw randomness
-// every cycle keep the source permanently awake, preserving the RNG
-// stream.
+// NextWaker reporting its next cycle. Any other generator keeps the
+// source permanently awake, polling Generate once per cycle.
 func (s *Source) SetWaker(w *sim.Waker) { s.waker = w }
 
 // SetGenerator installs gen, points pooling-aware generators at this
@@ -219,14 +222,16 @@ func (s *Source) Tick(cycle uint64) {
 // or in flight, and the generator either absent or (via NextWaker) known
 // not to produce before a future cycle, for which a timed wakeup is
 // armed. Sources stalled on credits stay awake: retrying costs one cheap
-// tick and credits arrive through a wire, not through the waker.
+// tick and credits arrive through a wire, not through the waker. An
+// engine that cannot sleep is the reference schedule: the generator is
+// polled every cycle and NextPending is never consulted.
 func (s *Source) reschedule(cycle uint64) {
-	if s.inflight != nil || s.queue.size > 0 {
+	if s.inflight != nil || s.queue.size > 0 || s.waker.SleepDisabled() {
 		return
 	}
 	if s.Gen != nil {
 		if s.nextWaker == nil {
-			return // per-cycle generator: must see every cycle
+			return // no look-ahead: poll the generator every cycle
 		}
 		if next, pending := s.nextWaker.NextPending(cycle + 1); pending {
 			s.waker.Sleep()

@@ -261,6 +261,12 @@ func (ps *phaseSched) add(t Ticker, w *Waker) {
 	}
 	if w != nil {
 		w.idx = idx
+		// Room for one timed wakeup per wakeable, reserved while the
+		// network is built: a phase whose components all sleep on
+		// timers (idle sources) must not grow its heap inside a run.
+		if cap(ps.timers) <= idx {
+			ps.timers = append(make(timerHeap, 0, 2*(idx+1)), ps.timers...)
+		}
 	}
 	ps.set(idx) // everything starts awake
 }

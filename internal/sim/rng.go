@@ -1,5 +1,7 @@
 package sim
 
+import "math"
+
 // RNG is a small, fast, deterministic pseudo-random generator
 // (xoshiro256**). Every traffic source owns its own RNG seeded from the run
 // seed and its node identifier, so simulations are reproducible regardless
@@ -72,9 +74,50 @@ func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
 }
 
-// Bernoulli reports true with probability p.
-func (r *RNG) Bernoulli(p float64) bool {
-	return r.Float64() < p
+// Threshold converts a probability into the integer t for which Below
+// and ScanBelow decide draw for draw as Float64() < p does: Float64 is a
+// 53-bit integer u over 2^53 and p·2^53 is exact in float64, so
+// u/2^53 < p ⇔ u < ceil(p·2^53) with no rounding on either side.
+func Threshold(p float64) uint64 {
+	if !(p > 0) {
+		return 0
+	}
+	if p >= 1 {
+		return 1 << 53
+	}
+	return uint64(math.Ceil(p * (1 << 53)))
+}
+
+// Below consumes one draw and reports whether it falls under t: with
+// t = Threshold(p) it is true with probability p.
+func (r *RNG) Below(t uint64) bool {
+	return r.Uint64()>>11 < t
+}
+
+// ScanBelow consumes draws until one falls under t or max are consumed,
+// and returns how many it consumed and whether the last one hit. The
+// generator ends up exactly where that many Below calls would leave it;
+// the state lives in locals meanwhile, which is what makes looking ahead
+// over an idle source's coin flips cheap.
+func (r *RNG) ScanBelow(t, max uint64) (n uint64, hit bool) {
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+	for n < max {
+		u := rotl(s1*5, 7) * 9
+		x := s1 << 17
+		s2 ^= s0
+		s3 ^= s1
+		s1 ^= s2
+		s0 ^= s3
+		s2 ^= x
+		s3 = rotl(s3, 45)
+		n++
+		if u>>11 < t {
+			hit = true
+			break
+		}
+	}
+	r.s = [4]uint64{s0, s1, s2, s3}
+	return n, hit
 }
 
 // Perm fills dst with a uniform random permutation of [0, len(dst)).

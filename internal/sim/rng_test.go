@@ -76,7 +76,7 @@ func TestRNGBernoulli(t *testing.T) {
 	const p, draws = 0.3, 100000
 	hits := 0
 	for i := 0; i < draws; i++ {
-		if r.Bernoulli(p) {
+		if r.Below(Threshold(p)) {
 			hits++
 		}
 	}
@@ -130,5 +130,67 @@ func TestMul64(t *testing.T) {
 		if hi != c.hi || lo != c.lo {
 			t.Fatalf("mul64(%d,%d) = (%d,%d), want (%d,%d)", c.x, c.y, hi, lo, c.hi, c.lo)
 		}
+	}
+}
+
+// thresholdProbs covers both ends of [0, 1], a typical injection
+// probability, a non-dyadic fraction, and values whose p·2^53 is an
+// integer (where ceil must not round up).
+var thresholdProbs = []float64{
+	0, 0x1p-53, 0.0002, 1.0 / 3, 3 * 0x1p-53, 0.5, 0.75, 1 - 0x1p-53, 1,
+}
+
+func TestThresholdMatchesFloat64Compare(t *testing.T) {
+	for _, p := range thresholdProbs {
+		th := Threshold(p)
+		// The boundary itself, exactly: the draws on either side of the
+		// threshold must fall the way the float compare puts them.
+		for _, u := range []uint64{0, th - 1, th, th + 1, 1<<53 - 1} {
+			if u >= 1<<53 { // th-1 at th == 0, th and th+1 at th == 2^53
+				continue
+			}
+			if asFloat, asInt := float64(u)/(1<<53) < p, u < th; asFloat != asInt {
+				t.Fatalf("p=%v u=%d: float compare %v, threshold compare %v", p, u, asFloat, asInt)
+			}
+		}
+		a, b := NewRNG(99), NewRNG(99)
+		for i := 0; i < 1_000_000; i++ {
+			if asFloat, asInt := a.Float64() < p, b.Below(th); asFloat != asInt {
+				t.Fatalf("p=%v draw %d: Float64()<p is %v, Below is %v", p, i, asFloat, asInt)
+			}
+		}
+	}
+	if Threshold(-1) != 0 || Threshold(math.NaN()) != 0 || Threshold(2) != 1<<53 {
+		t.Fatal("Threshold must clamp outside [0, 1] the way Float64()<p decides")
+	}
+}
+
+// ScanBelow must be indistinguishable from calling Below until the first
+// hit: same count, same verdict, same generator state afterwards.
+func TestScanBelowMatchesBelowCalls(t *testing.T) {
+	for _, p := range thresholdProbs {
+		th := Threshold(p)
+		a, b := NewRNG(5), NewRNG(5)
+		for drawn := uint64(0); drawn < 1_000_000; {
+			limit := 1 + a.Uint64()%5000
+			b.Uint64()
+			n, hit := a.ScanBelow(th, limit)
+			var wantN uint64
+			wantHit := false
+			for wantN < limit && !wantHit {
+				wantHit = b.Below(th)
+				wantN++
+			}
+			if n != wantN || hit != wantHit || a.s != b.s {
+				t.Fatalf("p=%v after %d draws: scan (%d,%v), Below loop (%d,%v), states equal %v",
+					p, drawn, n, hit, wantN, wantHit, a.s == b.s)
+			}
+			drawn += n
+		}
+	}
+	r := NewRNG(1)
+	before := r.s
+	if n, hit := r.ScanBelow(1<<53, 0); n != 0 || hit || r.s != before {
+		t.Fatal("a zero-length scan must draw nothing")
 	}
 }

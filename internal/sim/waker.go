@@ -41,6 +41,11 @@ func (w *Waker) Sleep() {
 	w.ps.clear(w.idx)
 }
 
+// SleepDisabled reports whether the engine is in reference mode
+// (Engine.DisableSleep), where Sleep does nothing. Components whose
+// bookkeeping before a Sleep is not free check it first.
+func (w *Waker) SleepDisabled() bool { return w.e.noSleep }
+
 // WakeAt schedules a visit at the given future cycle. Cycles not after
 // the current one degrade to Wake. A pending earlier-or-equal timed
 // wakeup subsumes the request; a later one is left in the heap and fires

@@ -200,3 +200,26 @@ func TestMixedRegistrationOrderPreserved(t *testing.T) {
 		}
 	}
 }
+
+// Every wakeable of a phase arming a timer at once must fit the heap as
+// it was reserved at registration: growth inside a run would show up in
+// the timed region of every benchmark.
+func TestTimerHeapReservedAtRegistration(t *testing.T) {
+	e := NewEngine()
+	e.Register(PhaseCompute, &sleeper{stay: true}) // always-on: arms no timer
+	var ss []*sleeper
+	for i := 0; i < 1000; i++ {
+		ss = append(ss, newSleeper(e, PhaseCompute))
+	}
+	e.Step()
+	reserved := cap(e.phases[PhaseCompute].timers)
+	for _, s := range ss {
+		s.w.WakeAt(e.Cycle() + 5)
+	}
+	if got := cap(e.phases[PhaseCompute].timers); reserved < len(ss) || got != reserved {
+		t.Fatalf("timer heap capacity %d at registration, %d after one timer per wakeable (%d)", reserved, got, len(ss))
+	}
+	if got := e.PhaseStats(PhaseCompute).TimerHeapMax; got != len(ss) {
+		t.Fatalf("TimerHeapMax = %d, want %d", got, len(ss))
+	}
+}

@@ -43,6 +43,15 @@ func RequestReply() SizeDist {
 // Bernoulli is a router.Generator offering open-loop load: each cycle it
 // creates a packet with probability rate/pktFlits, so the offered load is
 // `rate` flits per node per cycle.
+//
+// It implements router.NextWaker by looking ahead. Its RNG is private and
+// drawn in a fixed order (one coin flip per cycle, then destination and
+// size right after a success), so NextPending can consume the coming
+// cycles' flips early and name the cycle of the first success: nothing
+// outside the generator can tell that from one flip per Generate call.
+// An idle source sleeps until its next packet and every simulated outcome
+// stays bit for bit what per-cycle polling gives (fabric.DiffRuns, whose
+// reference twin never calls NextPending, checks that).
 type Bernoulli struct {
 	src      int
 	n        int
@@ -50,20 +59,33 @@ type Bernoulli struct {
 	pktFlits int
 	sizes    *SizeDist
 	prob     float64
+	thresh   uint64 // sim.Threshold(prob)
 	rng      *sim.RNG
 	classify Classifier
+
+	// NextPending has consumed the flips of every cycle before skipTo
+	// (all failed) and, when armed, skipTo's own: a success whose packet
+	// Generate(skipTo) is still to build.
+	skipTo uint64
+	armed  bool
 
 	// MeasureFrom/MeasureTo bound the measurement window in cycles;
 	// packets created inside it carry Measure=true.
 	MeasureFrom, MeasureTo uint64
 
 	// Stop, when non-zero, halts generation at that cycle (used by the
-	// drain phase).
+	// drain phase). It may be set or lowered at any time but never
+	// raised: a look-ahead that ran into it has spent flips.
 	Stop uint64
 
 	pool   *noc.Pool
 	nextID uint64
 }
+
+// lookahead bounds one NextPending scan, in cycles, and with it the flips
+// drawn past the end of a run however small the rate: a source whose next
+// packet lies further out wakes at the horizon and scans on.
+const lookahead = 1 << 16
 
 // NewBernoulli creates a generator for core src out of n cores, offering
 // `rate` flits/node/cycle of `pattern` traffic in packets of pktFlits
@@ -73,18 +95,25 @@ func NewBernoulli(src, n int, pattern Pattern, rate float64, pktFlits int, seed 
 	if pktFlits <= 0 {
 		panic("traffic: pktFlits must be positive")
 	}
-	if rate < 0 || float64(pktFlits) <= 0 {
-		panic("traffic: invalid rate")
-	}
-	return &Bernoulli{
+	b := &Bernoulli{
 		src:      src,
 		n:        n,
 		pattern:  pattern,
 		pktFlits: pktFlits,
-		prob:     rate / float64(pktFlits),
 		rng:      sim.NewRNG(seed*0x9e3779b97f4a7c15 + uint64(src) + 1),
 		classify: classify,
 	}
+	b.setProb(rate / float64(pktFlits))
+	return b
+}
+
+// setProb installs the per-cycle packet probability.
+func (b *Bernoulli) setProb(p float64) {
+	if !(p >= 0 && p <= 1) {
+		panic("traffic: invalid rate: packets per cycle outside [0, 1]")
+	}
+	b.prob = p
+	b.thresh = sim.Threshold(p)
 }
 
 // SetSizes switches the generator to a bimodal length distribution while
@@ -95,23 +124,50 @@ func (b *Bernoulli) SetSizes(d SizeDist) {
 	}
 	rate := b.prob * float64(b.pktFlits)
 	b.sizes = &d
-	b.prob = rate / d.Mean()
+	b.setProb(rate / d.Mean())
 }
 
 // UsePool implements router.PoolUser: packets are drawn from the source's
 // freelist so steady-state generation allocates nothing.
-//
-// Bernoulli deliberately does NOT implement router.NextWaker: it draws
-// randomness every cycle, so its source must tick every cycle to keep the
-// RNG stream — and with it every simulated outcome — bit-for-bit stable.
 func (b *Bernoulli) UsePool(pl *noc.Pool) { b.pool = pl }
+
+// NextPending implements router.NextWaker. It consumes the coin flips of
+// cycles from, from+1, ... up to the first success, Stop or the horizon,
+// and names the cycle Generate is due next: the success (its packet is
+// built without a further flip) or the horizon (Generate flips as usual).
+// Generate calls before that cycle draw nothing. False means no packet
+// can follow: zero rate, or Stop comes first.
+func (b *Bernoulli) NextPending(from uint64) (uint64, bool) {
+	if b.thresh == 0 || b.stopped(from) {
+		return 0, false
+	}
+	if !b.armed {
+		from = max(from, b.skipTo)
+		end := from + lookahead
+		if b.Stop != 0 {
+			end = min(end, b.Stop)
+		}
+		n, hit := b.rng.ScanBelow(b.thresh, end-from)
+		b.skipTo, b.armed = from+n, hit
+		if hit {
+			b.skipTo-- // the hit is the last flip consumed
+		}
+	}
+	// Checked on every call: a Stop lowered into the gap retires the
+	// pending hit and lets the source sleep for good.
+	return b.skipTo, !b.stopped(b.skipTo)
+}
+
+func (b *Bernoulli) stopped(cycle uint64) bool { return b.Stop != 0 && cycle >= b.Stop }
 
 // Generate implements router.Generator.
 func (b *Bernoulli) Generate(cycle uint64) *noc.Packet {
-	if b.Stop != 0 && cycle >= b.Stop {
+	if b.stopped(cycle) || cycle < b.skipTo {
 		return nil
 	}
-	if !b.rng.Bernoulli(b.prob) {
+	if b.armed {
+		b.armed = false
+	} else if !b.rng.Below(b.thresh) {
 		return nil
 	}
 	dst := Dest(b.pattern, b.src, b.n, b.rng)
