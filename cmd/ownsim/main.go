@@ -192,9 +192,9 @@ func main() {
 		})
 		defer stop()
 	}
-	// The conformance checker audits protocol invariants through its own
-	// dedicated hooks, so it composes with the probe and flight recorder;
-	// like them it never perturbs the Result.
+	// The conformance checker audits protocol invariants as one more
+	// subscriber of the component taps, so it composes with the probe and
+	// flight recorder; like them it never perturbs the Result.
 	var ck *check.Checker
 	if *checkFlag {
 		ck = check.New()

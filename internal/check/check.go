@@ -3,12 +3,12 @@
 // plus the event-log types behind the differential reference oracle
 // (fabric.DiffRuns).
 //
-// The Checker observes the network through dedicated nil-safe hooks on
-// sources, sinks, routers, shared channels and packet pools — the same
-// pattern as the probe and flight-recorder layers, so an uninstalled
-// checker costs one predictable branch per event site and an installed one
-// never mutates simulation state (a checked run's Result is bit-identical
-// to an unchecked one). The invariant catalog (see DESIGN.md §14):
+// The Checker observes the network as a subscriber of the source, sink,
+// router, shared-channel and packet-pool taps (noc.Tap) — the same seam
+// the probe and flight-recorder layers use, so an uninstalled checker
+// costs one predictable branch per event site and an installed one never
+// mutates simulation state (a checked run's Result is bit-identical to an
+// unchecked one). The invariant catalog (see DESIGN.md §14):
 //
 //   - conserve: every flit a source launches is delivered exactly once; a
 //     packet's tail closes with launched == delivered == NumFlits, and a
@@ -52,9 +52,10 @@ const (
 // keeps running past it.
 const DefaultMaxViolations = 64
 
-// DefaultSweepEveryCy is the period of the structural invariant sweep
-// (router/channel CheckInvariants) when SweepEveryCy is unset.
-const DefaultSweepEveryCy = 1024
+// SweepEveryCy is the period in cycles of the structural invariant sweep
+// (router/channel CheckInvariants) fabric.Network.InstallChecker
+// schedules.
+const SweepEveryCy = 1024
 
 // Violation is one detected invariant breach.
 type Violation struct {
@@ -82,9 +83,6 @@ type Checker struct {
 	// MaxViolations caps recorded detail; 0 means DefaultMaxViolations.
 	// The total count (Total) keeps running past the cap.
 	MaxViolations int
-	// SweepEveryCy is the structural-sweep period in cycles; 0 means
-	// DefaultSweepEveryCy.
-	SweepEveryCy uint64
 	// OnViolation, when set, observes every counted violation as it
 	// happens. fabric.Network.InstallChecker owns it — it wraps any
 	// previously-set callback with the snapshot-on-first-violation
@@ -146,14 +144,6 @@ func (c *Checker) report(v Violation) {
 	}
 }
 
-// sweepEvery returns the effective structural-sweep period.
-func (c *Checker) SweepEvery() uint64 {
-	if c.SweepEveryCy == 0 {
-		return DefaultSweepEveryCy
-	}
-	return c.SweepEveryCy
-}
-
 // pktState is the checker's per-live-packet ledger, opened at the first
 // source flit and closed at the sink tail (or at recycle).
 type pktState struct {
@@ -208,7 +198,7 @@ func (c *Checker) touch(cycle uint64, p *noc.Packet, component string) {
 
 // Recycle audits a packet's return to its pool: a pooled packet whose
 // flits entered the network may only be recycled after full delivery.
-// fabric wires it as every source pool's OnCkRecycle hook.
+// SourceMonitor.Watch subscribes it to the source pool's EvRecycle.
 func (c *Checker) Recycle(p *noc.Packet) {
 	c.events++
 	st, ok := c.pkts[p.ID]
@@ -230,8 +220,8 @@ type SourceMonitor struct {
 	name string
 }
 
-// NewSourceMonitor returns the monitor for core coreID's source; fabric
-// wires its Flit method as the source's OnCkFlit hook.
+// NewSourceMonitor returns the monitor for core coreID's source; Watch
+// subscribes it.
 func (c *Checker) NewSourceMonitor(coreID int) *SourceMonitor {
 	return &SourceMonitor{c: c, name: fmt.Sprintf("source %d", coreID)}
 }
@@ -258,8 +248,8 @@ type SinkMonitor struct {
 	name string
 }
 
-// NewSinkMonitor returns the monitor for core coreID's sink; fabric wires
-// its Flit method as the sink's OnCkFlit hook.
+// NewSinkMonitor returns the monitor for core coreID's sink; Watch
+// subscribes it.
 func (c *Checker) NewSinkMonitor(coreID int) *SinkMonitor {
 	return &SinkMonitor{c: c, core: coreID, name: fmt.Sprintf("sink %d", coreID)}
 }
@@ -307,8 +297,7 @@ type RouterMonitor struct {
 // topology's routing table for that router (re-evaluated to audit the
 // pipeline's decisions; routing in this repository is deterministic, so a
 // second evaluation is side-effect free); diameter > 0 bounds path
-// lengths. fabric wires the Route and Flit methods as the router's
-// OnCkRoute/OnCkFlit hooks.
+// lengths. Watch subscribes it.
 func (c *Checker) NewRouterMonitor(id int, route router.RouteFunc, diameter int) *RouterMonitor {
 	return &RouterMonitor{
 		c:        c,
@@ -383,8 +372,7 @@ type ChannelMonitor struct {
 }
 
 // NewChannelMonitor returns the monitor for the named shared channel;
-// fabric wires its Acquire/Release/Deliver methods as the channel's
-// OnCkAcquire/OnCkRelease/OnCkDeliver hooks.
+// Watch subscribes it.
 func (c *Checker) NewChannelMonitor(name string) *ChannelMonitor {
 	return &ChannelMonitor{c: c, name: name, lockedWriter: -1, nextSeq: make(map[uint64]int)}
 }
@@ -441,4 +429,43 @@ func (m *ChannelMonitor) Deliver(cycle uint64, f *noc.Flit, rx int) {
 		m.nextSeq[pid] = f.Seq + 1
 	}
 	c.touch(cycle, f.Pkt, m.name)
+}
+
+// Watch subscribes the monitor to its source's tap (every launched flit)
+// and to the source's packet pool (every recycle).
+func (m *SourceMonitor) Watch(src, pool *noc.Tap) {
+	src.Subscribe(noc.Mask(noc.EvLaunch), func(e noc.Event) { m.Flit(e.Cycle, e.Flit) })
+	pool.Subscribe(noc.Mask(noc.EvRecycle), func(e noc.Event) { m.c.Recycle(e.Pkt) })
+}
+
+// Watch subscribes the monitor to its sink's tap (every arrived flit).
+func (m *SinkMonitor) Watch(snk *noc.Tap) {
+	snk.Subscribe(noc.Mask(noc.EvArrive), func(e noc.Event) { m.Flit(e.Cycle, e.Flit) })
+}
+
+// Watch subscribes the monitor to its router's tap: route computations
+// and switch-allocation grants.
+func (m *RouterMonitor) Watch(r *noc.Tap) {
+	r.Subscribe(noc.Mask(noc.EvRoute, noc.EvSwitch), func(e noc.Event) {
+		if e.Kind == noc.EvRoute {
+			m.Route(e.Cycle, e.Pkt, e.A, e.B, uint32(e.C))
+		} else {
+			m.Flit(e.Cycle, e.Flit, e.A, e.B, e.C)
+		}
+	})
+}
+
+// Watch subscribes the monitor to its channel's tap: token grants, lock
+// releases and receiver-side deliveries.
+func (m *ChannelMonitor) Watch(ch *noc.Tap) {
+	ch.Subscribe(noc.Mask(noc.EvGrant, noc.EvRelease, noc.EvDeliver), func(e noc.Event) {
+		switch e.Kind {
+		case noc.EvGrant:
+			m.Acquire(e.Cycle, e.Pkt, e.A, e.B)
+		case noc.EvRelease:
+			m.Release(e.Cycle, e.Pkt, e.A)
+		case noc.EvDeliver:
+			m.Deliver(e.Cycle, e.Flit, e.A)
+		}
+	})
 }

@@ -421,8 +421,8 @@ func TestConformanceCorruptedTokenTripsDump(t *testing.T) {
 	cy := n.Eng.Cycle()
 	a := &noc.Packet{ID: 1 << 50, NumFlits: 2}
 	b := &noc.Packet{ID: 1<<50 + 1, NumFlits: 2}
-	ch.OnCkAcquire(cy, a, 3, 0)
-	ch.OnCkAcquire(cy, b, 5, 0) // duplicate grant
+	ch.Tap.Emit(noc.Event{Kind: noc.EvGrant, Cycle: cy, Pkt: a, A: 3})
+	ch.Tap.Emit(noc.Event{Kind: noc.EvGrant, Cycle: cy, Pkt: b, A: 5}) // duplicate grant
 
 	if c.Total() != 1 {
 		t.Fatalf("duplicate grant produced %d violations, want 1: %v", c.Total(), c.Violations())
@@ -457,9 +457,10 @@ type loopbackRx struct{ rx *sbus.Rx }
 
 func (r *loopbackRx) ReceiveFlit(port int, f *noc.Flit) { r.rx.ReturnCredit(f.VC) }
 
-// TestConformanceDisabledHooksAllocFree pins the nil-hook bargain from
-// the checker's side: with no checker installed (all OnCk* hooks nil) the
-// channel send/tick path allocates nothing in steady state.
+// TestConformanceDisabledHooksAllocFree pins the disabled-tap bargain
+// from the checker's side: with no checker installed (no subscriber on
+// the channel's tap) the channel send/tick path allocates nothing in
+// steady state.
 func TestConformanceDisabledHooksAllocFree(t *testing.T) {
 	var now uint64
 	ch := sbus.NewChannel("t", 1, 0, 1)

@@ -26,15 +26,14 @@ func (e PacketEvent) String() string {
 }
 
 // DeliveryLog records every packet delivery of one run in global ejection
-// order. fabric.Network.RecordDeliveries wires one through the sinks'
-// OnEject hooks; within a cycle, sinks eject in the deterministic
+// order. fabric.Network.RecordDeliveries subscribes one to the sinks'
+// EvEject; within a cycle, sinks eject in the deterministic
 // delivery-phase walk order, so the log itself is reproducible.
 type DeliveryLog struct {
 	Events []PacketEvent
 }
 
-// Record appends one completed packet; it matches the Sink.OnEject hook
-// signature.
+// Record appends one completed packet with its ejection cycle.
 func (l *DeliveryLog) Record(p *noc.Packet, cycle uint64) {
 	l.Events = append(l.Events, PacketEvent{
 		ID:         p.ID,

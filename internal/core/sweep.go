@@ -95,9 +95,36 @@ func Sweep(sys System, pattern traffic.Pattern, loads []float64, b Budget) []sta
 // artifact; the returned slice is always in load order and is the only
 // sanctioned result. nil onPoint is allowed.
 func SweepWithProgress(sys System, pattern traffic.Pattern, loads []float64, b Budget, onPoint func(i int, p stats.CurvePoint)) []stats.CurvePoint {
+	return sweep(pattern, loads, b, onPoint, func(_ int, ts fabric.TrafficSpec, rs fabric.RunSpec) fabric.Result {
+		return sys.Run(ts, rs)
+	})
+}
+
+// CheckedSweep is SweepWithProgress with the conformance checker
+// installed on every point (System.RunChecked). It returns the curve in
+// load order plus every violation detected across the sweep, also
+// concatenated in load order so campaign reports stay deterministic. The
+// curve itself is bit-identical to an unchecked sweep's.
+func CheckedSweep(sys System, pattern traffic.Pattern, loads []float64, b Budget, onPoint func(i int, p stats.CurvePoint)) ([]stats.CurvePoint, []check.Violation) {
+	perPoint := make([][]check.Violation, len(loads))
+	points := sweep(pattern, loads, b, onPoint, func(i int, ts fabric.TrafficSpec, rs fabric.RunSpec) (res fabric.Result) {
+		res, perPoint[i] = sys.RunChecked(ts, rs)
+		return res
+	})
+	var all []check.Violation
+	for _, vs := range perPoint {
+		all = append(all, vs...)
+	}
+	return points, all
+}
+
+// sweep runs point i of the load axis through run, in parallel, with seed
+// b.Seed+i, and assembles the curve in load order.
+func sweep(pattern traffic.Pattern, loads []float64, b Budget, onPoint func(i int, p stats.CurvePoint),
+	run func(i int, ts fabric.TrafficSpec, rs fabric.RunSpec) fabric.Result) []stats.CurvePoint {
 	points := make([]stats.CurvePoint, len(loads))
 	ParallelMap(len(loads), func(i int) {
-		res := sys.Run(
+		res := run(i,
 			fabric.TrafficSpec{Pattern: pattern, Rate: loads[i], Seed: b.Seed + uint64(i)},
 			fabric.RunSpec{Warmup: b.Warmup, Measure: b.Measure, ReservoirCap: b.ReservoirCap},
 		)
@@ -112,37 +139,6 @@ func SweepWithProgress(sys System, pattern traffic.Pattern, loads []float64, b B
 		}
 	})
 	return points
-}
-
-// CheckedSweep is SweepWithProgress with the conformance checker
-// installed on every point (System.RunChecked). It returns the curve in
-// load order plus every violation detected across the sweep, also
-// concatenated in load order so campaign reports stay deterministic. The
-// curve itself is bit-identical to an unchecked sweep's.
-func CheckedSweep(sys System, pattern traffic.Pattern, loads []float64, b Budget, onPoint func(i int, p stats.CurvePoint)) ([]stats.CurvePoint, []check.Violation) {
-	points := make([]stats.CurvePoint, len(loads))
-	perPoint := make([][]check.Violation, len(loads))
-	ParallelMap(len(loads), func(i int) {
-		res, vs := sys.RunChecked(
-			fabric.TrafficSpec{Pattern: pattern, Rate: loads[i], Seed: b.Seed + uint64(i)},
-			fabric.RunSpec{Warmup: b.Warmup, Measure: b.Measure, ReservoirCap: b.ReservoirCap},
-		)
-		points[i] = stats.CurvePoint{
-			Load:       loads[i],
-			Latency:    res.AvgLatency,
-			Throughput: res.Throughput,
-			Saturated:  !res.Drained,
-		}
-		perPoint[i] = vs
-		if onPoint != nil {
-			onPoint(i, points[i])
-		}
-	})
-	var all []check.Violation
-	for _, vs := range perPoint {
-		all = append(all, vs...)
-	}
-	return points, all
 }
 
 // SaturationThroughput sweeps to saturation and reports the accepted

@@ -5,15 +5,17 @@ import (
 
 	"ownsim/internal/check"
 	"ownsim/internal/flightrec"
+	"ownsim/internal/noc"
 	"ownsim/internal/sim"
 )
 
-// InstallChecker wires the conformance checker c through every component
-// of the network: per-flit source/sink hooks close the flit-conservation
-// ledger, router hooks audit route legality and per-VC FIFO order against
-// the topology's own routing tables, shared-channel hooks audit
-// single-token-holder arbitration and delivery order, pool hooks catch
-// mid-flight recycles, and a periodic structural sweep re-validates
+// InstallChecker subscribes the conformance checker c to every component
+// tap of the network: per-flit source/sink events close the
+// flit-conservation ledger, router events audit route legality and per-VC
+// FIFO order against the topology's own routing tables, shared-channel
+// events audit single-token-holder arbitration and delivery order, pool
+// events catch mid-flight recycles, and a periodic structural sweep
+// re-validates
 // credit bounds and queue accounting (see internal/check for the full
 // invariant catalog). Install before Run, and at most once.
 //
@@ -23,9 +25,9 @@ import (
 // may be nil, additionally observes every violation as it happens; only
 // the first call carries the snapshot, later ones pass nil.
 //
-// The checker observes through its own dedicated hook fields, so it
-// coexists with an installed probe and flight recorder in any order. Like
-// them it is inert: a checked run's Result is bit-identical to an
+// The checker is one more subscriber of the taps the probe and flight
+// recorder use, so it coexists with them in any order. Like them it is
+// inert: a checked run's Result is bit-identical to an
 // unchecked one (the structural sweep registers an always-on collect-phase
 // ticker, which only pins RunUntil to per-cycle stepping — simulation
 // state is unaffected).
@@ -58,48 +60,39 @@ func (n *Network) InstallChecker(c *check.Checker, onViolation func(v check.Viol
 		if src == nil {
 			continue
 		}
-		sm := c.NewSourceMonitor(src.CoreID)
-		src.OnCkFlit = sm.Flit
-		src.Pool().OnCkRecycle = c.Recycle
+		c.NewSourceMonitor(src.CoreID).Watch(&src.Tap, &src.Pool().Tap)
 	}
 	for _, snk := range n.Sinks {
 		if snk == nil {
 			continue
 		}
-		km := c.NewSinkMonitor(snk.CoreID)
-		snk.OnCkFlit = km.Flit
+		c.NewSinkMonitor(snk.CoreID).Watch(&snk.Tap)
 	}
 	for _, r := range n.Routers {
-		rm := c.NewRouterMonitor(r.Cfg.ID, r.Cfg.Route, n.Diameter)
-		r.OnCkRoute = rm.Route
-		r.OnCkFlit = rm.Flit
+		c.NewRouterMonitor(r.Cfg.ID, r.Cfg.Route, n.Diameter).Watch(&r.Tap)
 	}
 	for _, ch := range n.Channels {
-		cm := c.NewChannelMonitor(channelLabel(ch))
-		ch.OnCkAcquire = cm.Acquire
-		ch.OnCkRelease = cm.Release
-		ch.OnCkDeliver = cm.Deliver
+		c.NewChannelMonitor(channelLabel(ch)).Watch(&ch.Tap)
 	}
-	n.Eng.Register(sim.PhaseCollect, &checkSweep{n: n, c: c, every: c.SweepEvery()})
+	n.Eng.Register(sim.PhaseCollect, &checkSweep{n: n, c: c})
 }
 
 // CheckerSnapshot returns the state snapshot captured at the checker's
 // first violation, or nil when the run was (so far) conformant.
 func (n *Network) CheckerSnapshot() *flightrec.Snapshot { return n.checkerSnap }
 
-// checkSweep is the checker's periodic structural auditor: every `every`
-// cycles it re-runs the routers' and channels' CheckInvariants, reporting
-// breaches as credit/state violations. It reads state only, so it is as
-// inert as the rest of the checker.
+// checkSweep is the checker's periodic structural auditor: every
+// check.SweepEveryCy cycles it re-runs the routers' and channels'
+// CheckInvariants, reporting breaches as credit/state violations. It
+// reads state only, so it is as inert as the rest of the checker.
 type checkSweep struct {
-	n     *Network
-	c     *check.Checker
-	every uint64
+	n *Network
+	c *check.Checker
 }
 
 // Tick implements sim.Ticker (collect phase).
 func (s *checkSweep) Tick(cycle uint64) {
-	if cycle%s.every != 0 {
+	if cycle%check.SweepEveryCy != 0 {
 		return
 	}
 	for _, r := range s.n.Routers {
@@ -135,18 +128,14 @@ func (n *Network) SetReferenceMode() {
 	}
 }
 
-// RecordDeliveries wires a delivery log through every sink's OnEject
-// hook, capturing each completed packet in global ejection order. Call
-// before Run. The probe layer owns the same hook, so combining it with
-// InstallProbe is rejected.
+// RecordDeliveries subscribes a delivery log to every sink's EvEject,
+// capturing each completed packet in global ejection order. Call before
+// Run.
 func (n *Network) RecordDeliveries() *check.DeliveryLog {
-	if n.Probe != nil {
-		panic(fmt.Sprintf("fabric %s: RecordDeliveries and InstallProbe both claim Sink.OnEject", n.Name))
-	}
 	log := &check.DeliveryLog{}
 	for _, snk := range n.Sinks {
 		if snk != nil {
-			snk.OnEject = log.Record
+			snk.Tap.Subscribe(noc.Mask(noc.EvEject), func(e noc.Event) { log.Record(e.Pkt, e.Cycle) })
 		}
 	}
 	return log

@@ -10,10 +10,10 @@ import (
 
 // InstallFlightRecorder wires a flight recorder into an assembled
 // network: it sizes the per-tile stall tracker from the topology,
-// enables token-wait tracking on every shared channel, and schedules
-// the deterministic watchdog in the engine's Collect phase. Call it
-// after the topology builder and BEFORE InstallProbe — the probe
-// installer hooks the stall tracker into the channel-transmit path and
+// subscribes the per-writer wait table to every shared channel, and
+// schedules the deterministic watchdog in the engine's Collect phase.
+// Call it after the topology builder and BEFORE InstallProbe — the probe
+// installer feeds the stall tracker from the channel-transmit events and
 // registers the token/stall gauges behind the established columns. A
 // nil recorder is a no-op. Like the probe layer, the recorder is inert:
 // it only reads state the simulation already maintains, so installing
@@ -37,11 +37,11 @@ func (n *Network) InstallFlightRecorder(fr *flightrec.FlightRecorder) {
 	fr.InitStall((n.NumCores + cpt - 1) / cpt)
 	for _, ch := range n.Channels {
 		fr.Stall.AddChannel(channelLabel(ch), ch.Kind)
-		ch.EnableStallTracking()
 	}
 
 	dog := fr.Dog
 	dog.Channels = n.Channels
+	dog.Waits = flightrec.NewWaitTable(n.Channels)
 	dog.SnapshotFn = n.Snapshot
 	sinks, sources := n.Sinks, n.Sources
 	chans := n.Channels
@@ -69,7 +69,7 @@ func (n *Network) InstallFlightRecorder(fr *flightrec.FlightRecorder) {
 }
 
 // wireFlightRec registers the token-fairness and stall gauges and
-// subscribes the ring recorder to the sampler. InstallProbe calls it
+// points the recorder at the sampler. InstallProbe calls it
 // last, so every flight-recorder column rides behind the established
 // metric layout and runs without a recorder are byte-identical to
 // before.
@@ -105,11 +105,7 @@ func (n *Network) wireFlightRec(p *probe.Probe) {
 	chans := n.Channels
 	budget := dog.Config().StarveBudgetCy
 	reg.Gauge("stall.starved_writers", func() float64 {
-		total := 0
-		for _, ch := range chans {
-			total += ch.StarvedWriters(eng.Cycle(), budget)
-		}
-		return float64(total)
+		return float64(dog.Waits.StarvedWriters(eng.Cycle(), budget))
 	})
 	reg.Gauge("stall.ch_queue_high_water", func() float64 {
 		total := 0
@@ -126,13 +122,7 @@ func (n *Network) wireFlightRec(p *probe.Probe) {
 		}
 		return float64(total)
 	})
-	if s := p.Sampler(); s != nil {
-		rec := fr.Rec
-		rec.SetNames(reg.Names())
-		s.Subscribe(func(cycle uint64, values []float64) {
-			rec.Observe(cycle, values)
-		})
-	}
+	fr.Rec.Attach(p.Sampler())
 }
 
 // Snapshot assembles the full diagnostic state dump the watchdog and
@@ -164,9 +154,15 @@ func (n *Network) Snapshot(reason string) *flightrec.Snapshot {
 		}
 	}
 	snap.Progress.BufferedFlits = n.BufferedFlits()
-	for _, ch := range n.Channels {
+	var waits *flightrec.WaitTable
+	if n.FlightRec != nil {
+		waits = n.FlightRec.Dog.Waits
+	}
+	for i, ch := range n.Channels {
 		snap.Progress.ChannelQueued += ch.Queued()
-		snap.Channels = append(snap.Channels, ch.Introspect())
+		ci := ch.Introspect()
+		waits.Fill(i, &ci)
+		snap.Channels = append(snap.Channels, ci)
 	}
 	for _, r := range n.Routers {
 		snap.Routers = append(snap.Routers, flightrec.RouterInfo{
@@ -190,7 +186,7 @@ func (n *Network) Snapshot(reason string) *flightrec.Snapshot {
 			}
 		}
 	}
-	snap.Starved = flightrec.CollectStarved(cycle, n.Channels)
+	snap.Starved = flightrec.CollectStarved(cycle, n.Channels, waits)
 	if fr := n.FlightRec; fr != nil {
 		snap.Tiles = fr.Stall.Tiles()
 		snap.Trips = fr.Dog.Trips()

@@ -18,20 +18,20 @@ import (
 func TestNoRecycledFlitInFlight(t *testing.T) {
 	n := ring(4, power.NewMeter(nil))
 	for _, r := range n.Routers {
-		r.OnSwitch = func(_ uint64, f *noc.Flit, inPort, outPort int) {
-			if !f.Live() {
-				t.Fatalf("recycled flit in flight: pkt %d seq %d (in %d out %d)", f.Pkt.ID, f.Seq, inPort, outPort)
+		r.Tap.Subscribe(noc.Mask(noc.EvSwitch), func(e noc.Event) {
+			if f := e.Flit; !f.Live() {
+				t.Fatalf("recycled flit in flight: pkt %d seq %d (in %d out %d)", f.Pkt.ID, f.Seq, e.A, e.B)
 			}
-		}
+		})
 	}
 	for _, snk := range n.Sinks {
-		snk.OnEject = func(p *noc.Packet, _ uint64) {
+		snk.Tap.Subscribe(noc.Mask(noc.EvEject), func(e noc.Event) {
 			// The tail just arrived; the lifetime must still be open
-			// (the sink recycles only after this hook returns).
-			if p.EjectedAt == 0 && p.InjectedAt == 0 {
-				t.Fatalf("ejection hook saw a zeroed (recycled) packet %d", p.ID)
+			// (the sink recycles only after this subscriber returns).
+			if p := e.Pkt; p.EjectedAt == 0 && p.InjectedAt == 0 {
+				t.Fatalf("ejection subscriber saw a zeroed (recycled) packet %d", p.ID)
 			}
-		}
+		})
 	}
 	res := n.Run(
 		TrafficSpec{Pattern: traffic.Uniform, Rate: 0.2, PktFlits: 3, Seed: 5},

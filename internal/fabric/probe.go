@@ -13,12 +13,13 @@ import (
 
 // InstallProbe wires an observability probe into an assembled network:
 // it registers metrics over the network's components, schedules the
-// cycle-windowed sampler in the engine's Collect phase, and installs the
-// per-packet trace hooks. Call it after the topology builder and before
-// Run; a nil probe is a no-op. The probe layer is inert by construction:
-// every metric is read from state the simulation already maintains, and
-// every hook only records — enabling a probe never changes a Summary
-// (tests assert this bit-for-bit).
+// cycle-windowed sampler in the engine's Collect phase, and subscribes
+// the per-packet tracer and span tracker to the component taps. Call it
+// after the topology builder and before Run; a nil probe is a no-op. The
+// probe layer is inert by construction: every metric is read from state
+// the simulation already maintains, and every subscriber only records —
+// enabling a probe never changes a Summary (tests assert this
+// bit-for-bit).
 func (n *Network) InstallProbe(p *probe.Probe) {
 	if p == nil {
 		return
@@ -31,9 +32,7 @@ func (n *Network) InstallProbe(p *probe.Probe) {
 	if s := p.Sampler(); s != nil {
 		n.Eng.Register(sim.PhaseCollect, s)
 	}
-	if t, sp := p.Tracer(), p.Spans(); t != nil || sp != nil {
-		n.installPacketHooks(t, sp)
-	}
+	n.watchPackets(p.Tracer(), p.Spans())
 	// Flight-recorder metrics ride behind every established column so
 	// artifact layouts without a recorder are unchanged.
 	n.wireFlightRec(p)
@@ -286,76 +285,30 @@ func channelTransit(ch *sbus.Channel) probe.SpanPhase {
 	return probe.SpanElec
 }
 
-// installPacketHooks attaches per-packet lifecycle observers to every
-// source, sink, router and shared channel, feeding the trace sampler
-// and/or the latency-attribution tracker (either may be nil; the
-// tracer's Sampled and every SpanTracker method tolerate it). Components
-// are registered with the tracer in deterministic order (sources,
-// sinks, routers, channels, each in index order), so thread IDs — and
-// therefore the exported trace bytes — are reproducible.
-func (n *Network) installPacketHooks(t *probe.Tracer, sp *probe.SpanTracker) {
+// watchPackets subscribes the trace sampler and/or the latency-attribution
+// tracker (either may be nil) to every source, sink, router and shared
+// channel tap. Components are registered with the tracer in deterministic
+// order (sources, sinks, routers, channels, each in index order), so
+// thread IDs — and therefore the exported trace bytes — are reproducible.
+func (n *Network) watchPackets(t *probe.Tracer, sp *probe.SpanTracker) {
 	for id, src := range n.Sources {
-		if src == nil {
-			continue
-		}
-		cid := 0
-		if t != nil {
-			cid = t.Component(fmt.Sprintf("src.%d", id))
-		}
-		src.OnEnqueue = func(p *noc.Packet, cycle uint64) {
-			sp.Enqueue(p, cycle)
-			if t.Sampled(p.ID) {
-				t.Emit(cycle, cid, probe.EvEnqueue, p, 0)
-			}
-		}
-		src.OnInject = func(p *noc.Packet, cycle uint64) {
-			sp.Inject(p, cycle)
-			if t.Sampled(p.ID) {
-				t.Emit(cycle, cid, probe.EvInject, p, 0)
-			}
+		if src != nil {
+			sp.Watch(&src.Tap)
+			t.Watch(&src.Tap, fmt.Sprintf("src.%d", id))
 		}
 	}
 	for id, snk := range n.Sinks {
-		if snk == nil {
-			continue
-		}
-		cid := 0
-		if t != nil {
-			cid = t.Component(fmt.Sprintf("sink.%d", id))
-		}
-		snk.OnEject = func(p *noc.Packet, cycle uint64) {
-			sp.Eject(p, cycle)
-			if t.Sampled(p.ID) {
-				t.Emit(cycle, cid, probe.EvEject, p, 0)
-			}
+		if snk != nil {
+			sp.Watch(&snk.Tap)
+			t.Watch(&snk.Tap, fmt.Sprintf("sink.%d", id))
 		}
 	}
 	for _, r := range n.Routers {
-		cid := 0
-		if t != nil {
-			cid = t.Component(fmt.Sprintf("router.%d", r.Cfg.ID))
-		}
-		if t != nil {
-			r.OnRoute = func(cycle uint64, p *noc.Packet, inPort, outPort int) {
-				if t.Sampled(p.ID) {
-					t.Emit(cycle, cid, probe.EvRoute, p, outPort)
-				}
-			}
-			r.OnVCAlloc = func(cycle uint64, p *noc.Packet, outPort, outVC int) {
-				if t.Sampled(p.ID) {
-					t.Emit(cycle, cid, probe.EvVCAlloc, p, outVC)
-				}
-			}
-		}
-		r.OnSwitch = func(cycle uint64, f *noc.Flit, inPort, outPort int) {
-			sp.Switch(cycle, f)
-			if f.IsHead() && t.Sampled(f.Pkt.ID) {
-				t.Emit(cycle, cid, probe.EvSwitch, f.Pkt, outPort)
-			}
-		}
+		sp.Watch(&r.Tap)
+		t.Watch(&r.Tap, fmt.Sprintf("router.%d", r.Cfg.ID))
 	}
-	// The channel-transmit hook feeds the stall tracker the exact wait
-	// the span tracker charges to token_wait, so fairness artifacts
+	// The channel-transmit subscriber feeds the stall tracker the exact
+	// wait the span tracker charges to token_wait, so fairness artifacts
 	// reconcile with the latency breakdown cycle for cycle. A nil
 	// tracker (no flight recorder) records nothing.
 	var st *flightrec.StallTracker
@@ -367,35 +320,19 @@ func (n *Network) installPacketHooks(t *probe.Tracer, sp *probe.SpanTracker) {
 		cpt = 1
 	}
 	for ci, ch := range n.Channels {
-		cid := 0
-		if t != nil {
-			cid = t.Component(channelLabel(ch))
-		}
-		if t != nil {
-			ch.OnAcquire = func(cycle uint64, p *noc.Packet, tokenCostCy int) {
-				if t.Sampled(p.ID) {
-					t.Emit(cycle, cid, probe.EvTokenAcquire, p, tokenCostCy)
-				}
-			}
-			ch.OnRelease = func(cycle uint64, p *noc.Packet) {
-				if t.Sampled(p.ID) {
-					t.Emit(cycle, cid, probe.EvTokenRelease, p, 0)
-				}
-			}
+		t.Watch(&ch.Tap, channelLabel(ch))
+		if sp == nil {
+			continue
 		}
 		// Channel parameters are fixed once the topology is built, so the
-		// hook captures them resolved rather than re-deriving per flit.
+		// subscriber captures them resolved rather than re-deriving per flit.
 		serCy, propCy := ch.SerializeCy, ch.PropCy
 		transit := channelTransit(ch)
 		swmrFwd := ch.Kind == "wireless" && ch.NumRx() > 1
-		ch.OnFlitTx = func(cycle uint64, f *noc.Flit, rx int) {
-			wait, ok := sp.ChannelTx(cycle, f, serCy, propCy, transit, swmrFwd)
-			if ok {
-				st.Observe(ci, f.Pkt.Src/cpt, wait)
+		ch.Tap.Subscribe(noc.Mask(noc.EvFlitTx), func(e noc.Event) {
+			if wait, ok := sp.ChannelTx(e.Cycle, e.Flit, serCy, propCy, transit, swmrFwd); ok {
+				st.Observe(ci, e.Pkt.Src/cpt, wait)
 			}
-			if f.IsHead() && t.Sampled(f.Pkt.ID) {
-				t.Emit(cycle, cid, probe.EvTransmit, f.Pkt, rx)
-			}
-		}
+		})
 	}
 }

@@ -1,8 +1,8 @@
 // Package flightrec is the simulator's black-box diagnostics layer: a
-// bounded ring-buffer flight recorder over the probe sampler's metric
-// windows, per-tile token-wait stall accounting for the shared photonic
-// and wireless media, and a watchdog that detects wedged or starving
-// runs and dumps the full arbitration state.
+// flight recorder showing the probe sampler's most recent metric
+// windows, per-tile token-wait stall accounting and per-writer wait
+// state for the shared photonic and wireless media, and a watchdog that
+// detects wedged or starving runs and dumps the full arbitration state.
 //
 // The package follows the probe layer's contracts: everything is inert
 // (recording never feeds back into the simulation, so results are
@@ -23,8 +23,6 @@ package flightrec
 
 // Options parameterizes a FlightRecorder.
 type Options struct {
-	// RingFrames bounds the recorder ring; 0 means DefaultRingFrames.
-	RingFrames int
 	// Watchdog configures the in-engine stall detectors.
 	Watchdog WatchdogConfig
 }
@@ -33,7 +31,7 @@ type Options struct {
 // with New, then hand to fabric.Network.InstallFlightRecorder, which
 // sizes the stall tracker to the topology and schedules the watchdog.
 type FlightRecorder struct {
-	// Rec is the bounded ring of recent sampler windows.
+	// Rec is the view of the most recent sampler windows.
 	Rec *Recorder
 	// Stall is the per-tile token-wait tracker; nil until the recorder
 	// is installed on a network (the tile count comes from the
@@ -45,11 +43,8 @@ type FlightRecorder struct {
 
 // New creates a detached FlightRecorder.
 func New(o Options) *FlightRecorder {
-	if o.RingFrames <= 0 {
-		o.RingFrames = DefaultRingFrames
-	}
 	return &FlightRecorder{
-		Rec: NewRecorder(o.RingFrames),
+		Rec: &Recorder{},
 		Dog: NewWatchdog(o.Watchdog),
 	}
 }

@@ -1,10 +1,12 @@
 package flightrec
 
-// DefaultRingFrames is the default flight-recorder window count. At the
-// default sampling stride of 256 cycles it covers the most recent ~16k
-// simulated cycles — enough context around a wedge without unbounded
-// memory.
-const DefaultRingFrames = 64
+import "ownsim/internal/probe"
+
+// RingFrames is the number of most recent sampler windows a state dump
+// carries. At the default sampling stride of 256 cycles it covers the
+// last ~16k simulated cycles — enough context around a wedge without
+// dumping the whole run.
+const RingFrames = 64
 
 // Frame is one recorded sampler window: the snapshot cycle plus every
 // registered metric value in registration order.
@@ -13,90 +15,41 @@ type Frame struct {
 	Values []float64 `json:"values"`
 }
 
-// Recorder is a bounded ring buffer of recent metric windows. It is fed
-// from probe.Sampler.Subscribe on the simulation goroutine and read only
-// from dump paths on that same goroutine (the watchdog services HTTP
-// dump requests from its engine tick), so it needs no locking. Slots
-// reuse their value slices, so steady-state recording is allocation
-// free.
+// Recorder is the flight recorder's window onto the probe sampler: the
+// sampler already retains every row of the run, so the recorder stores
+// nothing and presents the most recent RingFrames of them. It is read
+// only from dump paths on the simulation goroutine (the watchdog
+// services HTTP dump requests from its engine tick), so it needs no
+// locking. An unattached recorder (no sampling probe) reports nothing.
 type Recorder struct {
-	names  []string
-	frames []Frame
-	next   int
-	count  int
-	total  uint64
+	smp *probe.Sampler
 }
 
-// NewRecorder creates a ring holding the most recent capFrames windows.
-func NewRecorder(capFrames int) *Recorder {
-	if capFrames <= 0 {
-		capFrames = DefaultRingFrames
-	}
-	return &Recorder{frames: make([]Frame, capFrames)}
-}
-
-// SetNames records the metric names aligned with every frame's values
-// (registration order); the installer calls it once the registry is
-// complete.
-func (r *Recorder) SetNames(names []string) {
-	r.names = append(r.names[:0], names...)
-}
+// Attach points the recorder at the run's sampler; the installer calls it
+// once the probe is wired.
+func (r *Recorder) Attach(s *probe.Sampler) { r.smp = s }
 
 // Names returns the metric names aligned with frame values.
-func (r *Recorder) Names() []string {
-	if r == nil {
-		return nil
-	}
-	return r.names
-}
+func (r *Recorder) Names() []string { return r.smp.Names() }
 
-// Observe records one sampler window, evicting the oldest when full.
-// The values slice is copied; the sampler's buffer is shared.
-func (r *Recorder) Observe(cycle uint64, values []float64) {
-	if r == nil {
-		return
-	}
-	fr := &r.frames[r.next]
-	fr.Cycle = cycle
-	fr.Values = append(fr.Values[:0], values...)
-	r.next = (r.next + 1) % len(r.frames)
-	if r.count < len(r.frames) {
-		r.count++
-	}
-	r.total++
-}
+// Total returns the number of windows sampled so far, including those
+// older than the RingFrames a dump shows.
+func (r *Recorder) Total() uint64 { return uint64(r.smp.Rows()) }
 
-// Total returns the number of windows ever observed (recorded plus
-// evicted).
-func (r *Recorder) Total() uint64 {
-	if r == nil {
-		return 0
-	}
-	return r.total
-}
-
-// Cap returns the ring capacity in frames.
-func (r *Recorder) Cap() int {
-	if r == nil {
-		return 0
-	}
-	return len(r.frames)
-}
-
-// Tail returns up to k retained frames in chronological order (k <= 0
-// returns all). The frames share the ring's value slices; callers must
-// not retain them across further Observe calls.
+// Tail returns the last k sampled windows in chronological order (k <= 0
+// or beyond RingFrames returns the last RingFrames). The frames share the
+// sampler's rows; callers must not modify them.
 func (r *Recorder) Tail(k int) []Frame {
-	if r == nil || r.count == 0 {
-		return nil
+	n := r.smp.Rows()
+	if k <= 0 || k > RingFrames {
+		k = RingFrames
 	}
-	if k <= 0 || k > r.count {
-		k = r.count
+	if k > n {
+		k = n
 	}
-	out := make([]Frame, 0, k)
-	start := (r.next - k + len(r.frames)) % len(r.frames)
-	for i := 0; i < k; i++ {
-		out = append(out, r.frames[(start+i)%len(r.frames)])
+	out := make([]Frame, k)
+	for i := range out {
+		out[i].Cycle, out[i].Values = r.smp.Row(n - k + i)
 	}
 	return out
 }

@@ -4,77 +4,70 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"ownsim/internal/probe"
 )
 
+// sampledRecorder returns a recorder attached to a two-metric sampler
+// that has taken rows windows, one every 256 cycles; metric "a" reads the
+// window index and "b" twice that.
+func sampledRecorder(rows int) *Recorder {
+	p := probe.New(probe.Options{MetricsEvery: 256})
+	var i float64
+	p.Registry().Gauge("a", func() float64 { return i })
+	p.Registry().Gauge("b", func() float64 { return 2 * i })
+	for ; int(i) < rows; i++ {
+		p.Sampler().Tick(uint64(i) * 256)
+	}
+	r := &Recorder{}
+	r.Attach(p.Sampler())
+	return r
+}
+
+// TestRecorderRingEvictsOldest: rows older than the last RingFrames fall
+// out of the tail a dump shows, and the tail stays chronological.
 func TestRecorderRingEvictsOldest(t *testing.T) {
-	r := NewRecorder(4)
-	if r.Cap() != 4 {
-		t.Fatalf("Cap = %d, want 4", r.Cap())
-	}
-	for i := 0; i < 10; i++ {
-		r.Observe(uint64(i*256), []float64{float64(i), float64(i * 2)})
-	}
-	if r.Total() != 10 {
-		t.Fatalf("Total = %d, want 10", r.Total())
+	r := sampledRecorder(RingFrames + 6)
+	if r.Total() != RingFrames+6 {
+		t.Fatalf("Total = %d, want %d", r.Total(), RingFrames+6)
 	}
 	tail := r.Tail(0)
-	if len(tail) != 4 {
-		t.Fatalf("Tail kept %d frames, want 4", len(tail))
+	if len(tail) != RingFrames {
+		t.Fatalf("Tail kept %d frames, want %d", len(tail), RingFrames)
 	}
-	// Chronological order, oldest retained frame first.
+	// Chronological order, oldest shown frame first.
 	for i, f := range tail {
 		want := uint64((6 + i) * 256)
 		if f.Cycle != want {
 			t.Errorf("tail[%d].Cycle = %d, want %d", i, f.Cycle, want)
 		}
-		if f.Values[0] != float64(6+i) {
-			t.Errorf("tail[%d].Values[0] = %v, want %v", i, f.Values[0], float64(6+i))
+		if f.Values[0] != float64(6+i) || f.Values[1] != float64(2*(6+i)) {
+			t.Errorf("tail[%d].Values = %v, want [%d %d]", i, f.Values, 6+i, 2*(6+i))
 		}
 	}
-	if got := r.Tail(2); len(got) != 2 || got[0].Cycle != 8*256 {
+	if got := r.Tail(2); len(got) != 2 || got[0].Cycle != uint64(RingFrames+4)*256 {
 		t.Errorf("Tail(2) = %+v, want last two frames", got)
 	}
-	if got := r.Tail(99); len(got) != 4 {
-		t.Errorf("Tail(99) kept %d frames, want 4", len(got))
+	if got := r.Tail(RingFrames + 99); len(got) != RingFrames {
+		t.Errorf("Tail beyond the bound kept %d frames, want %d", len(got), RingFrames)
 	}
-}
-
-func TestRecorderCopiesSamplerBuffer(t *testing.T) {
-	r := NewRecorder(2)
-	buf := []float64{1, 2, 3}
-	r.Observe(100, buf)
-	buf[0] = 99 // the sampler reuses its buffer; the ring must not alias it
-	if got := r.Tail(0)[0].Values[0]; got != 1 {
-		t.Fatalf("frame aliased the sampler buffer: Values[0] = %v, want 1", got)
+	if got := sampledRecorder(3).Tail(0); len(got) != 3 || got[0].Cycle != 0 {
+		t.Errorf("short run Tail(0) = %+v, want all 3 rows", got)
 	}
 }
 
 func TestRecorderNames(t *testing.T) {
-	r := NewRecorder(2)
-	r.SetNames([]string{"a", "b"})
-	if got := r.Names(); len(got) != 2 || got[0] != "a" {
-		t.Fatalf("Names = %v", got)
+	if got := sampledRecorder(1).Names(); len(got) != 2 || got[0] != "a" || got[1] != "b" {
+		t.Fatalf("Names = %v, want [a b]", got)
 	}
 }
 
 func TestRecorderNilSafe(t *testing.T) {
-	var r *Recorder
-	r.Observe(1, []float64{1})
-	if r.Total() != 0 || r.Cap() != 0 || r.Tail(0) != nil || r.Names() != nil {
-		t.Fatal("nil recorder must report nothing")
-	}
-}
-
-func TestRecorderObserveSteadyStateAllocFree(t *testing.T) {
-	r := NewRecorder(8)
-	vals := []float64{1, 2, 3, 4}
-	for i := 0; i < 16; i++ { // warm up: fill every slot's value slice
-		r.Observe(uint64(i), vals)
-	}
-	if allocs := testing.AllocsPerRun(100, func() {
-		r.Observe(12345, vals)
-	}); allocs != 0 {
-		t.Errorf("steady-state Observe allocates %v per call, want 0", allocs)
+	// Unattached: a flight recorder installed without a sampling probe
+	// holds a nil sampler.
+	r := &Recorder{}
+	if r.Total() != 0 || len(r.Tail(0)) != 0 || r.Names() != nil {
+		t.Fatal("unattached recorder must report nothing")
 	}
 }
 

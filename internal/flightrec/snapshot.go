@@ -60,12 +60,14 @@ type StarvedInfo struct {
 }
 
 // CollectStarved lists every writer currently waiting for a token on
-// the given channels (network channel order), annotated with token and
-// lock ownership. Channels without stall tracking contribute nothing.
-func CollectStarved(cycle uint64, chans []*sbus.Channel) []StarvedInfo {
+// the given channels (network channel order) according to their wait
+// table, annotated with token and lock ownership. A nil table (no
+// flight recorder) yields nothing.
+func CollectStarved(cycle uint64, chans []*sbus.Channel, waits *WaitTable) []StarvedInfo {
 	var out []StarvedInfo
-	for _, ch := range chans {
+	for i, ch := range chans {
 		ci := ch.Introspect()
+		waits.Fill(i, &ci)
 		for _, w := range ci.Writers {
 			if !w.Waiting {
 				continue

@@ -136,8 +136,8 @@ func TestWriteRecordRejectsNonObject(t *testing.T) {
 func TestCollectStarvedSkipsUntrackedChannels(t *testing.T) {
 	ch := sbus.NewChannel("bus0", 1, 0, 1)
 	ch.AddWriter(chanSrc{}, 0, 1, 4)
-	// No EnableStallTracking: introspection reports no waiting writers.
-	if got := CollectStarved(100, []*sbus.Channel{ch}); len(got) != 0 {
+	// No WaitTable subscribed: nobody is known to wait.
+	if got := CollectStarved(100, []*sbus.Channel{ch}, nil); len(got) != 0 {
 		t.Fatalf("untracked channel produced starved entries: %+v", got)
 	}
 }

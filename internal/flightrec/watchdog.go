@@ -26,19 +26,22 @@ type WatchdogConfig struct {
 	// after this many consecutive windows with flits in flight but no
 	// ejection progress; 0 disables.
 	StallWindows int
-	// SatFraction is the busy fraction a channel must sustain to count
-	// as saturated (default 0.95); SatWindows trips the saturation
-	// detector after that many consecutive saturated windows per
-	// channel, 0 disables.
-	SatFraction float64
-	SatWindows  int
-	// MaxDumps bounds the automatic trip dumps per run (default 1);
-	// later trips still count in Trips but emit nothing.
-	MaxDumps int
+	// SatWindows trips the saturation detector after this many
+	// consecutive windows in which a channel was busy at least
+	// satFraction of the time; 0 disables.
+	SatWindows int
 }
 
 // DefaultCheckEveryCy is the default detector window.
 const DefaultCheckEveryCy = 256
+
+// satFraction is the busy fraction a channel must sustain over a window
+// to count as saturated.
+const satFraction = 0.95
+
+// maxDumps bounds the automatic trip dumps per run; later trips still
+// count in Trips but emit nothing.
+const maxDumps = 1
 
 // maxTripReasons bounds the retained trip descriptions.
 const maxTripReasons = 16
@@ -68,12 +71,13 @@ type Watchdog struct {
 
 	// SnapshotFn builds a full state snapshot; OnTrip consumes trip
 	// dumps; Progress reports (ejected packets, flits in flight);
-	// Channels are the shared media to scan. fabric's installer wires
-	// all four.
+	// Channels are the shared media to scan and Waits their per-writer
+	// token-wait state, index-aligned. fabric's installer wires all five.
 	SnapshotFn func(reason string) *Snapshot
 	OnTrip     func(reason string, snap *Snapshot)
 	Progress   func() (ejected uint64, inFlight int)
 	Channels   []*sbus.Channel
+	Waits      *WaitTable
 
 	// cycle and finished are the only state the wall-clock watchdog
 	// goroutine and HTTP handlers may read.
@@ -97,12 +101,6 @@ type Watchdog struct {
 func NewWatchdog(cfg WatchdogConfig) *Watchdog {
 	if cfg.CheckEveryCy == 0 {
 		cfg.CheckEveryCy = DefaultCheckEveryCy
-	}
-	if cfg.SatFraction <= 0 || cfg.SatFraction > 1 {
-		cfg.SatFraction = 0.95
-	}
-	if cfg.MaxDumps == 0 {
-		cfg.MaxDumps = 1
 	}
 	return &Watchdog{cfg: cfg, dumpReq: make(chan dumpRequest, 4)}
 }
@@ -144,8 +142,8 @@ func (w *Watchdog) check(cycle uint64) {
 		w.lastEjected = ejected
 	}
 	if w.cfg.StarveBudgetCy > 0 {
-		for _, ch := range w.Channels {
-			wi, since := ch.OldestWaiter()
+		for i, ch := range w.Channels {
+			wi, since := w.Waits.OldestWaiter(i)
 			if wi >= 0 && cycle-since > w.cfg.StarveBudgetCy {
 				tok := ch.Introspect().Token
 				w.trip(fmt.Sprintf(
@@ -161,7 +159,7 @@ func (w *Watchdog) check(cycle uint64) {
 			w.lastBusy = make([]uint64, len(w.Channels))
 			w.satRuns = make([]int, len(w.Channels))
 		}
-		thresh := w.cfg.SatFraction * float64(w.cfg.CheckEveryCy)
+		thresh := satFraction * float64(w.cfg.CheckEveryCy)
 		for i, ch := range w.Channels {
 			busy := ch.Stats().BusyCy
 			delta := busy - w.lastBusy[i]
@@ -181,13 +179,13 @@ func (w *Watchdog) check(cycle uint64) {
 	}
 }
 
-// trip records a detection and emits at most MaxDumps automatic dumps.
+// trip records a detection and emits at most maxDumps automatic dumps.
 func (w *Watchdog) trip(reason string) {
 	w.trips++
 	if len(w.tripReasons) < maxTripReasons {
 		w.tripReasons = append(w.tripReasons, reason)
 	}
-	if w.OnTrip == nil || w.SnapshotFn == nil || w.dumps >= w.cfg.MaxDumps {
+	if w.OnTrip == nil || w.SnapshotFn == nil || w.dumps >= maxDumps {
 		return
 	}
 	w.dumps++

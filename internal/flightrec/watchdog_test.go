@@ -50,9 +50,9 @@ func TestWatchdogStallDetectorTrips(t *testing.T) {
 	if !strings.Contains(dog.TripReasons()[0], "quiescence without completion") {
 		t.Errorf("trip reason %q", dog.TripReasons()[0])
 	}
-	// MaxDumps defaults to 1: only the first trip dumps.
+	// Only the first trip dumps (maxDumps).
 	if len(snaps) != 1 {
-		t.Errorf("emitted %d dumps, want 1 (MaxDumps default)", len(snaps))
+		t.Errorf("emitted %d dumps, want 1", len(snaps))
 	}
 }
 
@@ -87,16 +87,16 @@ func TestWatchdogStarvationNamesWriterAndTokenOwner(t *testing.T) {
 	w1.SetID(11)
 	rx := &chanRx{}
 	rx.rx = ch.AddRx(rx, 0, 1, 4)
-	ch.EnableStallTracking()
 	ch.SetWaker(eng.RegisterWakeable(sim.PhaseDelivery, ch))
 
 	dog := NewWatchdog(WatchdogConfig{CheckEveryCy: 16, StarveBudgetCy: 100})
 	dog.Channels = []*sbus.Channel{ch}
+	dog.Waits = NewWaitTable(dog.Channels)
 	dog.SnapshotFn = func(reason string) *Snapshot {
 		return &Snapshot{
 			Reason:  reason,
 			Cycle:   eng.Cycle(),
-			Starved: CollectStarved(eng.Cycle(), dog.Channels),
+			Starved: CollectStarved(eng.Cycle(), dog.Channels, dog.Waits),
 		}
 	}
 	var tripped *Snapshot
@@ -159,7 +159,7 @@ func TestWatchdogSaturationDetectorTrips(t *testing.T) {
 	dog.Channels = []*sbus.Channel{ch}
 
 	// One long packet keeps the medium serializing a flit every cycle:
-	// every 8-cycle window is ~100% busy, well over the 0.95 default.
+	// every 8-cycle window is ~100% busy, well over satFraction.
 	sendFlits(w, &noc.Packet{ID: 1, NumFlits: 60}, 60)
 	for cy := uint64(0); cy <= 40; cy++ {
 		ch.Tick(cy)

@@ -3,10 +3,11 @@ package lint
 import (
 	"go/ast"
 	"go/types"
+	"strings"
 	"unicode"
 )
 
-// hookBannedPkgs are packages a probe hook body must never call into:
+// hookBannedPkgs are packages an observer closure must never call into:
 // wall-clock and global randomness break replayability, and os touches
 // process state.
 var hookBannedPkgs = map[string]bool{
@@ -16,11 +17,15 @@ var hookBannedPkgs = map[string]bool{
 	"os":           true,
 }
 
-// HookPureAnalyzer guards the probe-inertness contract: installing a
-// probe must not change simulation results or timing-sensitive behavior,
-// so the hook closures assigned to fabric's On* probe points (OnEnqueue,
-// OnDrop, ...) have to stay cheap and side-effect free. Inside such a
-// closure the analyzer flags:
+// HookPureAnalyzer guards the observer-inertness contract: installing a
+// probe, flight recorder or checker must not change simulation results
+// or timing-sensitive behavior, so the closures that observe the
+// simulation have to stay cheap and side-effect free. Two forms are
+// checked, in every package of the deterministic scope: a function
+// literal passed to (*noc.Tap).Subscribe — the one event seam — and a
+// function literal assigned to an On* callback field (OnTransmit,
+// OnFlit, OnAccepted, OnPacket: the model outputs that keep direct
+// calls). Inside such a closure the analyzer flags:
 //
 //   - calls into time, math/rand, math/rand/v2, or os
 //   - allocations: the append/make/new builtins and composite literals
@@ -29,32 +34,41 @@ var hookBannedPkgs = map[string]bool{
 //     indexes, or dereferences whose root is not a variable declared
 //     inside the closure, and assignments to captured plain variables
 //
-// Hooks that genuinely need shared aggregation go through the metric
-// registry's synchronized counters, not ad-hoc captured state; anything
-// else carries a reasoned //lint:ignore hookpure.
+// Observers change their own state through methods (a method body is not
+// the closure's); anything else carries a reasoned //lint:ignore
+// hookpure.
 func HookPureAnalyzer() *Analyzer {
 	return &Analyzer{
 		Name: "hookpure",
-		Doc:  "keep fabric On* probe hooks allocation-free, clock-free, and side-effect free",
+		Doc:  "keep noc.Tap subscribers and On* callbacks allocation-free, clock-free, and side-effect free",
 		Run: func(p *Package, report Reporter) {
-			if !inScope(p.RelPath, []string{"internal/fabric"}) {
+			if !inScope(p.RelPath, DeterministicPackages) {
 				return
 			}
 			for _, f := range p.Files {
 				ast.Inspect(f, func(n ast.Node) bool {
-					as, ok := n.(*ast.AssignStmt)
-					if !ok || len(as.Lhs) != 1 || len(as.Rhs) != 1 {
-						return true
+					switch x := n.(type) {
+					case *ast.AssignStmt:
+						if len(x.Lhs) != 1 || len(x.Rhs) != 1 {
+							return true
+						}
+						sel, ok := x.Lhs[0].(*ast.SelectorExpr)
+						if !ok || !isHookField(sel.Sel.Name) {
+							return true
+						}
+						if lit, ok := x.Rhs[0].(*ast.FuncLit); ok {
+							checkHookBody(p, sel.Sel.Name, lit, report)
+						}
+					case *ast.CallExpr:
+						if !isTapSubscribe(p, x) {
+							return true
+						}
+						for _, arg := range x.Args {
+							if lit, ok := arg.(*ast.FuncLit); ok {
+								checkHookBody(p, "Tap.Subscribe", lit, report)
+							}
+						}
 					}
-					sel, ok := as.Lhs[0].(*ast.SelectorExpr)
-					if !ok || !isHookField(sel.Sel.Name) {
-						return true
-					}
-					lit, ok := as.Rhs[0].(*ast.FuncLit)
-					if !ok {
-						return true
-					}
-					checkHookBody(p, sel.Sel.Name, lit, report)
 					return true
 				})
 			}
@@ -62,8 +76,19 @@ func HookPureAnalyzer() *Analyzer {
 	}
 }
 
-// isHookField matches the probe-point naming convention: On followed by
-// a capitalized event name.
+// isTapSubscribe reports whether call invokes the Subscribe method of the
+// Tap type declared in internal/noc.
+func isTapSubscribe(p *Package, call *ast.CallExpr) bool {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok {
+		return false
+	}
+	fn, ok := p.Info.Uses[sel.Sel].(*types.Func)
+	return ok && strings.HasSuffix(fn.FullName(), "/internal/noc.Tap).Subscribe")
+}
+
+// isHookField matches the callback naming convention: On followed by a
+// capitalized event name.
 func isHookField(name string) bool {
 	return len(name) > 2 && name[0] == 'O' && name[1] == 'n' && unicode.IsUpper(rune(name[2]))
 }

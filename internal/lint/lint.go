@@ -23,9 +23,9 @@
 //   - errcheck-own: no dropped error returns from the artifact-writer
 //     packages (probe, obs, plot, report) — a dropped write error is a
 //     silently truncated CSV/NDJSON/SVG
-//   - hookpure: probe hook closures stay allocation-free, never call
-//     time/math⁄rand/os, and never mutate captured state, preserving
-//     the probe-inertness guarantee
+//   - hookpure: noc.Tap subscribers and On* callback closures stay
+//     allocation-free, never call time/math⁄rand/os, and never mutate
+//     captured state, preserving the observer-inertness guarantee
 //
 // A finding can be suppressed with a directive on the same line or the
 // line immediately above:

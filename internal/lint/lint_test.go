@@ -92,8 +92,10 @@ var expectedViolations = map[string][]struct{ file, marker string }{
 	},
 	"hookpure": {
 		{"internal/fabric/hooks.go", "make([]int, 0, 4)"},
-		{"internal/fabric/hooks.go", "s.count++"},
+		{"internal/fabric/hooks.go", "s.count++ // seeded"},
 		{"internal/fabric/hooks.go", "time.Now()"},
+		{"internal/fabric/hooks.go", "s.count += e.A"},
+		{"internal/fabric/hooks.go", "[]int{e.A, e.B}"},
 	},
 }
 

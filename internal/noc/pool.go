@@ -12,7 +12,7 @@ package noc
 //     place at a time — a source's in-flight slice, a channel queue, or a
 //     router VC buffer — because wormhole switching moves each flit
 //     pointer, never copies it.
-//   - Hooks (probe observers, energy meters, stats collectors) may read a
+//   - Hooks (Tap subscribers, energy meters, stats collectors) may read a
 //     packet or flit only for the duration of the callback; retaining the
 //     pointer past the callback observes recycled storage.
 //   - Recycle is legal exactly when the tail flit has been consumed by
@@ -25,13 +25,12 @@ package noc
 type Pool struct {
 	free []*Packet
 
-	// OnCkRecycle observes every packet returned to this pool
-	// (fabric.Network.InstallChecker wires it; nil disables). It fires
-	// before the lifetime ends, so the conformance checker can audit the
+	// Tap emits EvRecycle for every packet returned to this pool, before
+	// the lifetime ends, so the conformance checker can audit the
 	// packet's conservation ledger: a recycle of a packet whose flits
 	// were launched but not all delivered is a pooling-protocol
 	// violation the tail-side checks alone cannot see.
-	OnCkRecycle func(p *Packet)
+	Tap Tap
 
 	// Gets counts packets handed out, News the subset that had to be
 	// freshly allocated (Gets - News came from the freelist).
@@ -73,8 +72,8 @@ func Recycle(p *Packet) {
 	if p.freed {
 		panic("noc: packet recycled twice")
 	}
-	if p.pool.OnCkRecycle != nil {
-		p.pool.OnCkRecycle(p)
+	if p.pool.Tap.Wants(EvRecycle) {
+		p.pool.Tap.Emit(Event{Kind: EvRecycle, Pkt: p})
 	}
 	p.freed = true
 	p.gen++

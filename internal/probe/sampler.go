@@ -27,22 +27,6 @@ type Sampler struct {
 	// feed anything back into the simulation; the slice is shared, so
 	// the observer must copy it if it retains the values.
 	OnSample func(cycle uint64, values []float64)
-
-	// subs are additional snapshot observers (see Subscribe); they run
-	// after OnSample, in subscription order, under the same contract.
-	subs []func(cycle uint64, values []float64)
-}
-
-// Subscribe adds a snapshot observer without displacing OnSample, so
-// several consumers (the live telemetry plane, the flight recorder) can
-// share one sampler. Subscribers run on the simulation goroutine after
-// OnSample, in subscription order, and must copy the values slice if
-// they retain it.
-func (s *Sampler) Subscribe(fn func(cycle uint64, values []float64)) {
-	if s == nil || fn == nil {
-		return
-	}
-	s.subs = append(s.subs, fn)
 }
 
 func newSampler(reg *Registry, every uint64) *Sampler {
@@ -73,9 +57,6 @@ func (s *Sampler) sample(cycle uint64) {
 	if s.OnSample != nil {
 		s.OnSample(cycle, s.rows[len(s.rows)-1])
 	}
-	for _, fn := range s.subs {
-		fn(cycle, s.rows[len(s.rows)-1])
-	}
 }
 
 // Rows returns the number of samples taken.
@@ -84,6 +65,21 @@ func (s *Sampler) Rows() int {
 		return 0
 	}
 	return len(s.rows)
+}
+
+// Row returns sample i (0 <= i < Rows): its cycle and its values in
+// registration order. Rows are retained for the whole run and never
+// rewritten, so the slice may be kept but must not be modified.
+func (s *Sampler) Row(i int) (cycle uint64, values []float64) {
+	return s.cycles[i], s.rows[i]
+}
+
+// Names returns the metric names aligned with every row's values.
+func (s *Sampler) Names() []string {
+	if s == nil {
+		return nil
+	}
+	return s.reg.Names()
 }
 
 // formatValue renders a sample value deterministically: the shortest

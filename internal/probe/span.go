@@ -119,8 +119,9 @@ type spanState struct {
 
 // SpanTracker accumulates per-phase latency attribution over the
 // measured packets of one run. A nil tracker is valid everywhere and
-// records nothing; fabric.Network.InstallProbe wires a non-nil one into
-// the packet lifecycle hooks when Options.Spans is set.
+// records nothing; fabric.Network.InstallProbe points a non-nil one at
+// the source, sink and router taps (Watch) and feeds it the channel
+// transmissions (ChannelTx) when Options.Spans is set.
 type SpanTracker struct {
 	live map[uint64]*spanState // keyed by packet ID; lookup only, never iterated
 	free []*spanState
@@ -133,6 +134,27 @@ type SpanTracker struct {
 
 func newSpanTracker() *SpanTracker {
 	return &SpanTracker{live: make(map[uint64]*spanState)}
+}
+
+// Watch subscribes the tracker to the attribution points a source, sink
+// or router tap emits: enqueue, inject, head switch and eject. Shared
+// channels go through ChannelTx, which needs the channel's parameters.
+func (s *SpanTracker) Watch(tap *noc.Tap) {
+	if s == nil {
+		return
+	}
+	tap.Subscribe(noc.Mask(noc.EvEnqueue, noc.EvInject, noc.EvSwitch, noc.EvEject), func(e noc.Event) {
+		switch e.Kind {
+		case noc.EvEnqueue:
+			s.Enqueue(e.Pkt, e.Cycle)
+		case noc.EvInject:
+			s.Inject(e.Pkt, e.Cycle)
+		case noc.EvSwitch:
+			s.Switch(e.Cycle, e.Flit)
+		case noc.EvEject:
+			s.Eject(e.Pkt, e.Cycle)
+		}
+	})
 }
 
 func (s *SpanTracker) getState() *spanState {

@@ -70,10 +70,9 @@ type Event struct {
 	Arg int32
 }
 
-// Tracer records per-packet lifecycle events. Components register once
-// (Component) and emit events through hooks installed by
-// fabric.Network.InstallProbe; events are appended in engine order, so
-// the recorded stream is deterministic. Only packets selected by the
+// Tracer records per-packet lifecycle events. fabric.Network.InstallProbe
+// points it at every component's tap (Watch); events are appended in
+// engine order, so the recorded stream is deterministic. Only packets selected by the
 // every-Nth sampling knob are traced, and the event buffer is capped to
 // bound memory.
 type Tracer struct {
@@ -93,20 +92,62 @@ func (t *Tracer) Sampled(id uint64) bool {
 	return t != nil && id%t.every == 0
 }
 
-// Component registers a component name ("router.5", "src.0",
-// "photonic.c2/home7.0") and returns its index. Call once per component
-// at wiring time, in deterministic order.
+// Component registers a component name and returns its index.
 func (t *Tracer) Component(name string) int {
 	t.comps = append(t.comps, name)
 	return len(t.comps) - 1
+}
+
+// traceSteps maps each network event the tracer records to its lifecycle
+// step and to the event operand kept as Arg (0 none, 1 A, 2 B, 3 C);
+// kinds with traced false are not subscribed to. Per-flit kinds record
+// the head flit only.
+var traceSteps = [noc.NumEventKinds]struct {
+	traced bool
+	step   EventKind
+	arg    uint8
+}{
+	noc.EvEnqueue: {true, EvEnqueue, 0},
+	noc.EvInject:  {true, EvInject, 0},
+	noc.EvRoute:   {true, EvRoute, 2},        // output port
+	noc.EvVCAlloc: {true, EvVCAlloc, 2},      // output VC
+	noc.EvSwitch:  {true, EvSwitch, 2},       // output port
+	noc.EvGrant:   {true, EvTokenAcquire, 3}, // token cost
+	noc.EvFlitTx:  {true, EvTransmit, 1},     // receiver
+	noc.EvRelease: {true, EvTokenRelease, 0},
+	noc.EvEject:   {true, EvEject, 0},
+}
+
+// Watch registers a component under name ("router.5", "src.0",
+// "photonic.c2/home7.0") and records the sampled packets' steps its tap
+// emits. Call once per component at wiring time, in deterministic order:
+// the order fixes the component indices and so the exported trace bytes.
+func (t *Tracer) Watch(tap *noc.Tap, name string) {
+	if t == nil {
+		return
+	}
+	comp := t.Component(name)
+	var mask uint32
+	for k, st := range traceSteps {
+		if st.traced {
+			mask |= noc.Mask(noc.EventKind(k))
+		}
+	}
+	tap.Subscribe(mask, func(e noc.Event) {
+		if (e.Flit != nil && !e.Flit.IsHead()) || !t.Sampled(e.Pkt.ID) {
+			return
+		}
+		st := traceSteps[e.Kind]
+		//lint:ignore hookpure an array value indexed in place never escapes, so it does not allocate
+		t.Emit(e.Cycle, comp, st.step, e.Pkt, [...]int{0, e.A, e.B, e.C}[st.arg])
+	})
 }
 
 // ComponentName returns the name registered for index c.
 func (t *Tracer) ComponentName(c int) string { return t.comps[c] }
 
 // Emit records one event for a sampled packet. Callers are expected to
-// have checked Sampled already (hooks are only invoked when tracing is
-// enabled, and filter per packet).
+// have checked Sampled already.
 func (t *Tracer) Emit(cycle uint64, comp int, kind EventKind, p *noc.Packet, arg int) {
 	if len(t.events) >= t.max {
 		t.dropped++

@@ -126,25 +126,11 @@ type Router struct {
 	// PC holds optional probe counters; see Counters.
 	PC Counters
 
-	// OnRoute, OnVCAlloc and OnSwitch are optional per-packet pipeline
-	// observers installed by fabric.Network.InstallProbe; nil (the
-	// default) costs one predictable branch per event site. OnRoute
-	// and OnVCAlloc fire once per packet per hop; OnSwitch fires for
-	// every forwarded flit (observers filter on f.IsHead() and their
-	// packet-sampling stride).
-	OnRoute   func(cycle uint64, p *noc.Packet, inPort, outPort int)
-	OnVCAlloc func(cycle uint64, p *noc.Packet, outPort, outVC int)
-	OnSwitch  func(cycle uint64, f *noc.Flit, inPort, outPort int)
-
-	// OnCkRoute and OnCkFlit are the conformance checker's observers
-	// (fabric.Network.InstallChecker wires them; nil disables), kept
-	// separate from the probe hooks so checker and probe coexist.
-	// OnCkRoute fires at route computation with the chosen output port
-	// and the permitted-VC mask; OnCkFlit fires for every flit granted by
-	// switch allocation, with its input/output coordinates and the output
-	// VC it was rewritten to.
-	OnCkRoute func(cycle uint64, p *noc.Packet, inPort, outPort int, vcMask uint32)
-	OnCkFlit  func(cycle uint64, f *noc.Flit, inPort, outPort, outVC int)
+	// Tap emits the pipeline events: EvRoute and EvVCAlloc once per
+	// packet per hop, EvSwitch for every forwarded flit (observers filter
+	// on Flit.IsHead() and their packet-sampling stride), after the flit
+	// was rewritten to its output VC.
+	Tap noc.Tap
 
 	in  []*InputPort
 	out []*OutputPort
@@ -362,11 +348,8 @@ func (r *Router) switchAllocate() {
 		r.Cfg.Meter.Xbar(n)
 		r.Cfg.Meter.SAArb(n)
 		r.PC.SAGrants.Inc()
-		if r.OnSwitch != nil {
-			r.OnSwitch(r.now, f, v.port, p)
-		}
-		if r.OnCkFlit != nil {
-			r.OnCkFlit(r.now, f, v.port, p, v.outVC)
+		if r.Tap.Wants(noc.EvSwitch) {
+			r.Tap.Emit(noc.Event{Kind: noc.EvSwitch, Cycle: r.now, Pkt: f.Pkt, Flit: f, A: v.port, B: p, C: v.outVC})
 		}
 		op.credits[v.outVC]--
 		op.busyUntil = r.now + uint64(op.serializeCy)
@@ -404,8 +387,8 @@ func (r *Router) vcAllocate() {
 			v.outVC = ovc
 			v.stage = stActive
 			r.Cfg.Meter.VCAArb()
-			if r.OnVCAlloc != nil {
-				r.OnVCAlloc(r.now, v.front().Pkt, v.outPort, ovc)
+			if r.Tap.Wants(noc.EvVCAlloc) {
+				r.Tap.Emit(noc.Event{Kind: noc.EvVCAlloc, Cycle: r.now, Pkt: v.front().Pkt, A: v.outPort, B: ovc})
 			}
 			break
 		}
@@ -435,11 +418,8 @@ func (r *Router) routeCompute() {
 		v.outPort = outPort
 		v.vcMask = mask
 		v.stage = stWaitVCA
-		if r.OnRoute != nil {
-			r.OnRoute(r.now, f.Pkt, v.port, outPort)
-		}
-		if r.OnCkRoute != nil {
-			r.OnCkRoute(r.now, f.Pkt, v.port, outPort, mask)
+		if r.Tap.Wants(noc.EvRoute) {
+			r.Tap.Emit(noc.Event{Kind: noc.EvRoute, Cycle: r.now, Pkt: f.Pkt, A: v.port, B: outPort, C: int(mask)})
 		}
 	}
 }

@@ -104,8 +104,7 @@ func newLineNet(t *testing.T, numVCs, depth, linkDelay int) *lineNet {
 	n.r1.ConnectOutput(0, wOut, depth, 1)
 	n.sink.SetUpstream(wOut)
 
-	// Registration: sink before wires in delivery phase.
-	n.eng.Register(sim.PhaseDelivery, n.sink)
+	n.sink.SetClock(n.eng)
 	n.eng.Register(sim.PhaseDelivery, wIn)
 	n.eng.Register(sim.PhaseDelivery, w01)
 	n.eng.Register(sim.PhaseDelivery, wOut)
@@ -298,7 +297,7 @@ func TestSAOnePerOutputPortPerCycle(t *testing.T) {
 	var arrivals []uint64
 	var cur uint64
 	snk.OnPacket = func(p *noc.Packet, cycle uint64) {}
-	eng.Register(sim.PhaseDelivery, snk)
+	snk.SetClock(eng)
 
 	wOut := noc.NewWire(r, 2, snk, 0, 1, 1)
 	r.ConnectOutput(2, wOut, 4, 1)

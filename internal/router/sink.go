@@ -17,19 +17,13 @@ type Sink struct {
 	// OnPacket is invoked when a packet's tail flit arrives, with the
 	// ejection cycle. The statistics collector hooks in here.
 	OnPacket func(p *noc.Packet, cycle uint64)
-	// OnEject is the probe observer for completed packets, kept
-	// separate from OnPacket (which the statistics collector owns).
-	// fabric.Network.InstallProbe wires it; nil disables.
-	OnEject func(p *noc.Packet, cycle uint64)
-	// OnCkFlit is the conformance checker's observer
-	// (fabric.Network.InstallChecker wires it; nil disables): it fires
-	// for every delivered flit before the credit is returned, closing
-	// the checker's conservation ledger on the tail flit.
-	OnCkFlit func(cycle uint64, f *noc.Flit)
+	// Tap emits EvArrive for every delivered flit, before its credit is
+	// returned, and EvEject for every completed packet, after OnPacket
+	// (which the statistics collector owns).
+	Tap noc.Tap
 
 	upstream noc.CreditReturner
 	eng      *sim.Engine
-	now      uint64
 
 	expected map[uint64]int // packet ID -> next expected seq, for ordering checks
 	// Ejected counts completed packets.
@@ -45,24 +39,10 @@ func NewSink(coreID int) *Sink {
 // sink. Must be called before simulation.
 func (s *Sink) SetUpstream(u noc.CreditReturner) { s.upstream = u }
 
-// SetClock points the sink at the engine's cycle counter, removing the
-// need to tick it every cycle just to track time. Sinks with a clock need
-// no engine registration at all: they only ever react to ReceiveFlit.
+// SetClock points the sink at the engine's cycle counter. Must be called
+// before simulation. Sinks need no engine registration: they only ever
+// react to ReceiveFlit.
 func (s *Sink) SetClock(e *sim.Engine) { s.eng = e }
-
-// Tick implements sim.Ticker; it runs in the Delivery phase purely to
-// track the current cycle (sinks must be registered before the wires that
-// feed them). Sinks given SetClock are not registered and never tick.
-func (s *Sink) Tick(cycle uint64) { s.now = cycle }
-
-// clock returns the current cycle from the engine when installed, else
-// the last ticked cycle.
-func (s *Sink) clock() uint64 {
-	if s.eng != nil {
-		return s.eng.Cycle()
-	}
-	return s.now
-}
 
 // ReceiveFlit implements noc.FlitReceiver.
 func (s *Sink) ReceiveFlit(_ int, f *noc.Flit) {
@@ -74,26 +54,26 @@ func (s *Sink) ReceiveFlit(_ int, f *noc.Flit) {
 		panic(fmt.Sprintf("router: sink %d: packet %d flit out of order: seq %d, want %d", s.CoreID, p.ID, f.Seq, want))
 	}
 	s.expected[p.ID] = f.Seq + 1
-	if s.OnCkFlit != nil {
-		s.OnCkFlit(s.clock(), f)
+	if s.Tap.Wants(noc.EvArrive) {
+		s.Tap.Emit(noc.Event{Kind: noc.EvArrive, Cycle: s.eng.Cycle(), Pkt: p, Flit: f})
 	}
 	// Ejection buffer drains immediately; return the credit.
 	if s.upstream != nil {
 		s.upstream.ReturnCredit(f.VC)
 	}
 	if f.IsTail() {
-		now := s.clock()
+		now := s.eng.Cycle()
 		delete(s.expected, p.ID)
 		p.EjectedAt = now
 		s.Ejected++
 		if s.OnPacket != nil {
 			s.OnPacket(p, now)
 		}
-		if s.OnEject != nil {
-			s.OnEject(p, now)
+		if s.Tap.Wants(noc.EvEject) {
+			s.Tap.Emit(noc.Event{Kind: noc.EvEject, Cycle: now, Pkt: p})
 		}
 		// The tail is the last flit of the packet to be consumed
-		// (in-order per-VC delivery), so the lifetime ends here; hooks
+		// (in-order per-VC delivery), so the lifetime ends here; observers
 		// above must not have retained the packet (see noc.Pool).
 		noc.Recycle(p)
 	}

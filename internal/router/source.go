@@ -59,18 +59,11 @@ type Source struct {
 	// OnAccepted is invoked for every packet admitted to the source
 	// queue; the statistics collector hooks in here.
 	OnAccepted func(p *noc.Packet)
-	// OnEnqueue and OnInject are optional probe observers, kept
-	// separate from OnAccepted (which the statistics collector owns):
-	// OnEnqueue fires when a packet is admitted to the source queue,
-	// OnInject when its head flit leaves the queue for the network.
-	// fabric.Network.InstallProbe wires them; nil disables.
-	OnEnqueue func(p *noc.Packet, cycle uint64)
-	OnInject  func(p *noc.Packet, cycle uint64)
-	// OnCkFlit is the conformance checker's observer
-	// (fabric.Network.InstallChecker wires it; nil disables): it fires
-	// for every flit the source sends into the network, opening the
-	// checker's per-packet conservation ledger on the head flit.
-	OnCkFlit func(cycle uint64, f *noc.Flit)
+	// Tap emits EvEnqueue when a packet is admitted to the source queue
+	// (after OnAccepted, which the statistics collector owns), EvInject
+	// when its head flit leaves the queue for the network, and EvLaunch
+	// for every flit sent into the network.
+	Tap noc.Tap
 	// NoPool, when set before SetGenerator, keeps pooling-aware
 	// generators off this source's freelist so every packet is freshly
 	// allocated. The conformance oracle's reference mode sets it; results
@@ -176,8 +169,8 @@ func (s *Source) Tick(cycle uint64) {
 				if s.OnAccepted != nil {
 					s.OnAccepted(p)
 				}
-				if s.OnEnqueue != nil {
-					s.OnEnqueue(p, cycle)
+				if s.Tap.Wants(noc.EvEnqueue) {
+					s.Tap.Emit(noc.Event{Kind: noc.EvEnqueue, Cycle: cycle, Pkt: p})
 				}
 			}
 		}
@@ -193,8 +186,8 @@ func (s *Source) Tick(cycle uint64) {
 			s.curVC = vc
 			p.InjectedAt = cycle
 			s.Injected++
-			if s.OnInject != nil {
-				s.OnInject(p, cycle)
+			if s.Tap.Wants(noc.EvInject) {
+				s.Tap.Emit(noc.Event{Kind: noc.EvInject, Cycle: cycle, Pkt: p})
 			}
 		}
 	}
@@ -203,8 +196,8 @@ func (s *Source) Tick(cycle uint64) {
 		f := s.inflight[s.nextFlit]
 		f.VC = s.curVC
 		s.credits[s.curVC]--
-		if s.OnCkFlit != nil {
-			s.OnCkFlit(cycle, f)
+		if s.Tap.Wants(noc.EvLaunch) {
+			s.Tap.Emit(noc.Event{Kind: noc.EvLaunch, Cycle: cycle, Pkt: f.Pkt, Flit: f})
 		}
 		s.out.Send(f)
 		s.nextFlit++

@@ -45,27 +45,14 @@ type Channel struct {
 	// and unclassified media. Latency attribution keys transit phases
 	// off it.
 	Class string
-	// OnAcquire, OnRelease and OnFlitTx are optional probe observers
-	// (fabric.Network.InstallProbe wires them; nil disables):
-	// OnAcquire fires when the channel locks onto a packet, with the
-	// token-passing cost in cycles paid for the acquisition; OnRelease
-	// fires when the tail flit frees the lock; OnFlitTx fires per
-	// serialized flit with the simulated cycle (unlike OnTransmit,
-	// which energy accounting owns and which carries no timestamp).
-	OnAcquire func(cycle uint64, p *noc.Packet, tokenCostCy int)
-	OnRelease func(cycle uint64, p *noc.Packet)
-	OnFlitTx  func(cycle uint64, f *noc.Flit, rx int)
-	// OnCkAcquire, OnCkRelease and OnCkDeliver are the conformance
-	// checker's observers (fabric.Network.InstallChecker wires them; nil
-	// disables). They are deliberately separate fields from the probe
-	// hooks so checker and probe coexist: OnCkAcquire fires at every
-	// token grant with the winning writer index and selected receiver,
-	// OnCkRelease fires when the tail flit frees the whole-packet lock,
-	// and OnCkDeliver fires when a flit lands in receiver rx's input
-	// buffer (the only observation point for delivery-side FIFO order).
-	OnCkAcquire func(cycle uint64, p *noc.Packet, writer, rx int)
-	OnCkRelease func(cycle uint64, p *noc.Packet, writer int)
-	OnCkDeliver func(cycle uint64, f *noc.Flit, rx int)
+	// Tap emits the arbitration events: EvWait when a writer with queued
+	// flits starts waiting for the token, EvGrant when the channel locks
+	// onto a packet, EvFlitTx per serialized flit (with the simulated
+	// cycle, unlike OnTransmit, which energy accounting owns), EvRelease
+	// when the tail flit frees the whole-packet lock, and EvDeliver when
+	// a flit lands in a receiver's input buffer (the only observation
+	// point for delivery-side FIFO order).
+	Tap noc.Tap
 
 	writers []*Writer
 	rxs     []*Rx
@@ -88,15 +75,6 @@ type Channel struct {
 	// qHighWater is the peak totalQueued ever reached (always on: one
 	// compare per push; occupancy high-water diagnostics read it).
 	qHighWater int
-
-	// Per-writer token-wait tracking, nil until EnableStallTracking:
-	// waiting marks writers with queued flits but no grant, waitSince is
-	// the cycle the current wait opened, maxWait the longest completed
-	// wait. All three are indexed by writer; the flight-recorder watchdog
-	// scans them to detect starvation and name the starved writer.
-	waiting   []bool
-	waitSince []uint64
-	maxWait   []uint64
 }
 
 // NewChannel creates an empty channel; add writers and receivers before
@@ -174,11 +152,10 @@ func (w *Writer) Send(f *noc.Flit) {
 	}
 	// A writer whose first flit just arrived while another writer holds
 	// (or will contend for) the grant starts waiting for the token now.
-	// The wait closes in acquire; timestamps need the engine clock, so
-	// tracking is only live on waker-driven channels.
-	if c.waiting != nil && w.queued == 1 && c.lockedW != w.idx && c.waker != nil {
-		c.waiting[w.idx] = true
-		c.waitSince[w.idx] = c.waker.Now()
+	// The wait closes at EvGrant; the timestamp needs the engine clock,
+	// so only waker-driven channels report it.
+	if c.Tap.Wants(noc.EvWait) && w.queued == 1 && c.lockedW != w.idx && c.waker != nil {
+		c.Tap.Emit(noc.Event{Kind: noc.EvWait, Cycle: c.waker.Now(), A: w.idx})
 	}
 	if c.waker != nil {
 		c.waker.Wake()
@@ -246,8 +223,8 @@ func (c *Channel) tick(cycle uint64) {
 			break
 		}
 		c.inflight.pop()
-		if c.OnCkDeliver != nil {
-			c.OnCkDeliver(cycle, fl.f, fl.rx)
+		if c.Tap.Wants(noc.EvDeliver) {
+			c.Tap.Emit(noc.Event{Kind: noc.EvDeliver, Cycle: cycle, Pkt: fl.f.Pkt, Flit: fl.f, A: fl.rx})
 		}
 		c.rxs[fl.rx].dst.ReceiveFlit(c.rxs[fl.rx].dstPort, fl.f)
 	}
@@ -317,22 +294,18 @@ func (c *Channel) transmitLocked(cycle uint64) {
 	if c.OnTransmit != nil {
 		c.OnTransmit(f, c.lockedRx)
 	}
-	if c.OnFlitTx != nil {
-		c.OnFlitTx(cycle, f, c.lockedRx)
+	if c.Tap.Wants(noc.EvFlitTx) {
+		c.Tap.Emit(noc.Event{Kind: noc.EvFlitTx, Cycle: cycle, Pkt: f.Pkt, Flit: f, A: c.lockedRx})
 	}
 	if f.IsTail() {
 		c.lockedW = -1
 		// A writer with more packets pending goes straight back to
 		// waiting for re-arbitration.
-		if c.waiting != nil && w.queued > 0 {
-			c.waiting[w.idx] = true
-			c.waitSince[w.idx] = cycle
+		if c.Tap.Wants(noc.EvWait) && w.queued > 0 {
+			c.Tap.Emit(noc.Event{Kind: noc.EvWait, Cycle: cycle, A: w.idx})
 		}
-		if c.OnRelease != nil {
-			c.OnRelease(cycle, f.Pkt)
-		}
-		if c.OnCkRelease != nil {
-			c.OnCkRelease(cycle, f.Pkt, w.idx)
+		if c.Tap.Wants(noc.EvRelease) {
+			c.Tap.Emit(noc.Event{Kind: noc.EvRelease, Cycle: cycle, Pkt: f.Pkt, A: w.idx})
 		}
 	}
 }
@@ -369,18 +342,8 @@ func (c *Channel) acquire(cycle uint64) {
 		c.busyUntil = cycle + uint64(d*c.TokenHopCy)
 		c.token = wi
 		c.tokenMoves += uint64(d)
-		// The winner's token wait closes at the grant.
-		if c.waiting != nil && c.waiting[wi] {
-			if wait := cycle - c.waitSince[wi]; wait > c.maxWait[wi] {
-				c.maxWait[wi] = wait
-			}
-			c.waiting[wi] = false
-		}
-		if c.OnAcquire != nil {
-			c.OnAcquire(cycle, f.Pkt, d*c.TokenHopCy)
-		}
-		if c.OnCkAcquire != nil {
-			c.OnCkAcquire(cycle, f.Pkt, wi, rxIdx)
+		if c.Tap.Wants(noc.EvGrant) {
+			c.Tap.Emit(noc.Event{Kind: noc.EvGrant, Cycle: cycle, Pkt: f.Pkt, A: wi, B: rxIdx, C: d * c.TokenHopCy})
 		}
 		return
 	}
@@ -408,6 +371,9 @@ func (c *Channel) Queued() int { return c.totalQueued + c.inflight.size }
 // SWMR medium whose delivered packets still face an intra-group
 // forward.
 func (c *Channel) NumRx() int { return len(c.rxs) }
+
+// NumWriters returns the number of transmit ports on the token ring.
+func (c *Channel) NumWriters() int { return len(c.writers) }
 
 // Stats is a channel's telemetry snapshot.
 type Stats struct {
@@ -443,65 +409,9 @@ func (c *Channel) Stats() Stats {
 	}
 }
 
-// EnableStallTracking allocates the per-writer token-wait state (one
-// bool and two uint64 per writer). Call it after all writers are added
-// and before simulation; it is idempotent. Without it the waiting scan
-// APIs report nothing and the hot path pays only nil checks.
-func (c *Channel) EnableStallTracking() {
-	if c.waiting != nil {
-		return
-	}
-	n := len(c.writers)
-	c.waiting = make([]bool, n)
-	c.waitSince = make([]uint64, n)
-	c.maxWait = make([]uint64, n)
-}
-
 // QueueHighWater returns the peak number of flits ever queued across
 // the channel's writers at once.
 func (c *Channel) QueueHighWater() int { return c.qHighWater }
-
-// OldestWaiter returns the index and wait-start cycle of the writer
-// that has been waiting for the token the longest (ties break on the
-// lower index), or (-1, 0) when no writer waits or stall tracking is
-// off. The watchdog's starvation detector is built on it.
-func (c *Channel) OldestWaiter() (wi int, since uint64) {
-	wi = -1
-	for i, w := range c.waiting {
-		if w && (wi < 0 || c.waitSince[i] < since) {
-			wi, since = i, c.waitSince[i]
-		}
-	}
-	if wi < 0 {
-		return -1, 0
-	}
-	return wi, since
-}
-
-// StarvedWriters counts writers whose current token wait at the given
-// cycle exceeds budget cycles (0 when stall tracking is off).
-func (c *Channel) StarvedWriters(cycle, budget uint64) int {
-	n := 0
-	for i, w := range c.waiting {
-		if w && cycle-c.waitSince[i] > budget {
-			n++
-		}
-	}
-	return n
-}
-
-// MaxTokenWaitCy returns the longest completed token wait any writer
-// has seen (0 when stall tracking is off). Waits still open do not
-// count; OldestWaiter exposes those.
-func (c *Channel) MaxTokenWaitCy() uint64 {
-	var max uint64
-	for _, w := range c.maxWait {
-		if w > max {
-			max = w
-		}
-	}
-	return max
-}
 
 // WriterID returns the stamped external identifier of writer wi, or -1
 // when wi is out of range or unstamped.
@@ -520,8 +430,9 @@ type WriterIntro struct {
 	ID int `json:"id"`
 	// Queued counts flits across the writer's VC queues.
 	Queued int `json:"queued"`
-	// Waiting, WaitingSinceCy and MaxWaitCy mirror the stall-tracking
-	// state (all zero when tracking is off).
+	// Waiting, WaitingSinceCy and MaxWaitCy are the writer's token-wait
+	// state. The channel does not keep it: flightrec.WaitTable rebuilds
+	// it from EvWait/EvGrant and fills these in (all zero without one).
 	Waiting        bool   `json:"waiting,omitempty"`
 	WaitingSinceCy uint64 `json:"waiting_since_cy,omitempty"`
 	MaxWaitCy      uint64 `json:"max_wait_cy,omitempty"`
@@ -534,7 +445,7 @@ type WriterIntro struct {
 
 // ChannelIntro is a full point-in-time snapshot of a channel's
 // arbitration state for diagnostics dumps: token position, lock, queue
-// occupancy, per-writer wait state and receiver credit balances. It is
+// occupancy, per-writer queues and receiver credit balances. It is
 // read-only and deterministic; building it walks every writer, so it is
 // a dump path, not a hot path.
 type ChannelIntro struct {
@@ -599,13 +510,6 @@ func (c *Channel) Introspect() ChannelIntro {
 	}
 	for i, w := range c.writers {
 		wi := WriterIntro{Index: i, ID: w.id, Queued: w.queued}
-		if c.waiting != nil {
-			wi.Waiting = c.waiting[i]
-			if c.waiting[i] {
-				wi.WaitingSinceCy = c.waitSince[i]
-			}
-			wi.MaxWaitCy = c.maxWait[i]
-		}
 		wi.HeadPkt, wi.HeadSrc, wi.HeadDst = w.headInfo()
 		ci.Writers[i] = wi
 	}

@@ -16,27 +16,40 @@ func (r *engineRx) ReceiveFlit(port int, f *noc.Flit) {
 	}
 }
 
-// buildTrackedChannel assembles an engine-driven two-writer channel with
-// stall tracking live (token-wait timestamps need the engine clock, so
-// tracking only runs on waker-driven channels).
-func buildTrackedChannel(t *testing.T) (*sim.Engine, *Channel, *Writer, *Writer) {
-	t.Helper()
+// buildWatchedChannel assembles an engine-driven two-writer channel and
+// records the EvWait/EvGrant stream its tap emits (the first-flit EvWait
+// needs the engine clock, so it only fires on waker-driven channels).
+func buildWatchedChannel() (*sim.Engine, *Channel, *Writer, *Writer, *[]noc.Event) {
 	eng := sim.NewEngine()
 	ch := NewChannel("bus0", 1, 0, 1)
-	ch.Kind = "photonic"
 	w0 := ch.AddWriter(&testSrc{}, 0, 1, 8)
-	w0.SetID(10)
 	w1 := ch.AddWriter(&testSrc{}, 0, 1, 8)
-	w1.SetID(11)
 	rx := &engineRx{}
 	rx.rx = ch.AddRx(rx, 0, 1, 4)
-	ch.EnableStallTracking()
+	var evs []noc.Event
+	ch.Tap.Subscribe(noc.Mask(noc.EvWait, noc.EvGrant), func(e noc.Event) { evs = append(evs, e) })
 	ch.SetWaker(eng.RegisterWakeable(sim.PhaseDelivery, ch))
-	return eng, ch, w0, w1
+	return eng, ch, w0, w1, &evs
 }
 
+// writerEvents filters the recorded stream down to one writer.
+func writerEvents(evs []noc.Event, writer int) []noc.Event {
+	var out []noc.Event
+	for _, e := range evs {
+		if e.A == writer {
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
+// TestStallTrackingTokenWaitLifecycle pins where the channel opens and
+// closes a token wait: EvWait when a writer's first flit queues while it
+// does not hold the grant, EvGrant for that writer when it wins.
+// flightrec.WaitTable rebuilds the per-writer wait state from exactly
+// these two kinds.
 func TestStallTrackingTokenWaitLifecycle(t *testing.T) {
-	eng, ch, w0, w1 := buildTrackedChannel(t)
+	eng, ch, w0, w1, evs := buildWatchedChannel()
 
 	// Writer 0 wins the idle channel; run until it holds the lock.
 	sendPacket(w0, 1, 0, 0, 2)
@@ -45,22 +58,13 @@ func TestStallTrackingTokenWaitLifecycle(t *testing.T) {
 	since := eng.Cycle()
 	sendPacket(w1, 2, 0, 0, 2)
 
-	wi, at := ch.OldestWaiter()
-	if wi != 1 || at != since {
-		t.Fatalf("OldestWaiter = (%d, %d), want (1, %d)", wi, at, since)
+	got := writerEvents(*evs, 1)
+	if len(got) != 1 || got[0].Kind != noc.EvWait || got[0].Cycle != since || got[0].Pkt != nil {
+		t.Fatalf("writer 1 events after joining = %+v, want one EvWait at cycle %d", got, since)
 	}
-	if got := ch.StarvedWriters(since+10, 5); got != 1 {
-		t.Errorf("StarvedWriters(+10, budget 5) = %d, want 1", got)
-	}
-	if got := ch.StarvedWriters(since+10, 20); got != 0 {
-		t.Errorf("StarvedWriters(+10, budget 20) = %d, want 0", got)
-	}
-	ci := ch.Introspect()
-	if !ci.Writers[1].Waiting || ci.Writers[1].WaitingSinceCy != since {
-		t.Errorf("Introspect writer 1 = %+v, want waiting since %d", ci.Writers[1], since)
-	}
-	if ci.Writers[1].HeadPkt != 2 {
-		t.Errorf("Introspect writer 1 head packet = %d, want 2", ci.Writers[1].HeadPkt)
+	// Body flits of a queued packet open nothing further.
+	if n := len(writerEvents(*evs, 0)); n != 2 {
+		t.Fatalf("writer 0 saw %d events, want EvWait+EvGrant for its one packet", n)
 	}
 
 	// Drain; the wait closes at writer 1's grant.
@@ -68,15 +72,12 @@ func TestStallTrackingTokenWaitLifecycle(t *testing.T) {
 	if ch.Queued() != 0 {
 		t.Fatalf("channel not drained: Queued = %d", ch.Queued())
 	}
-	if wi, _ := ch.OldestWaiter(); wi != -1 {
-		t.Fatalf("OldestWaiter after drain = %d, want -1", wi)
+	got = writerEvents(*evs, 1)
+	if len(got) != 2 || got[1].Kind != noc.EvGrant || got[1].Cycle <= since || got[1].Pkt.ID != 2 {
+		t.Fatalf("writer 1 events after drain = %+v, want EvWait then EvGrant for pkt 2 after cycle %d", got, since)
 	}
-	if got := ch.MaxTokenWaitCy(); got == 0 {
-		t.Error("MaxTokenWaitCy = 0 after a contended grant, want > 0")
-	}
-	ci = ch.Introspect()
-	if ci.Writers[1].MaxWaitCy == 0 {
-		t.Error("Introspect writer 1 MaxWaitCy = 0 after a contended grant")
+	if got[1].C != 1 {
+		t.Errorf("grant token cost = %d cy, want 1 (one ring hop at TokenHopCy 1)", got[1].C)
 	}
 	if err := ch.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -84,8 +85,7 @@ func TestStallTrackingTokenWaitLifecycle(t *testing.T) {
 }
 
 func TestStallTrackingReopensWaitOnBackToBackPackets(t *testing.T) {
-	eng, _, w0, w1 := buildTrackedChannel(t)
-	ch := w0.ch
+	eng, ch, w0, w1, evs := buildWatchedChannel()
 
 	// Writer 1 offers two packets; after its first tail releases the
 	// lock it must go straight back to waiting for re-arbitration.
@@ -97,35 +97,18 @@ func TestStallTrackingReopensWaitOnBackToBackPackets(t *testing.T) {
 	if ch.Queued() != 0 {
 		t.Fatalf("channel not drained: Queued = %d", ch.Queued())
 	}
-	// Both of writer 1's grants closed a wait; the max covers the longer
-	// (first) one, which spanned writer 0's whole packet.
-	if got := ch.MaxTokenWaitCy(); got < 2 {
-		t.Errorf("MaxTokenWaitCy = %d, want >= 2", got)
+	var kinds []noc.EventKind
+	for _, e := range writerEvents(*evs, 1) {
+		kinds = append(kinds, e.Kind)
 	}
-}
-
-func TestStallTrackingAPIsOffByDefault(t *testing.T) {
-	ch := NewChannel("t", 1, 0, 1)
-	ch.AddWriter(&testSrc{}, 0, 1, 4)
-	if wi, _ := ch.OldestWaiter(); wi != -1 {
-		t.Errorf("OldestWaiter without tracking = %d, want -1", wi)
+	want := []noc.EventKind{noc.EvWait, noc.EvGrant, noc.EvWait, noc.EvGrant}
+	if len(kinds) != len(want) {
+		t.Fatalf("writer 1 event kinds = %v, want %v", kinds, want)
 	}
-	if ch.StarvedWriters(1000, 1) != 0 {
-		t.Error("StarvedWriters without tracking != 0")
-	}
-	if ch.MaxTokenWaitCy() != 0 {
-		t.Error("MaxTokenWaitCy without tracking != 0")
-	}
-}
-
-func TestEnableStallTrackingIdempotent(t *testing.T) {
-	eng, ch, w0, w1 := buildTrackedChannel(t)
-	sendPacket(w0, 1, 0, 0, 2)
-	eng.Run(2)
-	sendPacket(w1, 2, 0, 0, 2)
-	ch.EnableStallTracking() // must not wipe the open wait
-	if wi, _ := ch.OldestWaiter(); wi != 1 {
-		t.Fatalf("re-enable reset tracking state: OldestWaiter = %d, want 1", wi)
+	for i := range want {
+		if kinds[i] != want[i] {
+			t.Fatalf("writer 1 event kinds = %v, want %v", kinds, want)
+		}
 	}
 }
 
@@ -148,8 +131,8 @@ func TestWriterIDBounds(t *testing.T) {
 }
 
 // TestChannelHotPathAllocFreeWithoutTracking pins the instrumentation
-// bargain: with stall tracking disabled (the default), the send/tick
-// path allocates nothing in steady state.
+// bargain: with nothing subscribed to the channel's tap (the default),
+// the send/tick path allocates nothing in steady state.
 func TestChannelHotPathAllocFreeWithoutTracking(t *testing.T) {
 	var now uint64
 	ch := NewChannel("t", 1, 0, 1)
@@ -174,18 +157,19 @@ func TestChannelHotPathAllocFreeWithoutTracking(t *testing.T) {
 	}
 }
 
-// TestChannelHotPathAllocFreeWithTracking proves enabling the tracker
-// adds bookkeeping, not allocation: all per-writer state is sized once
-// at EnableStallTracking.
+// TestChannelHotPathAllocFreeWithTracking proves a live subscriber adds
+// bookkeeping, not allocation: events travel by value through the tap.
 func TestChannelHotPathAllocFreeWithTracking(t *testing.T) {
 	var now uint64
 	ch := NewChannel("t", 1, 0, 1)
 	w := ch.AddWriter(&testSrc{}, 0, 1, 8)
 	rx := &engineRx{}
 	rx.rx = ch.AddRx(rx, 0, 1, 4)
-	ch.EnableStallTracking()
-	p := &noc.Packet{ID: 1, NumFlits: 2}
-	fl := noc.MakeFlits(p)
+	var events, lastCy uint64
+	ch.Tap.Subscribe(noc.Mask(noc.EvWait, noc.EvGrant, noc.EvFlitTx, noc.EvRelease, noc.EvDeliver), func(e noc.Event) {
+		events, lastCy = events+1, e.Cycle
+	})
+	fl := noc.MakeFlits(&noc.Packet{ID: 1, NumFlits: 2})
 	iter := func() {
 		for _, f := range fl {
 			w.Send(f)
@@ -198,6 +182,9 @@ func TestChannelHotPathAllocFreeWithTracking(t *testing.T) {
 	iter()
 	iter()
 	if allocs := testing.AllocsPerRun(100, iter); allocs != 0 {
-		t.Errorf("tracked send/tick path allocates %v per packet, want 0", allocs)
+		t.Errorf("watched send/tick path allocates %v per packet, want 0", allocs)
+	}
+	if events == 0 || lastCy == 0 {
+		t.Fatal("subscriber saw no events: the fixture exercises nothing")
 	}
 }
