@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all fmt vet build lint lint-fixtures test race smoke check bench bench-compare bench-selftest ci
+.PHONY: all fmt vet build lint lint-fixtures test race smoke check bench bench-compare bench-selftest loc ci
 
 all: ci
 
@@ -45,7 +45,11 @@ race:
 # token-fairness CSVs with the Jain (0,1] bound, state-dump NDJSON
 # framing, Prometheus scrape) actually parses. Set SMOKEDIR to keep
 # the artifacts (CI uploads them); by default a temp dir is used and
-# removed.
+# removed. The last step writes SHA256SUMS over every deterministic
+# artifact (all but the live log, scrape, profile and mid-flight dump;
+# manifests are hashed with the SMOKEDIR prefix stripped from their
+# "path" entries), so two checkouts prove byte-identity with one
+# `diff a/SHA256SUMS b/SHA256SUMS`.
 smoke:
 	@dir="$(SMOKEDIR)"; \
 	if [ -z "$$dir" ]; then dir=$$(mktemp -d); trap "rm -rf $$dir" EXIT; else mkdir -p "$$dir"; fi; \
@@ -84,7 +88,11 @@ smoke:
 		$$dir/sweep-breakdown.csv $$dir/sweep-breakdown.ndjson $$dir/sweep-breakdown.svg \
 		$$dir/live-breakdown.csv $$dir/live-breakdown.ndjson $$dir/live-breakdown.svg \
 		$$dir/fair_tiles.csv $$dir/fair_jain.csv $$dir/fair_heatmap.svg \
-		$$dir/dump.ndjson $$dir/dump-live.ndjson
+		$$dir/dump.ndjson $$dir/dump-live.ndjson; \
+	for f in $$(ls $$dir); do \
+		case $$f in live.log|smoke.prom|profile.pb.gz|dump-live.ndjson|SHA256SUMS) continue;; esac; \
+		echo "$$(sed "s|\"path\": \"$$dir/|\"path\": \"|" $$dir/$$f | sha256sum | cut -d' ' -f1)  $$f"; \
+	done > $$dir/SHA256SUMS
 
 # check runs the conformance subsystem (internal/check): the quick
 # go-test harness (invariant checker, differential reference oracle,
@@ -123,5 +131,22 @@ bench-compare:
 bench-selftest:
 	$(GO) vet -C bench ./...
 	$(GO) test -C bench ./...
+
+# loc prints ROADMAP's size metric — non-blank, non-comment, non-test,
+# non-testdata Go lines — per package under internal/ and cmd/, then the
+# simulator core against its support tooling and their ratio, so a
+# "net-negative lines" claim is one command run at two commits.
+loc:
+	@count() { cat "$$@" | grep -v '^\s*$$' | grep -v '^\s*//' | wc -l; }; \
+	files() { find "$$@" -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*'; }; \
+	for d in $$(files internal cmd | xargs -n1 dirname | sort -u); do \
+		printf '%7d  %s\n' $$(count $$(files $$d -maxdepth 1)) $$d; done; \
+	core=$$(count $$(files internal/sim internal/noc internal/router internal/sbus)); \
+	support=$$(count $$(files internal/lint internal/probe internal/flightrec internal/obs internal/check cmd/obscheck) \
+		internal/fabric/probe.go internal/fabric/flightrec.go internal/fabric/check.go); \
+	printf '%7d  total (internal + cmd)\n' $$(count $$(files internal cmd)); \
+	printf '%7d  core (sim noc router sbus)\n' $$core; \
+	printf '%7d  support (lint probe flightrec obs check cmd/obscheck + fabric installers)\n' $$support; \
+	awk "BEGIN { printf \"%7.2f  support / core\n\", $$support / $$core }"
 
 ci: fmt vet build lint race bench-selftest smoke

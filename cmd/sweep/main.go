@@ -3,15 +3,13 @@
 // on stdout. Sweep points run in parallel across CPUs; one progress line
 // per finished point goes to stderr.
 //
-// With -telemetry, -metrics, -trace, -listen, -energy or -heatmap
-// (single -topo only), the highest load point is re-run with the
-// observability probe installed and the requested artifacts are emitted:
-// metric time-series, packet traces, the per-component energy
-// attribution CSV and congestion/wireless-energy heatmaps. -listen
-// additionally serves the re-run's live telemetry plane (/metrics
-// Prometheus text, /healthz, /events NDJSON) over HTTP while it runs.
+// The observation flags are cmd/ownsim's (internal/obs.Flags) and need a
+// single -topo: when any is set, the highest load point is re-run as an
+// observed run — exactly `ownsim -load <that load> -seed <its seed>` —
+// and leaves the same artifacts (README has the flag → files table).
 // -manifest records the whole sweep — configuration, every point,
-// artifact digests — as machine-readable JSON. Artifacts are
+// artifact digests — as machine-readable JSON, and -check runs every
+// sweep point under the conformance checker. Artifacts are
 // deterministic: same flags and seed give byte-identical files
 // regardless of GOMAXPROCS, with or without -listen.
 //
@@ -28,14 +26,12 @@ import (
 	"log"
 	"os"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
 	"ownsim/internal/check"
 	"ownsim/internal/core"
 	"ownsim/internal/fabric"
-	"ownsim/internal/flightrec"
 	"ownsim/internal/obs"
 	"ownsim/internal/plot"
 	"ownsim/internal/power"
@@ -57,22 +53,8 @@ func main() {
 	measure := flag.Uint64("measure", 12000, "measurement cycles")
 	seed := flag.Uint64("seed", 1, "simulation seed")
 	doPlot := flag.Bool("plot", false, "render an ASCII latency-load chart on stderr")
-	telemetry := flag.Int("telemetry", 0, "print the top-N busiest shared channels for the highest-load point (single -topo)")
-	dot := flag.String("dot", "", "write the router-level topology as Graphviz DOT to this path (single -topo)")
-	metrics := flag.String("metrics", "", "write the highest-load point's metric time-series to this path (.csv or .ndjson; single -topo)")
-	trace := flag.String("trace", "", "write the highest-load point's packet trace to this path (.json Chrome trace-event, or .ndjson; single -topo)")
-	sample := flag.Uint64("sample", 1, "trace every Nth packet (with -trace; 1 = all)")
-	window := flag.Uint64("window", 256, "metric sampling window in simulated cycles (with -metrics)")
-	manifest := flag.String("manifest", "", "write a machine-readable sweep manifest (JSON) to this path")
-	listen := flag.String("listen", "", "serve live telemetry (/metrics, /healthz, /events) on this address during the instrumented re-run (single -topo; port 0 picks a free port)")
-	energyPath := flag.String("energy", "", "write the instrumented point's per-component energy attribution CSV to this path (single -topo)")
-	heatmap := flag.String("heatmap", "", "write the instrumented point's congestion and wireless-energy heatmaps (CSV+SVG) with this path prefix (single -topo)")
-	breakdown := flag.String("latency-breakdown", "", "write the instrumented point's per-phase latency attribution (CSV+NDJSON+stacked-bar SVG) with this path prefix (single -topo)")
-	pprofFlag := flag.Bool("pprof", false, "mount Go runtime profiling under /debug/pprof/ on the -listen server")
-	reservoir := flag.Int("reservoir", 0, "exact-percentile latency reservoir size in packets per run (0 = default 65536)")
-	fairness := flag.String("fairness", "", "write the instrumented point's token-fairness artifacts (per-tile wait CSV, Jain CSV, heatmap SVG) with this path prefix (single -topo)")
-	dumpOnExit := flag.String("dump-on-exit", "", "write the instrumented point's full state dump (NDJSON + text) with this path prefix (single -topo)")
-	checkFlag := flag.Bool("check", false, "run every sweep point under the conformance checker (internal/check); violations go to stderr and the exit code is non-zero if any fired")
+	var of obs.Flags
+	of.Register(flag.CommandLine, "the highest-load point (single -topo)")
 	flag.Parse()
 
 	pat, err := traffic.ParsePattern(*pattern)
@@ -83,23 +65,25 @@ func main() {
 	if *topo != "all" {
 		names = []string{*topo}
 	}
-	instrumented := *telemetry > 0 || *metrics != "" || *trace != "" ||
-		*listen != "" || *energyPath != "" || *heatmap != "" || *breakdown != "" ||
-		*fairness != "" || *dumpOnExit != ""
-	if (instrumented || *dot != "") && *topo == "all" {
+	for _, name := range names {
+		if err := core.CheckSystem(name, *cores); err != nil {
+			log.Fatal(err)
+		}
+	}
+	if err := core.CheckSweepPoints(*points); err != nil {
+		log.Fatal(err)
+	}
+	if err := of.Validate(); err != nil {
+		log.Fatal(err)
+	}
+	if (of.Instrumented() || of.Dot != "") && *topo == "all" {
 		log.Fatal("-telemetry, -dot, -metrics, -trace, -listen, -energy, -heatmap, -latency-breakdown, -fairness and -dump-on-exit need a single -topo")
 	}
-	if *pprofFlag && *listen == "" {
-		log.Fatal("-pprof requires -listen")
-	}
-	if *sample == 0 || *window == 0 {
-		log.Fatal("-sample and -window must be >= 1")
-	}
-	b := core.Budget{Warmup: *warmup, Measure: *measure, Loads: *points, Seed: *seed, ReservoirCap: *reservoir}
+	b := core.Budget{Warmup: *warmup, Measure: *measure, Loads: *points, Seed: *seed, ReservoirCap: of.Reservoir}
 	loads := core.SweepLoads(*cores, *points)
 
 	var man *probe.Manifest
-	if *manifest != "" {
+	if of.Manifest != "" {
 		man = &probe.Manifest{
 			Tool: "sweep",
 			Config: map[string]string{
@@ -109,10 +93,10 @@ func main() {
 				"points":    strconv.Itoa(*points),
 				"warmup":    strconv.FormatUint(*warmup, 10),
 				"measure":   strconv.FormatUint(*measure, 10),
-				"sample":    strconv.FormatUint(*sample, 10),
-				"window":    strconv.FormatUint(*window, 10),
-				"reservoir": strconv.Itoa(*reservoir),
-				"check":     strconv.FormatBool(*checkFlag),
+				"sample":    strconv.FormatUint(of.Sample, 10),
+				"window":    strconv.FormatUint(of.Window, 10),
+				"reservoir": strconv.Itoa(of.Reservoir),
+				"check":     strconv.FormatBool(of.Check),
 			},
 			Cores: *cores,
 			Seed:  *seed,
@@ -141,7 +125,7 @@ func main() {
 				done, total, name, p.Load, p.Latency, p.Throughput, p.Saturated, time.Since(start).Seconds())
 		}
 		var pts []stats.CurvePoint
-		if *checkFlag {
+		if of.Check {
 			// Checked sweep: same curve (the checker is inert), plus every
 			// invariant violation across the points, in load order.
 			var vs []check.Violation
@@ -174,138 +158,46 @@ func main() {
 		fmt.Fprint(os.Stderr, plot.Chart(title, chart, 72, 18))
 	}
 
-	// Instrumented re-run of the highest-load point: the probe layer is
-	// inert, so its summary matches the sweep's last point exactly.
-	if instrumented || *dot != "" {
+	// Observed re-run of the highest-load point: every observer is inert,
+	// so its summary matches the sweep's last point exactly. -check already
+	// covered the sweep points, so the re-run carries no checker.
+	if of.Instrumented() || of.Dot != "" {
 		sys := core.NewSystem(*topo, *cores, wireless.Config4, wireless.Ideal)
 		n := sys.Build(power.NewMeter(nil))
-		if *dot != "" {
-			if err := os.WriteFile(*dot, []byte(n.DOT()), 0o644); err != nil {
-				log.Fatal(err)
-			}
-			fmt.Fprintf(os.Stderr, "sweep: wrote topology graph to %s\n", *dot)
+		rerun := of
+		rerun.Check = false
+		s, err := obs.Start(n, &rerun, log.Printf)
+		if err != nil {
+			log.Fatal(err)
 		}
-		if instrumented {
-			// The flight recorder backs the fairness/dump artifacts and the
-			// /debug/dump endpoint; install before the probe so the probe
-			// hooks feed its stall tracker.
-			flightrecOn := *fairness != "" || *dumpOnExit != "" || *listen != ""
-			var fr *flightrec.FlightRecorder
-			if flightrecOn {
-				fr = flightrec.New(flightrec.Options{})
-				n.InstallFlightRecorder(fr)
-			}
-			// Heatmaps need per-router counters for per-tile congestion;
-			// fairness and dumps need span decomposition for token waits.
-			opts := probe.Options{
-				PerComponent: *heatmap != "",
-				Spans:        *breakdown != "" || *fairness != "" || *dumpOnExit != "",
-			}
-			if *metrics != "" || *listen != "" || flightrecOn {
-				opts.MetricsEvery = *window
-			}
-			if *trace != "" {
-				opts.TraceEvery = *sample
-			}
-			pb := probe.New(opts)
-			n.InstallProbe(pb)
-			// Read-only live telemetry over the instrumented point; the
-			// address stays out of the manifest (ephemeral ports would
-			// break byte-identical reruns).
-			var srv *obs.Server
-			if *listen != "" {
-				srv = obs.New()
-				srv.Attach(pb)
-				if *pprofFlag {
-					srv.EnablePprof()
-				}
-				srv.SetBuildInfo(probe.ReadBuildInfo())
-				if fr != nil {
-					srv.SetDumpProvider(fr.Dog.RequestDump)
-				}
-				addr, err := srv.Start(*listen)
-				if err != nil {
-					log.Fatal(err)
-				}
-				defer srv.Close()
-				fmt.Fprintf(os.Stderr, "sweep: live telemetry on http://%s/metrics\n", addr)
-			}
+		defer s.Close()
+		if of.Dot != "" {
+			log.Printf("wrote topology graph to %s", of.Dot)
+		}
+		if of.Instrumented() {
 			last := len(loads) - 1
 			res := n.Run(
 				fabric.TrafficSpec{Pattern: pat, Rate: loads[last], Seed: b.Seed + uint64(last), Policy: sys.Policy, Classify: sys.Classify},
-				fabric.RunSpec{Warmup: b.Warmup, Measure: b.Measure, ReservoirCap: *reservoir},
+				fabric.RunSpec{Warmup: b.Warmup, Measure: b.Measure, ReservoirCap: b.ReservoirCap},
 			)
-			if fr != nil {
-				fr.Dog.Finish(n.Eng.Cycle())
-			}
-			if srv != nil {
-				srv.MarkDone()
-			}
-			fmt.Fprintf(os.Stderr, "sweep: instrumented %s @ load %.5f: %s\n", *topo, loads[last], res.Summary)
-			if *telemetry > 0 {
-				fmt.Fprint(os.Stderr, n.Telemetry(*telemetry))
-			}
-			if err := probe.EmitFiles(pb, *metrics, *trace, man); err != nil {
+			s.Finish()
+			log.Printf("instrumented %s @ load %.5f: %s", *topo, loads[last], res.Summary)
+			if err := s.Emit(man, os.Stderr); err != nil {
 				log.Fatal(err)
-			}
-			if t := pb.Tracer(); t != nil && t.Dropped() > 0 {
-				fmt.Fprintf(os.Stderr, "sweep: WARNING: %d trace events dropped at the cap; raise -sample\n", t.Dropped())
-			}
-			if *energyPath != "" {
-				if err := obs.EmitEnergyCSV(n, *energyPath, man); err != nil {
-					log.Fatal(err)
-				}
-				fmt.Fprint(os.Stderr, n.Meter.EnergyTable(n.Eng.Cycle()))
-				fmt.Fprintf(os.Stderr, "sweep: wrote energy attribution to %s\n", *energyPath)
-			}
-			if *heatmap != "" {
-				files, err := obs.EmitHeatmaps(n, *heatmap, man)
-				if err != nil {
-					log.Fatal(err)
-				}
-				fmt.Fprintf(os.Stderr, "sweep: wrote heatmaps: %s\n", strings.Join(files, ", "))
-			}
-			if *breakdown != "" {
-				files, err := obs.EmitLatencyBreakdown(n, *breakdown, man)
-				if err != nil {
-					log.Fatal(err)
-				}
-				fmt.Fprintf(os.Stderr, "sweep: wrote latency breakdown: %s\n", strings.Join(files, ", "))
-				if mm := pb.Spans().Mismatches(); mm > 0 {
-					fmt.Fprintf(os.Stderr, "sweep: WARNING: %d packets failed the span sum identity\n", mm)
-				}
-			}
-			if *fairness != "" {
-				files, err := obs.EmitFairness(n, *fairness, man)
-				if err != nil {
-					log.Fatal(err)
-				}
-				fmt.Fprintf(os.Stderr, "sweep: wrote fairness artifacts: %s\n", strings.Join(files, ", "))
-			}
-			if *dumpOnExit != "" {
-				files, err := obs.EmitDump(n, *dumpOnExit, man)
-				if err != nil {
-					log.Fatal(err)
-				}
-				fmt.Fprintf(os.Stderr, "sweep: wrote state dump: %s\n", strings.Join(files, ", "))
-			}
-			if man != nil {
-				ei, pi := n.EngineIntro(), n.PoolIntro()
-				man.Engine, man.Pools = &ei, &pi
 			}
 		}
 	}
 
 	if man != nil {
-		if err := probe.WriteManifestFile(man, *manifest); err != nil {
+		if err := obs.WriteManifest(man, of.Manifest); err != nil {
 			log.Fatal(err)
 		}
-		fmt.Fprintf(os.Stderr, "sweep: wrote manifest to %s\n", *manifest)
+		log.Printf("wrote manifest to %s", of.Manifest)
 	}
-	if *checkFlag {
+	if of.Check {
 		if violations > 0 {
 			log.Fatalf("conformance: %d invariant violation(s) across the sweep", violations)
 		}
-		fmt.Fprintf(os.Stderr, "sweep: conformance clean across %d checked point(s)\n", total)
+		log.Printf("conformance clean across %d checked point(s)", total)
 	}
 }

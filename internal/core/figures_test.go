@@ -179,3 +179,33 @@ func TestSweepLoadsAxis(t *testing.T) {
 		t.Fatal("sweep must cross saturation")
 	}
 }
+
+// TestBadInputIsAnError pins the CLI validation: the five inputs that
+// used to end in a panic stack are plain errors, and every combination
+// the CLIs accept still passes.
+func TestBadInputIsAnError(t *testing.T) {
+	for _, tc := range []struct {
+		what string
+		err  error
+	}{
+		{"ownsim -cores 300", CheckSystem("own", 300)},
+		{"ownsim -topo foo", CheckSystem("foo", 256)},
+		{"sweep -topo cmesh -cores 300", CheckSystem("cmesh", 300)},
+		{"sweep -points 1", CheckSweepPoints(1)},
+		{"sweep -points 0 -telemetry 1", CheckSweepPoints(0)},
+	} {
+		if tc.err == nil {
+			t.Errorf("%s: accepted, want an error", tc.what)
+		}
+	}
+	for _, name := range SystemNames() {
+		for _, cores := range []int{256, 1024} {
+			if err := CheckSystem(name, cores); err != nil {
+				t.Errorf("CheckSystem(%q, %d) = %v", name, cores, err)
+			}
+		}
+	}
+	if err := CheckSweepPoints(2); err != nil {
+		t.Errorf("CheckSweepPoints(2) = %v", err)
+	}
+}

@@ -69,7 +69,7 @@ func TestInstrumentedSweepArtifactsAcrossGOMAXPROCS(t *testing.T) {
 		// (a scratch dir on disk), then into the manifest under fixed
 		// logical names so both renders produce identical manifests.
 		dir := t.TempDir()
-		if err := obs.EmitEnergyCSV(n, filepath.Join(dir, "energy.csv"), nil); err != nil {
+		if _, err := obs.EmitEnergyCSV(n, filepath.Join(dir, "energy.csv"), nil); err != nil {
 			t.Fatal(err)
 		}
 		files, err := obs.EmitHeatmaps(n, filepath.Join(dir, "hm"), nil)

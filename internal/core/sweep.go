@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 
@@ -79,6 +80,15 @@ func SweepLoads(cores, points int) []float64 {
 		loads[i] = sat * frac
 	}
 	return loads
+}
+
+// CheckSweepPoints rejects a point count SweepLoads cannot space: the
+// axis interpolates between its two end loads, so it needs both.
+func CheckSweepPoints(points int) error {
+	if points < 2 {
+		return fmt.Errorf("points must be >= 2, got %d", points)
+	}
+	return nil
 }
 
 // Sweep runs the system across the given loads in parallel and returns

@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 
 	"ownsim/internal/check"
 	"ownsim/internal/fabric"
@@ -32,6 +34,19 @@ type System struct {
 // presentation order.
 func SystemNames() []string {
 	return []string{"cmesh", "own", "optxb", "pclos", "wcmesh"}
+}
+
+// CheckSystem reports whether NewSystem can build the named architecture
+// at the given scale. The CLIs call it on user input, so a typo is one
+// error line; NewSystem keeps its panic as the engine invariant.
+func CheckSystem(name string, cores int) error {
+	if !slices.Contains(SystemNames(), name) {
+		return fmt.Errorf("unknown topology %q (want %s)", name, strings.Join(SystemNames(), "|"))
+	}
+	if cores != 256 && cores != 1024 {
+		return fmt.Errorf("cores must be 256 or 1024, got %d", cores)
+	}
+	return nil
 }
 
 // NewSystem returns the named architecture at the given scale. OWN takes

@@ -13,11 +13,15 @@ import (
 // subscribes the per-writer wait table to every shared channel, and
 // schedules the deterministic watchdog in the engine's Collect phase.
 // Call it after the topology builder and BEFORE InstallProbe — the probe
-// installer feeds the stall tracker from the channel-transmit events and
-// registers the token/stall gauges behind the established columns. A
-// nil recorder is a no-op. Like the probe layer, the recorder is inert:
-// it only reads state the simulation already maintains, so installing
-// it never changes a Result.
+// installer registers the token/stall gauges behind the established
+// columns and feeds the stall tracker. That feed runs through the span
+// tracker: each wait the stall tracker records is the one
+// probe.SpanTracker.ChannelTx charges to token_wait, so under a probe
+// without Options.Spans the token.* gauges and the fairness artifacts
+// stay zero and a Snapshot lists no in-flight packets (obs.Start turns
+// spans on whenever it installs a recorder). A nil recorder is a no-op.
+// Like the probe layer, the recorder is inert: it only reads state the
+// simulation already maintains, so installing it never changes a Result.
 func (n *Network) InstallFlightRecorder(fr *flightrec.FlightRecorder) {
 	if fr == nil {
 		return

@@ -10,8 +10,8 @@
 // channel aggregates live in index-ordered slices, never maps; dump
 // bytes depend only on simulated state), and nil-safe (a nil tracker or
 // watchdog method receiver records nothing). fabric.Network wires a
-// FlightRecorder into a built topology via InstallFlightRecorder, which
-// must run before InstallProbe.
+// FlightRecorder into a built topology via InstallFlightRecorder; the
+// CLIs get one through obs.Start, which knows the install order.
 //
 // Two watchdog variants share one implementation: the deterministic
 // in-engine variant is a sim.Ticker whose checks run on simulated-cycle

@@ -2,6 +2,8 @@ package obs
 
 import (
 	"bytes"
+	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"strings"
@@ -44,49 +46,63 @@ func obsRing(nRouters int, m *power.Meter) *fabric.Network {
 	return n
 }
 
+// runObsRing runs the ring bare or, with live set, under a session that
+// serves it over HTTP (which implies flight recorder, span-tracking probe
+// and sampler), scraping /metrics before the run and /debug/dump after.
 func runObsRing(t *testing.T, live bool) (fabric.Result, *fabric.Network) {
 	t.Helper()
 	n := obsRing(4, power.NewMeter(nil))
-	var srv *Server
+	f := &Flags{Sample: 1, Window: 32, PerComponent: true}
+	var url string
 	if live {
-		p := probe.New(probe.Options{MetricsEvery: 32, PerComponent: true})
-		n.InstallProbe(p)
-		srv = New()
-		srv.Attach(p)
-		addr, err := srv.Start("127.0.0.1:0")
+		f.Listen = "127.0.0.1:0"
+	}
+	s, err := Start(n, f, func(format string, args ...any) {
+		// The line make smoke parses for the bound address.
+		if _, err := fmt.Sscanf(fmt.Sprintf(format, args...), "live telemetry on %s", &url); err != nil {
+			t.Errorf("unexpected session diagnostic: "+format, args...)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	get := func(url, want string) {
+		t.Helper()
+		resp, err := http.Get(url)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer srv.Close()
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK || !strings.Contains(string(body), want) {
+			t.Fatalf("GET %s: status %d, err %v, body lacks %q", url, resp.StatusCode, err, want)
+		}
+	}
+	if live {
 		// Poll the live plane before the run to prove reads are harmless.
-		resp, err := http.Get("http://" + addr + "/healthz")
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
+		get(url, "ownsim_net_buffered_flits")
 	}
 	res := n.Run(
 		fabric.TrafficSpec{Pattern: traffic.Uniform, Rate: 0.08, PktFlits: 3, Seed: 11},
 		fabric.RunSpec{Warmup: 100, Measure: 800},
 	)
-	if srv != nil {
-		srv.MarkDone()
+	s.Finish()
+	if live {
+		get(strings.TrimSuffix(url, "/metrics")+"/debug/dump", `"rec":"meta"`)
 	}
 	return res, n
 }
 
 // TestLivePlaneInert extends the probe-inertness guarantee to the whole
-// telemetry plane: running with the HTTP server up, per-component probes
-// installed and a client scraping must leave the summary, the power
-// breakdown and the energy attribution bit-for-bit unchanged.
+// observed-run path: a session with the HTTP server up, everything
+// -listen implies installed and a client scraping must leave the
+// Result and the energy attribution bit-for-bit unchanged.
 func TestLivePlaneInert(t *testing.T) {
 	bare, bn := runObsRing(t, false)
 	live, ln := runObsRing(t, true)
-	if bare.Summary != live.Summary {
-		t.Fatalf("live plane changed the summary:\n  off: %v\n  on:  %v", bare.Summary, live.Summary)
-	}
-	if bare.Power != live.Power {
-		t.Fatalf("live plane changed the power breakdown:\n  off: %v\n  on:  %v", bare.Power, live.Power)
+	if bare != live {
+		t.Fatalf("live plane changed the result:\n  off: %+v\n  on:  %+v", bare, live)
 	}
 	var bBuf, lBuf bytes.Buffer
 	if err := bn.Meter.WriteEnergyCSV(&bBuf, bn.Eng.Cycle()); err != nil {

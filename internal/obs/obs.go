@@ -10,6 +10,11 @@
 // — the determinism tests assert byte-identical summaries and manifests
 // with the server on and off.
 //
+// The package also owns the one path from a command line to an observed
+// run: Flags declares the observation flags cmd/ownsim and cmd/sweep
+// share, Start installs what they imply on a built network and returns
+// the Session that emits the artifacts (session.go, artifacts.go).
+//
 // The package is inside ownlint's deterministic scope: it uses no wall
 // clock, no global RNG and no environment reads; all timestamps in
 // served payloads are simulated cycles. (net/http keeps its own internal
