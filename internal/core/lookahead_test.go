@@ -1,6 +1,7 @@
 package core
 
 import (
+	"os"
 	"testing"
 
 	"ownsim/internal/fabric"
@@ -50,6 +51,63 @@ func TestConformanceLookAheadMatchesPolling(t *testing.T) {
 			fabric.RunSpec{Warmup: 300, Measure: 2500})
 		if err != nil {
 			t.Errorf("seed %d: %v", seed, err)
+		}
+	}
+}
+
+// A router whose every buffered flit is blocked sleeps until the credit
+// or the busyUntil that unblocks it; the reference twin ticks it every
+// cycle. Near and past saturation, where most router ticks would be such
+// no-ops, the two must agree delivery for delivery on every system.
+func TestConformanceStalledRoutersMatchPerCycle(t *testing.T) {
+	scales := []int{256}
+	if os.Getenv("CHECK_CAMPAIGN") != "" {
+		scales = append(scales, 1024)
+	}
+	for _, cores := range scales {
+		loads := SweepLoads(cores, 8)
+		for _, name := range SystemNames() {
+			sys := NewSystem(name, cores, wireless.Config4, wireless.Ideal)
+			for _, load := range []float64{loads[5], loads[7]} { // ~0.9x and 1.2x of saturation
+				err := fabric.DiffRuns(func() *fabric.Network { return sys.Build(power.NewMeter(nil)) },
+					fabric.TrafficSpec{Pattern: traffic.Uniform, Rate: load, Seed: 18, Policy: sys.Policy, Classify: sys.Classify},
+					fabric.RunSpec{Warmup: 300, Measure: 2500})
+				if err != nil {
+					t.Errorf("%s-%d at %.4f: %v", name, cores, load, err)
+				}
+			}
+		}
+	}
+}
+
+// The goldens cannot see a router that silently went back to re-walking
+// its blocked VCs every cycle, so the schedule is pinned: compute-phase
+// ticks (routers and sources) per switch traversal at saturation. With
+// blocked routers spinning the ratios were 6.4 (CMESH) and 5.5 (OWN);
+// they are 3.0 and 2.4 with them asleep.
+func TestStalledRoutersSleepAtSaturation(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		load  float64
+		bound float64
+	}{{"cmesh", 0.006, 4.0}, {"own", 0.007, 3.2}} {
+		sys := NewSystem(c.name, 256, wireless.Config4, wireless.Ideal)
+		m := power.NewMeter(nil)
+		n := sys.Build(m)
+		res := n.Run(
+			fabric.TrafficSpec{Pattern: traffic.Uniform, Rate: c.load, Seed: 1, Policy: sys.Policy, Classify: sys.Classify},
+			fabric.RunSpec{Warmup: 500, Measure: 5000},
+		)
+		if res.Packets == 0 {
+			t.Fatalf("%s: run carried no traffic: %+v", c.name, res.Summary)
+		}
+		ticks := n.Eng.PhaseStats(sim.PhaseCompute).Ticks
+		hops := m.NXbar
+		if ratio := float64(ticks) / float64(hops); ratio >= c.bound {
+			t.Errorf("%s-256 at %.3f: %.2f compute ticks per switch traversal (%d / %d), want < %.1f: blocked routers are spinning again",
+				c.name, c.load, ratio, ticks, hops, c.bound)
+		} else {
+			t.Logf("%s-256 at %.3f: %.2f compute ticks per switch traversal", c.name, c.load, ratio)
 		}
 	}
 }

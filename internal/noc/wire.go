@@ -31,8 +31,8 @@ type Wire struct {
 
 	now     uint64
 	waker   *sim.Waker
-	flits   timedFlitQueue
-	credits timedCreditQueue
+	flits   timedQueue[*Flit]
+	credits timedQueue[int] // returned VC indices
 }
 
 // NewWire creates a wire from an upstream output port (src, srcPort) to a
@@ -75,7 +75,7 @@ func (w *Wire) clock() uint64 {
 // Send implements Conduit. It is called during the Compute phase.
 func (w *Wire) Send(f *Flit) {
 	at := w.clock() + uint64(w.Delay)
-	w.flits.push(timedFlit{at: at, f: f})
+	w.flits.push(at, f)
 	if w.waker != nil {
 		w.waker.WakeAt(at)
 	}
@@ -85,7 +85,7 @@ func (w *Wire) Send(f *Flit) {
 // freed slot, and the wire carries the credit back upstream.
 func (w *Wire) ReturnCredit(vc int) {
 	at := w.clock() + uint64(w.CreditDelay)
-	w.credits.push(timedCredit{at: at, vc: vc})
+	w.credits.push(at, vc)
 	if w.waker != nil {
 		w.waker.WakeAt(at)
 	}
@@ -102,9 +102,9 @@ func (w *Wire) Tick(cycle uint64) {
 		}
 		w.flits.pop()
 		if w.OnFlit != nil {
-			w.OnFlit(tf.f)
+			w.OnFlit(tf.v)
 		}
-		w.dst.ReceiveFlit(w.dstPort, tf.f)
+		w.dst.ReceiveFlit(w.dstPort, tf.v)
 	}
 	for {
 		tc, ok := w.credits.peek()
@@ -112,7 +112,7 @@ func (w *Wire) Tick(cycle uint64) {
 			break
 		}
 		w.credits.pop()
-		w.src.ReceiveCredit(w.srcPort, tc.vc)
+		w.src.ReceiveCredit(w.srcPort, tc.v)
 	}
 	if w.waker != nil {
 		w.reschedule(cycle)
@@ -122,7 +122,7 @@ func (w *Wire) Tick(cycle uint64) {
 // reschedule re-arms the waker for the earliest outstanding deadline, or
 // sleeps when both queues are empty. Send/ReturnCredit arriving while
 // asleep wake the wire directly. A deadline on the very next cycle keeps
-// the awake bit set instead of paying for a heap round-trip.
+// the awake bit set instead of paying for a calendar round-trip.
 func (w *Wire) reschedule(cycle uint64) {
 	next := uint64(0)
 	if tf, ok := w.flits.peek(); ok {
@@ -143,94 +143,48 @@ func (w *Wire) reschedule(cycle uint64) {
 // InFlight returns the number of flits currently traversing the wire.
 func (w *Wire) InFlight() int { return w.flits.len() }
 
-type timedFlit struct {
-	at uint64
-	f  *Flit
-}
-
-type timedCredit struct {
-	at uint64
-	vc int
-}
-
-// timedFlitQueue is a ring-buffer FIFO. Because every entry on a given
-// wire has the same delay, entries are pushed in non-decreasing deadline
-// order and a FIFO suffices (no heap needed).
-type timedFlitQueue struct {
-	buf        []timedFlit
+// timedQueue is a ring-buffer FIFO of values due at a cycle. Because every
+// entry on a given wire has the same delay, entries are pushed in
+// non-decreasing deadline order and a FIFO suffices (no heap needed).
+type timedQueue[T any] struct {
+	buf        []timed[T]
 	head, size int
 }
 
-func (q *timedFlitQueue) len() int { return q.size }
+type timed[T any] struct {
+	at uint64
+	v  T
+}
 
-func (q *timedFlitQueue) push(v timedFlit) {
+func (q *timedQueue[T]) len() int { return q.size }
+
+func (q *timedQueue[T]) push(at uint64, v T) {
 	if q.size == len(q.buf) {
 		q.grow()
 	}
-	q.buf[(q.head+q.size)%len(q.buf)] = v
+	q.buf[(q.head+q.size)%len(q.buf)] = timed[T]{at, v}
 	q.size++
 }
 
-func (q *timedFlitQueue) peek() (timedFlit, bool) {
+func (q *timedQueue[T]) peek() (timed[T], bool) {
 	if q.size == 0 {
-		return timedFlit{}, false
+		return timed[T]{}, false
 	}
 	return q.buf[q.head], true
 }
 
-func (q *timedFlitQueue) pop() {
-	q.buf[q.head] = timedFlit{}
+func (q *timedQueue[T]) pop() {
+	q.buf[q.head] = timed[T]{}
 	q.head = (q.head + 1) % len(q.buf)
 	q.size--
 }
 
-func (q *timedFlitQueue) grow() {
+func (q *timedQueue[T]) grow() {
 	n := len(q.buf) * 2
 	if n == 0 {
 		n = 8
 	}
-	nb := make([]timedFlit, n)
-	for i := 0; i < q.size; i++ {
-		nb[i] = q.buf[(q.head+i)%len(q.buf)]
-	}
-	q.buf = nb
-	q.head = 0
-}
-
-type timedCreditQueue struct {
-	buf        []timedCredit
-	head, size int
-}
-
-func (q *timedCreditQueue) len() int { return q.size }
-
-func (q *timedCreditQueue) push(v timedCredit) {
-	if q.size == len(q.buf) {
-		q.grow()
-	}
-	q.buf[(q.head+q.size)%len(q.buf)] = v
-	q.size++
-}
-
-func (q *timedCreditQueue) peek() (timedCredit, bool) {
-	if q.size == 0 {
-		return timedCredit{}, false
-	}
-	return q.buf[q.head], true
-}
-
-func (q *timedCreditQueue) pop() {
-	q.buf[q.head] = timedCredit{}
-	q.head = (q.head + 1) % len(q.buf)
-	q.size--
-}
-
-func (q *timedCreditQueue) grow() {
-	n := len(q.buf) * 2
-	if n == 0 {
-		n = 8
-	}
-	nb := make([]timedCredit, n)
+	nb := make([]timed[T], n)
 	for i := 0; i < q.size; i++ {
 		nb[i] = q.buf[(q.head+i)%len(q.buf)]
 	}

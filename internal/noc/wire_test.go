@@ -137,27 +137,27 @@ func TestWireInFlight(t *testing.T) {
 }
 
 func TestQueueGrowthPreservesOrder(t *testing.T) {
-	var q timedFlitQueue
+	var q timedQueue[*Flit]
 	// Interleave pushes and pops to force wraparound + growth.
 	next := 0
 	popped := 0
 	for round := 0; round < 10; round++ {
 		for i := 0; i < 7; i++ {
-			q.push(timedFlit{at: uint64(next), f: &Flit{Seq: next}})
+			q.push(uint64(next), &Flit{Seq: next})
 			next++
 		}
 		for i := 0; i < 3; i++ {
-			v, ok := q.peek()
-			if !ok || v.f.Seq != popped {
-				t.Fatalf("pop %d: got %v", popped, v)
+			e, ok := q.peek()
+			if !ok || e.v.Seq != popped {
+				t.Fatalf("pop %d: got %v", popped, e)
 			}
 			q.pop()
 			popped++
 		}
 	}
 	for q.len() > 0 {
-		v, _ := q.peek()
-		if v.f.Seq != popped {
+		e, _ := q.peek()
+		if e.v.Seq != popped {
 			t.Fatalf("drain pop %d mismatch", popped)
 		}
 		q.pop()

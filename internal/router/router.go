@@ -155,6 +155,15 @@ type Router struct {
 	buffered     int
 	bufHighWater int
 
+	// moved records whether the current tick changed any pipeline state
+	// (a grant, a VC allocation, a route); busyWake is the earliest
+	// busyUntil among the tick's switch candidates that hold a credit
+	// (0 = none). A tick that moved nothing leaves the router stalled:
+	// asleep with its active list intact, see Tick.
+	moved    bool
+	stalled  bool
+	busyWake uint64
+
 	now   uint64
 	waker *sim.Waker
 }
@@ -188,15 +197,14 @@ func (r *Router) ConnectInput(p int, upstream noc.CreditReturner) {
 		panic(fmt.Sprintf("router %d: input port %d connected twice", r.Cfg.ID, p))
 	}
 	r.Cfg.Meter.RegisterInputPort(r.Cfg.NumVCs)
-	ip := &InputPort{upstream: upstream, vcs: make([]*vcState, r.Cfg.NumVCs)}
-	for v := range ip.vcs {
-		ip.vcs[v] = &vcState{
-			port:    p,
-			vc:      v,
-			buf:     make([]*noc.Flit, r.Cfg.BufDepth),
-			outPort: -1,
-			outVC:   -1,
-		}
+	// One allocation each for the port's VC states and their flit rings,
+	// carved per VC (capacity-limited so no ring can grow into the next).
+	nv, d := r.Cfg.NumVCs, r.Cfg.BufDepth
+	ip := &InputPort{upstream: upstream, vcs: make([]*vcState, nv)}
+	states, bufs := make([]vcState, nv), make([]*noc.Flit, nv*d)
+	for v := range states {
+		states[v] = vcState{port: p, vc: v, buf: bufs[v*d : (v+1)*d : (v+1)*d], outPort: -1, outVC: -1}
+		ip.vcs[v] = &states[v]
 	}
 	r.in[p] = ip
 }
@@ -246,7 +254,8 @@ func (r *Router) ReceiveFlit(port int, f *noc.Flit) {
 }
 
 // ReceiveCredit implements noc.CreditReceiver: the downstream buffer of
-// output port `port` freed a slot in VC `vc`.
+// output port `port` freed a slot in VC `vc`. It wakes a stalled router
+// if this is the credit a blocked VC was waiting for.
 func (r *Router) ReceiveCredit(port, vc int) {
 	op := r.out[port]
 	if op == nil {
@@ -256,12 +265,20 @@ func (r *Router) ReceiveCredit(port, vc int) {
 	if op.credits[vc] > op.maxCredits {
 		panic(fmt.Sprintf("router %d: credit overflow port %d vc %d", r.Cfg.ID, port, vc))
 	}
+	// Only the first credit of an output VC that some input VC holds can
+	// unblock anything: an idle router has nothing to grant, and a second
+	// credit follows one that already woke the router.
+	if r.stalled && op.credits[vc] == 1 && op.owner[vc] != nil {
+		r.waker.Wake()
+	}
 }
 
 // SetWaker installs the router's scheduling handle (from
-// sim.Engine.RegisterWakeable). The router sleeps whenever its active
-// list is empty; flit arrivals wake it. Credits arriving at a sleeping
-// router need no wake: with no buffered flits there is nothing to grant.
+// sim.Engine.RegisterWakeable). The router sleeps when its active list
+// is empty, woken by flit arrivals, and when a tick moved nothing
+// (stalled), woken by a flit landing in a VC outside the active list, by
+// the credit a blocked VC waits for, or at the busyUntil of a blocked
+// output; see Tick.
 func (r *Router) SetWaker(w *sim.Waker) { r.waker = w }
 
 func (r *Router) activate(v *vcState) {
@@ -276,20 +293,42 @@ func (r *Router) activate(v *vcState) {
 
 // Tick implements sim.Ticker. Stages run in reverse pipeline order so that
 // each stage costs one cycle.
+//
+// A tick in which no stage changed state stalls the router: every VC in
+// the active list is blocked, and no later tick can differ until a flit
+// lands in a VC outside the list, a blocked VC's credit arrives, or a
+// blocked output's busyUntil passes (output VCs free only on this
+// router's own tail grants, routes are computed in the tick that finds
+// the head, a flit queued behind a blocked front changes nothing). So the
+// router sleeps until one of the three, and on waking advances vcaPtr —
+// the one thing a no-op tick does change — by the ticks it skipped,
+// which keeps the schedule bit-exact against per-cycle ticking. The stall
+// counters are defined per candidate per cycle, so a router that has them
+// installed keeps ticking.
 func (r *Router) Tick(cycle uint64) {
+	if r.stalled {
+		r.stalled = false
+		r.vcaPtr += int(cycle - r.now - 1)
+	}
 	r.now = cycle
-	if len(r.active) == 0 {
-		if r.waker != nil {
-			r.waker.Sleep()
-		}
+	r.moved = false
+	if len(r.active) > 0 {
+		r.switchAllocate()
+		r.vcAllocate()
+		r.routeCompute()
+		r.compactActive()
+	}
+	if r.waker == nil {
 		return
 	}
-	r.switchAllocate()
-	r.vcAllocate()
-	r.routeCompute()
-	r.compactActive()
-	if r.waker != nil && len(r.active) == 0 {
+	if len(r.active) == 0 {
 		r.waker.Sleep()
+	} else if !r.moved && !r.waker.SleepDisabled() && r.PC.BusyStall == nil && r.PC.CreditStall == nil {
+		r.stalled = true
+		r.waker.Sleep()
+		if r.busyWake != 0 {
+			r.waker.WakeAt(r.busyWake)
+		}
 	}
 }
 
@@ -302,6 +341,7 @@ func (r *Router) switchAllocate() {
 		r.inBest[i] = nil
 		r.outBest[i] = nil
 	}
+	r.busyWake = 0
 	for _, v := range r.active {
 		if v.stage != stActive || v.size == 0 {
 			continue
@@ -309,6 +349,9 @@ func (r *Router) switchAllocate() {
 		op := r.out[v.outPort]
 		if op.busyUntil > r.now {
 			r.PC.BusyStall.Inc()
+			if op.credits[v.outVC] > 0 && (r.busyWake == 0 || op.busyUntil < r.busyWake) {
+				r.busyWake = op.busyUntil
+			}
 			continue
 		}
 		if op.credits[v.outVC] <= 0 {
@@ -338,6 +381,7 @@ func (r *Router) switchAllocate() {
 			continue
 		}
 		op := r.out[p]
+		r.moved = true
 		f := v.pop()
 		r.buffered--
 		f.VC = v.outVC
@@ -386,6 +430,7 @@ func (r *Router) vcAllocate() {
 			op.owner[ovc] = v
 			v.outVC = ovc
 			v.stage = stActive
+			r.moved = true
 			r.Cfg.Meter.VCAArb()
 			if r.Tap.Wants(noc.EvVCAlloc) {
 				r.Tap.Emit(noc.Event{Kind: noc.EvVCAlloc, Cycle: r.now, Pkt: v.front().Pkt, A: v.outPort, B: ovc})
@@ -418,6 +463,7 @@ func (r *Router) routeCompute() {
 		v.outPort = outPort
 		v.vcMask = mask
 		v.stage = stWaitVCA
+		r.moved = true
 		if r.Tap.Wants(noc.EvRoute) {
 			r.Tap.Emit(noc.Event{Kind: noc.EvRoute, Cycle: r.now, Pkt: f.Pkt, A: v.port, B: outPort, C: int(mask)})
 		}
@@ -452,8 +498,15 @@ func rrBefore(last, a, b, n int) bool {
 }
 
 // CheckInvariants validates internal consistency; tests call it after
-// simulation. It returns an error describing the first violation found.
+// simulation and the checker's periodic sweep during it. It returns an
+// error describing the first violation found. A sleeping router must be
+// stuck for a reason, so a buffered flit that could move while the router
+// is asleep — a lost wakeup — is a violation too.
 func (r *Router) CheckInvariants() error {
+	asleep, wakeAt := false, uint64(0)
+	if r.waker != nil {
+		asleep, wakeAt = r.waker.Asleep()
+	}
 	for p, op := range r.out {
 		if op == nil {
 			continue
@@ -476,6 +529,24 @@ func (r *Router) CheckInvariants() error {
 		for vc, v := range ip.vcs {
 			if v.size < 0 || v.size > r.Cfg.BufDepth {
 				return fmt.Errorf("router %d in %d vc %d: size %d", r.Cfg.ID, p, vc, v.size)
+			}
+			if !asleep || v.size == 0 {
+				continue
+			}
+			stuck := false // an unrouted head never waits
+			switch v.stage {
+			case stWaitVCA: // for an output VC: none it may use is free
+				stuck = true
+				for ovc, own := range r.out[v.outPort].owner {
+					stuck = stuck && (own != nil || v.vcMask&(1<<uint(ovc)) == 0)
+				}
+			case stActive: // for a credit, or until busyUntil with a wakeup by then
+				op := r.out[v.outPort]
+				stuck = op.credits[v.outVC] == 0 || wakeAt != 0 && wakeAt <= op.busyUntil
+			}
+			if !stuck {
+				return fmt.Errorf("router %d asleep (timed wakeup at %d) but in %d vc %d could move: stage %d, out %d vc %d",
+					r.Cfg.ID, wakeAt, p, vc, v.stage, v.outPort, v.outVC)
 			}
 		}
 	}

@@ -79,7 +79,13 @@ type Engine struct {
 
 // NewEngine returns an empty engine positioned at cycle zero.
 func NewEngine() *Engine {
-	return &Engine{}
+	e := &Engine{}
+	for p := range e.phases {
+		for s := range e.phases[p].slots {
+			e.phases[p].slots[s] = -1
+		}
+	}
+	return e
 }
 
 // Register adds an always-on component to the given phase: it is ticked
@@ -89,7 +95,7 @@ func (e *Engine) Register(p Phase, t Ticker) {
 	if p < 0 || p >= numPhases {
 		panic("sim: invalid phase")
 	}
-	e.phases[p].add(t, nil)
+	e.phases[p].add(t)
 }
 
 // RegisterWakeable adds a component that participates in the active-set
@@ -101,9 +107,7 @@ func (e *Engine) RegisterWakeable(p Phase, t Ticker) *Waker {
 		panic("sim: invalid phase")
 	}
 	ps := &e.phases[p]
-	w := &Waker{e: e, ps: ps}
-	ps.add(t, w)
-	return w
+	return &Waker{e: e, ps: ps, idx: ps.add(t)}
 }
 
 // DisableSleep puts the engine in reference mode: Waker.Sleep becomes a
@@ -147,7 +151,7 @@ func (e *Engine) Run(n uint64) {
 func (e *Engine) Quiescent() bool {
 	for p := range e.phases {
 		ps := &e.phases[p]
-		if ps.awake > 0 || len(ps.timers) > 0 {
+		if ps.awake > 0 || ps.pending > 0 {
 			return false
 		}
 	}
@@ -211,16 +215,17 @@ type PhaseStats struct {
 	// WakesTimer counts sleep-to-awake transitions caused by a live
 	// timed wakeup coming due.
 	WakesTimer uint64
-	// WakesSpurious counts timer pops that woke nothing new: the entry
-	// was stale (superseded by an earlier wakeup) or its component was
-	// already awake. The wake protocol makes these harmless; the count
-	// sizes their overhead.
+	// WakesSpurious counts timed wakeups that fired on a component that
+	// was already awake (an event got there first). The wake protocol
+	// makes these harmless; the count sizes their overhead.
 	WakesSpurious uint64
 	// AwakeCycleSum accumulates the awake-set size once per executed
 	// cycle; divided by executed cycles it is the mean occupancy. Cycles
 	// fast-forwarded by RunUntil are not executed and not summed.
 	AwakeCycleSum uint64
-	// TimerHeapMax is the high-water mark of the timed-wakeup heap.
+	// TimerHeapMax is the peak number of timed wakeups pending at once
+	// (at most one per component). There is no heap; the name stays
+	// because manifests and bench/ key on it.
 	TimerHeapMax int
 }
 
@@ -238,37 +243,32 @@ func (e *Engine) PhaseStats(p Phase) PhaseStats {
 func (e *Engine) FastForwarded() uint64 { return e.fastFwd }
 
 // phaseSched is the active-set schedule of one phase: the components in
-// registration order, a dense awake bitmap over them, and a heap of timed
-// wakeups. Iteration walks the bitmap in ascending index order, so the
-// visit order is always registration order regardless of wake order.
+// registration order, a dense awake bitmap over them, and a calendar of
+// timed wakeups (arm/fire below). Iteration walks the bitmap in
+// ascending index order, so the visit order is always registration order
+// regardless of wake order.
 type phaseSched struct {
-	ticks  []Ticker
-	wakers []*Waker // index-aligned with ticks; nil for always-on
-	bits   []uint64 // awake bitmap, bit i covers ticks[i]
-	awake  int      // number of set bits
-	timers timerHeap
-	stats  PhaseStats
+	ticks   []Ticker
+	cal     []calNode // index-aligned with ticks
+	bits    []uint64  // awake bitmap, bit i covers ticks[i]
+	awake   int       // number of set bits
+	slots   [calSlots]int32
+	pending int // armed calendar nodes
+	stats   PhaseStats
 }
 
-// add appends a component; w is nil for always-on components, whose bit is
-// set once and never cleared.
-func (ps *phaseSched) add(t Ticker, w *Waker) {
+// add appends a component and returns its index. Always-on components
+// are the ones never handed a Waker: their bit is set here and nothing
+// can clear it.
+func (ps *phaseSched) add(t Ticker) int {
 	idx := len(ps.ticks)
 	ps.ticks = append(ps.ticks, t)
-	ps.wakers = append(ps.wakers, w)
+	ps.cal = append(ps.cal, calNode{})
 	if idx>>6 >= len(ps.bits) {
 		ps.bits = append(ps.bits, 0)
 	}
-	if w != nil {
-		w.idx = idx
-		// Room for one timed wakeup per wakeable, reserved while the
-		// network is built: a phase whose components all sleep on
-		// timers (idle sources) must not grow its heap inside a run.
-		if cap(ps.timers) <= idx {
-			ps.timers = append(make(timerHeap, 0, 2*(idx+1)), ps.timers...)
-		}
-	}
 	ps.set(idx) // everything starts awake
+	return idx
 }
 
 // set marks the component awake and reports whether this was a
@@ -302,21 +302,8 @@ func (ps *phaseSched) clear(idx int) {
 // position it is visited next cycle, which is equivalent because a
 // sleeping component's Tick is by contract a no-op.
 func (ps *phaseSched) run(cycle uint64) {
-	for len(ps.timers) > 0 && ps.timers[0].at <= cycle {
-		ent := ps.timers.pop()
-		// An entry is live when it is the component's current earliest
-		// timed wakeup; superseded entries still pop but count as
-		// spurious, as does any pop whose component is already awake.
-		w := ps.wakers[ent.idx]
-		live := w != nil && w.timerAt == ent.at
-		if live {
-			w.timerAt = 0
-		}
-		if ps.set(ent.idx) && live {
-			ps.stats.WakesTimer++
-		} else {
-			ps.stats.WakesSpurious++
-		}
+	if ps.pending > 0 {
+		ps.fire(cycle)
 	}
 	ps.stats.AwakeCycleSum += uint64(ps.awake)
 	if ps.awake == 0 {
@@ -338,5 +325,80 @@ func (ps *phaseSched) run(cycle uint64) {
 			ps.stats.Ticks++
 			ps.ticks[wi<<6|b].Tick(cycle)
 		}
+	}
+}
+
+// calSlots is the size of a phase's wakeup calendar: one slot per cycle
+// of a lap, a power of two so the slot of a cycle is a mask.
+const calSlots = 256
+
+// calNode is one component's place in its phase's calendar: the cycle of
+// its pending timed wakeup (0 = none) and its neighbours in that cycle's
+// slot list, as component indices (-1 = end of list).
+type calNode struct {
+	at         uint64
+	next, prev int32
+}
+
+// slot is the head of the list that holds the wakeups of cycle at (and
+// of every cycle a whole number of laps from it).
+func (ps *phaseSched) slot(at uint64) *int32 { return &ps.slots[at&(calSlots-1)] }
+
+// arm files component idx's timed wakeup under cycle at, moving it there
+// if a later one is pending. Arm, move and fire are O(1) and allocate
+// nothing: the list is threaded through ps.cal, one node per component.
+func (ps *phaseSched) arm(idx int32, at uint64) {
+	n := &ps.cal[idx]
+	switch {
+	case n.at == 0:
+		ps.pending++
+		if ps.pending > ps.stats.TimerHeapMax {
+			ps.stats.TimerHeapMax = ps.pending
+		}
+	case n.at <= at:
+		return
+	default:
+		ps.unlink(idx)
+	}
+	head := ps.slot(at)
+	*n = calNode{at: at, next: *head, prev: -1}
+	if *head >= 0 {
+		ps.cal[*head].prev = idx
+	}
+	*head = idx
+}
+
+// unlink takes component idx's node out of its slot list.
+func (ps *phaseSched) unlink(idx int32) {
+	n := &ps.cal[idx]
+	if n.prev >= 0 {
+		ps.cal[n.prev].next = n.next
+	} else {
+		*ps.slot(n.at) = n.next
+	}
+	if n.next >= 0 {
+		ps.cal[n.next].prev = n.prev
+	}
+}
+
+// fire wakes the components whose timed wakeup is this cycle. The slot
+// also holds deadlines whole laps ahead (a source may look 2^16 cycles
+// ahead); those stay linked and are passed over once per lap. Firing only
+// sets awake bits, so the order of a slot list is never observable.
+func (ps *phaseSched) fire(cycle uint64) {
+	for i := *ps.slot(cycle); i >= 0; {
+		n := &ps.cal[i]
+		next := n.next
+		if n.at == cycle {
+			ps.unlink(i)
+			n.at = 0
+			ps.pending--
+			if ps.set(int(i)) {
+				ps.stats.WakesTimer++
+			} else {
+				ps.stats.WakesSpurious++
+			}
+		}
+		i = next
 	}
 }

@@ -50,26 +50,27 @@ func TestPhaseStatsWakeCauses(t *testing.T) {
 	}
 }
 
+// A timed wakeup is spurious only when it fires on a component an event
+// already woke; a superseded deadline is moved, not left behind to fire.
 func TestPhaseStatsSpuriousTimer(t *testing.T) {
 	e := NewEngine()
 	s := newSleeper(e, PhaseCompute)
+	s.stay = true
 	e.Step()
 
-	// A later timer is left in the heap when an earlier one subsumes it:
-	// the later pop finds w.timerAt already cleared and counts spurious.
 	s.w.WakeAt(e.Cycle() + 5)
-	s.w.WakeAt(e.Cycle() + 2) // earlier: supersedes
+	s.w.WakeAt(e.Cycle() + 2) // earlier: moves the pending wakeup
 	e.Run(6)
 
 	st := e.PhaseStats(PhaseCompute)
-	if st.WakesTimer != 1 {
-		t.Errorf("WakesTimer = %d, want 1", st.WakesTimer)
+	if st.WakesTimer != 0 {
+		t.Errorf("WakesTimer = %d, want 0 (the component never slept)", st.WakesTimer)
 	}
 	if st.WakesSpurious != 1 {
-		t.Errorf("WakesSpurious = %d, want 1 (stale heap entry)", st.WakesSpurious)
+		t.Errorf("WakesSpurious = %d, want 1 (fired on an awake component)", st.WakesSpurious)
 	}
-	if st.TimerHeapMax != 2 {
-		t.Errorf("TimerHeapMax = %d, want 2", st.TimerHeapMax)
+	if st.TimerHeapMax != 1 {
+		t.Errorf("TimerHeapMax = %d, want 1 (one pending wakeup per component)", st.TimerHeapMax)
 	}
 }
 

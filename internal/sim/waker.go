@@ -9,15 +9,14 @@ package sim
 // own Tick (that is the only point where it can prove it has no pending
 // work). Wakes are idempotent and may arrive on any cycle, including
 // spuriously — a woken component whose deadlines have not arrived simply
-// re-arms and goes back to sleep, so stale timed wakeups are harmless.
+// re-arms and goes back to sleep.
 //
 // Wakers are not safe for concurrent use; like the engine itself they
 // belong to exactly one single-threaded simulation.
 type Waker struct {
-	e       *Engine
-	ps      *phaseSched
-	idx     int
-	timerAt uint64 // earliest pending timed wakeup; 0 = none
+	e   *Engine
+	ps  *phaseSched
+	idx int
 }
 
 // Wake marks the component runnable at the next execution of its phase:
@@ -47,22 +46,27 @@ func (w *Waker) Sleep() {
 func (w *Waker) SleepDisabled() bool { return w.e.noSleep }
 
 // WakeAt schedules a visit at the given future cycle. Cycles not after
-// the current one degrade to Wake. A pending earlier-or-equal timed
-// wakeup subsumes the request; a later one is left in the heap and fires
-// as a harmless spurious wake.
+// the current one degrade to Wake. A component has at most one pending
+// timed wakeup: an earlier-or-equal pending one subsumes the request, a
+// later one is moved to the requested cycle, so a wakeup fires exactly
+// once, on the earliest cycle asked for since the last one fired.
 func (w *Waker) WakeAt(cycle uint64) {
 	if cycle <= w.e.cycle {
 		w.Wake()
 		return
 	}
-	if w.timerAt != 0 && w.timerAt <= cycle {
-		return
+	w.ps.arm(int32(w.idx), cycle)
+}
+
+// Asleep reports whether the component is out of the active set, and if
+// so the cycle of its pending timed wakeup (0: none, only an event can
+// wake it). It reads scheduler state only; lost-wakeup checks use it to
+// prove a sleeping component is waiting for something that will come.
+func (w *Waker) Asleep() (asleep bool, wakeAt uint64) {
+	if w.ps.bits[w.idx>>6]&(1<<(uint(w.idx)&63)) != 0 {
+		return false, 0
 	}
-	w.timerAt = cycle
-	w.ps.timers.push(timerEnt{at: cycle, idx: w.idx})
-	if n := len(w.ps.timers); n > w.ps.stats.TimerHeapMax {
-		w.ps.stats.TimerHeapMax = n
-	}
+	return true, w.ps.cal[w.idx].at
 }
 
 // Now returns the cycle currently executing (equal to Engine.Cycle). It
@@ -70,59 +74,3 @@ func (w *Waker) WakeAt(cycle uint64) {
 // their ticks — a wire computing a delivery deadline inside Send, for
 // example — without maintaining their own copy of the clock.
 func (w *Waker) Now() uint64 { return w.e.cycle }
-
-// timerEnt is one scheduled wakeup.
-type timerEnt struct {
-	at  uint64
-	idx int
-}
-
-// timerHeap is a binary min-heap of timed wakeups ordered by (at, idx).
-// The idx tie-break is never observable — firing order only sets bitmap
-// bits — but keeps the heap's internal layout, and therefore the whole
-// engine, deterministic byte for byte.
-type timerHeap []timerEnt
-
-func (h timerEnt) less(o timerEnt) bool {
-	return h.at < o.at || (h.at == o.at && h.idx < o.idx)
-}
-
-func (h *timerHeap) push(e timerEnt) {
-	*h = append(*h, e)
-	i := len(*h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !(*h)[i].less((*h)[parent]) {
-			break
-		}
-		(*h)[i], (*h)[parent] = (*h)[parent], (*h)[i]
-		i = parent
-	}
-}
-
-func (h *timerHeap) pop() timerEnt {
-	s := *h
-	top := s[0]
-	n := len(s) - 1
-	s[0] = s[n]
-	s[n] = timerEnt{}
-	s = s[:n]
-	*h = s
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < n && s[l].less(s[small]) {
-			small = l
-		}
-		if r < n && s[r].less(s[small]) {
-			small = r
-		}
-		if small == i {
-			break
-		}
-		s[i], s[small] = s[small], s[i]
-		i = small
-	}
-	return top
-}

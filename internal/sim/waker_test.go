@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 // sleeper ticks, records its visit cycles, and sleeps itself after each
 // tick unless told to stay awake.
@@ -68,22 +71,85 @@ func TestWakeAtPastDegradesToWake(t *testing.T) {
 	}
 }
 
-func TestWakeAtDedupesAndStaleTimersAreSpurious(t *testing.T) {
+// A component has one pending wakeup: duplicates and later requests are
+// subsumed, an earlier request moves it — one visit at the new cycle,
+// none at the old.
+func TestWakeAtRearmEarlierMovesTheWakeup(t *testing.T) {
 	e := NewEngine()
 	s := newSleeper(e, PhaseCompute)
 	e.Run(1)
 	s.w.WakeAt(5)
-	s.w.WakeAt(5) // duplicate: subsumed by the pending timer
+	s.w.WakeAt(5) // duplicate: subsumed by the pending wakeup
 	s.w.WakeAt(9) // later than pending: subsumed too (5 wakes first anyway)
-	s.w.WakeAt(3) // earlier: becomes the effective deadline; 5 goes stale
+	s.w.WakeAt(3) // earlier: the wakeup moves from 5 to 3
 	e.Run(12)
-	want := []uint64{0, 3, 5} // the stale 5 fires as a harmless spurious visit
-	if len(s.visits) != len(want) {
+	if want := []uint64{0, 3}; !slices.Equal(s.visits, want) {
 		t.Fatalf("visits = %v, want %v", s.visits, want)
 	}
-	for i := range want {
-		if s.visits[i] != want[i] {
-			t.Fatalf("visits = %v, want %v", s.visits, want)
+	st := e.PhaseStats(PhaseCompute)
+	if st.WakesTimer != 1 || st.WakesSpurious != 0 || st.TimerHeapMax != 1 {
+		t.Fatalf("WakesTimer %d WakesSpurious %d TimerHeapMax %d, want 1 0 1", st.WakesTimer, st.WakesSpurious, st.TimerHeapMax)
+	}
+}
+
+// Deadlines a whole number of laps apart share a calendar slot; each
+// fires once, on its own cycle, however many laps away it is.
+func TestCalendarDeadlinesBeyondOneLap(t *testing.T) {
+	e := NewEngine()
+	ahead := []uint64{3, calSlots, 3 + calSlots, 3 + 5*calSlots, 1 << 16, 3 + 1<<16}
+	var ss []*sleeper
+	for range ahead {
+		ss = append(ss, newSleeper(e, PhaseCompute))
+	}
+	e.Run(1)
+	base := e.Cycle()
+	for i, s := range ss {
+		s.w.WakeAt(base + ahead[i])
+	}
+	if got := e.PhaseStats(PhaseCompute).TimerHeapMax; got != len(ss) {
+		t.Fatalf("TimerHeapMax = %d, want %d", got, len(ss))
+	}
+	e.Run(1<<16 + 2*calSlots)
+	for i, s := range ss {
+		if want := []uint64{0, base + ahead[i]}; !slices.Equal(s.visits, want) {
+			t.Errorf("deadline +%d: visits = %v, want %v", ahead[i], s.visits, want)
+		}
+	}
+	if !e.Quiescent() {
+		t.Fatal("engine not quiescent after every wakeup fired")
+	}
+}
+
+// Firing sets awake bits only, so the visit order on a cycle is
+// registration order whatever order the wakeups were armed in.
+func TestCalendarVisitOrderIsRegistrationOrder(t *testing.T) {
+	run := func(armOrder []int) []int {
+		e := NewEngine()
+		var log []int
+		var ws []*Waker
+		for i := 0; i < 4; i++ {
+			id := i
+			var w *Waker
+			w = e.RegisterWakeable(PhaseCompute, tickFunc(func(c uint64) {
+				if c > 0 {
+					log = append(log, id)
+				}
+				w.Sleep()
+			}))
+			ws = append(ws, w)
+		}
+		e.Run(1)
+		for _, i := range armOrder {
+			ws[i].WakeAt(9)
+			ws[i].WakeAt(6) // move: relinks the node in another slot
+		}
+		e.Run(10)
+		return log
+	}
+	a, b := run([]int{0, 1, 2, 3}), run([]int{2, 0, 3, 1})
+	for i, want := range []int{0, 1, 2, 3} {
+		if len(a) != 4 || len(b) != 4 || a[i] != want || b[i] != want {
+			t.Fatalf("visit orders %v and %v, want registration order", a, b)
 		}
 	}
 }
@@ -201,25 +267,39 @@ func TestMixedRegistrationOrderPreserved(t *testing.T) {
 	}
 }
 
-// Every wakeable of a phase arming a timer at once must fit the heap as
-// it was reserved at registration: growth inside a run would show up in
-// the timed region of every benchmark.
-func TestTimerHeapReservedAtRegistration(t *testing.T) {
+// The calendar is threaded through one node per registered component,
+// so nothing allocates inside a run: not every wakeable of a phase arming
+// at once, not a steady arm / move / fire / re-arm loop.
+func TestCalendarAllocFree(t *testing.T) {
 	e := NewEngine()
-	e.Register(PhaseCompute, &sleeper{stay: true}) // always-on: arms no timer
+	e.Register(PhaseCompute, &sleeper{stay: true}) // always-on: arms nothing
 	var ss []*sleeper
 	for i := 0; i < 1000; i++ {
-		ss = append(ss, newSleeper(e, PhaseCompute))
+		s := newSleeper(e, PhaseCompute)
+		s.visits = make([]uint64, 0, 4096)
+		ss = append(ss, s)
 	}
 	e.Step()
-	reserved := cap(e.phases[PhaseCompute].timers)
-	for _, s := range ss {
-		s.w.WakeAt(e.Cycle() + 5)
-	}
-	if got := cap(e.phases[PhaseCompute].timers); reserved < len(ss) || got != reserved {
-		t.Fatalf("timer heap capacity %d at registration, %d after one timer per wakeable (%d)", reserved, got, len(ss))
+	if n := testing.AllocsPerRun(1, func() {
+		for _, s := range ss {
+			s.w.WakeAt(e.Cycle() + 5)
+		}
+	}); n != 0 {
+		t.Fatalf("1000 wakeables arming at once: %v allocs, want 0", n)
 	}
 	if got := e.PhaseStats(PhaseCompute).TimerHeapMax; got != len(ss) {
 		t.Fatalf("TimerHeapMax = %d, want %d", got, len(ss))
+	}
+	e.Run(6)
+	s := ss[0]
+	if n := testing.AllocsPerRun(100, func() {
+		s.w.WakeAt(e.Cycle() + 2*calSlots)
+		s.w.WakeAt(e.Cycle() + 3)
+		e.Run(4)
+	}); n != 0 {
+		t.Fatalf("arm, move, fire, re-arm loop: %v allocs per run, want 0", n)
+	}
+	if got, want := len(s.visits), 2+101; got != want {
+		t.Fatalf("looping sleeper visited %d times, want %d", got, want)
 	}
 }
