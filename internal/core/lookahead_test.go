@@ -2,10 +2,13 @@ package core
 
 import (
 	"os"
+	"strings"
 	"testing"
 
 	"ownsim/internal/fabric"
+	"ownsim/internal/flightrec"
 	"ownsim/internal/power"
+	"ownsim/internal/probe"
 	"ownsim/internal/sim"
 	"ownsim/internal/traffic"
 	"ownsim/internal/wireless"
@@ -80,20 +83,102 @@ func TestConformanceStalledRoutersMatchPerCycle(t *testing.T) {
 	}
 }
 
+// The stall counts a probe reads are per cycle by definition and charged
+// by interval by the components that sleep through their stalls. Whatever
+// the sampler reads, whenever it reads it — per router, per channel, at a
+// stride that lands mid-stall — must be what the reference twin, which
+// ticks everything on every cycle, counted by then. Only the scheduler's
+// own columns may differ, and the pool's (the twin does not pool).
+func TestConformanceObservedCountsMatchPerCycle(t *testing.T) {
+	names, scales := []string{"own", "cmesh"}, []int{256}
+	if os.Getenv("CHECK_CAMPAIGN") != "" {
+		names, scales = append(names, "wcmesh"), append(scales, 1024)
+	}
+	for _, cores := range scales {
+		loads := SweepLoads(cores, 8)
+		for _, name := range names {
+			sys := NewSystem(name, cores, wireless.Config4, wireless.Ideal)
+			for _, load := range []float64{loads[5], loads[7]} { // ~0.9x and 1.2x of saturation
+				sample := func(reference bool) *probe.Sampler {
+					n := sys.Build(power.NewMeter(nil))
+					if reference {
+						n.SetReferenceMode()
+					}
+					p := probe.New(probe.Options{MetricsEvery: 97, PerComponent: true})
+					n.InstallProbe(p)
+					n.Run(fabric.TrafficSpec{Pattern: traffic.Uniform, Rate: load, Seed: 19, Policy: sys.Policy, Classify: sys.Classify},
+						fabric.RunSpec{Warmup: 300, Measure: 2500})
+					return p.Sampler()
+				}
+				got, ref := sample(false), sample(true)
+				if got.Rows() != ref.Rows() || got.Rows() < 25 {
+					t.Fatalf("%s-%d at %.4f: %d sampler rows, reference twin %d", name, cores, load, got.Rows(), ref.Rows())
+				}
+				stalled := false
+				for i := 0; i < got.Rows(); i++ {
+					cycle, have := got.Row(i)
+					_, want := ref.Row(i)
+					for c, col := range got.Names() {
+						if strings.HasPrefix(col, "engine.") || strings.HasPrefix(col, "pool.") {
+							continue
+						}
+						if have[c] != want[c] {
+							t.Fatalf("%s-%d at %.4f: cycle %d: %s = %v, reference twin %v", name, cores, load, cycle, col, have[c], want[c])
+						}
+						stalled = stalled || strings.HasSuffix(col, "credit_stall") && have[c] > 0
+					}
+				}
+				if !stalled {
+					t.Errorf("%s-%d at %.4f: no router ever stalled on credits: the run compares nothing", name, cores, load)
+				}
+			}
+		}
+	}
+}
+
+// Observing a run does not change its schedule: no observer keeps a
+// component awake, so a fully observed run ticks exactly the components
+// the bare run ticks.
+func TestObservedScheduleEqualsBare(t *testing.T) {
+	run := func(observed bool) *sim.Engine {
+		sys := NewSystem("own", 256, wireless.Config4, wireless.Ideal)
+		n := sys.Build(power.NewMeter(nil))
+		if observed {
+			n.InstallFlightRecorder(flightrec.New(flightrec.Options{}))
+			n.InstallProbe(probe.New(probe.Options{MetricsEvery: 1000, Spans: true, TraceEvery: 64}))
+		}
+		n.Run(fabric.TrafficSpec{Pattern: traffic.Uniform, Rate: 0.007, Seed: 1, Policy: sys.Policy, Classify: sys.Classify},
+			fabric.RunSpec{Warmup: 500, Measure: 5000})
+		return n.Eng
+	}
+	bare, observed := run(false), run(true)
+	for _, ph := range []sim.Phase{sim.PhaseDelivery, sim.PhaseCompute} {
+		if got, want := observed.PhaseStats(ph).Ticks, bare.PhaseStats(ph).Ticks; got != want {
+			t.Errorf("%s phase: %d ticks observed, %d bare", ph, got, want)
+		}
+	}
+}
+
 // The goldens cannot see a router that silently went back to re-walking
-// its blocked VCs every cycle, so the schedule is pinned: compute-phase
-// ticks (routers and sources) per switch traversal at saturation. With
-// blocked routers spinning the ratios were 6.4 (CMESH) and 5.5 (OWN);
-// they are 3.0 and 2.4 with them asleep.
+// its blocked VCs every cycle, nor a credit-less source or channel that
+// went back to polling, so the schedule is pinned: compute-phase ticks
+// (routers and sources) per switch traversal at saturation. With blocked
+// routers spinning the ratios were 6.4 (CMESH) and 5.5 (OWN), 3.0 and 2.4
+// with them asleep, and 2.3 and 1.9 with blocked sources asleep too —
+// observed or not.
 func TestStalledRoutersSleepAtSaturation(t *testing.T) {
 	for _, c := range []struct {
-		name  string
-		load  float64
-		bound float64
-	}{{"cmesh", 0.006, 4.0}, {"own", 0.007, 3.2}} {
+		name     string
+		load     float64
+		observed bool
+		bound    float64
+	}{{"cmesh", 0.006, false, 3.0}, {"own", 0.007, false, 2.5}, {"own", 0.007, true, 2.5}} {
 		sys := NewSystem(c.name, 256, wireless.Config4, wireless.Ideal)
 		m := power.NewMeter(nil)
 		n := sys.Build(m)
+		if c.observed {
+			n.InstallProbe(probe.New(probe.Options{MetricsEvery: 1000, PerComponent: true}))
+		}
 		res := n.Run(
 			fabric.TrafficSpec{Pattern: traffic.Uniform, Rate: c.load, Seed: 1, Policy: sys.Policy, Classify: sys.Classify},
 			fabric.RunSpec{Warmup: 500, Measure: 5000},
@@ -104,10 +189,10 @@ func TestStalledRoutersSleepAtSaturation(t *testing.T) {
 		ticks := n.Eng.PhaseStats(sim.PhaseCompute).Ticks
 		hops := m.NXbar
 		if ratio := float64(ticks) / float64(hops); ratio >= c.bound {
-			t.Errorf("%s-256 at %.3f: %.2f compute ticks per switch traversal (%d / %d), want < %.1f: blocked routers are spinning again",
-				c.name, c.load, ratio, ticks, hops, c.bound)
+			t.Errorf("%s-256 at %.3f (observed %v): %.2f compute ticks per switch traversal (%d / %d), want < %.1f: blocked routers or sources are spinning again",
+				c.name, c.load, c.observed, ratio, ticks, hops, c.bound)
 		} else {
-			t.Logf("%s-256 at %.3f: %.2f compute ticks per switch traversal", c.name, c.load, ratio)
+			t.Logf("%s-256 at %.3f (observed %v): %.2f compute ticks per switch traversal", c.name, c.load, c.observed, ratio)
 		}
 	}
 }

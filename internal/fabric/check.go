@@ -82,9 +82,11 @@ func (n *Network) InstallChecker(c *check.Checker, onViolation func(v check.Viol
 func (n *Network) CheckerSnapshot() *flightrec.Snapshot { return n.checkerSnap }
 
 // checkSweep is the checker's periodic structural auditor: every
-// check.SweepEveryCy cycles it re-runs the routers' and channels'
-// CheckInvariants, reporting breaches as credit/state violations. It
-// reads state only, so it is as inert as the rest of the checker.
+// check.SweepEveryCy cycles it re-runs the routers', channels' and
+// sources' CheckInvariants — each of which also names a lost wakeup, a
+// component asleep next to work it could do — reporting breaches as
+// credit/state violations. It reads state only, so it is as inert as the
+// rest of the checker.
 type checkSweep struct {
 	n *Network
 	c *check.Checker
@@ -103,6 +105,14 @@ func (s *checkSweep) Tick(cycle uint64) {
 	for _, ch := range s.n.Channels {
 		if err := ch.CheckInvariants(); err != nil {
 			s.c.Report(cycle, check.RuleState, channelLabel(ch), err.Error())
+		}
+	}
+	for _, src := range s.n.Sources {
+		if src == nil {
+			continue
+		}
+		if err := src.CheckInvariants(); err != nil {
+			s.c.Report(cycle, check.RuleState, fmt.Sprintf("source %d", src.CoreID), err.Error())
 		}
 	}
 }

@@ -38,10 +38,9 @@ func (n *Network) InstallProbe(p *probe.Probe) {
 	n.wireFlightRec(p)
 }
 
-// registerMetrics populates the probe registry. Counters are placed on
-// the router hot path through shared handles (one set for the whole
-// network, or per-router in per-component mode); everything else is a
-// gauge over state the components already maintain.
+// registerMetrics populates the probe registry with functions over state
+// the components already maintain; the router's stall counts are the one
+// thing it has to switch on.
 func (n *Network) registerMetrics(p *probe.Probe) {
 	reg := p.Registry()
 	perComp := p.Options().PerComponent
@@ -94,24 +93,34 @@ func (n *Network) registerMetrics(p *probe.Probe) {
 		return float64(total)
 	})
 
-	// Router pipeline counters: one shared set of handles network-wide,
-	// or one set per router in per-component mode.
+	// Router pipeline counts: summed over the network, or one set per
+	// router in per-component mode.
+	for _, r := range routers {
+		r.CountStalls()
+	}
+	counts := []struct {
+		name string
+		of   func(router.Counts) uint64
+	}{
+		{"sa_grants", func(c router.Counts) uint64 { return c.SAGrants }},
+		{"credit_stall", func(c router.Counts) uint64 { return c.CreditStall }},
+		{"busy_stall", func(c router.Counts) uint64 { return c.BusyStall }},
+	}
 	if perComp {
-		for _, r := range n.Routers {
-			r.PC = router.Counters{
-				SAGrants:    reg.Counter(fmt.Sprintf("router.%d.sa_grants", r.Cfg.ID)),
-				CreditStall: reg.Counter(fmt.Sprintf("router.%d.credit_stall", r.Cfg.ID)),
-				BusyStall:   reg.Counter(fmt.Sprintf("router.%d.busy_stall", r.Cfg.ID)),
+		for _, r := range routers {
+			for _, c := range counts {
+				reg.CounterFunc(fmt.Sprintf("router.%d.%s", r.Cfg.ID, c.name), func() uint64 { return c.of(r.Counts()) })
 			}
 		}
 	} else {
-		shared := router.Counters{
-			SAGrants:    reg.Counter("net.sa_grants"),
-			CreditStall: reg.Counter("net.credit_stall"),
-			BusyStall:   reg.Counter("net.busy_stall"),
-		}
-		for _, r := range n.Routers {
-			r.PC = shared
+		for _, c := range counts {
+			reg.CounterFunc("net."+c.name, func() uint64 {
+				var total uint64
+				for _, r := range routers {
+					total += c.of(r.Counts())
+				}
+				return total
+			})
 		}
 	}
 
@@ -251,14 +260,13 @@ func (n *Network) RouterLabels() []string {
 }
 
 // CongestionValues returns one congestion figure per router: the sum of
-// its credit-stall and busy-stall probe counters over the run. It is
-// meaningful only with a per-component probe installed
-// (probe.Options.PerComponent); with shared network-wide handles every
-// router reports the same aggregate, and with no probe all zeros.
+// its credit-stall and busy-stall counts over the run. Routers count
+// stalls only once a probe is installed; with no probe it is all zeros.
 func (n *Network) CongestionValues() []float64 {
 	vals := make([]float64, len(n.Routers))
 	for i, r := range n.Routers {
-		vals[i] = float64(r.PC.CreditStall.Value() + r.PC.BusyStall.Value())
+		c := r.Counts()
+		vals[i] = float64(c.CreditStall + c.BusyStall)
 	}
 	return vals
 }

@@ -36,7 +36,10 @@ var hookBannedPkgs = map[string]bool{
 //
 // Observers change their own state through methods (a method body is not
 // the closure's); anything else carries a reasoned //lint:ignore
-// hookpure.
+// hookpure. The reader functions of probe.Registry (Gauge, CounterFunc)
+// are not hooks: they run per sampling window, off the event path, under
+// the contract written on Registry.Gauge — a reader may settle its
+// owner's lazily kept accounting, never simulated state.
 func HookPureAnalyzer() *Analyzer {
 	return &Analyzer{
 		Name: "hookpure",

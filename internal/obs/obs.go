@@ -289,15 +289,8 @@ func (s *Server) handleDump(w http.ResponseWriter, r *http.Request) {
 // first (if any), then every new one as it is published, until the
 // client disconnects or the server closes.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	fl, _ := w.(http.Flusher)
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	// Flush the headers immediately so a client that connects before the
-	// first sample still sees the stream open instead of blocking.
-	w.WriteHeader(http.StatusOK)
-	if fl != nil {
-		fl.Flush()
-	}
-
+	// Subscribe before the headers go out: a client whose request has
+	// returned is subscribed, so nothing published after that is missed.
 	ch := make(chan string, 64)
 	s.mu.Lock()
 	id := s.nextSub
@@ -315,6 +308,15 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		}
 		s.mu.Unlock()
 	}()
+
+	fl, _ := w.(http.Flusher)
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	// Flush the headers immediately so a client that connects before the
+	// first sample still sees the stream open instead of blocking.
+	w.WriteHeader(http.StatusOK)
+	if fl != nil {
+		fl.Flush()
+	}
 
 	emit := func(line string) bool {
 		if _, err := fmt.Fprintln(w, line); err != nil {

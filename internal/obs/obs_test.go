@@ -20,10 +20,11 @@ var update = flag.Bool("update", false, "rewrite golden files")
 
 // testProbe builds a probe with a small fixed registry: one counter and
 // two gauges, including a name that needs sanitizing.
-func testProbe() (*probe.Probe, *probe.Counter, *[]float64) {
+func testProbe() (*probe.Probe, *uint64, *[]float64) {
 	p := probe.New(probe.Options{MetricsEvery: 16})
 	reg := p.Registry()
-	ctr := reg.Counter("net.sa_grants")
+	ctr := new(uint64)
+	reg.CounterFunc("net.sa_grants", func() uint64 { return *ctr })
 	vals := &[]float64{3, 0.125}
 	reg.Gauge("net.buffered_flits", func() float64 { return (*vals)[0] })
 	reg.Gauge("ch.wireless.wl c2c/0.busy_cy", func() float64 { return (*vals)[1] })
@@ -35,7 +36,7 @@ func testProbe() (*probe.Probe, *probe.Counter, *[]float64) {
 // rebless after an intentional format change.
 func TestGoldenPrometheusExposition(t *testing.T) {
 	p, ctr, _ := testProbe()
-	ctr.Add(42)
+	*ctr = 42
 	s := New()
 	s.Attach(p)
 	s.Publish(512, []float64{42, 3, 0.125})

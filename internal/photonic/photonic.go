@@ -105,12 +105,13 @@ func BuildCrossbar(n *fabric.Network, name string, routers []*router.Router, pm 
 		rp := pm.ReaderPort(t)
 		rxBy := &rxDemux{byVC: make([]noc.CreditReturner, spec.NumVCs)}
 		// writerBy[w] demuxes writer tile w's output port across the
-		// group subchannels.
-		writerBy := make(map[int]*vcDemux, spec.Tiles-1)
-		for w := 0; w < spec.Tiles; w++ {
-			if w != t {
-				writerBy[w] = &vcDemux{byVC: make([]noc.Conduit, spec.NumVCs)}
-			}
+		// group subchannels (entry t stays unused); one conduit array,
+		// carved per writer.
+		writerBy := make([]vcDemux, spec.Tiles)
+		conduits := make([]noc.Conduit, spec.Tiles*spec.NumVCs)
+		for w := range writerBy {
+			lo, hi := w*spec.NumVCs, (w+1)*spec.NumVCs
+			writerBy[w].byVC = conduits[lo:hi:hi]
 		}
 		for gi, group := range groups {
 			ch := sbus.NewChannel(fmt.Sprintf("%s/home%d.%d", name, t, gi), subSer, spec.PropCy, spec.TokenHopCy)
@@ -140,8 +141,10 @@ func BuildCrossbar(n *fabric.Network, name string, routers []*router.Router, pm 
 			xb.Channels = append(xb.Channels, ch)
 		}
 		routers[t].ConnectInput(rp, rxBy)
-		for w, demux := range writerBy {
-			routers[w].ConnectOutput(pm.WriterPort(w, t), demux, spec.BufDepth, 1)
+		for w := range writerBy {
+			if w != t {
+				routers[w].ConnectOutput(pm.WriterPort(w, t), &writerBy[w], spec.BufDepth, 1)
+			}
 		}
 	}
 	return xb

@@ -13,11 +13,12 @@
 // GOMAXPROCS. Tests assert this, and tests also assert the layer is
 // inert: enabling probes must not change any stats.Summary.
 //
-// The hot-path contract is the disabled fast path: components hold
-// optional *probe.Counter handles that are nil, and one noc.Tap that has
-// no subscribers, when probing is disabled, so an uninstrumented
-// simulation pays only a nil check or mask test per potential event.
-// fabric.Network.InstallProbe wires a Probe into an assembled network.
+// The hot-path contract is the disabled fast path: components keep their
+// own counts in plain integers (the registry only holds functions that
+// read them) and hold one noc.Tap that has no subscribers when probing is
+// disabled, so an uninstrumented simulation pays only a mask test per
+// potential event. fabric.Network.InstallProbe wires a Probe into an
+// assembled network.
 package probe
 
 // Options configures a Probe. The zero value disables everything.

@@ -2,54 +2,17 @@ package probe
 
 import "fmt"
 
-// Counter is a monotonically increasing metric handle. Handles are
-// pre-registered (Registry.Counter) so the hot path never touches the
-// registry; incrementing through a nil handle is a no-op, which is the
-// disabled-probe fast path.
-type Counter struct {
-	n uint64
-}
-
-// Inc adds one.
-func (c *Counter) Inc() {
-	if c != nil {
-		c.n++
-	}
-}
-
-// Add adds d.
-func (c *Counter) Add(d uint64) {
-	if c != nil {
-		c.n += d
-	}
-}
-
-// Value returns the current count (zero on a nil handle).
-func (c *Counter) Value() uint64 {
-	if c == nil {
-		return 0
-	}
-	return c.n
-}
-
-type metricKind uint8
-
-const (
-	kindCounter metricKind = iota
-	kindGauge
-)
-
 type metric struct {
-	name string
-	kind metricKind
-	ctr  *Counter
-	fn   func() float64
+	name    string
+	counter bool // exporters type it as a monotonic counter
+	fn      func() float64
 }
 
-// Registry holds the run's metrics. Registration order is the iteration
-// order everywhere (snapshot columns, exports), which keeps every
-// artifact deterministic; names must be unique. A nil *Registry accepts
-// registrations as no-ops and hands out nil handles.
+// Registry holds the run's metrics: named functions over state their
+// owners keep, never storage of its own. Registration order is the
+// iteration order everywhere (snapshot columns, exports), which keeps
+// every artifact deterministic; names must be unique. A nil *Registry
+// accepts registrations as no-ops.
 type Registry struct {
 	metrics []metric
 	index   map[string]int // name -> metrics index, duplicate detection only
@@ -68,27 +31,29 @@ func (r *Registry) register(m metric) {
 	r.metrics = append(r.metrics, m)
 }
 
-// Counter registers a counter under the given hierarchical name (e.g.
-// "router.5.sa_grants") and returns its handle. On a nil registry it
-// returns a nil handle, whose methods are no-ops.
-func (r *Registry) Counter(name string) *Counter {
+// CounterFunc registers a monotonic count its owner keeps, under the given
+// hierarchical name (e.g. "router.5.sa_grants"): fn is invoked at every
+// sampling window to read it. Exporters type it as a counter; otherwise it
+// is a Gauge, with the same contract for fn. No-op on a nil registry.
+func (r *Registry) CounterFunc(name string, fn func() uint64) {
 	if r == nil {
-		return nil
+		return
 	}
-	c := &Counter{}
-	r.register(metric{name: name, kind: kindCounter, ctr: c})
-	return c
+	r.register(metric{name: name, counter: true, fn: func() float64 { return float64(fn()) }})
 }
 
 // Gauge registers a sampled metric: fn is invoked at every sampling
 // window to read the current value (e.g. buffered flits, queue depth, a
-// component's cumulative event count). fn must be deterministic and
-// side-effect free. No-op on a nil registry.
+// component's cumulative event count). fn must be deterministic and must
+// not change simulated state; it may settle accounting its owner keeps
+// lazily (router.Router.Counts charges a sleeping router's stall cycles
+// when read), because that only brings forward what the owner's next tick
+// would book. No-op on a nil registry.
 func (r *Registry) Gauge(name string, fn func() float64) {
 	if r == nil {
 		return
 	}
-	r.register(metric{name: name, kind: kindGauge, fn: fn})
+	r.register(metric{name: name, fn: fn})
 }
 
 // Len returns the number of registered metrics.
@@ -117,7 +82,7 @@ func (r *Registry) Meta() []MetricInfo {
 	}
 	infos := make([]MetricInfo, len(r.metrics))
 	for i, m := range r.metrics {
-		infos[i] = MetricInfo{Name: m.name, Counter: m.kind == kindCounter}
+		infos[i] = MetricInfo{Name: m.name, Counter: m.counter}
 	}
 	return infos
 }
@@ -138,12 +103,7 @@ func (r *Registry) Names() []string {
 // order, to dst and returns it.
 func (r *Registry) snapshot(dst []float64) []float64 {
 	for _, m := range r.metrics {
-		switch m.kind {
-		case kindCounter:
-			dst = append(dst, float64(m.ctr.Value()))
-		case kindGauge:
-			dst = append(dst, m.fn())
-		}
+		dst = append(dst, m.fn())
 	}
 	return dst
 }

@@ -17,7 +17,6 @@ import (
 
 	"ownsim/internal/noc"
 	"ownsim/internal/power"
-	"ownsim/internal/probe"
 	"ownsim/internal/sim"
 )
 
@@ -103,28 +102,22 @@ type Config struct {
 	Meter *power.Meter
 }
 
-// Counters holds the router's optional probe counter handles. All
-// handles may be nil (the default), in which case every increment is a
-// no-op; fabric.Network.InstallProbe populates them, sharing one set of
-// handles across routers for network-level aggregates or registering
-// per-router handles in per-component mode.
-type Counters struct {
+// Counts is a router's cumulative pipeline telemetry. The two stall
+// counts are per candidate per cycle and stay zero until CountStalls.
+type Counts struct {
 	// SAGrants counts switch-allocation grants (flits forwarded).
-	SAGrants *probe.Counter
+	SAGrants uint64
 	// CreditStall counts SA candidates skipped for lack of downstream
 	// credits.
-	CreditStall *probe.Counter
+	CreditStall uint64
 	// BusyStall counts SA candidates skipped because the output
 	// channel was still serializing a previous flit.
-	BusyStall *probe.Counter
+	BusyStall uint64
 }
 
 // Router is a cycle-accurate input-queued VC router.
 type Router struct {
 	Cfg Config
-
-	// PC holds optional probe counters; see Counters.
-	PC Counters
 
 	// Tap emits the pipeline events: EvRoute and EvVCAlloc once per
 	// packet per hop, EvSwitch for every forwarded flit (observers filter
@@ -146,6 +139,9 @@ type Router struct {
 	inBest  []*vcState
 	outBest []*vcState
 
+	outCredits []int      // backing array of every OutputPort.credits
+	outOwner   []*vcState // backing array of every OutputPort.owner
+
 	// buffered mirrors the total flits across all input VC buffers
 	// (incremented on ReceiveFlit, decremented at the switch-allocation
 	// pop); bufHighWater is its all-time peak. Both are always on — two
@@ -164,6 +160,14 @@ type Router struct {
 	stalled  bool
 	busyWake uint64
 
+	// counts is kept per tick while the router is awake and by interval
+	// while it is stalled (catchUp); countStalls switches the two stall
+	// counts on.
+	counts      Counts
+	countStalls bool
+
+	// now is the last cycle accounted for: the last tick, or the last
+	// slept cycle catchUp settled.
 	now   uint64
 	waker *sim.Waker
 }
@@ -185,6 +189,10 @@ func New(cfg Config) *Router {
 		saOutPtr: make([]int, cfg.NumPorts),
 		inBest:   make([]*vcState, cfg.NumPorts),
 		outBest:  make([]*vcState, cfg.NumPorts),
+		// Every output port's credit and owner tables, carved per port by
+		// ConnectOutput.
+		outCredits: make([]int, cfg.NumPorts*cfg.NumVCs),
+		outOwner:   make([]*vcState, cfg.NumPorts*cfg.NumVCs),
 	}
 	cfg.Meter.RegisterRouter(cfg.NumPorts, cfg.NumVCs)
 	return r
@@ -220,11 +228,12 @@ func (r *Router) ConnectOutput(p int, down noc.Conduit, creditsPerVC, serializeC
 	if serializeCy < 1 {
 		serializeCy = 1
 	}
+	lo, hi := p*r.Cfg.NumVCs, (p+1)*r.Cfg.NumVCs
 	op := &OutputPort{
 		down:        down,
-		credits:     make([]int, r.Cfg.NumVCs),
+		credits:     r.outCredits[lo:hi:hi],
 		maxCredits:  creditsPerVC,
-		owner:       make([]*vcState, r.Cfg.NumVCs),
+		owner:       r.outOwner[lo:hi:hi],
 		serializeCy: serializeCy,
 	}
 	for v := range op.credits {
@@ -255,21 +264,26 @@ func (r *Router) ReceiveFlit(port int, f *noc.Flit) {
 
 // ReceiveCredit implements noc.CreditReceiver: the downstream buffer of
 // output port `port` freed a slot in VC `vc`. It wakes a stalled router
-// if this is the credit a blocked VC was waiting for.
+// if this is the credit a blocked VC was waiting for. Like ReceiveFlit it
+// is a delivery-phase call: it lands before the router's tick of the
+// cycle.
 func (r *Router) ReceiveCredit(port, vc int) {
 	op := r.out[port]
 	if op == nil {
 		panic(fmt.Sprintf("router %d: credit on unconnected output port %d", r.Cfg.ID, port))
 	}
+	// Only the first credit of an output VC that some input VC holds can
+	// unblock anything: an idle router has nothing to grant, and a second
+	// credit follows one that already woke the router. That credit ends
+	// the holder's credit stall, so the cycles slept so far are charged
+	// before it is booked.
+	if r.stalled && op.credits[vc] == 0 && op.owner[vc] != nil {
+		r.catchUp(r.waker.Now())
+		r.waker.Wake()
+	}
 	op.credits[vc]++
 	if op.credits[vc] > op.maxCredits {
 		panic(fmt.Sprintf("router %d: credit overflow port %d vc %d", r.Cfg.ID, port, vc))
-	}
-	// Only the first credit of an output VC that some input VC holds can
-	// unblock anything: an idle router has nothing to grant, and a second
-	// credit follows one that already woke the router.
-	if r.stalled && op.credits[vc] == 1 && op.owner[vc] != nil {
-		r.waker.Wake()
 	}
 }
 
@@ -278,15 +292,68 @@ func (r *Router) ReceiveCredit(port, vc int) {
 // is empty, woken by flit arrivals, and when a tick moved nothing
 // (stalled), woken by a flit landing in a VC outside the active list, by
 // the credit a blocked VC waits for, or at the busyUntil of a blocked
-// output; see Tick.
+// output; see Tick. Observed or not: the counts a probe reads are settled
+// by interval (catchUp), so no reader keeps the router awake.
 func (r *Router) SetWaker(w *sim.Waker) { r.waker = w }
+
+// CountStalls switches on the two stall counts of Counts; call it before
+// the first tick. fabric.Network.InstallProbe does, nothing else needs to.
+func (r *Router) CountStalls() { r.countStalls = true }
+
+// Counts returns the router's cumulative counts as per-cycle ticking
+// would have them at this point: a stalled router's slept cycles are
+// settled first, which touches its lazily kept accounting and nothing a
+// simulated outcome depends on.
+func (r *Router) Counts() Counts {
+	if r.stalled {
+		r.catchUp(r.waker.Elapsed())
+	}
+	return r.counts
+}
 
 func (r *Router) activate(v *vcState) {
 	if !v.inActive {
+		// v may hold an output VC (a wormhole gap emptied it): once listed
+		// it is a switch candidate, which it was not while the router slept.
+		if r.stalled {
+			r.catchUp(r.waker.Now())
+		}
 		v.inActive = true
 		r.active = append(r.active, v)
 		if r.waker != nil {
 			r.waker.Wake()
+		}
+	}
+}
+
+// catchUp accounts for the cycles [now+1, upTo) a stalled router was not
+// ticked on, as if it had been. A no-op tick advances vcaPtr, and it
+// counts every switch candidate once: busy-stalled while its output
+// serializes, credit-stalled after that if it holds no credit (one that
+// does stays busy-stalled throughout, because the timed wakeup at
+// busyWake ends the interval first). Nothing a candidate's stall depends
+// on changes while the router sleeps except through ReceiveFlit and
+// ReceiveCredit, and both settle before they change it, so the charge is
+// exact.
+func (r *Router) catchUp(upTo uint64) {
+	from := r.now + 1
+	if upTo <= from {
+		return
+	}
+	r.now = upTo - 1
+	r.vcaPtr += int(upTo - from)
+	if !r.countStalls {
+		return
+	}
+	for _, v := range r.active {
+		if v.stage != stActive {
+			continue
+		}
+		op := r.out[v.outPort]
+		busyEnd := min(max(op.busyUntil, from), upTo)
+		r.counts.BusyStall += busyEnd - from
+		if op.credits[v.outVC] == 0 {
+			r.counts.CreditStall += upTo - busyEnd
 		}
 	}
 }
@@ -300,15 +367,14 @@ func (r *Router) activate(v *vcState) {
 // blocked output's busyUntil passes (output VCs free only on this
 // router's own tail grants, routes are computed in the tick that finds
 // the head, a flit queued behind a blocked front changes nothing). So the
-// router sleeps until one of the three, and on waking advances vcaPtr —
-// the one thing a no-op tick does change — by the ticks it skipped,
-// which keeps the schedule bit-exact against per-cycle ticking. The stall
-// counters are defined per candidate per cycle, so a router that has them
-// installed keeps ticking.
+// router sleeps until one of the three, and on waking catchUp makes up
+// for the ticks it skipped — vcaPtr, the one thing a no-op tick does
+// change, and the stall counts such ticks would have taken — which keeps
+// schedule and counts bit-exact against per-cycle ticking.
 func (r *Router) Tick(cycle uint64) {
 	if r.stalled {
+		r.catchUp(cycle)
 		r.stalled = false
-		r.vcaPtr += int(cycle - r.now - 1)
 	}
 	r.now = cycle
 	r.moved = false
@@ -323,7 +389,7 @@ func (r *Router) Tick(cycle uint64) {
 	}
 	if len(r.active) == 0 {
 		r.waker.Sleep()
-	} else if !r.moved && !r.waker.SleepDisabled() && r.PC.BusyStall == nil && r.PC.CreditStall == nil {
+	} else if !r.moved && !r.waker.SleepDisabled() {
 		r.stalled = true
 		r.waker.Sleep()
 		if r.busyWake != 0 {
@@ -348,14 +414,18 @@ func (r *Router) switchAllocate() {
 		}
 		op := r.out[v.outPort]
 		if op.busyUntil > r.now {
-			r.PC.BusyStall.Inc()
+			if r.countStalls {
+				r.counts.BusyStall++
+			}
 			if op.credits[v.outVC] > 0 && (r.busyWake == 0 || op.busyUntil < r.busyWake) {
 				r.busyWake = op.busyUntil
 			}
 			continue
 		}
 		if op.credits[v.outVC] <= 0 {
-			r.PC.CreditStall.Inc()
+			if r.countStalls {
+				r.counts.CreditStall++
+			}
 			continue
 		}
 		cur := r.inBest[v.port]
@@ -391,7 +461,7 @@ func (r *Router) switchAllocate() {
 		r.Cfg.Meter.BufRead()
 		r.Cfg.Meter.Xbar(n)
 		r.Cfg.Meter.SAArb(n)
-		r.PC.SAGrants.Inc()
+		r.counts.SAGrants++
 		if r.Tap.Wants(noc.EvSwitch) {
 			r.Tap.Emit(noc.Event{Kind: noc.EvSwitch, Cycle: r.now, Pkt: f.Pkt, Flit: f, A: v.port, B: p, C: v.outVC})
 		}

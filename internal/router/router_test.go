@@ -363,9 +363,11 @@ func TestVCAExclusiveOwnership(t *testing.T) {
 	}
 }
 
-// gapGen emits a packet every period cycles and counts how it is driven.
+// gapGen emits a packet of flits flits (0: one) every period cycles and
+// counts how it is driven.
 type gapGen struct {
 	period            uint64
+	flits             int
 	generates, asksNP int
 }
 
@@ -374,7 +376,7 @@ func (g *gapGen) Generate(cycle uint64) *noc.Packet {
 	if cycle%g.period != 0 {
 		return nil
 	}
-	return &noc.Packet{ID: cycle + 1, Src: 5, Dst: 9, NumFlits: 1}
+	return &noc.Packet{ID: cycle + 1, Src: 5, Dst: 9, NumFlits: max(g.flits, 1)}
 }
 
 func (g *gapGen) NextPending(from uint64) (uint64, bool) {

@@ -114,10 +114,11 @@ func NewSource(coreID int, out noc.Conduit, numVCs, creditsPerVC int) *Source {
 func (s *Source) SetConduit(out noc.Conduit) { s.out = out }
 
 // SetWaker installs the source's scheduling handle (from
-// sim.Engine.RegisterWakeable). A source sleeps only when it has nothing
-// queued or in flight AND its generator is provably idle: absent, or a
-// NextWaker reporting its next cycle. Any other generator keeps the
-// source permanently awake, polling Generate once per cycle.
+// sim.Engine.RegisterWakeable). A source sleeps when it cannot send —
+// nothing queued or in flight, or no credit to send on — AND its generator
+// is provably idle: absent, or a NextWaker reporting its next cycle. Any
+// other generator keeps the source permanently awake, polling Generate
+// once per cycle. See reschedule.
 func (s *Source) SetWaker(w *sim.Waker) { s.waker = w }
 
 // SetGenerator installs gen, points pooling-aware generators at this
@@ -142,9 +143,13 @@ func (s *Source) SetGenerator(g Generator) {
 func (s *Source) Pool() *noc.Pool { return &s.pool }
 
 // ReceiveCredit implements noc.CreditReceiver (port is ignored; a source
-// has a single output).
+// has a single output). A busy source may be asleep for want of this
+// credit, so it is woken.
 func (s *Source) ReceiveCredit(_, vc int) {
 	s.credits[vc]++
+	if s.waker != nil && s.Busy() {
+		s.waker.Wake()
+	}
 }
 
 // QueueLen returns the number of packets waiting in the source queue.
@@ -183,7 +188,7 @@ func (s *Source) Tick(cycle uint64) {
 			s.queue.pop()
 			s.inflight = noc.FlitsOf(p)
 			s.nextFlit = 0
-			s.curVC = vc
+			s.curVC, s.rrVC = vc, vc
 			p.InjectedAt = cycle
 			s.Injected++
 			if s.Tap.Wants(noc.EvInject) {
@@ -211,15 +216,14 @@ func (s *Source) Tick(cycle uint64) {
 	}
 }
 
-// reschedule sleeps the source when it is provably idle: nothing queued
-// or in flight, and the generator either absent or (via NextWaker) known
-// not to produce before a future cycle, for which a timed wakeup is
-// armed. Sources stalled on credits stay awake: retrying costs one cheap
-// tick and credits arrive through a wire, not through the waker. An
-// engine that cannot sleep is the reference schedule: the generator is
-// polled every cycle and NextPending is never consulted.
+// reschedule sleeps the source when its next tick provably does nothing:
+// it is idle (nothing queued or in flight) or blocked (no credit to send
+// on, ReceiveCredit wakes it), and the generator is either absent or (via
+// NextWaker) known not to produce before a future cycle, for which a timed
+// wakeup is armed. An engine that cannot sleep is the reference schedule:
+// the generator is polled every cycle and NextPending is never consulted.
 func (s *Source) reschedule(cycle uint64) {
-	if s.inflight != nil || s.queue.size > 0 || s.waker.SleepDisabled() {
+	if s.waker.SleepDisabled() || s.Busy() && !s.blocked() {
 		return
 	}
 	if s.Gen != nil {
@@ -235,6 +239,29 @@ func (s *Source) reschedule(cycle uint64) {
 	s.waker.Sleep()
 }
 
+// blocked reports whether a busy source cannot send a flit until a credit
+// arrives: the packet in flight has none on its VC, or no VC the queue's
+// front may use has one.
+func (s *Source) blocked() bool {
+	if s.inflight != nil {
+		return s.credits[s.curVC] == 0
+	}
+	return s.queue.size > 0 && s.pickVC(s.queue.front()) < 0
+}
+
+// CheckInvariants reports a lost wakeup: a sleeping source with a flit it
+// could send.
+func (s *Source) CheckInvariants() error {
+	if s.waker == nil || !s.Busy() || s.blocked() {
+		return nil
+	}
+	if asleep, wakeAt := s.waker.Asleep(); asleep {
+		return fmt.Errorf("source %d asleep (timed wakeup at %d) with a flit it could send: %d queued, in flight on vc %d",
+			s.CoreID, wakeAt, s.queue.size, s.curVC)
+	}
+	return nil
+}
+
 func (s *Source) maxQueue() int {
 	if s.MaxQueue <= 0 {
 		return 1024
@@ -243,7 +270,8 @@ func (s *Source) maxQueue() int {
 }
 
 // pickVC chooses a permitted injection VC with at least one credit, round
-// robin; -1 if none is available this cycle.
+// robin after the last one used (rrVC); -1 if none is available this
+// cycle. It changes nothing.
 func (s *Source) pickVC(p *noc.Packet) int {
 	mask := uint32(1<<uint(s.numVCs)) - 1
 	if s.Policy != nil {
@@ -255,7 +283,6 @@ func (s *Source) pickVC(p *noc.Packet) int {
 	for i := 1; i <= s.numVCs; i++ {
 		vc := (s.rrVC + i) % s.numVCs
 		if mask&(1<<uint(vc)) != 0 && s.credits[vc] > 0 {
-			s.rrVC = vc
 			return vc
 		}
 	}

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"ownsim/internal/noc"
-	"ownsim/internal/probe"
 	"ownsim/internal/sim"
 )
 
@@ -107,30 +106,59 @@ func TestStalledRouterWakesAtBusyUntil(t *testing.T) {
 	}
 }
 
+// A script is a delivery-phase schedule: what lands on the router before
+// its tick of cycle at.
+type step struct {
+	at uint64
+	do func(*stallRig)
+}
+
+func credit(at uint64) step { return step{at, func(s *stallRig) { s.r.ReceiveCredit(s.out, 0) }} }
+
+// play runs a script to cycle end on a stall-counting rig and reads
+// Counts every readEvery cycles, between steps.
+func play(nIn, credits, serializeCy int, script []step, end uint64, disableSleep bool, readEvery uint64) (*stallRig, []Counts) {
+	s := newStallRig(nIn, credits, serializeCy, disableSleep)
+	s.r.CountStalls()
+	var reads []Counts
+	for c := uint64(0); c < end; c++ {
+		for _, st := range script {
+			if st.at == c {
+				st.do(s)
+			}
+		}
+		s.eng.Step()
+		if (c+1)%readEvery == 0 {
+			reads = append(reads, s.r.Counts())
+		}
+	}
+	return s, reads
+}
+
 // contend plays three two-flit packets on three inputs against one output
 // VC with three credits and four-cycle serialization, so the router
 // stalls on busyUntil and then on a credit while two packets still wait
 // for the output VC. Which of them wins it depends on vcaPtr at the
 // cycle it frees.
-func contend(disableSleep bool, pc Counters) *stallRig {
-	s := newStallRig(3, 3, 4, disableSleep)
-	s.r.PC = pc
-	for p := 0; p < 3; p++ {
-		s.deliver(p, uint64(p+1), 2)
-	}
-	for _, at := range []uint64{25, 31, 32} {
-		s.runTo(at)
-		s.r.ReceiveCredit(s.out, 0)
-	}
-	s.runTo(60)
-	return s
+var contendScript = []step{
+	{0, func(s *stallRig) {
+		for p := 0; p < 3; p++ {
+			s.deliver(p, uint64(p+1), 2)
+		}
+	}},
+	credit(25), credit(31), credit(32),
+}
+
+func contend(disableSleep bool, readEvery uint64) (*stallRig, []Counts) {
+	return play(3, 3, 4, contendScript, 60, disableSleep, readEvery)
 }
 
 // The one thing a no-op tick changes is vcaPtr; a router that slept
 // through such ticks must wake with it advanced by the cycles skipped, or
 // the next VC allocation starts its round-robin somewhere else.
 func TestStalledRouterKeepsVCAOrder(t *testing.T) {
-	ref, got := contend(true, Counters{}), contend(false, Counters{})
+	ref, _ := contend(true, 60)
+	got, _ := contend(false, 60)
 	if len(ref.sent) != 6 || ref.r.BufferedFlits() != 0 {
 		t.Fatalf("reference forwarded %v, want all 6 flits", ref.sent)
 	}
@@ -145,27 +173,64 @@ func TestStalledRouterKeepsVCAOrder(t *testing.T) {
 	}
 }
 
-// The stall counters are defined per blocked candidate per cycle, so a
-// router that carries them keeps ticking and counts what the per-cycle
-// schedule counts.
-func TestStallCountersKeepPerCycleMeaning(t *testing.T) {
-	counters := func() Counters {
-		reg := probe.NewRegistry()
-		return Counters{CreditStall: reg.Counter("credit_stall"), BusyStall: reg.Counter("busy_stall")}
+// The stall counts are defined per blocked candidate per cycle. A router
+// that sleeps through its stalls charges them by interval, and whenever
+// they are read — after every cycle, mid-stall included, or only across
+// the credits and flits that end a stall — they are what per-cycle
+// ticking counts.
+func TestStallCountsMatchPerCycleTickingWheneverRead(t *testing.T) {
+	// gap: packet 1's head leaves on the only credit and its VC runs
+	// empty holding the output VC; packet 2 stalls the router behind it.
+	// The body lands mid-stall in a VC that was no candidate until then.
+	gap := []step{
+		{0, func(s *stallRig) { s.r.ReceiveFlit(0, noc.MakeFlits(&noc.Packet{ID: 1, NumFlits: 2})[0]) }},
+		{1, func(s *stallRig) { s.deliver(1, 2, 2) }},
+		{12, func(s *stallRig) {
+			body := noc.MakeFlits(&noc.Packet{ID: 1, NumFlits: 2})[1]
+			s.r.ReceiveFlit(0, body)
+		}},
+		credit(20), credit(21), credit(30), credit(31),
 	}
-	refPC, gotPC := counters(), counters()
-	ref, got := contend(true, refPC), contend(false, gotPC)
-	if !reflect.DeepEqual(got.sent, ref.sent) {
-		t.Errorf("grants diverge from per-cycle ticking:\n got  %v\n want %v", got.sent, ref.sent)
+	for _, tc := range []struct {
+		name                      string
+		nIn, credits, serializeCy int
+		script                    []step
+		wantSent                  int
+	}{
+		{"contend", 3, 3, 4, contendScript, 6},
+		{"gap", 2, 1, 3, gap, 4},
+	} {
+		for _, readEvery := range []uint64{1, 7, 60} {
+			ref, want := play(tc.nIn, tc.credits, tc.serializeCy, tc.script, 60, true, readEvery)
+			got, have := play(tc.nIn, tc.credits, tc.serializeCy, tc.script, 60, false, readEvery)
+			if len(ref.sent) != tc.wantSent || !reflect.DeepEqual(got.sent, ref.sent) {
+				t.Fatalf("%s: forwarded %v, per-cycle twin %v, want %d flits on both", tc.name, got.sent, ref.sent, tc.wantSent)
+			}
+			for i := range want {
+				if have[i] != want[i] {
+					t.Fatalf("%s, read every %d: after cycle %d Counts = %+v, per-cycle twin %+v",
+						tc.name, readEvery, (uint64(i)+1)*readEvery-1, have[i], want[i])
+				}
+			}
+			last := want[len(want)-1]
+			if last.BusyStall == 0 || last.CreditStall == 0 || last.SAGrants != uint64(tc.wantSent) {
+				t.Fatalf("%s: script ends with %+v: it must stall on both busy outputs and credits", tc.name, last)
+			}
+			if len(got.ticks) >= len(ref.ticks)/2 {
+				t.Errorf("%s: router ticked %d times against %d per-cycle: counting kept it awake", tc.name, len(got.ticks), len(ref.ticks))
+			}
+		}
 	}
-	if refPC.CreditStall.Value() == 0 || refPC.BusyStall.Value() == 0 {
-		t.Fatalf("script stalled on neither credits (%d) nor busy outputs (%d)", refPC.CreditStall.Value(), refPC.BusyStall.Value())
-	}
-	if g, w := gotPC.CreditStall.Value(), refPC.CreditStall.Value(); g != w {
-		t.Errorf("CreditStall = %d, want %d", g, w)
-	}
-	if g, w := gotPC.BusyStall.Value(), refPC.BusyStall.Value(); g != w {
-		t.Errorf("BusyStall = %d, want %d", g, w)
+}
+
+// Stall counting is off until CountStalls: grants are always counted, a
+// stall never is, and reading changes nothing about the schedule.
+func TestStallCountsOffByDefault(t *testing.T) {
+	s := newStallRig(1, 1, 1, false)
+	s.deliver(0, 1, 2)
+	s.runTo(10)
+	if c := s.r.Counts(); c != (Counts{SAGrants: 1}) {
+		t.Fatalf("Counts = %+v, want one grant and no stall", c)
 	}
 }
 
@@ -179,6 +244,87 @@ func TestCheckInvariantsReportsLostWakeup(t *testing.T) {
 	s.mustBeConsistent(t)
 	s.r.out[s.out].credits[0]++ // behind the router's back
 	err := s.r.CheckInvariants()
+	if err == nil || !strings.Contains(err.Error(), "asleep") {
+		t.Fatalf("CheckInvariants = %v, want a lost-wakeup error", err)
+	}
+}
+
+// sourceRig is one source on a bare engine with a generator that emits a
+// five-flit packet every 100 cycles; the test plays the credit wire by
+// hand and the rig records the cycles the source was ticked on.
+type sourceRig struct {
+	eng   *sim.Engine
+	src   *Source
+	gen   *gapGen
+	ticks []uint64
+	sent  []uint64
+}
+
+func (s *sourceRig) Tick(c uint64) {
+	s.ticks = append(s.ticks, c)
+	s.src.Tick(c)
+}
+
+func (s *sourceRig) Send(*noc.Flit) { s.sent = append(s.sent, s.eng.Cycle()) }
+
+func newSourceRig(credits int, disableSleep bool) *sourceRig {
+	s := &sourceRig{eng: sim.NewEngine(), gen: &gapGen{period: 100, flits: 5}}
+	if disableSleep {
+		s.eng.DisableSleep()
+	}
+	s.src = NewSource(5, s, 1, credits)
+	s.src.SetWaker(s.eng.RegisterWakeable(sim.PhaseCompute, s))
+	s.src.SetGenerator(s.gen)
+	return s
+}
+
+// A source that ran out of credits mid-packet sleeps until one lands: it
+// ticks on the cycles it sends, the cycle of the credit and its next
+// generation cycle, and on no other. The reference schedule sends on the
+// same cycles without ever asking the generator to look ahead.
+func TestBlockedSourceSleepsUntilTheCredit(t *testing.T) {
+	run := func(disableSleep bool) *sourceRig {
+		s := newSourceRig(4, disableSleep)
+		s.eng.Run(50)
+		if err := s.src.CheckInvariants(); err != nil {
+			t.Fatal(err) // asleep, busy, and blocked
+		}
+		s.src.ReceiveCredit(0, 0)
+		if err := s.src.CheckInvariants(); err != nil {
+			t.Fatal(err) // the credit woke it
+		}
+		s.eng.Run(100)
+		return s
+	}
+	got, ref := run(false), run(true)
+	if want := []uint64{0, 1, 2, 3, 50}; !reflect.DeepEqual(got.sent, want) || !reflect.DeepEqual(ref.sent, want) {
+		t.Fatalf("flits left on %v, per-cycle twin %v, want %v", got.sent, ref.sent, want)
+	}
+	if want := []uint64{0, 1, 2, 3, 50, 100}; !reflect.DeepEqual(got.ticks, want) {
+		t.Fatalf("source ticked on %v, want %v", got.ticks, want)
+	}
+	if len(ref.ticks) != 150 || ref.gen.asksNP != 0 {
+		t.Fatalf("DisableSleep twin: %d ticks, %d NextPending calls; want 150 and 0", len(ref.ticks), ref.gen.asksNP)
+	}
+}
+
+// A source whose queued packet finds no VC with a credit is blocked just
+// the same, and a credit that appears without ReceiveCredit is a lost
+// wakeup CheckInvariants names.
+func TestSourceCheckInvariantsReportsLostWakeup(t *testing.T) {
+	s := newSourceRig(5, false)
+	s.eng.Run(150) // packet 1 took all five credits; packet 2 waits in the queue
+	if !s.src.Busy() || s.src.Injected != 1 {
+		t.Fatalf("busy %v, injected %d; want packet 2 queued behind an empty VC", s.src.Busy(), s.src.Injected)
+	}
+	if err := s.src.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if want := []uint64{0, 1, 2, 3, 4, 100}; !reflect.DeepEqual(s.ticks, want) {
+		t.Fatalf("source ticked on %v, want %v", s.ticks, want)
+	}
+	s.src.credits[0]++ // behind the source's back
+	err := s.src.CheckInvariants()
 	if err == nil || !strings.Contains(err.Error(), "asleep") {
 		t.Fatalf("CheckInvariants = %v, want a lost-wakeup error", err)
 	}

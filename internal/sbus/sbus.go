@@ -65,6 +65,13 @@ type Channel struct {
 	busyUntil   uint64
 	totalQueued int
 
+	// stalledAt is the cycle of the last tick that found the locked packet's
+	// receiver out of credits, while that stall lasts (0: none; the tick
+	// that takes the lock never transmits, so no stall is found on cycle 0).
+	// Only a returned credit can end it; the cycles slept through until
+	// then are charged at the next tick.
+	stalledAt uint64
+
 	inflight flightQueue
 
 	// Telemetry, exposed through Stats.
@@ -130,8 +137,12 @@ func (w *Writer) Index() int { return w.idx }
 // port must be connected with exactly queueDepth credits per VC.
 func (c *Channel) AddWriter(src noc.CreditReceiver, srcPort, numVCs, queueDepth int) *Writer {
 	w := &Writer{ch: c, idx: len(c.writers), src: src, srcPort: srcPort, queues: make([]flitFIFO, numVCs), id: -1}
+	// One ring array per writer, carved per VC (capacity-limited so no
+	// ring can grow into the next).
+	rings := make([]*noc.Flit, numVCs*queueDepth)
 	for i := range w.queues {
-		w.queues[i].init(queueDepth)
+		lo, hi := i*queueDepth, (i+1)*queueDepth
+		w.queues[i].buf = rings[lo:hi:hi]
 	}
 	c.writers = append(c.writers, w)
 	return w
@@ -185,11 +196,15 @@ func (c *Channel) AddRx(dst noc.FlitReceiver, dstPort, numVCs, creditsPerVC int)
 	return r
 }
 
-// ReturnCredit implements noc.CreditReturner.
+// ReturnCredit implements noc.CreditReturner. A channel in a credit stall
+// may be asleep for want of this credit, so it is woken.
 func (r *Rx) ReturnCredit(vc int) {
 	r.credits[vc]++
 	if r.credits[vc] > r.maxCred {
 		panic(fmt.Sprintf("sbus %s: rx %d vc %d credit overflow", r.ch.Name, r.idx, vc))
+	}
+	if c := r.ch; c.stalledAt != 0 && c.waker != nil {
+		c.waker.Wake()
 	}
 }
 
@@ -201,22 +216,27 @@ type flight struct {
 
 // SetWaker installs the channel's scheduling handle (from
 // sim.Engine.RegisterWakeable). Without one the channel is a plain
-// every-cycle Ticker; with one it sleeps when fully idle and through
-// serialization windows (during which Tick has no side effects), while
-// staying awake every cycle whenever a locked packet may stall on credits
-// or a wormhole gap — the per-cycle CreditStallCy telemetry depends on it.
+// every-cycle Ticker; with one it sleeps when fully idle, through
+// serialization windows (during which Tick has no side effects), and
+// while its locked packet is blocked on a wormhole gap or on receiver
+// credits, until the Send or the ReturnCredit that ends that. The
+// per-cycle CreditStallCy telemetry is charged by interval across the
+// sleep (transmitLocked, Stats).
 func (c *Channel) SetWaker(w *sim.Waker) { c.waker = w }
 
 // Tick implements sim.Ticker (Delivery phase): deliver due flits, then
 // advance arbitration/serialization.
 func (c *Channel) Tick(cycle uint64) {
-	c.tick(cycle)
+	blocked := c.tick(cycle)
 	if c.waker != nil {
-		c.reschedule(cycle)
+		c.reschedule(cycle, blocked)
 	}
 }
 
-func (c *Channel) tick(cycle uint64) {
+// tick reports whether it found the locked packet blocked: unable to move
+// until its next flit arrives from upstream or the receiver returns a
+// credit.
+func (c *Channel) tick(cycle uint64) (blocked bool) {
 	for {
 		fl, ok := c.inflight.peek()
 		if !ok || fl.at > cycle {
@@ -229,26 +249,26 @@ func (c *Channel) tick(cycle uint64) {
 		c.rxs[fl.rx].dst.ReceiveFlit(c.rxs[fl.rx].dstPort, fl.f)
 	}
 	if c.busyUntil > cycle {
-		return
+		return false
 	}
 	if c.lockedW >= 0 {
-		c.transmitLocked(cycle)
-		return
+		return !c.transmitLocked(cycle)
 	}
 	if c.totalQueued > 0 {
 		c.acquire(cycle)
 	}
+	return false
 }
 
 // reschedule sleeps through provably side-effect-free windows. A channel
 // with a lock or queued work must run at busyUntil (or next cycle if not
-// busy — that is where credit-stall accounting happens, one count per
-// stalled cycle); deliveries may come due earlier. Writers wake a fully
-// idle channel on Send; credit returns never need to (a channel waiting
-// on credits is awake by construction).
-func (c *Channel) reschedule(cycle uint64) {
+// busy), unless this tick found it blocked: then no tick can differ until
+// the writer's Send that closes a wormhole gap or the receiver's
+// ReturnCredit that ends a credit stall, and both wake it. Deliveries may
+// come due earlier either way.
+func (c *Channel) reschedule(cycle uint64, blocked bool) {
 	next := uint64(0)
-	if c.lockedW >= 0 || c.totalQueued > 0 {
+	if !blocked && (c.lockedW >= 0 || c.totalQueued > 0) {
 		next = cycle + 1
 		if c.busyUntil > next {
 			next = c.busyUntil
@@ -267,18 +287,26 @@ func (c *Channel) reschedule(cycle uint64) {
 }
 
 // transmitLocked sends the next flit of the packet holding the channel,
-// if it has arrived and the receiver has a buffer slot.
-func (c *Channel) transmitLocked(cycle uint64) {
+// if it has arrived and the receiver has a buffer slot, and reports
+// whether it did. Credit stalls are counted one per cycle: this tick's
+// here, and those of the cycles slept through since the last stalled tick
+// (none when ticked every cycle) before anything else.
+func (c *Channel) transmitLocked(cycle uint64) bool {
 	w := c.writers[c.lockedW]
 	q := &w.queues[c.lockedVC]
+	if c.stalledAt != 0 {
+		c.creditStall += cycle - c.stalledAt - 1
+		c.stalledAt = 0
+	}
 	if q.empty() {
-		return // wormhole gap: body flits still upstream
+		return false // wormhole gap: body flits still upstream
 	}
 	f := q.front()
 	rx := c.rxs[c.lockedRx]
 	if rx.credits[f.VC] <= 0 {
 		c.creditStall++
-		return
+		c.stalledAt = cycle
+		return false
 	}
 	q.pop()
 	w.queued--
@@ -308,6 +336,7 @@ func (c *Channel) transmitLocked(cycle uint64) {
 			c.Tap.Emit(noc.Event{Kind: noc.EvRelease, Cycle: cycle, Pkt: f.Pkt, A: w.idx})
 		}
 	}
+	return true
 }
 
 // acquire moves the token to the next writer with a pending packet and
@@ -398,15 +427,27 @@ func (s Stats) Utilization(cycles uint64) float64 {
 	return float64(s.BusyCy) / float64(cycles)
 }
 
-// Stats returns the channel's telemetry snapshot.
+// Stats returns the channel's telemetry snapshot, as per-cycle ticking
+// would have it at this point.
 func (c *Channel) Stats() Stats {
 	return Stats{
 		Name:          c.Name,
 		Transmitted:   c.nTransmitted,
 		BusyCy:        c.busyCy,
 		TokenMoves:    c.tokenMoves,
-		CreditStallCy: c.creditStall,
+		CreditStallCy: c.creditStall + c.pendingStall(),
 	}
+}
+
+// pendingStall is the credit-stall cycles a sleeping channel has not
+// charged yet: the completed ones since the tick that found the stall
+// (none for a reader inside that tick's own cycle, where Elapsed is
+// stalledAt itself).
+func (c *Channel) pendingStall() uint64 {
+	if c.stalledAt == 0 || c.waker == nil {
+		return 0
+	}
+	return max(c.waker.Elapsed(), c.stalledAt+1) - c.stalledAt - 1
 }
 
 // QueueHighWater returns the peak number of flits ever queued across
@@ -504,7 +545,7 @@ func (c *Channel) Introspect() ChannelIntro {
 		Transmitted:    c.nTransmitted,
 		BusyCy:         c.busyCy,
 		TokenMoves:     c.tokenMoves,
-		CreditStallCy:  c.creditStall,
+		CreditStallCy:  c.creditStall + c.pendingStall(),
 		Writers:        make([]WriterIntro, len(c.writers)),
 		RxCredits:      make([][]int, len(c.rxs)),
 	}
@@ -542,6 +583,24 @@ func (c *Channel) CheckInvariants() error {
 	if sum != c.totalQueued {
 		return fmt.Errorf("sbus %s: writer queued sum %d != totalQueued %d", c.Name, sum, c.totalQueued)
 	}
+	// A sleeping channel with work must be waiting for something that will
+	// come: the end of a serialization or token window (a timed wakeup by
+	// then), or the flit or credit its locked packet lacks. Anything else
+	// is a lost wakeup.
+	if c.waker == nil || c.lockedW < 0 && c.totalQueued == 0 {
+		return nil
+	}
+	if asleep, wakeAt := c.waker.Asleep(); asleep && (wakeAt == 0 || wakeAt > c.busyUntil) {
+		stuck := false
+		if c.lockedW >= 0 {
+			q := &c.writers[c.lockedW].queues[c.lockedVC]
+			stuck = q.empty() || c.rxs[c.lockedRx].credits[c.lockedVC] == 0
+		}
+		if !stuck {
+			return fmt.Errorf("sbus %s: asleep (timed wakeup at %d, busy until %d) with a flit that could move: locked writer %d vc %d, %d queued",
+				c.Name, wakeAt, c.busyUntil, c.lockedW, c.lockedVC, c.totalQueued)
+		}
+	}
 	return nil
 }
 
@@ -551,10 +610,9 @@ type flitFIFO struct {
 	head, size int
 }
 
-func (q *flitFIFO) init(capacity int) { q.buf = make([]*noc.Flit, capacity) }
-func (q *flitFIFO) empty() bool       { return q.size == 0 }
-func (q *flitFIFO) full() bool        { return q.size == len(q.buf) }
-func (q *flitFIFO) front() *noc.Flit  { return q.buf[q.head] }
+func (q *flitFIFO) empty() bool      { return q.size == 0 }
+func (q *flitFIFO) full() bool       { return q.size == len(q.buf) }
+func (q *flitFIFO) front() *noc.Flit { return q.buf[q.head] }
 
 func (q *flitFIFO) push(f *noc.Flit) {
 	q.buf[(q.head+q.size)%len(q.buf)] = f

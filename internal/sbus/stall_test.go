@@ -1,6 +1,8 @@
 package sbus
 
 import (
+	"reflect"
+	"strings"
 	"testing"
 
 	"ownsim/internal/noc"
@@ -186,5 +188,130 @@ func TestChannelHotPathAllocFreeWithTracking(t *testing.T) {
 	}
 	if events == 0 || lastCy == 0 {
 		t.Fatal("subscriber saw no events: the fixture exercises nothing")
+	}
+}
+
+// holdRx keeps every delivered flit's buffer slot: the test returns the
+// credits by hand, so it decides when the channel stalls on them.
+type holdRx struct{}
+
+func (holdRx) ReceiveFlit(int, *noc.Flit) {}
+
+// blockRig is a two-writer, one-VC channel whose receiver has two buffer
+// slots, either waker-driven on an engine or, as the reference, ticked by
+// hand on every cycle without a waker. It records the cycles the channel
+// was ticked on and the cycles a flit went onto the medium.
+type blockRig struct {
+	eng    *sim.Engine // nil: the every-cycle twin
+	ch     *Channel
+	w      [2]*Writer
+	rx     *Rx
+	flits  []*noc.Flit // writer 0's four-flit packet
+	ticks  []uint64
+	txAt   []uint64
+	stalls []uint64          // Stats().CreditStallCy after every cycle
+	inTick map[uint64]uint64 // and right after the channel's tick, inside the cycle
+}
+
+func (b *blockRig) Tick(c uint64) {
+	b.ticks = append(b.ticks, c)
+	b.ch.Tick(c)
+	b.inTick[c] = b.ch.Stats().CreditStallCy
+}
+
+func newBlockRig(sleeping bool) *blockRig {
+	b := &blockRig{ch: NewChannel("bus0", 1, 0, 1), flits: noc.MakeFlits(&noc.Packet{ID: 1, NumFlits: 4}), inTick: map[uint64]uint64{}}
+	for i := range b.w {
+		b.w[i] = b.ch.AddWriter(&testSrc{}, 0, 1, 8)
+	}
+	b.rx = b.ch.AddRx(holdRx{}, 0, 1, 2)
+	b.ch.Tap.Subscribe(noc.Mask(noc.EvFlitTx), func(e noc.Event) { b.txAt = append(b.txAt, e.Cycle) })
+	if sleeping {
+		b.eng = sim.NewEngine()
+		b.ch.SetWaker(b.eng.RegisterWakeable(sim.PhaseDelivery, b))
+	}
+	return b
+}
+
+// blockScript is what lands on the channel before its tick of each cycle:
+// packet 1 arrives in pieces, so the channel meets a wormhole gap (cycle
+// 4), a credit stall (10) that an unrelated Send interrupts (15) and a
+// credit ends (20), a second gap and stall, and then stalls with writer
+// 1's packet on a fresh lock (32).
+var blockScript = map[uint64]func(*blockRig){
+	0:  func(b *blockRig) { b.w[0].Send(b.flits[0]); b.w[0].Send(b.flits[1]) },
+	10: func(b *blockRig) { b.w[0].Send(b.flits[2]) },
+	15: func(b *blockRig) { sendPacket(b.w[1], 2, 0, 0, 1) },
+	20: func(b *blockRig) { b.rx.ReturnCredit(0) },
+	25: func(b *blockRig) { b.w[0].Send(b.flits[3]) },
+	30: func(b *blockRig) { b.rx.ReturnCredit(0) },
+	40: func(b *blockRig) { b.rx.ReturnCredit(0) },
+}
+
+func (b *blockRig) play(t *testing.T, end uint64) {
+	t.Helper()
+	for c := uint64(0); c < end; c++ {
+		if do := blockScript[c]; do != nil {
+			do(b)
+		}
+		// Asleep is only ever asleep for a reason, also right after the
+		// Send or the credit that ends it.
+		if err := b.ch.CheckInvariants(); err != nil {
+			t.Fatalf("cycle %d: %v", c, err)
+		}
+		if b.eng != nil {
+			b.eng.Step()
+		} else {
+			b.Tick(c)
+		}
+		b.stalls = append(b.stalls, b.ch.Stats().CreditStallCy)
+		if in := b.ch.Introspect().CreditStallCy; in != b.stalls[c] {
+			t.Fatalf("cycle %d: Introspect().CreditStallCy = %d, Stats' %d", c, in, b.stalls[c])
+		}
+	}
+}
+
+// A channel whose locked packet waits for a flit or a credit sleeps until
+// the Send or ReturnCredit that ends the wait, transmits on the cycles
+// per-cycle ticking transmits on, and reports the credit-stall cycles
+// per-cycle ticking counts whenever it is asked, mid-stall included.
+func TestBlockedChannelSleepsAndCountsLikePerCycleTicking(t *testing.T) {
+	ref, got := newBlockRig(false), newBlockRig(true)
+	ref.play(t, 50)
+	got.play(t, 50)
+	if want := []uint64{2, 3, 20, 30, 40}; !reflect.DeepEqual(ref.txAt, want) || !reflect.DeepEqual(got.txAt, want) {
+		t.Fatalf("flits transmitted at %v, per-cycle twin %v, want %v", got.txAt, ref.txAt, want)
+	}
+	for c := range ref.stalls {
+		if got.stalls[c] != ref.stalls[c] {
+			t.Fatalf("after cycle %d CreditStallCy = %d, per-cycle twin %d", c, got.stalls[c], ref.stalls[c])
+		}
+	}
+	for c, have := range got.inTick {
+		if have != ref.inTick[c] {
+			t.Fatalf("inside cycle %d, after the tick, CreditStallCy = %d, per-cycle twin %d", c, have, ref.inTick[c])
+		}
+	}
+	if last := ref.stalls[len(ref.stalls)-1]; last != 10+5+8 {
+		t.Fatalf("script stalled %d cycles on credits, want 10 (cycles 10-19) + 5 (25-29) + 8 (32-39)", last)
+	}
+	// Acquire, the two flits, the gap; the body's stall, the unrelated
+	// Send, the credit, the gap again; the tail's stall, its credit; the
+	// second lock, its stall, its credit, the last delivery.
+	if want := []uint64{0, 2, 3, 4, 10, 15, 20, 21, 25, 30, 31, 32, 40, 41}; !reflect.DeepEqual(got.ticks, want) {
+		t.Fatalf("channel ticked on %v, want %v", got.ticks, want)
+	}
+}
+
+// A wake that a later change forgets must surface as a named violation: a
+// credit that appears without ReturnCredit leaves the channel asleep next
+// to a flit that could move.
+func TestChannelCheckInvariantsReportsLostWakeup(t *testing.T) {
+	b := newBlockRig(true)
+	b.play(t, 12)     // asleep in the credit stall of cycle 10
+	b.rx.credits[0]++ // behind the channel's back
+	err := b.ch.CheckInvariants()
+	if err == nil || !strings.Contains(err.Error(), "asleep") {
+		t.Fatalf("CheckInvariants = %v, want a lost-wakeup error", err)
 	}
 }

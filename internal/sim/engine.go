@@ -71,10 +71,11 @@ const (
 // which (together with seeded RNGs) makes whole simulations bit-for-bit
 // reproducible.
 type Engine struct {
-	phases  [numPhases]phaseSched
-	cycle   uint64
-	fastFwd uint64
-	noSleep bool
+	phases     [numPhases]phaseSched
+	cycle      uint64
+	fastFwd    uint64
+	noSleep    bool
+	collecting bool // the Collect phase of cycle is executing
 }
 
 // NewEngine returns an empty engine positioned at cycle zero.
@@ -107,7 +108,7 @@ func (e *Engine) RegisterWakeable(p Phase, t Ticker) *Waker {
 		panic("sim: invalid phase")
 	}
 	ps := &e.phases[p]
-	return &Waker{e: e, ps: ps, idx: ps.add(t)}
+	return &Waker{e: e, ps: ps, idx: ps.add(t), phase: p}
 }
 
 // DisableSleep puts the engine in reference mode: Waker.Sleep becomes a
@@ -127,11 +128,31 @@ func (e *Engine) SleepDisabled() bool { return e.noSleep }
 // components use (via Waker.Now) to timestamp events between their ticks.
 func (e *Engine) Cycle() uint64 { return e.cycle }
 
-// Step advances simulated time by exactly one cycle.
+// Elapsed returns how many times phase p has run to completion: Cycle()
+// between steps and for a phase still to run or running in the current
+// cycle, Cycle()+1 for Delivery and Compute while the Collect phase of
+// that cycle executes. It is the clock a component that keeps a per-cycle
+// count by interval settles against when the count is read (samplers read
+// in Collect): cycles before Elapsed are over for it, however few of them
+// it was ticked on.
+func (e *Engine) Elapsed(p Phase) uint64 {
+	if e.collecting && p != PhaseCollect {
+		return e.cycle + 1
+	}
+	return e.cycle
+}
+
+// Step advances simulated time by exactly one cycle. A Collect phase with
+// no component is not entered, so engines without collectors pay nothing
+// for Elapsed (its PhaseStats stay zero either way).
 func (e *Engine) Step() {
 	c := e.cycle
-	for p := 0; p < int(numPhases); p++ {
-		e.phases[p].run(c)
+	e.phases[PhaseDelivery].run(c)
+	e.phases[PhaseCompute].run(c)
+	if col := &e.phases[PhaseCollect]; len(col.ticks) > 0 {
+		e.collecting = true
+		col.run(c)
+		e.collecting = false
 	}
 	e.cycle++
 }

@@ -117,3 +117,58 @@ func TestPhaseStatsInvalidPhase(t *testing.T) {
 		t.Errorf("PhaseStats(invalid) = %+v, want zero value", st)
 	}
 }
+
+// Elapsed is the number of times a phase has run: the cycle number
+// between steps and for a phase running or still to run, one more for
+// Delivery and Compute once the Collect phase of the cycle reads them.
+func TestElapsedCountsCompletedPhaseRuns(t *testing.T) {
+	e := NewEngine()
+	all := []Phase{PhaseDelivery, PhaseCompute, PhaseCollect}
+	var w [numPhases]*Waker
+	seen := map[Phase][][2]uint64{} // reader phase -> {Engine.Elapsed(p), Waker.Elapsed()} per p
+	for _, p := range all {
+		w[p] = e.RegisterWakeable(p, tickFunc(func(uint64) {
+			for _, q := range all {
+				seen[p] = append(seen[p], [2]uint64{e.Elapsed(q), w[q].Elapsed()})
+			}
+		}))
+	}
+	e.Run(7)
+	e.Step() // cycle 7
+	for _, p := range all {
+		last := seen[p][len(seen[p])-3:]
+		want := [][2]uint64{{7, 7}, {7, 7}, {7, 7}}
+		if p == PhaseCollect {
+			want = [][2]uint64{{8, 8}, {8, 8}, {7, 7}}
+		}
+		for q := range want {
+			if last[q] != want[q] {
+				t.Errorf("from the %s phase of cycle 7: Elapsed(%s) = %v, want %v", p, all[q], last[q], want[q])
+			}
+		}
+	}
+	for _, q := range all {
+		if e.Elapsed(q) != 8 || w[q].Elapsed() != 8 {
+			t.Errorf("between steps: Elapsed(%s) = %d/%d, want 8", q, e.Elapsed(q), w[q].Elapsed())
+		}
+	}
+}
+
+// An engine nobody collects on does not enter the Collect phase, and
+// nothing it reports can tell: the phase's stats are zero either way.
+func TestEmptyCollectPhaseIsInvisible(t *testing.T) {
+	e := NewEngine()
+	s := newSleeper(e, PhaseCompute)
+	s.w.WakeAt(5)
+	e.Run(10)
+	if got := e.PhaseStats(PhaseCollect); got != (PhaseStats{}) {
+		t.Fatalf("empty Collect phase reports %+v, want zeros", got)
+	}
+	want := PhaseStats{Ticks: 2, WakesTimer: 1, AwakeCycleSum: 2, TimerHeapMax: 1}
+	if got := e.PhaseStats(PhaseCompute); got != want {
+		t.Fatalf("Compute phase reports %+v, want %+v", got, want)
+	}
+	if e.Elapsed(PhaseCompute) != 10 || e.Cycle() != 10 {
+		t.Fatalf("Elapsed = %d, Cycle = %d after 10 steps", e.Elapsed(PhaseCompute), e.Cycle())
+	}
+}

@@ -14,9 +14,10 @@ package sim
 // Wakers are not safe for concurrent use; like the engine itself they
 // belong to exactly one single-threaded simulation.
 type Waker struct {
-	e   *Engine
-	ps  *phaseSched
-	idx int
+	e     *Engine
+	ps    *phaseSched
+	idx   int
+	phase Phase
 }
 
 // Wake marks the component runnable at the next execution of its phase:
@@ -74,3 +75,9 @@ func (w *Waker) Asleep() (asleep bool, wakeAt uint64) {
 // their ticks — a wire computing a delivery deadline inside Send, for
 // example — without maintaining their own copy of the clock.
 func (w *Waker) Now() uint64 { return w.e.cycle }
+
+// Elapsed returns how many times the component's phase has run to
+// completion (Engine.Elapsed): Now() from inside the Delivery and Compute
+// phases and between steps, Now()+1 for their components when read from
+// the Collect phase.
+func (w *Waker) Elapsed() uint64 { return w.e.Elapsed(w.phase) }
