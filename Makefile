@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all fmt vet build lint lint-fixtures test race smoke check bench bench-compare bench-selftest loc ci
+.PHONY: all fmt vet build lint lint-fixtures test race smoke check results-check bench bench-compare bench-selftest loc ci
 
 all: ci
 
@@ -105,6 +105,21 @@ check:
 	$(GO) run ./cmd/ownsim -cores 256 -warmup 300 -measure 1500 -seed 101 -check >/dev/null
 	$(GO) run ./cmd/ownsim -topo pclos -cores 256 -warmup 300 -measure 1500 -seed 102 -check >/dev/null
 	$(GO) run ./cmd/sweep -topo all -cores 256 -points 3 -warmup 300 -measure 1200 -seed 103 -check >/dev/null
+
+# results-check proves results/ is what the tree computes today: it
+# regenerates every figure (full budget, CSVs) and the claims ledger into
+# a temp dir and diffs each results/*.csv, figures_full.txt (minus the
+# "[wrote <path>]" lines, which name the directory) and experiments.txt
+# byte for byte. claims.json/.md carry a timestamp and are skipped.
+# About 35 s on two cores; nightly runs it.
+results-check:
+	@tmp=$$(mktemp -d); trap "rm -rf $$tmp" EXIT; set -e; \
+	$(GO) run ./cmd/figures -fig all -csv $$tmp | grep -v '^\[wrote ' > $$tmp/figures_full.txt; \
+	$(GO) run ./cmd/experiments > $$tmp/experiments.txt; \
+	grep -v '^\[wrote ' results/figures_full.txt | diff - $$tmp/figures_full.txt; \
+	diff results/experiments.txt $$tmp/experiments.txt; \
+	for f in results/*.csv; do diff $$f $$tmp/$$(basename $$f); done; \
+	echo "results-check: results/ is byte-identical to a fresh run"
 
 # bench runs the simulator microbenchmarks (engine hot path, packet
 # pooling, end-to-end uniform-traffic runs) with allocation reporting.

@@ -17,10 +17,9 @@ func energyCSV(t *testing.T) []byte {
 	m := power.NewMeter(nil)
 	m.RegisterRouter(5, 2)
 	m.BufWrite()
-	m.BufRead()
-	m.Xbar(5)
-	m.SetChannelClass(0, "C2C")
-	m.Wireless(0, 1.0)
+	m.ReadRouter(5, func() (grants, vcAllocs uint64) { return 1, 1 })
+	flits := uint64(1)
+	m.ReadWireless(0, "C2C", 1.0, 0, &flits)
 	var buf bytes.Buffer
 	if err := m.WriteEnergyCSV(&buf, 500); err != nil {
 		t.Fatal(err)

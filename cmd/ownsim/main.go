@@ -59,6 +59,10 @@ func main() {
 	if err := core.CheckSystem(*topo, *cores); err != nil {
 		log.Fatal(err)
 	}
+	if err := core.CheckRun(*measure, *load); err != nil {
+		log.Print(err)
+		os.Exit(2)
+	}
 	if err := of.Validate(); err != nil {
 		log.Fatal(err)
 	}

@@ -73,6 +73,11 @@ func main() {
 	if err := core.CheckSweepPoints(*points); err != nil {
 		log.Fatal(err)
 	}
+	loads := core.SweepLoads(*cores, *points)
+	if err := core.CheckRun(*measure, loads[0]); err != nil {
+		log.Print(err)
+		os.Exit(2)
+	}
 	if err := of.Validate(); err != nil {
 		log.Fatal(err)
 	}
@@ -80,7 +85,6 @@ func main() {
 		log.Fatal("-telemetry, -dot, -metrics, -trace, -listen, -energy, -heatmap, -latency-breakdown, -fairness and -dump-on-exit need a single -topo")
 	}
 	b := core.Budget{Warmup: *warmup, Measure: *measure, Loads: *points, Seed: *seed, ReservoirCap: of.Reservoir}
-	loads := core.SweepLoads(*cores, *points)
 
 	var man *probe.Manifest
 	if of.Manifest != "" {

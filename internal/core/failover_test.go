@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"ownsim/internal/fabric"
+	"ownsim/internal/power"
 	"ownsim/internal/traffic"
 	"ownsim/internal/wireless"
 )
@@ -28,6 +29,43 @@ func TestFailoverSingleChannel(t *testing.T) {
 	}
 	if err := n.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFailedChannelLeavesFigure5Average: the Figure 5 metric is the mean
+// over the wireless channels in service. The accumulator meter divided by
+// the highest transmitting channel id plus one, so a channel taken out by
+// -fail still counted (here: 12 instead of 11) whenever a higher id carried
+// a flit. With every channel in service the two denominators agree, which
+// is why Figure 5, the goldens and results/ did not move.
+func TestFailedChannelLeavesFigure5Average(t *testing.T) {
+	m := power.NewMeter(nil)
+	n := BuildOWN256(Params{FailedChannels: []int{0}, Meter: m})
+	res := n.Run(
+		fabric.TrafficSpec{Pattern: traffic.Uniform, Rate: 0.003, Seed: 21, Policy: OWN256Policy},
+		fabric.RunSpec{Warmup: 500, Measure: 2500},
+	)
+	inService := 0
+	var tx power.Picojoules
+	m.EachWirelessChannel(func(id int, _ string, pj power.Picojoules) {
+		if id == 0 || pj == 0 {
+			t.Fatalf("channel %d priced at %v pJ: the failed channel must be absent, every other one busy", id, pj)
+		}
+		inService++
+		tx += pj
+	})
+	if inService != 11 {
+		t.Fatalf("%d wireless channels registered, want 11", inService)
+	}
+	txMW := float64(tx.OverNS(power.Nanoseconds(float64(res.Power.Cycles) * m.P.CycleNS())))
+	if got := res.AvgWirelessChannelMW; !relClose(got, txMW/11) {
+		t.Fatalf("AvgWirelessChannelMW = %v, want %v mW over 11 channels (over 12 it would be %v)", got, txMW/11, txMW/12)
+	}
+	full := NewSystem("own", 256, wireless.Config4, wireless.Ideal).Build(power.NewMeter(nil))
+	all := 0
+	full.Meter.EachWirelessChannel(func(int, string, power.Picojoules) { all++ })
+	if all != 12 {
+		t.Fatalf("plain OWN-256 registers %d wireless channels, want all 12 of Table I", all)
 	}
 }
 

@@ -32,33 +32,56 @@ type Fig5Row struct {
 	PlanMeanEPBpJ float64
 }
 
+// ownPerConfig simulates sys — OWN-256 under scen, whatever its
+// configuration — once and prices the run under each Table IV
+// configuration's PlanOWN256 energy-per-bit table, in AllConfigs order. A
+// configuration changes what a wireless bit costs and nothing a flit can
+// see: band bandwidth follows the scenario alone (wireless.BandPlan), so
+// the four would simulate the same traffic cycle for cycle.
+func ownPerConfig(sys System, scen wireless.Scenario, load float64, b Budget) []fabric.Result {
+	n := sys.Build(power.NewMeter(nil))
+	res := n.Run(
+		fabric.TrafficSpec{Pattern: traffic.Uniform, Rate: load, Seed: b.Seed, Policy: sys.Policy, Classify: sys.Classify},
+		fabric.RunSpec{Warmup: b.Warmup, Measure: b.Measure},
+	)
+	cfgs := wireless.AllConfigs()
+	out := make([]fabric.Result, 0, len(cfgs))
+	for _, cfg := range cfgs {
+		plan := wireless.PlanOWN256(cfg, scen)
+		epb := make([]float64, len(plan.Channels))
+		for id, ch := range plan.Channels {
+			epb[id] = ch.EPBpJ
+		}
+		n.Meter.PriceWireless(epb)
+		out = append(out, n.Priced(res))
+	}
+	return out
+}
+
 // Figure5 measures the average wireless link power for the four Table IV
 // configurations under both Table III scenarios (OWN-256, uniform random
-// traffic at half saturation).
-func Figure5(b Budget) []Fig5Row {
-	type job struct {
-		scen wireless.Scenario
-		cfg  wireless.Config
-	}
-	var jobs []job
-	for _, scen := range []wireless.Scenario{wireless.Ideal, wireless.Conservative} {
-		for _, cfg := range wireless.AllConfigs() {
-			jobs = append(jobs, job{scen, cfg})
-		}
-	}
-	rows := make([]Fig5Row, len(jobs))
-	ParallelMap(len(jobs), func(i int) {
-		j := jobs[i]
-		sys := NewSystem("own", 256, j.cfg, j.scen)
-		res := sys.Run(
-			fabric.TrafficSpec{Pattern: traffic.Uniform, Rate: midLoad(256, j.scen), Seed: b.Seed},
-			fabric.RunSpec{Warmup: b.Warmup, Measure: b.Measure},
-		)
-		rows[i] = Fig5Row{
-			Scenario:      j.scen,
-			Config:        j.cfg,
-			AvgChannelMW:  res.AvgWirelessChannelMW,
-			PlanMeanEPBpJ: wireless.PlanOWN256(j.cfg, j.scen).MeanEPBpJ(),
+// traffic at half saturation): one simulation per scenario, priced per
+// configuration.
+func Figure5(b Budget) []Fig5Row { return figure5(b, NewSystem) }
+
+// systemFunc is NewSystem's signature; the priced-once equivalence test
+// passes a wrapper that counts the networks built.
+type systemFunc func(name string, cores int, cfg wireless.Config, scen wireless.Scenario) System
+
+func figure5(b Budget, newSystem systemFunc) []Fig5Row {
+	scens := []wireless.Scenario{wireless.Ideal, wireless.Conservative}
+	cfgs := wireless.AllConfigs()
+	rows := make([]Fig5Row, len(scens)*len(cfgs))
+	ParallelMap(len(scens), func(i int) {
+		scen := scens[i]
+		priced := ownPerConfig(newSystem("own", 256, cfgs[0], scen), scen, midLoad(256, scen), b)
+		for j, cfg := range cfgs {
+			rows[i*len(cfgs)+j] = Fig5Row{
+				Scenario:      scen,
+				Config:        cfg,
+				AvgChannelMW:  priced[j].AvgWirelessChannelMW,
+				PlanMeanEPBpJ: wireless.PlanOWN256(cfg, scen).MeanEPBpJ(),
+			}
 		}
 	})
 	return rows
@@ -74,27 +97,28 @@ type Fig6Row struct {
 
 // Figure6 measures total power for CMESH, wireless-CMESH, OptXB, p-Clos
 // and OWN-256 in all four configurations (ideal scenario), at the shared
-// half-saturation uniform load.
-func Figure6(b Budget) []Fig6Row {
-	type job struct {
-		label string
-		sys   System
-	}
-	var jobs []job
-	for _, cfg := range wireless.AllConfigs() {
-		jobs = append(jobs, job{"own-" + cfg.String(), NewSystem("own", 256, cfg, wireless.Ideal)})
-	}
-	for _, name := range []string{"wcmesh", "optxb", "pclos", "cmesh"} {
-		jobs = append(jobs, job{name, NewSystem(name, 256, wireless.Config4, wireless.Ideal)})
-	}
-	rows := make([]Fig6Row, len(jobs))
+// half-saturation uniform load. The four OWN bars are one simulation
+// priced per configuration (ownPerConfig).
+func Figure6(b Budget) []Fig6Row { return figure6(b, NewSystem) }
+
+func figure6(b Budget, newSystem systemFunc) []Fig6Row {
+	cfgs := wireless.AllConfigs()
+	others := []string{"wcmesh", "optxb", "pclos", "cmesh"}
+	rows := make([]Fig6Row, len(cfgs)+len(others))
 	load := midLoad(256, wireless.Ideal)
-	ParallelMap(len(jobs), func(i int) {
-		res := jobs[i].sys.Run(
+	ParallelMap(1+len(others), func(i int) {
+		if i == 0 {
+			for j, res := range ownPerConfig(newSystem("own", 256, cfgs[0], wireless.Ideal), wireless.Ideal, load, b) {
+				rows[j] = Fig6Row{Label: "own-" + cfgs[j].String(), Power: res.Power, Result: res}
+			}
+			return
+		}
+		name := others[i-1]
+		res := newSystem(name, 256, wireless.Config4, wireless.Ideal).Run(
 			fabric.TrafficSpec{Pattern: traffic.Uniform, Rate: load, Seed: b.Seed},
 			fabric.RunSpec{Warmup: b.Warmup, Measure: b.Measure},
 		)
-		rows[i] = Fig6Row{Label: jobs[i].label, Power: res.Power, Result: res}
+		rows[len(cfgs)+i-1] = Fig6Row{Label: name, Power: res.Power, Result: res}
 	})
 	return rows
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"ownsim/internal/traffic"
@@ -180,9 +181,9 @@ func TestSweepLoadsAxis(t *testing.T) {
 	}
 }
 
-// TestBadInputIsAnError pins the CLI validation: the five inputs that
-// used to end in a panic stack are plain errors, and every combination
-// the CLIs accept still passes.
+// TestBadInputIsAnError pins the CLI validation: the inputs that used to
+// end in a panic stack are plain errors, and every combination the CLIs
+// accept still passes.
 func TestBadInputIsAnError(t *testing.T) {
 	for _, tc := range []struct {
 		what string
@@ -193,6 +194,12 @@ func TestBadInputIsAnError(t *testing.T) {
 		{"sweep -topo cmesh -cores 300", CheckSystem("cmesh", 300)},
 		{"sweep -points 1", CheckSweepPoints(1)},
 		{"sweep -points 0 -telemetry 1", CheckSweepPoints(0)},
+		{"ownsim -measure 0", CheckRun(0, 0.004)},
+		{"sweep -measure 0", CheckRun(0, SweepLoads(256, 2)[0])},
+		{"ownsim -load -1", CheckRun(1000, -1)},
+		{"ownsim -load 0", CheckRun(1000, 0)},
+		{"ownsim -load NaN", CheckRun(1000, math.NaN())},
+		{"ownsim -load +Inf", CheckRun(1000, math.Inf(1))},
 	} {
 		if tc.err == nil {
 			t.Errorf("%s: accepted, want an error", tc.what)
@@ -207,5 +214,12 @@ func TestBadInputIsAnError(t *testing.T) {
 	}
 	if err := CheckSweepPoints(2); err != nil {
 		t.Errorf("CheckSweepPoints(2) = %v", err)
+	}
+	// Extreme but legal: one measured cycle, the 2^16-horizon load PR 14
+	// exists for, 256x capacity.
+	for _, load := range []float64{1e-9, 0.004, 2} {
+		if err := CheckRun(1, load); err != nil {
+			t.Errorf("CheckRun(1, %v) = %v", load, err)
+		}
 	}
 }

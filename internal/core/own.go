@@ -82,7 +82,7 @@ type Params struct {
 	Config wireless.Config
 	// Scenario selects the Table III outlook (default Ideal).
 	Scenario wireless.Scenario
-	// Meter receives energy charges; nil disables accounting.
+	// Meter prices the network's event counts; nil disables accounting.
 	Meter *power.Meter
 	// Reconfig activates the plan's reserved reconfiguration channels
 	// (Table III links 13-16, which the paper notes "could adaptively

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 
@@ -22,7 +23,7 @@ type System struct {
 	Name string
 	// Cores is the terminal count.
 	Cores int
-	// Build constructs a fresh network charging the given meter.
+	// Build constructs a fresh network priced by the given meter.
 	Build func(m *power.Meter) *fabric.Network
 	// Policy is the injection VC policy (nil = all VCs).
 	Policy router.VCPolicy
@@ -45,6 +46,21 @@ func CheckSystem(name string, cores int) error {
 	}
 	if cores != 256 && cores != 1024 {
 		return fmt.Errorf("cores must be 256 or 1024, got %d", cores)
+	}
+	return nil
+}
+
+// CheckRun reports whether a run's methodology can be simulated: a
+// measurement window of at least one cycle and a finite, positive offered
+// load (a sweep passes its lowest). The CLIs call it on user input before
+// anything is built; stats.NewCollector and traffic.NewBernoulli keep
+// their panics as the engine invariants.
+func CheckRun(measure uint64, load float64) error {
+	if measure < 1 {
+		return fmt.Errorf("measure must be >= 1 cycle, got %d", measure)
+	}
+	if !(load > 0) || math.IsInf(load, 0) {
+		return fmt.Errorf("load must be finite and > 0, got %v", load)
 	}
 	return nil
 }

@@ -80,10 +80,15 @@ func New(name string, numCores int, meter *power.Meter) *Network {
 }
 
 // AddRouter creates a router, registers it with the engine, and tracks it.
-// The meter is inherited from the network.
+// The meter is inherited from the network and reads the router's grant and
+// VC-allocation counts.
 func (n *Network) AddRouter(cfg router.Config) *router.Router {
 	cfg.Meter = n.Meter
 	r := router.New(cfg)
+	n.Meter.ReadRouter(cfg.NumPorts, func() (grants, vcAllocs uint64) {
+		c := r.Counts()
+		return c.SAGrants, c.VCAllocs
+	})
 	n.Routers = append(n.Routers, r)
 	r.SetWaker(n.Eng.RegisterWakeable(sim.PhaseCompute, r))
 	return r
@@ -98,9 +103,10 @@ type LinkSpec struct {
 	// SerializeCy is the per-flit channel occupancy at the upstream
 	// output port (bisection-bandwidth equalization knob).
 	SerializeCy int
-	// LengthMM, when > 0, charges electrical link energy per flit.
+	// LengthMM, when > 0, prices each flit as an electrical link
+	// traversal of that length.
 	LengthMM float64
-	// Photonic, when true, charges photonic link energy per flit
+	// Photonic, when true, prices each flit as a photonic link traversal
 	// instead (used by the p-Clos inter-switch links).
 	Photonic bool
 }
@@ -116,13 +122,11 @@ func (l LinkSpec) creditDelay() int {
 // router b. Buffer depth (credits) is taken from b's configuration.
 func (n *Network) Connect(a *router.Router, aPort int, b *router.Router, bPort int, spec LinkSpec) *noc.Wire {
 	w := noc.NewWire(a, aPort, b, bPort, spec.Delay, spec.creditDelay())
-	m := n.Meter
 	switch {
 	case spec.Photonic:
-		w.OnFlit = func(*noc.Flit) { m.Photonic() }
+		n.Meter.ReadLink(&w.Delivered, 0)
 	case spec.LengthMM > 0:
-		mm := spec.LengthMM
-		w.OnFlit = func(*noc.Flit) { m.ElecLink(mm) }
+		n.Meter.ReadLink(&w.Delivered, spec.LengthMM)
 	}
 	a.ConnectOutput(aPort, w, b.Cfg.BufDepth, spec.SerializeCy)
 	b.ConnectInput(bPort, w)
@@ -262,10 +266,13 @@ func (n *Network) Run(ts TrafficSpec, rs RunSpec) Result {
 	n.Eng.Run(rs.Warmup + rs.Measure)
 	drained := n.Eng.RunUntil(func() bool { return col.Pending() == 0 }, rs.drain())
 	n.Probe.Flush(n.Eng.Cycle())
-	res := Result{
-		Summary: col.Summary(),
-		Drained: drained,
-	}
+	return n.Priced(Result{Summary: col.Summary(), Drained: drained})
+}
+
+// Priced returns res with its power fields read from the meter over the
+// cycles simulated so far: what Run and RunTrace end with, and what prices
+// a finished run again after Meter.PriceWireless.
+func (n *Network) Priced(res Result) Result {
 	if n.Meter != nil {
 		res.Power = n.Meter.Report(n.Eng.Cycle())
 		res.AvgWirelessChannelMW = float64(n.Meter.WirelessAvgChannelMW(n.Eng.Cycle()))
@@ -311,12 +318,7 @@ func (n *Network) RunTrace(tr *traffic.Trace, pktFlits int, ts TrafficSpec, budg
 	}
 	drained := n.Eng.RunUntil(done, budget)
 	n.Probe.Flush(n.Eng.Cycle())
-	res := Result{Summary: col.Summary(), Drained: drained}
-	if n.Meter != nil {
-		res.Power = n.Meter.Report(n.Eng.Cycle())
-		res.AvgWirelessChannelMW = float64(n.Meter.WirelessAvgChannelMW(n.Eng.Cycle()))
-	}
-	return res
+	return n.Priced(Result{Summary: col.Summary(), Drained: drained})
 }
 
 // CheckInvariants validates every router and the hop bound; tests call it

@@ -81,10 +81,7 @@ func TestPooledRunMatchesUnpooledGenerators(t *testing.T) {
 		}
 		n.Eng.Run(2200)
 		drained := n.Eng.RunUntil(func() bool { return col.Pending() == 0 }, 8000)
-		res := Result{Summary: col.Summary(), Drained: drained}
-		res.Power = n.Meter.Report(n.Eng.Cycle())
-		res.AvgWirelessChannelMW = float64(n.Meter.WirelessAvgChannelMW(n.Eng.Cycle()))
-		return res
+		return n.Priced(Result{Summary: col.Summary(), Drained: drained})
 	}
 	pooled := run(true)
 	unpooled := run(false)

@@ -124,23 +124,22 @@ func (n *Network) registerMetrics(p *probe.Probe) {
 		}
 	}
 
-	// Energy attribution gauges: cumulative picojoule accumulators read
-	// straight from the power meter, one per component plus one per
+	// Energy attribution gauges: the cumulative picojoules of one pricing
+	// read (power.Meter.Energy) each, one per component plus one per
 	// wireless link-distance class. The sampler's cycle-windowed
 	// snapshots turn these into per-window energy series; the registered
 	// set is fixed here because channel class labels are complete once
 	// the topology is built.
 	if m := n.Meter; m != nil {
-		reg.Gauge("energy.buf_write_pj", func() float64 { return float64(m.BufWritePJ) })
-		reg.Gauge("energy.buf_read_pj", func() float64 { return float64(m.BufReadPJ) })
-		reg.Gauge("energy.xbar_pj", func() float64 { return float64(m.XbarPJ) })
-		reg.Gauge("energy.arb_pj", func() float64 { return float64(m.ArbPJ) })
-		reg.Gauge("energy.elec_link_pj", func() float64 { return float64(m.ElecLinkPJ) })
-		reg.Gauge("energy.photonic_pj", func() float64 { return float64(m.PhotonicPJ) })
-		reg.Gauge("energy.wireless_tx_pj", func() float64 { return float64(m.WirelessPJ) })
-		reg.Gauge("energy.wireless_rx_pj", func() float64 { return float64(m.WirelessRxPJ) })
+		reg.Gauge("energy.buf_write_pj", func() float64 { return float64(m.Energy().BufWrite) })
+		reg.Gauge("energy.buf_read_pj", func() float64 { return float64(m.Energy().BufRead) })
+		reg.Gauge("energy.xbar_pj", func() float64 { return float64(m.Energy().Xbar) })
+		reg.Gauge("energy.arb_pj", func() float64 { return float64(m.Energy().Arb) })
+		reg.Gauge("energy.elec_link_pj", func() float64 { return float64(m.Energy().ElecLink) })
+		reg.Gauge("energy.photonic_pj", func() float64 { return float64(m.Energy().Photonic) })
+		reg.Gauge("energy.wireless_tx_pj", func() float64 { return float64(m.Energy().WirelessTx) })
+		reg.Gauge("energy.wireless_rx_pj", func() float64 { return float64(m.Energy().WirelessRx) })
 		for _, class := range m.WirelessClasses() {
-			class := class
 			reg.Gauge("energy.wireless."+class+"_pj", func() float64 {
 				return float64(m.WirelessClassPJ(class))
 			})

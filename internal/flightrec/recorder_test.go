@@ -71,30 +71,6 @@ func TestRecorderNilSafe(t *testing.T) {
 	}
 }
 
-func TestWaitBucketAndLabels(t *testing.T) {
-	cases := []struct {
-		cy   uint64
-		want int
-	}{
-		{0, 0}, {1, 1}, {2, 2}, {3, 2}, {4, 3}, {7, 3}, {8, 4},
-		{1 << 18, NumWaitBuckets - 1}, {1 << 40, NumWaitBuckets - 1},
-	}
-	for _, c := range cases {
-		if got := waitBucket(c.cy); got != c.want {
-			t.Errorf("waitBucket(%d) = %d, want %d", c.cy, got, c.want)
-		}
-	}
-	if BucketLabel(0) != "0" || BucketLabel(1) != "1" {
-		t.Error("low bucket labels wrong")
-	}
-	if got := BucketLabel(2); got != "2-3" {
-		t.Errorf("BucketLabel(2) = %q, want 2-3", got)
-	}
-	if got := BucketLabel(NumWaitBuckets - 1); !strings.HasPrefix(got, ">=") {
-		t.Errorf("last bucket label %q not open-ended", got)
-	}
-}
-
 func TestStallTrackerAggregates(t *testing.T) {
 	st := NewStallTracker(4)
 	ph := st.AddChannel("bus0", "photonic")
@@ -118,11 +94,6 @@ func TestStallTrackerAggregates(t *testing.T) {
 	}
 	if st.TotalWaitCy() != 45 {
 		t.Errorf("TotalWaitCy = %d, want 45", st.TotalWaitCy())
-	}
-
-	hist := st.KindHist(KindPhotonic)
-	if hist[waitBucket(10)] != 1 || hist[waitBucket(30)] != 1 || hist[0] != 1 {
-		t.Errorf("photonic histogram %v misplaced waits", hist)
 	}
 
 	vals := st.TileWaitValues()
@@ -228,9 +199,6 @@ func TestStallTrackerNilSafe(t *testing.T) {
 	}
 	if c, s, m := st.KindTotals(KindPhotonic); c+s+m != 0 {
 		t.Fatal("nil tracker KindTotals must be zero")
-	}
-	if st.KindHist(KindPhotonic) != nil {
-		t.Fatal("nil tracker KindHist must be nil")
 	}
 	if j, _, _, _ := st.ChannelJain(0); j != 1 {
 		t.Fatal("nil tracker ChannelJain must default to fair")

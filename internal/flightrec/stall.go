@@ -3,7 +3,6 @@ package flightrec
 import (
 	"fmt"
 	"io"
-	"math/bits"
 	"strconv"
 
 	"ownsim/internal/stats"
@@ -19,35 +18,6 @@ const (
 )
 
 var kindNames = [NumKinds]string{"photonic", "wireless"}
-
-// NumWaitBuckets is the per-tile token-wait histogram resolution:
-// log2 buckets, bucket b covering waits in [2^(b-1), 2^b) cycles
-// (bucket 0 is exactly zero wait), with the last bucket open-ended.
-const NumWaitBuckets = 20
-
-// waitBucket maps a wait in cycles to its histogram bucket.
-func waitBucket(cy uint64) int {
-	b := bits.Len64(cy)
-	if b >= NumWaitBuckets {
-		b = NumWaitBuckets - 1
-	}
-	return b
-}
-
-// BucketLabel names histogram bucket b ("0", "1", "2-3", "4-7", ...,
-// ">=2^18").
-func BucketLabel(b int) string {
-	switch {
-	case b <= 0:
-		return "0"
-	case b == 1:
-		return "1"
-	case b == NumWaitBuckets-1:
-		return fmt.Sprintf(">=%d", 1<<(NumWaitBuckets-2))
-	default:
-		return fmt.Sprintf("%d-%d", 1<<(b-1), 1<<b-1)
-	}
-}
 
 // chanWait is one channel's per-tile token-wait accumulation.
 type chanWait struct {
@@ -72,9 +42,6 @@ type StallTracker struct {
 	count [NumKinds][]uint64
 	sum   [NumKinds][]uint64
 	max   [NumKinds][]uint64
-	// hist is the per-kind, per-tile log2 wait histogram, row-major:
-	// hist[k][tile*NumWaitBuckets+bucket].
-	hist  [NumKinds][]uint64
 	chans []*chanWait
 }
 
@@ -88,7 +55,6 @@ func NewStallTracker(tiles int) *StallTracker {
 		st.count[k] = make([]uint64, tiles)
 		st.sum[k] = make([]uint64, tiles)
 		st.max[k] = make([]uint64, tiles)
-		st.hist[k] = make([]uint64, tiles*NumWaitBuckets)
 	}
 	return st
 }
@@ -131,7 +97,6 @@ func (st *StallTracker) Observe(ch, tile int, waitCy uint64) {
 	if waitCy > st.max[k][tile] {
 		st.max[k][tile] = waitCy
 	}
-	st.hist[k][tile*NumWaitBuckets+waitBucket(waitCy)]++
 }
 
 // Tiles returns the tile count the tracker was sized for.
@@ -175,21 +140,6 @@ func (st *StallTracker) TotalWaitCy() uint64 {
 		total += sum
 	}
 	return total
-}
-
-// KindHist sums the per-tile histograms of one kind into a single
-// NumWaitBuckets-wide histogram.
-func (st *StallTracker) KindHist(k int) []uint64 {
-	if st == nil || k < 0 || k >= NumKinds {
-		return nil
-	}
-	out := make([]uint64, NumWaitBuckets)
-	for t := 0; t < st.tiles; t++ {
-		for b := 0; b < NumWaitBuckets; b++ {
-			out[b] += st.hist[k][t*NumWaitBuckets+b]
-		}
-	}
-	return out
 }
 
 // ChannelJain computes Jain's fairness index over one channel's

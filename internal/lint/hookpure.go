@@ -23,9 +23,10 @@ var hookBannedPkgs = map[string]bool{
 // simulation have to stay cheap and side-effect free. Two forms are
 // checked, in every package of the deterministic scope: a function
 // literal passed to (*noc.Tap).Subscribe — the one event seam — and a
-// function literal assigned to an On* callback field (OnTransmit,
-// OnFlit, OnAccepted, OnPacket: the model outputs that keep direct
-// calls). Inside such a closure the analyzer flags:
+// function literal assigned to an On* callback field (OnAccepted,
+// OnPacket: the model outputs that keep direct calls; energy needs none,
+// power.Meter reads the components' own counts). Inside such a closure
+// the analyzer flags:
 //
 //   - calls into time, math/rand, math/rand/v2, or os
 //   - allocations: the append/make/new builtins and composite literals
@@ -37,9 +38,10 @@ var hookBannedPkgs = map[string]bool{
 // Observers change their own state through methods (a method body is not
 // the closure's); anything else carries a reasoned //lint:ignore
 // hookpure. The reader functions of probe.Registry (Gauge, CounterFunc)
-// are not hooks: they run per sampling window, off the event path, under
-// the contract written on Registry.Gauge — a reader may settle its
-// owner's lazily kept accounting, never simulated state.
+// and of power.Meter (ReadRouter) are not hooks: they run per sampling
+// window or per report, off the event path, under the contract written on
+// Registry.Gauge — a reader may settle its owner's lazily kept accounting,
+// never simulated state.
 func HookPureAnalyzer() *Analyzer {
 	return &Analyzer{
 		Name: "hookpure",

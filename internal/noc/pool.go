@@ -12,7 +12,7 @@ package noc
 //     place at a time — a source's in-flight slice, a channel queue, or a
 //     router VC buffer — because wormhole switching moves each flit
 //     pointer, never copies it.
-//   - Hooks (Tap subscribers, energy meters, stats collectors) may read a
+//   - Hooks (Tap subscribers, stats collectors) may read a
 //     packet or flit only for the duration of the callback; retaining the
 //     pointer past the callback observes recycled storage.
 //   - Recycle is legal exactly when the tail flit has been consumed by

@@ -25,9 +25,9 @@ type Wire struct {
 	src     CreditReceiver
 	srcPort int
 
-	// OnFlit, when non-nil, observes every delivered flit; the power
-	// meter uses it to charge link-traversal energy.
-	OnFlit func(f *Flit)
+	// Delivered counts the flits handed downstream; the power meter
+	// prices link traversal from it.
+	Delivered uint64
 
 	now     uint64
 	waker   *sim.Waker
@@ -101,9 +101,7 @@ func (w *Wire) Tick(cycle uint64) {
 			break
 		}
 		w.flits.pop()
-		if w.OnFlit != nil {
-			w.OnFlit(tf.v)
-		}
+		w.Delivered++
 		w.dst.ReceiveFlit(w.dstPort, tf.v)
 	}
 	for {

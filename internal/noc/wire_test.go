@@ -101,19 +101,22 @@ func TestWireMinimumDelayClamp(t *testing.T) {
 	}
 }
 
-func TestWireOnFlitHook(t *testing.T) {
+// Delivered counts flits at hand-over, not at Send: it is the count the
+// power meter prices link traversal from.
+func TestWireDeliveredCount(t *testing.T) {
 	var now uint64
 	cap := &captureReceiver{now: &now}
 	w := NewWire(cap, 0, cap, 0, 1, 1)
-	seen := 0
-	w.OnFlit = func(*Flit) { seen++ }
 	w.Tick(0)
 	w.Send(&Flit{})
 	w.Send(&Flit{})
+	if w.Delivered != 0 {
+		t.Fatalf("Delivered = %d before the delivering tick, want 0", w.Delivered)
+	}
 	now = 1
 	w.Tick(1)
-	if seen != 2 {
-		t.Fatalf("OnFlit saw %d flits, want 2", seen)
+	if w.Delivered != 2 {
+		t.Fatalf("Delivered = %d, want 2", w.Delivered)
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 
 	"ownsim/internal/fabric"
 	"ownsim/internal/plot"
+	"ownsim/internal/power"
 	"ownsim/internal/probe"
 )
 
@@ -140,17 +141,13 @@ func EmitHeatmaps(n *fabric.Network, prefix string, man *probe.Manifest) ([]stri
 		{"congestion_heatmap", "_congestion.csv", congestion.WriteCSV},
 		{"congestion_heatmap_svg", "_congestion.svg", svg(congestion)},
 	}
-	if m := n.Meter; m != nil && len(m.WirelessChanPJ) > 0 {
-		labels := make([]string, len(m.WirelessChanPJ))
-		values := make([]float64, len(m.WirelessChanPJ))
-		for i, pj := range m.WirelessChanPJ {
-			class := m.ChannelClass(i)
-			if class == "" {
-				class = "unclassified"
-			}
-			labels[i] = fmt.Sprintf("ch%d/%s", i, class)
-			values[i] = float64(pj)
-		}
+	var labels []string
+	var values []float64
+	n.Meter.EachWirelessChannel(func(id int, class string, pj power.Picojoules) {
+		labels = append(labels, fmt.Sprintf("ch%d/%s", id, class))
+		values = append(values, float64(pj))
+	})
+	if len(labels) > 0 {
 		energy := &plot.Heatmap{
 			Title:  fmt.Sprintf("%s: wireless channel energy (pJ)", n.Name),
 			Labels: labels,

@@ -150,7 +150,7 @@ func TestHeatmapArtifactsByteStable(t *testing.T) {
 	}
 }
 
-// TestEmitHeatmapsWirelessLabels charges two wireless channels (one
+// TestEmitHeatmapsWirelessLabels registers two wireless channels (one
 // classed, one not) and checks the energy heatmap pair appears with
 // class-qualified channel labels.
 func TestEmitHeatmapsWirelessLabels(t *testing.T) {
@@ -161,9 +161,9 @@ func TestEmitHeatmapsWirelessLabels(t *testing.T) {
 		fabric.TrafficSpec{Pattern: traffic.Uniform, Rate: 0.05, PktFlits: 2, Seed: 3},
 		fabric.RunSpec{Warmup: 50, Measure: 200},
 	)
-	m.SetChannelClass(0, "C2C")
-	m.Wireless(0, 1.25)
-	m.Wireless(1, 0.5)
+	one := uint64(1)
+	m.ReadWireless(0, "C2C", 1.25, 0, &one)
+	m.ReadWireless(1, "", 0.5, 0, &one)
 
 	dir := t.TempDir()
 	files, err := EmitHeatmaps(n, dir+"/hm", nil)
@@ -185,7 +185,7 @@ func TestEmitHeatmapsWirelessLabels(t *testing.T) {
 }
 
 // TestEmitHeatmapsSkipsEnergyWithoutWireless checks the wireless-energy
-// heatmap is omitted on a network that never charged a wireless channel.
+// heatmap is omitted on a network with no wireless channel.
 func TestEmitHeatmapsSkipsEnergyWithoutWireless(t *testing.T) {
 	n := obsRing(3, power.NewMeter(nil))
 	n.InstallProbe(probe.New(probe.Options{PerComponent: true}))

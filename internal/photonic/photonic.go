@@ -91,13 +91,12 @@ type PortMap struct {
 }
 
 // BuildCrossbar wires an MWSR crossbar among the given tile routers and
-// registers its channels with the network engine. The network's power
-// meter is charged per transmitted flit.
+// registers its channels with the network engine and their
+// transmitted-flit counts with the network's power meter.
 func BuildCrossbar(n *fabric.Network, name string, routers []*router.Router, pm PortMap, spec CrossbarSpec) *Crossbar {
 	if len(routers) != spec.Tiles {
 		panic(fmt.Sprintf("photonic %s: %d routers for %d tiles", name, len(routers), spec.Tiles))
 	}
-	meter := n.Meter
 	groups := spec.groups()
 	subSer := spec.SerializeCy * len(groups)
 	xb := &Crossbar{Spec: spec, Channels: make([]*sbus.Channel, 0, spec.Tiles*len(groups))}
@@ -116,7 +115,7 @@ func BuildCrossbar(n *fabric.Network, name string, routers []*router.Router, pm 
 		for gi, group := range groups {
 			ch := sbus.NewChannel(fmt.Sprintf("%s/home%d.%d", name, t, gi), subSer, spec.PropCy, spec.TokenHopCy)
 			ch.Kind = "photonic"
-			ch.OnTransmit = func(f *noc.Flit, rx int) { meter.Photonic() }
+			n.Meter.ReadLink(&ch.Transmitted, 0)
 			rx := ch.AddRx(routers[t], rp, spec.NumVCs, spec.BufDepth)
 			for _, vc := range group {
 				rxBy.byVC[vc] = rx

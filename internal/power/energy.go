@@ -4,94 +4,57 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
 
-// Energy attribution: the Meter already accumulates dynamic energy per
-// component; this file breaks those totals down into a deterministic row
-// set — per component and, for the wireless substrate, per link-distance
-// class (C2C/E2E/SR) — that sums exactly to the Breakdown the Meter
-// reports. The rows back the energy.csv artifact and the paper-style
-// breakdown table, and cmd/obscheck re-verifies the sum invariant on the
-// emitted file.
+// Energy attribution: this file breaks one pricing read (Meter.Energy)
+// down into a deterministic row set — per component and, for the wireless
+// substrate, per link-distance class (C2C/E2E/SR) — that sums to the
+// Breakdown the Meter reports. The rows back the energy.csv artifact and
+// the paper-style breakdown table, and cmd/obscheck re-verifies the sum
+// invariant on the emitted file.
 
-// SetChannelClass labels a wireless channel with its link-distance class
-// ("C2C", "E2E", "SR", or any builder-chosen label such as "grid" for
-// the wireless-CMESH mesh links). The wireless builders call it at wiring
-// time; energy charged to the channel via Wireless is then attributable
-// per class. Nil-safe like every Meter method.
-func (m *Meter) SetChannelClass(ch int, class string) {
-	if m == nil || ch < 0 {
-		return
-	}
-	for len(m.chanClass) <= ch {
-		m.chanClass = append(m.chanClass, "")
-	}
-	m.chanClass[ch] = class
-}
-
-// ChannelClass returns the class label of a wireless channel, or "" when
-// the channel was never labelled.
-func (m *Meter) ChannelClass(ch int) string {
-	if m == nil || ch < 0 || ch >= len(m.chanClass) {
-		return ""
-	}
-	return m.chanClass[ch]
-}
-
-// classOf normalizes a channel's label for reporting.
-func (m *Meter) classOf(ch int) string {
-	if c := m.ChannelClass(ch); c != "" {
-		return c
-	}
-	return "unclassified"
-}
-
-// WirelessClasses returns the sorted set of class labels across every
-// channel that was labelled (SetChannelClass) or charged (Wireless), so
-// the set is already complete at network-build time and stable for the
-// whole run (slice iteration only — no map order).
+// WirelessClasses returns the sorted set of class labels of the
+// registered wireless channels (ReadWireless), so the set is complete at
+// network-build time and stable for the whole run.
 func (m *Meter) WirelessClasses() []string {
 	if m == nil {
 		return nil
 	}
-	n := len(m.WirelessChanPJ)
-	if len(m.chanClass) > n {
-		n = len(m.chanClass)
-	}
 	var classes []string
-	for ch := 0; ch < n; ch++ {
-		c := m.classOf(ch)
-		found := false
-		for _, have := range classes {
-			if have == c {
-				found = true
-				break
-			}
-		}
-		if !found {
-			classes = append(classes, c)
+	for _, r := range m.radios {
+		if !slices.Contains(classes, r.class) {
+			classes = append(classes, r.class)
 		}
 	}
-	sort.Strings(classes)
+	slices.Sort(classes)
 	return classes
 }
 
-// WirelessClassPJ sums the per-channel wireless transmit energy of every
-// channel labelled with the given class.
+// WirelessClassPJ sums the transmit energy of every wireless channel
+// registered under the given class.
 func (m *Meter) WirelessClassPJ(class string) Picojoules {
-	if m == nil {
-		return 0
-	}
 	var sum Picojoules
-	for ch, pj := range m.WirelessChanPJ {
-		if m.classOf(ch) == class {
+	m.EachWirelessChannel(func(_ int, c string, pj Picojoules) {
+		if c == class {
 			sum += pj
 		}
-	}
+	})
 	return sum
+}
+
+// EachWirelessChannel calls f with the id, class and transmit energy so
+// far of every registered wireless channel, in registration order.
+func (m *Meter) EachWirelessChannel(f func(id int, class string, pj Picojoules)) {
+	if m == nil {
+		return
+	}
+	for i := range m.radios {
+		r := &m.radios[i]
+		f(r.id, r.class, r.txPJ(float64(m.P.FlitBits)))
+	}
 }
 
 // EnergyRow is one line of the per-component energy attribution.
@@ -115,37 +78,29 @@ type EnergyRow struct {
 // cycles, in a fixed component order (router pipeline, static, links,
 // photonic, wireless per class, wireless RX). The rows' AvgPowerMW sum
 // to Report(cycles).TotalMW up to float summation order, and the
-// wireless_tx rows partition WirelessPJ by channel class (any energy
-// charged without a channel ID lands in an "unattributed" row so the
-// partition is exact). It panics if cycles is zero.
+// wireless_tx rows partition the channels by class, so they and the
+// wireless total are sums of the same per-channel products (a channel
+// registered with a negative id is the "unattributed" class). It panics
+// if cycles is zero.
 func (m *Meter) EnergyRows(cycles uint64) []EnergyRow {
 	if cycles == 0 {
 		panic("power: energy rows over zero cycles")
 	}
 	ns := Nanoseconds(float64(cycles) * m.P.CycleNS())
-	staticMW := m.leakMW + Microwatts(float64(m.ringCount)*m.P.PRingTuneUW).ToMW()
-
+	e := m.Energy()
 	rows := []EnergyRow{
-		{Component: "buffer_write", Class: "-", EnergyPJ: m.BufWritePJ},
-		{Component: "buffer_read", Class: "-", EnergyPJ: m.BufReadPJ},
-		{Component: "crossbar", Class: "-", EnergyPJ: m.XbarPJ},
-		{Component: "arbiter", Class: "-", EnergyPJ: m.ArbPJ},
-		{Component: "static", Class: "-", EnergyPJ: staticMW.TimesNS(ns)},
-		{Component: "elec_link", Class: "-", EnergyPJ: m.ElecLinkPJ},
-		{Component: "photonic", Class: "-", EnergyPJ: m.PhotonicPJ},
+		{Component: "buffer_write", Class: "-", EnergyPJ: e.BufWrite},
+		{Component: "buffer_read", Class: "-", EnergyPJ: e.BufRead},
+		{Component: "crossbar", Class: "-", EnergyPJ: e.Xbar},
+		{Component: "arbiter", Class: "-", EnergyPJ: e.Arb},
+		{Component: "static", Class: "-", EnergyPJ: m.staticMW().TimesNS(ns)},
+		{Component: "elec_link", Class: "-", EnergyPJ: e.ElecLink},
+		{Component: "photonic", Class: "-", EnergyPJ: e.Photonic},
 	}
-	var attributed Picojoules
 	for _, class := range m.WirelessClasses() {
-		pj := m.WirelessClassPJ(class)
-		attributed += pj
-		rows = append(rows, EnergyRow{Component: "wireless_tx", Class: class, EnergyPJ: pj})
+		rows = append(rows, EnergyRow{Component: "wireless_tx", Class: class, EnergyPJ: m.WirelessClassPJ(class)})
 	}
-	// Wireless energy charged with a negative channel ID has no class;
-	// keep the partition exact with a residual row.
-	if resid := m.WirelessPJ - attributed; resid > 1e-9 {
-		rows = append(rows, EnergyRow{Component: "wireless_tx", Class: "unattributed", EnergyPJ: resid})
-	}
-	rows = append(rows, EnergyRow{Component: "wireless_rx_discard", Class: "-", EnergyPJ: m.WirelessRxPJ})
+	rows = append(rows, EnergyRow{Component: "wireless_rx_discard", Class: "-", EnergyPJ: e.WirelessRx})
 
 	var total Milliwatts
 	for i := range rows {

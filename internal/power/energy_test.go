@@ -2,6 +2,7 @@ package power
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 
@@ -17,45 +18,53 @@ func chargedMeter() *Meter {
 	m.RegisterRings(8)
 	for i := 0; i < 3; i++ {
 		m.BufWrite()
-		m.BufRead()
 	}
-	m.Xbar(5)
-	m.SAArb(5)
-	m.VCAArb()
-	m.ElecLink(2.5)
-	m.Photonic()
-	m.SetChannelClass(0, "C2C")
-	m.SetChannelClass(1, "E2E")
-	m.Wireless(0, 1.0)
-	m.Wireless(0, 1.0)
-	m.Wireless(1, 0.5)
-	m.Wireless(2, 0.15) // labelled by nobody -> "unclassified"
-	m.WirelessDiscard()
+	m.ReadRouter(5, grants(3, 1))
+	wire := uint64(1)
+	m.ReadLink(&wire, 2.5)
+	m.ReadLink(flits(1), 0)
+	m.ReadWireless(0, "C2C", 1.0, 0, flits(2))
+	m.ReadWireless(1, "E2E", 0.5, 1, flits(1))
+	m.ReadWireless(2, "", 0.15, 0, flits(1)) // labelled by nobody -> "unclassified"
 	return m
 }
 
+// wirelessTxRows returns the wireless_tx rows' classes and their summed
+// energy.
+func wirelessTxRows(rows []EnergyRow) (classes []string, pj Picojoules) {
+	for _, r := range rows {
+		if r.Component == "wireless_tx" {
+			classes = append(classes, r.Class)
+			pj += r.EnergyPJ
+		}
+	}
+	return classes, pj
+}
+
 // TestEnergyRowsSumToBreakdown is the attribution's core invariant: the
-// rows' average powers must sum to the Breakdown total the Meter already
-// reports, and the wireless rows must partition WirelessPJ exactly.
+// rows' average powers must sum to the Breakdown total the Meter reports,
+// and the wireless_tx rows and the wireless transmit total are sums of the
+// same per-channel products.
 func TestEnergyRowsSumToBreakdown(t *testing.T) {
 	m := chargedMeter()
 	const cycles = 1000
 	rows := m.EnergyRows(cycles)
 
 	var totalMW Milliwatts
-	var wirelessTxPJ Picojoules
 	for _, r := range rows {
 		totalMW += r.AvgPowerMW
-		if r.Component == "wireless_tx" {
-			wirelessTxPJ += r.EnergyPJ
-		}
 	}
 	want := m.Report(cycles).TotalMW()
-	if !stats.ApproxEqual(float64(totalMW), float64(want), 1e-9*float64(want)) {
+	if !stats.ApproxEqual(float64(totalMW), float64(want), 1e-12*float64(want)) {
 		t.Fatalf("rows sum to %.12f mW, Breakdown total is %.12f mW", totalMW, want)
 	}
-	if !stats.ApproxEqual(float64(wirelessTxPJ), float64(m.WirelessPJ), 1e-9) {
-		t.Fatalf("wireless_tx rows sum to %f pJ, meter charged %f pJ", wirelessTxPJ, m.WirelessPJ)
+	var perChannel Picojoules
+	m.EachWirelessChannel(func(_ int, _ string, pj Picojoules) { perChannel += pj })
+	if perChannel != m.Energy().WirelessTx {
+		t.Fatalf("channels sum to %v pJ, wireless total is %v pJ", perChannel, m.Energy().WirelessTx)
+	}
+	if _, tx := wirelessTxRows(rows); !stats.ApproxEqual(float64(tx), float64(perChannel), 1e-12*float64(perChannel)) {
+		t.Fatalf("wireless_tx rows sum to %v pJ, the channels to %v pJ", tx, perChannel)
 	}
 
 	var shares float64
@@ -67,59 +76,55 @@ func TestEnergyRowsSumToBreakdown(t *testing.T) {
 	}
 }
 
+// TestPricingIsAPureRead: a report is a function of the counts and the
+// constants, so asking twice gives the same answer bit for bit, and the
+// answer after the counts moved does not depend on having asked before.
+func TestPricingIsAPureRead(t *testing.T) {
+	asked, fresh := chargedMeter(), chargedMeter()
+	if a, b := asked.Report(1000), asked.Report(1000); a != b {
+		t.Fatalf("two consecutive reports differ:\n%+v\n%+v", a, b)
+	}
+	asked.EnergyRows(1000)
+	for _, m := range []*Meter{asked, fresh} {
+		m.BufWrite()
+		*m.links[0].flits += 41
+	}
+	if a, b := asked.Report(2000), fresh.Report(2000); a != b {
+		t.Fatalf("a report mid-run changed the final one:\n%+v\n%+v", a, b)
+	}
+}
+
 // TestWirelessClassAttribution checks the per-class split: labelled
 // channels fall under their class, unlabelled ones under "unclassified",
-// and the class set is sorted and complete at build time (before any
-// energy is charged).
+// the class set is sorted and complete at build time, and an
+// "unattributed" row appears exactly when a channel was registered with a
+// negative id — decided by registration, not by comparing two floats.
 func TestWirelessClassAttribution(t *testing.T) {
 	m := NewMeter(nil)
-	m.SetChannelClass(0, "C2C")
-	m.SetChannelClass(1, "E2E")
-	m.SetChannelClass(2, "SR")
+	m.ReadWireless(0, "C2C", 1.0, 0, flits(1))
+	m.ReadWireless(1, "E2E", 1.0, 0, flits(0))
+	m.ReadWireless(2, "SR", 1.0, 0, flits(2))
 
-	got := m.WirelessClasses()
 	want := []string{"C2C", "E2E", "SR"}
-	if len(got) != len(want) {
-		t.Fatalf("classes = %v, want %v", got, want)
+	if got := m.WirelessClasses(); !slices.Equal(got, want) {
+		t.Fatalf("classes = %v, want %v (sorted)", got, want)
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("classes = %v, want %v (sorted)", got, want)
-		}
+	if c2c, sr := m.WirelessClassPJ("C2C"), m.WirelessClassPJ("SR"); sr != 2*c2c || c2c == 0 {
+		t.Fatalf("SR transmitted twice as much as C2C but C2C=%f SR=%f", c2c, sr)
 	}
-
-	m.Wireless(0, 1.0)
-	m.Wireless(2, 1.0)
-	m.Wireless(2, 1.0)
-	if c2c, sr := m.WirelessClassPJ("C2C"), m.WirelessClassPJ("SR"); !stats.ApproxEqual(float64(sr), float64(2*c2c), 1e-9) {
-		t.Fatalf("SR charged twice as often as C2C but C2C=%f SR=%f", c2c, sr)
+	if e2e := m.WirelessClassPJ("E2E"); e2e != 0 {
+		t.Fatalf("idle E2E class priced at %f pJ", e2e)
 	}
-	if e2e := m.WirelessClassPJ("E2E"); !stats.ApproxZero(float64(e2e), 0) {
-		t.Fatalf("idle E2E class charged %f pJ", e2e)
+	// Ten million flits at a price with no short binary expansion: the
+	// accumulator engine drifted here and printed a phantom residual row.
+	m.ReadWireless(3, "", 0.7, 0, flits(10_000_000))
+	if got, _ := wirelessTxRows(m.EnergyRows(100)); !slices.Equal(got, []string{"C2C", "E2E", "SR", "unclassified"}) {
+		t.Fatalf("wireless_tx rows %v: want the three classes and unclassified, nothing unattributed", got)
 	}
 
-	// A channel charged without a label lands in "unclassified".
-	m.Wireless(3, 1.0)
-	found := false
-	for _, c := range m.WirelessClasses() {
-		if c == "unclassified" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("unlabelled channel missing from classes %v", m.WirelessClasses())
-	}
-
-	// Energy charged with no channel ID at all becomes the residual row.
-	m.Wireless(-1, 1.0)
-	resid := false
-	for _, r := range m.EnergyRows(100) {
-		if r.Component == "wireless_tx" && r.Class == "unattributed" {
-			resid = true
-		}
-	}
-	if !resid {
-		t.Fatal("channel-less wireless energy produced no unattributed row")
+	m.ReadWireless(-1, "SR", 1.0, 0, flits(1))
+	if got, _ := wirelessTxRows(m.EnergyRows(100)); !slices.Contains(got, "unattributed") {
+		t.Fatalf("wireless_tx rows %v: a channel registered without an id produced no unattributed row", got)
 	}
 }
 

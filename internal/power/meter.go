@@ -5,8 +5,11 @@ import (
 	"strings"
 )
 
-// Meter accumulates dynamic energy (picojoules) and a static-power
-// inventory for one simulated network. All methods are nil-safe so unit
+// Meter prices one simulated network: it holds readers of the event
+// counts the components keep (registered by the builders with their price
+// class), a static-power inventory, and the one count it is handed per
+// event (BufWrite). Nothing is accumulated in floats: every report is
+// count × constant, computed when asked. All methods are nil-safe so unit
 // tests can wire components without a meter. Meters are not safe for
 // concurrent use; each simulated network owns exactly one and the engine
 // is single-threaded (parallelism in this repository is across independent
@@ -14,17 +17,9 @@ import (
 type Meter struct {
 	P *Params
 
-	// Dynamic energy accumulators.
-	BufWritePJ   Picojoules
-	BufReadPJ    Picojoules
-	XbarPJ       Picojoules
-	ArbPJ        Picojoules
-	ElecLinkPJ   Picojoules
-	PhotonicPJ   Picojoules
-	WirelessPJ   Picojoules
-	WirelessRxPJ Picojoules
-
-	// Event counters.
+	// Event counts. NBufWrite is live (BufWrite); the other five are
+	// the components' counts as of the last pricing read (Energy, and
+	// everything built on it).
 	NBufWrite    uint64
 	NBufRead     uint64
 	NXbar        uint64
@@ -32,15 +27,32 @@ type Meter struct {
 	NPhotFlit    uint64
 	NWirelessFlt uint64
 
-	// Per-wireless-channel energy for Figure 5-style reporting.
-	WirelessChanPJ []Picojoules
-	// chanClass labels channels with their link-distance class for
-	// energy attribution; see SetChannelClass.
-	chanClass []string
+	// Readers, in registration order.
+	routers []routerReader
+	links   []linkReader
+	radios  []radioReader
 
 	// Static inventory.
 	leakMW    Milliwatts
 	ringCount int
+}
+
+type routerReader struct {
+	radix int
+	read  func() (grants, vcAllocs uint64)
+}
+
+type linkReader struct {
+	flits *uint64 // a wire's Delivered or a photonic bus's Transmitted
+	mm    float64 // electrical length; 0 prices the flit as photonic
+}
+
+type radioReader struct {
+	id       int
+	class    string
+	epbPJ    float64
+	discards uint64  // non-addressed receivers per transmitted flit
+	flits    *uint64 // the channel's Transmitted
 }
 
 // NewMeter creates a meter over the given parameter table.
@@ -51,93 +63,68 @@ func NewMeter(p *Params) *Meter {
 	return &Meter{P: p}
 }
 
-// BufWrite charges one input-buffer write.
+// BufWrite counts one input-buffer write. It is the one per-event call
+// left, and only because bench/ladder.go steps its router rung until
+// Meter.NBufWrite reaches a target with no pricing read in between; the
+// price is radix-independent, so a network-wide count loses nothing. Once
+// that rung reads Router.Counts(), buffer writes become a router count
+// like the rest and this method and router.Config.Meter can go.
 func (m *Meter) BufWrite() {
-	if m == nil {
-		return
+	if m != nil {
+		m.NBufWrite++
 	}
-	m.BufWritePJ += Picojoules(m.P.EBufWritePJ)
-	m.NBufWrite++
 }
 
-// BufRead charges one input-buffer read.
-func (m *Meter) BufRead() {
-	if m == nil {
-		return
+// ReadRouter registers a router's count reader: switch-allocation grants
+// (each also one buffer read and one crossbar traversal at this radix)
+// and VC allocations.
+func (m *Meter) ReadRouter(radix int, read func() (grants, vcAllocs uint64)) {
+	if m != nil {
+		m.routers = append(m.routers, routerReader{radix, read})
 	}
-	m.BufReadPJ += Picojoules(m.P.EBufReadPJ)
-	m.NBufRead++
 }
 
-// Xbar charges one crossbar traversal through a switch of the given radix.
-func (m *Meter) Xbar(radix int) {
-	if m == nil {
-		return
+// ReadLink registers a link's flit count (a wire's Delivered, a photonic
+// bus's Transmitted), priced per flit as an electrical link of the given
+// length, or as a photonic link when mm is 0.
+func (m *Meter) ReadLink(flits *uint64, mm float64) {
+	if m != nil {
+		m.links = append(m.links, linkReader{flits, mm})
 	}
-	m.XbarPJ += Picojoules(m.P.XbarPJ(radix))
-	m.NXbar++
 }
 
-// SAArb charges one switch-allocation grant.
-func (m *Meter) SAArb(radix int) {
+// ReadWireless registers the transmitted-flit count of wireless channel
+// id at the given transmit energy per bit (which the wireless package
+// derives from the Table III band plan, the configuration and the
+// link-distance factor). class labels the channel for energy attribution
+// ("C2C", "E2E", "SR", or a builder label such as "grid"; "" reports as
+// "unclassified", a negative id as "unattributed"). Each flit also costs
+// the receive-and-discard energy at `discards` non-addressed SWMR
+// receivers.
+func (m *Meter) ReadWireless(id int, class string, epbPJ float64, discards int, flits *uint64) {
 	if m == nil {
 		return
 	}
-	m.ArbPJ += Picojoules(m.P.SAArbPJ(radix))
+	if class == "" {
+		class = "unclassified"
+	}
+	if id < 0 {
+		class = "unattributed"
+	}
+	m.radios = append(m.radios, radioReader{id, class, epbPJ, uint64(discards), flits})
 }
 
-// VCAArb charges one VC-allocation grant.
-func (m *Meter) VCAArb() {
-	if m == nil {
-		return
-	}
-	m.ArbPJ += Picojoules(m.P.EVCAArbPJ)
-}
-
-// ElecLink charges an electrical link traversal of one flit over the given
-// length in millimetres.
-func (m *Meter) ElecLink(mm float64) {
-	if m == nil {
-		return
-	}
-	m.ElecLinkPJ += Picojoules(m.P.EElecPJPerBitMM * float64(m.P.FlitBits) * mm)
-	m.NElecFlit++
-}
-
-// Photonic charges a photonic waveguide traversal of one flit.
-func (m *Meter) Photonic() {
-	if m == nil {
-		return
-	}
-	m.PhotonicPJ += Picojoules(m.P.EPhotonicPJPerBit * float64(m.P.FlitBits))
-	m.NPhotFlit++
-}
-
-// Wireless charges a wireless transmission of one flit on channel ch at
-// the given energy-per-bit (which the wireless package derives from the
-// Table III band plan, the configuration and the link-distance factor).
-func (m *Meter) Wireless(ch int, epbPJ float64) {
-	if m == nil {
-		return
-	}
-	e := Picojoules(epbPJ * float64(m.P.FlitBits))
-	m.WirelessPJ += e
-	m.NWirelessFlt++
-	if ch >= 0 {
-		for len(m.WirelessChanPJ) <= ch {
-			m.WirelessChanPJ = append(m.WirelessChanPJ, 0)
+// PriceWireless re-prices the registered wireless channels: channel id
+// costs epbPJByChannel[id] per bit from now on (ids outside the table keep
+// their price). The Table IV configurations change nothing but this, so
+// one simulation prices all four. Only for plain builds: a reconfigured
+// channel's price is a bonded mean no plan table holds.
+func (m *Meter) PriceWireless(epbPJByChannel []float64) {
+	for i := range m.radios {
+		if r := &m.radios[i]; r.id >= 0 && r.id < len(epbPJByChannel) {
+			r.epbPJ = epbPJByChannel[r.id]
 		}
-		m.WirelessChanPJ[ch] += e
 	}
-}
-
-// WirelessDiscard charges the receive-and-discard cost of one multicast
-// flit at a non-addressed SWMR receiver.
-func (m *Meter) WirelessDiscard() {
-	if m == nil {
-		return
-	}
-	m.WirelessRxPJ += Picojoules(m.P.EWirelessRxDiscardPJPerBit * float64(m.P.FlitBits))
 }
 
 // RegisterRouter adds one router's base + crossbar leakage to the static
@@ -168,6 +155,54 @@ func (m *Meter) RegisterRings(n int) {
 	m.ringCount += n
 }
 
+// Energy is one pricing of the registered counts: dynamic energy so far
+// by component.
+type Energy struct {
+	BufWrite, BufRead, Xbar, Arb, ElecLink, Photonic, WirelessTx, WirelessRx Picojoules
+}
+
+// Energy is the pricing read every report, row, gauge and heatmap goes
+// through: each registered count × its constant, summed in registration
+// order. It changes nothing but the five read-out N* fields.
+func (m *Meter) Energy() Energy {
+	p, bits := m.P, float64(m.P.FlitBits)
+	var e Energy
+	var grantsAll, elec, phot, radio, discarded uint64
+	for _, r := range m.routers {
+		grants, vcAllocs := r.read()
+		grantsAll += grants
+		e.Xbar += Picojoules(float64(grants) * p.XbarPJ(r.radix))
+		e.Arb += Picojoules(float64(grants)*p.SAArbPJ(r.radix) + float64(vcAllocs)*p.EVCAArbPJ)
+	}
+	for _, l := range m.links {
+		if l.mm > 0 {
+			elec += *l.flits
+			e.ElecLink += Picojoules(float64(*l.flits) * (p.EElecPJPerBitMM * bits * l.mm))
+		} else {
+			phot += *l.flits
+		}
+	}
+	for i := range m.radios {
+		r := &m.radios[i]
+		radio += *r.flits
+		discarded += *r.flits * r.discards
+		e.WirelessTx += r.txPJ(bits)
+	}
+	m.NBufRead, m.NXbar, m.NElecFlit, m.NPhotFlit, m.NWirelessFlt = grantsAll, grantsAll, elec, phot, radio
+	e.BufWrite = Picojoules(float64(m.NBufWrite) * p.EBufWritePJ)
+	e.BufRead = Picojoules(float64(grantsAll) * p.EBufReadPJ)
+	e.Photonic = Picojoules(float64(phot) * (p.EPhotonicPJPerBit * bits))
+	e.WirelessRx = Picojoules(float64(discarded) * (p.EWirelessRxDiscardPJPerBit * bits))
+	return e
+}
+
+// txPJ prices the channel's flit count: the per-channel product the
+// wireless total, the class rows, the Figure 5 average and the heatmap
+// are all sums of.
+func (r *radioReader) txPJ(flitBits float64) Picojoules {
+	return Picojoules(float64(*r.flits) * (r.epbPJ * flitBits))
+}
+
 // Breakdown is a power report in milliwatts by category, matching the
 // stacking of the paper's Figure 6.
 type Breakdown struct {
@@ -192,33 +227,36 @@ func (b Breakdown) String() string {
 	return sb.String()
 }
 
-// Report converts accumulated energy over the given number of cycles into
-// average power. It panics if cycles is zero.
+// staticMW is the leakage plus ring-tuning inventory.
+func (m *Meter) staticMW() Milliwatts {
+	return m.leakMW + Microwatts(float64(m.ringCount)*m.P.PRingTuneUW).ToMW()
+}
+
+// Report prices the counts so far and spreads the energy over the given
+// number of cycles as average power. It panics if cycles is zero.
 func (m *Meter) Report(cycles uint64) Breakdown {
 	if cycles == 0 {
 		panic("power: report over zero cycles")
 	}
 	ns := Nanoseconds(float64(cycles) * m.P.CycleNS())
+	e := m.Energy()
 	return Breakdown{
-		RouterDynMW:    (m.BufWritePJ + m.BufReadPJ + m.XbarPJ + m.ArbPJ).OverNS(ns),
-		RouterStaticMW: m.leakMW + Microwatts(float64(m.ringCount)*m.P.PRingTuneUW).ToMW(),
-		ElecLinkMW:     m.ElecLinkPJ.OverNS(ns),
-		PhotonicMW:     m.PhotonicPJ.OverNS(ns),
-		WirelessMW:     (m.WirelessPJ + m.WirelessRxPJ).OverNS(ns),
+		RouterDynMW:    (e.BufWrite + e.BufRead + e.Xbar + e.Arb).OverNS(ns),
+		RouterStaticMW: m.staticMW(),
+		ElecLinkMW:     e.ElecLink.OverNS(ns),
+		PhotonicMW:     e.Photonic.OverNS(ns),
+		WirelessMW:     (e.WirelessTx + e.WirelessRx).OverNS(ns),
 		Cycles:         cycles,
 	}
 }
 
-// WirelessAvgChannelMW returns the mean per-channel wireless link power
-// over the given cycles, the quantity plotted in the paper's Figure 5.
+// WirelessAvgChannelMW returns the mean wireless link power per
+// registered channel over the given cycles, the quantity plotted in the
+// paper's Figure 5.
 func (m *Meter) WirelessAvgChannelMW(cycles uint64) Milliwatts {
-	if m == nil || len(m.WirelessChanPJ) == 0 || cycles == 0 {
+	if m == nil || len(m.radios) == 0 || cycles == 0 {
 		return 0
 	}
 	ns := Nanoseconds(float64(cycles) * m.P.CycleNS())
-	var sum Picojoules
-	for _, pj := range m.WirelessChanPJ {
-		sum += pj
-	}
-	return Milliwatts(float64(sum.OverNS(ns)) / float64(len(m.WirelessChanPJ)))
+	return Milliwatts(float64(m.Energy().WirelessTx.OverNS(ns)) / float64(len(m.radios)))
 }

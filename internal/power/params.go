@@ -1,9 +1,11 @@
 // Package power provides DSENT-class energy accounting for the simulated
 // networks. The paper used DSENT v0.91 at a bulk 45 nm LVT node to cost
 // electrical routers and links; here the same role is played by a table of
-// per-event energies (Params) and an accumulator (Meter) that components
-// charge as flits move. Reports are in milliwatts, computed from the
-// accumulated picojoules over the simulated time.
+// per-event energies (Params) and a Meter that prices the event counts the
+// components keep: the builders register a reader of each count with its
+// price class, and every report is count × constant, computed when asked
+// (Meter.Energy) — never accumulated. Reports are in milliwatts: the priced
+// picojoules over the simulated time.
 //
 // Absolute numbers are model constants, not silicon measurements; the
 // experiments in EXPERIMENTS.md compare *relative* power between
@@ -14,8 +16,8 @@ package power
 // Defaults are chosen to be representative of a 45 nm LVT electrical node
 // with the photonic and wireless figures the paper quotes (photonic links
 // at 1-2 pJ/bit wall-plug; wireless per-channel energies from the Table III
-// band plan, which are charged by the wireless package through
-// Meter.Wireless).
+// band plan, which the wireless package registers per channel through
+// Meter.ReadWireless).
 type Params struct {
 	// FlitBits is the flit width used to convert flit events to bits.
 	FlitBits int

@@ -1,7 +1,7 @@
 package power
 
 // Named unit types for the energy-accounting plane. The repository's
-// headline numbers are physical quantities (picojoule accumulators,
+// headline numbers are physical quantities (picojoule read-outs,
 // milliwatt reports), and before these types existed they flowed through
 // the code as bare float64s — exactly the class of silent unit mix-up
 // (pJ added to mW, energy divided by the wrong time base) that the
@@ -14,10 +14,10 @@ package power
 //
 // The Params table intentionally stays float64: its fields are
 // calibration constants whose unit is part of the field name
-// (EBufWritePJ, PRingTuneUW), and the per-event charge methods convert
-// into the typed accumulators at the single point of entry.
+// (EBufWritePJ, PRingTuneUW), and Meter.Energy — the one place a count
+// meets a constant — converts the products into the typed values.
 
-// Picojoules is dynamic energy, the unit of every Meter accumulator.
+// Picojoules is dynamic energy, the unit of every priced count.
 type Picojoules float64
 
 // Milliwatts is average or static power, the unit of every report.
@@ -44,9 +44,4 @@ func (p Milliwatts) TimesNS(ns Nanoseconds) Picojoules {
 // ToMW converts microwatts to milliwatts.
 func (u Microwatts) ToMW() Milliwatts {
 	return Milliwatts(float64(u) / 1000.0)
-}
-
-// ToUW converts milliwatts to microwatts.
-func (p Milliwatts) ToUW() Microwatts {
-	return Microwatts(float64(p) * 1000.0)
 }

@@ -58,7 +58,7 @@ type Event struct {
 	// Cycle is the simulated time of the event.
 	Cycle uint64
 	// Comp indexes the component (router, source, sink, channel) that
-	// recorded the event; see Tracer.ComponentName.
+	// recorded the event, in the tracer's registration order.
 	Comp int32
 	// Kind is the lifecycle step.
 	Kind EventKind
@@ -142,9 +142,6 @@ func (t *Tracer) Watch(tap *noc.Tap, name string) {
 		t.Emit(e.Cycle, comp, st.step, e.Pkt, [...]int{0, e.A, e.B, e.C}[st.arg])
 	})
 }
-
-// ComponentName returns the name registered for index c.
-func (t *Tracer) ComponentName(c int) string { return t.comps[c] }
 
 // Emit records one event for a sampled packet. Callers are expected to
 // have checked Sampled already.

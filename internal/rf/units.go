@@ -32,8 +32,3 @@ func (p DBm) MinusDB(g Decibels) DBm {
 func (p DBm) ToMW() float64 {
 	return math.Pow(10, float64(p)/10)
 }
-
-// MWToDBm converts linear milliwatts to an absolute level.
-func MWToDBm(mw float64) DBm {
-	return DBm(10 * math.Log10(mw))
-}

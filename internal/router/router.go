@@ -98,15 +98,20 @@ type Config struct {
 	BufDepth int
 	// Route is the routing function.
 	Route RouteFunc
-	// Meter receives energy charges; nil disables accounting.
+	// Meter takes the static inventory at build time and counts buffer
+	// writes (power.Meter.BufWrite says why that one stays a call); nil
+	// disables accounting.
 	Meter *power.Meter
 }
 
 // Counts is a router's cumulative pipeline telemetry. The two stall
 // counts are per candidate per cycle and stay zero until CountStalls.
 type Counts struct {
-	// SAGrants counts switch-allocation grants (flits forwarded).
+	// SAGrants counts switch-allocation grants (flits forwarded: one
+	// buffer read and one crossbar traversal each).
 	SAGrants uint64
+	// VCAllocs counts VC-allocation grants (one per packet per hop).
+	VCAllocs uint64
 	// CreditStall counts SA candidates skipped for lack of downstream
 	// credits.
 	CreditStall uint64
@@ -458,9 +463,6 @@ func (r *Router) switchAllocate() {
 		if f.IsHead() {
 			f.Pkt.Hops++
 		}
-		r.Cfg.Meter.BufRead()
-		r.Cfg.Meter.Xbar(n)
-		r.Cfg.Meter.SAArb(n)
 		r.counts.SAGrants++
 		if r.Tap.Wants(noc.EvSwitch) {
 			r.Tap.Emit(noc.Event{Kind: noc.EvSwitch, Cycle: r.now, Pkt: f.Pkt, Flit: f, A: v.port, B: p, C: v.outVC})
@@ -501,7 +503,7 @@ func (r *Router) vcAllocate() {
 			v.outVC = ovc
 			v.stage = stActive
 			r.moved = true
-			r.Cfg.Meter.VCAArb()
+			r.counts.VCAllocs++
 			if r.Tap.Wants(noc.EvVCAlloc) {
 				r.Tap.Emit(noc.Event{Kind: noc.EvVCAlloc, Cycle: r.now, Pkt: v.front().Pkt, A: v.outPort, B: ovc})
 			}
@@ -644,9 +646,3 @@ func (r *Router) BufferedFlits() int {
 // BufferedHighWater returns the all-time peak of simultaneously
 // buffered flits, for queue-occupancy diagnostics.
 func (r *Router) BufferedHighWater() int { return r.bufHighWater }
-
-// InputConnected reports whether input port p has been connected.
-func (r *Router) InputConnected(p int) bool { return r.in[p] != nil }
-
-// OutputConnected reports whether output port p has been connected.
-func (r *Router) OutputConnected(p int) bool { return r.out[p] != nil }

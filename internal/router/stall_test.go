@@ -229,8 +229,8 @@ func TestStallCountsOffByDefault(t *testing.T) {
 	s := newStallRig(1, 1, 1, false)
 	s.deliver(0, 1, 2)
 	s.runTo(10)
-	if c := s.r.Counts(); c != (Counts{SAGrants: 1}) {
-		t.Fatalf("Counts = %+v, want one grant and no stall", c)
+	if c := s.r.Counts(); c != (Counts{SAGrants: 1, VCAllocs: 1}) {
+		t.Fatalf("Counts = %+v, want one grant, one VC allocation and no stall", c)
 	}
 }
 

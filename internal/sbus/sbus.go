@@ -34,9 +34,6 @@ type Channel struct {
 	// SelectRx maps a packet to the receiver index that must accept it.
 	// Required when there is more than one receiver.
 	SelectRx func(p *noc.Packet) int
-	// OnTransmit observes every transmitted flit together with its
-	// receiver index; energy models hook in here.
-	OnTransmit func(f *noc.Flit, rx int)
 	// Kind labels the physical medium ("photonic", "wireless"); the
 	// builders set it and telemetry/tracing report it.
 	Kind string
@@ -45,13 +42,15 @@ type Channel struct {
 	// and unclassified media. Latency attribution keys transit phases
 	// off it.
 	Class string
+	// Transmitted counts the flits sent; Stats reports it and the power
+	// meter prices transmit energy from it.
+	Transmitted uint64
 	// Tap emits the arbitration events: EvWait when a writer with queued
 	// flits starts waiting for the token, EvGrant when the channel locks
-	// onto a packet, EvFlitTx per serialized flit (with the simulated
-	// cycle, unlike OnTransmit, which energy accounting owns), EvRelease
-	// when the tail flit frees the whole-packet lock, and EvDeliver when
-	// a flit lands in a receiver's input buffer (the only observation
-	// point for delivery-side FIFO order).
+	// onto a packet, EvFlitTx per serialized flit (A is the receiver
+	// index), EvRelease when the tail flit frees the whole-packet lock,
+	// and EvDeliver when a flit lands in a receiver's input buffer (the
+	// only observation point for delivery-side FIFO order).
 	Tap noc.Tap
 
 	writers []*Writer
@@ -75,10 +74,9 @@ type Channel struct {
 	inflight flightQueue
 
 	// Telemetry, exposed through Stats.
-	nTransmitted uint64
-	busyCy       uint64
-	tokenMoves   uint64
-	creditStall  uint64
+	busyCy      uint64
+	tokenMoves  uint64
+	creditStall uint64
 	// qHighWater is the peak totalQueued ever reached (always on: one
 	// compare per push; occupancy high-water diagnostics read it).
 	qHighWater int
@@ -311,7 +309,7 @@ func (c *Channel) transmitLocked(cycle uint64) bool {
 	q.pop()
 	w.queued--
 	c.totalQueued--
-	c.nTransmitted++
+	c.Transmitted++
 	c.busyCy += uint64(c.SerializeCy)
 	rx.credits[f.VC]--
 	if w.src != nil {
@@ -319,9 +317,6 @@ func (c *Channel) transmitLocked(cycle uint64) bool {
 	}
 	c.busyUntil = cycle + uint64(c.SerializeCy)
 	c.inflight.push(flight{at: cycle + uint64(c.SerializeCy) + uint64(c.PropCy), f: f, rx: c.lockedRx})
-	if c.OnTransmit != nil {
-		c.OnTransmit(f, c.lockedRx)
-	}
 	if c.Tap.Wants(noc.EvFlitTx) {
 		c.Tap.Emit(noc.Event{Kind: noc.EvFlitTx, Cycle: cycle, Pkt: f.Pkt, Flit: f, A: c.lockedRx})
 	}
@@ -432,7 +427,7 @@ func (s Stats) Utilization(cycles uint64) float64 {
 func (c *Channel) Stats() Stats {
 	return Stats{
 		Name:          c.Name,
-		Transmitted:   c.nTransmitted,
+		Transmitted:   c.Transmitted,
 		BusyCy:        c.busyCy,
 		TokenMoves:    c.tokenMoves,
 		CreditStallCy: c.creditStall + c.pendingStall(),
@@ -542,7 +537,7 @@ func (c *Channel) Introspect() ChannelIntro {
 		Queued:         c.totalQueued,
 		InFlight:       c.inflight.size,
 		QueueHighWater: c.qHighWater,
-		Transmitted:    c.nTransmitted,
+		Transmitted:    c.Transmitted,
 		BusyCy:         c.busyCy,
 		TokenMoves:     c.tokenMoves,
 		CreditStallCy:  c.creditStall + c.pendingStall(),

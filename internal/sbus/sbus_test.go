@@ -181,12 +181,12 @@ func TestChannelMulticastSelectRx(t *testing.T) {
 	ch.SelectRx = func(p *noc.Packet) int { return p.Dst }
 
 	transmits := 0
-	ch.OnTransmit = func(f *noc.Flit, rx int) {
+	ch.Tap.Subscribe(noc.Mask(noc.EvFlitTx), func(e noc.Event) {
 		transmits++
-		if rx != f.Pkt.Dst {
-			t.Fatalf("OnTransmit rx %d, want %d", rx, f.Pkt.Dst)
+		if e.A != e.Pkt.Dst {
+			t.Fatalf("EvFlitTx rx %d, want %d", e.A, e.Pkt.Dst)
 		}
-	}
+	})
 	sendPacket(w, 1, 1, 0, 2)
 	sendPacket(w, 2, 0, 0, 2)
 	for now = 0; now < 40; now++ {
@@ -195,8 +195,8 @@ func TestChannelMulticastSelectRx(t *testing.T) {
 	if len(rx1.flits) != 2 || len(rx0.flits) != 2 {
 		t.Fatalf("rx0=%d rx1=%d flits, want 2 each", len(rx0.flits), len(rx1.flits))
 	}
-	if transmits != 4 {
-		t.Fatalf("OnTransmit fired %d times, want 4", transmits)
+	if transmits != 4 || ch.Transmitted != 4 {
+		t.Fatalf("EvFlitTx fired %d times, Transmitted = %d, want 4 each", transmits, ch.Transmitted)
 	}
 }
 

@@ -57,7 +57,7 @@ const (
 	// PhaseCompute is when routers and network interfaces run their
 	// pipelines (RC, VCA, SA, ST) and inject new traffic.
 	PhaseCompute
-	// PhaseCollect is when statistics and power meters sample state.
+	// PhaseCollect is when statistics and samplers read state.
 	PhaseCollect
 	numPhases
 )

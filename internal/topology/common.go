@@ -101,7 +101,7 @@ func UniformSaturationLoad(cores int) float64 {
 type Params struct {
 	// Cores is the terminal count: 256 or 1024 in the paper.
 	Cores int
-	// Meter receives energy charges; nil disables accounting.
+	// Meter prices the network's event counts; nil disables accounting.
 	Meter *power.Meter
 	// WirelessBWGbps is the per-channel wireless bandwidth (32 ideal /
 	// 16 conservative); used by wireless-CMESH. Zero means 32.

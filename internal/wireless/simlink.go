@@ -18,8 +18,9 @@ type Endpoint struct {
 type LinkOpts struct {
 	// Name is a debugging label.
 	Name string
-	// ChannelID indexes the power meter's per-channel accounting (the
-	// paper's Figure 5 reports per-channel wireless link power).
+	// ChannelID names the channel in the power meter's per-channel
+	// accounting (the paper's Figure 5 reports per-channel wireless link
+	// power) and indexes Meter.PriceWireless's table.
 	ChannelID int
 	// ClassLabel names the link-distance class for energy attribution
 	// ("C2C", "E2E", "SR", or a builder label like "grid"); empty
@@ -56,10 +57,7 @@ func BuildP2P(n *fabric.Network, tx, rx Endpoint, o LinkOpts) *sbus.Channel {
 	ch := sbus.NewChannel(o.Name, o.SerializeCy, o.PropCy, o.TokenHopCy)
 	ch.Kind = "wireless"
 	ch.Class = o.ClassLabel
-	meter := n.Meter
-	id, epb := o.ChannelID, o.EPBpJ
-	meter.SetChannelClass(id, o.ClassLabel)
-	ch.OnTransmit = func(f *noc.Flit, _ int) { meter.Wireless(id, epb) }
+	n.Meter.ReadWireless(o.ChannelID, o.ClassLabel, o.EPBpJ, 0, &ch.Transmitted)
 	w := ch.AddWriter(tx.Router, tx.Port, o.NumVCs, o.txDepth())
 	w.SetID(tx.Router.Cfg.ID)
 	tx.Router.ConnectOutput(tx.Port, w, o.txDepth(), 1)
@@ -80,16 +78,7 @@ func BuildSWMR(n *fabric.Network, txs, rxs []Endpoint, selectRx func(p *noc.Pack
 	ch := sbus.NewChannel(o.Name, o.SerializeCy, o.PropCy, o.TokenHopCy)
 	ch.Kind = "wireless"
 	ch.Class = o.ClassLabel
-	meter := n.Meter
-	id, epb := o.ChannelID, o.EPBpJ
-	meter.SetChannelClass(id, o.ClassLabel)
-	discards := len(rxs) - 1
-	ch.OnTransmit = func(f *noc.Flit, _ int) {
-		meter.Wireless(id, epb)
-		for i := 0; i < discards; i++ {
-			meter.WirelessDiscard()
-		}
-	}
+	n.Meter.ReadWireless(o.ChannelID, o.ClassLabel, o.EPBpJ, len(rxs)-1, &ch.Transmitted)
 	ch.SelectRx = selectRx
 	for _, tx := range txs {
 		w := ch.AddWriter(tx.Router, tx.Port, o.NumVCs, o.txDepth())

@@ -60,18 +60,21 @@ func TestBuildP2PEndToEnd(t *testing.T) {
 	if ejected != 20 {
 		t.Fatalf("delivered %d packets, want 20", ejected)
 	}
+	// Energy: 80 flits x 0.7 pJ/bit x 128 bits.
+	want := 80.0 * 0.7 * 128
+	if e := m.Energy(); math.Abs(float64(e.WirelessTx)-want) > 1e-6 {
+		t.Fatalf("wireless energy %v pJ, want %v", e.WirelessTx, want)
+	}
 	if m.NWirelessFlt != 80 {
 		t.Fatalf("wireless flits = %d, want 80", m.NWirelessFlt)
 	}
-	// Per-channel accounting at the declared channel id.
-	if len(m.WirelessChanPJ) != 6 || m.WirelessChanPJ[5] <= 0 {
-		t.Fatalf("per-channel energy wrong: %v", m.WirelessChanPJ)
-	}
-	// Energy: 80 flits x 0.7 pJ/bit x 128 bits.
-	want := 80.0 * 0.7 * 128
-	if math.Abs(float64(m.WirelessPJ)-want) > 1e-6 {
-		t.Fatalf("wireless energy %v pJ, want %v", m.WirelessPJ, want)
-	}
+	// Per-channel accounting at the declared channel id: one registered
+	// channel, all of the energy.
+	m.EachWirelessChannel(func(id int, class string, pj power.Picojoules) {
+		if id != 5 || class != "unclassified" || math.Abs(float64(pj)-want) > 1e-6 {
+			t.Fatalf("channel %d/%s priced at %v pJ, want 5/unclassified at %v", id, class, pj, want)
+		}
+	})
 }
 
 func TestBuildP2PSerializationThrottles(t *testing.T) {
@@ -130,9 +133,10 @@ func TestBuildSWMRMulticastDiscardEnergy(t *testing.T) {
 		t.Fatalf("multicast delivery wrong: %v", got)
 	}
 	// Each transmitted flit charges 2 receiver discards (3 RX - 1).
+	e := m.Energy()
 	wantDiscardPJ := float64(m.NWirelessFlt) * 2 * m.P.EWirelessRxDiscardPJPerBit * 128
-	if math.Abs(float64(m.WirelessRxPJ)-wantDiscardPJ) > 1e-9 {
-		t.Fatalf("discard energy %v, want %v", m.WirelessRxPJ, wantDiscardPJ)
+	if m.NWirelessFlt == 0 || math.Abs(float64(e.WirelessRx)-wantDiscardPJ) > 1e-9 {
+		t.Fatalf("discard energy %v for %d flits, want %v", e.WirelessRx, m.NWirelessFlt, wantDiscardPJ)
 	}
 }
 
