@@ -99,9 +99,14 @@ smoke:
 # metamorphic properties), then a seeded checked campaign through both
 # CLIs — every ownsim/sweep point runs under the full invariant set and
 # exits non-zero on any violation. Set CHECK_CAMPAIGN (optionally to an
-# iteration count) to deepen the fuzz loops; the nightly CI job does.
+# iteration count) to deepen the fuzz loops; the nightly CI job does. The
+# differential oracle's third leg runs every workload a second time on a
+# network that already ran something else (fabric.DiffRuns), so the
+# Conformance tests cover network reuse; the second line names that
+# contract: every component's Reset, and runs back to back on one network.
 check:
 	$(GO) test -run Conformance -count=1 ./...
+	$(GO) test -count=1 -run 'Reuse|Reset' ./internal/...
 	$(GO) run ./cmd/ownsim -cores 256 -warmup 300 -measure 1500 -seed 101 -check >/dev/null
 	$(GO) run ./cmd/ownsim -topo pclos -cores 256 -warmup 300 -measure 1500 -seed 102 -check >/dev/null
 	$(GO) run ./cmd/sweep -topo all -cores 256 -points 3 -warmup 300 -measure 1200 -seed 103 -check >/dev/null

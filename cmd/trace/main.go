@@ -14,6 +14,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"os"
 
 	"ownsim/internal/core"
 	"ownsim/internal/fabric"
@@ -36,6 +37,17 @@ func main() {
 	budget := flag.Uint64("budget", 200000, "replay cycle budget")
 	flag.Parse()
 
+	names := core.SystemNames()
+	if *topo != "all" {
+		names = []string{*topo}
+	}
+	for _, name := range names {
+		if err := core.CheckSystem(name, *cores); err != nil {
+			log.Print(err)
+			os.Exit(2)
+		}
+	}
+
 	var tr *traffic.Trace
 	switch *workload {
 	case "stencil":
@@ -54,10 +66,6 @@ func main() {
 		return
 	}
 
-	names := core.SystemNames()
-	if *topo != "all" {
-		names = []string{*topo}
-	}
 	fmt.Printf("workload=%s packets=%d cores=%d\n\n", *workload, len(tr.Entries), *cores)
 	fmt.Printf("%-8s %-10s %-9s %-10s %-12s %-12s\n",
 		"topology", "completed", "cycles", "avgLat", "maxLat", "E/pkt (pJ)")

@@ -123,6 +123,31 @@ func figure6(b Budget, newSystem systemFunc) []Fig6Row {
 	return rows
 }
 
+// runEach builds sys once and runs points 0..n-1 on that one network, in
+// order (Network.Run rewinds it in between): a row group of a figure costs
+// its simulated cycles and one build, and reads what a fresh build per
+// point reads.
+func runEach(sys System, b Budget, n int, point func(j int) fabric.TrafficSpec) []fabric.Result {
+	net := sys.Build(power.NewMeter(nil))
+	out := make([]fabric.Result, n)
+	for j := range out {
+		ts := point(j)
+		ts.Policy, ts.Classify = sys.Policy, sys.Classify
+		out[j] = net.Run(ts, fabric.RunSpec{Warmup: b.Warmup, Measure: b.Measure})
+	}
+	return out
+}
+
+// loadSweep runs pattern on sys across the 256-core load axis, point j
+// with seed b.Seed+j like Sweep, serially on one network (the figures are
+// parallel across systems already).
+func loadSweep(sys System, pattern traffic.Pattern, b Budget) ([]float64, []fabric.Result) {
+	loads := SweepLoads(256, b.Loads)
+	return loads, runEach(sys, b, len(loads), func(j int) fabric.TrafficSpec {
+		return fabric.TrafficSpec{Pattern: pattern, Rate: loads[j], Seed: b.Seed + uint64(j)}
+	})
+}
+
 // Fig7aRow is one bar group of Figure 7(a): saturation throughput per
 // synthetic pattern per architecture at 256 cores.
 type Fig7aRow struct {
@@ -132,30 +157,20 @@ type Fig7aRow struct {
 }
 
 // Figure7a sweeps every paper pattern on every architecture.
-func Figure7a(b Budget) []Fig7aRow {
-	patterns := traffic.AllPaperPatterns()
-	names := SystemNames()
-	rows := make([]Fig7aRow, 0, len(patterns)*len(names))
-	for _, pat := range patterns {
-		for _, name := range names {
+func Figure7a(b Budget) []Fig7aRow { return figure7a(b, NewSystem) }
+
+func figure7a(b Budget, newSystem systemFunc) []Fig7aRow {
+	var rows []Fig7aRow
+	for _, pat := range traffic.AllPaperPatterns() {
+		for _, name := range SystemNames() {
 			rows = append(rows, Fig7aRow{Pattern: pat, SystemName: name})
 		}
 	}
 	ParallelMap(len(rows), func(i int) {
-		sys := NewSystem(rows[i].SystemName, 256, wireless.Config4, wireless.Ideal)
-		// Serialize the inner sweep (we are already parallel here).
-		loads := SweepLoads(256, b.Loads)
-		var best float64
-		for j, l := range loads {
-			res := sys.Run(
-				fabric.TrafficSpec{Pattern: rows[i].Pattern, Rate: l, Seed: b.Seed + uint64(j)},
-				fabric.RunSpec{Warmup: b.Warmup, Measure: b.Measure},
-			)
-			if res.Throughput > best {
-				best = res.Throughput
-			}
+		_, results := loadSweep(newSystem(rows[i].SystemName, 256, wireless.Config4, wireless.Ideal), rows[i].Pattern, b)
+		for _, res := range results {
+			rows[i].Throughput = max(rows[i].Throughput, res.Throughput)
 		}
-		rows[i].Throughput = best
 	})
 	return rows
 }
@@ -175,19 +190,17 @@ type Fig7bcSeries struct {
 // Figure7bc produces the latency-load curves for the given pattern
 // (uniform for 7b, bit reversal for 7c) at 256 cores.
 func Figure7bc(pattern traffic.Pattern, b Budget) []Fig7bcSeries {
+	return figure7bc(pattern, b, NewSystem)
+}
+
+func figure7bc(pattern traffic.Pattern, b Budget, newSystem systemFunc) []Fig7bcSeries {
 	names := SystemNames()
 	series := make([]Fig7bcSeries, len(names))
 	ParallelMap(len(names), func(i int) {
-		sys := NewSystem(names[i], 256, wireless.Config4, wireless.Ideal)
-		pts := make([]stats.CurvePoint, 0, b.Loads)
-		for j, l := range SweepLoads(256, b.Loads) {
-			res := sys.Run(
-				fabric.TrafficSpec{Pattern: pattern, Rate: l, Seed: b.Seed + uint64(j)},
-				fabric.RunSpec{Warmup: b.Warmup, Measure: b.Measure},
-			)
-			pts = append(pts, stats.CurvePoint{
-				Load: l, Latency: res.AvgLatency, Throughput: res.Throughput, Saturated: !res.Drained,
-			})
+		loads, results := loadSweep(newSystem(names[i], 256, wireless.Config4, wireless.Ideal), pattern, b)
+		pts := make([]stats.CurvePoint, len(loads))
+		for j, res := range results {
+			pts[j] = stats.CurvePoint{Load: loads[j], Latency: res.AvgLatency, Throughput: res.Throughput, Saturated: !res.Drained}
 		}
 		series[i] = Fig7bcSeries{
 			SystemName:     names[i],
@@ -212,28 +225,27 @@ type Fig8Row struct {
 }
 
 // Figure8 evaluates the 1024-core architectures on select patterns at a
-// shared sub-saturation load.
-func Figure8(b Budget) []Fig8Row {
+// shared sub-saturation load: one network per architecture runs the three
+// patterns, and the rows come out pattern-major as the figure prints them.
+func Figure8(b Budget) []Fig8Row { return figure8(b, NewSystem) }
+
+func figure8(b Budget, newSystem systemFunc) []Fig8Row {
 	patterns := []traffic.Pattern{traffic.Uniform, traffic.BitReversal, traffic.Transpose}
 	names := SystemNames()
-	rows := make([]Fig8Row, 0, len(patterns)*len(names))
-	for _, pat := range patterns {
-		for _, name := range names {
-			rows = append(rows, Fig8Row{SystemName: name, Pattern: pat})
-		}
-	}
+	rows := make([]Fig8Row, len(patterns)*len(names))
 	// Permutation patterns concentrate load; stay well below uniform
 	// saturation.
 	load := 0.3 * topology.UniformSaturationLoad(1024)
-	ParallelMap(len(rows), func(i int) {
-		sys := NewSystem(rows[i].SystemName, 1024, wireless.Config4, wireless.Ideal)
-		res := sys.Run(
-			fabric.TrafficSpec{Pattern: rows[i].Pattern, Rate: load, Seed: b.Seed},
-			fabric.RunSpec{Warmup: b.Warmup, Measure: b.Measure},
-		)
-		rows[i].Throughput = res.Throughput
-		rows[i].EnergyPerPacketPJ = EnergyPerPacketPJ(res, 1024)
-		rows[i].Power = res.Power
+	ParallelMap(len(names), func(i int) {
+		results := runEach(newSystem(names[i], 1024, wireless.Config4, wireless.Ideal), b, len(patterns), func(j int) fabric.TrafficSpec {
+			return fabric.TrafficSpec{Pattern: patterns[j], Rate: load, Seed: b.Seed}
+		})
+		for j, res := range results {
+			rows[j*len(names)+i] = Fig8Row{
+				SystemName: names[i], Pattern: patterns[j], Throughput: res.Throughput,
+				EnergyPerPacketPJ: EnergyPerPacketPJ(res, 1024), Power: res.Power,
+			}
+		}
 	})
 	return rows
 }

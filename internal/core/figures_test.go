@@ -192,6 +192,8 @@ func TestBadInputIsAnError(t *testing.T) {
 		{"ownsim -cores 300", CheckSystem("own", 300)},
 		{"ownsim -topo foo", CheckSystem("foo", 256)},
 		{"sweep -topo cmesh -cores 300", CheckSystem("cmesh", 300)},
+		{"trace -cores 300 -run", CheckSystem("own", 300)},
+		{"trace -topo mesh -run", CheckSystem("mesh", 256)},
 		{"sweep -points 1", CheckSweepPoints(1)},
 		{"sweep -points 0 -telemetry 1", CheckSweepPoints(0)},
 		{"ownsim -measure 0", CheckRun(0, 0.004)},
@@ -215,8 +217,8 @@ func TestBadInputIsAnError(t *testing.T) {
 	if err := CheckSweepPoints(2); err != nil {
 		t.Errorf("CheckSweepPoints(2) = %v", err)
 	}
-	// Extreme but legal: one measured cycle, the 2^16-horizon load PR 14
-	// exists for, 256x capacity.
+	// Extreme but legal: one measured cycle, a load whose every scan runs
+	// into the look-ahead horizon, 256x capacity.
 	for _, load := range []float64{1e-9, 0.004, 2} {
 		if err := CheckRun(1, load); err != nil {
 			t.Errorf("CheckRun(1, %v) = %v", load, err)

@@ -1,0 +1,128 @@
+package core
+
+import (
+	"sync/atomic"
+	"testing"
+
+	"ownsim/internal/fabric"
+	"ownsim/internal/power"
+	"ownsim/internal/stats"
+	"ownsim/internal/topology"
+	"ownsim/internal/traffic"
+	"ownsim/internal/wireless"
+)
+
+// Four unlike runs back to back on one network — the first cut off past
+// saturation with flits in every buffer — must each read what a fresh
+// build reads, power included and exactly: a rewound network is the built
+// one. fabric.DiffRuns holds one reuse per call against the delivery log;
+// this holds a sequence, on every system, against everything a Result and
+// the engine report.
+func TestReuseFourSpecsOnOneNetworkMatchFreshBuilds(t *testing.T) {
+	if testing.Short() {
+		t.Skip("eighty 256- and 1024-core sims in -short mode")
+	}
+	for _, cores := range []int{256, 1024} {
+		sat := topology.UniformSaturationLoad(cores)
+		specs := []struct {
+			pattern traffic.Pattern
+			load    float64
+			drain   uint64
+		}{
+			{traffic.Uniform, 1.2 * sat, 1},
+			{traffic.Transpose, 0.5 * sat, 0},
+			{traffic.Uniform, 0.1 * sat, 0},
+			{traffic.BitReversal, 0.9 * sat, 0},
+		}
+		for _, name := range SystemNames() {
+			sys := NewSystem(name, cores, wireless.Config4, wireless.Ideal)
+			reused := sys.Build(power.NewMeter(nil))
+			for i, sp := range specs {
+				ts := fabric.TrafficSpec{Pattern: sp.pattern, Rate: sp.load, Seed: uint64(3 + i), Policy: sys.Policy, Classify: sys.Classify}
+				rs := fabric.RunSpec{Warmup: 800, Measure: 2500, DrainBudget: sp.drain}
+				fresh := sys.Build(power.NewMeter(nil))
+				want, got := fresh.Run(ts, rs), reused.Run(ts, rs)
+				if got != want || reused.Eng.Cycle() != fresh.Eng.Cycle() {
+					t.Fatalf("%s-%d, run %d on one network:\n got  %+v %+v after %d cycles\n want %+v %+v after %d cycles",
+						name, cores, i, got, got.Power, reused.Eng.Cycle(), want, want.Power, fresh.Eng.Cycle())
+				}
+				if err := reused.CheckInvariants(); err != nil {
+					t.Fatalf("%s-%d, run %d on one network: %v", name, cores, i, err)
+				}
+				if i == 0 && (want.Drained || reused.BufferedFlits() == 0) {
+					t.Fatalf("%s-%d: the first run left nothing behind: drained %v, %d flits buffered", name, cores, want.Drained, reused.BufferedFlits())
+				}
+			}
+		}
+	}
+}
+
+// A figure builds each network once: one build per row group, counted
+// through the build closure, and the rows are what a fresh build per run
+// gives — core.Sweep and System.Run still make one.
+func TestReuseFiguresBuildEachNetworkOnce(t *testing.T) {
+	b := Budget{Warmup: 100, Measure: 400, Loads: 3, Seed: 7}
+	var builds atomic.Int64
+	counted := countingSystems(&builds)
+	built := func() int64 { return builds.Swap(0) }
+
+	rows7a := figure7a(b, counted)
+	if n := built(); n != 25 || len(rows7a) != 25 {
+		t.Fatalf("Figure7a: %d builds for %d rows, want 25 and 25 (one per pattern and system)", n, len(rows7a))
+	}
+	series := figure7bc(traffic.BitReversal, b, counted)
+	if n := built(); n != 5 {
+		t.Fatalf("Figure7bc: %d builds, want 5 (one per system)", n)
+	}
+	rows8 := figure8(b, counted)
+	if n := built(); n != 5 || len(rows8) != 15 {
+		t.Fatalf("Figure8: %d builds for %d rows, want 5 and 15 (one per system)", n, len(rows8))
+	}
+	// What report.Evaluate runs: Figures 5, 6, 7b and 8.
+	figure5(b, counted)
+	figure6(b, counted)
+	figure7bc(traffic.Uniform, b, counted)
+	figure8(b, counted)
+	if n := built(); n != 17 {
+		t.Fatalf("the evaluation's figures made %d builds, want 17", n)
+	}
+
+	loads := SweepLoads(256, b.Loads)
+	for i, s := range series {
+		sys := NewSystem(s.SystemName, 256, wireless.Config4, wireless.Ideal)
+		pts := Sweep(sys, traffic.BitReversal, loads, b)
+		if len(s.Points) != len(pts) {
+			t.Fatalf("Figure7bc %s: %d points, want %d", s.SystemName, len(s.Points), len(pts))
+		}
+		for j := range pts {
+			if s.Points[j] != pts[j] {
+				t.Errorf("Figure7bc %s point %d: %+v on the shared network, %+v from a fresh build", s.SystemName, j, s.Points[j], pts[j])
+			}
+		}
+		// Figure 7a's rows are pattern-major; bit reversal is one of them.
+		for _, row := range rows7a {
+			if row.Pattern == traffic.BitReversal && row.SystemName == s.SystemName && row.Throughput != stats.SaturationThroughput(pts) {
+				t.Errorf("Figure7a %s: throughput %v, want the sweep's plateau %v", s.SystemName, row.Throughput, stats.SaturationThroughput(pts))
+			}
+		}
+		if SystemNames()[i] != s.SystemName {
+			t.Errorf("Figure7bc series %d is %s: order changed", i, s.SystemName)
+		}
+	}
+	patterns := []traffic.Pattern{traffic.Uniform, traffic.BitReversal, traffic.Transpose}
+	for i, row := range rows8 {
+		name, pat := SystemNames()[i%5], patterns[i/5]
+		if row.SystemName != name || row.Pattern != pat {
+			t.Fatalf("Figure8 row %d is %s/%v, want %s/%v: row order changed", i, row.SystemName, row.Pattern, name, pat)
+		}
+		if i%5 != 1 && i != 7 {
+			continue // fresh OWN-1024 runs for every pattern, and one other system
+		}
+		res := NewSystem(name, 1024, wireless.Config4, wireless.Ideal).Run(
+			fabric.TrafficSpec{Pattern: pat, Rate: 0.3 * topology.UniformSaturationLoad(1024), Seed: b.Seed},
+			fabric.RunSpec{Warmup: b.Warmup, Measure: b.Measure})
+		if row.Throughput != res.Throughput || row.Power != res.Power || row.EnergyPerPacketPJ != EnergyPerPacketPJ(res, 1024) {
+			t.Errorf("Figure8 %s/%v: %+v on the shared network, %+v from a fresh build", name, pat, row, res)
+		}
+	}
+}

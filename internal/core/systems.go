@@ -119,7 +119,8 @@ func NewSystem(name string, cores int, cfg wireless.Config, scen wireless.Scenar
 }
 
 // Run builds a fresh instance of the system and executes one measured
-// simulation.
+// simulation on it. Several runs of one system need one build: a Network
+// runs again (figures.go's runEach).
 func (s System) Run(ts fabric.TrafficSpec, rs fabric.RunSpec) fabric.Result {
 	ts.Policy = s.Policy
 	ts.Classify = s.Classify

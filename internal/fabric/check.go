@@ -155,7 +155,11 @@ func (n *Network) RecordDeliveries() *check.DeliveryLog {
 // through a full-featured network and through a reference-mode rebuild
 // (SetReferenceMode: sequential every-cycle interpretation, no pooling)
 // and compares per-packet delivery order and latency event for event,
-// plus the final Results byte for byte. build must return a freshly
+// plus the final Results byte for byte. A third network runs ts second,
+// after other traffic (another seed, 1.5x the rate) cut off undrained, so
+// the rewind finds flits, locks and pending wakeups everywhere; it must
+// reproduce the fresh run the same way, which is what catches a component
+// field that gained no line in its Reset. build must return a freshly
 // assembled network each call; any divergence is returned as an error
 // naming the first mismatching delivery.
 func DiffRuns(build func() *Network, ts TrafficSpec, rs RunSpec) error {
@@ -168,11 +172,24 @@ func DiffRuns(build func() *Network, ts TrafficSpec, rs RunSpec) error {
 	refLog := ref.RecordDeliveries()
 	refRes := ref.Run(ts, rs)
 
-	if err := check.CompareLogs(fullLog, refLog); err != nil {
-		return err
-	}
-	if fullRes != refRes {
-		return fmt.Errorf("fabric: engine and reference Results diverge:\n  engine:    %+v\n  reference: %+v", fullRes, refRes)
+	reused := build()
+	before, cut := ts, rs
+	before.Seed, before.Rate, cut.DrainBudget = ts.Seed+1, 1.5*ts.Rate, 1
+	reused.Run(before, cut)
+	reusedLog := reused.RecordDeliveries()
+	reusedRes := reused.Run(ts, rs)
+
+	for _, twin := range []struct {
+		name string
+		log  *check.DeliveryLog
+		res  Result
+	}{{"reference", refLog, refRes}, {"reused", reusedLog, reusedRes}} {
+		if err := check.CompareLogs(fullLog, twin.log); err != nil {
+			return fmt.Errorf("%s network: %w", twin.name, err)
+		}
+		if fullRes != twin.res {
+			return fmt.Errorf("fabric: engine and %s Results diverge:\n  engine: %+v\n  %s: %+v", twin.name, fullRes, twin.name, twin.res)
+		}
 	}
 	return nil
 }

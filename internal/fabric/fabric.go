@@ -9,6 +9,7 @@ package fabric
 
 import (
 	"fmt"
+	"reflect"
 	"sort"
 	"strings"
 
@@ -238,12 +239,14 @@ type Result struct {
 	AvgWirelessChannelMW float64
 }
 
-// Run attaches traffic, simulates warmup+measure, drains, and reports.
-// It can be called once per Network instance.
+// Run attaches traffic, simulates warmup+measure, drains, and reports. A
+// network that has run rewinds itself first, so consecutive runs on one
+// network give what a fresh build per run gives, without the builds.
 func (n *Network) Run(ts TrafficSpec, rs RunSpec) Result {
 	if ts.PktFlits == 0 {
 		ts.PktFlits = 5
 	}
+	n.rewind()
 	col := stats.NewCollector(n.NumCores, rs.Warmup, rs.Warmup+rs.Measure)
 	col.SetReservoirCap(rs.ReservoirCap)
 	n.Collector = col
@@ -269,6 +272,31 @@ func (n *Network) Run(ts TrafficSpec, rs RunSpec) Result {
 	return n.Priced(Result{Summary: col.Summary(), Drained: drained})
 }
 
+// rewind takes a network that has run back to the state its builder left:
+// the engine rewinds itself and every registered component (sim.Engine.
+// Reset), the sinks and the meter's one live count follow. Whatever the
+// builder and the caller installed stays — wiring, wakers, taps, reference
+// mode, Meter.PriceWireless prices. Observers keep per-run state nothing
+// rewinds (sampler rows, spans, the recorder ring, the checker's ledgers),
+// so an observed network runs once.
+func (n *Network) rewind() {
+	if n.Collector == nil {
+		return // not run yet
+	}
+	for _, observer := range []any{n.Probe, n.FlightRec, n.Checker} {
+		if !reflect.ValueOf(observer).IsNil() {
+			panic(fmt.Sprintf("fabric %s: cannot run again: %T cannot be reset", n.Name, observer))
+		}
+	}
+	n.Eng.Reset()
+	for _, snk := range n.Sinks {
+		snk.Reset()
+	}
+	if n.Meter != nil {
+		n.Meter.NBufWrite = 0
+	}
+}
+
 // Priced returns res with its power fields read from the meter over the
 // cycles simulated so far: what Run and RunTrace end with, and what prices
 // a finished run again after Meter.PriceWireless.
@@ -292,6 +320,7 @@ func (n *Network) RunTrace(tr *traffic.Trace, pktFlits int, ts TrafficSpec, budg
 	if err := tr.Validate(n.NumCores); err != nil {
 		panic(fmt.Sprintf("fabric: invalid trace for %d-core network: %v", n.NumCores, err))
 	}
+	n.rewind()
 	col := stats.NewCollector(n.NumCores, 0, budget)
 	n.Collector = col
 	gens := tr.PerSource(n.NumCores, pktFlits, ts.Classify)

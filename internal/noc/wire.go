@@ -31,8 +31,8 @@ type Wire struct {
 
 	now     uint64
 	waker   *sim.Waker
-	flits   timedQueue[*Flit]
-	credits timedQueue[int] // returned VC indices
+	flits   TimedQueue[*Flit]
+	credits TimedQueue[int] // returned VC indices
 }
 
 // NewWire creates a wire from an upstream output port (src, srcPort) to a
@@ -62,6 +62,14 @@ func NewWire(src CreditReceiver, srcPort int, dst FlitReceiver, dstPort int, del
 // are empty.
 func (w *Wire) SetWaker(wk *sim.Waker) { w.waker = wk }
 
+// Reset rewinds the wire to what NewWire left: nothing in flight, count
+// and clock at zero. Wiring and the waker stay.
+func (w *Wire) Reset() {
+	w.Delivered, w.now = 0, 0
+	w.flits.Reset()
+	w.credits.Reset()
+}
+
 // clock returns the current cycle: the engine's when a waker is
 // installed (a sleeping wire's own copy goes stale), the last ticked
 // cycle otherwise.
@@ -75,7 +83,7 @@ func (w *Wire) clock() uint64 {
 // Send implements Conduit. It is called during the Compute phase.
 func (w *Wire) Send(f *Flit) {
 	at := w.clock() + uint64(w.Delay)
-	w.flits.push(at, f)
+	w.flits.Push(at, f)
 	if w.waker != nil {
 		w.waker.WakeAt(at)
 	}
@@ -85,7 +93,7 @@ func (w *Wire) Send(f *Flit) {
 // freed slot, and the wire carries the credit back upstream.
 func (w *Wire) ReturnCredit(vc int) {
 	at := w.clock() + uint64(w.CreditDelay)
-	w.credits.push(at, vc)
+	w.credits.Push(at, vc)
 	if w.waker != nil {
 		w.waker.WakeAt(at)
 	}
@@ -96,21 +104,21 @@ func (w *Wire) ReturnCredit(vc int) {
 func (w *Wire) Tick(cycle uint64) {
 	w.now = cycle
 	for {
-		tf, ok := w.flits.peek()
-		if !ok || tf.at > cycle {
+		tf, ok := w.flits.Peek()
+		if !ok || tf.At > cycle {
 			break
 		}
-		w.flits.pop()
+		w.flits.Pop()
 		w.Delivered++
-		w.dst.ReceiveFlit(w.dstPort, tf.v)
+		w.dst.ReceiveFlit(w.dstPort, tf.V)
 	}
 	for {
-		tc, ok := w.credits.peek()
-		if !ok || tc.at > cycle {
+		tc, ok := w.credits.Peek()
+		if !ok || tc.At > cycle {
 			break
 		}
-		w.credits.pop()
-		w.src.ReceiveCredit(w.srcPort, tc.v)
+		w.credits.Pop()
+		w.src.ReceiveCredit(w.srcPort, tc.V)
 	}
 	if w.waker != nil {
 		w.reschedule(cycle)
@@ -123,11 +131,11 @@ func (w *Wire) Tick(cycle uint64) {
 // the awake bit set instead of paying for a calendar round-trip.
 func (w *Wire) reschedule(cycle uint64) {
 	next := uint64(0)
-	if tf, ok := w.flits.peek(); ok {
-		next = tf.at
+	if tf, ok := w.flits.Peek(); ok {
+		next = tf.At
 	}
-	if tc, ok := w.credits.peek(); ok && (next == 0 || tc.at < next) {
-		next = tc.at
+	if tc, ok := w.credits.Peek(); ok && (next == 0 || tc.At < next) {
+		next = tc.At
 	}
 	if next == cycle+1 {
 		return // stay awake
@@ -139,53 +147,4 @@ func (w *Wire) reschedule(cycle uint64) {
 }
 
 // InFlight returns the number of flits currently traversing the wire.
-func (w *Wire) InFlight() int { return w.flits.len() }
-
-// timedQueue is a ring-buffer FIFO of values due at a cycle. Because every
-// entry on a given wire has the same delay, entries are pushed in
-// non-decreasing deadline order and a FIFO suffices (no heap needed).
-type timedQueue[T any] struct {
-	buf        []timed[T]
-	head, size int
-}
-
-type timed[T any] struct {
-	at uint64
-	v  T
-}
-
-func (q *timedQueue[T]) len() int { return q.size }
-
-func (q *timedQueue[T]) push(at uint64, v T) {
-	if q.size == len(q.buf) {
-		q.grow()
-	}
-	q.buf[(q.head+q.size)%len(q.buf)] = timed[T]{at, v}
-	q.size++
-}
-
-func (q *timedQueue[T]) peek() (timed[T], bool) {
-	if q.size == 0 {
-		return timed[T]{}, false
-	}
-	return q.buf[q.head], true
-}
-
-func (q *timedQueue[T]) pop() {
-	q.buf[q.head] = timed[T]{}
-	q.head = (q.head + 1) % len(q.buf)
-	q.size--
-}
-
-func (q *timedQueue[T]) grow() {
-	n := len(q.buf) * 2
-	if n == 0 {
-		n = 8
-	}
-	nb := make([]timed[T], n)
-	for i := 0; i < q.size; i++ {
-		nb[i] = q.buf[(q.head+i)%len(q.buf)]
-	}
-	q.buf = nb
-	q.head = 0
-}
+func (w *Wire) InFlight() int { return w.flits.Len() }

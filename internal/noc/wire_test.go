@@ -140,30 +140,30 @@ func TestWireInFlight(t *testing.T) {
 }
 
 func TestQueueGrowthPreservesOrder(t *testing.T) {
-	var q timedQueue[*Flit]
+	var q TimedQueue[*Flit]
 	// Interleave pushes and pops to force wraparound + growth.
 	next := 0
 	popped := 0
 	for round := 0; round < 10; round++ {
 		for i := 0; i < 7; i++ {
-			q.push(uint64(next), &Flit{Seq: next})
+			q.Push(uint64(next), &Flit{Seq: next})
 			next++
 		}
 		for i := 0; i < 3; i++ {
-			e, ok := q.peek()
-			if !ok || e.v.Seq != popped {
+			e, ok := q.Peek()
+			if !ok || e.V.Seq != popped {
 				t.Fatalf("pop %d: got %v", popped, e)
 			}
-			q.pop()
+			q.Pop()
 			popped++
 		}
 	}
-	for q.len() > 0 {
-		e, _ := q.peek()
-		if e.v.Seq != popped {
+	for q.Len() > 0 {
+		e, _ := q.Peek()
+		if e.V.Seq != popped {
 			t.Fatalf("drain pop %d mismatch", popped)
 		}
-		q.pop()
+		q.Pop()
 		popped++
 	}
 	if popped != next {

@@ -14,6 +14,7 @@ package router
 
 import (
 	"fmt"
+	"slices"
 
 	"ownsim/internal/noc"
 	"ownsim/internal/power"
@@ -140,9 +141,10 @@ type Router struct {
 	saOutPtr []int // per output port: last granted input port
 	vcaPtr   int   // rotating start into the active list for VCA
 
-	// Per-tick scratch, sized NumPorts.
-	inBest  []*vcState
-	outBest []*vcState
+	// Per-tick scratch, sized NumPorts and all nil between ticks: the
+	// stage winners per port, and the output ports that have one.
+	inBest, outBest []*vcState
+	outReq          []int
 
 	outCredits []int      // backing array of every OutputPort.credits
 	outOwner   []*vcState // backing array of every OutputPort.owner
@@ -156,12 +158,10 @@ type Router struct {
 	buffered     int
 	bufHighWater int
 
-	// moved records whether the current tick changed any pipeline state
-	// (a grant, a VC allocation, a route); busyWake is the earliest
-	// busyUntil among the tick's switch candidates that hold a credit
-	// (0 = none). A tick that moved nothing leaves the router stalled:
-	// asleep with its active list intact, see Tick.
-	moved    bool
+	// stalled marks a router asleep with its active list intact because
+	// nothing in it can move (see Tick); busyWake is the earliest busyUntil
+	// among the switch candidates that hold a credit (0 = none), the cycle
+	// such a sleep ends by itself.
 	stalled  bool
 	busyWake uint64
 
@@ -194,6 +194,7 @@ func New(cfg Config) *Router {
 		saOutPtr: make([]int, cfg.NumPorts),
 		inBest:   make([]*vcState, cfg.NumPorts),
 		outBest:  make([]*vcState, cfg.NumPorts),
+		outReq:   make([]int, 0, cfg.NumPorts),
 		// Every output port's credit and owner tables, carved per port by
 		// ConnectOutput.
 		outCredits: make([]int, cfg.NumPorts*cfg.NumVCs),
@@ -247,6 +248,37 @@ func (r *Router) ConnectOutput(p int, down noc.Conduit, creditsPerVC, serializeC
 	r.out[p] = op
 }
 
+// Reset rewinds the router to what New and the Connect calls left: empty
+// buffers, every credit home, no output VC held, arbiters and counts at
+// zero. What was installed since — waker, taps, CountStalls — stays.
+func (r *Router) Reset() {
+	for _, ip := range r.in {
+		if ip == nil {
+			continue
+		}
+		for _, v := range ip.vcs {
+			clear(v.buf)
+			*v = vcState{port: v.port, vc: v.vc, buf: v.buf, outPort: -1, outVC: -1}
+		}
+	}
+	for _, op := range r.out {
+		if op == nil {
+			continue
+		}
+		for vc := range op.credits {
+			op.credits[vc] = op.maxCredits
+		}
+		op.busyUntil = 0
+	}
+	clear(r.outOwner)
+	clear(r.active)
+	r.active = r.active[:0]
+	clear(r.saInPtr)
+	clear(r.saOutPtr)
+	r.vcaPtr, r.buffered, r.bufHighWater = 0, 0, 0
+	r.stalled, r.busyWake, r.counts, r.now = false, 0, Counts{}, 0
+}
+
 // ReceiveFlit implements noc.FlitReceiver: a channel delivers a flit into
 // input buffer (port, f.VC).
 func (r *Router) ReceiveFlit(port int, f *noc.Flit) {
@@ -294,11 +326,12 @@ func (r *Router) ReceiveCredit(port, vc int) {
 
 // SetWaker installs the router's scheduling handle (from
 // sim.Engine.RegisterWakeable). The router sleeps when its active list
-// is empty, woken by flit arrivals, and when a tick moved nothing
-// (stalled), woken by a flit landing in a VC outside the active list, by
-// the credit a blocked VC waits for, or at the busyUntil of a blocked
-// output; see Tick. Observed or not: the counts a probe reads are settled
-// by interval (catchUp), so no reader keeps the router awake.
+// is empty, woken by flit arrivals, and when nothing in the list can move
+// on the next cycle (stalled), woken by a flit landing in a VC outside
+// the active list, by the credit a blocked VC waits for, or at the
+// busyUntil of a blocked output; see Tick. Observed or not: the counts a
+// probe reads are settled by interval (catchUp), so no reader keeps the
+// router awake.
 func (r *Router) SetWaker(w *sim.Waker) { r.waker = w }
 
 // CountStalls switches on the two stall counts of Counts; call it before
@@ -366,23 +399,24 @@ func (r *Router) catchUp(upTo uint64) {
 // Tick implements sim.Ticker. Stages run in reverse pipeline order so that
 // each stage costs one cycle.
 //
-// A tick in which no stage changed state stalls the router: every VC in
-// the active list is blocked, and no later tick can differ until a flit
-// lands in a VC outside the list, a blocked VC's credit arrives, or a
-// blocked output's busyUntil passes (output VCs free only on this
-// router's own tail grants, routes are computed in the tick that finds
-// the head, a flit queued behind a blocked front changes nothing). So the
-// router sleeps until one of the three, and on waking catchUp makes up
-// for the ticks it skipped — vcaPtr, the one thing a no-op tick does
-// change, and the stall counts such ticks would have taken — which keeps
-// schedule and counts bit-exact against per-cycle ticking.
+// A tick after which nothing in the active list can move on the next cycle
+// stalls the router: every listed VC is blocked, and no later tick can
+// differ until a flit lands in a VC outside the list, a blocked VC's
+// credit arrives, or a blocked output's busyUntil passes (output VCs free
+// only on this router's own tail grants, routes are computed in the tick
+// that finds the head, a flit queued behind a blocked front changes
+// nothing). So the router sleeps until one of the three — whether this
+// tick moved something or not, so a grant is not followed by a tick that
+// only finds out — and on waking catchUp makes up for the ticks it
+// skipped: vcaPtr, the one thing a no-op tick does change, and the stall
+// counts such ticks would have taken. That keeps schedule and counts
+// bit-exact against per-cycle ticking.
 func (r *Router) Tick(cycle uint64) {
 	if r.stalled {
 		r.catchUp(cycle)
 		r.stalled = false
 	}
 	r.now = cycle
-	r.moved = false
 	if len(r.active) > 0 {
 		r.switchAllocate()
 		r.vcAllocate()
@@ -394,7 +428,7 @@ func (r *Router) Tick(cycle uint64) {
 	}
 	if len(r.active) == 0 {
 		r.waker.Sleep()
-	} else if !r.moved && !r.waker.SleepDisabled() {
+	} else if !r.waker.SleepDisabled() && !r.canMoveNext() {
 		r.stalled = true
 		r.waker.Sleep()
 		if r.busyWake != 0 {
@@ -403,16 +437,43 @@ func (r *Router) Tick(cycle uint64) {
 	}
 }
 
-// switchAllocate runs the two-stage separable allocator and performs
-// switch traversal for the winners.
-func (r *Router) switchAllocate() {
-	n := r.Cfg.NumPorts
-	// Stage 1: per input port, round-robin over its VCs.
-	for i := range r.inBest {
-		r.inBest[i] = nil
-		r.outBest[i] = nil
-	}
+// canMoveNext reports whether the tick of cycle now+1 can change pipeline
+// state, given what the active list (compacted: every VC in it holds a
+// flit) looks like after this one: an idle VC's head is routed, a waiting
+// VC is allocated a free output VC it may use, an active VC is granted an
+// output that is free by then and has a credit. When none can it leaves
+// busyWake for the sleep that follows.
+func (r *Router) canMoveNext() bool {
 	r.busyWake = 0
+	for _, v := range r.active {
+		if v.stage == stIdle {
+			return true
+		}
+		op := r.out[v.outPort]
+		if v.stage == stWaitVCA {
+			for ovc, own := range op.owner {
+				if own == nil && v.vcMask&(1<<uint(ovc)) != 0 {
+					return true
+				}
+			}
+		} else if op.credits[v.outVC] > 0 {
+			if op.busyUntil <= r.now+1 {
+				return true
+			}
+			if r.busyWake == 0 || op.busyUntil < r.busyWake {
+				r.busyWake = op.busyUntil
+			}
+		}
+	}
+	return false
+}
+
+// switchAllocate runs the two-stage separable allocator and performs
+// switch traversal for the winners. Its work is per candidate: the stages
+// walk the ports that have a winner, not all of them, and clear the
+// scratch as they consume it.
+func (r *Router) switchAllocate() {
+	// Stage 1: per input port, round-robin over its VCs.
 	for _, v := range r.active {
 		if v.stage != stActive || v.size == 0 {
 			continue
@@ -421,9 +482,6 @@ func (r *Router) switchAllocate() {
 		if op.busyUntil > r.now {
 			if r.countStalls {
 				r.counts.BusyStall++
-			}
-			if op.credits[v.outVC] > 0 && (r.busyWake == 0 || op.busyUntil < r.busyWake) {
-				r.busyWake = op.busyUntil
 			}
 			continue
 		}
@@ -438,25 +496,29 @@ func (r *Router) switchAllocate() {
 			r.inBest[v.port] = v
 		}
 	}
-	// Stage 2: per output port, round-robin over requesting input ports.
-	for p := 0; p < n; p++ {
-		v := r.inBest[p]
-		if v == nil {
+	// Stage 2: per output port, round-robin over the input ports' winners,
+	// found in the active list again (any order: rrBefore is a total order
+	// on distinct ports).
+	for _, v := range r.active {
+		if r.inBest[v.port] != v {
 			continue
 		}
+		r.inBest[v.port] = nil
 		cur := r.outBest[v.outPort]
-		if cur == nil || rrBefore(r.saOutPtr[v.outPort], v.port, cur.port, n) {
+		if cur == nil {
+			r.outReq = append(r.outReq, v.outPort)
+		}
+		if cur == nil || rrBefore(r.saOutPtr[v.outPort], v.port, cur.port, r.Cfg.NumPorts) {
 			r.outBest[v.outPort] = v
 		}
 	}
-	// Grant: traverse the switch.
-	for p := 0; p < n; p++ {
+	// Grant: traverse the switch, by ascending output port — the order
+	// EvSwitch, Send and ReturnCredit go out in.
+	slices.Sort(r.outReq)
+	for _, p := range r.outReq {
 		v := r.outBest[p]
-		if v == nil {
-			continue
-		}
+		r.outBest[p] = nil
 		op := r.out[p]
-		r.moved = true
 		f := v.pop()
 		r.buffered--
 		f.VC = v.outVC
@@ -479,6 +541,7 @@ func (r *Router) switchAllocate() {
 			v.outPort, v.outVC = -1, -1
 		}
 	}
+	r.outReq = r.outReq[:0]
 }
 
 // vcAllocate grants free output VCs to input VCs in WaitVCA, starting from
@@ -502,7 +565,6 @@ func (r *Router) vcAllocate() {
 			op.owner[ovc] = v
 			v.outVC = ovc
 			v.stage = stActive
-			r.moved = true
 			r.counts.VCAllocs++
 			if r.Tap.Wants(noc.EvVCAlloc) {
 				r.Tap.Emit(noc.Event{Kind: noc.EvVCAlloc, Cycle: r.now, Pkt: v.front().Pkt, A: v.outPort, B: ovc})
@@ -535,7 +597,6 @@ func (r *Router) routeCompute() {
 		v.outPort = outPort
 		v.vcMask = mask
 		v.stage = stWaitVCA
-		r.moved = true
 		if r.Tap.Wants(noc.EvRoute) {
 			r.Tap.Emit(noc.Event{Kind: noc.EvRoute, Cycle: r.now, Pkt: f.Pkt, A: v.port, B: outPort, C: int(mask)})
 		}

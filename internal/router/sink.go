@@ -44,6 +44,12 @@ func (s *Sink) SetUpstream(u noc.CreditReturner) { s.upstream = u }
 // react to ReceiveFlit.
 func (s *Sink) SetClock(e *sim.Engine) { s.eng = e }
 
+// Reset rewinds the sink to what NewSink left; wiring and the tap stay.
+func (s *Sink) Reset() {
+	clear(s.expected)
+	s.Ejected = 0
+}
+
 // ReceiveFlit implements noc.FlitReceiver.
 func (s *Sink) ReceiveFlit(_ int, f *noc.Flit) {
 	p := f.Pkt

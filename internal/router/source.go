@@ -70,9 +70,10 @@ type Source struct {
 	// are identical either way (pool-safety tests pin this).
 	NoPool bool
 
-	out     noc.Conduit
-	numVCs  int
-	credits []int
+	out        noc.Conduit
+	numVCs     int
+	credits    []int
+	maxCredits int
 
 	pool      noc.Pool
 	waker     *sim.Waker
@@ -95,17 +96,31 @@ type Source struct {
 // downstream input buffer.
 func NewSource(coreID int, out noc.Conduit, numVCs, creditsPerVC int) *Source {
 	s := &Source{
-		CoreID:   coreID,
-		MaxQueue: 1024,
-		out:      out,
-		numVCs:   numVCs,
-		credits:  make([]int, numVCs),
-		curVC:    -1,
+		CoreID:     coreID,
+		MaxQueue:   1024,
+		out:        out,
+		numVCs:     numVCs,
+		credits:    make([]int, numVCs),
+		maxCredits: creditsPerVC,
 	}
-	for i := range s.credits {
-		s.credits[i] = creditsPerVC
-	}
+	s.Reset()
 	return s
+}
+
+// Reset rewinds the source to what NewSource left: no generator, nothing
+// queued or in flight, every credit home, counters at zero and an empty
+// packet pool (a freelist kept across runs saves 15 k of 1.1 M allocations
+// in an evaluation). Wiring, taps and the waker stay.
+func (s *Source) Reset() {
+	s.Gen, s.nextWaker = nil, nil
+	for i := range s.credits {
+		s.credits[i] = s.maxCredits
+	}
+	s.pool = noc.Pool{Tap: s.pool.Tap}
+	clear(s.queue.buf)
+	s.queue = pktQueue{buf: s.queue.buf}
+	s.inflight, s.nextFlit, s.curVC, s.rrVC = nil, 0, -1, 0
+	s.Generated, s.Injected, s.Dropped = 0, 0, 0
 }
 
 // SetConduit installs the outgoing channel after construction; sources and

@@ -72,8 +72,9 @@ func (s *stallRig) mustBeConsistent(t *testing.T) {
 	}
 }
 
-// RC, VCA and SA take ticks 0..2; tick 3 finds the body flit without a
-// credit, moves nothing, and the router sleeps until the credit lands.
+// RC, VCA and SA take ticks 0..2; the grant of tick 2 takes the only
+// credit, so that tick already knows the body cannot follow on cycle 3 and
+// the router sleeps until the credit lands.
 func TestStalledRouterWakesOnTheCredit(t *testing.T) {
 	s := newStallRig(1, 1, 1, false)
 	s.deliver(0, 1, 2)
@@ -82,7 +83,7 @@ func TestStalledRouterWakesOnTheCredit(t *testing.T) {
 	s.r.ReceiveCredit(s.out, 0)
 	s.mustBeConsistent(t) // the credit woke it
 	s.runTo(20)
-	if want := []uint64{0, 1, 2, 3, 10}; !reflect.DeepEqual(s.ticks, want) {
+	if want := []uint64{0, 1, 2, 10}; !reflect.DeepEqual(s.ticks, want) {
 		t.Fatalf("router ticked on %v, want %v", s.ticks, want)
 	}
 	if want := []sentFlit{{2, 1, 0}, {10, 1, 1}}; !reflect.DeepEqual(s.sent, want) {
@@ -90,19 +91,86 @@ func TestStalledRouterWakesOnTheCredit(t *testing.T) {
 	}
 }
 
-// The head's grant at tick 2 holds the output until cycle 7; tick 3 finds
-// the body busy-blocked with a credit in hand and sleeps until exactly 7.
+// The head's grant at tick 2 holds the output until cycle 7; the body has
+// a credit in hand, so the router sleeps from that tick until exactly 7.
 func TestStalledRouterWakesAtBusyUntil(t *testing.T) {
 	s := newStallRig(1, 4, 5, false)
 	s.deliver(0, 1, 2)
 	s.runTo(5)
 	s.mustBeConsistent(t)
 	s.runTo(20)
-	if want := []uint64{0, 1, 2, 3, 7}; !reflect.DeepEqual(s.ticks, want) {
+	if want := []uint64{0, 1, 2, 7}; !reflect.DeepEqual(s.ticks, want) {
 		t.Fatalf("router ticked on %v, want %v", s.ticks, want)
 	}
 	if want := []sentFlit{{2, 1, 0}, {7, 1, 1}}; !reflect.DeepEqual(s.sent, want) {
 		t.Fatalf("forwarded %v, want %v", s.sent, want)
+	}
+}
+
+// A tick that moved something sleeps only if the next one cannot. Each
+// case leaves exactly one reason to stay awake after a grant, and a router
+// that slept anyway would never wake: nothing external is coming.
+func TestRouterStaysAwakeWhileTheNextTickCanMove(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		nIn       int
+		deliver   func(*stallRig)
+		wantTicks []uint64
+		wantSent  []sentFlit
+	}{
+		// Packet 2's head sits behind packet 1's tail in one VC: the tick
+		// that grants the tail routes the head, which then waits for an
+		// output VC that is free.
+		{"fresh route finds a free output VC", 1,
+			func(s *stallRig) { s.deliver(0, 1, 1); s.deliver(0, 2, 1) },
+			[]uint64{0, 1, 2, 3, 4}, []sentFlit{{2, 1, 0}, {4, 2, 0}}},
+		// Two packets want the one output VC: the tick that grants the
+		// winner's tail hands the VC to the other, a candidate next tick.
+		{"freed output VC goes to the waiting packet", 2,
+			func(s *stallRig) { s.deliver(0, 1, 1); s.deliver(1, 2, 1) },
+			[]uint64{0, 1, 2, 3}, []sentFlit{{2, 2, 0}, {3, 1, 0}}},
+		// The body has a credit and the output is free again on cycle 3.
+		{"active VC has output and credit", 1,
+			func(s *stallRig) { s.deliver(0, 1, 2) },
+			[]uint64{0, 1, 2, 3}, []sentFlit{{2, 1, 0}, {3, 1, 1}}},
+	} {
+		s := newStallRig(tc.nIn, 4, 1, false)
+		tc.deliver(s)
+		s.runTo(20)
+		s.mustBeConsistent(t)
+		if !reflect.DeepEqual(s.ticks, tc.wantTicks) || !reflect.DeepEqual(s.sent, tc.wantSent) {
+			t.Errorf("%s: ticked on %v, forwarded %v; want %v and %v", tc.name, s.ticks, s.sent, tc.wantTicks, tc.wantSent)
+		}
+	}
+}
+
+// A radix-70 router granting outputs 65, 3 and 40 in one tick, found in
+// that order, emits the grants by ascending output port, and the
+// allocator's per-port scratch is back to all-nil after every tick: it is
+// cleared as it is consumed, never swept.
+func TestSwitchGrantsGoOutInOutputPortOrder(t *testing.T) {
+	r := New(Config{NumPorts: 70, NumVCs: 1, BufDepth: 4,
+		Route: func(p *noc.Packet, _ int) (int, uint32) { return p.Dst, 1 }})
+	var granted []int
+	r.Tap.Subscribe(noc.Mask(noc.EvSwitch), func(e noc.Event) { granted = append(granted, e.B) })
+	for in, out := range []int{65, 3, 40} {
+		r.ConnectInput(in, noc.NullCreditReturner{})
+		r.ConnectOutput(out, &stallRig{eng: sim.NewEngine()}, 4, 1)
+		r.ReceiveFlit(in, noc.MakeFlits(&noc.Packet{ID: uint64(in + 1), Dst: out, NumFlits: 1})[0])
+	}
+	for c := uint64(0); c < 4; c++ {
+		r.Tick(c)
+		for p := range r.inBest {
+			if r.inBest[p] != nil || r.outBest[p] != nil {
+				t.Fatalf("after tick %d: allocator scratch of port %d is not nil", c, p)
+			}
+		}
+		if len(r.outReq) != 0 {
+			t.Fatalf("after tick %d: request list %v is not empty", c, r.outReq)
+		}
+	}
+	if want := []int{3, 40, 65}; !reflect.DeepEqual(granted, want) || r.Counts().SAGrants != 3 {
+		t.Fatalf("grants went out on outputs %v, want %v", granted, want)
 	}
 }
 
@@ -191,6 +259,10 @@ func TestStallCountsMatchPerCycleTickingWheneverRead(t *testing.T) {
 		}},
 		credit(20), credit(21), credit(30), credit(31),
 	}
+	// grant: every tick that grants knows the next one cannot — the
+	// output stays busy for three cycles, then the credits are gone — so
+	// each stall is slept from the tick of the grant on.
+	grant := []step{{0, func(s *stallRig) { s.deliver(0, 1, 3) }}, credit(20)}
 	for _, tc := range []struct {
 		name                      string
 		nIn, credits, serializeCy int
@@ -199,6 +271,7 @@ func TestStallCountsMatchPerCycleTickingWheneverRead(t *testing.T) {
 	}{
 		{"contend", 3, 3, 4, contendScript, 6},
 		{"gap", 2, 1, 3, gap, 4},
+		{"grant", 1, 2, 3, grant, 3},
 	} {
 		for _, readEvery := range []uint64{1, 7, 60} {
 			ref, want := play(tc.nIn, tc.credits, tc.serializeCy, tc.script, 60, true, readEvery)

@@ -71,7 +71,7 @@ type Channel struct {
 	// then are charged at the next tick.
 	stalledAt uint64
 
-	inflight flightQueue
+	inflight noc.TimedQueue[flight]
 
 	// Telemetry, exposed through Stats.
 	busyCy      uint64
@@ -98,6 +98,29 @@ func NewChannel(name string, serializeCy, propCy, tokenHopCy int) *Channel {
 		TokenHopCy:  tokenHopCy,
 		lockedW:     -1,
 	}
+}
+
+// Reset rewinds the channel, its writers and its receivers to what
+// NewChannel, AddWriter and AddRx left: queues and medium empty, token at
+// writer 0, no lock, every credit home, telemetry at zero. Labels,
+// wiring, the tap and the waker stay.
+func (c *Channel) Reset() {
+	for _, w := range c.writers {
+		for i, q := range w.queues {
+			clear(q.buf)
+			w.queues[i] = flitFIFO{buf: q.buf}
+		}
+		w.rrVC, w.queued = 0, 0
+	}
+	for _, r := range c.rxs {
+		for i := range r.credits {
+			r.credits[i] = r.maxCred
+		}
+	}
+	c.inflight.Reset()
+	c.token, c.lockedW, c.lockedVC, c.lockedRx = 0, -1, 0, 0
+	c.busyUntil, c.totalQueued, c.stalledAt, c.qHighWater = 0, 0, 0, 0
+	c.Transmitted, c.busyCy, c.tokenMoves, c.creditStall = 0, 0, 0, 0
 }
 
 // Writer is one transmit port on the channel; it implements noc.Conduit
@@ -206,8 +229,8 @@ func (r *Rx) ReturnCredit(vc int) {
 	}
 }
 
+// flight is a flit on the medium, bound for receiver rx.
 type flight struct {
-	at uint64
 	f  *noc.Flit
 	rx int
 }
@@ -236,11 +259,12 @@ func (c *Channel) Tick(cycle uint64) {
 // credit.
 func (c *Channel) tick(cycle uint64) (blocked bool) {
 	for {
-		fl, ok := c.inflight.peek()
-		if !ok || fl.at > cycle {
+		due, ok := c.inflight.Peek()
+		if !ok || due.At > cycle {
 			break
 		}
-		c.inflight.pop()
+		c.inflight.Pop()
+		fl := due.V
 		if c.Tap.Wants(noc.EvDeliver) {
 			c.Tap.Emit(noc.Event{Kind: noc.EvDeliver, Cycle: cycle, Pkt: fl.f.Pkt, Flit: fl.f, A: fl.rx})
 		}
@@ -272,8 +296,8 @@ func (c *Channel) reschedule(cycle uint64, blocked bool) {
 			next = c.busyUntil
 		}
 	}
-	if fl, ok := c.inflight.peek(); ok && (next == 0 || fl.at < next) {
-		next = fl.at
+	if fl, ok := c.inflight.Peek(); ok && (next == 0 || fl.At < next) {
+		next = fl.At
 	}
 	if next == cycle+1 {
 		return // stay awake
@@ -316,7 +340,7 @@ func (c *Channel) transmitLocked(cycle uint64) bool {
 		w.src.ReceiveCredit(w.srcPort, c.lockedVC)
 	}
 	c.busyUntil = cycle + uint64(c.SerializeCy)
-	c.inflight.push(flight{at: cycle + uint64(c.SerializeCy) + uint64(c.PropCy), f: f, rx: c.lockedRx})
+	c.inflight.Push(cycle+uint64(c.SerializeCy)+uint64(c.PropCy), flight{f, c.lockedRx})
 	if c.Tap.Wants(noc.EvFlitTx) {
 		c.Tap.Emit(noc.Event{Kind: noc.EvFlitTx, Cycle: cycle, Pkt: f.Pkt, Flit: f, A: c.lockedRx})
 	}
@@ -389,7 +413,7 @@ func (w *Writer) nextPendingVC() int {
 
 // Queued returns the number of flits waiting in writer queues plus in
 // flight, for drain checks.
-func (c *Channel) Queued() int { return c.totalQueued + c.inflight.size }
+func (c *Channel) Queued() int { return c.totalQueued + c.inflight.Len() }
 
 // NumRx returns the number of receive ports; more than one marks a
 // SWMR medium whose delivered packets still face an intra-group
@@ -535,7 +559,7 @@ func (c *Channel) Introspect() ChannelIntro {
 		LockedRx:       c.lockedRx,
 		BusyUntilCy:    c.busyUntil,
 		Queued:         c.totalQueued,
-		InFlight:       c.inflight.size,
+		InFlight:       c.inflight.Len(),
 		QueueHighWater: c.qHighWater,
 		Transmitted:    c.Transmitted,
 		BusyCy:         c.busyCy,
@@ -620,41 +644,4 @@ func (q *flitFIFO) pop() *noc.Flit {
 	q.head = (q.head + 1) % len(q.buf)
 	q.size--
 	return f
-}
-
-// flightQueue is an unbounded FIFO of in-flight flits (same-delay pushes
-// keep it deadline-ordered).
-type flightQueue struct {
-	buf        []flight
-	head, size int
-}
-
-func (q *flightQueue) push(v flight) {
-	if q.size == len(q.buf) {
-		n := len(q.buf) * 2
-		if n == 0 {
-			n = 8
-		}
-		nb := make([]flight, n)
-		for i := 0; i < q.size; i++ {
-			nb[i] = q.buf[(q.head+i)%len(q.buf)]
-		}
-		q.buf = nb
-		q.head = 0
-	}
-	q.buf[(q.head+q.size)%len(q.buf)] = v
-	q.size++
-}
-
-func (q *flightQueue) peek() (flight, bool) {
-	if q.size == 0 {
-		return flight{}, false
-	}
-	return q.buf[q.head], true
-}
-
-func (q *flightQueue) pop() {
-	q.buf[q.head] = flight{}
-	q.head = (q.head + 1) % len(q.buf)
-	q.size--
 }

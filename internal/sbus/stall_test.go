@@ -315,3 +315,60 @@ func TestChannelCheckInvariantsReportsLostWakeup(t *testing.T) {
 		t.Fatalf("CheckInvariants = %v, want a lost-wakeup error", err)
 	}
 }
+
+// Reset in the middle of everything — writer 1's packet is in flight,
+// writer 0's holds the lock with its head half serialized and three flits
+// queued, the receiver is out of credits, the token has moved — must leave
+// the channel a fresh build is: same introspection, and the same transmissions when the
+// traffic is offered again. At cycle 12 the channel is also inside a
+// credit stall it has not charged yet.
+func TestChannelResetMidPacketEqualsAFreshChannel(t *testing.T) {
+	type rig struct {
+		ch   *Channel
+		w    [2]*Writer
+		txAt []uint64
+	}
+	build := func() *rig {
+		r := &rig{ch: NewChannel("bus0", 4, 3, 1)}
+		for i := range r.w {
+			r.w[i] = r.ch.AddWriter(&testSrc{}, 0, 2, 8)
+		}
+		r.ch.AddRx(holdRx{}, 0, 2, 1)
+		r.ch.Tap.Subscribe(noc.Mask(noc.EvFlitTx), func(e noc.Event) { r.txAt = append(r.txAt, e.Cycle) })
+		return r
+	}
+	offer := func(r *rig, upTo uint64) {
+		sendPacket(r.w[0], 1, 0, 1, 4)
+		sendPacket(r.w[1], 2, 0, 0, 1)
+		for c := uint64(0); c < upTo; c++ {
+			r.ch.Tick(c)
+		}
+	}
+	for _, stop := range []uint64{7, 12} {
+		used, fresh := build(), build()
+		offer(used, stop)
+		in := used.ch.Introspect()
+		if in.LockedWriter != 0 || in.InFlight == 0 || in.RxCredits[0][1] != 0 || in.Queued != 3 || (stop == 7) != (in.BusyUntilCy > stop) {
+			t.Fatalf("stop %d: the channel is not mid-packet: %+v", stop, in)
+		}
+		if stop == 12 && used.ch.stalledAt == 0 {
+			t.Fatal("stop 12: the channel is not inside a credit stall")
+		}
+		used.ch.Reset()
+		used.txAt = nil
+		if got, want := used.ch.Introspect(), fresh.ch.Introspect(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("stop %d: after Reset\n got  %+v\n want %+v", stop, got, want)
+		}
+		if err := used.ch.CheckInvariants(); err != nil {
+			t.Fatalf("stop %d: %v", stop, err)
+		}
+		offer(used, 40)
+		offer(fresh, 40)
+		if !reflect.DeepEqual(used.txAt, fresh.txAt) || len(fresh.txAt) != 2 {
+			t.Fatalf("stop %d: rewound channel transmitted at %v, fresh one at %v, want two flits", stop, used.txAt, fresh.txAt)
+		}
+		if got, want := used.ch.Introspect(), fresh.ch.Introspect(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("stop %d: after the second run\n got  %+v\n want %+v", stop, got, want)
+		}
+	}
+}

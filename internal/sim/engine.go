@@ -22,7 +22,10 @@
 // per cycle and a handful.
 package sim
 
-import "math/bits"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Ticker is a simulation component that performs work once per cycle.
 type Ticker interface {
@@ -81,12 +84,36 @@ type Engine struct {
 // NewEngine returns an empty engine positioned at cycle zero.
 func NewEngine() *Engine {
 	e := &Engine{}
+	e.Reset()
+	return e
+}
+
+// Reset rewinds the engine to cycle zero with its registrations kept:
+// every component awake, no timed wakeup pending, PhaseStats and the
+// fast-forward count at zero — the state the same Register calls leave on
+// a new engine (DisableSleep is configuration and stays). It then calls
+// Reset on every component, which must rewind itself the same way, and
+// panics naming the type of one that cannot: running such a component a
+// second time would carry state of the first run into it.
+func (e *Engine) Reset() {
+	e.cycle, e.fastFwd, e.collecting = 0, 0, false
 	for p := range e.phases {
-		for s := range e.phases[p].slots {
-			e.phases[p].slots[s] = -1
+		ps := &e.phases[p]
+		for s := range ps.slots {
+			ps.slots[s] = -1
+		}
+		clear(ps.cal)
+		clear(ps.bits)
+		ps.awake, ps.pending, ps.stats = 0, 0, PhaseStats{}
+		for idx, t := range ps.ticks {
+			ps.set(idx)
+			r, ok := t.(interface{ Reset() })
+			if !ok {
+				panic(fmt.Sprintf("sim: cannot reset: %T has no Reset method", t))
+			}
+			r.Reset()
 		}
 	}
-	return e
 }
 
 // Register adds an always-on component to the given phase: it is ticked
@@ -403,7 +430,7 @@ func (ps *phaseSched) unlink(idx int32) {
 }
 
 // fire wakes the components whose timed wakeup is this cycle. The slot
-// also holds deadlines whole laps ahead (a source may look 2^16 cycles
+// also holds deadlines whole laps ahead (a source may look four laps
 // ahead); those stay linked and are passed over once per lap. Firing only
 // sets awake bits, so the order of a slot list is never observable.
 func (ps *phaseSched) fire(cycle uint64) {

@@ -1,6 +1,7 @@
 package traffic
 
 import (
+	"slices"
 	"testing"
 
 	"ownsim/internal/sim"
@@ -211,6 +212,40 @@ func TestNextPendingContract(t *testing.T) {
 	g = NewBernoulli(1, 64, Uniform, 1e-12, 5, 7, nil)
 	if next, ok := g.NextPending(10); !ok || next != 10+lookahead {
 		t.Fatalf("NextPending(10) = %d, %v; want the horizon %d", next, ok, 10+lookahead)
+	}
+}
+
+// The horizon decides how often an idle source wakes to scan on and how
+// far past the end of a run it draws, never what it emits: the flips are
+// consumed in cycle order whatever the chunking.
+func TestHorizonDoesNotMoveAPacket(t *testing.T) {
+	emit := func(horizon uint64) (cycles []uint64, scans int) {
+		g := NewBernoulli(5, 64, Uniform, 5e-4, 5, 22, nil) // p = 1e-4 per cycle
+		for c := uint64(0); c < 100_000; {
+			if p := g.Generate(c); p != nil {
+				cycles = append(cycles, c)
+			}
+			next, ok := g.nextPending(c+1, horizon)
+			if !ok || next <= c {
+				t.Fatalf("horizon %d: nextPending(%d) = %d, %v", horizon, c+1, next, ok)
+			}
+			c, scans = next, scans+1
+		}
+		return cycles, scans
+	}
+	const far = lookahead << 6
+	want, fewest := emit(far)
+	if len(want) < 5 {
+		t.Fatalf("only %d packets in 1e5 cycles at p = 1e-4", len(want))
+	}
+	for _, h := range []uint64{lookahead >> 2, lookahead} {
+		got, scans := emit(h)
+		if !slices.Equal(got, want) {
+			t.Errorf("horizon %d: packets at %v, at horizon %d %v", h, got, far, want)
+		}
+		if scans <= fewest {
+			t.Errorf("horizon %d: %d scans, no more than the %d at %d: the parameter is not the horizon", h, scans, fewest, far)
+		}
 	}
 }
 
