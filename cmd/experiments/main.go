@@ -33,6 +33,7 @@ func main() {
 		b = core.QuickBudget()
 	}
 	rep := report.Evaluate(b, time.Now())
+	fmt.Fprintln(os.Stderr, rep.Census)
 
 	for _, c := range rep.Claims {
 		verdict := "PASS"

@@ -16,6 +16,7 @@ import (
 	"log"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	"ownsim/internal/core"
@@ -25,14 +26,31 @@ import (
 
 var csvDir string
 
+// figKeys is what -fig accepts: every key of figs, and all.
+const figKeys = "3|4|5|6|7a|7bc|8|all"
+
+var figs = []struct {
+	key string
+	fn  func(*core.Evaluation)
+}{
+	{"3", figure3}, {"4", figure4}, {"5", figure5},
+	{"6", figure6}, {"7a", figure7a}, {"7bc", figure7bc}, {"8", figure8},
+}
+
+func knownFig(fig string) bool { return slices.Contains(strings.Split(figKeys, "|"), fig) }
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("figures: ")
 
-	fig := flag.String("fig", "all", "figure to regenerate: 3|4|5|6|7a|7bc|8|all")
+	fig := flag.String("fig", "all", "figure to regenerate: "+figKeys)
 	quick := flag.Bool("quick", false, "use the reduced simulation budget")
 	flag.StringVar(&csvDir, "csv", "", "directory to write CSV files into (optional)")
 	flag.Parse()
+	if !knownFig(*fig) {
+		log.Printf("unknown figure %q (want %s)", *fig, figKeys)
+		os.Exit(2)
+	}
 
 	if csvDir != "" {
 		if err := os.MkdirAll(csvDir, 0o755); err != nil {
@@ -44,19 +62,16 @@ func main() {
 		b = core.QuickBudget()
 	}
 
-	figs := []struct {
-		key string
-		fn  func(core.Budget)
-	}{
-		{"3", figure3}, {"4", figure4}, {"5", figure5},
-		{"6", figure6}, {"7a", figure7a}, {"7bc", figure7bc}, {"8", figure8},
-	}
+	// One evaluation per invocation: 7b/7c are lookups after 7a, and
+	// Figure 6's OWN bars are Figure 5's.
+	e := core.NewEvaluation(b)
 	for _, f := range figs {
 		if *fig == "all" || *fig == f.key {
-			f.fn(b)
+			f.fn(e)
 			fmt.Println()
 		}
 	}
+	fmt.Fprintln(os.Stderr, e.Census())
 }
 
 func header(title string) {
@@ -75,7 +90,7 @@ func writeCSV(name string, lines []string) {
 	fmt.Printf("[wrote %s]\n", path)
 }
 
-func figure3(core.Budget) {
+func figure3(*core.Evaluation) {
 	header("Figure 3 — OOK link budget @ 32 Gb/s, 90 GHz")
 	lb := rf.DefaultLinkBudget()
 	pts := rf.Figure3(lb, []rf.Decibels{0, 5, 10})
@@ -90,7 +105,7 @@ func figure3(core.Budget) {
 	writeCSV("fig3_linkbudget.csv", lines)
 }
 
-func figure4(core.Budget) {
+func figure4(*core.Evaluation) {
 	header("Figure 4 — 65 nm OOK transceiver blocks")
 	osc := rf.DefaultOscillator()
 	fmt.Printf("(a) Colpitts oscillator @ %g GHz\n", osc.CenterGHz)
@@ -121,9 +136,9 @@ func figure4(core.Budget) {
 		tr.TotalPowerMW(), tr.EnergyPerBitPJ(), tr.RateGbps)
 }
 
-func figure5(b core.Budget) {
+func figure5(e *core.Evaluation) {
 	header("Figure 5 — average wireless link power (OWN-256, uniform random)")
-	rows := core.Figure5(b)
+	rows := e.Figure5()
 	lines := []string{"scenario,config,avg_channel_mw,plan_pj_per_bit"}
 	fmt.Printf("%-14s %-9s %-16s %-14s\n", "scenario", "config", "avg chan (mW)", "plan pJ/bit")
 	for _, r := range rows {
@@ -133,9 +148,9 @@ func figure5(b core.Budget) {
 	writeCSV("fig5_wireless_power.csv", lines)
 }
 
-func figure6(b core.Budget) {
+func figure6(e *core.Evaluation) {
 	header("Figure 6 — power breakdown at 256 cores (uniform, half saturation)")
-	rows := core.Figure6(b)
+	rows := e.Figure6()
 	lines := []string{"system,router_dyn_mw,router_static_mw,elec_mw,photonic_mw,wireless_mw,total_mw"}
 	fmt.Printf("%-13s %9s %9s %9s %9s %9s %9s\n",
 		"system", "rtr dyn", "rtr stat", "elec", "photonic", "wireless", "TOTAL")
@@ -149,9 +164,9 @@ func figure6(b core.Budget) {
 	writeCSV("fig6_power_breakdown.csv", lines)
 }
 
-func figure7a(b core.Budget) {
+func figure7a(e *core.Evaluation) {
 	header("Figure 7a — saturation throughput per pattern (256 cores)")
-	rows := core.Figure7a(b)
+	rows := e.Figure7a()
 	lines := []string{"pattern,system,throughput_fnc"}
 	fmt.Printf("%-13s %-9s %s\n", "pattern", "system", "thr (f/n/c)")
 	for _, r := range rows {
@@ -161,13 +176,13 @@ func figure7a(b core.Budget) {
 	writeCSV("fig7a_throughput.csv", lines)
 }
 
-func figure7bc(b core.Budget) {
+func figure7bc(e *core.Evaluation) {
 	for _, pc := range []struct {
 		fig string
 		pat traffic.Pattern
 	}{{"7b", traffic.Uniform}, {"7c", traffic.BitReversal}} {
 		header(fmt.Sprintf("Figure %s — latency vs load, %s traffic (256 cores)", pc.fig, pc.pat))
-		series := core.Figure7bc(pc.pat, b)
+		series := e.Figure7bc(pc.pat)
 		lines := []string{"system,load_fnc,latency_cy,throughput_fnc,saturated"}
 		for _, s := range series {
 			fmt.Printf("%-9s capacity knee %.5f f/n/c, zero-load %.1f cy\n",
@@ -182,9 +197,9 @@ func figure7bc(b core.Budget) {
 	}
 }
 
-func figure8(b core.Budget) {
+func figure8(e *core.Evaluation) {
 	header("Figure 8 — 1024 cores: throughput and energy per packet")
-	rows := core.Figure8(b)
+	rows := e.Figure8(traffic.Uniform, traffic.BitReversal, traffic.Transpose)
 	lines := []string{"system,pattern,throughput_fnc,energy_per_packet_pj,total_mw"}
 	fmt.Printf("%-9s %-13s %-12s %-14s %-10s\n", "system", "pattern", "thr (f/n/c)", "E/packet (pJ)", "total mW")
 	for _, r := range rows {

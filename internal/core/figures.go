@@ -1,6 +1,10 @@
 package core
 
 import (
+	"fmt"
+	"sync"
+	"sync/atomic"
+
 	"ownsim/internal/fabric"
 	"ownsim/internal/power"
 	"ownsim/internal/stats"
@@ -8,6 +12,113 @@ import (
 	"ownsim/internal/traffic"
 	"ownsim/internal/wireless"
 )
+
+// Evaluation is the paper's evaluation (Figures 5-8) as a plan of unique
+// runs under one budget. Figures and claims are views over it: each asks
+// for the rows it reads, and a run whose full spec was simulated before is
+// served from the memo, whichever view asked first. The memo lives in the
+// value and nowhere else. Methods are safe for concurrent use; goroutines
+// that miss one key at once each simulate it and store equal results.
+type Evaluation struct {
+	b         Budget
+	newSystem systemFunc
+	mu        sync.Mutex // guards the two memos
+	runs      map[runKey]fabric.Result
+	priced    map[runKey][]fabric.Result // ownPerConfig's rows, by the run they price
+
+	simulated, served, built atomic.Int64
+}
+
+// systemFunc is NewSystem's signature; tests count builds through it.
+type systemFunc func(name string, cores int, cfg wireless.Config, scen wireless.Scenario) System
+
+// runKey is the full spec of one run under the evaluation's budget.
+type runKey struct {
+	name    string
+	cores   int
+	cfg     wireless.Config
+	scen    wireless.Scenario
+	pattern traffic.Pattern
+	rate    float64
+	seed    uint64
+}
+
+// Census counts runs simulated, requests served from the plan
+// (ownPerConfig's four rows are one request) and networks built.
+type Census struct{ Simulated, Served, Built int64 }
+
+func (c Census) String() string {
+	return fmt.Sprintf("plan: %d runs simulated, %d served, %d networks built", c.Simulated, c.Served, c.Built)
+}
+
+// NewEvaluation returns an empty plan for budget b.
+func NewEvaluation(b Budget) *Evaluation { return newEvaluation(b, NewSystem) }
+
+func newEvaluation(b Budget, newSystem systemFunc) *Evaluation {
+	return &Evaluation{b: b, newSystem: newSystem, runs: map[runKey]fabric.Result{}, priced: map[runKey][]fabric.Result{}}
+}
+
+// Census reports the plan's counts so far.
+func (e *Evaluation) Census() Census {
+	return Census{e.simulated.Load(), e.served.Load(), e.built.Load()}
+}
+
+// planned returns memo[k], simulating it with run (lock not held) on a miss.
+func planned[V any](e *Evaluation, memo map[runKey]V, k runKey, run func() V) V {
+	e.mu.Lock()
+	v, ok := memo[k]
+	e.mu.Unlock()
+	if ok {
+		e.served.Add(1)
+		return v
+	}
+	v = run()
+	e.simulated.Add(1)
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	memo[k] = v
+	return v
+}
+
+// build makes the network k's system names, counting it.
+func (e *Evaluation) build(k runKey) (System, *fabric.Network) {
+	e.built.Add(1)
+	sys := e.newSystem(k.name, k.cores, k.cfg, k.scen)
+	return sys, sys.Build(power.NewMeter(nil))
+}
+
+// runEach returns the named config-4, ideal-scenario system's runs of
+// points, in order. The first miss builds the network and every miss runs
+// on that one (Network.Run rewinds it in between): a row group costs the
+// cycles nobody simulated before and at most one build, and reads what a
+// fresh build per point reads.
+func (e *Evaluation) runEach(name string, cores int, points []fabric.TrafficSpec) []fabric.Result {
+	var sys System
+	var net *fabric.Network
+	out := make([]fabric.Result, len(points))
+	for j, ts := range points {
+		k := runKey{name, cores, wireless.Config4, wireless.Ideal, ts.Pattern, ts.Rate, ts.Seed}
+		out[j] = planned(e, e.runs, k, func() fabric.Result {
+			if net == nil {
+				sys, net = e.build(k)
+			}
+			ts.Policy, ts.Classify = sys.Policy, sys.Classify
+			return net.Run(ts, fabric.RunSpec{Warmup: e.b.Warmup, Measure: e.b.Measure})
+		})
+	}
+	return out
+}
+
+// loadSweep runs pattern on the named 256-core system across the load axis,
+// point j with seed b.Seed+j like Sweep, serially (figures parallelize systems).
+func (e *Evaluation) loadSweep(name string, pattern traffic.Pattern) ([]float64, []fabric.Result) {
+	loads := SweepLoads(256, e.b.Loads)
+	points := make([]fabric.TrafficSpec, len(loads))
+	for j, load := range loads {
+		points[j] = fabric.TrafficSpec{Pattern: pattern, Rate: load, Seed: e.b.Seed + uint64(j)}
+	}
+	return loads, e.runEach(name, 256, points)
+}
 
 // midLoad returns the half-saturation operating point used for the power
 // figures. The conservative scenario halves wireless channel bandwidth,
@@ -32,49 +143,44 @@ type Fig5Row struct {
 	PlanMeanEPBpJ float64
 }
 
-// ownPerConfig simulates sys — OWN-256 under scen, whatever its
-// configuration — once and prices the run under each Table IV
-// configuration's PlanOWN256 energy-per-bit table, in AllConfigs order. A
+// ownPerConfig simulates OWN-256 under scen once and prices the run under
+// each Table IV configuration's PlanOWN256 energy-per-bit table, in
+// AllConfigs order (Figure 6's OWN bars are Figure 5's ideal rows). A
 // configuration changes what a wireless bit costs and nothing a flit can
 // see: band bandwidth follows the scenario alone (wireless.BandPlan), so
 // the four would simulate the same traffic cycle for cycle.
-func ownPerConfig(sys System, scen wireless.Scenario, load float64, b Budget) []fabric.Result {
-	n := sys.Build(power.NewMeter(nil))
-	res := n.Run(
-		fabric.TrafficSpec{Pattern: traffic.Uniform, Rate: load, Seed: b.Seed, Policy: sys.Policy, Classify: sys.Classify},
-		fabric.RunSpec{Warmup: b.Warmup, Measure: b.Measure},
-	)
+func (e *Evaluation) ownPerConfig(scen wireless.Scenario, load float64) []fabric.Result {
 	cfgs := wireless.AllConfigs()
-	out := make([]fabric.Result, 0, len(cfgs))
-	for _, cfg := range cfgs {
-		plan := wireless.PlanOWN256(cfg, scen)
-		epb := make([]float64, len(plan.Channels))
-		for id, ch := range plan.Channels {
-			epb[id] = ch.EPBpJ
+	k := runKey{"own", 256, cfgs[0], scen, traffic.Uniform, load, e.b.Seed}
+	return planned(e, e.priced, k, func() []fabric.Result {
+		sys, n := e.build(k)
+		ts := fabric.TrafficSpec{Pattern: k.pattern, Rate: k.rate, Seed: k.seed, Policy: sys.Policy, Classify: sys.Classify}
+		res := n.Run(ts, fabric.RunSpec{Warmup: e.b.Warmup, Measure: e.b.Measure})
+		out := make([]fabric.Result, 0, len(cfgs))
+		for _, cfg := range cfgs {
+			plan := wireless.PlanOWN256(cfg, scen)
+			epb := make([]float64, len(plan.Channels))
+			for id, ch := range plan.Channels {
+				epb[id] = ch.EPBpJ
+			}
+			n.Meter.PriceWireless(epb)
+			out = append(out, n.Priced(res))
 		}
-		n.Meter.PriceWireless(epb)
-		out = append(out, n.Priced(res))
-	}
-	return out
+		return out
+	})
 }
 
 // Figure5 measures the average wireless link power for the four Table IV
 // configurations under both Table III scenarios (OWN-256, uniform random
 // traffic at half saturation): one simulation per scenario, priced per
 // configuration.
-func Figure5(b Budget) []Fig5Row { return figure5(b, NewSystem) }
-
-// systemFunc is NewSystem's signature; the priced-once equivalence test
-// passes a wrapper that counts the networks built.
-type systemFunc func(name string, cores int, cfg wireless.Config, scen wireless.Scenario) System
-
-func figure5(b Budget, newSystem systemFunc) []Fig5Row {
+func (e *Evaluation) Figure5() []Fig5Row {
 	scens := []wireless.Scenario{wireless.Ideal, wireless.Conservative}
 	cfgs := wireless.AllConfigs()
 	rows := make([]Fig5Row, len(scens)*len(cfgs))
 	ParallelMap(len(scens), func(i int) {
 		scen := scens[i]
-		priced := ownPerConfig(newSystem("own", 256, cfgs[0], scen), scen, midLoad(256, scen), b)
+		priced := e.ownPerConfig(scen, midLoad(256, scen))
 		for j, cfg := range cfgs {
 			rows[i*len(cfgs)+j] = Fig5Row{
 				Scenario:      scen,
@@ -99,53 +205,23 @@ type Fig6Row struct {
 // and OWN-256 in all four configurations (ideal scenario), at the shared
 // half-saturation uniform load. The four OWN bars are one simulation
 // priced per configuration (ownPerConfig).
-func Figure6(b Budget) []Fig6Row { return figure6(b, NewSystem) }
-
-func figure6(b Budget, newSystem systemFunc) []Fig6Row {
+func (e *Evaluation) Figure6() []Fig6Row {
 	cfgs := wireless.AllConfigs()
 	others := []string{"wcmesh", "optxb", "pclos", "cmesh"}
 	rows := make([]Fig6Row, len(cfgs)+len(others))
 	load := midLoad(256, wireless.Ideal)
 	ParallelMap(1+len(others), func(i int) {
 		if i == 0 {
-			for j, res := range ownPerConfig(newSystem("own", 256, cfgs[0], wireless.Ideal), wireless.Ideal, load, b) {
+			for j, res := range e.ownPerConfig(wireless.Ideal, load) {
 				rows[j] = Fig6Row{Label: "own-" + cfgs[j].String(), Power: res.Power, Result: res}
 			}
 			return
 		}
 		name := others[i-1]
-		res := newSystem(name, 256, wireless.Config4, wireless.Ideal).Run(
-			fabric.TrafficSpec{Pattern: traffic.Uniform, Rate: load, Seed: b.Seed},
-			fabric.RunSpec{Warmup: b.Warmup, Measure: b.Measure},
-		)
+		res := e.runEach(name, 256, []fabric.TrafficSpec{{Pattern: traffic.Uniform, Rate: load, Seed: e.b.Seed}})[0]
 		rows[len(cfgs)+i-1] = Fig6Row{Label: name, Power: res.Power, Result: res}
 	})
 	return rows
-}
-
-// runEach builds sys once and runs points 0..n-1 on that one network, in
-// order (Network.Run rewinds it in between): a row group of a figure costs
-// its simulated cycles and one build, and reads what a fresh build per
-// point reads.
-func runEach(sys System, b Budget, n int, point func(j int) fabric.TrafficSpec) []fabric.Result {
-	net := sys.Build(power.NewMeter(nil))
-	out := make([]fabric.Result, n)
-	for j := range out {
-		ts := point(j)
-		ts.Policy, ts.Classify = sys.Policy, sys.Classify
-		out[j] = net.Run(ts, fabric.RunSpec{Warmup: b.Warmup, Measure: b.Measure})
-	}
-	return out
-}
-
-// loadSweep runs pattern on sys across the 256-core load axis, point j
-// with seed b.Seed+j like Sweep, serially on one network (the figures are
-// parallel across systems already).
-func loadSweep(sys System, pattern traffic.Pattern, b Budget) ([]float64, []fabric.Result) {
-	loads := SweepLoads(256, b.Loads)
-	return loads, runEach(sys, b, len(loads), func(j int) fabric.TrafficSpec {
-		return fabric.TrafficSpec{Pattern: pattern, Rate: loads[j], Seed: b.Seed + uint64(j)}
-	})
 }
 
 // Fig7aRow is one bar group of Figure 7(a): saturation throughput per
@@ -157,9 +233,7 @@ type Fig7aRow struct {
 }
 
 // Figure7a sweeps every paper pattern on every architecture.
-func Figure7a(b Budget) []Fig7aRow { return figure7a(b, NewSystem) }
-
-func figure7a(b Budget, newSystem systemFunc) []Fig7aRow {
+func (e *Evaluation) Figure7a() []Fig7aRow {
 	var rows []Fig7aRow
 	for _, pat := range traffic.AllPaperPatterns() {
 		for _, name := range SystemNames() {
@@ -167,7 +241,7 @@ func figure7a(b Budget, newSystem systemFunc) []Fig7aRow {
 		}
 	}
 	ParallelMap(len(rows), func(i int) {
-		_, results := loadSweep(newSystem(rows[i].SystemName, 256, wireless.Config4, wireless.Ideal), rows[i].Pattern, b)
+		_, results := e.loadSweep(rows[i].SystemName, rows[i].Pattern)
 		for _, res := range results {
 			rows[i].Throughput = max(rows[i].Throughput, res.Throughput)
 		}
@@ -188,16 +262,12 @@ type Fig7bcSeries struct {
 }
 
 // Figure7bc produces the latency-load curves for the given pattern
-// (uniform for 7b, bit reversal for 7c) at 256 cores.
-func Figure7bc(pattern traffic.Pattern, b Budget) []Fig7bcSeries {
-	return figure7bc(pattern, b, NewSystem)
-}
-
-func figure7bc(pattern traffic.Pattern, b Budget, newSystem systemFunc) []Fig7bcSeries {
+// (uniform for 7b, bit reversal for 7c) at 256 cores: Figure7a's runs.
+func (e *Evaluation) Figure7bc(pattern traffic.Pattern) []Fig7bcSeries {
 	names := SystemNames()
 	series := make([]Fig7bcSeries, len(names))
 	ParallelMap(len(names), func(i int) {
-		loads, results := loadSweep(newSystem(names[i], 256, wireless.Config4, wireless.Ideal), pattern, b)
+		loads, results := e.loadSweep(names[i], pattern)
 		pts := make([]stats.CurvePoint, len(loads))
 		for j, res := range results {
 			pts[j] = stats.CurvePoint{Load: loads[j], Latency: res.AvgLatency, Throughput: res.Throughput, Saturated: !res.Drained}
@@ -224,22 +294,19 @@ type Fig8Row struct {
 	Power             power.Breakdown
 }
 
-// Figure8 evaluates the 1024-core architectures on select patterns at a
-// shared sub-saturation load: one network per architecture runs the three
-// patterns, and the rows come out pattern-major as the figure prints them.
-func Figure8(b Budget) []Fig8Row { return figure8(b, NewSystem) }
-
-func figure8(b Budget, newSystem systemFunc) []Fig8Row {
-	patterns := []traffic.Pattern{traffic.Uniform, traffic.BitReversal, traffic.Transpose}
+// Figure8 evaluates the 1024-core architectures on the given patterns (the
+// figure has uniform, bit reversal and transpose; its claims read uniform)
+// at a shared sub-saturation load, one network per architecture, pattern-major.
+func (e *Evaluation) Figure8(patterns ...traffic.Pattern) []Fig8Row {
 	names := SystemNames()
 	rows := make([]Fig8Row, len(patterns)*len(names))
-	// Permutation patterns concentrate load; stay well below uniform
-	// saturation.
-	load := 0.3 * topology.UniformSaturationLoad(1024)
+	// Permutation patterns concentrate load: well below uniform saturation.
+	points := make([]fabric.TrafficSpec, len(patterns))
+	for j, pat := range patterns {
+		points[j] = fabric.TrafficSpec{Pattern: pat, Rate: 0.3 * topology.UniformSaturationLoad(1024), Seed: e.b.Seed}
+	}
 	ParallelMap(len(names), func(i int) {
-		results := runEach(newSystem(names[i], 1024, wireless.Config4, wireless.Ideal), b, len(patterns), func(j int) fabric.TrafficSpec {
-			return fabric.TrafficSpec{Pattern: patterns[j], Rate: load, Seed: b.Seed}
-		})
+		results := e.runEach(names[i], 1024, points)
 		for j, res := range results {
 			rows[j*len(names)+i] = Fig8Row{
 				SystemName: names[i], Pattern: patterns[j], Throughput: res.Throughput,

@@ -10,7 +10,7 @@ import (
 
 func fig6Map(t *testing.T) map[string]Fig6Row {
 	t.Helper()
-	rows := Figure6(QuickBudget())
+	rows := NewEvaluation(QuickBudget()).Figure6()
 	m := map[string]Fig6Row{}
 	for _, r := range rows {
 		m[r.Label] = r
@@ -59,7 +59,7 @@ func TestFigure5Measured(t *testing.T) {
 	if testing.Short() {
 		t.Skip("calibration sims in -short mode")
 	}
-	rows := Figure5(QuickBudget())
+	rows := NewEvaluation(QuickBudget()).Figure5()
 	byKey := map[string]float64{}
 	for _, r := range rows {
 		t.Logf("fig5 %-13s %-8s avgChannel=%.4f mW (plan %.3f pJ/b)",
@@ -90,7 +90,7 @@ func TestFigure7bOWNSaturatesLast(t *testing.T) {
 	if testing.Short() {
 		t.Skip("calibration sims in -short mode")
 	}
-	series := Figure7bc(traffic.Uniform, QuickBudget())
+	series := NewEvaluation(QuickBudget()).Figure7bc(traffic.Uniform)
 	cap := map[string]float64{}
 	for _, s := range series {
 		cap[s.SystemName] = s.CapacityLoad
@@ -124,14 +124,11 @@ func TestFigure8Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("calibration sims in -short mode")
 	}
-	rows := Figure8(QuickBudget())
 	perSys := map[string]Fig8Row{}
-	for _, r := range rows {
-		if r.Pattern == traffic.Uniform {
-			perSys[r.SystemName] = r
-			t.Logf("fig8 %-8s thr=%.5f f/n/c  E/pkt=%.0f pJ  %s",
-				r.SystemName, r.Throughput, r.EnergyPerPacketPJ, r.Power)
-		}
+	for _, r := range NewEvaluation(QuickBudget()).Figure8(traffic.Uniform) {
+		perSys[r.SystemName] = r
+		t.Logf("fig8 %-8s thr=%.5f f/n/c  E/pkt=%.0f pJ  %s",
+			r.SystemName, r.Throughput, r.EnergyPerPacketPJ, r.Power)
 	}
 	own := perSys["own"].EnergyPerPacketPJ
 	optxb := perSys["optxb"].EnergyPerPacketPJ

@@ -19,8 +19,8 @@ import (
 // and re-priced to 4 multiplies the same counts by the same constants — and
 // everything that is not a price must agree exactly.
 
-// countingSystems wraps NewSystem so every network a figure builds (one
-// per Network.Run call) is counted.
+// countingSystems wraps NewSystem so every network a figure builds is
+// counted at the build closure, independently of Evaluation.Census.
 func countingSystems(builds *atomic.Int64) systemFunc {
 	return func(name string, cores int, cfg wireless.Config, scen wireless.Scenario) System {
 		sys := NewSystem(name, cores, cfg, scen)
@@ -58,9 +58,10 @@ func TestFigure5PricedOnceMatchesPerConfigRuns(t *testing.T) {
 	}
 	b := QuickBudget()
 	var builds atomic.Int64
-	rows := figure5(b, countingSystems(&builds))
-	if builds.Load() != 2 {
-		t.Fatalf("Figure5 made %d Network.Run calls, want 2 (one per scenario)", builds.Load())
+	e := newEvaluation(b, countingSystems(&builds))
+	rows := e.Figure5()
+	if c := e.Census(); builds.Load() != 2 || c != (Census{Simulated: 2, Built: 2}) {
+		t.Fatalf("Figure5 built %d networks, %v; want 2 runs on 2 (one per scenario)", builds.Load(), c)
 	}
 	if len(rows) != 8 {
 		t.Fatalf("Figure5 returned %d rows, want 8", len(rows))
@@ -96,9 +97,10 @@ func TestFigure6PricedOnceMatchesPerConfigRuns(t *testing.T) {
 	}
 	b := QuickBudget()
 	var builds atomic.Int64
-	rows := figure6(b, countingSystems(&builds))
-	if builds.Load() != 5 {
-		t.Fatalf("Figure6 made %d Network.Run calls, want 5 (OWN once, four baselines)", builds.Load())
+	e := newEvaluation(b, countingSystems(&builds))
+	rows := e.Figure6()
+	if c := e.Census(); builds.Load() != 5 || c != (Census{Simulated: 5, Built: 5}) {
+		t.Fatalf("Figure6 built %d networks, %v; want 5 runs on 5 (OWN once, four baselines)", builds.Load(), c)
 	}
 	labels := []string{"own-config1", "own-config2", "own-config3", "own-config4", "wcmesh", "optxb", "pclos", "cmesh"}
 	if len(rows) != len(labels) {
@@ -160,7 +162,7 @@ func TestRepricingRoundTrip(t *testing.T) {
 	if !(c4.Power.WirelessMW < c1.Power.WirelessMW) || c4.Summary != c1.Summary || c4.Power.PhotonicMW != c1.Power.PhotonicMW {
 		t.Fatalf("config4 must change the wireless price and nothing else:\n%+v\n%+v", c4.Power, c1.Power)
 	}
-	per := ownPerConfig(sys, wireless.Ideal, midLoad(256, wireless.Ideal), b)
+	per := NewEvaluation(b).ownPerConfig(wireless.Ideal, midLoad(256, wireless.Ideal))
 	if per[0] != c1 || per[3] != c4 {
 		t.Fatalf("ownPerConfig disagrees with pricing by hand:\n%+v\n%+v\n%+v\n%+v", per[0].Power, c1.Power, per[3].Power, c4.Power)
 	}

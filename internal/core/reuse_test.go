@@ -57,34 +57,46 @@ func TestReuseFourSpecsOnOneNetworkMatchFreshBuilds(t *testing.T) {
 	}
 }
 
-// A figure builds each network once: one build per row group, counted
-// through the build closure, and the rows are what a fresh build per run
-// gives — core.Sweep and System.Run still make one.
+// An evaluation builds each network once and simulates each run once: one
+// build per row group that misses, counted through the build closure and
+// through Census, over the sequence `figures -fig all` runs — and the rows,
+// served ones included, are what a fresh build per run gives: core.Sweep
+// and System.Run still make one.
 func TestReuseFiguresBuildEachNetworkOnce(t *testing.T) {
 	b := Budget{Warmup: 100, Measure: 400, Loads: 3, Seed: 7}
 	var builds atomic.Int64
-	counted := countingSystems(&builds)
-	built := func() int64 { return builds.Swap(0) }
+	e := newEvaluation(b, countingSystems(&builds))
+	var last Census
+	step := func(what string, simulated, served, built int64) {
+		t.Helper()
+		c, closures := e.Census(), builds.Swap(0)
+		got := Census{c.Simulated - last.Simulated, c.Served - last.Served, c.Built - last.Built}
+		if want := (Census{simulated, served, built}); got != want || closures != built {
+			t.Fatalf("%s: %+v and %d build closures called, want %+v", what, got, closures, want)
+		}
+		last = c
+	}
 
-	rows7a := figure7a(b, counted)
-	if n := built(); n != 25 || len(rows7a) != 25 {
-		t.Fatalf("Figure7a: %d builds for %d rows, want 25 and 25 (one per pattern and system)", n, len(rows7a))
+	e.Figure5()
+	step("Figure5", 2, 0, 2)
+	e.Figure6()
+	step("Figure6 after 5 (the OWN bars are Figure 5's ideal run)", 4, 1, 4)
+	rows7a := e.Figure7a()
+	step("Figure7a (one build per pattern and system)", 75, 0, 25)
+	if len(rows7a) != 25 {
+		t.Fatalf("Figure7a: %d rows, want 25", len(rows7a))
 	}
-	series := figure7bc(traffic.BitReversal, b, counted)
-	if n := built(); n != 5 {
-		t.Fatalf("Figure7bc: %d builds, want 5 (one per system)", n)
+	e.Figure7bc(traffic.Uniform)
+	series := e.Figure7bc(traffic.BitReversal)
+	step("Figure7b and 7c after 7a", 0, 30, 0)
+	patterns := []traffic.Pattern{traffic.Uniform, traffic.BitReversal, traffic.Transpose}
+	rows8 := e.Figure8(patterns...)
+	step("Figure8 (one build per system)", 15, 0, 5)
+	if len(rows8) != 15 {
+		t.Fatalf("Figure8: %d rows, want 15", len(rows8))
 	}
-	rows8 := figure8(b, counted)
-	if n := built(); n != 5 || len(rows8) != 15 {
-		t.Fatalf("Figure8: %d builds for %d rows, want 5 and 15 (one per system)", n, len(rows8))
-	}
-	// What report.Evaluate runs: Figures 5, 6, 7b and 8.
-	figure5(b, counted)
-	figure6(b, counted)
-	figure7bc(traffic.Uniform, b, counted)
-	figure8(b, counted)
-	if n := built(); n != 17 {
-		t.Fatalf("the evaluation's figures made %d builds, want 17", n)
+	if c := e.Census(); c.String() != "plan: 96 runs simulated, 31 served, 36 networks built" {
+		t.Fatalf("census line: %q", c)
 	}
 
 	loads := SweepLoads(256, b.Loads)
@@ -109,7 +121,6 @@ func TestReuseFiguresBuildEachNetworkOnce(t *testing.T) {
 			t.Errorf("Figure7bc series %d is %s: order changed", i, s.SystemName)
 		}
 	}
-	patterns := []traffic.Pattern{traffic.Uniform, traffic.BitReversal, traffic.Transpose}
 	for i, row := range rows8 {
 		name, pat := SystemNames()[i%5], patterns[i/5]
 		if row.SystemName != name || row.Pattern != pat {

@@ -119,8 +119,7 @@ func NewSystem(name string, cores int, cfg wireless.Config, scen wireless.Scenar
 }
 
 // Run builds a fresh instance of the system and executes one measured
-// simulation on it. Several runs of one system need one build: a Network
-// runs again (figures.go's runEach).
+// simulation on it.
 func (s System) Run(ts fabric.TrafficSpec, rs fabric.RunSpec) fabric.Result {
 	ts.Policy = s.Policy
 	ts.Classify = s.Classify

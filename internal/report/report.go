@@ -10,6 +10,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"time"
 
@@ -36,6 +37,9 @@ type Report struct {
 	GeneratedAt time.Time `json:"generated_at"`
 	Budget      string    `json:"budget"`
 	Claims      []Claim   `json:"claims"`
+	// Census is what the evaluation's plan did (core.Evaluation.Census);
+	// it is kept out of JSON() and Markdown().
+	Census core.Census `json:"-"`
 }
 
 // Passed counts reproduced claims.
@@ -71,17 +75,18 @@ func (r Report) Markdown() string {
 }
 
 // Evaluate runs the evaluation at the given budget and scores the
-// claims. It is deterministic for a fixed budget.
+// claims. It is deterministic for a fixed budget. Each call plans its own
+// core.Evaluation: every claim simulates only the rows it reads, and
+// nothing survives the call.
 func Evaluate(b core.Budget, now time.Time) Report {
+	e := core.NewEvaluation(b)
 	r := Report{
 		GeneratedAt: now,
 		Budget:      fmt.Sprintf("warmup=%d measure=%d loads=%d seed=%d", b.Warmup, b.Measure, b.Loads, b.Seed),
 	}
-	r.Claims = append(r.Claims, rfClaims()...)
-	r.Claims = append(r.Claims, fig5Claims(b)...)
-	r.Claims = append(r.Claims, fig6Claims(b)...)
-	r.Claims = append(r.Claims, fig7Claims(b)...)
-	r.Claims = append(r.Claims, fig8Claims(b)...)
+	// In order: Figure 6's OWN bars are served from Figure 5's ideal run.
+	r.Claims = slices.Concat(rfClaims(), fig5Claims(e), fig6Claims(e), fig7Claims(e), fig8Claims(e))
+	r.Census = e.Census()
 	return r
 }
 
@@ -107,8 +112,8 @@ func rfClaims() []Claim {
 	}
 }
 
-func fig5Claims(b core.Budget) []Claim {
-	rows := core.Figure5(b)
+func fig5Claims(e *core.Evaluation) []Claim {
+	rows := e.Figure5()
 	byKey := map[string]float64{}
 	for _, row := range rows {
 		byKey[row.Scenario.String()+"/"+row.Config.String()] = row.AvgChannelMW
@@ -127,8 +132,8 @@ func fig5Claims(b core.Budget) []Claim {
 	return out
 }
 
-func fig6Claims(b core.Budget) []Claim {
-	rows := core.Figure6(b)
+func fig6Claims(e *core.Evaluation) []Claim {
+	rows := e.Figure6()
 	total := map[string]float64{}
 	for _, row := range rows {
 		total[row.Label] = float64(row.Power.TotalMW())
@@ -150,8 +155,8 @@ func fig6Claims(b core.Budget) []Claim {
 	}
 }
 
-func fig7Claims(b core.Budget) []Claim {
-	series := core.Figure7bc(traffic.Uniform, b)
+func fig7Claims(e *core.Evaluation) []Claim {
+	series := e.Figure7bc(traffic.Uniform)
 	cap := map[string]float64{}
 	zl := map[string]float64{}
 	for _, s := range series {
@@ -169,14 +174,11 @@ func fig7Claims(b core.Budget) []Claim {
 	}
 }
 
-func fig8Claims(b core.Budget) []Claim {
-	rows := core.Figure8(b)
+// fig8Claims reads Figure 8's uniform rows only, so only they are simulated.
+func fig8Claims(e *core.Evaluation) []Claim {
 	epkt := map[string]float64{}
 	thrMin, thrMax := math.Inf(1), 0.0
-	for _, row := range rows {
-		if row.Pattern != traffic.Uniform {
-			continue
-		}
+	for _, row := range e.Figure8(traffic.Uniform) {
 		epkt[row.SystemName] = row.EnergyPerPacketPJ
 		if row.Throughput < thrMin {
 			thrMin = row.Throughput

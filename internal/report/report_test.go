@@ -2,6 +2,7 @@ package report
 
 import (
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -26,6 +27,61 @@ func TestEvaluateQuick(t *testing.T) {
 	}
 	if rep.Passed() < len(rep.Claims)-2 {
 		t.Fatalf("%d/%d claims reproduced; expected near-complete", rep.Passed(), len(rep.Claims))
+	}
+	// What each claim reads, as text: a change to the rows a claim asks
+	// the plan for, or to a digit of them, is a diff here.
+	measured := []string{
+		"4.56 dBm",
+		"Psat 7.15 dBm vs 4.56 needed",
+		"-89.2 dBc/Hz (simulated PSD)",
+		"4.99 dBm",
+		"20.0 GHz",
+		"10.0 dB at 90 GHz",
+		"c1=7.53 c2=3.67 c3=8.75 c4=1.79 mW",
+		"76%",
+		"c1=4.49 c2=2.16 c3=5.26 c4=1.27 mW",
+		"72%",
+		"optxb 482 mW vs own4 774, pclos 861, wcmesh 890, cmesh 996",
+		"1.60x",
+		"cmesh/own4 = 1.29x",
+		"1.15x",
+		"c1 842, c3 857 vs c4 774 mW",
+		"own 0.0072 vs cmesh 0.0051, optxb 0.0051, pclos 0.0051, wcmesh 0.0029 f/n/c",
+		"zero-load 55 vs 187 cycles (70% lower)",
+		"spread 21%",
+		"+5%",
+		"own 2793 vs wcmesh 4776 pJ/pkt",
+	}
+	if len(rep.Claims) != len(measured) {
+		t.Fatalf("%d claims, want %d", len(rep.Claims), len(measured))
+	}
+	for i, c := range rep.Claims {
+		if c.Measured != measured[i] {
+			t.Errorf("%s measured %q, want %q", c.ID, c.Measured, measured[i])
+		}
+	}
+	// The claims read 36 runs on 16 networks — Figure 8's uniform rows
+	// only — and Figure 6's OWN bars are Figure 5's ideal run.
+	if want := (core.Census{Simulated: 36, Served: 1, Built: 16}); rep.Census != want {
+		t.Errorf("plan %+v, want %+v", rep.Census, want)
+	}
+	data, err := rep.JSON()
+	if err != nil || strings.Contains(string(data), "ensus") || strings.Contains(rep.Markdown(), "plan:") {
+		t.Errorf("the census reached the ledger (err %v):\n%s", err, data)
+	}
+}
+
+// The plan lives in one Evaluate call: a second call simulates as many
+// runs as the first, so a loop over Evaluate measures an evaluation each
+// time.
+func TestEvaluateSharesNothingBetweenCalls(t *testing.T) {
+	b := core.Budget{Warmup: 100, Measure: 400, Loads: 3, Seed: 7}
+	first, second := Evaluate(b, time.Unix(0, 0).UTC()), Evaluate(b, time.Unix(0, 0).UTC())
+	if want := (core.Census{Simulated: 26, Served: 1, Built: 16}); first.Census != want || second.Census != want {
+		t.Fatalf("two Evaluate calls planned %+v then %+v, want %+v both times", first.Census, second.Census, want)
+	}
+	if !reflect.DeepEqual(first, second) {
+		t.Fatalf("two Evaluate calls differ:\n%+v\n%+v", first, second)
 	}
 }
 

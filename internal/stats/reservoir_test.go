@@ -149,3 +149,29 @@ func TestSetReservoirCapAfterCollectionPanics(t *testing.T) {
 	}()
 	c.SetReservoirCap(4)
 }
+
+// TestReservoirGrowsPastItsReserve: the reservoir reserves min(cap, 4096)
+// entries and grows by append, so a run that measures more than the
+// reserve still keeps every latency up to the cap, and a cap under the
+// reserve is one exact-size allocation.
+func TestReservoirGrowsPastItsReserve(t *testing.T) {
+	c := NewCollector(4, 100, 1<<20)
+	lats := make([]uint64, 5000)
+	for i := range lats {
+		lats[i] = uint64(i + 1)
+	}
+	fill(c, lats[:1])
+	if cap(c.lat) != 4096 {
+		t.Fatalf("default cap reserves %d entries, want 4096", cap(c.lat))
+	}
+	fill(c, lats[1:])
+	if s := c.Summary(); s.PctSamples != 5000 || s.Truncated || s.P50Latency != 2500 || s.P99Exact != 4950 {
+		t.Fatalf("5000 measured packets under the default cap: %+v", s)
+	}
+	small := NewCollector(4, 100, 1<<20)
+	small.SetReservoirCap(8)
+	fill(small, lats[:9])
+	if s := small.Summary(); cap(small.lat) != 8 || s.PctSamples != 8 || !s.Truncated {
+		t.Fatalf("cap 8: reserved %d, %+v", cap(small.lat), s)
+	}
+}
