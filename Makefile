@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all fmt vet build lint lint-fixtures test race smoke check results-check bench bench-compare bench-selftest loc ci
+.PHONY: all fmt vet build lint lint-fixtures test race smoke check results results-check bench bench-compare bench-selftest loc ci
 
 all: ci
 
@@ -111,21 +111,27 @@ check:
 	$(GO) run ./cmd/ownsim -topo pclos -cores 256 -warmup 300 -measure 1500 -seed 102 -check >/dev/null
 	$(GO) run ./cmd/sweep -topo all -cores 256 -points 3 -warmup 300 -measure 1200 -seed 103 -check >/dev/null
 
-# results-check proves results/ is what the tree computes today: it
-# regenerates every figure (full budget, CSVs) and the claims ledger into
-# a temp dir and diffs each results/*.csv, figures_full.txt (minus the
-# "[wrote <path>]" lines, which name the directory) and experiments.txt
-# byte for byte. claims.json/.md carry a timestamp and are skipped.
-# About 15 s on two cores (221 runs for the figures, 51 for the claims:
-# core.Evaluation simulates each distinct run once); CI runs it on every PR
-# and nightly. Each command's census line goes to stderr, past the diff.
+# results regenerates results/ — the tables, every figure's text and CSVs,
+# the claims ledger — with the one reproduction command at full budget.
+# About 12 s on two cores: one core.Evaluation, 221 runs.
+results:
+	$(GO) run ./cmd/paper -out results all >/dev/null
+
+# results-check proves results/ is what the tree computes today: the same
+# command into a temp dir, then every file of results/ diffed byte for byte
+# minus the lines that name the run and not its result — "[wrote <path>]"
+# (the directory), claims.json's "generated_at" and claims.md's "Generated"
+# (the time). One simulation pass: the ledger scores the rows the figures
+# simulated. CI runs it on every PR and nightly; the plan's census goes to
+# stderr, past the diff.
 results-check:
 	@tmp=$$(mktemp -d); trap "rm -rf $$tmp" EXIT; set -e; \
-	$(GO) run ./cmd/figures -fig all -csv $$tmp | grep -v '^\[wrote ' > $$tmp/figures_full.txt; \
-	$(GO) run ./cmd/experiments > $$tmp/experiments.txt; \
-	grep -v '^\[wrote ' results/figures_full.txt | diff - $$tmp/figures_full.txt; \
-	diff results/experiments.txt $$tmp/experiments.txt; \
-	for f in results/*.csv; do diff $$f $$tmp/$$(basename $$f); done; \
+	$(GO) run ./cmd/paper -out $$tmp all >/dev/null; \
+	run='^\[wrote \|^  "generated_at": \|^Generated '; \
+	for f in results/*; do \
+		grep -v "$$run" $$tmp/$$(basename $$f) > $$tmp/.fresh; \
+		grep -v "$$run" $$f | diff - $$tmp/.fresh || { echo "results-check: $$f drifted"; exit 1; }; \
+	done; \
 	echo "results-check: results/ is byte-identical to a fresh run"
 
 # bench runs the simulator microbenchmarks (engine hot path, packet

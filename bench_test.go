@@ -22,7 +22,7 @@ import (
 )
 
 // benchBudget keeps per-iteration simulation cost low; trends match the
-// full budget used by cmd/figures.
+// full budget used by cmd/paper.
 func benchBudget() core.Budget {
 	return core.Budget{Warmup: 200, Measure: 800, Loads: 3, Seed: 1}
 }

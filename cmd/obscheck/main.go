@@ -43,6 +43,7 @@ import (
 	"math"
 	"net/http"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -295,37 +296,24 @@ func checkCSV(b []byte) (int, error) {
 	if len(recs) < 2 {
 		return 0, fmt.Errorf("CSV has no data rows (only %d records)", len(recs))
 	}
-	if isEnergyHeader(recs[0]) {
-		if err := checkEnergyCSV(recs); err != nil {
-			return 0, err
-		}
-	}
-	if isBreakdownHeader(recs[0]) {
-		if err := checkBreakdownCSV(recs); err != nil {
-			return 0, err
-		}
-	}
-	if isJainHeader(recs[0]) {
-		if err := checkJainCSV(recs); err != nil {
-			return 0, err
+	// An artifact is recognized by its header, so its invariant applies
+	// regardless of file name: the energy attribution's sum, the latency
+	// breakdown's sum identity, the Jain index's (0,1] bound.
+	for _, a := range []struct {
+		header []string
+		check  func([][]string) error
+	}{
+		{power.EnergyCSVHeader, checkEnergyCSV},
+		{probe.SpanCSVHeader, checkBreakdownCSV},
+		{flightrec.FairnessJainCSVHeader, checkJainCSV},
+	} {
+		if slices.Equal(recs[0], a.header) {
+			if err := a.check(recs); err != nil {
+				return 0, err
+			}
 		}
 	}
 	return len(recs) - 1, nil
-}
-
-// isJainHeader recognizes the token-fairness Jain-index artifact by its
-// header (flightrec.FairnessJainCSVHeader) so the (0,1] bound applies
-// regardless of file name.
-func isJainHeader(rec []string) bool {
-	if len(rec) != len(flightrec.FairnessJainCSVHeader) {
-		return false
-	}
-	for i, col := range flightrec.FairnessJainCSVHeader {
-		if rec[i] != col {
-			return false
-		}
-	}
-	return true
 }
 
 // checkJainCSV enforces the Jain fairness bound on every channel row:
@@ -343,20 +331,6 @@ func checkJainCSV(recs [][]string) error {
 		}
 	}
 	return nil
-}
-
-// isBreakdownHeader recognizes the latency-breakdown artifact by its
-// header so the sum identity applies regardless of file name.
-func isBreakdownHeader(rec []string) bool {
-	if len(rec) != len(probe.SpanCSVHeader) {
-		return false
-	}
-	for i, col := range probe.SpanCSVHeader {
-		if rec[i] != col {
-			return false
-		}
-	}
-	return true
 }
 
 // checkBreakdownCSV enforces the span sum identity: the phase rows'
@@ -386,20 +360,6 @@ func checkBreakdownCSV(recs [][]string) error {
 		return fmt.Errorf("breakdown CSV: phase cycles sum to %d but total row says %d", sum, total)
 	}
 	return nil
-}
-
-// isEnergyHeader recognizes the energy attribution artifact by its
-// header so the sum invariant applies regardless of file name.
-func isEnergyHeader(rec []string) bool {
-	if len(rec) != len(power.EnergyCSVHeader) {
-		return false
-	}
-	for i, col := range power.EnergyCSVHeader {
-		if rec[i] != col {
-			return false
-		}
-	}
-	return true
 }
 
 // checkEnergyCSV enforces the attribution partition: the component rows'

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -23,7 +24,6 @@ import (
 	"ownsim/internal/power"
 	"ownsim/internal/probe"
 	"ownsim/internal/topology"
-	"ownsim/internal/traffic"
 	"ownsim/internal/wireless"
 )
 
@@ -31,15 +31,11 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("ownsim: ")
 
-	topo := flag.String("topo", "own", "topology: own|cmesh|wcmesh|optxb|pclos")
-	cores := flag.Int("cores", 256, "core count: 256 or 1024")
-	pattern := flag.String("pattern", "uniform", "traffic: uniform|bitreversal|transpose|shuffle|neighbor|hotspot")
+	var rf core.RunFlags
+	rf.Register(flag.CommandLine, "own")
 	load := flag.Float64("load", 0.5*topology.UniformSaturationLoad(256), "offered load in flits/node/cycle")
 	config := flag.Int("config", 4, "OWN Table IV configuration (1-4)")
 	scenario := flag.String("scenario", "ideal", "Table III scenario: ideal|conservative")
-	warmup := flag.Uint64("warmup", 3000, "warmup cycles")
-	measure := flag.Uint64("measure", 12000, "measurement cycles")
-	seed := flag.Uint64("seed", 1, "simulation seed")
 	reconfig := flag.Bool("reconfig", false, "bond the reserve channels (Table III links 13-16) onto the C2C links (OWN-256 only)")
 	fail := flag.String("fail", "", "comma-separated OWN-256 wireless channel IDs to take out of service")
 	var of obs.Flags
@@ -52,28 +48,25 @@ func main() {
 	flag.DurationVar(&of.StallTimeout, "stall-timeout", 0, "dump goroutine stacks to stderr when the simulated cycle stops advancing for this long of wall time (0 = off)")
 	flag.Parse()
 
-	pat, err := traffic.ParsePattern(*pattern)
-	if err != nil {
-		log.Fatal(err)
+	// A flag value no run can honour is one line and exit 2, before
+	// anything is built.
+	usage := func(err error) {
+		if err != nil {
+			log.Print(err)
+			os.Exit(2)
+		}
 	}
-	if err := core.CheckSystem(*topo, *cores); err != nil {
-		log.Fatal(err)
-	}
-	if err := core.CheckRun(*measure, *load); err != nil {
-		log.Print(err)
-		os.Exit(2)
-	}
-	if err := of.Validate(); err != nil {
-		log.Fatal(err)
-	}
+	pat, _, err := rf.Validate(*load)
+	usage(err)
+	usage(of.Validate())
 	scen := wireless.Ideal
 	if *scenario == "conservative" {
 		scen = wireless.Conservative
 	} else if *scenario != "ideal" {
-		log.Fatalf("unknown scenario %q", *scenario)
+		usage(fmt.Errorf("unknown scenario %q", *scenario))
 	}
 	if *config < 1 || *config > 4 {
-		log.Fatalf("config must be 1-4, got %d", *config)
+		usage(fmt.Errorf("config must be 1-4, got %d", *config))
 	}
 
 	var failedChannels []int
@@ -81,14 +74,15 @@ func main() {
 		for _, tok := range strings.Split(*fail, ",") {
 			id, err := strconv.Atoi(strings.TrimSpace(tok))
 			if err != nil {
-				log.Fatalf("bad -fail entry %q: %v", tok, err)
+				usage(fmt.Errorf("bad -fail entry %q: %v", tok, err))
 			}
 			failedChannels = append(failedChannels, id)
 		}
 	}
 
-	sys := core.NewSystem(*topo, *cores, wireless.Config(*config), scen)
-	if *topo == "own" && *cores == 256 && (*reconfig || len(failedChannels) > 0) {
+	sys := core.NewSystem(rf.Topo, rf.Cores, wireless.Config(*config), scen)
+	if rf.Topo == "own" && rf.Cores == 256 && (*reconfig || len(failedChannels) > 0) {
+		usage(core.CheckFailedChannels(failedChannels))
 		// Rebuild with the OWN-256 extensions enabled.
 		rc, fc := *reconfig, failedChannels
 		sys.Build = func(m *power.Meter) *fabric.Network {
@@ -98,10 +92,10 @@ func main() {
 			})
 		}
 	} else if *reconfig || len(failedChannels) > 0 {
-		log.Fatal("-reconfig and -fail apply only to -topo own -cores 256")
+		usage(errors.New("-reconfig and -fail apply only to -topo own -cores 256"))
 	}
 	fmt.Printf("topology=%s cores=%d pattern=%s load=%.5f f/n/c (uniform capacity %.5f)\n",
-		*topo, *cores, pat, *load, topology.UniformSaturationLoad(*cores))
+		rf.Topo, rf.Cores, pat, *load, topology.UniformSaturationLoad(rf.Cores))
 
 	n := sys.Build(power.NewMeter(nil))
 	s, err := obs.Start(n, &of, log.Printf)
@@ -113,8 +107,8 @@ func main() {
 		fmt.Printf("wrote topology graph to %s\n", of.Dot)
 	}
 	res := n.Run(
-		fabric.TrafficSpec{Pattern: pat, Rate: *load, Seed: *seed, Policy: sys.Policy, Classify: sys.Classify},
-		fabric.RunSpec{Warmup: *warmup, Measure: *measure, ReservoirCap: of.Reservoir},
+		fabric.TrafficSpec{Pattern: pat, Rate: *load, Seed: rf.Seed, Policy: sys.Policy, Classify: sys.Classify},
+		fabric.RunSpec{Warmup: rf.Warmup, Measure: rf.Measure, ReservoirCap: of.Reservoir},
 	)
 	s.Finish()
 
@@ -126,7 +120,7 @@ func main() {
 	if res.AvgWirelessChannelMW > 0 {
 		fmt.Printf("wireless:    %.3f mW average per channel (Figure 5 metric)\n", res.AvgWirelessChannelMW)
 	}
-	fmt.Printf("energy/pkt:  %.0f pJ\n", core.EnergyPerPacketPJ(res, *cores))
+	fmt.Printf("energy/pkt:  %.0f pJ\n", core.EnergyPerPacketPJ(res, rf.Cores))
 
 	var man *probe.Manifest
 	if of.Manifest != "" {
@@ -134,14 +128,14 @@ func main() {
 		man = &probe.Manifest{
 			Tool: "ownsim",
 			Config: map[string]string{
-				"topo":            *topo,
-				"cores":           strconv.Itoa(*cores),
+				"topo":            rf.Topo,
+				"cores":           strconv.Itoa(rf.Cores),
 				"pattern":         pat.String(),
 				"load":            strconv.FormatFloat(*load, 'g', -1, 64),
 				"config":          strconv.Itoa(*config),
 				"scenario":        *scenario,
-				"warmup":          strconv.FormatUint(*warmup, 10),
-				"measure":         strconv.FormatUint(*measure, 10),
+				"warmup":          strconv.FormatUint(rf.Warmup, 10),
+				"measure":         strconv.FormatUint(rf.Measure, 10),
 				"reconfig":        strconv.FormatBool(*reconfig),
 				"fail":            *fail,
 				"sample":          strconv.FormatUint(of.Sample, 10),
@@ -153,8 +147,8 @@ func main() {
 				"watchdog_sat":    strconv.Itoa(of.Watchdog.SatWindows),
 				"check":           strconv.FormatBool(of.Check),
 			},
-			Cores:   *cores,
-			Seed:    *seed,
+			Cores:   rf.Cores,
+			Seed:    rf.Seed,
 			Cycles:  n.Eng.Cycle(),
 			Summary: &sum,
 			Build:   probe.ReadBuildInfo(),

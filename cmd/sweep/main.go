@@ -21,6 +21,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -37,7 +38,6 @@ import (
 	"ownsim/internal/power"
 	"ownsim/internal/probe"
 	"ownsim/internal/stats"
-	"ownsim/internal/traffic"
 	"ownsim/internal/wireless"
 )
 
@@ -45,65 +45,50 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("sweep: ")
 
-	topo := flag.String("topo", "all", "topology: all|own|cmesh|wcmesh|optxb|pclos")
-	cores := flag.Int("cores", 256, "core count: 256 or 1024")
-	pattern := flag.String("pattern", "uniform", "traffic pattern")
+	var rf core.RunFlags
+	rf.Register(flag.CommandLine, "all")
 	points := flag.Int("points", 8, "number of load points")
-	warmup := flag.Uint64("warmup", 3000, "warmup cycles")
-	measure := flag.Uint64("measure", 12000, "measurement cycles")
-	seed := flag.Uint64("seed", 1, "simulation seed")
 	doPlot := flag.Bool("plot", false, "render an ASCII latency-load chart on stderr")
 	var of obs.Flags
 	of.Register(flag.CommandLine, "the highest-load point (single -topo)")
 	flag.Parse()
 
-	pat, err := traffic.ParsePattern(*pattern)
-	if err != nil {
-		log.Fatal(err)
-	}
-	names := core.SystemNames()
-	if *topo != "all" {
-		names = []string{*topo}
-	}
-	for _, name := range names {
-		if err := core.CheckSystem(name, *cores); err != nil {
-			log.Fatal(err)
+	// A flag value no sweep can honour is one line and exit 2, before
+	// anything is built.
+	usage := func(err error) {
+		if err != nil {
+			log.Print(err)
+			os.Exit(2)
 		}
 	}
-	if err := core.CheckSweepPoints(*points); err != nil {
-		log.Fatal(err)
+	usage(core.CheckSweepPoints(*points))
+	loads := core.SweepLoads(rf.Cores, *points)
+	pat, names, err := rf.Validate(loads[0])
+	usage(err)
+	usage(of.Validate())
+	if (of.Instrumented() || of.Dot != "") && rf.Topo == "all" {
+		usage(errors.New("-telemetry, -dot, -metrics, -trace, -listen, -energy, -heatmap, -latency-breakdown, -fairness and -dump-on-exit need a single -topo"))
 	}
-	loads := core.SweepLoads(*cores, *points)
-	if err := core.CheckRun(*measure, loads[0]); err != nil {
-		log.Print(err)
-		os.Exit(2)
-	}
-	if err := of.Validate(); err != nil {
-		log.Fatal(err)
-	}
-	if (of.Instrumented() || of.Dot != "") && *topo == "all" {
-		log.Fatal("-telemetry, -dot, -metrics, -trace, -listen, -energy, -heatmap, -latency-breakdown, -fairness and -dump-on-exit need a single -topo")
-	}
-	b := core.Budget{Warmup: *warmup, Measure: *measure, Loads: *points, Seed: *seed, ReservoirCap: of.Reservoir}
+	b := core.Budget{Warmup: rf.Warmup, Measure: rf.Measure, Loads: *points, Seed: rf.Seed, ReservoirCap: of.Reservoir}
 
 	var man *probe.Manifest
 	if of.Manifest != "" {
 		man = &probe.Manifest{
 			Tool: "sweep",
 			Config: map[string]string{
-				"topo":      *topo,
-				"cores":     strconv.Itoa(*cores),
+				"topo":      rf.Topo,
+				"cores":     strconv.Itoa(rf.Cores),
 				"pattern":   pat.String(),
 				"points":    strconv.Itoa(*points),
-				"warmup":    strconv.FormatUint(*warmup, 10),
-				"measure":   strconv.FormatUint(*measure, 10),
+				"warmup":    strconv.FormatUint(rf.Warmup, 10),
+				"measure":   strconv.FormatUint(rf.Measure, 10),
 				"sample":    strconv.FormatUint(of.Sample, 10),
 				"window":    strconv.FormatUint(of.Window, 10),
 				"reservoir": strconv.Itoa(of.Reservoir),
 				"check":     strconv.FormatBool(of.Check),
 			},
-			Cores: *cores,
-			Seed:  *seed,
+			Cores: rf.Cores,
+			Seed:  rf.Seed,
 			Build: probe.ReadBuildInfo(),
 		}
 	}
@@ -117,7 +102,7 @@ func main() {
 	var chart []plot.Series
 	for _, name := range names {
 		name := name
-		sys := core.NewSystem(name, *cores, wireless.Config4, wireless.Ideal)
+		sys := core.NewSystem(name, rf.Cores, wireless.Config4, wireless.Ideal)
 		// Per-point progress on stderr; wall-clock timing is allowed
 		// here in cmd/ (the deterministic CSV/manifest outputs never
 		// see it). Completion order is whatever the worker pool gives.
@@ -158,7 +143,7 @@ func main() {
 		chart = append(chart, series)
 	}
 	if *doPlot {
-		title := fmt.Sprintf("avg latency (cy) vs offered load (f/n/c), %s @ %d cores", pat, *cores)
+		title := fmt.Sprintf("avg latency (cy) vs offered load (f/n/c), %s @ %d cores", pat, rf.Cores)
 		fmt.Fprint(os.Stderr, plot.Chart(title, chart, 72, 18))
 	}
 
@@ -166,7 +151,7 @@ func main() {
 	// so its summary matches the sweep's last point exactly. -check already
 	// covered the sweep points, so the re-run carries no checker.
 	if of.Instrumented() || of.Dot != "" {
-		sys := core.NewSystem(*topo, *cores, wireless.Config4, wireless.Ideal)
+		sys := core.NewSystem(rf.Topo, rf.Cores, wireless.Config4, wireless.Ideal)
 		n := sys.Build(power.NewMeter(nil))
 		rerun := of
 		rerun.Check = false
@@ -185,7 +170,7 @@ func main() {
 				fabric.RunSpec{Warmup: b.Warmup, Measure: b.Measure, ReservoirCap: b.ReservoirCap},
 			)
 			s.Finish()
-			log.Printf("instrumented %s @ load %.5f: %s", *topo, loads[last], res.Summary)
+			log.Printf("instrumented %s @ load %.5f: %s", rf.Topo, loads[last], res.Summary)
 			if err := s.Emit(man, os.Stderr); err != nil {
 				log.Fatal(err)
 			}

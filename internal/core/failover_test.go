@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"ownsim/internal/fabric"
@@ -148,8 +149,8 @@ func TestFailoverIsolatedClusterPanics(t *testing.T) {
 }
 
 func TestFailoverTables(t *testing.T) {
-	failed, relay := failoverTables([]int{0}) // 3 -> 1
-	if !failed[3][1] || failed[1][3] {
+	failed, relay, err := failoverTables([]int{0}) // 3 -> 1
+	if err != nil || !failed[3][1] || failed[1][3] {
 		t.Fatal("failure matrix wrong")
 	}
 	r := relay[3][1]
@@ -159,5 +160,32 @@ func TestFailoverTables(t *testing.T) {
 	// Both legs of the relay path are alive.
 	if failed[3][r] || failed[r][1] {
 		t.Fatal("relay path uses a dead channel")
+	}
+}
+
+// TestCheckFailedChannels pins what `ownsim -fail` accepts: the sets
+// BuildOWN256 would panic on are one-line errors before anything is built.
+func TestCheckFailedChannels(t *testing.T) {
+	for _, tc := range []struct {
+		what string
+		ids  []int
+		want string // substring of the error; "" = accepted
+	}{
+		{"out of range", []int{99}, "invalid failed channel id 99"},
+		{"negative", []int{-1}, "invalid failed channel id -1"},
+		{"repeated", []int{3, 5, 3}, "failed channel id 3 listed twice"},
+		{"isolating: every channel", []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}, "no live relay for failed channel 0->1"},
+		{"isolating: all out of cluster 0", []int{7, 2, 8}, "no live relay for failed channel 0->"},
+		{"none", nil, ""},
+		{"one", []int{0}, ""},
+		{"one diagonal per direction pair", []int{0, 2}, ""},
+	} {
+		err := CheckFailedChannels(tc.ids)
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: CheckFailedChannels(%v) = %v, want nil", tc.what, tc.ids, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("%s: CheckFailedChannels(%v) = %v, want an error containing %q", tc.what, tc.ids, err, tc.want)
+		}
 	}
 }

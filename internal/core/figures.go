@@ -58,6 +58,9 @@ func newEvaluation(b Budget, newSystem systemFunc) *Evaluation {
 	return &Evaluation{b: b, newSystem: newSystem, runs: map[runKey]fabric.Result{}, priced: map[runKey][]fabric.Result{}}
 }
 
+// Budget returns the budget every run of the plan shares.
+func (e *Evaluation) Budget() Budget { return e.b }
+
 // Census reports the plan's counts so far.
 func (e *Evaluation) Census() Census {
 	return Census{e.simulated.Load(), e.served.Load(), e.built.Load()}

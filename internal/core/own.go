@@ -165,7 +165,10 @@ func BuildOWN256(p Params) *fabric.Network {
 			txTile[c][d] = AntennaTile[l.TxAntenna[0]]
 		}
 	}
-	failed, relay := failoverTables(p.FailedChannels)
+	failed, relay, err := failoverTables(p.FailedChannels)
+	if err != nil {
+		panic(fmt.Sprintf("core: %v", err))
+	}
 	if len(p.FailedChannels) > 0 {
 		// Relayed paths traverse up to six routers: src tile, TX1,
 		// relay RX, relay TX, destination RX, dst tile.
@@ -277,18 +280,27 @@ func routeOWN256(pk *noc.Packet, cluster, tile int, txTile *[4][4]int, failed *[
 	return photonicWritePort(tile, tx), mask
 }
 
+// CheckFailedChannels reports whether BuildOWN256 can route around the
+// given failed channel IDs (Params.FailedChannels). cmd/ownsim calls it on
+// -fail before anything is built; BuildOWN256 keeps its panic as the
+// engine invariant.
+func CheckFailedChannels(ids []int) error {
+	_, _, err := failoverTables(ids)
+	return err
+}
+
 // failoverTables derives the failed-channel matrix and, for each failed
 // directed pair, a relay cluster whose two-hop path is fully alive.
-func failoverTables(failedIDs []int) (failed [4][4]bool, relay [4][4]int) {
-	if len(failedIDs) == 0 {
-		return failed, relay
-	}
+func failoverTables(failedIDs []int) (failed [4][4]bool, relay [4][4]int, err error) {
 	links := wireless.OWN256Links()
 	for _, id := range failedIDs {
 		if id < 0 || id >= len(links) {
-			panic(fmt.Sprintf("core: invalid failed channel id %d", id))
+			return failed, relay, fmt.Errorf("invalid failed channel id %d (want 0-%d)", id, len(links)-1)
 		}
 		l := links[id]
+		if failed[l.SrcCluster][l.DstCluster] {
+			return failed, relay, fmt.Errorf("failed channel id %d listed twice", id)
+		}
 		failed[l.SrcCluster][l.DstCluster] = true
 	}
 	for c := 0; c < 4; c++ {
@@ -306,11 +318,11 @@ func failoverTables(failedIDs []int) (failed [4][4]bool, relay [4][4]int) {
 				break
 			}
 			if !found {
-				panic(fmt.Sprintf("core: no live relay for failed channel %d->%d", c, d))
+				return failed, relay, fmt.Errorf("no live relay for failed channel %d->%d", c, d)
 			}
 		}
 	}
-	return failed, relay
+	return failed, relay, nil
 }
 
 // OWN256Policy is the injection VC policy matching the routing

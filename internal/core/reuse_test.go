@@ -59,7 +59,7 @@ func TestReuseFourSpecsOnOneNetworkMatchFreshBuilds(t *testing.T) {
 
 // An evaluation builds each network once and simulates each run once: one
 // build per row group that misses, counted through the build closure and
-// through Census, over the sequence `figures -fig all` runs — and the rows,
+// through Census, over the sequence `paper figures` runs — and the rows,
 // served ones included, are what a fresh build per run gives: core.Sweep
 // and System.Run still make one.
 func TestReuseFiguresBuildEachNetworkOnce(t *testing.T) {

@@ -27,7 +27,7 @@ type Budget struct {
 	ReservoirCap int
 }
 
-// FullBudget is the default used by cmd/figures.
+// FullBudget is the default used by cmd/paper.
 func FullBudget() Budget {
 	return Budget{Warmup: 3000, Measure: 12000, Loads: 8, Seed: 1}
 }

@@ -44,7 +44,6 @@ func (n *Network) InstallChecker(c *check.Checker, onViolation func(v check.Viol
 	c.OnViolation = func(v check.Violation) {
 		var snap *flightrec.Snapshot
 		if n.checkerSnap == nil {
-			//lint:ignore hookpure first-violation dump capture is the hook's contract; it records diagnostics only and never feeds simulation state
 			n.checkerSnap = n.Snapshot("invariant violation: " + v.String())
 			snap = n.checkerSnap
 		}

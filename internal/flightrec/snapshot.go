@@ -1,6 +1,7 @@
 package flightrec
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -117,9 +118,9 @@ type Snapshot struct {
 	Frames      []Frame             `json:"frames,omitempty"`
 }
 
-// ndjsonRecord tags one dump line with its record type so consumers can
+// writeRecord tags one dump line with its record type so consumers can
 // dispatch without schema knowledge; every line carries "rec".
-func writeRecord(w io.Writer, rec string, payload any) error {
+func writeRecord(b *bytes.Buffer, rec string, payload any) error {
 	raw, err := json.Marshal(payload)
 	if err != nil {
 		return err
@@ -129,26 +130,29 @@ func writeRecord(w io.Writer, rec string, payload any) error {
 	if len(raw) < 2 || raw[0] != '{' {
 		return fmt.Errorf("flightrec: record %q did not marshal to an object", rec)
 	}
-	if _, err := fmt.Fprintf(w, "{\"rec\":%q", rec); err != nil {
-		return err
-	}
+	fmt.Fprintf(b, "{\"rec\":%q", rec)
 	if len(raw) > 2 { // non-empty object: append its fields after a comma
-		if _, err := w.Write([]byte{','}); err != nil {
-			return err
-		}
+		b.WriteByte(',')
 	}
-	if _, err := w.Write(raw[1:]); err != nil {
-		return err
-	}
-	_, err = w.Write([]byte{'\n'})
-	return err
+	b.Write(raw[1:])
+	b.WriteByte('\n')
+	return nil
 }
 
 // WriteNDJSON emits the snapshot as newline-delimited JSON: a "meta"
 // record first, then one typed record per logical unit. cmd/obscheck
-// validates the framing.
+// validates the framing. The dump is built in memory and reaches w in one
+// Write, whose error is the one returned; a record that does not marshal
+// (a NaN metric) writes nothing.
 func (s *Snapshot) WriteNDJSON(w io.Writer) error {
-	meta := struct {
+	var b bytes.Buffer
+	var err error
+	record := func(rec string, payload any) {
+		if err == nil {
+			err = writeRecord(&b, rec, payload)
+		}
+	}
+	record("meta", struct {
 		Reason      string   `json:"reason"`
 		Cycle       uint64   `json:"cycle"`
 		Net         string   `json:"net,omitempty"`
@@ -156,117 +160,75 @@ func (s *Snapshot) WriteNDJSON(w io.Writer) error {
 		Tiles       int      `json:"tiles,omitempty"`
 		Trips       uint64   `json:"watchdog_trips"`
 		TripReasons []string `json:"trip_reasons,omitempty"`
-	}{s.Reason, s.Cycle, s.Net, s.Cores, s.Tiles, s.Trips, s.TripReasons}
-	if err := writeRecord(w, "meta", meta); err != nil {
-		return err
-	}
-	if err := writeRecord(w, "progress", s.Progress); err != nil {
-		return err
-	}
-	if err := writeRecord(w, "engine", s.Engine); err != nil {
-		return err
-	}
-	if err := writeRecord(w, "pools", s.Pools); err != nil {
-		return err
-	}
+	}{s.Reason, s.Cycle, s.Net, s.Cores, s.Tiles, s.Trips, s.TripReasons})
+	record("progress", s.Progress)
+	record("engine", s.Engine)
+	record("pools", s.Pools)
 	for i := range s.Channels {
-		if err := writeRecord(w, "channel", &s.Channels[i]); err != nil {
-			return err
-		}
+		record("channel", &s.Channels[i])
 	}
 	for i := range s.Routers {
-		if err := writeRecord(w, "router", &s.Routers[i]); err != nil {
-			return err
-		}
+		record("router", &s.Routers[i])
 	}
 	for i := range s.Packets {
-		if err := writeRecord(w, "packet", &s.Packets[i]); err != nil {
-			return err
-		}
+		record("packet", &s.Packets[i])
 	}
 	for i := range s.Starved {
-		if err := writeRecord(w, "starved", &s.Starved[i]); err != nil {
-			return err
-		}
+		record("starved", &s.Starved[i])
 	}
 	if len(s.FrameNames) > 0 {
-		namesRec := struct {
+		record("frame_names", struct {
 			Names []string `json:"names"`
-		}{s.FrameNames}
-		if err := writeRecord(w, "frame_names", namesRec); err != nil {
-			return err
-		}
+		}{s.FrameNames})
 	}
 	for i := range s.Frames {
-		if err := writeRecord(w, "frame", &s.Frames[i]); err != nil {
-			return err
-		}
+		record("frame", &s.Frames[i])
 	}
-	return nil
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(b.Bytes())
+	return err
 }
 
 // WriteText emits a human-readable rendering of the snapshot. Routers
 // and frames print only when occupied/nonzero so a wedge dump leads
-// with the interesting state.
+// with the interesting state. Like WriteNDJSON it reaches w in one Write.
 func (s *Snapshot) WriteText(w io.Writer) error {
-	pr := func(format string, args ...any) error {
-		_, err := fmt.Fprintf(w, format, args...)
-		return err
-	}
-	if err := pr("=== flight recorder dump: %s @ cycle %d ===\n", s.Reason, s.Cycle); err != nil {
-		return err
-	}
+	var b bytes.Buffer
+	pr := func(format string, args ...any) { fmt.Fprintf(&b, format, args...) }
+	pr("=== flight recorder dump: %s @ cycle %d ===\n", s.Reason, s.Cycle)
 	if s.Net != "" {
-		if err := pr("net=%s cores=%d tiles=%d\n", s.Net, s.Cores, s.Tiles); err != nil {
-			return err
-		}
+		pr("net=%s cores=%d tiles=%d\n", s.Net, s.Cores, s.Tiles)
 	}
-	if err := pr("progress: generated=%d injected=%d dropped=%d ejected=%d src_queued=%d buffered=%d ch_queued=%d\n",
+	pr("progress: generated=%d injected=%d dropped=%d ejected=%d src_queued=%d buffered=%d ch_queued=%d\n",
 		s.Progress.Generated, s.Progress.Injected, s.Progress.Dropped, s.Progress.Ejected,
-		s.Progress.SrcQueued, s.Progress.BufferedFlits, s.Progress.ChannelQueued); err != nil {
-		return err
-	}
-	if err := pr("watchdog: trips=%d\n", s.Trips); err != nil {
-		return err
-	}
+		s.Progress.SrcQueued, s.Progress.BufferedFlits, s.Progress.ChannelQueued)
+	pr("watchdog: trips=%d\n", s.Trips)
 	for _, r := range s.TripReasons {
-		if err := pr("  trip: %s\n", r); err != nil {
-			return err
-		}
+		pr("  trip: %s\n", r)
 	}
-	if err := pr("engine: cycles=%d fast_forwarded=%d\n", s.Engine.Cycles, s.Engine.FastForwardedCy); err != nil {
-		return err
-	}
+	pr("engine: cycles=%d fast_forwarded=%d\n", s.Engine.Cycles, s.Engine.FastForwardedCy)
 	for _, ph := range s.Engine.Phases {
-		if err := pr("  phase %-10s ticks=%d wakes(event=%d timer=%d spurious=%d) awake_cy=%d\n",
-			ph.Phase, ph.Ticks, ph.WakesEvent, ph.WakesTimer, ph.WakesSpurious, ph.AwakeCycleSum); err != nil {
-			return err
-		}
+		pr("  phase %-10s ticks=%d wakes(event=%d timer=%d spurious=%d) awake_cy=%d\n",
+			ph.Phase, ph.Ticks, ph.WakesEvent, ph.WakesTimer, ph.WakesSpurious, ph.AwakeCycleSum)
 	}
-	if err := pr("pools: gets=%d fresh=%d recycled=%d high_water=%d\n",
-		s.Pools.Gets, s.Pools.Fresh, s.Pools.Recycled, s.Pools.HighWater); err != nil {
-		return err
-	}
-	if err := pr("channels: %d\n", len(s.Channels)); err != nil {
-		return err
-	}
+	pr("pools: gets=%d fresh=%d recycled=%d high_water=%d\n",
+		s.Pools.Gets, s.Pools.Fresh, s.Pools.Recycled, s.Pools.HighWater)
+	pr("channels: %d\n", len(s.Channels))
 	for i := range s.Channels {
 		c := &s.Channels[i]
-		if err := pr("  [%d] %s.%s token=%d locked(w=%d vc=%d rx=%d) busy_until=%d queued=%d inflight=%d qhw=%d tx=%d busy_cy=%d token_moves=%d credit_stall=%d\n",
+		pr("  [%d] %s.%s token=%d locked(w=%d vc=%d rx=%d) busy_until=%d queued=%d inflight=%d qhw=%d tx=%d busy_cy=%d token_moves=%d credit_stall=%d\n",
 			i, c.Kind, c.Name, c.Token, c.LockedWriter, c.LockedVC, c.LockedRx,
 			c.BusyUntilCy, c.Queued, c.InFlight, c.QueueHighWater,
-			c.Transmitted, c.BusyCy, c.TokenMoves, c.CreditStallCy); err != nil {
-			return err
-		}
+			c.Transmitted, c.BusyCy, c.TokenMoves, c.CreditStallCy)
 		for _, wr := range c.Writers {
 			if wr.Queued == 0 && !wr.Waiting && wr.MaxWaitCy == 0 {
 				continue
 			}
-			if err := pr("    writer %d (router %d): queued=%d waiting=%v since=%d max_wait=%d head=%d(%d->%d)\n",
+			pr("    writer %d (router %d): queued=%d waiting=%v since=%d max_wait=%d head=%d(%d->%d)\n",
 				wr.Index, wr.ID, wr.Queued, wr.Waiting, wr.WaitingSinceCy, wr.MaxWaitCy,
-				wr.HeadPkt, wr.HeadSrc, wr.HeadDst); err != nil {
-				return err
-			}
+				wr.HeadPkt, wr.HeadSrc, wr.HeadDst)
 		}
 	}
 	occupied := 0
@@ -275,49 +237,33 @@ func (s *Snapshot) WriteText(w io.Writer) error {
 			occupied++
 		}
 	}
-	if err := pr("routers: %d total, %d occupied\n", len(s.Routers), occupied); err != nil {
-		return err
-	}
+	pr("routers: %d total, %d occupied\n", len(s.Routers), occupied)
 	for i := range s.Routers {
 		r := &s.Routers[i]
 		if r.Buffered == 0 {
 			continue
 		}
-		if err := pr("  router %d: buffered=%d high_water=%d\n", r.ID, r.Buffered, r.BufHighWater); err != nil {
-			return err
-		}
+		pr("  router %d: buffered=%d high_water=%d\n", r.ID, r.Buffered, r.BufHighWater)
 	}
-	if err := pr("in-flight measured packets: %d\n", len(s.Packets)); err != nil {
-		return err
-	}
+	pr("in-flight measured packets: %d\n", len(s.Packets))
 	for i := range s.Packets {
 		p := &s.Packets[i]
-		if err := pr("  pkt %d %d->%d age=%d phase=%s since=%d\n",
-			p.ID, p.Src, p.Dst, p.AgeCy, p.Phase, p.MarkCy); err != nil {
-			return err
-		}
+		pr("  pkt %d %d->%d age=%d phase=%s since=%d\n",
+			p.ID, p.Src, p.Dst, p.AgeCy, p.Phase, p.MarkCy)
 	}
-	if err := pr("starved writers: %d\n", len(s.Starved)); err != nil {
-		return err
-	}
+	pr("starved writers: %d\n", len(s.Starved))
 	for i := range s.Starved {
 		st := &s.Starved[i]
-		if err := pr("  %s %s writer %d (router %d) waiting %d cy; token at writer %d (router %d), lock w=%d (router %d) vc=%d head=%d(%d->%d)\n",
+		pr("  %s %s writer %d (router %d) waiting %d cy; token at writer %d (router %d), lock w=%d (router %d) vc=%d head=%d(%d->%d)\n",
 			st.Kind, st.Channel, st.Writer, st.WriterID, st.WaitingCy,
 			st.TokenAt, st.TokenOwnerID, st.LockedWriter, st.LockedWriterID, st.LockedVC,
-			st.HeadPkt, st.HeadSrc, st.HeadDst); err != nil {
-			return err
-		}
+			st.HeadPkt, st.HeadSrc, st.HeadDst)
 	}
 	if len(s.Frames) > 0 {
-		if err := pr("flight recorder tail: %d frames x %d metrics\n", len(s.Frames), len(s.FrameNames)); err != nil {
-			return err
-		}
+		pr("flight recorder tail: %d frames x %d metrics\n", len(s.Frames), len(s.FrameNames))
 		for i := range s.Frames {
 			f := &s.Frames[i]
-			if err := pr("  cycle %d:", f.Cycle); err != nil {
-				return err
-			}
+			pr("  cycle %d:", f.Cycle)
 			for j, v := range f.Values {
 				if stats.ApproxZero(v, 0) {
 					continue
@@ -326,14 +272,11 @@ func (s *Snapshot) WriteText(w io.Writer) error {
 				if j < len(s.FrameNames) {
 					name = s.FrameNames[j]
 				}
-				if err := pr(" %s=%g", name, v); err != nil {
-					return err
-				}
+				pr(" %s=%g", name, v)
 			}
-			if err := pr("\n"); err != nil {
-				return err
-			}
+			pr("\n")
 		}
 	}
-	return nil
+	_, err := w.Write(b.Bytes())
+	return err
 }

@@ -1,9 +1,11 @@
 package flightrec
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"strconv"
+	"strings"
 
 	"ownsim/internal/stats"
 )
@@ -199,24 +201,19 @@ var FairnessTileCSVHeader = []string{
 }
 
 // WriteTileCSV writes one row per tile with per-kind acquisition
-// counts, wait totals and max single waits.
+// counts, wait totals and max single waits, in one Write.
 func (st *StallTracker) WriteTileCSV(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "%s,%s,%s,%s,%s,%s,%s,%s\n",
-		FairnessTileCSVHeader[0], FairnessTileCSVHeader[1], FairnessTileCSVHeader[2],
-		FairnessTileCSVHeader[3], FairnessTileCSVHeader[4], FairnessTileCSVHeader[5],
-		FairnessTileCSVHeader[6], FairnessTileCSVHeader[7]); err != nil {
-		return err
-	}
+	var b bytes.Buffer
+	b.WriteString(strings.Join(FairnessTileCSVHeader, ",") + "\n")
 	for t := 0; t < st.Tiles(); t++ {
 		total := st.sum[KindPhotonic][t] + st.sum[KindWireless][t]
-		if _, err := fmt.Fprintf(w, "%d,%d,%d,%d,%d,%d,%d,%d\n", t,
+		fmt.Fprintf(&b, "%d,%d,%d,%d,%d,%d,%d,%d\n", t,
 			st.count[KindPhotonic][t], st.sum[KindPhotonic][t], st.max[KindPhotonic][t],
 			st.count[KindWireless][t], st.sum[KindWireless][t], st.max[KindWireless][t],
-			total); err != nil {
-			return err
-		}
+			total)
 	}
-	return nil
+	_, err := w.Write(b.Bytes())
+	return err
 }
 
 // FairnessJainCSVHeader is the per-channel Jain-index CSV header;
@@ -227,23 +224,18 @@ var FairnessJainCSVHeader = []string{
 }
 
 // WriteJainCSV writes one row per registered channel (network channel
-// order) with its fairness index over active tiles.
+// order) with its fairness index over active tiles, in one Write.
 func (st *StallTracker) WriteJainCSV(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "%s,%s,%s,%s,%s,%s\n",
-		FairnessJainCSVHeader[0], FairnessJainCSVHeader[1], FairnessJainCSVHeader[2],
-		FairnessJainCSVHeader[3], FairnessJainCSVHeader[4], FairnessJainCSVHeader[5]); err != nil {
-		return err
-	}
-	if st == nil {
-		return nil
-	}
-	for i, cw := range st.chans {
-		jain, active, acqs, waitCy := st.ChannelJain(i)
-		if _, err := fmt.Fprintf(w, "%s,%s,%d,%d,%d,%s\n",
-			cw.label, kindNames[cw.kind], active, acqs, waitCy,
-			strconv.FormatFloat(jain, 'f', -1, 64)); err != nil {
-			return err
+	var b bytes.Buffer
+	b.WriteString(strings.Join(FairnessJainCSVHeader, ",") + "\n")
+	if st != nil {
+		for i, cw := range st.chans {
+			jain, active, acqs, waitCy := st.ChannelJain(i)
+			fmt.Fprintf(&b, "%s,%s,%d,%d,%d,%s\n",
+				cw.label, kindNames[cw.kind], active, acqs, waitCy,
+				strconv.FormatFloat(jain, 'f', -1, 64))
 		}
 	}
-	return nil
+	_, err := w.Write(b.Bytes())
+	return err
 }

@@ -23,9 +23,6 @@
 //   - errcheck-own: no dropped error returns from the artifact-writer
 //     packages (probe, obs, plot, report) — a dropped write error is a
 //     silently truncated CSV/NDJSON/SVG
-//   - hookpure: noc.Tap subscribers and On* callback closures stay
-//     allocation-free, never call time/math⁄rand/os, and never mutate
-//     captured state, preserving the observer-inertness guarantee
 //
 // A finding can be suppressed with a directive on the same line or the
 // line immediately above:
@@ -102,7 +99,6 @@ func All() []*Analyzer {
 		UnitDimAnalyzer(),
 		LockGuardAnalyzer(),
 		ErrCheckOwnAnalyzer(),
-		HookPureAnalyzer(),
 	}
 }
 

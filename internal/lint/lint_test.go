@@ -58,7 +58,6 @@ var expectedViolations = map[string][]struct{ file, marker string }{
 		{"internal/sim/determinism.go", "return time.Since(start)"},
 		{"internal/sim/determinism.go", "rand.Intn(10)"},
 		{"internal/sim/determinism.go", `os.Getenv("OWNSIM_MODE")`},
-		{"internal/fabric/hooks.go", "time.Now()"},
 	},
 	"maporder": {
 		{"internal/sim/maporder.go", "for k := range m {"},
@@ -89,13 +88,6 @@ var expectedViolations = map[string][]struct{ file, marker string }{
 		{"internal/obs/writers.go", "f.WriteString(data)"},
 		{"internal/obs/writers.go", "_ = f.Close()"},
 		{"cmd/tool/main.go", "obs.Dump("},
-	},
-	"hookpure": {
-		{"internal/fabric/hooks.go", "make([]int, 0, 4)"},
-		{"internal/fabric/hooks.go", "s.count++ // seeded"},
-		{"internal/fabric/hooks.go", "time.Now()"},
-		{"internal/fabric/hooks.go", "s.count += e.A"},
-		{"internal/fabric/hooks.go", "[]int{e.A, e.B}"},
 	},
 }
 

@@ -73,9 +73,9 @@ func Mask(kinds ...EventKind) uint32 {
 // Sink and Pool each embed one by value. The zero Tap has no subscribers
 // and wants nothing, so an unobserved event site costs one predictable
 // mask test and builds no Event. Observers only record: a subscriber must
-// never feed anything back into the simulation (ownlint's hookpure checks
-// the closures), which is what keeps an observed run bit-identical to a
-// bare one. A Tap belongs to one single-threaded network.
+// never feed anything back into the simulation, which is what keeps an
+// observed run bit-identical to a bare one (the *Inert* and SpanIdentity
+// tests compare the two). A Tap belongs to one single-threaded network.
 type Tap struct {
 	mask uint32
 	subs []tapSub

@@ -45,26 +45,19 @@ func formatHeat(v float64) string {
 // WriteCSV writes one row per cell: its linear index, grid position,
 // label and value.
 func (h *Heatmap) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"index", "row", "col", "label", "value"}); err != nil {
-		return err
-	}
+	rows := [][]string{{"index", "row", "col", "label", "value"}}
 	cols := h.cols()
 	for i, v := range h.Values {
 		label := ""
 		if i < len(h.Labels) {
 			label = h.Labels[i]
 		}
-		rec := []string{
+		rows = append(rows, []string{
 			strconv.Itoa(i), strconv.Itoa(i / cols), strconv.Itoa(i % cols),
 			label, formatHeat(v),
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
+		})
 	}
-	cw.Flush()
-	return cw.Error()
+	return csv.NewWriter(w).WriteAll(rows)
 }
 
 // heatColor maps t in [0,1] onto a dark-blue -> yellow ramp, returned as

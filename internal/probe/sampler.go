@@ -1,6 +1,7 @@
 package probe
 
 import (
+	"bytes"
 	"encoding/csv"
 	"fmt"
 	"io"
@@ -116,19 +117,15 @@ func (s *Sampler) WriteCSV(w io.Writer) error {
 // and the metrics in registration order (JSON members keep insertion
 // order here because the encoder is hand-rolled over the ordered slice).
 func (s *Sampler) WriteNDJSON(w io.Writer) error {
+	var b bytes.Buffer
 	names := s.reg.Names()
 	for i, row := range s.rows {
-		if _, err := fmt.Fprintf(w, "{\"cycle\":%d", s.cycles[i]); err != nil {
-			return err
-		}
+		fmt.Fprintf(&b, "{\"cycle\":%d", s.cycles[i])
 		for j, v := range row {
-			if _, err := fmt.Fprintf(w, ",%s:%s", strconv.Quote(names[j]), formatValue(v)); err != nil {
-				return err
-			}
+			fmt.Fprintf(&b, ",%s:%s", strconv.Quote(names[j]), formatValue(v))
 		}
-		if _, err := io.WriteString(w, "}\n"); err != nil {
-			return err
-		}
+		b.WriteString("}\n")
 	}
-	return nil
+	_, err := w.Write(b.Bytes())
+	return err
 }

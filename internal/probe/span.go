@@ -1,10 +1,12 @@
 package probe
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"sort"
 	"strconv"
+	"strings"
 
 	"ownsim/internal/noc"
 )
@@ -371,7 +373,7 @@ var SpanCSVHeader = []string{"phase", "packets", "cycles", "avg_cy_per_pkt", "sh
 
 // spanRow renders one breakdown row with the package's deterministic
 // float formatting.
-func spanRow(w io.Writer, name string, packets, cycles, latency uint64) error {
+func spanRow(b *bytes.Buffer, name string, packets, cycles, latency uint64) {
 	avg, share := 0.0, 0.0
 	if packets > 0 {
 		avg = float64(cycles) / float64(packets)
@@ -379,31 +381,31 @@ func spanRow(w io.Writer, name string, packets, cycles, latency uint64) error {
 	if latency > 0 {
 		share = float64(cycles) / float64(latency)
 	}
-	_, err := fmt.Fprintf(w, "%s,%d,%d,%s,%s\n", name, packets, cycles,
+	fmt.Fprintf(b, "%s,%d,%d,%s,%s\n", name, packets, cycles,
 		strconv.FormatFloat(avg, 'f', -1, 64), strconv.FormatFloat(share, 'f', -1, 64))
-	return err
 }
 
 // WriteCSV writes the aggregated breakdown: one row per phase in enum
 // order (zero phases included, so the row set is fixed) and a final
-// total row whose cycles equal the summed end-to-end latency.
+// total row whose cycles equal the summed end-to-end latency. Like every
+// exporter of the package it formats in memory and reaches w in one
+// Write, whose error is the one returned.
 func (s *SpanTracker) WriteCSV(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "%s,%s,%s,%s,%s\n", SpanCSVHeader[0], SpanCSVHeader[1],
-		SpanCSVHeader[2], SpanCSVHeader[3], SpanCSVHeader[4]); err != nil {
-		return err
-	}
+	var b bytes.Buffer
+	b.WriteString(strings.Join(SpanCSVHeader, ",") + "\n")
 	packets, latency := s.Packets(), s.LatencyCycles()
 	for ph := SpanPhase(0); ph < NumSpanPhases; ph++ {
-		if err := spanRow(w, ph.String(), packets, s.PhaseCycles(ph), latency); err != nil {
-			return err
-		}
+		spanRow(&b, ph.String(), packets, s.PhaseCycles(ph), latency)
 	}
-	return spanRow(w, "total", packets, latency, latency)
+	spanRow(&b, "total", packets, latency, latency)
+	_, err := w.Write(b.Bytes())
+	return err
 }
 
 // WriteNDJSON writes one JSON object per phase in enum order, then a
 // total record carrying the packet count and mismatch counter.
 func (s *SpanTracker) WriteNDJSON(w io.Writer) error {
+	var b bytes.Buffer
 	latency := s.LatencyCycles()
 	for ph := SpanPhase(0); ph < NumSpanPhases; ph++ {
 		cy := s.PhaseCycles(ph)
@@ -411,12 +413,11 @@ func (s *SpanTracker) WriteNDJSON(w io.Writer) error {
 		if latency > 0 {
 			share = float64(cy) / float64(latency)
 		}
-		if _, err := fmt.Fprintf(w, "{\"phase\":%q,\"cycles\":%d,\"share\":%s}\n",
-			ph.String(), cy, strconv.FormatFloat(share, 'f', -1, 64)); err != nil {
-			return err
-		}
+		fmt.Fprintf(&b, "{\"phase\":%q,\"cycles\":%d,\"share\":%s}\n",
+			ph.String(), cy, strconv.FormatFloat(share, 'f', -1, 64))
 	}
-	_, err := fmt.Fprintf(w, "{\"phase\":\"total\",\"cycles\":%d,\"packets\":%d,\"mismatches\":%d}\n",
+	fmt.Fprintf(&b, "{\"phase\":\"total\",\"cycles\":%d,\"packets\":%d,\"mismatches\":%d}\n",
 		latency, s.Packets(), s.Mismatches())
+	_, err := w.Write(b.Bytes())
 	return err
 }

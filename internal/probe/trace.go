@@ -1,6 +1,7 @@
 package probe
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"strconv"
@@ -138,7 +139,7 @@ func (t *Tracer) Watch(tap *noc.Tap, name string) {
 			return
 		}
 		st := traceSteps[e.Kind]
-		//lint:ignore hookpure an array value indexed in place never escapes, so it does not allocate
+		// An array value indexed in place never escapes, so it does not allocate.
 		t.Emit(e.Cycle, comp, st.step, e.Pkt, [...]int{0, e.A, e.B, e.C}[st.arg])
 	})
 }
@@ -189,14 +190,13 @@ func (t *Tracer) Events() []Event {
 
 // WriteNDJSON writes one JSON object per event, in emission order.
 func (t *Tracer) WriteNDJSON(w io.Writer) error {
+	var b bytes.Buffer
 	for _, e := range t.events {
-		_, err := fmt.Fprintf(w, "{\"cycle\":%d,\"comp\":%s,\"ev\":%q,\"pkt\":%d,\"src\":%d,\"dst\":%d,\"arg\":%d}\n",
+		fmt.Fprintf(&b, "{\"cycle\":%d,\"comp\":%s,\"ev\":%q,\"pkt\":%d,\"src\":%d,\"dst\":%d,\"arg\":%d}\n",
 			e.Cycle, strconv.Quote(t.comps[e.Comp]), e.Kind, e.Pkt, e.Src, e.Dst, e.Arg)
-		if err != nil {
-			return err
-		}
 	}
-	return nil
+	_, err := w.Write(b.Bytes())
+	return err
 }
 
 // WriteChrome writes the trace in Chrome trace-event JSON (loadable in
@@ -204,9 +204,8 @@ func (t *Tracer) WriteNDJSON(w io.Writer) error {
 // event per lifecycle step, and an async span per packet from enqueue to
 // ejection. Timestamps are simulated cycles interpreted as microseconds.
 func (t *Tracer) WriteChrome(w io.Writer) error {
-	if _, err := io.WriteString(w, "{\"traceEvents\":[\n"); err != nil {
-		return err
-	}
+	var b bytes.Buffer
+	b.WriteString("{\"traceEvents\":[\n")
 	// Thread metadata for every component that recorded at least one
 	// event; unused components are omitted to keep small traces small.
 	used := make([]bool, len(t.comps))
@@ -214,42 +213,31 @@ func (t *Tracer) WriteChrome(w io.Writer) error {
 		used[e.Comp] = true
 	}
 	first := true
-	emit := func(format string, args ...any) error {
+	emit := func(format string, args ...any) {
 		if !first {
-			if _, err := io.WriteString(w, ",\n"); err != nil {
-				return err
-			}
+			b.WriteString(",\n")
 		}
 		first = false
-		_, err := fmt.Fprintf(w, format, args...)
-		return err
+		fmt.Fprintf(&b, format, args...)
 	}
 	for i, name := range t.comps {
-		if !used[i] {
-			continue
-		}
-		if err := emit("{\"ph\":\"M\",\"pid\":0,\"tid\":%d,\"name\":\"thread_name\",\"args\":{\"name\":%s}}", i, strconv.Quote(name)); err != nil {
-			return err
+		if used[i] {
+			emit("{\"ph\":\"M\",\"pid\":0,\"tid\":%d,\"name\":\"thread_name\",\"args\":{\"name\":%s}}", i, strconv.Quote(name))
 		}
 	}
 	for _, e := range t.events {
-		var err error
 		switch e.Kind {
 		case EvEnqueue:
-			err = emit("{\"name\":\"pkt\",\"cat\":\"pkt\",\"ph\":\"b\",\"id\":%d,\"pid\":0,\"tid\":%d,\"ts\":%d,\"args\":{\"src\":%d,\"dst\":%d}}",
+			emit("{\"name\":\"pkt\",\"cat\":\"pkt\",\"ph\":\"b\",\"id\":%d,\"pid\":0,\"tid\":%d,\"ts\":%d,\"args\":{\"src\":%d,\"dst\":%d}}",
 				e.Pkt, e.Comp, e.Cycle, e.Src, e.Dst)
 		case EvEject:
-			err = emit("{\"name\":\"pkt\",\"cat\":\"pkt\",\"ph\":\"e\",\"id\":%d,\"pid\":0,\"tid\":%d,\"ts\":%d}",
+			emit("{\"name\":\"pkt\",\"cat\":\"pkt\",\"ph\":\"e\",\"id\":%d,\"pid\":0,\"tid\":%d,\"ts\":%d}",
 				e.Pkt, e.Comp, e.Cycle)
 		}
-		if err != nil {
-			return err
-		}
-		if err := emit("{\"name\":%q,\"cat\":\"hop\",\"ph\":\"i\",\"s\":\"t\",\"pid\":0,\"tid\":%d,\"ts\":%d,\"args\":{\"pkt\":%d,\"src\":%d,\"dst\":%d,\"arg\":%d}}",
-			e.Kind, e.Comp, e.Cycle, e.Pkt, e.Src, e.Dst, e.Arg); err != nil {
-			return err
-		}
+		emit("{\"name\":%q,\"cat\":\"hop\",\"ph\":\"i\",\"s\":\"t\",\"pid\":0,\"tid\":%d,\"ts\":%d,\"args\":{\"pkt\":%d,\"src\":%d,\"dst\":%d,\"arg\":%d}}",
+			e.Kind, e.Comp, e.Cycle, e.Pkt, e.Src, e.Dst, e.Arg)
 	}
-	_, err := io.WriteString(w, "\n]}\n")
+	b.WriteString("\n]}\n")
+	_, err := w.Write(b.Bytes())
 	return err
 }

@@ -79,7 +79,14 @@ func (r Report) Markdown() string {
 // core.Evaluation: every claim simulates only the rows it reads, and
 // nothing survives the call.
 func Evaluate(b core.Budget, now time.Time) Report {
-	e := core.NewEvaluation(b)
+	return Score(core.NewEvaluation(b), now)
+}
+
+// Score scores the claims on e, simulating only the rows they read that
+// e has not served before: after the figures ran on e (cmd/paper) the
+// ledger adds served requests and no run. Census is e's count so far.
+func Score(e *core.Evaluation, now time.Time) Report {
+	b := e.Budget()
 	r := Report{
 		GeneratedAt: now,
 		Budget:      fmt.Sprintf("warmup=%d measure=%d loads=%d seed=%d", b.Warmup, b.Measure, b.Loads, b.Seed),

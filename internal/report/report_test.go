@@ -8,7 +8,46 @@ import (
 	"time"
 
 	"ownsim/internal/core"
+	"ownsim/internal/traffic"
 )
+
+// quickMeasured is what each claim reads at the quick budget, as text: a
+// change to the rows a claim asks the plan for, or to a digit of them, is a
+// diff here.
+var quickMeasured = []string{
+	"4.56 dBm",
+	"Psat 7.15 dBm vs 4.56 needed",
+	"-89.2 dBc/Hz (simulated PSD)",
+	"4.99 dBm",
+	"20.0 GHz",
+	"10.0 dB at 90 GHz",
+	"c1=7.53 c2=3.67 c3=8.75 c4=1.79 mW",
+	"76%",
+	"c1=4.49 c2=2.16 c3=5.26 c4=1.27 mW",
+	"72%",
+	"optxb 482 mW vs own4 774, pclos 861, wcmesh 890, cmesh 996",
+	"1.60x",
+	"cmesh/own4 = 1.29x",
+	"1.15x",
+	"c1 842, c3 857 vs c4 774 mW",
+	"own 0.0072 vs cmesh 0.0051, optxb 0.0051, pclos 0.0051, wcmesh 0.0029 f/n/c",
+	"zero-load 55 vs 187 cycles (70% lower)",
+	"spread 21%",
+	"+5%",
+	"own 2793 vs wcmesh 4776 pJ/pkt",
+}
+
+func checkQuickMeasured(t *testing.T, rep Report) {
+	t.Helper()
+	if len(rep.Claims) != len(quickMeasured) {
+		t.Fatalf("%d claims, want %d", len(rep.Claims), len(quickMeasured))
+	}
+	for i, c := range rep.Claims {
+		if c.Measured != quickMeasured[i] {
+			t.Errorf("%s measured %q, want %q", c.ID, c.Measured, quickMeasured[i])
+		}
+	}
+}
 
 func TestEvaluateQuick(t *testing.T) {
 	if testing.Short() {
@@ -28,38 +67,7 @@ func TestEvaluateQuick(t *testing.T) {
 	if rep.Passed() < len(rep.Claims)-2 {
 		t.Fatalf("%d/%d claims reproduced; expected near-complete", rep.Passed(), len(rep.Claims))
 	}
-	// What each claim reads, as text: a change to the rows a claim asks
-	// the plan for, or to a digit of them, is a diff here.
-	measured := []string{
-		"4.56 dBm",
-		"Psat 7.15 dBm vs 4.56 needed",
-		"-89.2 dBc/Hz (simulated PSD)",
-		"4.99 dBm",
-		"20.0 GHz",
-		"10.0 dB at 90 GHz",
-		"c1=7.53 c2=3.67 c3=8.75 c4=1.79 mW",
-		"76%",
-		"c1=4.49 c2=2.16 c3=5.26 c4=1.27 mW",
-		"72%",
-		"optxb 482 mW vs own4 774, pclos 861, wcmesh 890, cmesh 996",
-		"1.60x",
-		"cmesh/own4 = 1.29x",
-		"1.15x",
-		"c1 842, c3 857 vs c4 774 mW",
-		"own 0.0072 vs cmesh 0.0051, optxb 0.0051, pclos 0.0051, wcmesh 0.0029 f/n/c",
-		"zero-load 55 vs 187 cycles (70% lower)",
-		"spread 21%",
-		"+5%",
-		"own 2793 vs wcmesh 4776 pJ/pkt",
-	}
-	if len(rep.Claims) != len(measured) {
-		t.Fatalf("%d claims, want %d", len(rep.Claims), len(measured))
-	}
-	for i, c := range rep.Claims {
-		if c.Measured != measured[i] {
-			t.Errorf("%s measured %q, want %q", c.ID, c.Measured, measured[i])
-		}
-	}
+	checkQuickMeasured(t, rep)
 	// The claims read 36 runs on 16 networks — Figure 8's uniform rows
 	// only — and Figure 6's OWN bars are Figure 5's ideal run.
 	if want := (core.Census{Simulated: 36, Served: 1, Built: 16}); rep.Census != want {
@@ -68,6 +76,32 @@ func TestEvaluateQuick(t *testing.T) {
 	data, err := rep.JSON()
 	if err != nil || strings.Contains(string(data), "ensus") || strings.Contains(rep.Markdown(), "plan:") {
 		t.Errorf("the census reached the ledger (err %v):\n%s", err, data)
+	}
+}
+
+// After the figures ran on an evaluation (cmd/paper all), scoring the
+// claims on it simulates nothing and builds nothing — every row a claim
+// reads is a row a figure simulated — and reads what Evaluate reads.
+func TestScoreAfterFiguresSimulatesNothing(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full evaluation in -short mode")
+	}
+	e := core.NewEvaluation(core.QuickBudget())
+	e.Figure5()
+	e.Figure6()
+	e.Figure7a()
+	e.Figure7bc(traffic.Uniform)
+	e.Figure7bc(traffic.BitReversal)
+	e.Figure8(traffic.Uniform, traffic.BitReversal, traffic.Transpose)
+	before := e.Census()
+	rep := Score(e, time.Unix(0, 0).UTC())
+	checkQuickMeasured(t, rep)
+	after := e.Census()
+	if after.Simulated != before.Simulated || after.Built != before.Built || after.Served <= before.Served {
+		t.Errorf("scoring moved the plan from %+v to %+v, want served requests only", before, after)
+	}
+	if rep.Census != after || rep.Budget != "warmup=800 measure=2500 loads=5 seed=1" {
+		t.Errorf("report census %+v budget %q", rep.Census, rep.Budget)
 	}
 }
 
