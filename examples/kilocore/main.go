@@ -11,6 +11,7 @@ import (
 
 	"ownsim/internal/core"
 	"ownsim/internal/fabric"
+	"ownsim/internal/power"
 	"ownsim/internal/topology"
 	"ownsim/internal/traffic"
 	"ownsim/internal/wireless"
@@ -28,11 +29,14 @@ func main() {
 			l.ID, l.SrcGroup, l.DstGroup, l.Antenna, kind, l.Class)
 	}
 
+	// Build the network once; Run rewinds it before every later pattern,
+	// so each reads what a fresh build would.
 	load := 0.3 * topology.UniformSaturationLoad(1024)
+	sys := core.NewSystem("own", 1024, wireless.Config4, wireless.Ideal)
+	n := sys.Build(power.NewMeter(nil))
 	for _, pat := range []traffic.Pattern{traffic.Uniform, traffic.BitReversal, traffic.Transpose} {
-		sys := core.NewSystem("own", 1024, wireless.Config4, wireless.Ideal)
-		res := sys.Run(
-			fabric.TrafficSpec{Pattern: pat, Rate: load, Seed: 99},
+		res := n.Run(
+			fabric.TrafficSpec{Pattern: pat, Rate: load, Seed: 99, Policy: sys.Policy, Classify: sys.Classify},
 			fabric.RunSpec{Warmup: 1500, Measure: 6000},
 		)
 		fmt.Printf("\n%-13s %s\n", pat, res.Summary)

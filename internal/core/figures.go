@@ -83,31 +83,29 @@ func planned[V any](e *Evaluation, memo map[runKey]V, k runKey, run func() V) V 
 	return v
 }
 
-// build makes the network k's system names, counting it.
-func (e *Evaluation) build(k runKey) (System, *fabric.Network) {
-	e.built.Add(1)
-	sys := e.newSystem(k.name, k.cores, k.cfg, k.scen)
-	return sys, sys.Build(power.NewMeter(nil))
+// system returns the named system with a Build that counts into the census.
+func (e *Evaluation) system(name string, cores int, cfg wireless.Config, scen wireless.Scenario) System {
+	sys := e.newSystem(name, cores, cfg, scen)
+	build := sys.Build
+	sys.Build = func(m *power.Meter) *fabric.Network {
+		e.built.Add(1)
+		return build(m)
+	}
+	return sys
 }
 
 // runEach returns the named config-4, ideal-scenario system's runs of
 // points, in order. The first miss builds the network and every miss runs
-// on that one (Network.Run rewinds it in between): a row group costs the
-// cycles nobody simulated before and at most one build, and reads what a
-// fresh build per point reads.
+// on that one (System.run): a row group costs the cycles nobody simulated
+// before and at most one build, and reads what a fresh build per point
+// reads.
 func (e *Evaluation) runEach(name string, cores int, points []fabric.TrafficSpec) []fabric.Result {
-	var sys System
+	sys := e.system(name, cores, wireless.Config4, wireless.Ideal)
 	var net *fabric.Network
 	out := make([]fabric.Result, len(points))
 	for j, ts := range points {
 		k := runKey{name, cores, wireless.Config4, wireless.Ideal, ts.Pattern, ts.Rate, ts.Seed}
-		out[j] = planned(e, e.runs, k, func() fabric.Result {
-			if net == nil {
-				sys, net = e.build(k)
-			}
-			ts.Policy, ts.Classify = sys.Policy, sys.Classify
-			return net.Run(ts, fabric.RunSpec{Warmup: e.b.Warmup, Measure: e.b.Measure})
-		})
+		out[j] = planned(e, e.runs, k, func() fabric.Result { return sys.run(&net, ts, e.b.runSpec()) })
 	}
 	return out
 }
@@ -156,9 +154,9 @@ func (e *Evaluation) ownPerConfig(scen wireless.Scenario, load float64) []fabric
 	cfgs := wireless.AllConfigs()
 	k := runKey{"own", 256, cfgs[0], scen, traffic.Uniform, load, e.b.Seed}
 	return planned(e, e.priced, k, func() []fabric.Result {
-		sys, n := e.build(k)
-		ts := fabric.TrafficSpec{Pattern: k.pattern, Rate: k.rate, Seed: k.seed, Policy: sys.Policy, Classify: sys.Classify}
-		res := n.Run(ts, fabric.RunSpec{Warmup: e.b.Warmup, Measure: e.b.Measure})
+		var n *fabric.Network
+		ts := fabric.TrafficSpec{Pattern: k.pattern, Rate: k.rate, Seed: k.seed}
+		res := e.system(k.name, k.cores, k.cfg, k.scen).run(&n, ts, e.b.runSpec())
 		out := make([]fabric.Result, 0, len(cfgs))
 		for _, cfg := range cfgs {
 			plan := wireless.PlanOWN256(cfg, scen)

@@ -1,9 +1,13 @@
 package core
 
 import (
+	"fmt"
+	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 
+	"ownsim/internal/check"
 	"ownsim/internal/fabric"
 	"ownsim/internal/power"
 	"ownsim/internal/stats"
@@ -60,8 +64,9 @@ func TestReuseFourSpecsOnOneNetworkMatchFreshBuilds(t *testing.T) {
 // An evaluation builds each network once and simulates each run once: one
 // build per row group that misses, counted through the build closure and
 // through Census, over the sequence `paper figures` runs — and the rows,
-// served ones included, are what a fresh build per run gives: core.Sweep
-// and System.Run still make one.
+// served ones included, are what a fresh build per run gives: the
+// reference is System.Run per point, which shares no network with the path
+// it checks.
 func TestReuseFiguresBuildEachNetworkOnce(t *testing.T) {
 	b := Budget{Warmup: 100, Measure: 400, Loads: 3, Seed: 7}
 	var builds atomic.Int64
@@ -101,8 +106,7 @@ func TestReuseFiguresBuildEachNetworkOnce(t *testing.T) {
 
 	loads := SweepLoads(256, b.Loads)
 	for i, s := range series {
-		sys := NewSystem(s.SystemName, 256, wireless.Config4, wireless.Ideal)
-		pts := Sweep(sys, traffic.BitReversal, loads, b)
+		pts := freshCurve(NewSystem(s.SystemName, 256, wireless.Config4, wireless.Ideal), traffic.BitReversal, loads, b)
 		if len(s.Points) != len(pts) {
 			t.Fatalf("Figure7bc %s: %d points, want %d", s.SystemName, len(s.Points), len(pts))
 		}
@@ -135,5 +139,73 @@ func TestReuseFiguresBuildEachNetworkOnce(t *testing.T) {
 		if row.Throughput != res.Throughput || row.Power != res.Power || row.EnergyPerPacketPJ != EnergyPerPacketPJ(res, 1024) {
 			t.Errorf("Figure8 %s/%v: %+v on the shared network, %+v from a fresh build", name, pat, row, res)
 		}
+	}
+}
+
+// freshCurve is the curve Sweep promises, one fresh build per point:
+// System.Run with seed b.Seed+i at loads[i].
+func freshCurve(sys System, pattern traffic.Pattern, loads []float64, b Budget) []stats.CurvePoint {
+	pts := make([]stats.CurvePoint, len(loads))
+	for i, load := range loads {
+		res := sys.Run(fabric.TrafficSpec{Pattern: pattern, Rate: load, Seed: b.Seed + uint64(i)},
+			fabric.RunSpec{Warmup: b.Warmup, Measure: b.Measure})
+		pts[i] = stats.CurvePoint{Load: load, Latency: res.AvgLatency, Throughput: res.Throughput, Saturated: !res.Drained}
+	}
+	return pts
+}
+
+// A sweep's workers build one network each and rewind it for every later
+// point; a checked sweep builds one per point, because a network with a
+// checker installed cannot run again. Either way the curve is a fresh
+// build per point, field for field, the progress callback fires once per
+// point, and the checker finds nothing. The last load is past saturation,
+// so a worker's next point starts on a network cut off undrained.
+func TestReuseSweepBuildsOneNetworkPerWorker(t *testing.T) {
+	b := Budget{Warmup: 200, Measure: 800, Loads: 5, Seed: 13}
+	loads := SweepLoads(256, b.Loads)
+	loads[4] = 1.5 * topology.UniformSaturationLoad(256)
+	var builds atomic.Int64
+	sys := countingSystems(&builds)("own", 256, wireless.Config4, wireless.Ideal)
+	want := freshCurve(sys, traffic.Uniform, loads, b)
+	if !want[4].Saturated {
+		t.Fatalf("load %v drained: %+v, want a point past saturation", loads[4], want[4])
+	}
+	for _, procs := range []int{1, 4} {
+		old := runtime.GOMAXPROCS(procs)
+		workers := int64(min(procs, len(loads)))
+		calls := make([]atomic.Int64, len(loads))
+		onPoint := func(i int, _ stats.CurvePoint) { calls[i].Add(1) }
+		for _, checked := range []bool{false, true} {
+			builds.Store(0)
+			var got []stats.CurvePoint
+			var vs []check.Violation
+			if checked {
+				got, vs = CheckedSweep(sys, traffic.Uniform, loads, b, onPoint)
+			} else {
+				got = SweepWithProgress(sys, traffic.Uniform, loads, b, onPoint)
+			}
+			what := fmt.Sprintf("GOMAXPROCS %d, checked %v", procs, checked)
+			// A worker that never receives a point builds nothing, so with
+			// several workers the count is a bound; one worker builds one.
+			lo, hi := int64(1), workers
+			if checked {
+				lo, hi = int64(len(loads)), int64(len(loads))
+			}
+			if n := builds.Load(); n < lo || n > hi {
+				t.Errorf("%s: %d networks built, want %d..%d", what, n, lo, hi)
+			}
+			if len(vs) != 0 {
+				t.Errorf("%s: %d violations, first %v", what, len(vs), vs[0])
+			}
+			if !slices.Equal(got, want) {
+				t.Errorf("%s:\n got  %+v\n want %+v", what, got, want)
+			}
+			for i := range calls {
+				if c := calls[i].Swap(0); c != 1 {
+					t.Errorf("%s: onPoint fired %d times for point %d", what, c, i)
+				}
+			}
+		}
+		runtime.GOMAXPROCS(old)
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 
 	"ownsim/internal/check"
@@ -32,38 +33,42 @@ func FullBudget() Budget {
 	return Budget{Warmup: 3000, Measure: 12000, Loads: 8, Seed: 1}
 }
 
+// runSpec is the run every point under b gets: the one place a Budget
+// becomes a fabric.RunSpec.
+func (b Budget) runSpec() fabric.RunSpec {
+	return fabric.RunSpec{Warmup: b.Warmup, Measure: b.Measure, ReservoirCap: b.ReservoirCap}
+}
+
 // QuickBudget is a reduced budget for tests and benchmarks; trends are
 // preserved but confidence intervals are wider.
 func QuickBudget() Budget {
 	return Budget{Warmup: 800, Measure: 2500, Loads: 5, Seed: 1}
 }
 
-// ParallelMap runs f(0..n-1) across GOMAXPROCS workers. Every simulation
-// is an independent single-threaded network, so sweeps parallelize
-// perfectly — this is where the repository uses host parallelism.
+// ParallelMap runs f(0..n-1) across min(GOMAXPROCS, n) workers. Every
+// simulation is an independent single-threaded network, so independent
+// runs parallelize without sharing anything — this is where the
+// repository uses host parallelism.
 func ParallelMap(n int, f func(i int)) {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			f(i)
-		}
-		return
-	}
+	parallelEach(n, func(_ *struct{}, i int) { f(i) })
+}
+
+// parallelEach is ParallelMap with one W per worker, zero at the start and
+// passed to every f that worker runs: a sweep keeps its network there.
+func parallelEach[W any](n int, f func(w *W, i int)) {
 	var wg sync.WaitGroup
 	next := make(chan int)
-	for w := 0; w < workers; w++ {
+	for range min(runtime.GOMAXPROCS(0), n) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var w W
 			for i := range next {
-				f(i)
+				f(&w, i)
 			}
 		}()
 	}
-	for i := 0; i < n; i++ {
+	for i := range n {
 		next <- i
 	}
 	close(next)
@@ -105,9 +110,8 @@ func Sweep(sys System, pattern traffic.Pattern, loads []float64, b Budget) []sta
 // artifact; the returned slice is always in load order and is the only
 // sanctioned result. nil onPoint is allowed.
 func SweepWithProgress(sys System, pattern traffic.Pattern, loads []float64, b Budget, onPoint func(i int, p stats.CurvePoint)) []stats.CurvePoint {
-	return sweep(pattern, loads, b, onPoint, func(_ int, ts fabric.TrafficSpec, rs fabric.RunSpec) fabric.Result {
-		return sys.Run(ts, rs)
-	})
+	points, _ := sweep(sys, pattern, loads, b, onPoint, false)
+	return points
 }
 
 // CheckedSweep is SweepWithProgress with the conformance checker
@@ -116,28 +120,28 @@ func SweepWithProgress(sys System, pattern traffic.Pattern, loads []float64, b B
 // concatenated in load order so campaign reports stay deterministic. The
 // curve itself is bit-identical to an unchecked sweep's.
 func CheckedSweep(sys System, pattern traffic.Pattern, loads []float64, b Budget, onPoint func(i int, p stats.CurvePoint)) ([]stats.CurvePoint, []check.Violation) {
-	perPoint := make([][]check.Violation, len(loads))
-	points := sweep(pattern, loads, b, onPoint, func(i int, ts fabric.TrafficSpec, rs fabric.RunSpec) (res fabric.Result) {
-		res, perPoint[i] = sys.RunChecked(ts, rs)
-		return res
-	})
-	var all []check.Violation
-	for _, vs := range perPoint {
-		all = append(all, vs...)
-	}
-	return points, all
+	return sweep(sys, pattern, loads, b, onPoint, true)
 }
 
-// sweep runs point i of the load axis through run, in parallel, with seed
-// b.Seed+i, and assembles the curve in load order.
-func sweep(pattern traffic.Pattern, loads []float64, b Budget, onPoint func(i int, p stats.CurvePoint),
-	run func(i int, ts fabric.TrafficSpec, rs fabric.RunSpec) fabric.Result) []stats.CurvePoint {
+// sweep runs point i of the load axis with seed b.Seed+i, in parallel, and
+// assembles the curve (and, checked, the violations) in load order. Each
+// worker builds one network on its first point and rewinds it for every
+// later one (System.run), so a sweep builds at most min(GOMAXPROCS,
+// len(loads)) networks and reads what a fresh build per point reads. The
+// one exception is a checked point: a network with a checker, probe or
+// recorder installed cannot be rewound (fabric: cannot run again), so
+// RunChecked builds one per point.
+func sweep(sys System, pattern traffic.Pattern, loads []float64, b Budget, onPoint func(i int, p stats.CurvePoint), checked bool) ([]stats.CurvePoint, []check.Violation) {
 	points := make([]stats.CurvePoint, len(loads))
-	ParallelMap(len(loads), func(i int) {
-		res := run(i,
-			fabric.TrafficSpec{Pattern: pattern, Rate: loads[i], Seed: b.Seed + uint64(i)},
-			fabric.RunSpec{Warmup: b.Warmup, Measure: b.Measure, ReservoirCap: b.ReservoirCap},
-		)
+	perPoint := make([][]check.Violation, len(loads))
+	parallelEach(len(loads), func(n **fabric.Network, i int) {
+		ts := fabric.TrafficSpec{Pattern: pattern, Rate: loads[i], Seed: b.Seed + uint64(i)}
+		var res fabric.Result
+		if checked {
+			res, perPoint[i] = sys.RunChecked(ts, b.runSpec())
+		} else {
+			res = sys.run(n, ts, b.runSpec())
+		}
 		points[i] = stats.CurvePoint{
 			Load:       loads[i],
 			Latency:    res.AvgLatency,
@@ -148,7 +152,7 @@ func sweep(pattern traffic.Pattern, loads []float64, b Budget, onPoint func(i in
 			onPoint(i, points[i])
 		}
 	})
-	return points
+	return points, slices.Concat(perPoint...)
 }
 
 // SaturationThroughput sweeps to saturation and reports the accepted

@@ -13,13 +13,16 @@ import (
 // detector (CI runs `go test -race ./...`) can observe the worker pool:
 // workers must write disjoint result slots and every network must own
 // its RNGs — any shared-RNG aliasing between sweep points shows up here.
+// Two workers share five points, so one of them runs at least three and
+// rewinds its network while the other worker is running.
 func TestSweepUnderRace(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	sys := NewSystem("own", 256, wireless.Config4, wireless.Ideal)
-	loads := SweepLoads(256, 2)
-	b := Budget{Warmup: 200, Measure: 800, Loads: 2, Seed: 5}
+	loads := SweepLoads(256, 5)
+	b := Budget{Warmup: 200, Measure: 800, Loads: 5, Seed: 5}
 	pts := Sweep(sys, traffic.Uniform, loads, b)
-	if len(pts) != 2 {
-		t.Fatalf("want 2 sweep points, got %d", len(pts))
+	if len(pts) != 5 {
+		t.Fatalf("want 5 sweep points, got %d", len(pts))
 	}
 	for i, p := range pts {
 		if p.Throughput <= 0 {

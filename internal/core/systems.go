@@ -119,12 +119,23 @@ func NewSystem(name string, cores int, cfg wireless.Config, scen wireless.Scenar
 }
 
 // Run builds a fresh instance of the system and executes one measured
-// simulation on it.
+// simulation on it: the fresh-build reference the reusing paths (sweep,
+// Evaluation) are checked against.
 func (s System) Run(ts fabric.TrafficSpec, rs fabric.RunSpec) fabric.Result {
-	ts.Policy = s.Policy
-	ts.Classify = s.Classify
-	n := s.Build(power.NewMeter(nil))
-	return n.Run(ts, rs)
+	var n *fabric.Network
+	return s.run(&n, ts, rs)
+}
+
+// run is the one place core turns a point into a Result: it executes one
+// measured simulation of s on *n, building *n first if it is nil. A
+// network that has run is rewound by Network.Run, so a later point reads
+// what a fresh build reads.
+func (s System) run(n **fabric.Network, ts fabric.TrafficSpec, rs fabric.RunSpec) fabric.Result {
+	if *n == nil {
+		*n = s.Build(power.NewMeter(nil))
+	}
+	ts.Policy, ts.Classify = s.Policy, s.Classify
+	return (*n).Run(ts, rs)
 }
 
 // RunChecked is Run with the conformance checker (internal/check)
@@ -132,14 +143,13 @@ func (s System) Run(ts fabric.TrafficSpec, rs fabric.RunSpec) fabric.Result {
 // runs, and a final structural audit (Network.CheckInvariants) closes the
 // run. It returns the result — bit-identical to Run's, the checker is
 // inert — together with the recorded violations (empty for a conformant
-// run). The CLIs' -check campaign mode is built on it.
+// run). The CLIs' -check campaign mode is built on it. A checked network
+// cannot run again, so every call builds one.
 func (s System) RunChecked(ts fabric.TrafficSpec, rs fabric.RunSpec) (fabric.Result, []check.Violation) {
-	ts.Policy = s.Policy
-	ts.Classify = s.Classify
 	n := s.Build(power.NewMeter(nil))
 	c := check.New()
 	n.InstallChecker(c, nil)
-	res := n.Run(ts, rs)
+	res := s.run(&n, ts, rs)
 	if err := n.CheckInvariants(); err != nil {
 		c.Report(n.Eng.Cycle(), check.RuleState, n.Name, err.Error())
 	}

@@ -97,10 +97,29 @@ func TestP99Estimate(t *testing.T) {
 	}
 }
 
+// A run that measured no packet has no latency or hop count: String says
+// n/a there instead of printing zeros as if they were measured, and keeps
+// the packet count and throughput. One packet prints every field.
 func TestSummaryString(t *testing.T) {
-	c := NewCollector(1, 0, 10)
-	if !strings.Contains(c.Summary().String(), "pkts=0") {
-		t.Fatal("String missing packet count")
+	one := NewCollector(4, 100, 200)
+	p := pkt(100, 105, 150, 5, 3, true)
+	one.OnCreated(p)
+	one.OnEjected(p, 150)
+	for _, tc := range []struct {
+		name string
+		s    Summary
+		want string
+	}{
+		{"no packets", NewCollector(1, 0, 10).Summary(),
+			"pkts=0 avgLat=n/a p50=n/a p95=n/a p99=n/a (p99<=n/a) maxLat=n/a avgHops=n/a thr=0.0000 f/n/c"},
+		{"no packets, flits in the window", Summary{Throughput: 0.0125},
+			"pkts=0 avgLat=n/a p50=n/a p95=n/a p99=n/a (p99<=n/a) maxLat=n/a avgHops=n/a thr=0.0125 f/n/c"},
+		{"one packet", one.Summary(),
+			"pkts=1 avgLat=50.0 p50=50 p95=50 p99=50 (p99<=50) maxLat=50 avgHops=3.00 thr=0.0125 f/n/c"},
+	} {
+		if got := tc.s.String(); got != tc.want {
+			t.Errorf("%s:\n got  %q\n want %q", tc.name, got, tc.want)
+		}
 	}
 }
 
