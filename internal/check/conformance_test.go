@@ -22,6 +22,7 @@ import (
 	"ownsim/internal/power"
 	"ownsim/internal/router"
 	"ownsim/internal/sbus"
+	"ownsim/internal/topology"
 	"ownsim/internal/traffic"
 	"ownsim/internal/wireless"
 )
@@ -142,6 +143,13 @@ func buildMesh4x4() *fabric.Network {
 	return n
 }
 
+// buildOptXB256 is the single-group crossbar at its smallest paper scale:
+// 64 tiles of four cores, 63 writers on every home waveguide, whose
+// writers and receivers sit on the router ports with no VC demux between.
+func buildOptXB256() *fabric.Network {
+	return topology.BuildOptXB(topology.Params{Cores: 256, Meter: power.NewMeter(nil)})
+}
+
 // TestConformanceOracleOWNCluster diffs the full engine against the
 // sequential reference interpreter on the 16-tile OWN cluster: per-packet
 // delivery order and latency must match event for event.
@@ -166,6 +174,17 @@ func TestConformanceOracleCMesh4x4(t *testing.T) {
 		if err != nil {
 			t.Errorf("seed %d: %v", seed, err)
 		}
+	}
+}
+
+// TestConformanceOracleOptXB diffs engine vs reference on the OptXB-256
+// crossbar, at half its saturation load.
+func TestConformanceOracleOptXB(t *testing.T) {
+	err := fabric.DiffRuns(buildOptXB256,
+		fabric.TrafficSpec{Pattern: traffic.Uniform, Rate: 0.004, Seed: 31},
+		fabric.RunSpec{Warmup: 200, Measure: 1500})
+	if err != nil {
+		t.Error(err)
 	}
 }
 
@@ -281,11 +300,13 @@ func TestConformanceResultIdentityAcrossModes(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
 		build func() *fabric.Network
+		rate  float64
 	}{
-		{"own16", buildOWNCluster16},
-		{"mesh4x4", buildMesh4x4},
+		{"own16", buildOWNCluster16, 0.03},
+		{"mesh4x4", buildMesh4x4, 0.03},
+		{"optxb256", buildOptXB256, 0.004},
 	} {
-		ts := fabric.TrafficSpec{Pattern: traffic.Uniform, Rate: 0.03, PktFlits: 3, Seed: 23}
+		ts := fabric.TrafficSpec{Pattern: traffic.Uniform, Rate: tc.rate, PktFlits: 3, Seed: 23}
 		rs := fabric.RunSpec{Warmup: 200, Measure: 1500}
 		plain := tc.build().Run(ts, rs)
 

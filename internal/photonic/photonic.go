@@ -8,6 +8,7 @@ package photonic
 
 import (
 	"fmt"
+	"slices"
 
 	"ownsim/internal/fabric"
 	"ownsim/internal/noc"
@@ -100,25 +101,40 @@ func BuildCrossbar(n *fabric.Network, name string, routers []*router.Router, pm 
 	groups := spec.groups()
 	subSer := spec.SerializeCy * len(groups)
 	xb := &Crossbar{Spec: spec, Channels: make([]*sbus.Channel, 0, spec.Tiles*len(groups))}
+	// Each home channel is written by every other tile, so the crossbar's
+	// edges are known up front.
+	n.Edges = slices.Grow(n.Edges, spec.Tiles*(spec.Tiles-1))
 	for t := 0; t < spec.Tiles; t++ {
 		rp := pm.ReaderPort(t)
-		rxBy := &rxDemux{byVC: make([]noc.CreditReturner, spec.NumVCs)}
-		// writerBy[w] demuxes writer tile w's output port across the
-		// group subchannels (entry t stays unused); one conduit array,
-		// carved per writer.
-		writerBy := make([]vcDemux, spec.Tiles)
-		conduits := make([]noc.Conduit, spec.Tiles*spec.NumVCs)
-		for w := range writerBy {
-			lo, hi := w*spec.NumVCs, (w+1)*spec.NumVCs
-			writerBy[w].byVC = conduits[lo:hi:hi]
+		// A waveguide split into VC groups demuxes reader t's input credits
+		// and each writer tile's output port across the group subchannels
+		// (writerBy entry t stays unused; one conduit array, carved per
+		// writer). A single group connects the ports to its receiver and
+		// writers directly.
+		var rx noc.CreditReturner
+		var rxBy *rxDemux
+		var writerBy []vcDemux
+		if len(groups) > 1 {
+			rxBy = &rxDemux{byVC: make([]noc.CreditReturner, spec.NumVCs)}
+			rx = rxBy
+			writerBy = make([]vcDemux, spec.Tiles)
+			conduits := make([]noc.Conduit, spec.Tiles*spec.NumVCs)
+			for w := range writerBy {
+				lo, hi := w*spec.NumVCs, (w+1)*spec.NumVCs
+				writerBy[w].byVC = conduits[lo:hi:hi]
+			}
 		}
 		for gi, group := range groups {
 			ch := sbus.NewChannel(fmt.Sprintf("%s/home%d.%d", name, t, gi), subSer, spec.PropCy, spec.TokenHopCy)
 			ch.Kind = "photonic"
 			n.Meter.ReadLink(&ch.Transmitted, 0)
-			rx := ch.AddRx(routers[t], rp, spec.NumVCs, spec.BufDepth)
-			for _, vc := range group {
-				rxBy.byVC[vc] = rx
+			grx := ch.AddRx(routers[t], rp, spec.NumVCs, spec.BufDepth)
+			if rxBy == nil {
+				rx = grx
+			} else {
+				for _, vc := range group {
+					rxBy.byVC[vc] = grx
+				}
 			}
 			// Writer side: every other tile, in tile order (the
 			// token circulates along the snake waveguide).
@@ -128,8 +144,12 @@ func BuildCrossbar(n *fabric.Network, name string, routers []*router.Router, pm 
 				}
 				wr := ch.AddWriter(routers[w], pm.WriterPort(w, t), spec.NumVCs, spec.BufDepth)
 				wr.SetID(routers[w].Cfg.ID)
-				for _, vc := range group {
-					writerBy[w].byVC[vc] = wr
+				if writerBy == nil {
+					routers[w].ConnectOutput(pm.WriterPort(w, t), wr, spec.BufDepth, 1)
+				} else {
+					for _, vc := range group {
+						writerBy[w].byVC[vc] = wr
+					}
 				}
 				if gi == 0 {
 					n.NoteEdge(routers[w].Cfg.ID, routers[t].Cfg.ID, "photonic")
@@ -139,7 +159,7 @@ func BuildCrossbar(n *fabric.Network, name string, routers []*router.Router, pm 
 			n.TrackChannel(ch)
 			xb.Channels = append(xb.Channels, ch)
 		}
-		routers[t].ConnectInput(rp, rxBy)
+		routers[t].ConnectInput(rp, rx)
 		for w := range writerBy {
 			if w != t {
 				routers[w].ConnectOutput(pm.WriterPort(w, t), &writerBy[w], spec.BufDepth, 1)

@@ -14,6 +14,7 @@ package router
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"ownsim/internal/noc"
@@ -39,7 +40,8 @@ const (
 
 // vcState is one virtual channel of one input port.
 type vcState struct {
-	port int // input port index
+	port int // input port number
+	in   int // index of the input port in Router.in
 	vc   int
 
 	buf  []*noc.Flit // FIFO; len <= BufDepth enforced by credits
@@ -69,21 +71,26 @@ func (v *vcState) pop() *noc.Flit {
 	return f
 }
 
-// InputPort groups the VC buffers fed by one upstream channel.
-type InputPort struct {
-	vcs      []*vcState
+// inputPort groups the VC buffers fed by one upstream channel with the
+// port's switch-allocation state.
+type inputPort struct {
+	port     int
+	vcs      []vcState
 	upstream noc.CreditReturner
+	saLast   int      // last granted VC
+	best     *vcState // stage-1 winner while a tick allocates, else nil
 }
 
-// OutputPort tracks downstream credits and output-VC ownership for one
-// outgoing channel.
-type OutputPort struct {
-	down        noc.Conduit
-	credits     []int
-	maxCredits  int
-	owner       []*vcState // per out VC; nil = free
-	serializeCy int        // cycles the switch/channel is held per flit
+// outputPort is one outgoing channel's state; its per-VC credits live in
+// Router.credits.
+type outputPort struct {
+	down        noc.Conduit // nil: not connected
 	busyUntil   uint64
+	best        *vcState // stage-2 winner while a tick allocates, else nil
+	maxCredits  int32
+	serializeCy int32  // cycles the switch/channel is held per flit
+	owned       uint32 // output VCs held by an input VC, one bit each
+	saLast      int32  // last granted input port
 }
 
 // Config parameterizes a Router.
@@ -93,7 +100,7 @@ type Config struct {
 	// NumPorts is the port count (the radix used for energy accounting).
 	NumPorts int
 	// NumVCs is the number of virtual channels per input port (the paper
-	// uses 4 everywhere).
+	// uses 4 everywhere; at most 32).
 	NumVCs int
 	// BufDepth is the per-VC buffer depth in flits.
 	BufDepth int
@@ -131,23 +138,22 @@ type Router struct {
 	// was rewritten to its output VC.
 	Tap noc.Tap
 
-	in  []*InputPort
-	out []*OutputPort
+	// in holds the connected input ports in connection order, so a
+	// router pays nothing for an input it does not use; out holds every
+	// output port, and credits their per-VC credits (port p's VC vc at
+	// p*NumVCs+vc).
+	in      []inputPort
+	out     []outputPort
+	credits []int32
 
+	// active lists the input VCs holding flits; its capacity, one entry
+	// per input VC, keeps the hot path append-free.
 	active []*vcState
+	vcaPtr int // rotating start into the active list for VCA
 
-	// Round-robin pointers.
-	saInPtr  []int // per input port: last granted VC
-	saOutPtr []int // per output port: last granted input port
-	vcaPtr   int   // rotating start into the active list for VCA
-
-	// Per-tick scratch, sized NumPorts and all nil between ticks: the
-	// stage winners per port, and the output ports that have one.
-	inBest, outBest []*vcState
-	outReq          []int
-
-	outCredits []int      // backing array of every OutputPort.credits
-	outOwner   []*vcState // backing array of every OutputPort.owner
+	// outReq lists the output ports that have a stage-2 winner while a
+	// tick allocates (at most one per input port).
+	outReq []int
 
 	// buffered mirrors the total flits across all input VC buffers
 	// (incremented on ReceiveFlit, decremented at the switch-allocation
@@ -180,47 +186,50 @@ type Router struct {
 // New creates a router with no ports connected. Topologies connect inputs
 // and outputs before simulation starts.
 func New(cfg Config) *Router {
-	if cfg.NumPorts <= 0 || cfg.NumVCs <= 0 || cfg.BufDepth <= 0 {
+	if cfg.NumPorts <= 0 || cfg.NumVCs <= 0 || cfg.NumVCs > 32 || cfg.BufDepth <= 0 {
 		panic(fmt.Sprintf("router %d: invalid config %+v", cfg.ID, cfg))
 	}
 	r := &Router{
-		Cfg: cfg,
-		in:  make([]*InputPort, cfg.NumPorts),
-		out: make([]*OutputPort, cfg.NumPorts),
-		// The active list can hold at most one entry per input VC;
-		// pre-sizing it to that bound keeps the hot path append-free.
-		active:   make([]*vcState, 0, cfg.NumPorts*cfg.NumVCs),
-		saInPtr:  make([]int, cfg.NumPorts),
-		saOutPtr: make([]int, cfg.NumPorts),
-		inBest:   make([]*vcState, cfg.NumPorts),
-		outBest:  make([]*vcState, cfg.NumPorts),
-		outReq:   make([]int, 0, cfg.NumPorts),
-		// Every output port's credit and owner tables, carved per port by
-		// ConnectOutput.
-		outCredits: make([]int, cfg.NumPorts*cfg.NumVCs),
-		outOwner:   make([]*vcState, cfg.NumPorts*cfg.NumVCs),
+		Cfg:     cfg,
+		out:     make([]outputPort, cfg.NumPorts),
+		credits: make([]int32, cfg.NumPorts*cfg.NumVCs),
 	}
 	cfg.Meter.RegisterRouter(cfg.NumPorts, cfg.NumVCs)
 	return r
 }
 
+// input returns connected input port `port`, or nil.
+func (r *Router) input(port int) *inputPort {
+	for i := range r.in {
+		if r.in[i].port == port {
+			return &r.in[i]
+		}
+	}
+	return nil
+}
+
 // ConnectInput attaches an upstream channel to input port p. The upstream
 // CreditReturner receives a credit every time a buffered flit leaves.
 func (r *Router) ConnectInput(p int, upstream noc.CreditReturner) {
-	if r.in[p] != nil {
-		panic(fmt.Sprintf("router %d: input port %d connected twice", r.Cfg.ID, p))
+	if p < 0 || p >= r.Cfg.NumPorts || r.input(p) != nil {
+		panic(fmt.Sprintf("router %d: input port %d connected twice or out of range", r.Cfg.ID, p))
 	}
 	r.Cfg.Meter.RegisterInputPort(r.Cfg.NumVCs)
 	// One allocation each for the port's VC states and their flit rings,
 	// carved per VC (capacity-limited so no ring can grow into the next).
 	nv, d := r.Cfg.NumVCs, r.Cfg.BufDepth
-	ip := &InputPort{upstream: upstream, vcs: make([]*vcState, nv)}
 	states, bufs := make([]vcState, nv), make([]*noc.Flit, nv*d)
 	for v := range states {
-		states[v] = vcState{port: p, vc: v, buf: bufs[v*d : (v+1)*d : (v+1)*d], outPort: -1, outVC: -1}
-		ip.vcs[v] = &states[v]
+		states[v] = vcState{port: p, in: len(r.in), vc: v, buf: bufs[v*d : (v+1)*d : (v+1)*d], outPort: -1, outVC: -1}
 	}
-	r.in[p] = ip
+	r.in = append(r.in, inputPort{port: p, vcs: states, upstream: upstream})
+	r.active = append(make([]*vcState, 0, len(r.in)*nv), r.active...)
+	r.outReq = make([]int, 0, len(r.in))
+}
+
+// outCredits returns output port p's per-VC credits.
+func (r *Router) outCredits(p int) []int32 {
+	return r.credits[p*r.Cfg.NumVCs : (p+1)*r.Cfg.NumVCs]
 }
 
 // ConnectOutput attaches a downstream conduit to output port p with the
@@ -228,53 +237,41 @@ func (r *Router) ConnectInput(p int, upstream noc.CreditReturner) {
 // serialization time in cycles (>= 1; >1 models narrow channels used for
 // bisection-bandwidth equalization).
 func (r *Router) ConnectOutput(p int, down noc.Conduit, creditsPerVC, serializeCy int) {
-	if r.out[p] != nil {
+	op := &r.out[p]
+	if op.down != nil {
 		panic(fmt.Sprintf("router %d: output port %d connected twice", r.Cfg.ID, p))
 	}
-	if serializeCy < 1 {
-		serializeCy = 1
+	*op = outputPort{down: down, maxCredits: int32(creditsPerVC), serializeCy: int32(max(serializeCy, 1))}
+	for vc := range r.outCredits(p) {
+		r.outCredits(p)[vc] = op.maxCredits
 	}
-	lo, hi := p*r.Cfg.NumVCs, (p+1)*r.Cfg.NumVCs
-	op := &OutputPort{
-		down:        down,
-		credits:     r.outCredits[lo:hi:hi],
-		maxCredits:  creditsPerVC,
-		owner:       r.outOwner[lo:hi:hi],
-		serializeCy: serializeCy,
-	}
-	for v := range op.credits {
-		op.credits[v] = creditsPerVC
-	}
-	r.out[p] = op
 }
 
 // Reset rewinds the router to what New and the Connect calls left: empty
 // buffers, every credit home, no output VC held, arbiters and counts at
 // zero. What was installed since — waker, taps, CountStalls — stays.
 func (r *Router) Reset() {
-	for _, ip := range r.in {
-		if ip == nil {
-			continue
-		}
-		for _, v := range ip.vcs {
+	for i := range r.in {
+		ip := &r.in[i]
+		for vc := range ip.vcs {
+			v := &ip.vcs[vc]
 			clear(v.buf)
-			*v = vcState{port: v.port, vc: v.vc, buf: v.buf, outPort: -1, outVC: -1}
+			*v = vcState{port: v.port, in: v.in, vc: v.vc, buf: v.buf, outPort: -1, outVC: -1}
 		}
+		ip.saLast = 0
 	}
-	for _, op := range r.out {
-		if op == nil {
+	for p := range r.out {
+		op := &r.out[p]
+		if op.down == nil {
 			continue
 		}
-		for vc := range op.credits {
-			op.credits[vc] = op.maxCredits
+		for vc := range r.outCredits(p) {
+			r.outCredits(p)[vc] = op.maxCredits
 		}
-		op.busyUntil = 0
+		op.busyUntil, op.owned, op.saLast = 0, 0, 0
 	}
-	clear(r.outOwner)
 	clear(r.active)
 	r.active = r.active[:0]
-	clear(r.saInPtr)
-	clear(r.saOutPtr)
 	r.vcaPtr, r.buffered, r.bufHighWater = 0, 0, 0
 	r.stalled, r.busyWake, r.counts, r.now = false, 0, Counts{}, 0
 }
@@ -282,11 +279,11 @@ func (r *Router) Reset() {
 // ReceiveFlit implements noc.FlitReceiver: a channel delivers a flit into
 // input buffer (port, f.VC).
 func (r *Router) ReceiveFlit(port int, f *noc.Flit) {
-	ip := r.in[port]
+	ip := r.input(port)
 	if ip == nil {
 		panic(fmt.Sprintf("router %d: flit on unconnected input port %d", r.Cfg.ID, port))
 	}
-	v := ip.vcs[f.VC]
+	v := &ip.vcs[f.VC]
 	if v.size >= r.Cfg.BufDepth {
 		panic(fmt.Sprintf("router %d: buffer overflow port %d vc %d (credit protocol violation)", r.Cfg.ID, port, f.VC))
 	}
@@ -305,8 +302,8 @@ func (r *Router) ReceiveFlit(port int, f *noc.Flit) {
 // is a delivery-phase call: it lands before the router's tick of the
 // cycle.
 func (r *Router) ReceiveCredit(port, vc int) {
-	op := r.out[port]
-	if op == nil {
+	op := &r.out[port]
+	if op.down == nil {
 		panic(fmt.Sprintf("router %d: credit on unconnected output port %d", r.Cfg.ID, port))
 	}
 	// Only the first credit of an output VC that some input VC holds can
@@ -314,12 +311,13 @@ func (r *Router) ReceiveCredit(port, vc int) {
 	// credit follows one that already woke the router. That credit ends
 	// the holder's credit stall, so the cycles slept so far are charged
 	// before it is booked.
-	if r.stalled && op.credits[vc] == 0 && op.owner[vc] != nil {
+	c := &r.outCredits(port)[vc]
+	if r.stalled && *c == 0 && op.owned&(1<<uint(vc)) != 0 {
 		r.catchUp(r.waker.Now())
 		r.waker.Wake()
 	}
-	op.credits[vc]++
-	if op.credits[vc] > op.maxCredits {
+	*c++
+	if *c > op.maxCredits {
 		panic(fmt.Sprintf("router %d: credit overflow port %d vc %d", r.Cfg.ID, port, vc))
 	}
 }
@@ -387,10 +385,9 @@ func (r *Router) catchUp(upTo uint64) {
 		if v.stage != stActive {
 			continue
 		}
-		op := r.out[v.outPort]
-		busyEnd := min(max(op.busyUntil, from), upTo)
+		busyEnd := min(max(r.out[v.outPort].busyUntil, from), upTo)
 		r.counts.BusyStall += busyEnd - from
-		if op.credits[v.outVC] == 0 {
+		if r.credit(v) == 0 {
 			r.counts.CreditStall += upTo - busyEnd
 		}
 	}
@@ -449,14 +446,12 @@ func (r *Router) canMoveNext() bool {
 		if v.stage == stIdle {
 			return true
 		}
-		op := r.out[v.outPort]
+		op := &r.out[v.outPort]
 		if v.stage == stWaitVCA {
-			for ovc, own := range op.owner {
-				if own == nil && v.vcMask&(1<<uint(ovc)) != 0 {
-					return true
-				}
+			if r.freeVCs(v) != 0 {
+				return true
 			}
-		} else if op.credits[v.outVC] > 0 {
+		} else if r.credit(v) > 0 {
 			if op.busyUntil <= r.now+1 {
 				return true
 			}
@@ -466,6 +461,14 @@ func (r *Router) canMoveNext() bool {
 		}
 	}
 	return false
+}
+
+// credit returns the credits of the output VC v holds.
+func (r *Router) credit(v *vcState) int32 { return r.credits[v.outPort*r.Cfg.NumVCs+v.outVC] }
+
+// freeVCs returns the output VCs v may use that nobody holds.
+func (r *Router) freeVCs(v *vcState) uint32 {
+	return v.vcMask &^ r.out[v.outPort].owned & (uint32(1)<<uint(r.Cfg.NumVCs) - 1)
 }
 
 // switchAllocate runs the two-stage separable allocator and performs
@@ -478,47 +481,47 @@ func (r *Router) switchAllocate() {
 		if v.stage != stActive || v.size == 0 {
 			continue
 		}
-		op := r.out[v.outPort]
-		if op.busyUntil > r.now {
+		if r.out[v.outPort].busyUntil > r.now {
 			if r.countStalls {
 				r.counts.BusyStall++
 			}
 			continue
 		}
-		if op.credits[v.outVC] <= 0 {
+		if r.credit(v) <= 0 {
 			if r.countStalls {
 				r.counts.CreditStall++
 			}
 			continue
 		}
-		cur := r.inBest[v.port]
-		if cur == nil || rrBefore(r.saInPtr[v.port], v.vc, cur.vc, r.Cfg.NumVCs) {
-			r.inBest[v.port] = v
+		ip := &r.in[v.in]
+		if ip.best == nil || rrBefore(ip.saLast, v.vc, ip.best.vc, r.Cfg.NumVCs) {
+			ip.best = v
 		}
 	}
 	// Stage 2: per output port, round-robin over the input ports' winners,
 	// found in the active list again (any order: rrBefore is a total order
 	// on distinct ports).
 	for _, v := range r.active {
-		if r.inBest[v.port] != v {
+		ip := &r.in[v.in]
+		if ip.best != v {
 			continue
 		}
-		r.inBest[v.port] = nil
-		cur := r.outBest[v.outPort]
-		if cur == nil {
+		ip.best = nil
+		op := &r.out[v.outPort]
+		if op.best == nil {
 			r.outReq = append(r.outReq, v.outPort)
 		}
-		if cur == nil || rrBefore(r.saOutPtr[v.outPort], v.port, cur.port, r.Cfg.NumPorts) {
-			r.outBest[v.outPort] = v
+		if op.best == nil || rrBefore(int(op.saLast), v.port, op.best.port, r.Cfg.NumPorts) {
+			op.best = v
 		}
 	}
 	// Grant: traverse the switch, by ascending output port — the order
 	// EvSwitch, Send and ReturnCredit go out in.
 	slices.Sort(r.outReq)
 	for _, p := range r.outReq {
-		v := r.outBest[p]
-		r.outBest[p] = nil
-		op := r.out[p]
+		op := &r.out[p]
+		v := op.best
+		op.best = nil
 		f := v.pop()
 		r.buffered--
 		f.VC = v.outVC
@@ -529,14 +532,15 @@ func (r *Router) switchAllocate() {
 		if r.Tap.Wants(noc.EvSwitch) {
 			r.Tap.Emit(noc.Event{Kind: noc.EvSwitch, Cycle: r.now, Pkt: f.Pkt, Flit: f, A: v.port, B: p, C: v.outVC})
 		}
-		op.credits[v.outVC]--
+		r.credits[p*r.Cfg.NumVCs+v.outVC]--
 		op.busyUntil = r.now + uint64(op.serializeCy)
 		op.down.Send(f)
-		r.in[v.port].upstream.ReturnCredit(v.vc)
-		r.saInPtr[v.port] = v.vc
-		r.saOutPtr[p] = v.port
+		ip := &r.in[v.in]
+		ip.upstream.ReturnCredit(v.vc)
+		ip.saLast = v.vc
+		op.saLast = int32(v.port)
 		if f.IsTail() {
-			op.owner[v.outVC] = nil
+			op.owned &^= 1 << uint(v.outVC)
 			v.stage = stIdle
 			v.outPort, v.outVC = -1, -1
 		}
@@ -545,7 +549,8 @@ func (r *Router) switchAllocate() {
 }
 
 // vcAllocate grants free output VCs to input VCs in WaitVCA, starting from
-// a rotating offset into the active list for fairness.
+// a rotating offset into the active list for fairness; a VC gets the
+// lowest-numbered free output VC it may use.
 func (r *Router) vcAllocate() {
 	na := len(r.active)
 	if na == 0 {
@@ -557,19 +562,17 @@ func (r *Router) vcAllocate() {
 		if v.stage != stWaitVCA {
 			continue
 		}
-		op := r.out[v.outPort]
-		for ovc := 0; ovc < r.Cfg.NumVCs; ovc++ {
-			if v.vcMask&(1<<uint(ovc)) == 0 || op.owner[ovc] != nil {
-				continue
-			}
-			op.owner[ovc] = v
-			v.outVC = ovc
-			v.stage = stActive
-			r.counts.VCAllocs++
-			if r.Tap.Wants(noc.EvVCAlloc) {
-				r.Tap.Emit(noc.Event{Kind: noc.EvVCAlloc, Cycle: r.now, Pkt: v.front().Pkt, A: v.outPort, B: ovc})
-			}
-			break
+		free := r.freeVCs(v)
+		if free == 0 {
+			continue
+		}
+		ovc := bits.TrailingZeros32(free)
+		r.out[v.outPort].owned |= 1 << uint(ovc)
+		v.outVC = ovc
+		v.stage = stActive
+		r.counts.VCAllocs++
+		if r.Tap.Wants(noc.EvVCAlloc) {
+			r.Tap.Emit(noc.Event{Kind: noc.EvVCAlloc, Cycle: r.now, Pkt: v.front().Pkt, A: v.outPort, B: ovc})
 		}
 	}
 	r.vcaPtr++
@@ -587,7 +590,7 @@ func (r *Router) routeCompute() {
 				r.Cfg.ID, f.Pkt.ID, f.Seq, v.port, v.vc))
 		}
 		outPort, mask := r.Cfg.Route(f.Pkt, v.port)
-		if outPort < 0 || outPort >= r.Cfg.NumPorts || r.out[outPort] == nil {
+		if outPort < 0 || outPort >= r.Cfg.NumPorts || r.out[outPort].down == nil {
 			panic(fmt.Sprintf("router %d: route for pkt %d (src %d dst %d, in %d) gave invalid out port %d",
 				r.Cfg.ID, f.Pkt.ID, f.Pkt.Src, f.Pkt.Dst, v.port, outPort))
 		}
@@ -640,28 +643,32 @@ func (r *Router) CheckInvariants() error {
 	if r.waker != nil {
 		asleep, wakeAt = r.waker.Asleep()
 	}
-	for p, op := range r.out {
-		if op == nil {
+	owned := 0
+	for p := range r.out {
+		op := &r.out[p]
+		if op.down == nil {
 			continue
 		}
-		for vc, c := range op.credits {
+		for vc, c := range r.outCredits(p) {
 			if c < 0 || c > op.maxCredits {
 				return fmt.Errorf("router %d out %d vc %d: credits %d out of [0,%d]", r.Cfg.ID, p, vc, c, op.maxCredits)
 			}
 		}
-		for vc, own := range op.owner {
-			if own != nil && (own.outPort != p || own.outVC != vc) {
-				return fmt.Errorf("router %d out %d vc %d: inconsistent owner", r.Cfg.ID, p, vc)
-			}
-		}
+		owned += bits.OnesCount32(op.owned)
 	}
-	for p, ip := range r.in {
-		if ip == nil {
-			continue
-		}
-		for vc, v := range ip.vcs {
+	// Every held output VC has one holder: an input VC in stActive on it.
+	holding := 0
+	for _, ip := range r.in {
+		for vc := range ip.vcs {
+			v := &ip.vcs[vc]
 			if v.size < 0 || v.size > r.Cfg.BufDepth {
-				return fmt.Errorf("router %d in %d vc %d: size %d", r.Cfg.ID, p, vc, v.size)
+				return fmt.Errorf("router %d in %d vc %d: size %d", r.Cfg.ID, ip.port, vc, v.size)
+			}
+			if v.stage == stActive {
+				holding++
+				if r.out[v.outPort].owned&(1<<uint(v.outVC)) == 0 {
+					return fmt.Errorf("router %d in %d vc %d: inconsistent owner: holds out %d vc %d, which is free", r.Cfg.ID, ip.port, vc, v.outPort, v.outVC)
+				}
 			}
 			if !asleep || v.size == 0 {
 				continue
@@ -669,19 +676,18 @@ func (r *Router) CheckInvariants() error {
 			stuck := false // an unrouted head never waits
 			switch v.stage {
 			case stWaitVCA: // for an output VC: none it may use is free
-				stuck = true
-				for ovc, own := range r.out[v.outPort].owner {
-					stuck = stuck && (own != nil || v.vcMask&(1<<uint(ovc)) == 0)
-				}
+				stuck = r.freeVCs(v) == 0
 			case stActive: // for a credit, or until busyUntil with a wakeup by then
-				op := r.out[v.outPort]
-				stuck = op.credits[v.outVC] == 0 || wakeAt != 0 && wakeAt <= op.busyUntil
+				stuck = r.credit(v) == 0 || wakeAt != 0 && wakeAt <= r.out[v.outPort].busyUntil
 			}
 			if !stuck {
 				return fmt.Errorf("router %d asleep (timed wakeup at %d) but in %d vc %d could move: stage %d, out %d vc %d",
-					r.Cfg.ID, wakeAt, p, vc, v.stage, v.outPort, v.outVC)
+					r.Cfg.ID, wakeAt, ip.port, vc, v.stage, v.outPort, v.outVC)
 			}
 		}
+	}
+	if owned != holding {
+		return fmt.Errorf("router %d: inconsistent owner: %d output VCs held, %d input VCs holding one", r.Cfg.ID, owned, holding)
 	}
 	if got := r.BufferedFlits(); r.buffered != got {
 		return fmt.Errorf("router %d: buffered mirror %d != %d recounted flits", r.Cfg.ID, r.buffered, got)
@@ -694,11 +700,8 @@ func (r *Router) CheckInvariants() error {
 func (r *Router) BufferedFlits() int {
 	total := 0
 	for _, ip := range r.in {
-		if ip == nil {
-			continue
-		}
-		for _, v := range ip.vcs {
-			total += v.size
+		for vc := range ip.vcs {
+			total += ip.vcs[vc].size
 		}
 	}
 	return total

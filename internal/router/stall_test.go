@@ -160,9 +160,14 @@ func TestSwitchGrantsGoOutInOutputPortOrder(t *testing.T) {
 	}
 	for c := uint64(0); c < 4; c++ {
 		r.Tick(c)
-		for p := range r.inBest {
-			if r.inBest[p] != nil || r.outBest[p] != nil {
-				t.Fatalf("after tick %d: allocator scratch of port %d is not nil", c, p)
+		for _, ip := range r.in {
+			if ip.best != nil {
+				t.Fatalf("after tick %d: allocator scratch of input %d is not nil", c, ip.port)
+			}
+		}
+		for p, op := range r.out {
+			if op.best != nil {
+				t.Fatalf("after tick %d: allocator scratch of output %d is not nil", c, p)
 			}
 		}
 		if len(r.outReq) != 0 {
@@ -315,7 +320,7 @@ func TestCheckInvariantsReportsLostWakeup(t *testing.T) {
 	s.deliver(0, 1, 2)
 	s.runTo(10)
 	s.mustBeConsistent(t)
-	s.r.out[s.out].credits[0]++ // behind the router's back
+	s.r.outCredits(s.out)[0]++ // behind the router's back
 	err := s.r.CheckInvariants()
 	if err == nil || !strings.Contains(err.Error(), "asleep") {
 		t.Fatalf("CheckInvariants = %v, want a lost-wakeup error", err)

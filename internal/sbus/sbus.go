@@ -16,6 +16,7 @@ package sbus
 
 import (
 	"fmt"
+	"math/bits"
 
 	"ownsim/internal/noc"
 	"ownsim/internal/sim"
@@ -56,6 +57,17 @@ type Channel struct {
 	writers []*Writer
 	rxs     []*Rx
 	waker   *sim.Waker
+
+	// Writer storage, carved by AddWriter from blocks of 1, 2, 4, ...
+	// writers, so 15 or 255 writers fill them exactly: spare is what is
+	// left of the current Writer block, rings[k] holds the queues of
+	// writers 2^k-1 .. 2^(k+1)-2 (nvc rings of depth flits each), and
+	// fifos the positions of writer wi's VC vc at wi*nvc+vc. Every writer
+	// of a channel has the same nvc and depth.
+	nvc, depth int
+	spare      []Writer
+	rings      [][]*noc.Flit
+	fifos      []fifo
 
 	token       int
 	lockedW     int // -1 when free
@@ -105,12 +117,12 @@ func NewChannel(name string, serializeCy, propCy, tokenHopCy int) *Channel {
 // writer 0, no lock, every credit home, telemetry at zero. Labels,
 // wiring, the tap and the waker stay.
 func (c *Channel) Reset() {
+	for _, ring := range c.rings {
+		clear(ring)
+	}
+	clear(c.fifos)
 	for _, w := range c.writers {
-		for i, q := range w.queues {
-			clear(q.buf)
-			w.queues[i] = flitFIFO{buf: q.buf}
-		}
-		w.rrVC, w.queued = 0, 0
+		w.rrVC = 0
 	}
 	for _, r := range c.rxs {
 		for i := range r.credits {
@@ -128,56 +140,61 @@ func (c *Channel) Reset() {
 // as its credit count.
 type Writer struct {
 	ch      *Channel
-	idx     int
 	src     noc.CreditReceiver
-	srcPort int
-	queues  []flitFIFO
-	rrVC    int
-	// queued counts flits across this writer's queues (always on, so
-	// introspection never walks the queues on the hot path).
-	queued int
+	idx     int32
+	srcPort int32
 	// id is a stable external label (the upstream router ID) the
 	// builders stamp via SetID; -1 when unstamped. Dumps use it to name
 	// the starved tile.
-	id int
+	id   int32
+	rrVC uint8
 }
 
 // SetID labels the writer with a stable external identifier — the
 // builders stamp the upstream router ID — so diagnostics can name the
 // tile behind a writer index. Unstamped writers report -1.
-func (w *Writer) SetID(id int) { w.id = id }
+func (w *Writer) SetID(id int) { w.id = int32(id) }
 
 // ID returns the stamped external identifier, or -1.
-func (w *Writer) ID() int { return w.id }
+func (w *Writer) ID() int { return int(w.id) }
 
 // Index returns the writer's index on its channel.
-func (w *Writer) Index() int { return w.idx }
+func (w *Writer) Index() int { return int(w.idx) }
 
 // AddWriter attaches a writer whose upstream output port is (src,
-// srcPort), with numVCs queues of queueDepth flits each. The upstream
-// port must be connected with exactly queueDepth credits per VC.
+// srcPort), with numVCs queues of queueDepth flits each (both at most
+// 255, and the same for every writer of the channel). The upstream port
+// must be connected with exactly queueDepth credits per VC.
 func (c *Channel) AddWriter(src noc.CreditReceiver, srcPort, numVCs, queueDepth int) *Writer {
-	w := &Writer{ch: c, idx: len(c.writers), src: src, srcPort: srcPort, queues: make([]flitFIFO, numVCs), id: -1}
-	// One ring array per writer, carved per VC (capacity-limited so no
-	// ring can grow into the next).
-	rings := make([]*noc.Flit, numVCs*queueDepth)
-	for i := range w.queues {
-		lo, hi := i*queueDepth, (i+1)*queueDepth
-		w.queues[i].buf = rings[lo:hi:hi]
+	if len(c.writers) == 0 {
+		c.nvc, c.depth = numVCs, queueDepth
 	}
+	if numVCs != c.nvc || queueDepth != c.depth || numVCs < 1 || numVCs > 255 || queueDepth < 1 || queueDepth > 255 {
+		panic(fmt.Sprintf("sbus %s: writer with %d VCs of depth %d (channel: %d of %d)", c.Name, numVCs, queueDepth, c.nvc, c.depth))
+	}
+	if len(c.spare) == 0 {
+		// The next block is one writer larger than all before it.
+		k := len(c.writers) + 1
+		c.spare = make([]Writer, k)
+		c.rings = append(c.rings, make([]*noc.Flit, k*numVCs*queueDepth))
+		c.fifos = append(make([]fifo, 0, len(c.fifos)+k*numVCs), c.fifos...)
+		c.writers = append(make([]*Writer, 0, len(c.writers)+k), c.writers...)
+	}
+	w := &c.spare[0]
+	*w, c.spare = Writer{ch: c, src: src, idx: int32(len(c.writers)), srcPort: int32(srcPort), id: -1}, c.spare[1:]
 	c.writers = append(c.writers, w)
+	c.fifos = c.fifos[:len(c.fifos)+numVCs] // zero: grown with the block
 	return w
 }
 
 // Send implements noc.Conduit.
 func (w *Writer) Send(f *noc.Flit) {
-	q := &w.queues[f.VC]
+	c := w.ch
+	q := c.queue(int(w.idx), f.VC)
 	if q.full() {
-		panic(fmt.Sprintf("sbus %s: writer %d vc %d queue overflow", w.ch.Name, w.idx, f.VC))
+		panic(fmt.Sprintf("sbus %s: writer %d vc %d queue overflow", c.Name, w.idx, f.VC))
 	}
 	q.push(f)
-	w.queued++
-	c := w.ch
 	c.totalQueued++
 	if c.totalQueued > c.qHighWater {
 		c.qHighWater = c.totalQueued
@@ -186,8 +203,8 @@ func (w *Writer) Send(f *noc.Flit) {
 	// (or will contend for) the grant starts waiting for the token now.
 	// The wait closes at EvGrant; the timestamp needs the engine clock,
 	// so only waker-driven channels report it.
-	if c.Tap.Wants(noc.EvWait) && w.queued == 1 && c.lockedW != w.idx && c.waker != nil {
-		c.Tap.Emit(noc.Event{Kind: noc.EvWait, Cycle: c.waker.Now(), A: w.idx})
+	if c.Tap.Wants(noc.EvWait) && c.waker != nil && c.lockedW != int(w.idx) && c.queued(int(w.idx)) == 1 {
+		c.Tap.Emit(noc.Event{Kind: noc.EvWait, Cycle: c.waker.Now(), A: int(w.idx)})
 	}
 	if c.waker != nil {
 		c.waker.Wake()
@@ -315,7 +332,7 @@ func (c *Channel) reschedule(cycle uint64, blocked bool) {
 // (none when ticked every cycle) before anything else.
 func (c *Channel) transmitLocked(cycle uint64) bool {
 	w := c.writers[c.lockedW]
-	q := &w.queues[c.lockedVC]
+	q := c.queue(c.lockedW, c.lockedVC)
 	if c.stalledAt != 0 {
 		c.creditStall += cycle - c.stalledAt - 1
 		c.stalledAt = 0
@@ -331,13 +348,12 @@ func (c *Channel) transmitLocked(cycle uint64) bool {
 		return false
 	}
 	q.pop()
-	w.queued--
 	c.totalQueued--
 	c.Transmitted++
 	c.busyCy += uint64(c.SerializeCy)
 	rx.credits[f.VC]--
 	if w.src != nil {
-		w.src.ReceiveCredit(w.srcPort, c.lockedVC)
+		w.src.ReceiveCredit(int(w.srcPort), c.lockedVC)
 	}
 	c.busyUntil = cycle + uint64(c.SerializeCy)
 	c.inflight.Push(cycle+uint64(c.SerializeCy)+uint64(c.PropCy), flight{f, c.lockedRx})
@@ -348,11 +364,11 @@ func (c *Channel) transmitLocked(cycle uint64) bool {
 		c.lockedW = -1
 		// A writer with more packets pending goes straight back to
 		// waiting for re-arbitration.
-		if c.Tap.Wants(noc.EvWait) && w.queued > 0 {
-			c.Tap.Emit(noc.Event{Kind: noc.EvWait, Cycle: cycle, A: w.idx})
+		if c.Tap.Wants(noc.EvWait) && c.queued(int(w.idx)) > 0 {
+			c.Tap.Emit(noc.Event{Kind: noc.EvWait, Cycle: cycle, A: int(w.idx)})
 		}
 		if c.Tap.Wants(noc.EvRelease) {
-			c.Tap.Emit(noc.Event{Kind: noc.EvRelease, Cycle: cycle, Pkt: f.Pkt, A: w.idx})
+			c.Tap.Emit(noc.Event{Kind: noc.EvRelease, Cycle: cycle, Pkt: f.Pkt, A: int(w.idx)})
 		}
 	}
 	return true
@@ -367,12 +383,11 @@ func (c *Channel) acquire(cycle uint64) {
 	// single busy writer from monopolizing the medium.
 	for d := 1; d <= n; d++ {
 		wi := (c.token + d) % n
-		w := c.writers[wi]
-		vc := w.nextPendingVC()
+		vc := c.nextPendingVC(wi)
 		if vc < 0 {
 			continue
 		}
-		f := w.queues[vc].front()
+		f := c.queue(wi, vc).front()
 		if !f.IsHead() {
 			panic(fmt.Sprintf("sbus %s: writer %d vc %d front is %v, want head", c.Name, wi, vc, f.Type))
 		}
@@ -397,18 +412,29 @@ func (c *Channel) acquire(cycle uint64) {
 	}
 }
 
-// nextPendingVC returns the writer's next VC with queued flits, round
-// robin, or -1.
-func (w *Writer) nextPendingVC() int {
-	n := len(w.queues)
-	for i := 1; i <= n; i++ {
-		vc := (w.rrVC + i) % n
-		if !w.queues[vc].empty() {
-			w.rrVC = vc
+// nextPendingVC returns writer wi's next VC with queued flits, round
+// robin, or -1. An idle writer costs its positions only.
+func (c *Channel) nextPendingVC(wi int) int {
+	if c.queued(wi) == 0 {
+		return -1
+	}
+	w, fs := c.writers[wi], c.fifos[wi*c.nvc:]
+	for i := 1; i <= c.nvc; i++ {
+		vc := (int(w.rrVC) + i) % c.nvc
+		if fs[vc].size != 0 {
+			w.rrVC = uint8(vc)
 			return vc
 		}
 	}
 	return -1
+}
+
+// queued returns the flits in writer wi's queues.
+func (c *Channel) queued(wi int) (n int) {
+	for _, q := range c.fifos[wi*c.nvc : (wi+1)*c.nvc] {
+		n += int(q.size)
+	}
+	return n
 }
 
 // Queued returns the number of flits waiting in writer queues plus in
@@ -479,7 +505,7 @@ func (c *Channel) WriterID(wi int) int {
 	if wi < 0 || wi >= len(c.writers) {
 		return -1
 	}
-	return c.writers[wi].id
+	return int(c.writers[wi].id)
 }
 
 // WriterIntro is one writer's slice of a ChannelIntro snapshot.
@@ -534,13 +560,13 @@ type ChannelIntro struct {
 	RxCredits [][]int       `json:"rx_credits,omitempty"`
 }
 
-// headInfo reads the front packet of the writer's lowest pending VC
+// headInfo reads the front packet of writer wi's lowest pending VC
 // without touching the round-robin pointer (introspection must be
 // side-effect free).
-func (w *Writer) headInfo() (id uint64, src, dst int) {
-	for vc := range w.queues {
-		if !w.queues[vc].empty() {
-			p := w.queues[vc].front().Pkt
+func (c *Channel) headInfo(wi int) (id uint64, src, dst int) {
+	for vc := 0; vc < c.nvc; vc++ {
+		if q := c.queue(wi, vc); !q.empty() {
+			p := q.front().Pkt
 			return p.ID, p.Src, p.Dst
 		}
 	}
@@ -569,8 +595,8 @@ func (c *Channel) Introspect() ChannelIntro {
 		RxCredits:      make([][]int, len(c.rxs)),
 	}
 	for i, w := range c.writers {
-		wi := WriterIntro{Index: i, ID: w.id, Queued: w.queued}
-		wi.HeadPkt, wi.HeadSrc, wi.HeadDst = w.headInfo()
+		wi := WriterIntro{Index: i, ID: int(w.id), Queued: c.queued(i)}
+		wi.HeadPkt, wi.HeadSrc, wi.HeadDst = c.headInfo(i)
 		ci.Writers[i] = wi
 	}
 	for i, r := range c.rxs {
@@ -589,15 +615,11 @@ func (c *Channel) CheckInvariants() error {
 		}
 	}
 	sum := 0
-	for i, w := range c.writers {
-		actual := 0
-		for vc := range w.queues {
-			actual += w.queues[vc].size
+	for i, q := range c.fifos {
+		if int(q.size) > c.depth || int(q.head) >= c.depth {
+			return fmt.Errorf("sbus %s: writer %d vc %d queue at %d holding %d of %d", c.Name, i/c.nvc, i%c.nvc, q.head, q.size, c.depth)
 		}
-		if w.queued != actual {
-			return fmt.Errorf("sbus %s: writer %d queued counter %d != %d buffered flits", c.Name, i, w.queued, actual)
-		}
-		sum += w.queued
+		sum += int(q.size)
 	}
 	if sum != c.totalQueued {
 		return fmt.Errorf("sbus %s: writer queued sum %d != totalQueued %d", c.Name, sum, c.totalQueued)
@@ -612,7 +634,7 @@ func (c *Channel) CheckInvariants() error {
 	if asleep, wakeAt := c.waker.Asleep(); asleep && (wakeAt == 0 || wakeAt > c.busyUntil) {
 		stuck := false
 		if c.lockedW >= 0 {
-			q := &c.writers[c.lockedW].queues[c.lockedVC]
+			q := c.queue(c.lockedW, c.lockedVC)
 			stuck = q.empty() || c.rxs[c.lockedRx].credits[c.lockedVC] == 0
 		}
 		if !stuck {
@@ -623,25 +645,33 @@ func (c *Channel) CheckInvariants() error {
 	return nil
 }
 
-// flitFIFO is a fixed-capacity ring buffer.
-type flitFIFO struct {
-	buf        []*noc.Flit
-	head, size int
+// fifo is the position of one writer VC's queue in its ring.
+type fifo struct{ head, size uint8 }
+
+// queue is one writer VC's FIFO: its ring and its position.
+type queue struct {
+	ring []*noc.Flit
+	*fifo
 }
 
-func (q *flitFIFO) empty() bool      { return q.size == 0 }
-func (q *flitFIFO) full() bool       { return q.size == len(q.buf) }
-func (q *flitFIFO) front() *noc.Flit { return q.buf[q.head] }
+// queue returns writer wi's VC vc.
+func (c *Channel) queue(wi, vc int) queue {
+	k := bits.Len(uint(wi+1)) - 1
+	lo := ((wi+1-1<<k)*c.nvc + vc) * c.depth
+	return queue{c.rings[k][lo : lo+c.depth], &c.fifos[wi*c.nvc : (wi+1)*c.nvc][vc]}
+}
 
-func (q *flitFIFO) push(f *noc.Flit) {
-	q.buf[(q.head+q.size)%len(q.buf)] = f
+func (q queue) empty() bool      { return q.size == 0 }
+func (q queue) full() bool       { return int(q.size) == len(q.ring) }
+func (q queue) front() *noc.Flit { return q.ring[q.head] }
+
+func (q queue) push(f *noc.Flit) {
+	q.ring[(int(q.head)+int(q.size))%len(q.ring)] = f
 	q.size++
 }
 
-func (q *flitFIFO) pop() *noc.Flit {
-	f := q.buf[q.head]
-	q.buf[q.head] = nil
-	q.head = (q.head + 1) % len(q.buf)
+func (q queue) pop() {
+	q.ring[q.head] = nil
+	q.head = uint8((int(q.head) + 1) % len(q.ring))
 	q.size--
-	return f
 }

@@ -274,6 +274,48 @@ func TestWriterQueueOverflowPanics(t *testing.T) {
 	w.Send(&noc.Flit{Pkt: &noc.Packet{NumFlits: 3}, Type: noc.Tail})
 }
 
+// Writers are carved from blocks of 1, 2, 4, ... and their queues from
+// matching ring blocks: each keeps its index, its address and rings of
+// its own, and a writer of another shape is refused.
+func TestWritersCarvedFromBlocks(t *testing.T) {
+	ch := NewChannel("t", 1, 0, 1)
+	var ws []*Writer
+	for i := 0; i < 20; i++ {
+		ws = append(ws, ch.AddWriter(&testSrc{}, i, 2, 3))
+	}
+	p := &noc.Packet{NumFlits: 3}
+	for i, w := range ws {
+		if w.Index() != i || ch.writers[i] != w {
+			t.Fatalf("writer %d: index %d, channel holds %p for %p", i, w.Index(), ch.writers[i], w)
+		}
+		for vc := 0; vc < 2; vc++ {
+			for k := 0; k < 3; k++ {
+				w.Send(&noc.Flit{Pkt: p, VC: vc, Seq: 100*i + 10*vc + k})
+			}
+		}
+	}
+	if err := ch.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	for i := range ws {
+		for vc := 0; vc < 2; vc++ {
+			q := ch.queue(i, vc)
+			for k := 0; k < 3; k++ {
+				if f := q.front(); f.Seq != 100*i+10*vc+k {
+					t.Fatalf("writer %d vc %d: flit %d at position %d", i, vc, f.Seq, k)
+				}
+				q.pop()
+			}
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a writer with deeper queues joined the channel")
+		}
+	}()
+	ch.AddWriter(&testSrc{}, 0, 2, 4)
+}
+
 func BenchmarkChannelThroughput(b *testing.B) {
 	var now uint64
 	ch := NewChannel("bench", 1, 1, 1)

@@ -1,0 +1,33 @@
+package topology
+
+import (
+	"runtime"
+	"testing"
+
+	"ownsim/internal/power"
+)
+
+// An OptXB-1024 crossbar holds 65 280 sbus writers and as many router
+// output ports, so what each costs is what the build costs: per-writer
+// queues carved from per-channel blocks, output ports held by value, and
+// input-side tables sized by the inputs actually connected. Both counts
+// are deterministic for a single-goroutine build; the one-object-per-port
+// layout made 285 k allocations and 64 MB.
+func TestOptXB1024Footprint(t *testing.T) {
+	const maxAllocs, maxMB = 35_000, 32
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	n := BuildOptXB(Params{Cores: 1024, Meter: power.NewMeter(nil)})
+	runtime.ReadMemStats(&after)
+	allocs, mb := after.Mallocs-before.Mallocs, float64(after.TotalAlloc-before.TotalAlloc)/(1<<20)
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	live := float64(after.HeapAlloc-before.HeapAlloc) / (1 << 20)
+	runtime.KeepAlive(n)
+	t.Logf("OptXB-1024 build: %d allocations, %.1f MB allocated, %.1f MB live", allocs, mb, live)
+	if allocs > maxAllocs || mb > maxMB {
+		t.Errorf("OptXB-1024 build made %d allocations of %.1f MB, want <= %d and <= %d MB", allocs, mb, maxAllocs, maxMB)
+	}
+}

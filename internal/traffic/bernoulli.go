@@ -195,9 +195,11 @@ func (b *Bernoulli) Generate(cycle uint64) *noc.Packet {
 	if b.sizes != nil {
 		flits = b.sizes.sample(b.rng)
 	}
-	p := &noc.Packet{}
+	var p *noc.Packet
 	if b.pool != nil {
 		p = b.pool.Get()
+	} else {
+		p = &noc.Packet{}
 	}
 	// Globally unique across sources: high bits carry the source.
 	p.ID = uint64(b.src)<<40 | b.nextID

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"ownsim/internal/noc"
 	"ownsim/internal/sim"
 )
 
@@ -184,6 +185,30 @@ func TestBernoulliClassifier(t *testing.T) {
 		}
 	}
 	t.Fatal("no packet generated at rate 1.0")
+}
+
+// A pooled generator takes every packet from its pool: once the pool
+// holds one, generating a packet allocates nothing.
+func TestBernoulliPooledGenerateAllocatesNothing(t *testing.T) {
+	var pool noc.Pool
+	g := NewBernoulli(1, 64, Uniform, 1.0, 1, 7, nil)
+	g.UsePool(&pool)
+	cycle := uint64(0)
+	generate := func() {
+		p := g.Generate(cycle)
+		if p == nil {
+			t.Fatalf("cycle %d: no packet at rate 1.0", cycle)
+		}
+		cycle++
+		noc.Recycle(p)
+	}
+	generate() // the pool's first packet
+	if allocs := testing.AllocsPerRun(100, generate); allocs != 0 {
+		t.Errorf("pooled Generate allocates %v times per packet, want 0", allocs)
+	}
+	if pool.News != 1 {
+		t.Errorf("pool made %d packets, want 1", pool.News)
+	}
 }
 
 func TestBernoulliUniqueIDsAcrossSources(t *testing.T) {

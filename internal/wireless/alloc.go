@@ -125,14 +125,21 @@ func OWN1024Links() []GroupLink {
 	}
 }
 
+// groupLinks is OWN1024Links indexed by directed group pair, built once:
+// the OWN-1024 classifier looks a link up for every inter-group packet.
+var groupLinks = func() (t [4][4]GroupLink) {
+	for _, l := range OWN1024Links() {
+		t[l.SrcGroup][l.DstGroup] = l
+	}
+	return t
+}()
+
 // GroupLinkBetween returns the directed inter-group channel from group
 // src to group dst (src != dst), or the intra-group channel when
 // src == dst.
 func GroupLinkBetween(src, dst int) GroupLink {
-	for _, l := range OWN1024Links() {
-		if l.SrcGroup == src && l.DstGroup == dst {
-			return l
-		}
+	if src < 0 || src >= len(groupLinks) || dst < 0 || dst >= len(groupLinks) {
+		panic(fmt.Sprintf("wireless: no group channel %d->%d", src, dst))
 	}
-	panic(fmt.Sprintf("wireless: no group channel %d->%d", src, dst))
+	return groupLinks[src][dst]
 }
