@@ -147,7 +147,7 @@ bench:
 # bench-compare re-runs the benchmarks and gates allocs/op against the
 # checked-in baseline (BENCH_BASELINE.txt). ns/op differences are
 # reported but never fail: they vary with hardware. allocs/op is
-# deterministic for these single-goroutine fixed-seed benchmarks.
+# deterministic for these fixed-seed benchmarks, arrival producer included.
 bench-compare:
 	@$(MAKE) --no-print-directory bench BENCHOUT=bench-new.txt
 	$(GO) run ./cmd/benchcmp -baseline BENCH_BASELINE.txt bench-new.txt

@@ -1,8 +1,9 @@
 // Command benchcmp compares a `go test -bench -benchmem` output file
 // against the checked-in baseline (BENCH_BASELINE.txt) and fails when a
 // benchmark's allocs/op regresses. allocs/op is deterministic for these
-// benchmarks — the simulator is single-goroutine and fixed-seed — so it
-// is gated strictly. ns/op and B/op vary with hardware and Go version,
+// benchmarks — the simulation is fixed-seed, and its one helper goroutine
+// (the arrival producer) allocates the same on any schedule — so it is
+// gated strictly. ns/op and B/op vary with hardware and Go version,
 // so by default they are reported but never gate; -max-ns-ratio opts
 // into a loose wall-time gate for CI environments whose hardware is
 // stable enough to bound it.

@@ -214,8 +214,8 @@ func TestBadInputIsAnError(t *testing.T) {
 	if err := CheckSweepPoints(2); err != nil {
 		t.Errorf("CheckSweepPoints(2) = %v", err)
 	}
-	// Extreme but legal: one measured cycle, a load whose every scan runs
-	// into the look-ahead horizon, 256x capacity.
+	// Extreme but legal: one measured cycle, a load whose every arrival
+	// window is empty, 256x capacity.
 	for _, load := range []float64{1e-9, 0.004, 2} {
 		if err := CheckRun(1, load); err != nil {
 			t.Errorf("CheckRun(1, %v) = %v", load, err)

@@ -58,6 +58,24 @@ func TestConformanceLookAheadMatchesPolling(t *testing.T) {
 	}
 }
 
+// The kilo-core low-load network the benchmark claims on: 1024 sources read
+// one producer's windows, and the run (2 800 cycles, then the drain)
+// crosses the window seams at 1024 and 2048. The reference twin polls every
+// coin on its cycle; the reused twin reads a second producer's windows on a
+// rewound network.
+func TestConformanceKiloCoreLowLoadMatchesPolling(t *testing.T) {
+	if testing.Short() {
+		t.Skip("kilo-core run in -short mode")
+	}
+	sys := NewSystem("own", 1024, wireless.Config4, wireless.Ideal)
+	err := fabric.DiffRuns(func() *fabric.Network { return sys.Build(power.NewMeter(nil)) },
+		fabric.TrafficSpec{Pattern: traffic.Uniform, Rate: 0.001, Seed: 29, Policy: sys.Policy, Classify: sys.Classify},
+		fabric.RunSpec{Warmup: 300, Measure: 2500})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 // A router whose every buffered flit is blocked sleeps until the credit
 // or the busyUntil that unblocks it; the reference twin ticks it every
 // cycle. Near and past saturation, where most router ticks would be such

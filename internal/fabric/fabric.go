@@ -3,8 +3,9 @@
 // meter, all driven by one sim.Engine. Topology packages (CMESH, OptXB,
 // p-Clos, wireless-CMESH) and the OWN core build on it.
 //
-// A Network is single-threaded; run many Networks concurrently (one per
-// goroutine) for parameter sweeps — see the core package's sweep runner.
+// A Network simulates on one goroutine (Run draws its traffic's arrivals
+// on a second); run many Networks concurrently (one per goroutine) for
+// parameter sweeps — see the core package's sweep runner.
 package fabric
 
 import (
@@ -242,6 +243,11 @@ type Result struct {
 // Run attaches traffic, simulates warmup+measure, drains, and reports. A
 // network that has run rewinds itself first, so consecutive runs on one
 // network give what a fresh build per run gives, without the builds.
+//
+// The sources' coin flips depend on nothing the network does, so Run draws
+// them on a second goroutine (traffic.Produce) that lives exactly as long
+// as the call, panics included; the simulation stays on the caller's.
+// Reference mode (SetReferenceMode) starts none and polls every generator.
 func (n *Network) Run(ts TrafficSpec, rs RunSpec) Result {
 	if ts.PktFlits == 0 {
 		ts.PktFlits = 5
@@ -250,6 +256,7 @@ func (n *Network) Run(ts TrafficSpec, rs RunSpec) Result {
 	col := stats.NewCollector(n.NumCores, rs.Warmup, rs.Warmup+rs.Measure)
 	col.SetReservoirCap(rs.ReservoirCap)
 	n.Collector = col
+	gens := make([]*traffic.Bernoulli, len(n.Sources))
 	for id, src := range n.Sources {
 		if src == nil {
 			panic(fmt.Sprintf("fabric: terminal %d missing", id))
@@ -265,6 +272,10 @@ func (n *Network) Run(ts TrafficSpec, rs RunSpec) Result {
 		src.OnAccepted = col.OnCreated
 		snk := n.Sinks[id]
 		snk.OnPacket = col.OnEjected
+		gens[id] = gen
+	}
+	if !n.Eng.SleepDisabled() {
+		defer traffic.Produce(gens, n.Eng.Cycle())()
 	}
 	n.Eng.Run(rs.Warmup + rs.Measure)
 	drained := n.Eng.RunUntil(func() bool { return col.Pending() == 0 }, rs.drain())

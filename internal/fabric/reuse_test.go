@@ -2,10 +2,14 @@ package fabric
 
 import (
 	"fmt"
+	"runtime"
+	"strings"
 	"testing"
+	"time"
 
 	"ownsim/internal/check"
 	"ownsim/internal/flightrec"
+	"ownsim/internal/noc"
 	"ownsim/internal/power"
 	"ownsim/internal/probe"
 	"ownsim/internal/traffic"
@@ -72,5 +76,53 @@ func TestReuseRunTraceAfterRun(t *testing.T) {
 	if got != want || gotCy != wantCy || !want.Drained || want.Packets == 0 {
 		t.Fatalf("replay on a used network:\n got  %+v drained %v %+v after %d cycles\n want %+v drained %v %+v after %d cycles",
 			got, got.Drained, got.Power, gotCy, want, want.Drained, want.Power, wantCy)
+	}
+}
+
+// Run draws its arrivals on a second goroutine that lives exactly as long
+// as the call: the goroutine count is back where it was after a normal run
+// and after one that panics on an engine invariant (an empty VC policy
+// mask) halfway through.
+func TestRunLeavesNoGoroutineBehind(t *testing.T) {
+	// producers counts arrival producers, this test's or an earlier one's:
+	// a goroutine leaves the count a moment after it has said it is done.
+	producers := func() int {
+		buf := make([]byte, 1<<20)
+		return strings.Count(string(buf[:runtime.Stack(buf, true)]), "traffic.(*pipeline).produce(")
+	}
+	settled := func() int {
+		for i := 0; i < 1000 && producers() > 0; i++ {
+			time.Sleep(time.Millisecond)
+		}
+		return runtime.NumGoroutine()
+	}
+	before := settled()
+	n := ring(4, power.NewMeter(nil))
+	during, producing := 0, 0
+	n.Sinks[0].Tap.Subscribe(noc.Mask(noc.EvEject), func(noc.Event) { during, producing = runtime.NumGoroutine(), producers() })
+	ts := TrafficSpec{Pattern: traffic.Uniform, Rate: 0.05, PktFlits: 3, Seed: 1}
+	if res := n.Run(ts, RunSpec{Warmup: 200, Measure: 3000}); !res.Drained || during != before+1 || producing != 1 {
+		t.Fatalf("drained %v with %d goroutines (%d producers) during the run, want %d: one producer", res.Drained, during, producing, before+1)
+	}
+	if after := settled(); after != before {
+		t.Fatalf("%d goroutines after a run, %d before", after, before)
+	}
+
+	ts.Policy = func(p *noc.Packet) uint32 {
+		if p.ID&0xff == 40 { // the 40th packet of a source
+			return 0
+		}
+		return 3
+	}
+	func() {
+		defer func() {
+			if msg := fmt.Sprint(recover()); !strings.Contains(msg, "empty VC policy mask") {
+				t.Fatalf("run panicked with %q, want the empty-mask invariant", msg)
+			}
+		}()
+		n.Run(ts, RunSpec{Warmup: 200, Measure: 3000})
+	}()
+	if after := settled(); after != before {
+		t.Fatalf("%d goroutines after a run that panicked, %d before", after, before)
 	}
 }

@@ -21,8 +21,8 @@ type Generator interface {
 // gaps, so Generate is then not called on the cycles in between. A
 // generator may implement it only if that is unobservable: a known
 // schedule (trace replay), or randomness that is private to the generator
-// and drawn in a fixed order, so that NextPending can consume the skipped
-// cycles' draws itself (traffic.Bernoulli). Called with every cycle
+// and drawn in a fixed order, so that the skipped cycles' draws can be made
+// ahead of them (traffic.Bernoulli). Called with every cycle
 // before from already offered to Generate; never called under
 // Engine.DisableSleep, where the source polls Generate every cycle.
 type NextWaker interface {

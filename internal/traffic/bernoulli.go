@@ -1,6 +1,8 @@
 package traffic
 
 import (
+	"math"
+
 	"ownsim/internal/noc"
 	"ownsim/internal/sim"
 )
@@ -44,16 +46,22 @@ func RequestReply() SizeDist {
 // creates a packet with probability rate/pktFlits, so the offered load is
 // `rate` flits per node per cycle.
 //
-// It implements router.NextWaker by looking ahead. Its RNG is private and
-// drawn in a fixed order (one coin flip per cycle, then destination and
-// size right after a success), so NextPending can consume the coming
-// cycles' flips early and name the cycle of the first success: nothing
-// outside the generator can tell that from one flip per Generate call.
-// An idle source sleeps until its next packet and every simulated outcome
-// stays bit for bit what per-cycle polling gives (fabric.DiffRuns, whose
-// reference twin never calls NextPending, checks that).
+// Its RNG is private and drawn in a fixed order (one coin flip per cycle,
+// then the destination and the size right after a success), so the cycles,
+// destinations and sizes it emits are a pure function of (seed, source,
+// pattern, rate): drawing them ahead of the simulation cannot move a
+// packet. A generator that is only polled (Generate every cycle, never
+// NextPending: fabric.SetReferenceMode's twin) flips one coin per call.
+// Otherwise Generate reads arrivals from windows of lookahead cycles,
+// filled by a producer goroutine (Produce) or, without one, by the
+// generator itself when its window runs out, and NextPending names the
+// next one, so an idle source sleeps until it (router.NextWaker).
+// fabric.DiffRuns, whose reference twin polls, checks that the two agree
+// packet for packet. Packets created in [MeasureFrom, MeasureTo) carry
+// Measure=true.
 type Bernoulli struct {
-	src      int
+	// The draws. While a producer is attached rng is its alone, and the
+	// rest (src included) is read-only.
 	n        int
 	pattern  Pattern
 	pktFlits int
@@ -61,37 +69,36 @@ type Bernoulli struct {
 	prob     float64
 	thresh   uint64 // sim.Threshold(prob)
 	rng      *sim.RNG
-	classify Classifier
 
-	// NextPending has consumed the flips of every cycle before skipTo
-	// (all failed) and, when armed, skipTo's own: a success whose packet
-	// Generate(skipTo) is still to build.
-	skipTo uint64
-	armed  bool
+	// Everything below is the simulation thread's.
+	emitter
 
-	// MeasureFrom/MeasureTo bound the measurement window in cycles;
-	// packets created inside it carry Measure=true.
-	MeasureFrom, MeasureTo uint64
-
-	// Stop, when non-zero, halts generation at that cycle (used by the
-	// drain phase). It may be set or lowered at any time but never
-	// raised: a look-ahead that ran into it has spent flips.
-	Stop uint64
-
-	pool   *noc.Pool
-	nextID uint64
+	// The window: win holds the arrivals of cycles [end-lookahead, end) in
+	// cycle order, next the first one not generated yet. While windowed is
+	// false the generator is polled and win holds the one cycle Generate
+	// just drew. With pipe nil the generator fills win itself; with a
+	// producer attached win is slot's share of its batch.
+	win      []arrival
+	next     int32
+	slot     int32
+	end      uint64
+	pipe     *pipeline
+	windowed bool
 }
 
-// lookahead bounds one NextPending scan, in cycles: a source whose next
-// packet lies further out wakes at the horizon and scans on. What a short
-// horizon buys is the flips a scan draws past the end of a run, which
-// nobody reads: the evaluation's runs are 3-13 k cycles, and at 1<<16 its
-// sources drew 286 M flips where cores x cycles is 129 M; at 1<<10 they
-// draw 156 M (191 M at 1<<12). What it costs is one wake per horizon per
-// idle source: on a 61 k-cycle OWN-1024 run at a quarter of saturation
-// 7 k scans become 65 k, and the run is no slower for it (167 ms against
-// 175); at 1<<8 it is (177 ms, 247 k scans for another 0.6 M flips). The
-// draw sequence does not depend on the horizon.
+// arrival is one packet the draws decided: its cycle as an offset into its
+// window, its length and its destination, in 8 bytes.
+type arrival struct {
+	off, flits uint16
+	dst        int32
+}
+
+// lookahead is the window, in cycles, that arrivals are drawn in. An idle
+// source wakes once per window to read the next (60 times in a 61 k-cycle
+// run), and nobody reads what is drawn past the end of a run: at most the
+// rest of the engine's window plus the producer's two ahead (Produce). The
+// offsets fit a uint16 up to 1<<16. Where windows start does not change
+// what is drawn, only when.
 const lookahead = 1 << 10
 
 // NewBernoulli creates a generator for core src out of n cores, offering
@@ -99,16 +106,15 @@ const lookahead = 1 << 10
 // flits. The seed should combine the run seed and src so that sources are
 // decorrelated but reproducible.
 func NewBernoulli(src, n int, pattern Pattern, rate float64, pktFlits int, seed uint64, classify Classifier) *Bernoulli {
-	if pktFlits <= 0 {
-		panic("traffic: pktFlits must be positive")
+	if pktFlits <= 0 || pktFlits > math.MaxUint16 {
+		panic("traffic: pktFlits must be in [1, 65535]")
 	}
 	b := &Bernoulli{
-		src:      src,
 		n:        n,
 		pattern:  pattern,
 		pktFlits: pktFlits,
 		rng:      sim.NewRNG(seed*0x9e3779b97f4a7c15 + uint64(src) + 1),
-		classify: classify,
+		emitter:  emitter{src: src, classify: classify},
 	}
 	b.setProb(rate / float64(pktFlits))
 	return b
@@ -124,9 +130,9 @@ func (b *Bernoulli) setProb(p float64) {
 }
 
 // SetSizes switches the generator to a bimodal length distribution while
-// preserving the offered load in flits/node/cycle.
+// preserving the offered load in flits/node/cycle. Call it before Produce.
 func (b *Bernoulli) SetSizes(d SizeDist) {
-	if d.ShortFlits <= 0 || d.LongFlits <= 0 || d.LongFrac < 0 || d.LongFrac > 1 {
+	if d.ShortFlits <= 0 || d.LongFlits <= 0 || max(d.ShortFlits, d.LongFlits) > math.MaxUint16 || d.LongFrac < 0 || d.LongFrac > 1 {
 		panic("traffic: invalid size distribution")
 	}
 	rate := b.prob * float64(b.pktFlits)
@@ -134,79 +140,125 @@ func (b *Bernoulli) SetSizes(d SizeDist) {
 	b.setProb(rate / d.Mean())
 }
 
-// UsePool implements router.PoolUser: packets are drawn from the source's
-// freelist so steady-state generation allocates nothing.
-func (b *Bernoulli) UsePool(pl *noc.Pool) { b.pool = pl }
-
-// NextPending implements router.NextWaker. It consumes the coin flips of
-// cycles from, from+1, ... up to the first success, Stop or the horizon,
-// and names the cycle Generate is due next: the success (its packet is
-// built without a further flip) or the horizon (Generate flips as usual).
-// Generate calls before that cycle draw nothing. False means no packet
-// can follow: zero rate, or Stop comes first.
+// NextPending implements router.NextWaker: the cycle of the next arrival
+// in the window, or the window's end, where Generate reads the next one.
+// The first call turns a polled generator into a windowed one whose first
+// window starts at from. NextPending never moves the window: under a
+// producer the window the current cycle is in is shared, and another
+// source may still have to generate in this very cycle, so a source asking
+// from the last cycle of its window is told the end. False means no packet
+// can follow (zero rate).
 func (b *Bernoulli) NextPending(from uint64) (uint64, bool) {
-	return b.nextPending(from, lookahead)
-}
-
-func (b *Bernoulli) nextPending(from, horizon uint64) (uint64, bool) {
-	if b.thresh == 0 || b.stopped(from) {
+	if b.thresh == 0 {
 		return 0, false
 	}
-	if !b.armed {
-		from = max(from, b.skipTo)
-		end := from + horizon
-		if b.Stop != 0 {
-			end = min(end, b.Stop)
-		}
-		n, hit := b.rng.ScanBelow(b.thresh, end-from)
-		b.skipTo, b.armed = from+n, hit
-		if hit {
-			b.skipTo-- // the hit is the last flip consumed
-		}
+	if !b.windowed {
+		b.windowed, b.end, b.win = true, from, nil
 	}
-	// Checked on every call: a Stop lowered into the gap retires the
-	// pending hit and lets the source sleep for good.
-	return b.skipTo, !b.stopped(b.skipTo)
+	return b.due(), true
 }
 
-func (b *Bernoulli) stopped(cycle uint64) bool { return b.Stop != 0 && cycle >= b.Stop }
-
-// Generate implements router.Generator.
+// Generate implements router.Generator. Polled, it draws its own cycle as
+// a window of one: one coin flip per call, then the destination and the
+// size on a hit.
 func (b *Bernoulli) Generate(cycle uint64) *noc.Packet {
-	if b.stopped(cycle) || cycle < b.skipTo {
+	if !b.windowed {
+		if b.win = b.fill(cycle, cycle+1, b.win[:0]); len(b.win) == 0 {
+			return nil
+		}
+		return b.packet(cycle, int(b.win[0].dst), int(b.win[0].flits))
+	}
+	if cycle >= b.end {
+		b.advance(cycle)
+	}
+	if b.due() != cycle {
 		return nil
 	}
-	if b.armed {
-		b.armed = false
-	} else if !b.rng.Below(b.thresh) {
-		return nil
+	a := b.win[b.next]
+	b.next++
+	return b.packet(cycle, int(a.dst), int(a.flits))
+}
+
+// due is the cycle of the next arrival in the window, or its end.
+func (b *Bernoulli) due() uint64 {
+	if int(b.next) == len(b.win) {
+		return b.end
 	}
-	dst := Dest(b.pattern, b.src, b.n, b.rng)
-	if dst == b.src {
-		// Permutation fixed point: no network traversal needed.
-		return nil
+	return b.end - lookahead + uint64(b.win[b.next].off)
+}
+
+// advance moves the window on to the one holding cycle.
+func (b *Bernoulli) advance(cycle uint64) {
+	b.next = 0
+	if b.pipe != nil {
+		bt := b.pipe.window(cycle)
+		b.end = bt.base + lookahead
+		b.win = bt.arr[bt.start[b.slot]:bt.start[b.slot+1]]
+		return
 	}
-	b.nextID++
+	for cycle >= b.end {
+		b.win = b.fill(b.end, b.end+lookahead, b.win[:0])
+		b.end += lookahead
+	}
+}
+
+// fill appends the arrivals of cycles [from, to) to out: the one place
+// that draws, in the order polling draws, flip by flip and, on a hit, the
+// destination and then the size.
+func (b *Bernoulli) fill(from, to uint64, out []arrival) []arrival {
+	for c := from; b.thresh != 0 && c < to; {
+		n, hit := b.rng.ScanBelow(b.thresh, to-c)
+		if c += n; !hit {
+			break
+		}
+		dst := Dest(b.pattern, b.src, b.n, b.rng)
+		if dst == b.src {
+			continue // a permutation's fixed point: no size drawn, nothing sent
+		}
+		flits := b.pktFlits
+		if b.sizes != nil {
+			flits = b.sizes.sample(b.rng)
+		}
+		out = append(out, arrival{off: uint16(c - 1 - from), flits: uint16(flits), dst: int32(dst)})
+	}
+	return out
+}
+
+// emitter makes a source's packets, on the simulation thread.
+type emitter struct {
+	src      int
+	classify Classifier
+	pool     *noc.Pool
+	nextID   uint64
+
+	// MeasureFrom/MeasureTo bound the measurement window in cycles;
+	// packets created inside it carry Measure=true.
+	MeasureFrom, MeasureTo uint64
+}
+
+// UsePool implements router.PoolUser: packets are drawn from the source's
+// freelist so steady-state generation allocates nothing.
+func (e *emitter) UsePool(pl *noc.Pool) { e.pool = pl }
+
+// packet builds the packet the source sends at cycle.
+func (e *emitter) packet(cycle uint64, dst, flits int) *noc.Packet {
+	e.nextID++
 	class := 0
-	if b.classify != nil {
-		class = b.classify(b.src, dst)
-	}
-	flits := b.pktFlits
-	if b.sizes != nil {
-		flits = b.sizes.sample(b.rng)
+	if e.classify != nil {
+		class = e.classify(e.src, dst)
 	}
 	var p *noc.Packet
-	if b.pool != nil {
-		p = b.pool.Get()
+	if e.pool != nil {
+		p = e.pool.Get()
 	} else {
 		p = &noc.Packet{}
 	}
 	// Globally unique across sources: high bits carry the source.
-	p.ID = uint64(b.src)<<40 | b.nextID
-	p.Src = b.src
+	p.ID = uint64(e.src)<<40 | e.nextID
+	p.Src = e.src
 	p.Dst = dst
 	p.NumFlits = flits
 	p.Class = class
-	p.Measure = cycle >= b.MeasureFrom && cycle < b.MeasureTo
+	p.Measure = cycle >= e.MeasureFrom && cycle < e.MeasureTo
 	return p
 }

@@ -61,7 +61,7 @@ func (tr *Trace) PerSource(cores, pktFlits int, classify Classifier) []*Replay {
 	tr.Sort()
 	gens := make([]*Replay, cores)
 	for i := range gens {
-		gens[i] = &Replay{src: i, pktFlits: pktFlits, classify: classify}
+		gens[i] = &Replay{emitter: emitter{src: i, classify: classify}, pktFlits: pktFlits}
 	}
 	for _, e := range tr.Entries {
 		gens[e.Src].entries = append(gens[e.Src].entries, e)
@@ -71,22 +71,14 @@ func (tr *Trace) PerSource(cores, pktFlits int, classify Classifier) []*Replay {
 
 // Replay is a router.Generator that replays one core's slice of a trace:
 // each entry is emitted at its cycle or as soon after as the
-// one-packet-per-cycle interface allows.
+// one-packet-per-cycle interface allows. Packets created in
+// [MeasureFrom, MeasureTo) carry Measure=true.
 type Replay struct {
-	src      int
+	emitter
 	pktFlits int
-	classify Classifier
 	entries  []TraceEntry
 	next     int
-	nextID   uint64
-	pool     *noc.Pool
-
-	// MeasureFrom / MeasureTo bound the measurement window.
-	MeasureFrom, MeasureTo uint64
 }
-
-// UsePool implements router.PoolUser.
-func (r *Replay) UsePool(pl *noc.Pool) { r.pool = pl }
 
 // NextPending implements router.NextWaker: a replay's schedule is fully
 // known in advance and draws no randomness, so its source may sleep
@@ -113,22 +105,7 @@ func (r *Replay) Generate(cycle uint64) *noc.Packet {
 	if flits <= 0 {
 		flits = r.pktFlits
 	}
-	r.nextID++
-	class := 0
-	if r.classify != nil {
-		class = r.classify(e.Src, e.Dst)
-	}
-	p := &noc.Packet{}
-	if r.pool != nil {
-		p = r.pool.Get()
-	}
-	p.ID = uint64(r.src)<<40 | r.nextID
-	p.Src = e.Src
-	p.Dst = e.Dst
-	p.NumFlits = flits
-	p.Class = class
-	p.Measure = cycle >= r.MeasureFrom && cycle < r.MeasureTo
-	return p
+	return r.packet(cycle, e.Dst, flits)
 }
 
 // Done reports whether the replay has emitted every entry.

@@ -164,16 +164,6 @@ func TestBernoulliMeasureWindow(t *testing.T) {
 	}
 }
 
-func TestBernoulliStop(t *testing.T) {
-	g := NewBernoulli(1, 64, Uniform, 1.0, 1, 7, nil)
-	g.Stop = 50
-	for c := uint64(50); c < 200; c++ {
-		if g.Generate(c) != nil {
-			t.Fatal("generated after Stop")
-		}
-	}
-}
-
 func TestBernoulliClassifier(t *testing.T) {
 	g := NewBernoulli(1, 64, Uniform, 1.0, 1, 7, func(src, dst int) int { return 3 })
 	for c := uint64(0); c < 100; c++ {
@@ -188,26 +178,35 @@ func TestBernoulliClassifier(t *testing.T) {
 }
 
 // A pooled generator takes every packet from its pool: once the pool
-// holds one, generating a packet allocates nothing.
+// holds one, generating a packet allocates nothing. Trace replay builds
+// its packets the same way.
 func TestBernoulliPooledGenerateAllocatesNothing(t *testing.T) {
-	var pool noc.Pool
-	g := NewBernoulli(1, 64, Uniform, 1.0, 1, 7, nil)
-	g.UsePool(&pool)
-	cycle := uint64(0)
-	generate := func() {
-		p := g.Generate(cycle)
-		if p == nil {
-			t.Fatalf("cycle %d: no packet at rate 1.0", cycle)
+	tr := &Trace{}
+	for c := uint64(0); c < 200; c++ {
+		tr.Entries = append(tr.Entries, TraceEntry{Cycle: c, Src: 1, Dst: 2})
+	}
+	for _, g := range []interface {
+		Generate(uint64) *noc.Packet
+		UsePool(*noc.Pool)
+	}{NewBernoulli(1, 64, Uniform, 1.0, 1, 7, nil), tr.PerSource(64, 1, nil)[1]} {
+		var pool noc.Pool
+		g.UsePool(&pool)
+		cycle := uint64(0)
+		generate := func() {
+			p := g.Generate(cycle)
+			if p == nil {
+				t.Fatalf("%T: cycle %d: no packet", g, cycle)
+			}
+			cycle++
+			noc.Recycle(p)
 		}
-		cycle++
-		noc.Recycle(p)
-	}
-	generate() // the pool's first packet
-	if allocs := testing.AllocsPerRun(100, generate); allocs != 0 {
-		t.Errorf("pooled Generate allocates %v times per packet, want 0", allocs)
-	}
-	if pool.News != 1 {
-		t.Errorf("pool made %d packets, want 1", pool.News)
+		generate() // the pool's first packet
+		if allocs := testing.AllocsPerRun(100, generate); allocs != 0 {
+			t.Errorf("%T: pooled Generate allocates %v times per packet, want 0", g, allocs)
+		}
+		if pool.News != 1 {
+			t.Errorf("%T: pool made %d packets, want 1", g, pool.News)
+		}
 	}
 }
 
