@@ -3,6 +3,7 @@ package lint
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -154,6 +155,13 @@ func (l *loader) load(path string) (*Package, error) {
 	var names []string
 	for _, e := range entries {
 		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") || strings.HasSuffix(e.Name(), "_test.go") {
+			continue
+		}
+		// Only what the host's build compiles: a package may hold one file
+		// per architecture (internal/sim's rng_amd64.go and rng_other.go).
+		if ok, err := build.Default.MatchFile(dir, e.Name()); err != nil {
+			return nil, fmt.Errorf("lint: %s: %w", path, err)
+		} else if !ok {
 			continue
 		}
 		names = append(names, e.Name())

@@ -202,26 +202,33 @@ func (b *Bernoulli) advance(cycle uint64) {
 	}
 }
 
-// fill appends the arrivals of cycles [from, to) to out: the one place
-// that draws, in the order polling draws, flip by flip and, on a hit, the
-// destination and then the size.
+// fill appends the arrivals of cycles [from, to) to out, drawing in the
+// order polling draws: flip by flip and, on a hit, the destination and then
+// the size (hit). A producer on a host with sim.VectorScan flips four
+// generators at a time instead (lanes.draw), with the same hit.
 func (b *Bernoulli) fill(from, to uint64, out []arrival) []arrival {
 	for c := from; b.thresh != 0 && c < to; {
 		n, hit := b.rng.ScanBelow(b.thresh, to-c)
 		if c += n; !hit {
 			break
 		}
-		dst := Dest(b.pattern, b.src, b.n, b.rng)
-		if dst == b.src {
-			continue // a permutation's fixed point: no size drawn, nothing sent
-		}
-		flits := b.pktFlits
-		if b.sizes != nil {
-			flits = b.sizes.sample(b.rng)
-		}
-		out = append(out, arrival{off: uint16(c - 1 - from), flits: uint16(flits), dst: int32(dst)})
+		out = b.hit(c-1-from, out)
 	}
 	return out
+}
+
+// hit draws the destination and the size of the packet whose flip hit at
+// offset off of a window, and appends it to out. It consumes no cycle.
+func (b *Bernoulli) hit(off uint64, out []arrival) []arrival {
+	dst := Dest(b.pattern, b.src, b.n, b.rng)
+	if dst == b.src {
+		return out // a permutation's fixed point: no size drawn, nothing sent
+	}
+	flits := b.pktFlits
+	if b.sizes != nil {
+		flits = b.sizes.sample(b.rng)
+	}
+	return append(out, arrival{off: uint16(off), flits: uint16(flits), dst: int32(dst)})
 }
 
 // emitter makes a source's packets, on the simulation thread.

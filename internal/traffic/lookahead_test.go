@@ -5,6 +5,8 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"ownsim/internal/sim"
 )
 
 // emitted is everything a packet carries out of its generator.
@@ -68,6 +70,24 @@ func engineOrder(gens []*Bernoulli, cycles uint64, busy func(i int, c uint64) bo
 		}
 	}
 	return out, crossed
+}
+
+// eachProducerPath runs f once for each way a producer can draw on this
+// host: source by source, and four at a time (lanes) where sim.VectorScan
+// holds. f hands back a generator it attached to a producer, to show which
+// path that producer took.
+func eachProducerPath(t *testing.T, f func(path string) *Bernoulli) {
+	t.Helper()
+	defer func(was bool) { inLanes = was }(inLanes)
+	for _, on := range []bool{false, true} {
+		if inLanes = on; on && !sim.VectorScan() {
+			continue
+		}
+		path := map[bool]string{false: "per-source", true: "lanes"}[on]
+		if g := f(path); (g.pipe.lanes != nil) != on {
+			t.Fatalf("%s: the producer drew the other way", path)
+		}
+	}
 }
 
 func sameEmissions(t *testing.T, name string, got, want []emitted) {
@@ -137,11 +157,51 @@ func TestLookAheadEmitsWhatPollingEmits(t *testing.T) {
 				t.Fatalf("%s: the inline window drew something polling does not", tc.name)
 			}
 
-			g = mk()
-			stop := Produce([]*Bernoulli{g}, 0)
-			got, _ = engineOrder([]*Bernoulli{g}, cycles, busy)
-			stop()
-			sameEmissions(t, tc.name+"/producer", got[0], want)
+			eachProducerPath(t, func(path string) *Bernoulli {
+				g := mk()
+				stop := Produce([]*Bernoulli{g}, 0)
+				got, _ := engineOrder([]*Bernoulli{g}, cycles, busy)
+				stop()
+				sameEmissions(t, tc.name+"/producer/"+path, got[0], want)
+				return g
+			})
+		}
+	}
+
+	// Groups on one producer, by both paths: counts that leave the last
+	// four short, zero-rate generators between the others, a source that
+	// sends every cycle, every pattern at fixed and request/reply sizes.
+	const groupCycles = 3*lookahead + 500
+	for _, pattern := range append(AllPaperPatterns(), Hotspot) {
+		for _, sizes := range []*SizeDist{nil, &rr} {
+			mk := func(i int) *Bernoulli {
+				mean := 5.0
+				if sizes != nil {
+					mean = sizes.Mean()
+				}
+				g := NewBernoulli(i, 64, pattern, []float64{0.004, 0, 1, 0.0003, 0.05}[i%5]*mean, 5, 13, classify)
+				if sizes != nil {
+					g.SetSizes(*sizes)
+				}
+				g.MeasureFrom, g.MeasureTo = 100, 2*lookahead
+				return g
+			}
+			for _, count := range []int{1, 3, 5, 17} {
+				eachProducerPath(t, func(path string) *Bernoulli {
+					gens := make([]*Bernoulli, count)
+					for i := range gens {
+						gens[i] = mk(i)
+					}
+					stop := Produce(gens, 0)
+					got, _ := engineOrder(gens, groupCycles, mixed)
+					stop()
+					for i := range gens {
+						name := fmt.Sprintf("%v/sizes=%v/%d generators/%s: source %d", pattern, sizes != nil, count, path, i)
+						sameEmissions(t, name, got[i], polled(mk(i), groupCycles))
+					}
+					return gens[0]
+				})
+			}
 		}
 	}
 }
@@ -177,29 +237,32 @@ func TestProducerWindowSeam(t *testing.T) {
 				g.MeasureFrom, g.MeasureTo = 100, 3*lookahead
 				return g
 			}
-			gens := make([]*Bernoulli, sources)
-			for i := range gens {
-				gens[i] = mk(i)
-			}
-			stop := Produce(gens, 0)
-			got, crossed := engineOrder(gens, windows*lookahead, busy)
-			stop()
-			onSeam := map[uint64]bool{}
-			for i := range gens {
-				want := polled(mk(i), windows*lookahead)
-				sameEmissions(t, fmt.Sprintf("%s source %d", name, i), got[i], want)
-				for _, e := range want {
-					if at := e.cycle % lookahead; e.cycle+1 >= lookahead && (at == lookahead-1 || at <= 1) {
-						onSeam[at] = true
+			eachProducerPath(t, func(path string) *Bernoulli {
+				gens := make([]*Bernoulli, sources)
+				for i := range gens {
+					gens[i] = mk(i)
+				}
+				stop := Produce(gens, 0)
+				got, crossed := engineOrder(gens, windows*lookahead, busy)
+				stop()
+				onSeam := map[uint64]bool{}
+				for i := range gens {
+					want := polled(mk(i), windows*lookahead)
+					sameEmissions(t, fmt.Sprintf("%s/%s source %d", name, path, i), got[i], want)
+					for _, e := range want {
+						if at := e.cycle % lookahead; e.cycle+1 >= lookahead && (at == lookahead-1 || at <= 1) {
+							onSeam[at] = true
+						}
 					}
 				}
-			}
-			if crossed < windows-1 {
-				t.Fatalf("%s: only %d of %d seams had a source ask across them before another generated on them", name, crossed, windows-1)
-			}
-			if len(onSeam) != 3 {
-				t.Fatalf("%s: arrivals on seam offsets %v, want W-1, W and W+1", name, onSeam)
-			}
+				if crossed < windows-1 {
+					t.Fatalf("%s/%s: only %d of %d seams had a source ask across them before another generated on them", name, path, crossed, windows-1)
+				}
+				if len(onSeam) != 3 {
+					t.Fatalf("%s/%s: arrivals on seam offsets %v, want W-1, W and W+1", name, path, onSeam)
+				}
+				return gens[0]
+			})
 		}
 	}
 }

@@ -3,6 +3,9 @@ package traffic
 import (
 	"fmt"
 	"math"
+	"math/bits"
+
+	"ownsim/internal/sim"
 )
 
 // batches is how many windows a producer owns: the one the engine is in
@@ -27,6 +30,7 @@ type pipeline struct {
 	ready, free chan *batch
 	cur         *batch // simulation thread: the window the engine is in
 	fault       any    // producer: what it panicked with; read after ready closes
+	lanes       *lanes // producer: its scratch when it draws four at a time
 }
 
 // Produce attaches gens to one new goroutine that draws their arrivals
@@ -39,15 +43,21 @@ type pipeline struct {
 // order polling draws it, so what gens emit does not change.
 func Produce(gens []*Bernoulli, from uint64) (stop func()) {
 	p := &pipeline{ready: make(chan *batch, batches), free: make(chan *batch, batches)}
-	mean := 0.0
+	mean, most := 0.0, 0.0
 	for i, g := range gens {
-		mean += g.prob * lookahead
+		mean, most = mean+g.prob*lookahead, max(most, g.prob*lookahead)
 		g.pipe, g.slot, g.windowed, g.end = p, int32(i), true, from
 	}
-	// Sized for six standard deviations above the mean window, so a run
-	// practically never grows a batch.
 	for range batches {
-		p.free <- &batch{arr: make([]arrival, 0, int(mean+6*math.Sqrt(mean))+8), start: make([]int32, len(gens)+1)}
+		p.free <- &batch{arr: make([]arrival, 0, room(mean)), start: make([]int32, len(gens)+1)}
+	}
+	if inLanes {
+		n := room(most)
+		buf := make([]arrival, 4*n)
+		p.lanes = &lanes{}
+		for j := range p.lanes.out {
+			p.lanes.out[j] = buf[j*n : j*n : (j+1)*n]
+		}
 	}
 	go p.produce(gens, from)
 	return func() {
@@ -57,9 +67,14 @@ func Produce(gens []*Bernoulli, from uint64) (stop func()) {
 	}
 }
 
-// produce fills every batch it is handed with the next window. A panic
-// (an invalid pattern for the core count, say) is handed to the simulation
-// thread, which raises it where the run can be recovered.
+// room is the capacity for a window of mean arrivals: six standard
+// deviations above it, so a run practically never grows a slice.
+func room(mean float64) int { return int(mean+6*math.Sqrt(mean)) + 8 }
+
+// produce fills every batch it is handed with the next window, four
+// generators at a time with lanes, else one by one. A panic (an invalid
+// pattern for the core count, say) is handed to the simulation thread,
+// which raises it where the run can be recovered.
 func (p *pipeline) produce(gens []*Bernoulli, base uint64) {
 	defer func() {
 		p.fault = recover()
@@ -67,12 +82,76 @@ func (p *pipeline) produce(gens []*Bernoulli, base uint64) {
 	}()
 	for bt := range p.free {
 		bt.base, bt.arr = base, bt.arr[:0]
-		for i, g := range gens {
-			bt.arr = g.fill(base, base+lookahead, bt.arr)
-			bt.start[i+1] = int32(len(bt.arr))
+		if p.lanes != nil {
+			p.lanes.fill(gens, bt)
+		} else {
+			for i, g := range gens {
+				bt.arr = g.fill(base, base+lookahead, bt.arr)
+				bt.start[i+1] = int32(len(bt.arr))
+			}
 		}
 		p.ready <- bt
 		base += lookahead
+	}
+}
+
+// inLanes makes producers draw four generators at a time where
+// sim.ScanBelow4 is one vector kernel. Elsewhere the per-source fill is
+// faster. Tests clear it to run the per-source path on such a host too.
+var inLanes = sim.VectorScan()
+
+// lanes is a producer's scratch for drawing its generators four at a time
+// with sim.ScanBelow4: in index order, zero-rate generators left out (they
+// draw nothing), the last four padded with lanes of threshold 0 on pad,
+// which never hit. The lanes stay on one cycle through a hit: the
+// destination and size draws that follow it consume none.
+type lanes struct {
+	out [4][]arrival // one window's arrivals of the four, lane by lane
+	rng [4]*sim.RNG
+	th  [4]uint64
+	pad sim.RNG
+}
+
+// fill draws window bt.base of every generator into bt, laid out as the
+// per-source path lays it: generator by generator, in index order.
+func (l *lanes) fill(gens []*Bernoulli, bt *batch) {
+	var q [4]*Bernoulli
+	k := 0
+	clear(bt.start)
+	for i, g := range gens {
+		if g.thresh != 0 {
+			q[k], k = g, k+1
+		}
+		if k == 4 || k > 0 && i == len(gens)-1 {
+			l.draw(q[:k], bt.base)
+			for j, g := range q[:k] {
+				bt.arr = append(bt.arr, l.out[j]...)
+				bt.start[g.slot+1] = int32(len(l.out[j]))
+			}
+			k = 0
+		}
+	}
+	for i := range gens { // counts to offsets
+		bt.start[i+1] += bt.start[i]
+	}
+}
+
+// draw fills out[j] with q[j]'s arrivals of the window from base, the
+// lanes past len(q) padding.
+func (l *lanes) draw(q []*Bernoulli, base uint64) {
+	for j := range l.out {
+		l.out[j], l.rng[j], l.th[j] = l.out[j][:0], &l.pad, 0
+		if j < len(q) {
+			l.rng[j], l.th[j] = q[j].rng, q[j].thresh
+		}
+	}
+	for c := base; c < base+lookahead; {
+		n, hits := sim.ScanBelow4(&l.rng, &l.th, base+lookahead-c)
+		c += n
+		for ; hits != 0; hits &= hits - 1 {
+			j := bits.TrailingZeros(hits)
+			l.out[j] = q[j].hit(c-1-base, l.out[j])
+		}
 	}
 }
 
