@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all fmt vet build lint lint-fixtures test race smoke check results results-check bench bench-compare bench-selftest loc ci
+.PHONY: all fmt vet build lint lint-fixtures test test-386 race smoke check results results-check bench bench-compare bench-selftest loc ci
 
 all: ci
 
@@ -32,6 +32,11 @@ lint-fixtures:
 
 test:
 	$(GO) test ./...
+
+# test-386 runs the suite on a 32-bit platform (no cgo, so no C toolchain
+# is needed): int is 32 bits there and the assembly kernel is left out.
+test-386:
+	CGO_ENABLED=0 GOARCH=386 $(GO) test ./...
 
 race:
 	$(GO) test -race ./...
@@ -180,4 +185,4 @@ loc:
 	printf '%7d  support (lint probe flightrec obs check cmd/obscheck + fabric installers)\n' $$support; \
 	awk "BEGIN { printf \"%7.2f  support / core\n\", $$support / $$core }"
 
-ci: fmt vet build lint race bench-selftest smoke results-check
+ci: fmt vet build lint race test-386 bench-selftest smoke results-check

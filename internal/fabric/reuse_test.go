@@ -84,14 +84,17 @@ func TestReuseRunTraceAfterRun(t *testing.T) {
 // and after one that panics on an engine invariant (an empty VC policy
 // mask) halfway through.
 func TestRunLeavesNoGoroutineBehind(t *testing.T) {
-	// producers counts arrival producers, this test's or an earlier one's:
+	// producers counts arrival producers, this test's or an earlier one's,
+	// and runners the goroutines of tests, this one's or an earlier one's:
 	// a goroutine leaves the count a moment after it has said it is done.
-	producers := func() int {
+	count := func(frame string) int {
 		buf := make([]byte, 1<<20)
-		return strings.Count(string(buf[:runtime.Stack(buf, true)]), "traffic.(*pipeline).produce(")
+		return strings.Count(string(buf[:runtime.Stack(buf, true)]), frame)
 	}
+	producers := func() int { return count("traffic.(*pipeline).produce(") }
+	runners := func() int { return count("created by testing.(*T).Run") }
 	settled := func() int {
-		for i := 0; i < 1000 && producers() > 0; i++ {
+		for i := 0; i < 1000 && (producers() > 0 || runners() > 1); i++ {
 			time.Sleep(time.Millisecond)
 		}
 		return runtime.NumGoroutine()

@@ -48,12 +48,12 @@ type vcState struct {
 	head int         // ring-buffer head
 	size int
 
-	stage   vcStage
-	outPort int
-	outVC   int
-	vcMask  uint32
-
+	stage    vcStage
 	inActive bool
+	saPos    int32 // 1 + position in Router.sa, 0 when not listed
+	outPort  int
+	outVC    int
+	vcMask   uint32
 }
 
 func (v *vcState) front() *noc.Flit { return v.buf[v.head] }
@@ -146,14 +146,26 @@ type Router struct {
 	out     []outputPort
 	credits []int32
 
-	// active lists the input VCs holding flits; its capacity, one entry
-	// per input VC, keeps the hot path append-free.
+	// active lists the input VCs holding flits, in activation order (the
+	// order VCA visits them); sa, unordered, lists the switch candidates
+	// among them: the stActive ones. Both are carved from one array with
+	// room for every input VC, which keeps the hot path append-free.
 	active []*vcState
+	sa     []*vcState
 	vcaPtr int // rotating start into the active list for VCA
 
-	// outReq lists the output ports that have a stage-2 winner while a
-	// tick allocates (at most one per input port).
+	// outReq lists the output ports that have a stage-2 winner and inReq
+	// the input ports that have a stage-1 winner while a tick allocates
+	// (at most one per input port each; one array too).
 	outReq []int
+	inReq  []int
+
+	// A stage runs only when its input moved since it last ran (see
+	// Tick): vcaDue after a head is routed that finds a free output VC it
+	// may use, or an output VC comes free; rcDue after a flit lands in an
+	// idle VC or a tail grant leaves flits behind; compactDue after a
+	// grant empties a VC.
+	vcaDue, rcDue, compactDue bool
 
 	// buffered mirrors the total flits across all input VC buffers
 	// (incremented on ReceiveFlit, decremented at the switch-allocation
@@ -223,8 +235,21 @@ func (r *Router) ConnectInput(p int, upstream noc.CreditReturner) {
 		states[v] = vcState{port: p, in: len(r.in), vc: v, buf: bufs[v*d : (v+1)*d : (v+1)*d], outPort: -1, outVC: -1}
 	}
 	r.in = append(r.in, inputPort{port: p, vcs: states, upstream: upstream})
-	r.active = append(make([]*vcState, 0, len(r.in)*nv), r.active...)
-	r.outReq = make([]int, 0, len(r.in))
+	r.active, r.sa = grow2(r.active, r.sa, len(r.in)*nv)
+	r.outReq, r.inReq = grow2(r.outReq, r.inReq, len(r.in))
+}
+
+// grow2 returns a and b with capacity for n entries each, carved from one
+// backing array. One too small is replaced by one with room for 1.5n each,
+// so building a router allocates O(log inputs) times and keeps at most
+// half again what its inputs need.
+func grow2[T any](a, b []T, n int) ([]T, []T) {
+	if cap(a) >= n {
+		return a, b
+	}
+	c := n + n/2
+	buf := make([]T, 2*c)
+	return append(buf[:0:c], a...), append(buf[c:c:2*c], b...)
 }
 
 // outCredits returns output port p's per-VC credits.
@@ -271,7 +296,8 @@ func (r *Router) Reset() {
 		op.busyUntil, op.owned, op.saLast = 0, 0, 0
 	}
 	clear(r.active)
-	r.active = r.active[:0]
+	r.active, r.sa = r.active[:0], r.sa[:0]
+	r.vcaDue, r.rcDue, r.compactDue = false, false, false
 	r.vcaPtr, r.buffered, r.bufHighWater = 0, 0, 0
 	r.stalled, r.busyWake, r.counts, r.now = false, 0, Counts{}, 0
 }
@@ -356,6 +382,10 @@ func (r *Router) activate(v *vcState) {
 		}
 		v.inActive = true
 		r.active = append(r.active, v)
+		if v.stage == stActive {
+			r.saAdd(v)
+		}
+		r.rcDue = r.rcDue || v.stage == stIdle
 		if r.waker != nil {
 			r.waker.Wake()
 		}
@@ -381,10 +411,7 @@ func (r *Router) catchUp(upTo uint64) {
 	if !r.countStalls {
 		return
 	}
-	for _, v := range r.active {
-		if v.stage != stActive {
-			continue
-		}
+	for _, v := range r.sa {
 		busyEnd := min(max(r.out[v.outPort].busyUntil, from), upTo)
 		r.counts.BusyStall += busyEnd - from
 		if r.credit(v) == 0 {
@@ -408,24 +435,40 @@ func (r *Router) catchUp(upTo uint64) {
 // skipped: vcaPtr, the one thing a no-op tick does change, and the stall
 // counts such ticks would have taken. That keeps schedule and counts
 // bit-exact against per-cycle ticking.
+//
+// VCA, RC and compaction run only when their input moved (the Due flags):
+// a pass they skip would find nothing to do. After a VCA pass no waiting
+// VC has a free output VC it may use, and only a newly routed head that
+// finds one or a freed output VC changes that; every head is routed in
+// the tick that finds it, after which no idle VC holds a flit; compaction
+// leaves every listed VC holding one. A skipped VCA pass still advances
+// vcaPtr.
 func (r *Router) Tick(cycle uint64) {
 	if r.stalled {
 		r.catchUp(cycle)
 		r.stalled = false
 	}
 	r.now = cycle
+	freeHead := false // a head routed this tick finds a free output VC
 	if len(r.active) > 0 {
 		r.switchAllocate()
-		r.vcAllocate()
-		r.routeCompute()
-		r.compactActive()
+		if r.vcaDue {
+			r.vcAllocate()
+		}
+		r.vcaPtr++
+		if r.rcDue {
+			freeHead = r.routeCompute()
+		}
+		if r.compactDue {
+			r.compactActive()
+		}
 	}
 	if r.waker == nil {
 		return
 	}
 	if len(r.active) == 0 {
 		r.waker.Sleep()
-	} else if !r.waker.SleepDisabled() && !r.canMoveNext() {
+	} else if !r.waker.SleepDisabled() && !freeHead && !r.canMoveNext() {
 		r.stalled = true
 		r.waker.Sleep()
 		if r.busyWake != 0 {
@@ -435,23 +478,16 @@ func (r *Router) Tick(cycle uint64) {
 }
 
 // canMoveNext reports whether the tick of cycle now+1 can change pipeline
-// state, given what the active list (compacted: every VC in it holds a
-// flit) looks like after this one: an idle VC's head is routed, a waiting
-// VC is allocated a free output VC it may use, an active VC is granted an
-// output that is free by then and has a credit. When none can it leaves
-// busyWake for the sleep that follows.
+// state, given what this one left and that no head it routed finds a free
+// output VC: every head is routed, no other waiting VC can be allocated
+// one (see Tick), so what remains is a switch candidate granted an output
+// that is free by then and has a credit. When none can it leaves busyWake
+// for the sleep that follows.
 func (r *Router) canMoveNext() bool {
 	r.busyWake = 0
-	for _, v := range r.active {
-		if v.stage == stIdle {
-			return true
-		}
-		op := &r.out[v.outPort]
-		if v.stage == stWaitVCA {
-			if r.freeVCs(v) != 0 {
-				return true
-			}
-		} else if r.credit(v) > 0 {
+	for _, v := range r.sa {
+		if r.credit(v) > 0 {
+			op := &r.out[v.outPort]
 			if op.busyUntil <= r.now+1 {
 				return true
 			}
@@ -471,16 +507,28 @@ func (r *Router) freeVCs(v *vcState) uint32 {
 	return v.vcMask &^ r.out[v.outPort].owned & (uint32(1)<<uint(r.Cfg.NumVCs) - 1)
 }
 
+// saAdd lists v as a switch candidate; saDrop unlists it.
+func (r *Router) saAdd(v *vcState) {
+	r.sa = append(r.sa, v)
+	v.saPos = int32(len(r.sa))
+}
+
+func (r *Router) saDrop(v *vcState) {
+	last := r.sa[len(r.sa)-1]
+	r.sa[v.saPos-1], last.saPos, v.saPos = last, v.saPos, 0
+	r.sa = r.sa[:len(r.sa)-1]
+}
+
 // switchAllocate runs the two-stage separable allocator and performs
-// switch traversal for the winners. Its work is per candidate: the stages
-// walk the ports that have a winner, not all of them, and clear the
-// scratch as they consume it.
+// switch traversal for the winners. Its work is per candidate: stage 1
+// walks the switch candidates, stage 2 the input ports with a winner, the
+// grant the output ports with one, and each clears the scratch as it
+// consumes it. No order among candidates matters: rrBefore is a total
+// order on distinct VCs of a port and on distinct ports, and the grants
+// go out sorted.
 func (r *Router) switchAllocate() {
 	// Stage 1: per input port, round-robin over its VCs.
-	for _, v := range r.active {
-		if v.stage != stActive || v.size == 0 {
-			continue
-		}
+	for _, v := range r.sa {
 		if r.out[v.outPort].busyUntil > r.now {
 			if r.countStalls {
 				r.counts.BusyStall++
@@ -494,18 +542,17 @@ func (r *Router) switchAllocate() {
 			continue
 		}
 		ip := &r.in[v.in]
+		if ip.best == nil {
+			r.inReq = append(r.inReq, v.in)
+		}
 		if ip.best == nil || rrBefore(ip.saLast, v.vc, ip.best.vc, r.Cfg.NumVCs) {
 			ip.best = v
 		}
 	}
-	// Stage 2: per output port, round-robin over the input ports' winners,
-	// found in the active list again (any order: rrBefore is a total order
-	// on distinct ports).
-	for _, v := range r.active {
-		ip := &r.in[v.in]
-		if ip.best != v {
-			continue
-		}
+	// Stage 2: per output port, round-robin over the input ports' winners.
+	for _, i := range r.inReq {
+		ip := &r.in[i]
+		v := ip.best
 		ip.best = nil
 		op := &r.out[v.outPort]
 		if op.best == nil {
@@ -543,15 +590,22 @@ func (r *Router) switchAllocate() {
 			op.owned &^= 1 << uint(v.outVC)
 			v.stage = stIdle
 			v.outPort, v.outVC = -1, -1
+			// The output VC is free, and a head may wait behind the tail.
+			r.vcaDue, r.rcDue = true, r.rcDue || v.size > 0
 		}
+		if v.size == 0 || v.stage == stIdle {
+			r.saDrop(v)
+		}
+		r.compactDue = r.compactDue || v.size == 0
 	}
-	r.outReq = r.outReq[:0]
+	r.inReq, r.outReq = r.inReq[:0], r.outReq[:0]
 }
 
 // vcAllocate grants free output VCs to input VCs in WaitVCA, starting from
-// a rotating offset into the active list for fairness; a VC gets the
-// lowest-numbered free output VC it may use.
+// a rotating offset into the active list for fairness (Tick advances it);
+// a VC gets the lowest-numbered free output VC it may use.
 func (r *Router) vcAllocate() {
+	r.vcaDue = false
 	na := len(r.active)
 	if na == 0 {
 		return
@@ -570,16 +624,18 @@ func (r *Router) vcAllocate() {
 		r.out[v.outPort].owned |= 1 << uint(ovc)
 		v.outVC = ovc
 		v.stage = stActive
+		r.saAdd(v)
 		r.counts.VCAllocs++
 		if r.Tap.Wants(noc.EvVCAlloc) {
 			r.Tap.Emit(noc.Event{Kind: noc.EvVCAlloc, Cycle: r.now, Pkt: v.front().Pkt, A: v.outPort, B: ovc})
 		}
 	}
-	r.vcaPtr++
 }
 
-// routeCompute runs RC for idle VCs whose buffer front is a head flit.
-func (r *Router) routeCompute() {
+// routeCompute runs RC for idle VCs whose buffer front is a head flit and
+// reports whether one of them finds a free output VC it may use.
+func (r *Router) routeCompute() (free bool) {
+	r.rcDue = false
 	for _, v := range r.active {
 		if v.stage != stIdle || v.size == 0 {
 			continue
@@ -600,15 +656,19 @@ func (r *Router) routeCompute() {
 		v.outPort = outPort
 		v.vcMask = mask
 		v.stage = stWaitVCA
+		free = free || r.freeVCs(v) != 0
 		if r.Tap.Wants(noc.EvRoute) {
 			r.Tap.Emit(noc.Event{Kind: noc.EvRoute, Cycle: r.now, Pkt: f.Pkt, A: v.port, B: outPort, C: int(mask)})
 		}
 	}
+	r.vcaDue = r.vcaDue || free
+	return free
 }
 
 // compactActive drops VCs with no buffered flits from the active list;
 // they are re-activated when a flit arrives.
 func (r *Router) compactActive() {
+	r.compactDue = false
 	w := 0
 	for _, v := range r.active {
 		if v.size > 0 {
@@ -637,7 +697,9 @@ func rrBefore(last, a, b, n int) bool {
 // simulation and the checker's periodic sweep during it. It returns an
 // error describing the first violation found. A sleeping router must be
 // stuck for a reason, so a buffered flit that could move while the router
-// is asleep — a lost wakeup — is a violation too.
+// is asleep — a lost wakeup — is a violation too, and so is one a skipped
+// stage would not see: the sa list and the stage flags are checked against
+// the VCs they stand for.
 func (r *Router) CheckInvariants() error {
 	asleep, wakeAt := false, uint64(0)
 	if r.waker != nil {
@@ -656,8 +718,14 @@ func (r *Router) CheckInvariants() error {
 		}
 		owned += bits.OnesCount32(op.owned)
 	}
+	for i, v := range r.sa {
+		if int(v.saPos) != i+1 || v.stage != stActive || v.size == 0 {
+			return fmt.Errorf("router %d in %d vc %d: listed switch candidate %d at position %d, stage %d, %d flits",
+				r.Cfg.ID, v.port, v.vc, i, v.saPos-1, v.stage, v.size)
+		}
+	}
 	// Every held output VC has one holder: an input VC in stActive on it.
-	holding := 0
+	holding, candidates := 0, 0
 	for _, ip := range r.in {
 		for vc := range ip.vcs {
 			v := &ip.vcs[vc]
@@ -669,6 +737,12 @@ func (r *Router) CheckInvariants() error {
 				if r.out[v.outPort].owned&(1<<uint(v.outVC)) == 0 {
 					return fmt.Errorf("router %d in %d vc %d: inconsistent owner: holds out %d vc %d, which is free", r.Cfg.ID, ip.port, vc, v.outPort, v.outVC)
 				}
+				if v.size > 0 {
+					candidates++
+				}
+			}
+			if v.size > 0 && (v.stage == stIdle && !r.rcDue || v.stage == stWaitVCA && !r.vcaDue && r.freeVCs(v) != 0) {
+				return fmt.Errorf("router %d in %d vc %d: stage %d could move, but its stage is not due", r.Cfg.ID, ip.port, vc, v.stage)
 			}
 			if !asleep || v.size == 0 {
 				continue
@@ -688,6 +762,9 @@ func (r *Router) CheckInvariants() error {
 	}
 	if owned != holding {
 		return fmt.Errorf("router %d: inconsistent owner: %d output VCs held, %d input VCs holding one", r.Cfg.ID, owned, holding)
+	}
+	if candidates != len(r.sa) {
+		return fmt.Errorf("router %d: %d switch candidates, %d listed", r.Cfg.ID, candidates, len(r.sa))
 	}
 	if got := r.BufferedFlits(); r.buffered != got {
 		return fmt.Errorf("router %d: buffered mirror %d != %d recounted flits", r.Cfg.ID, r.buffered, got)

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"strconv"
 	"testing"
 	"testing/quick"
 )
@@ -117,19 +118,42 @@ func TestRNGIntnPanics(t *testing.T) {
 
 // Intn's draws for a fixed seed, pinned: the 128-bit product (bits.Mul64)
 // and Lemire's rejection decide every one of them, and the final state
-// counts the rejected draws (n = 2^62+1 rejects about one in four).
+// counts the rejected draws (n = 2^62+1 rejects about one in four). The
+// pinned n reach 2^63-1, which only a 64-bit int holds; the draws a 32-bit
+// int can ask for are pinned by TestIntnPinnedDrawsInt32.
 func TestIntnPinnedDraws(t *testing.T) {
-	r := NewRNG(2018)
-	ns := []int{1, 2, 3, 7, 1000, 1023, 1 << 40, 1<<62 + 1, 1<<63 - 1}
-	want := []int{0, 1, 0, 1, 270, 112, 653410199806, 4075914582067951088, 2355552298378735060,
+	if strconv.IntSize < 64 {
+		t.Skipf("Intn(2^40) and up need a 64-bit int; this platform's is %d bits", strconv.IntSize)
+	}
+	ns := []uint64{1, 2, 3, 7, 1000, 1023, 1 << 40, 1<<62 + 1, 1<<63 - 1}
+	want := []uint64{0, 1, 0, 1, 270, 112, 653410199806, 4075914582067951088, 2355552298378735060,
 		0, 0, 0, 3, 696, 990, 399932851303, 3548754372210566565, 194196503507864730,
 		0, 1, 1, 0, 694, 821, 475120694143, 384035933239231261, 1209963158883977708}
+	end := [4]uint64{0xbdbc4239462229e3, 0x77f8aff5d886d28b, 0x10372fc0898b1ba8, 0x9b671d5f833d2279}
+	checkIntnDraws(t, ns, want, end)
+}
+
+// TestIntnPinnedDrawsInt32 pins draws whose n fits a 32-bit int, so every
+// platform checks Intn against the same numbers.
+func TestIntnPinnedDrawsInt32(t *testing.T) {
+	ns := []uint64{1, 2, 3, 7, 1000, 1023, 1<<30 + 1, 1<<31 - 1}
+	want := []uint64{0, 1, 0, 1, 270, 112, 638095898, 1897995630,
+		0, 0, 0, 0, 471, 712, 1039664673, 781118849,
+		0, 0, 0, 6, 649, 59, 745272781, 1723495341}
+	end := [4]uint64{0xf1743749da32dd04, 0xaea4349876e93848, 0xa0036c646113c51c, 0xf2cedc3969e91427}
+	checkIntnDraws(t, ns, want, end)
+}
+
+func checkIntnDraws(t *testing.T, ns, want []uint64, end [4]uint64) {
+	t.Helper()
+	r := NewRNG(2018)
 	for i, w := range want {
-		if got := r.Intn(ns[i%len(ns)]); got != w {
-			t.Fatalf("draw %d: Intn(%d) = %d, want %d", i, ns[i%len(ns)], got, w)
+		n := ns[i%len(ns)]
+		if got := r.Intn(int(n)); uint64(got) != w {
+			t.Fatalf("draw %d: Intn(%d) = %d, want %d", i, n, got, w)
 		}
 	}
-	if end := [4]uint64{0xbdbc4239462229e3, 0x77f8aff5d886d28b, 0x10372fc0898b1ba8, 0x9b671d5f833d2279}; r.s != end {
+	if r.s != end {
 		t.Fatalf("state after the pinned draws %#x, want %#x", r.s, end)
 	}
 }

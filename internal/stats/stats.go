@@ -311,11 +311,14 @@ func SaturationLoad(points []CurvePoint, threshold float64) float64 {
 
 // CapacityLoad returns the highest offered load at which accepted
 // throughput still tracks offered load within the given fraction
-// (e.g. 0.92), linearly interpolated. This is the knee of the
-// latency-load curve — the "saturates at the highest network load"
-// comparison of the paper's Figure 7(b,c) — and unlike a multiple of
-// zero-load latency it does not penalize architectures with very low
-// base latency.
+// (e.g. 0.92), read off the grid without interpolation: the load of the
+// last point before the first one that fails — saturated, or accepting
+// less than frac of what it was offered — or points[0].Load when the
+// first point already fails, the last load when none does, 0 for no
+// points. This is the knee of the latency-load curve — the "saturates at
+// the highest network load" comparison of the paper's Figure 7(b,c) — and
+// unlike a multiple of zero-load latency it does not penalize
+// architectures with very low base latency.
 func CapacityLoad(points []CurvePoint, frac float64) float64 {
 	if len(points) == 0 {
 		return 0

@@ -191,15 +191,28 @@ func TestSaturationThroughput(t *testing.T) {
 	}
 }
 
+// CapacityLoad returns a grid load, never one between two points: the
+// last one before the first failing point, or the first when that fails.
 func TestCapacityLoad(t *testing.T) {
-	pts := []CurvePoint{
-		{Load: 0.1, Throughput: 0.1},
-		{Load: 0.2, Throughput: 0.2},
-		{Load: 0.3, Throughput: 0.25}, // accepted falls below 0.92*offered
-		{Load: 0.4, Throughput: 0.26, Saturated: true},
+	ok := func(load float64) CurvePoint { return CurvePoint{Load: load, Throughput: load} }
+	cases := []struct {
+		name string
+		pts  []CurvePoint
+		want float64
+	}{
+		{"first fails on throughput", []CurvePoint{{Load: 0.1, Throughput: 0.09}, ok(0.2)}, 0.1},
+		// 0.3 accepts 0.25 of 0.3 offered (< 0.92): interpolating the
+		// crossing would give a load between 0.2 and 0.3.
+		{"fails between grid points", []CurvePoint{ok(0.1), ok(0.2), {Load: 0.3, Throughput: 0.25},
+			{Load: 0.4, Throughput: 0.26, Saturated: true}}, 0.2},
+		{"saturated after good points", []CurvePoint{ok(0.1), {Load: 0.2, Throughput: 0.2, Saturated: true}}, 0.1},
+		{"a later good point does not count", []CurvePoint{ok(0.1), {Load: 0.2, Throughput: 0.1}, ok(0.3)}, 0.1},
+		{"exactly frac passes", []CurvePoint{ok(0.1), {Load: 0.5, Throughput: 0.46}}, 0.5},
 	}
-	if got := CapacityLoad(pts, 0.92); got != 0.2 {
-		t.Fatalf("CapacityLoad = %v, want 0.2", got)
+	for _, c := range cases {
+		if got := CapacityLoad(c.pts, 0.92); got != c.want {
+			t.Errorf("%s: CapacityLoad = %v, want %v", c.name, got, c.want)
+		}
 	}
 }
 
