@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all fmt vet build lint lint-fixtures test test-386 race smoke check results results-check bench bench-compare bench-selftest loc ci
+.PHONY: all fmt vet build lint lint-fixtures test test-386 race check results results-check bench bench-compare bench-selftest loc ci
 
 all: ci
 
@@ -40,67 +40,6 @@ test-386:
 
 race:
 	$(GO) test -race ./...
-
-# smoke exercises the observability path end to end: a short traced
-# single run, an instrumented sweep, and a live-telemetry run whose
-# /metrics endpoint is scraped mid-flight (obscheck -scrape, no curl
-# needed) with required scheduler/pool series, whose pprof endpoint
-# serves a cpu profile sample and whose /debug/dump endpoint serves a
-# mid-flight flight-recorder state dump, then cmd/obscheck verifies
-# that every emitted artifact (metrics CSV/NDJSON, trace JSON/NDJSON,
-# run manifests, energy attribution CSV, heatmap CSV/SVG,
-# latency-breakdown CSV/NDJSON/SVG with the span sum identity,
-# token-fairness CSVs with the Jain (0,1] bound, state-dump NDJSON
-# framing, Prometheus scrape) actually parses. Set SMOKEDIR to keep
-# the artifacts (CI uploads them); by default a temp dir is used and
-# removed. The last step writes SHA256SUMS over every deterministic
-# artifact (all but the live log, scrape, profile and mid-flight dump;
-# manifests are hashed with the SMOKEDIR prefix stripped from their
-# "path" entries), so two checkouts prove byte-identity with one
-# `diff a/SHA256SUMS b/SHA256SUMS`.
-smoke:
-	@dir="$(SMOKEDIR)"; \
-	if [ -z "$$dir" ]; then dir=$$(mktemp -d); trap "rm -rf $$dir" EXIT; else mkdir -p "$$dir"; fi; \
-	set -e; \
-	$(GO) run ./cmd/ownsim -cores 256 -warmup 200 -measure 800 -seed 1 \
-		-metrics $$dir/run.csv -trace $$dir/run.json -sample 4 \
-		-latency-breakdown $$dir/breakdown \
-		-manifest $$dir/run-manifest.json >/dev/null; \
-	$(GO) run ./cmd/sweep -topo own -cores 256 -points 2 -warmup 200 -measure 800 \
-		-metrics $$dir/sweep.ndjson -trace $$dir/sweep-trace.ndjson -sample 4 \
-		-latency-breakdown $$dir/sweep-breakdown \
-		-manifest $$dir/sweep-manifest.json >/dev/null 2>&1; \
-	$(GO) run ./cmd/ownsim -cores 256 -warmup 200 -measure 600000 -seed 1 \
-		-listen 127.0.0.1:0 -pprof -energy $$dir/energy.csv -heatmap $$dir/heat \
-		-latency-breakdown $$dir/live-breakdown \
-		-fairness $$dir/fair -dump-on-exit $$dir/dump \
-		-reservoir 4096 -manifest $$dir/live-manifest.json \
-		>/dev/null 2>$$dir/live.log & pid=$$!; \
-	url=""; for i in $$(seq 1 100); do \
-		url=$$(sed -n 's!.*live telemetry on \(http://[^ ]*\)!\1!p' $$dir/live.log); \
-		[ -n "$$url" ] && break; sleep 0.1; done; \
-	if [ -z "$$url" ]; then echo "smoke: live telemetry address never appeared"; \
-		cat $$dir/live.log; kill $$pid 2>/dev/null; exit 1; fi; \
-	$(GO) run ./cmd/obscheck -scrape $$url -o $$dir/smoke.prom \
-		-require ownsim_engine_compute_ticks -require ownsim_pool_gets; \
-	base=$${url%/metrics}; \
-	$(GO) run ./cmd/obscheck -fetch "$$base/debug/pprof/profile?seconds=1" -o $$dir/profile.pb.gz; \
-	$(GO) run ./cmd/obscheck -fetch "$$base/debug/dump" -o $$dir/dump-live.ndjson; \
-	wait $$pid; \
-	$(GO) run ./cmd/obscheck $$dir/run.csv $$dir/run.json $$dir/run-manifest.json \
-		$$dir/sweep.ndjson $$dir/sweep-trace.ndjson $$dir/sweep-manifest.json \
-		$$dir/smoke.prom $$dir/energy.csv $$dir/live-manifest.json \
-		$$dir/heat_congestion.csv $$dir/heat_congestion.svg \
-		$$dir/heat_energy.csv $$dir/heat_energy.svg \
-		$$dir/breakdown.csv $$dir/breakdown.ndjson $$dir/breakdown.svg \
-		$$dir/sweep-breakdown.csv $$dir/sweep-breakdown.ndjson $$dir/sweep-breakdown.svg \
-		$$dir/live-breakdown.csv $$dir/live-breakdown.ndjson $$dir/live-breakdown.svg \
-		$$dir/fair_tiles.csv $$dir/fair_jain.csv $$dir/fair_heatmap.svg \
-		$$dir/dump.ndjson $$dir/dump-live.ndjson; \
-	for f in $$(ls $$dir); do \
-		case $$f in live.log|smoke.prom|profile.pb.gz|dump-live.ndjson|SHA256SUMS) continue;; esac; \
-		echo "$$(sed "s|\"path\": \"$$dir/|\"path\": \"|" $$dir/$$f | sha256sum | cut -d' ' -f1)  $$f"; \
-	done > $$dir/SHA256SUMS
 
 # check runs the conformance subsystem (internal/check): the quick
 # go-test harness (invariant checker, differential reference oracle,
@@ -178,11 +117,11 @@ loc:
 	for d in $$(files internal cmd | xargs -n1 dirname | sort -u); do \
 		printf '%7d  %s\n' $$(count $$(files $$d -maxdepth 1)) $$d; done; \
 	core=$$(count $$(files internal/sim internal/noc internal/router internal/sbus)); \
-	support=$$(count $$(files internal/lint internal/probe internal/flightrec internal/obs internal/check cmd/obscheck) \
+	support=$$(count $$(files internal/lint internal/probe internal/flightrec internal/obs internal/check) \
 		internal/fabric/probe.go internal/fabric/flightrec.go internal/fabric/check.go); \
 	printf '%7d  total (internal + cmd)\n' $$(count $$(files internal cmd)); \
 	printf '%7d  core (sim noc router sbus)\n' $$core; \
-	printf '%7d  support (lint probe flightrec obs check cmd/obscheck + fabric installers)\n' $$support; \
+	printf '%7d  support (lint probe flightrec obs check + fabric installers)\n' $$support; \
 	awk "BEGIN { printf \"%7.2f  support / core\n\", $$support / $$core }"
 
-ci: fmt vet build lint race test-386 bench-selftest smoke results-check
+ci: fmt vet build lint race test-386 bench-selftest results-check

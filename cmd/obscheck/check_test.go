@@ -1,0 +1,248 @@
+// Package obscheck holds the format checks of a run record, as tests
+// only: every file `ownsim -out` or `sweep -out` writes promises an
+// invariant, and the checkers here state each one. A CSV is a
+// rectangular table with at least one data row, and the energy,
+// latency-breakdown and Jain CSVs — recognized by their headers — add
+// their sum or bound; NDJSON is one object per line, with dump framing
+// when it starts with a meta record; an SVG is well-formed XML under an
+// svg root; JSON parses; a Prometheus exposition is HELP/TYPE comments
+// and `name value` samples. TestRecordInvariants applies them to a real
+// record, TestRecordCorruptionsFail proves each one bites on real
+// emitter bytes, and the TestCheck* tests pin each checker on its own.
+package obscheck
+
+import (
+	"bufio"
+	"bytes"
+	"encoding/csv"
+	"encoding/json"
+	"encoding/xml"
+	"errors"
+	"fmt"
+	"io"
+	"math"
+	"path/filepath"
+	"regexp"
+	"slices"
+	"strconv"
+	"strings"
+
+	"ownsim/internal/flightrec"
+	"ownsim/internal/power"
+	"ownsim/internal/probe"
+	"ownsim/internal/stats"
+)
+
+// checkFile validates one record file by its extension.
+func checkFile(name string, b []byte) error {
+	if len(b) == 0 {
+		return errors.New("empty file")
+	}
+	var err error
+	switch filepath.Ext(name) {
+	case ".csv":
+		_, err = checkCSV(b)
+	case ".ndjson":
+		_, err = checkNDJSON(b)
+	case ".svg":
+		_, err = checkSVG(b)
+	case ".json":
+		if !json.Valid(b) {
+			err = errors.New("invalid JSON")
+		}
+	case ".dot", ".txt":
+		// Text for people and Graphviz; the digests pin their bytes.
+	default:
+		err = fmt.Errorf("unknown extension %q", filepath.Ext(name))
+	}
+	return err
+}
+
+// checkCSV validates a CSV and returns its number of data rows.
+func checkCSV(b []byte) (int, error) {
+	// FieldsPerRecord defaults to the first record's width, enforcing a
+	// rectangular table.
+	recs, err := csv.NewReader(bytes.NewReader(b)).ReadAll()
+	if err != nil {
+		return 0, fmt.Errorf("invalid CSV: %v", err)
+	}
+	if len(recs) < 2 {
+		return 0, fmt.Errorf("CSV has no data rows (only %d records)", len(recs))
+	}
+	for _, a := range []struct {
+		header []string
+		check  func([][]string) error
+	}{
+		{power.EnergyCSVHeader, checkEnergyCSV},
+		{probe.SpanCSVHeader, checkBreakdownCSV},
+		{flightrec.FairnessJainCSVHeader, checkJainCSV},
+	} {
+		if slices.Equal(recs[0], a.header) {
+			return len(recs) - 1, a.check(recs)
+		}
+	}
+	return len(recs) - 1, nil
+}
+
+// totalLast sums column col over the rows above the final total row,
+// which must be last, and returns that sum and the total row's value.
+func totalLast[T float64 | uint64](recs [][]string, col int, parse func(string) (T, error)) (rows, total T, err error) {
+	for i, rec := range recs[1:] {
+		v, perr := parse(rec[col])
+		if perr != nil {
+			return 0, 0, fmt.Errorf("row %d: bad %s %q", i+1, recs[0][col], rec[col])
+		}
+		switch {
+		case rec[0] != "total":
+			rows += v
+		case i != len(recs)-2:
+			return 0, 0, errors.New("the total row is not last")
+		default:
+			total = v
+		}
+	}
+	if last := recs[len(recs)-1][0]; last != "total" {
+		return 0, 0, fmt.Errorf("last row is %q, want the total row", last)
+	}
+	return rows, total, nil
+}
+
+// checkEnergyCSV enforces the attribution partition: the component rows'
+// energy_pj and avg_power_mw columns sum, within float tolerance, to the
+// final total row.
+func checkEnergyCSV(recs [][]string) error {
+	for _, col := range []int{2, 3} {
+		rows, total, err := totalLast(recs, col, func(s string) (float64, error) { return strconv.ParseFloat(s, 64) })
+		if err != nil {
+			return fmt.Errorf("energy CSV: %v", err)
+		}
+		if !stats.ApproxEqual(rows, total, 1e-6*math.Max(1, math.Abs(total))) {
+			return fmt.Errorf("energy CSV: %s rows sum to %g but the total row says %g", recs[0][col], rows, total)
+		}
+	}
+	return nil
+}
+
+// checkBreakdownCSV enforces the span sum identity: the phase rows'
+// cycles sum to the final total row, exact integer equality.
+func checkBreakdownCSV(recs [][]string) error {
+	rows, total, err := totalLast(recs, 2, func(s string) (uint64, error) { return strconv.ParseUint(s, 10, 64) })
+	if err != nil {
+		return fmt.Errorf("breakdown CSV: %v", err)
+	}
+	if rows != total {
+		return fmt.Errorf("breakdown CSV: phase cycles sum to %d but the total row says %d", rows, total)
+	}
+	return nil
+}
+
+// checkJainCSV enforces the Jain bound on every channel row: the index
+// (Σx)²/(n·Σx²) lies in (0, 1] for any allocation (an empty channel
+// reports 1), so a value outside it is an emitter bug.
+func checkJainCSV(recs [][]string) error {
+	for i, rec := range recs[1:] {
+		j, err := strconv.ParseFloat(rec[5], 64)
+		if err != nil {
+			return fmt.Errorf("jain CSV row %d: bad jain_index %q", i+1, rec[5])
+		}
+		if math.IsNaN(j) || j <= 0 || j > 1 {
+			return fmt.Errorf("jain CSV row %d (%s): jain_index %g outside (0,1]", i+1, rec[0], j)
+		}
+	}
+	return nil
+}
+
+// checkNDJSON validates one-JSON-object-per-line framing and returns the
+// number of records. A state dump is recognized by a first record with
+// rec=="meta", which must carry its cycle and reason; every later line
+// of a dump carries a "rec" tag.
+func checkNDJSON(b []byte) (int, error) {
+	sc := bufio.NewScanner(bytes.NewReader(b))
+	sc.Buffer(nil, 1<<24)
+	n, dump := 0, false
+	for sc.Scan() {
+		var v map[string]any
+		if err := json.Unmarshal(sc.Bytes(), &v); err != nil {
+			return n, fmt.Errorf("line %d: invalid JSON object: %v", n+1, err)
+		}
+		rec, tagged := v["rec"].(string)
+		switch {
+		case n == 0 && rec == "meta":
+			dump = true
+			if _, ok := v["cycle"].(float64); !ok {
+				return n, errors.New("dump meta record lacks a numeric cycle")
+			}
+			if reason, _ := v["reason"].(string); reason == "" {
+				return n, errors.New("dump meta record lacks a reason")
+			}
+		case dump && !tagged:
+			return n, fmt.Errorf("dump line %d lacks a \"rec\" tag", n+1)
+		}
+		n++
+	}
+	if n == 0 {
+		return 0, errors.New("no NDJSON records")
+	}
+	return n, sc.Err()
+}
+
+// checkSVG verifies well-formed XML under an svg root and returns the
+// number of elements.
+func checkSVG(b []byte) (int, error) {
+	dec := xml.NewDecoder(bytes.NewReader(b))
+	root, n := "", 0
+	for {
+		tok, err := dec.Token()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return n, fmt.Errorf("invalid XML: %v", err)
+		}
+		if se, ok := tok.(xml.StartElement); ok {
+			if n == 0 {
+				root = se.Name.Local
+			}
+			n++
+		}
+	}
+	if root != "svg" {
+		return n, fmt.Errorf("root element is %q, want svg", root)
+	}
+	return n, nil
+}
+
+// promLine is one line of the text exposition as the server renders it:
+// a HELP/TYPE comment or a `name value` sample, names in the Prometheus
+// alphabet.
+var promLine = regexp.MustCompile(`^(# (HELP|TYPE) [a-zA-Z_:][a-zA-Z0-9_:]* .+|[a-zA-Z_:][a-zA-Z0-9_:]* (\S+))$`)
+
+// checkProm validates Prometheus text exposition, requires each of the
+// named series to be present with a positive value, and returns the
+// number of samples.
+func checkProm(b []byte, require ...string) (int, error) {
+	samples := map[string]float64{}
+	for i, line := range strings.Split(strings.TrimSuffix(string(b), "\n"), "\n") {
+		m := promLine.FindStringSubmatch(line)
+		if m == nil {
+			return 0, fmt.Errorf("line %d: malformed %q", i+1, line)
+		}
+		if m[3] == "" {
+			continue
+		}
+		v, err := strconv.ParseFloat(m[3], 64)
+		if err != nil {
+			return 0, fmt.Errorf("line %d: bad sample value %q", i+1, m[3])
+		}
+		samples[strings.Fields(line)[0]] = v
+	}
+	if len(samples) == 0 {
+		return 0, errors.New("no samples")
+	}
+	for _, name := range require {
+		if v, ok := samples[name]; !ok || v <= 0 {
+			return 0, fmt.Errorf("series %q absent or not positive", name)
+		}
+	}
+	return len(samples), nil
+}

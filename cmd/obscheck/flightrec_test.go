@@ -1,10 +1,9 @@
-package main
+package obscheck
 
 import (
 	"bytes"
 	"strings"
 	"testing"
-	"time"
 
 	"ownsim/internal/flightrec"
 	"ownsim/internal/probe"
@@ -97,18 +96,5 @@ func TestCheckNDJSONDumpFraming(t *testing.T) {
 	// engage on dumps.
 	if _, err := checkNDJSON([]byte("{\"cycle\":1}\n{\"cycle\":2}\n")); err != nil {
 		t.Errorf("plain NDJSON rejected: %v", err)
-	}
-}
-
-func TestRetryAttemptsFollowsBudget(t *testing.T) {
-	old := retryBudget
-	defer func() { retryBudget = old }()
-	retryBudget = time.Second
-	if got := retryAttempts(); got != int(time.Second/retryInterval) {
-		t.Errorf("retryAttempts = %d, want %d", got, int(time.Second/retryInterval))
-	}
-	retryBudget = 0
-	if got := retryAttempts(); got != 1 {
-		t.Errorf("retryAttempts with zero budget = %d, want 1", got)
 	}
 }

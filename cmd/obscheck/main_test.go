@@ -1,17 +1,16 @@
-package main
+package obscheck
 
 import (
 	"bytes"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
+	"ownsim/internal/obs"
 	"ownsim/internal/power"
+	"ownsim/internal/probe"
 )
 
-// energyRecs renders a real meter's energy CSV and parses it back into
-// records via checkCSV's own reader path.
+// energyCSV renders a real meter's energy CSV.
 func energyCSV(t *testing.T) []byte {
 	t.Helper()
 	m := power.NewMeter(nil)
@@ -83,75 +82,53 @@ func TestCheckSVG(t *testing.T) {
 	}
 }
 
+// TestCheckProm checks a hand-written exposition, then seeds malformed
+// lines into the bytes the live server renders.
 func TestCheckProm(t *testing.T) {
 	good := []byte("# HELP ownsim_cycle Current cycle.\n# TYPE ownsim_cycle gauge\nownsim_cycle 512\nownsim_running 1\n")
 	n, err := checkProm(good)
 	if err != nil || n != 2 {
 		t.Fatalf("good exposition: n=%d err=%v", n, err)
 	}
+
+	p := probe.New(probe.Options{MetricsEvery: 16})
+	p.Registry().CounterFunc("net.sa_grants", func() uint64 { return 42 })
+	p.Registry().Gauge("net.buffered_flits", func() float64 { return 3 })
+	s := obs.New()
+	s.Attach(p)
+	s.Publish(512, []float64{42, 3})
+	rendered := s.PrometheusText()
+	if _, err := checkProm([]byte(rendered), "ownsim_net_sa_grants", "ownsim_cycle"); err != nil {
+		t.Fatalf("real exposition rejected: %v\n%s", err, rendered)
+	}
 	for name, bad := range map[string]string{
-		"bad comment":   "# NOPE ownsim_cycle x\n",
-		"bad name":      "9cycle 1\n",
-		"bad value":     "ownsim_cycle twelve\n",
-		"missing value": "ownsim_cycle\n",
-		"no samples":    "# HELP ownsim_cycle c.\n",
+		"bad comment":      rendered + "# NOPE ownsim_cycle x\n",
+		"bad name":         rendered + "9cycle 1\n",
+		"bad value":        rendered + "ownsim_cycle twelve\n",
+		"missing value":    rendered + "ownsim_cycle\n",
+		"no samples":       "# HELP ownsim_cycle c.\n",
+		"required is zero": strings.Replace(rendered, "ownsim_net_sa_grants 42", "ownsim_net_sa_grants 0", 1),
 	} {
-		if _, err := checkProm([]byte(bad)); err == nil {
-			t.Fatalf("%s accepted: %q", name, bad)
+		if bad == rendered {
+			t.Fatalf("%s: the corruption changed nothing", name)
+		}
+		if _, err := checkProm([]byte(bad), "ownsim_net_sa_grants"); err == nil {
+			t.Errorf("%s accepted:\n%s", name, bad)
 		}
 	}
 }
 
+// TestValidPromName pins the metric-name alphabet checkProm accepts.
 func TestValidPromName(t *testing.T) {
 	for _, ok := range []string{"ownsim_cycle", "a:b_c9", "_x"} {
-		if !validPromName(ok) {
-			t.Fatalf("%q rejected", ok)
+		if _, err := checkProm([]byte(ok + " 1\n")); err != nil {
+			t.Fatalf("%q rejected: %v", ok, err)
 		}
 	}
 	for _, bad := range []string{"", "9x", "a-b", "a.b", "a b"} {
-		if validPromName(bad) {
+		if _, err := checkProm([]byte(bad + " 1\n")); err == nil {
 			t.Fatalf("%q accepted", bad)
 		}
-	}
-}
-
-// TestCheckFilesEvaluatesEveryArtifact is the regression test for the
-// exit-status bug where a failure aborted the run at the first bad
-// file: with one failing artifact listed before a passing one,
-// checkFiles must still validate (and report) the passing file, count
-// exactly one failure, and do the same with the order reversed.
-func TestCheckFilesEvaluatesEveryArtifact(t *testing.T) {
-	dir := t.TempDir()
-	good := filepath.Join(dir, "good.json")
-	bad := filepath.Join(dir, "bad.json")
-	if err := os.WriteFile(good, []byte(`{"cycle": 1}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(bad, []byte(`{"cycle": `), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	for _, order := range [][]string{{bad, good}, {good, bad}} {
-		var out, errw bytes.Buffer
-		failed := checkFiles(order, &out, &errw)
-		if failed != 1 {
-			t.Fatalf("order %v: %d failures, want 1", order, failed)
-		}
-		if !strings.Contains(out.String(), "ok "+good) {
-			t.Fatalf("order %v: passing file never validated (stdout %q)", order, out.String())
-		}
-		if !strings.Contains(errw.String(), "FAIL "+bad) {
-			t.Fatalf("order %v: failing file not reported (stderr %q)", order, errw.String())
-		}
-	}
-
-	// All files failing counts each one.
-	var out, errw bytes.Buffer
-	if failed := checkFiles([]string{bad, bad}, &out, &errw); failed != 2 {
-		t.Fatalf("two bad files: %d failures, want 2", failed)
-	}
-	// All passing counts none.
-	if failed := checkFiles([]string{good, good}, &out, &errw); failed != 0 {
-		t.Fatalf("two good files: %d failures, want 0", failed)
 	}
 }
 

@@ -19,7 +19,7 @@ import (
 
 // flightRun repeats the golden fixed-seed configuration with the flight
 // recorder installed ahead of a span-tracking, sampling probe — the full
-// diagnostics stack cmd/ownsim wires for -fairness/-dump-on-exit runs.
+// diagnostics stack cmd/ownsim wires for an -out record.
 func flightRun(t *testing.T, cores int, rate float64) (fabric.Result, *fabric.Network, *flightrec.FlightRecorder) {
 	t.Helper()
 	sys := NewSystem("own", cores, wireless.Config4, wireless.Ideal)
@@ -126,14 +126,14 @@ func TestFairnessArtifactsByteStableAcrossGOMAXPROCS(t *testing.T) {
 		defer runtime.GOMAXPROCS(old)
 		_, n, _ := flightRun(t, 256, 0.004)
 		dir := t.TempDir()
-		files, err := obs.EmitFairness(n, filepath.Join(dir, "fair"), nil)
+		files, err := obs.EmitFairness(n, dir, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(files) != 3 {
 			t.Fatalf("EmitFairness returned %v, want tiles+jain+heatmap", files)
 		}
-		dumps, err := obs.EmitDump(n, filepath.Join(dir, "dump"), nil)
+		dumps, err := obs.EmitDump(n, dir, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -168,10 +168,10 @@ func TestFairnessArtifactsRequireRecorder(t *testing.T) {
 	sys := NewSystem("own", 256, wireless.Config4, wireless.Ideal)
 	n := sys.Build(power.NewMeter(nil))
 	dir := t.TempDir()
-	if _, err := obs.EmitFairness(n, filepath.Join(dir, "fair"), nil); err == nil {
+	if _, err := obs.EmitFairness(n, dir, nil); err == nil {
 		t.Error("EmitFairness without a flight recorder must error")
 	}
-	if _, err := obs.EmitDump(n, filepath.Join(dir, "dump"), nil); err == nil {
+	if _, err := obs.EmitDump(n, dir, nil); err == nil {
 		t.Error("EmitDump without a flight recorder must error")
 	}
 }

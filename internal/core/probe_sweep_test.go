@@ -69,10 +69,10 @@ func TestInstrumentedSweepArtifactsAcrossGOMAXPROCS(t *testing.T) {
 		// (a scratch dir on disk), then into the manifest under fixed
 		// logical names so both renders produce identical manifests.
 		dir := t.TempDir()
-		if _, err := obs.EmitEnergyCSV(n, filepath.Join(dir, "energy.csv"), nil); err != nil {
+		if _, err := obs.EmitEnergyCSV(n, dir, nil); err != nil {
 			t.Fatal(err)
 		}
-		files, err := obs.EmitHeatmaps(n, filepath.Join(dir, "hm"), nil)
+		files, err := obs.EmitHeatmaps(n, dir, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -104,7 +104,7 @@ func TestBreakdownArtifactsByteStableAcrossGOMAXPROCS(t *testing.T) {
 		defer runtime.GOMAXPROCS(old)
 		_, n, _ := spanRun(t, 256, 0.004)
 		dir := t.TempDir()
-		files, err := obs.EmitLatencyBreakdown(n, filepath.Join(dir, "breakdown"), nil)
+		files, err := obs.EmitLatencyBreakdown(n, dir, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -94,41 +94,37 @@ func TestGoldenChromeTrace2Router(t *testing.T) {
 }
 
 // TestTracedArtifactsByteStable repeats one traced run and requires every
-// exported artifact — metrics CSV, metrics NDJSON, trace NDJSON, Chrome
-// trace, manifest — to be byte-identical across the repeats.
+// exported artifact — metrics CSV, metrics NDJSON, Chrome trace, manifest
+// — to be byte-identical across the repeats.
 func TestTracedArtifactsByteStable(t *testing.T) {
-	render := func() (csv, nd, trace, chrome, manifest []byte) {
+	render := func() (csv, nd, chrome, manifest []byte) {
 		_, p := tracedRing(3, probe.Options{MetricsEvery: 16, TraceEvery: 2}, 13)
-		var b1, b2, b3, b4, b5 bytes.Buffer
+		var b1, b2, b3, b4 bytes.Buffer
 		if err := p.Sampler().WriteCSV(&b1); err != nil {
 			t.Fatal(err)
 		}
 		if err := p.Sampler().WriteNDJSON(&b2); err != nil {
 			t.Fatal(err)
 		}
-		if err := p.Tracer().WriteNDJSON(&b3); err != nil {
-			t.Fatal(err)
-		}
-		if err := p.Tracer().WriteChrome(&b4); err != nil {
+		if err := p.Tracer().WriteChrome(&b3); err != nil {
 			t.Fatal(err)
 		}
 		m := &probe.Manifest{Tool: "test", Config: map[string]string{"seed": "13"}, Cores: 3, Seed: 13}
 		m.AddArtifact("metrics", "m.csv", b1.Bytes())
-		m.AddArtifact("trace", "t.json", b4.Bytes())
-		if err := m.WriteJSON(&b5); err != nil {
+		m.AddArtifact("trace", "t.json", b3.Bytes())
+		if err := m.WriteJSON(&b4); err != nil {
 			t.Fatal(err)
 		}
-		return b1.Bytes(), b2.Bytes(), b3.Bytes(), b4.Bytes(), b5.Bytes()
+		return b1.Bytes(), b2.Bytes(), b3.Bytes(), b4.Bytes()
 	}
-	c1, n1, t1, ch1, m1 := render()
-	c2, n2, t2, ch2, m2 := render()
+	c1, n1, ch1, m1 := render()
+	c2, n2, ch2, m2 := render()
 	for _, pair := range []struct {
 		name string
 		a, b []byte
 	}{
 		{"metrics CSV", c1, c2},
 		{"metrics NDJSON", n1, n2},
-		{"trace NDJSON", t1, t2},
 		{"Chrome trace", ch1, ch2},
 		{"manifest", m1, m2},
 	} {

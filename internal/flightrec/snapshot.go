@@ -140,8 +140,8 @@ func writeRecord(b *bytes.Buffer, rec string, payload any) error {
 }
 
 // WriteNDJSON emits the snapshot as newline-delimited JSON: a "meta"
-// record first, then one typed record per logical unit. cmd/obscheck
-// validates the framing. The dump is built in memory and reaches w in one
+// record first, then one typed record per logical unit.
+// obscheck.TestRecordInvariants validates the framing. The dump is built in memory and reaches w in one
 // Write, whose error is the one returned; a record that does not marshal
 // (a NaN metric) writes nothing.
 func (s *Snapshot) WriteNDJSON(w io.Writer) error {

@@ -33,8 +33,8 @@ func testSnapshot() *Snapshot {
 	}
 }
 
-// TestSnapshotNDJSONFraming checks the dump contract cmd/obscheck
-// relies on: every line is a flat JSON object tagged with "rec", and
+// TestSnapshotNDJSONFraming checks the dump contract
+// obscheck.TestRecordInvariants relies on: every line is a flat JSON object tagged with "rec", and
 // the first record is "meta" carrying the cycle and reason.
 func TestSnapshotNDJSONFraming(t *testing.T) {
 	var buf bytes.Buffer

@@ -192,7 +192,7 @@ func (st *StallTracker) TileWaitValues() []float64 {
 }
 
 // FairnessTileCSVHeader is the per-tile token-wait CSV header;
-// cmd/obscheck recognizes the artifact by it.
+// TestStallTrackerCSVs pins it.
 var FairnessTileCSVHeader = []string{
 	"tile",
 	"photonic_acqs", "photonic_wait_cy", "photonic_max_cy",
@@ -217,8 +217,8 @@ func (st *StallTracker) WriteTileCSV(w io.Writer) error {
 }
 
 // FairnessJainCSVHeader is the per-channel Jain-index CSV header;
-// cmd/obscheck recognizes the artifact by it and enforces the (0,1]
-// bound on the jain_index column.
+// obscheck.TestRecordInvariants recognizes the artifact by it and enforces
+// the (0,1] bound on the jain_index column.
 var FairnessJainCSVHeader = []string{
 	"channel", "kind", "active_tiles", "acquisitions", "wait_cy", "jain_index",
 }

@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -182,7 +181,7 @@ func TestEventsTwoConcurrentScrapers(t *testing.T) {
 func TestEmitLatencyBreakdownRequiresSpans(t *testing.T) {
 	n := obsRing(3, power.NewMeter(nil))
 	n.InstallProbe(probe.New(probe.Options{}))
-	if _, err := EmitLatencyBreakdown(n, filepath.Join(t.TempDir(), "bd"), nil); err == nil {
+	if _, err := EmitLatencyBreakdown(n, t.TempDir(), nil); err == nil {
 		t.Fatal("EmitLatencyBreakdown succeeded without span decomposition")
 	}
 }
@@ -208,7 +207,7 @@ func TestEmitLatencyBreakdownArtifacts(t *testing.T) {
 	}
 
 	man := &probe.Manifest{Tool: "obs-test"}
-	files, err := EmitLatencyBreakdown(n, filepath.Join(t.TempDir(), "bd"), man)
+	files, err := EmitLatencyBreakdown(n, t.TempDir(), man)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,9 +6,13 @@ import (
 	"io"
 	"net/http"
 	"os"
+	"path/filepath"
+	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 
+	"ownsim/internal/core"
 	"ownsim/internal/fabric"
 	"ownsim/internal/noc"
 	"ownsim/internal/plot"
@@ -16,6 +20,7 @@ import (
 	"ownsim/internal/probe"
 	"ownsim/internal/router"
 	"ownsim/internal/traffic"
+	"ownsim/internal/wireless"
 )
 
 // obsRing builds a small ring of radix-3 routers (port 0 terminal in,
@@ -52,13 +57,13 @@ func obsRing(nRouters int, m *power.Meter) *fabric.Network {
 func runObsRing(t *testing.T, live bool) (fabric.Result, *fabric.Network) {
 	t.Helper()
 	n := obsRing(4, power.NewMeter(nil))
-	f := &Flags{Sample: 1, Window: 32, PerComponent: true}
+	f := &Flags{}
 	var url string
 	if live {
 		f.Listen = "127.0.0.1:0"
 	}
 	s, err := Start(n, f, func(format string, args ...any) {
-		// The line make smoke parses for the bound address.
+		// The one diagnostic: the bound address.
 		if _, err := fmt.Sscanf(fmt.Sprintf(format, args...), "live telemetry on %s", &url); err != nil {
 			t.Errorf("unexpected session diagnostic: "+format, args...)
 		}
@@ -150,6 +155,40 @@ func TestHeatmapArtifactsByteStable(t *testing.T) {
 	}
 }
 
+// TestCongestionHeatmapNeedsNoPerComponentProbe: the congestion heatmap
+// reads Router.Counts, which every router keeps whatever the probe
+// registers, so a record's aggregate probe renders the same bytes a
+// per-component probe does.
+func TestCongestionHeatmapNeedsNoPerComponentProbe(t *testing.T) {
+	render := func(perComponent bool) map[string][]byte {
+		sys := core.NewSystem("own", 256, wireless.Config4, wireless.Ideal)
+		n := sys.Build(power.NewMeter(nil))
+		n.InstallProbe(probe.New(probe.Options{MetricsEvery: 256, PerComponent: perComponent}))
+		n.Run(
+			fabric.TrafficSpec{Pattern: traffic.Uniform, Rate: 0.006, Seed: 3, Policy: sys.Policy, Classify: sys.Classify},
+			fabric.RunSpec{Warmup: 200, Measure: 800},
+		)
+		files, err := EmitHeatmaps(n, t.TempDir(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := map[string][]byte{}
+		for _, path := range files {
+			if out[filepath.Base(path)], err = os.ReadFile(path); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return out
+	}
+	aggregate, perComponent := render(false), render(true)
+	if len(aggregate) != 4 || !reflect.DeepEqual(aggregate, perComponent) {
+		t.Fatalf("heatmaps differ between an aggregate and a per-component probe (%d vs %d files)", len(aggregate), len(perComponent))
+	}
+	if !regexp.MustCompile(`,r\d+,[1-9]`).Match(aggregate["heat_congestion.csv"]) {
+		t.Fatalf("no router stalled, so the comparison proves nothing:\n%s", aggregate["heat_congestion.csv"])
+	}
+}
+
 // TestEmitHeatmapsWirelessLabels registers two wireless channels (one
 // classed, one not) and checks the energy heatmap pair appears with
 // class-qualified channel labels.
@@ -166,14 +205,14 @@ func TestEmitHeatmapsWirelessLabels(t *testing.T) {
 	m.ReadWireless(1, "", 0.5, 0, &one)
 
 	dir := t.TempDir()
-	files, err := EmitHeatmaps(n, dir+"/hm", nil)
+	files, err := EmitHeatmaps(n, dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(files) != 4 {
 		t.Fatalf("files = %v, want congestion + energy pairs", files)
 	}
-	raw, err := os.ReadFile(dir + "/hm_energy.csv")
+	raw, err := os.ReadFile(filepath.Join(dir, "heat_energy.csv"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,8 +232,7 @@ func TestEmitHeatmapsSkipsEnergyWithoutWireless(t *testing.T) {
 		fabric.TrafficSpec{Pattern: traffic.Uniform, Rate: 0.05, PktFlits: 2, Seed: 3},
 		fabric.RunSpec{Warmup: 50, Measure: 200},
 	)
-	dir := t.TempDir()
-	files, err := EmitHeatmaps(n, dir+"/hm", nil)
+	files, err := EmitHeatmaps(n, t.TempDir(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,8 @@
 // The package also owns the one path from a command line to an observed
 // run: Flags declares the observation flags cmd/ownsim and cmd/sweep
 // share, Start installs what they imply on a built network and returns
-// the Session that emits the artifacts (session.go, artifacts.go).
+// the Session that writes the -out record — every artifact under a fixed
+// name, then manifest.json (session.go, artifacts.go).
 //
 // The package is inside ownlint's deterministic scope: it uses no wall
 // clock, no global RNG and no environment reads; all timestamps in

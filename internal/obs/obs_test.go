@@ -166,15 +166,24 @@ func TestPublishCopiesValues(t *testing.T) {
 	}
 }
 
-// TestNDJSONLineMatchesSamplerFormat pins the /events line layout to the
-// sampler's NDJSON member order (cycle first, then registration order)
-// and the deterministic float rendering.
+// TestNDJSONLineMatchesSamplerFormat pins the /events line to the
+// sampler's own NDJSON rendering of the same sample (cycle first, then
+// registration order, deterministic float rendering).
 func TestNDJSONLineMatchesSamplerFormat(t *testing.T) {
-	meta := []probe.MetricInfo{{Name: "a"}, {Name: "b"}}
-	got := ndjsonLine(7, meta, []float64{1, 0.5})
-	want := `{"cycle":7,"a":1,"b":0.5}`
-	if got != want {
-		t.Fatalf("ndjson line = %s, want %s", got, want)
+	p, ctr, _ := testProbe()
+	*ctr = 7
+	s := New()
+	s.Attach(p)
+	p.Sampler().Tick(32) // one sample, published through OnSample
+	var want bytes.Buffer
+	if err := p.Sampler().WriteNDJSON(&want); err != nil {
+		t.Fatal(err)
+	}
+	s.mu.Lock()
+	got := s.line + "\n"
+	s.mu.Unlock()
+	if got != want.String() || got != `{"cycle":32,"net.sa_grants":7,"net.buffered_flits":3,"ch.wireless.wl c2c/0.busy_cy":0.125}`+"\n" {
+		t.Fatalf("/events line = %s, sampler NDJSON = %s", got, want.String())
 	}
 }
 

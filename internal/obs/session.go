@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"time"
 
@@ -16,81 +18,66 @@ import (
 )
 
 // Flags is the observation surface of one simulated run. Register
-// declares the 16 flags cmd/ownsim and cmd/sweep share; the remaining
-// fields are flags only cmd/ownsim registers (sweep leaves them zero).
+// declares the six flags cmd/ownsim and cmd/sweep share; Watchdog (the
+// four -watchdog-* flags) and StallTimeout (-stall-timeout) are flags
+// only cmd/ownsim registers (sweep leaves them zero).
 type Flags struct {
-	Telemetry  int
-	Dot        string
-	Metrics    string
-	Trace      string
-	Sample     uint64
-	Window     uint64
-	Manifest   string
-	Listen     string
-	Energy     string
-	Heatmap    string
-	Breakdown  string
-	Pprof      bool
-	Reservoir  int
-	Fairness   string
-	DumpOnExit string
-	Check      bool
+	Out       string
+	Listen    string
+	Pprof     bool
+	Check     bool
+	Reservoir int
+	Telemetry int
 
-	// PerComponent is -percomponent, Watchdog the four -watchdog-* flags
-	// and StallTimeout -stall-timeout.
-	PerComponent bool
 	Watchdog     flightrec.WatchdogConfig
 	StallTimeout time.Duration
 }
+
+// A record traces every packet and samples the metrics once per window
+// of this many cycles; the manifest config says so under "sample" and
+// "window".
+const (
+	traceEvery = 1
+	window     = 256
+)
 
 // Register declares the shared observation flags on fs. what names the
 // run they observe in the help text ("the run", "the highest-load
 // point").
 func (f *Flags) Register(fs *flag.FlagSet, what string) {
-	fs.IntVar(&f.Telemetry, "telemetry", 0, "print the top-N busiest shared channels of "+what)
-	fs.StringVar(&f.Dot, "dot", "", "write the router-level topology as Graphviz DOT to this path")
-	fs.StringVar(&f.Metrics, "metrics", "", "write the sampled metric time-series of "+what+" to this path (.csv or .ndjson)")
-	fs.StringVar(&f.Trace, "trace", "", "write the per-packet lifecycle trace of "+what+" to this path (.json Chrome trace-event, or .ndjson)")
-	fs.Uint64Var(&f.Sample, "sample", 1, "trace every Nth packet (with -trace; 1 = all)")
-	fs.Uint64Var(&f.Window, "window", 256, "metric sampling window in simulated cycles (with -metrics)")
-	fs.StringVar(&f.Manifest, "manifest", "", "write a machine-readable manifest (JSON) of the invocation to this path")
+	fs.StringVar(&f.Out, "out", "", "write the record of "+what+" into this directory: every artifact under a fixed name, then manifest.json with their digests")
 	fs.StringVar(&f.Listen, "listen", "", "serve live telemetry (/metrics, /healthz, /events, /debug/dump) of "+what+" on this address while it runs (e.g. :9090; port 0 picks a free port)")
-	fs.StringVar(&f.Energy, "energy", "", "write the per-component energy attribution of "+what+" to this path (CSV) and print the breakdown table")
-	fs.StringVar(&f.Heatmap, "heatmap", "", "write congestion and wireless-energy heatmaps (CSV+SVG) of "+what+" with this path prefix (implies -percomponent)")
-	fs.StringVar(&f.Breakdown, "latency-breakdown", "", "write the per-phase latency attribution (CSV+NDJSON+stacked-bar SVG) of "+what+" with this path prefix")
 	fs.BoolVar(&f.Pprof, "pprof", false, "mount Go runtime profiling under /debug/pprof/ on the -listen server")
-	fs.IntVar(&f.Reservoir, "reservoir", 0, "exact-percentile latency reservoir size in packets per run (0 = default 65536)")
-	fs.StringVar(&f.Fairness, "fairness", "", "write token-fairness artifacts (per-tile wait CSV, per-channel Jain CSV, heatmap SVG) of "+what+" with this path prefix")
-	fs.StringVar(&f.DumpOnExit, "dump-on-exit", "", "write a full state dump (NDJSON + text) of "+what+" with this path prefix after it ran")
 	fs.BoolVar(&f.Check, "check", false, "audit protocol invariants with the conformance checker (internal/check); violations go to stderr and the exit code is non-zero if any fired")
+	fs.IntVar(&f.Reservoir, "reservoir", 0, "exact-percentile latency reservoir size in packets per run (0 = default 65536)")
+	fs.IntVar(&f.Telemetry, "telemetry", 0, "print the top-N busiest shared channels of "+what)
 }
 
 // Validate rejects flag values no run can honour.
 func (f *Flags) Validate() error {
-	switch {
-	case f.Sample == 0:
-		return errors.New("-sample must be >= 1")
-	case f.Window == 0:
-		return errors.New("-window must be >= 1")
-	case f.Pprof && f.Listen == "":
+	if f.Pprof && f.Listen == "" {
 		return errors.New("-pprof requires -listen")
 	}
 	return nil
 }
 
-// Instrumented reports whether any flag asks to observe a run — what
-// makes cmd/sweep re-run its highest-load point. -dot, -manifest and
-// -check observe no single run and do not count.
-func (f *Flags) Instrumented() bool {
-	if f.Telemetry > 0 || f.Listen != "" {
-		return true
+// OpenRecord creates the -out directory and starts the record's manifest
+// for tool: config plus the observation settings, the seed and the
+// binary's provenance. Call it before anything is built, so a directory
+// that cannot be created fails before the run. Without -out it returns
+// nil and writes nothing.
+func (f *Flags) OpenRecord(tool string, cores int, seed uint64, config map[string]string) (*probe.Manifest, error) {
+	if f.Out == "" {
+		return nil, nil
 	}
-	for _, g := range groups {
-		if g.path(f) != "" {
-			return true
-		}
+	if err := os.MkdirAll(f.Out, 0o755); err != nil {
+		return nil, err
 	}
-	return false
+	config["sample"] = strconv.Itoa(traceEvery)
+	config["window"] = strconv.Itoa(window)
+	config["reservoir"] = strconv.Itoa(f.Reservoir)
+	config["check"] = strconv.FormatBool(f.Check)
+	return &probe.Manifest{Tool: tool, Config: config, Cores: cores, Seed: seed, Build: probe.ReadBuildInfo()}, nil
 }
 
 // Session is one observed run: the observers f asks for installed on a
@@ -105,45 +92,34 @@ type Session struct {
 	stopWall func()
 }
 
-// Start writes the -dot graph and installs on n what f asks for, in the
-// one order that composes: flight recorder (its stall tracker and gauges
-// are wired by the probe installer), then probe, then checker; then it
-// starts the live server and the wall-clock watchdog. It is the single
-// place that derives which observers the flags imply. Diagnostics — the
-// live address, watchdog trips, invariant violations — go to logf.
+// Start writes the record's topology.dot and installs on n what f asks
+// for, in the one order that composes: flight recorder (its stall
+// tracker and gauges are wired by the probe installer), then probe, then
+// checker; then it starts the live server and the wall-clock watchdog.
+// It is the single place that derives the observers from two facts. A
+// record, a live server or a watchdog threshold installs the recorder
+// and an aggregate probe with spans and a sampler: the recorder backs the
+// fairness and dump artifacts, the detectors and /debug/dump, and its
+// stall tracker is fed through the span tracker. Only a record adds the
+// tracer. Diagnostics — the live address, watchdog trips, invariant
+// violations — go to logf.
 func Start(n *fabric.Network, f *Flags, logf func(format string, args ...any)) (*Session, error) {
 	s := &Session{n: n, f: f, logf: logf}
-	if f.Dot != "" {
-		if err := os.WriteFile(f.Dot, []byte(n.DOT()), 0o644); err != nil {
+	if f.Out != "" {
+		if err := os.WriteFile(filepath.Join(f.Out, "topology.dot"), []byte(n.DOT()), 0o644); err != nil {
 			return nil, err
 		}
 	}
-	// The flight recorder backs the fairness/dump artifacts, the watchdog
-	// detectors and the /debug/dump endpoint.
 	wd := f.Watchdog
-	recorder := f.Fairness != "" || f.DumpOnExit != "" || f.Listen != "" ||
-		wd.StarveBudgetCy > 0 || wd.StallWindows > 0 || wd.SatWindows > 0 || f.StallTimeout > 0
-	if recorder {
+	if f.Out != "" || f.Listen != "" || wd.StarveBudgetCy > 0 || wd.StallWindows > 0 || wd.SatWindows > 0 || f.StallTimeout > 0 {
 		fr := flightrec.New(flightrec.Options{Watchdog: wd})
 		fr.Dog.OnTrip = func(reason string, snap *flightrec.Snapshot) {
 			s.logDump("WATCHDOG TRIP: "+reason, snap)
 		}
 		n.InstallFlightRecorder(fr)
-	}
-	if recorder || f.Metrics != "" || f.Trace != "" || f.Heatmap != "" || f.Breakdown != "" {
-		// Heatmaps need per-router counters to resolve congestion per tile.
-		// The recorder needs spans — its stall tracker (token.* gauges,
-		// fairness artifacts) is fed through the span tracker, which also
-		// lists a dump's in-flight packets — and a sampler for its frames.
-		opts := probe.Options{
-			PerComponent: f.PerComponent || f.Heatmap != "",
-			Spans:        recorder || f.Breakdown != "",
-		}
-		if recorder || f.Metrics != "" {
-			opts.MetricsEvery = f.Window
-		}
-		if f.Trace != "" {
-			opts.TraceEvery = f.Sample
+		opts := probe.Options{Spans: true, MetricsEvery: window}
+		if f.Out != "" {
+			opts.TraceEvery = traceEvery
 		}
 		n.InstallProbe(probe.New(opts))
 	}
@@ -208,11 +184,13 @@ func (s *Session) Finish() {
 	}
 }
 
-// Emit writes every requested artifact group in table order, digests the
-// files and the engine/pool introspection into man when one is being
-// built, and reports to out: the -telemetry and -energy tables, one
-// status line per group, then warnings. The report is written once, also
-// when a group fails; the first error is returned.
+// Emit reports to out the -telemetry table and, for a record, the
+// energy breakdown table; then it writes the record into the -out
+// directory: every artifact group in table order, each file digested
+// into man with the engine/pool introspection, one status line per
+// group, and manifest.json last. Warnings close the report, which is
+// written once, also when a group fails; the first error is returned.
+// man is OpenRecord's manifest (nil without -out).
 func (s *Session) Emit(man *probe.Manifest, out io.Writer) error {
 	var b strings.Builder
 	err := s.emit(man, &b)
@@ -224,29 +202,27 @@ func (s *Session) Emit(man *probe.Manifest, out io.Writer) error {
 
 func (s *Session) emit(man *probe.Manifest, b *strings.Builder) error {
 	n, f := s.n, s.f
-	if man != nil {
-		ei, pi := n.EngineIntro(), n.PoolIntro()
-		man.Engine, man.Pools = &ei, &pi
-	}
 	if f.Telemetry > 0 {
 		fmt.Fprintf(b, "\n%s", n.Telemetry(f.Telemetry))
 	}
-	if f.Energy != "" && n.Meter != nil {
+	if man != nil {
 		fmt.Fprintf(b, "\n%s", n.Meter.EnergyTable(n.Eng.Cycle()))
-	}
-	for _, g := range groups {
-		path := g.path(f)
-		if path == "" {
-			continue
+		ei, pi := n.EngineIntro(), n.PoolIntro()
+		man.Engine, man.Pools = &ei, &pi
+		for _, g := range groups {
+			files, err := g.emit(n, f.Out, man)
+			if err != nil {
+				return err
+			}
+			fmt.Fprintf(b, "%-12s %s\n", g.name+":", strings.Join(files, ", "))
 		}
-		files, err := g.emit(n, path, man)
-		if err != nil {
+		if err := WriteManifest(man, f.Out); err != nil {
 			return err
 		}
-		fmt.Fprintf(b, "%-12s %s\n", g.name+":", strings.Join(files, ", "))
+		fmt.Fprintf(b, "%-12s %s\n", "manifest:", filepath.Join(f.Out, "manifest.json"))
 	}
 	if d := n.Probe.Tracer().Dropped(); d > 0 {
-		fmt.Fprintf(b, "  WARNING: %d trace events dropped at the %d-event cap; raise -sample\n", d, probe.DefaultMaxTraceEvents)
+		fmt.Fprintf(b, "  WARNING: %d trace events dropped at the %d-event cap\n", d, probe.DefaultMaxTraceEvents)
 	}
 	if mm := n.Probe.Spans().Mismatches(); mm > 0 {
 		fmt.Fprintf(b, "  WARNING: %d packets failed the span sum identity\n", mm)

@@ -13,8 +13,8 @@ import (
 // down into a deterministic row set — per component and, for the wireless
 // substrate, per link-distance class (C2C/E2E/SR) — that sums to the
 // Breakdown the Meter reports. The rows back the energy.csv artifact and
-// the paper-style breakdown table, and cmd/obscheck re-verifies the sum
-// invariant on the emitted file.
+// the paper-style breakdown table, and obscheck.TestRecordInvariants
+// re-verifies the sum invariant on the emitted file.
 
 // WirelessClasses returns the sorted set of class labels of the
 // registered wireless channels (ReadWireless), so the set is complete at
@@ -122,7 +122,7 @@ func formatEnergy(v float64) string {
 }
 
 // EnergyCSVHeader is the column set of the energy.csv artifact;
-// cmd/obscheck keys its sum-invariant rule on it.
+// obscheck.TestRecordInvariants keys its sum-invariant rule on it.
 var EnergyCSVHeader = []string{"component", "class", "energy_pj", "avg_power_mw", "share"}
 
 // WriteEnergyCSV writes the attribution as the energy.csv artifact: one

@@ -8,7 +8,7 @@
 // (see DESIGN.md §9/§10): no wall clock, no global RNG, no map-order
 // iteration. All timestamps are simulated cycles, all iteration follows
 // registration order, and every exported artifact (metrics CSV/NDJSON,
-// trace NDJSON/Chrome-JSON, manifest JSON) is byte-identical across
+// Chrome-JSON trace, manifest JSON) is byte-identical across
 // repeated runs of the same configuration and seed, regardless of
 // GOMAXPROCS. Tests assert this, and tests also assert the layer is
 // inert: enabling probes must not change any stats.Summary.

@@ -199,27 +199,6 @@ func traceFixture() *Tracer {
 	return tr
 }
 
-func TestTracerNDJSON(t *testing.T) {
-	tr := traceFixture()
-	var buf bytes.Buffer
-	if err := tr.WriteNDJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
-	if len(lines) != 6 {
-		t.Fatalf("lines = %d, want 6", len(lines))
-	}
-	if lines[0] != `{"cycle":3,"comp":"src.0","ev":"enqueue","pkt":4,"src":0,"dst":1,"arg":0}` {
-		t.Fatalf("line 0 = %q", lines[0])
-	}
-	for _, ln := range lines {
-		var m map[string]any
-		if err := json.Unmarshal([]byte(ln), &m); err != nil {
-			t.Fatalf("line %q: %v", ln, err)
-		}
-	}
-}
-
 func TestTracerChromeShape(t *testing.T) {
 	tr := traceFixture()
 	var buf bytes.Buffer

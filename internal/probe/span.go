@@ -364,8 +364,9 @@ func (s *SpanTracker) LiveSpans() []LiveSpan {
 	return out
 }
 
-// SpanCSVHeader is the latency-breakdown CSV header. cmd/obscheck
-// recognizes the artifact by it and enforces the sum identity: the
+// SpanCSVHeader is the latency-breakdown CSV header. The record test
+// (obscheck.TestRecordInvariants) recognizes the artifact by it and enforces
+// the sum identity: the
 // phase rows' cycles column must sum exactly (integer equality, no
 // tolerance) to the final total row, which carries the summed
 // end-to-end latency.

@@ -188,17 +188,6 @@ func (t *Tracer) Events() []Event {
 	return t.events
 }
 
-// WriteNDJSON writes one JSON object per event, in emission order.
-func (t *Tracer) WriteNDJSON(w io.Writer) error {
-	var b bytes.Buffer
-	for _, e := range t.events {
-		fmt.Fprintf(&b, "{\"cycle\":%d,\"comp\":%s,\"ev\":%q,\"pkt\":%d,\"src\":%d,\"dst\":%d,\"arg\":%d}\n",
-			e.Cycle, strconv.Quote(t.comps[e.Comp]), e.Kind, e.Pkt, e.Src, e.Dst, e.Arg)
-	}
-	_, err := w.Write(b.Bytes())
-	return err
-}
-
 // WriteChrome writes the trace in Chrome trace-event JSON (loadable in
 // Perfetto or chrome://tracing): one "thread" per component, an instant
 // event per lifecycle step, and an async span per packet from enqueue to

@@ -7,8 +7,8 @@ import "math"
 // and approaches 1/n when one participant takes everything. Non-finite
 // and negative inputs are skipped. An empty or all-zero population is
 // perfectly fair by convention (J = 1), so the index always lies in
-// (0, 1] — cmd/obscheck enforces exactly that bound on the fairness
-// artifacts.
+// (0, 1] — obscheck.TestRecordInvariants enforces exactly that bound on the
+// fairness artifacts of a record.
 func JainIndex(xs []float64) float64 {
 	var sum, sumSq float64
 	n := 0
