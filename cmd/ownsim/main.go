@@ -145,7 +145,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	s.Finish()
 
 	fmt.Fprintf(stdout, "\nperformance: %s\n", res.Summary)
-	if !res.Drained {
+	switch {
+	case res.Saturated():
+		fmt.Fprintf(stdout, "  saturated: accepted %.5f of %.5f f/n/c offered (%.0f %%); %d measured packets in flight; no latency reported\n",
+			res.Throughput, res.Offered, 100*res.Throughput/res.Offered, n.Collector.Pending())
+	case !res.Drained:
 		fmt.Fprintln(stdout, "  WARNING: measured packets did not drain — operating beyond saturation")
 	}
 	fmt.Fprintf(stdout, "power:       %s\n", res.Power)

@@ -94,6 +94,7 @@ func TestBadInputExitStatus(t *testing.T) {
 		{[]string{"-cores", "300"}, 2},
 		{[]string{"-pattern", "nope"}, 2},
 		{[]string{"-fail", "3,3"}, 2},
+		{[]string{"-load", "2"}, 2},
 		{[]string{"-pprof"}, 2},
 		{append(recordArgs, "-out", filepath.Join(notDir, "record")), 1},
 	} {

@@ -347,11 +347,11 @@ func figure7bc(p *printer) {
 		series := p.e.Figure7bc(pc.pat)
 		lines := []string{"system,load_fnc,latency_cy,throughput_fnc,saturated"}
 		for _, s := range series {
-			p.printf("%-9s capacity knee %.5f f/n/c, zero-load %.1f cy\n",
-				s.SystemName, s.CapacityLoad, s.Points[0].Latency)
+			p.printf("%-9s capacity knee %.5f f/n/c, zero-load %s cy\n",
+				s.SystemName, s.CapacityLoad, s.Points[0].LatencyText(1))
 			for _, pt := range s.Points {
-				lines = append(lines, fmt.Sprintf("%s,%.6f,%.2f,%.6f,%v",
-					s.SystemName, pt.Load, pt.Latency, pt.Throughput, pt.Saturated))
+				lines = append(lines, fmt.Sprintf("%s,%.6f,%s,%.6f,%v",
+					s.SystemName, pt.Load, pt.LatencyText(2), pt.Throughput, pt.Saturated))
 			}
 		}
 		p.writeCSV(fmt.Sprintf("fig%s_latency.csv", pc.fig), lines)

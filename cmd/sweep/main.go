@@ -113,8 +113,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 			mu.Lock()
 			defer mu.Unlock()
 			done++
-			fmt.Fprintf(stderr, "sweep: [%d/%d] %s load=%.5f latency=%.1f thr=%.5f sat=%v (%.1fs)\n",
-				done, total, name, p.Load, p.Latency, p.Throughput, p.Saturated, time.Since(start).Seconds())
+			fmt.Fprintf(stderr, "sweep: [%d/%d] %s load=%.5f latency=%s thr=%.5f sat=%v (%.1fs)\n",
+				done, total, name, p.Load, p.LatencyText(1), p.Throughput, p.Saturated, time.Since(start).Seconds())
 		}
 		var pts []stats.CurvePoint
 		if of.Check {
@@ -131,7 +131,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		series := plot.Series{Name: name}
 		for i, p := range pts {
-			fmt.Fprintf(stdout, "%s,%s,%.6f,%.2f,%.6f,%v\n", name, pat, p.Load, p.Latency, p.Throughput, p.Saturated)
+			fmt.Fprintf(stdout, "%s,%s,%.6f,%s,%.6f,%v\n", name, pat, p.Load, p.LatencyText(2), p.Throughput, p.Saturated)
 			if !p.Saturated {
 				series.X = append(series.X, p.Load)
 				series.Y = append(series.Y, p.Latency)

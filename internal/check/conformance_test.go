@@ -249,13 +249,15 @@ func TestConformanceCheckedRunsClean(t *testing.T) {
 }
 
 // TestConformanceCheckedSystems256 audits every paper architecture at 256
-// cores under the full invariant set.
+// cores under the full invariant set. The window is at least 2x (warmup)
+// and 6x (measure) the slowest network's latency, p-Clos's 493 cycles, so
+// that the saturation verdict reads capacity, not how the network fills.
 func TestConformanceCheckedSystems256(t *testing.T) {
 	for _, name := range core.SystemNames() {
 		sys := core.NewSystem(name, 256, wireless.Config4, wireless.Ideal)
 		res, vs := sys.RunChecked(
 			fabric.TrafficSpec{Pattern: traffic.Uniform, Rate: 0.004, Seed: 7},
-			fabric.RunSpec{Warmup: 300, Measure: 1200})
+			fabric.RunSpec{Warmup: 1000, Measure: 3000})
 		if !res.Drained {
 			t.Errorf("%s: checked run failed to drain", name)
 		}

@@ -271,13 +271,13 @@ func (e *Evaluation) Figure7bc(pattern traffic.Pattern) []Fig7bcSeries {
 		loads, results := e.loadSweep(names[i], pattern)
 		pts := make([]stats.CurvePoint, len(loads))
 		for j, res := range results {
-			pts[j] = stats.CurvePoint{Load: loads[j], Latency: res.AvgLatency, Throughput: res.Throughput, Saturated: !res.Drained}
+			pts[j] = stats.CurvePoint{Load: loads[j], Latency: res.AvgLatency, Throughput: res.Throughput, Saturated: res.Saturated()}
 		}
 		series[i] = Fig7bcSeries{
 			SystemName:     names[i],
 			Points:         pts,
 			SaturationLoad: stats.SaturationLoad(pts, 3.0),
-			CapacityLoad:   stats.CapacityLoad(pts, 0.92),
+			CapacityLoad:   stats.CapacityLoad(pts),
 		}
 	})
 	return series

@@ -199,6 +199,7 @@ func TestBadInputIsAnError(t *testing.T) {
 		{"ownsim -load 0", CheckRun(1000, 0)},
 		{"ownsim -load NaN", CheckRun(1000, math.NaN())},
 		{"ownsim -load +Inf", CheckRun(1000, math.Inf(1))},
+		{"ownsim -load 2", CheckRun(1000, 2)},
 	} {
 		if tc.err == nil {
 			t.Errorf("%s: accepted, want an error", tc.what)
@@ -215,8 +216,8 @@ func TestBadInputIsAnError(t *testing.T) {
 		t.Errorf("CheckSweepPoints(2) = %v", err)
 	}
 	// Extreme but legal: one measured cycle, a load whose every arrival
-	// window is empty, 256x capacity.
-	for _, load := range []float64{1e-9, 0.004, 2} {
+	// window is empty, one flit per terminal per cycle (128x capacity).
+	for _, load := range []float64{1e-9, 0.004, 1} {
 		if err := CheckRun(1, load); err != nil {
 			t.Errorf("CheckRun(1, %v) = %v", load, err)
 		}

@@ -79,6 +79,7 @@ func TestGoldenOWN256MatchesPrePoolEngine(t *testing.T) {
 			AvgHops:       3.422857142857143,
 			MaxHops:       4,
 			Throughput:    0.004046875,
+			Offered:       0.0041015625,
 		},
 		Drained: true,
 		Power: power.Breakdown{
@@ -120,6 +121,7 @@ func TestGoldenOWN1024MatchesPrePoolEngine(t *testing.T) {
 			AvgHops:       3.80327868852459,
 			MaxHops:       4,
 			Throughput:    0.001044921875,
+			Offered:       0.001072265625,
 		},
 		Drained: true,
 		Power: power.Breakdown{

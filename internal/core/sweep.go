@@ -146,7 +146,7 @@ func sweep(sys System, pattern traffic.Pattern, loads []float64, b Budget, onPoi
 			Load:       loads[i],
 			Latency:    res.AvgLatency,
 			Throughput: res.Throughput,
-			Saturated:  !res.Drained,
+			Saturated:  res.Saturated(),
 		}
 		if onPoint != nil {
 			onPoint(i, points[i])

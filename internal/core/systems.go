@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"slices"
 	"strings"
 
@@ -51,16 +50,17 @@ func CheckSystem(name string, cores int) error {
 }
 
 // CheckRun reports whether a run's methodology can be simulated: a
-// measurement window of at least one cycle and a finite, positive offered
-// load (a sweep passes its lowest). The CLIs call it on user input before
+// measurement window of at least one cycle and an offered load in (0, 1]
+// flits/node/cycle, since a terminal injects at most one flit per cycle (a
+// sweep passes its lowest). The CLIs call it on user input before
 // anything is built; stats.NewCollector and traffic.NewBernoulli keep
 // their panics as the engine invariants.
 func CheckRun(measure uint64, load float64) error {
 	if measure < 1 {
 		return fmt.Errorf("measure must be >= 1 cycle, got %d", measure)
 	}
-	if !(load > 0) || math.IsInf(load, 0) {
-		return fmt.Errorf("load must be finite and > 0, got %v", load)
+	if !(load > 0 && load <= 1) {
+		return fmt.Errorf("load must be in (0, 1] flits/node/cycle (a terminal injects at most one flit per cycle), got %v", load)
 	}
 	return nil
 }

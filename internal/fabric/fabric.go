@@ -209,11 +209,17 @@ type TrafficSpec struct {
 	Sizes *traffic.SizeDist
 }
 
-// RunSpec sets the measurement methodology.
+// RunSpec sets the measurement methodology: Warmup cycles discarded,
+// Measure cycles whose packets are tagged and whose ejections make the
+// throughput, then a drain of an unsaturated run until every tagged packet
+// has ejected. The saturation verdict (stats.Summary.Saturated) needs a
+// window much longer than the network's latency: over a window of one to
+// three latencies, accepted/offered measures how the network fills.
 type RunSpec struct {
 	Warmup  uint64
 	Measure uint64
-	// DrainBudget bounds the drain phase; 0 means 4x Measure.
+	// DrainBudget bounds the drain phase of an unsaturated run; 0 means
+	// 4x Measure.
 	DrainBudget uint64
 	// ReservoirCap sizes the exact-percentile latency reservoir; 0 keeps
 	// stats.LatencyReservoirCap. Summary.Truncated reports whether the
@@ -231,18 +237,23 @@ func (r RunSpec) drain() uint64 {
 // Result is the outcome of one measured run.
 type Result struct {
 	stats.Summary
-	// Drained reports whether all measured packets ejected within the
-	// drain budget; false indicates operation beyond saturation.
+	// Drained reports whether all measured packets had ejected when the
+	// run stopped. It is a fact, not a verdict: Saturated decides. A
+	// saturated run stops at the end of its window, usually undrained; an
+	// unsaturated one that is not drained ran out of drain budget.
 	Drained bool
-	// Power is the power breakdown over the full simulated time.
+	// Power is the power breakdown over the cycles simulated: warmup +
+	// measure for a saturated run.
 	Power power.Breakdown
 	// AvgWirelessChannelMW is the paper's Figure 5 metric.
 	AvgWirelessChannelMW float64
 }
 
-// Run attaches traffic, simulates warmup+measure, drains, and reports. A
-// network that has run rewinds itself first, so consecutive runs on one
-// network give what a fresh build per run gives, without the builds.
+// Run attaches traffic, simulates warmup+measure, drains unless the window
+// was saturated, and reports. A saturated run's latency is not reported
+// anywhere, so a drain would finish nothing anyone reads. A network that
+// has run rewinds itself first, so consecutive runs on one network give
+// what a fresh build per run gives, without the builds.
 //
 // The sources' coin flips depend on nothing the network does, so Run draws
 // them on a second goroutine (traffic.Produce) that lives exactly as long
@@ -256,6 +267,7 @@ func (n *Network) Run(ts TrafficSpec, rs RunSpec) Result {
 	col := stats.NewCollector(n.NumCores, rs.Warmup, rs.Warmup+rs.Measure)
 	col.SetReservoirCap(rs.ReservoirCap)
 	n.Collector = col
+	onDropped := col.OnDropped // shared by every source: a method value allocates
 	gens := make([]*traffic.Bernoulli, len(n.Sources))
 	for id, src := range n.Sources {
 		if src == nil {
@@ -269,7 +281,7 @@ func (n *Network) Run(ts TrafficSpec, rs RunSpec) Result {
 		gen.MeasureTo = rs.Warmup + rs.Measure
 		src.SetGenerator(gen)
 		src.Policy = ts.Policy
-		src.OnAccepted = col.OnCreated
+		src.OnAccepted, src.OnDropped = col.OnCreated, onDropped
 		snk := n.Sinks[id]
 		snk.OnPacket = col.OnEjected
 		gens[id] = gen
@@ -278,7 +290,10 @@ func (n *Network) Run(ts TrafficSpec, rs RunSpec) Result {
 		defer traffic.Produce(gens, n.Eng.Cycle())()
 	}
 	n.Eng.Run(rs.Warmup + rs.Measure)
-	drained := n.Eng.RunUntil(func() bool { return col.Pending() == 0 }, rs.drain())
+	drained := col.Pending() == 0
+	if !col.Saturated() {
+		drained = n.Eng.RunUntil(func() bool { return col.Pending() == 0 }, rs.drain())
+	}
 	n.Probe.Flush(n.Eng.Cycle())
 	return n.Priced(Result{Summary: col.Summary(), Drained: drained})
 }
@@ -334,6 +349,7 @@ func (n *Network) RunTrace(tr *traffic.Trace, pktFlits int, ts TrafficSpec, budg
 	n.rewind()
 	col := stats.NewCollector(n.NumCores, 0, budget)
 	n.Collector = col
+	onDropped := col.OnDropped
 	gens := tr.PerSource(n.NumCores, pktFlits, ts.Classify)
 	for id, src := range n.Sources {
 		if src == nil {
@@ -342,7 +358,7 @@ func (n *Network) RunTrace(tr *traffic.Trace, pktFlits int, ts TrafficSpec, budg
 		gens[id].MeasureFrom, gens[id].MeasureTo = 0, budget
 		src.SetGenerator(gens[id])
 		src.Policy = ts.Policy
-		src.OnAccepted = col.OnCreated
+		src.OnAccepted, src.OnDropped = col.OnCreated, onDropped
 		n.Sinks[id].OnPacket = col.OnEjected
 	}
 	done := func() bool {

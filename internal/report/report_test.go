@@ -25,12 +25,12 @@ var quickMeasured = []string{
 	"76%",
 	"c1=4.49 c2=2.16 c3=5.26 c4=1.27 mW",
 	"72%",
-	"optxb 482 mW vs own4 774, pclos 861, wcmesh 890, cmesh 996",
+	"optxb 482 mW vs own4 774, pclos 819, wcmesh 890, cmesh 996",
 	"1.60x",
 	"cmesh/own4 = 1.29x",
 	"1.15x",
 	"c1 842, c3 857 vs c4 774 mW",
-	"own 0.0072 vs cmesh 0.0051, optxb 0.0051, pclos 0.0051, wcmesh 0.0029 f/n/c",
+	"own 0.0072 vs cmesh 0.0051, optxb 0.0051, pclos 0.0029, wcmesh 0.0029 f/n/c",
 	"zero-load 55 vs 187 cycles (70% lower)",
 	"spread 21%",
 	"+5%",
@@ -76,6 +76,27 @@ func TestEvaluateQuick(t *testing.T) {
 	data, err := rep.JSON()
 	if err != nil || strings.Contains(string(data), "ensus") || strings.Contains(rep.Markdown(), "plan:") {
 		t.Errorf("the census reached the ledger (err %v):\n%s", err, data)
+	}
+}
+
+// TestQuickClaimsOnLowDrawSeeds scores the quick claims on seeds 5, 12 and
+// 15. Their uniform point near 0.0029 f/n/c offered about 10 % less than
+// its nominal load; judged against the nominal load, every network failed
+// it together and fig7b/own-saturates-last failed. Judged against what
+// was offered (stats.Summary.Saturated), every claim reproduces.
+func TestQuickClaimsOnLowDrawSeeds(t *testing.T) {
+	if testing.Short() {
+		t.Skip("three evaluations in -short mode")
+	}
+	for _, seed := range []uint64{5, 12, 15} {
+		b := core.QuickBudget()
+		b.Seed = seed
+		rep := Evaluate(b, time.Unix(0, 0).UTC())
+		for _, c := range rep.Claims {
+			if !c.Pass {
+				t.Errorf("seed %d: %s failed: %s (paper: %s)", seed, c.ID, c.Measured, c.Paper)
+			}
+		}
 	}
 }
 

@@ -57,8 +57,9 @@ type Source struct {
 	// offered vs. accepted load beyond saturation). Zero means 1024.
 	MaxQueue int
 	// OnAccepted is invoked for every packet admitted to the source
-	// queue; the statistics collector hooks in here.
-	OnAccepted func(p *noc.Packet)
+	// queue, OnDropped for every packet dropped; the statistics collector
+	// hooks in here.
+	OnAccepted, OnDropped func(p *noc.Packet)
 	// Tap emits EvEnqueue when a packet is admitted to the source queue
 	// (after OnAccepted, which the statistics collector owns), EvInject
 	// when its head flit leaves the queue for the network, and EvLaunch
@@ -181,6 +182,9 @@ func (s *Source) Tick(cycle uint64) {
 			s.Generated++
 			if s.queue.size >= s.maxQueue() {
 				s.Dropped++
+				if s.OnDropped != nil {
+					s.OnDropped(p)
+				}
 				// Dropped packets never enter the network; their
 				// storage is free for the next generation.
 				noc.Recycle(p)

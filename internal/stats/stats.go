@@ -4,15 +4,18 @@
 //
 // Methodology follows the paper's cycle-accurate evaluation: a warmup
 // window is discarded, packets created during the measurement window are
-// tagged and tracked to ejection (simulations drain until all tagged
-// packets arrive), and throughput is the flit ejection rate during the
-// measurement window normalized per node.
+// tagged, and throughput is the flit ejection rate during the measurement
+// window normalized per node. One verdict, Summary.Saturated, compares
+// that throughput with the flits the window offered; a run it calls
+// saturated ends with the window, and any other drains until every
+// tagged packet arrives.
 package stats
 
 import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 
 	"ownsim/internal/noc"
 )
@@ -39,6 +42,9 @@ type Collector struct {
 
 	createdMeasured uint64
 	ejectedMeasured uint64
+	// offeredFlits counts flits of every measured packet generated,
+	// admitted to its source queue or dropped (Offered).
+	offeredFlits uint64
 
 	latencySum    float64
 	netLatencySum float64
@@ -105,6 +111,15 @@ func (c *Collector) reservoirCap() int {
 func (c *Collector) OnCreated(p *noc.Packet) {
 	if p.Measure {
 		c.createdMeasured++
+		c.offeredFlits += uint64(p.NumFlits)
+	}
+}
+
+// OnDropped notes a generated packet that a full source queue dropped: it
+// counts toward Offered, not toward Pending.
+func (c *Collector) OnDropped(p *noc.Packet) {
+	if p.Measure {
+		c.offeredFlits += uint64(p.NumFlits)
 	}
 }
 
@@ -161,7 +176,8 @@ type Summary struct {
 	// Packets is the number of measured packets ejected.
 	Packets uint64
 	// AvgLatency is the mean total (queueing + network) packet latency
-	// in cycles.
+	// in cycles. Of a saturated run it is the mean over the packets that
+	// ejected inside the measurement window, not a measurement.
 	AvgLatency float64
 	// AvgNetLatency excludes source queueing.
 	AvgNetLatency float64
@@ -194,7 +210,16 @@ type Summary struct {
 	// Throughput is accepted flits per node per cycle during the
 	// measurement window.
 	Throughput float64
+	// Offered is flits per node per cycle generated during the
+	// measurement window, packets a full source queue dropped included.
+	Offered float64
 }
+
+// Saturated is the run's one saturation verdict: the measurement window
+// accepted less than 0.92 of the flits it offered. The window must be
+// much longer than the network's latency, or the verdict measures how the
+// network fills rather than what it can carry.
+func (s Summary) Saturated() bool { return s.Throughput < 0.92*s.Offered }
 
 // String renders the summary as a single line.
 func (s Summary) String() string {
@@ -219,8 +244,7 @@ func (c *Collector) Summary() Summary {
 		s.AvgNetLatency = c.netLatencySum / float64(c.ejectedMeasured)
 		s.AvgHops = float64(c.hopSum) / float64(c.ejectedMeasured)
 	}
-	window := c.MeasureTo - c.MeasureFrom
-	s.Throughput = float64(c.windowFlits) / float64(window) / float64(c.NumNodes)
+	s.Throughput, s.Offered = c.rates()
 	// p99 from buckets: find the bucket containing the 99th percentile
 	// and report its upper bound.
 	if c.ejectedMeasured > 0 {
@@ -252,6 +276,19 @@ func (c *Collector) Summary() Summary {
 	return s
 }
 
+// rates returns the window's accepted and offered flits/node/cycle.
+func (c *Collector) rates() (accepted, offered float64) {
+	window, nodes := float64(c.MeasureTo-c.MeasureFrom), float64(c.NumNodes)
+	return float64(c.windowFlits) / window / nodes, float64(c.offeredFlits) / window / nodes
+}
+
+// Saturated is Summary().Saturated() without computing the percentiles:
+// once the measurement window has closed, the verdict is final.
+func (c *Collector) Saturated() bool {
+	accepted, offered := c.rates()
+	return Summary{Throughput: accepted, Offered: offered}.Saturated()
+}
+
 // percentile returns the nearest-rank q-quantile of a sorted sample.
 func percentile(sorted []uint64, q float64) uint64 {
 	rank := int(math.Ceil(q * float64(len(sorted))))
@@ -268,13 +305,22 @@ func percentile(sorted []uint64, q float64) uint64 {
 type CurvePoint struct {
 	// Load is offered load in flits/node/cycle.
 	Load float64
-	// Latency is average packet latency at that load (cycles).
+	// Latency is average packet latency at that load (cycles); of a
+	// saturated point, the partial mean Summary.AvgLatency describes.
 	Latency float64
 	// Throughput is accepted flits/node/cycle.
 	Throughput float64
-	// Saturated marks runs that failed to drain or exceeded the latency
-	// threshold.
+	// Saturated is the run's verdict, Summary.Saturated.
 	Saturated bool
+}
+
+// LatencyText renders Latency with prec decimals, or "saturated": a
+// saturated point's latency is not a measurement.
+func (p CurvePoint) LatencyText(prec int) string {
+	if p.Saturated {
+		return "saturated"
+	}
+	return strconv.FormatFloat(p.Latency, 'f', prec, 64)
 }
 
 // SaturationLoad returns the offered load at which latency crosses
@@ -309,24 +355,21 @@ func SaturationLoad(points []CurvePoint, threshold float64) float64 {
 	return points[len(points)-1].Load
 }
 
-// CapacityLoad returns the highest offered load at which accepted
-// throughput still tracks offered load within the given fraction
-// (e.g. 0.92), read off the grid without interpolation: the load of the
-// last point before the first one that fails — saturated, or accepting
-// less than frac of what it was offered — or points[0].Load when the
-// first point already fails, the last load when none does, 0 for no
-// points. This is the knee of the latency-load curve — the "saturates at
-// the highest network load" comparison of the paper's Figure 7(b,c) — and
-// unlike a multiple of zero-load latency it does not penalize
-// architectures with very low base latency.
-func CapacityLoad(points []CurvePoint, frac float64) float64 {
+// CapacityLoad returns the highest offered load the network still
+// carries, read off the grid without interpolation: the load of the last
+// point before the first saturated one (Summary.Saturated), or
+// points[0].Load when the first point is already saturated, the last load
+// when none is, 0 for no points. This is the knee of the latency-load
+// curve — the "saturates at the highest network load" comparison of the
+// paper's Figure 7(b,c) — and unlike a multiple of zero-load latency it
+// does not penalize architectures with very low base latency.
+func CapacityLoad(points []CurvePoint) float64 {
 	if len(points) == 0 {
 		return 0
 	}
 	prevOK := points[0].Load
 	for _, p := range points {
-		ok := !p.Saturated && p.Throughput >= frac*p.Load
-		if !ok {
+		if p.Saturated {
 			return prevOK
 		}
 		prevOK = p.Load

@@ -194,25 +194,79 @@ func TestSaturationThroughput(t *testing.T) {
 // CapacityLoad returns a grid load, never one between two points: the
 // last one before the first failing point, or the first when that fails.
 func TestCapacityLoad(t *testing.T) {
-	ok := func(load float64) CurvePoint { return CurvePoint{Load: load, Throughput: load} }
+	// pt is a grid point whose verdict is its window's accepted vs.
+	// offered flits; its nominal load plays no part.
+	pt := func(load, accepted, offered float64) CurvePoint {
+		return CurvePoint{Load: load, Throughput: accepted, Saturated: Summary{Throughput: accepted, Offered: offered}.Saturated()}
+	}
+	ok := func(load float64) CurvePoint { return pt(load, load, load) }
 	cases := []struct {
 		name string
 		pts  []CurvePoint
 		want float64
 	}{
-		{"first fails on throughput", []CurvePoint{{Load: 0.1, Throughput: 0.09}, ok(0.2)}, 0.1},
+		{"first fails on throughput", []CurvePoint{pt(0.1, 0.09, 0.1), ok(0.2)}, 0.1},
 		// 0.3 accepts 0.25 of 0.3 offered (< 0.92): interpolating the
 		// crossing would give a load between 0.2 and 0.3.
-		{"fails between grid points", []CurvePoint{ok(0.1), ok(0.2), {Load: 0.3, Throughput: 0.25},
-			{Load: 0.4, Throughput: 0.26, Saturated: true}}, 0.2},
-		{"saturated after good points", []CurvePoint{ok(0.1), {Load: 0.2, Throughput: 0.2, Saturated: true}}, 0.1},
-		{"a later good point does not count", []CurvePoint{ok(0.1), {Load: 0.2, Throughput: 0.1}, ok(0.3)}, 0.1},
-		{"exactly frac passes", []CurvePoint{ok(0.1), {Load: 0.5, Throughput: 0.46}}, 0.5},
+		{"fails between grid points", []CurvePoint{ok(0.1), ok(0.2), pt(0.3, 0.25, 0.3), pt(0.4, 0.26, 0.4)}, 0.2},
+		{"saturated after good points", []CurvePoint{ok(0.1), pt(0.2, 0.1, 0.2)}, 0.1},
+		{"a later good point does not count", []CurvePoint{ok(0.1), pt(0.2, 0.1, 0.2), ok(0.3)}, 0.1},
+		{"exactly frac passes", []CurvePoint{ok(0.1), pt(0.5, 0.46, 0.5)}, 0.5},
+		// A low draw: nominal load 0.00293 offered only 0.00263, all of
+		// which the network accepted. Against the nominal load it would
+		// fail (0.00265 < 0.92 x 0.00293); against what was offered it
+		// carries the load.
+		{"a low draw counts", []CurvePoint{ok(0.00171), pt(0.00293, 0.00265, 0.00263), pt(0.00415, 0.0031, 0.0041)}, 0.00293},
 	}
 	for _, c := range cases {
-		if got := CapacityLoad(c.pts, 0.92); got != c.want {
+		if got := CapacityLoad(c.pts); got != c.want {
 			t.Errorf("%s: CapacityLoad = %v, want %v", c.name, got, c.want)
 		}
+	}
+}
+
+// TestSaturatedVerdict pins the verdict's edges: accepting exactly 0.92 of
+// what was offered is not saturated, a hair less is, and a window that
+// offered nothing cannot be.
+func TestSaturatedVerdict(t *testing.T) {
+	for _, c := range []struct {
+		accepted, offered float64
+		want              bool
+	}{
+		{0.46, 0.5, false},
+		{0.4599, 0.5, true},
+		{0.5, 0.5, false},
+		{0.00265, 0.00263, false},
+		{0, 0, false},
+		{0, 0.001, true},
+	} {
+		if got := (Summary{Throughput: c.accepted, Offered: c.offered}).Saturated(); got != c.want {
+			t.Errorf("accepted %v of %v offered: Saturated = %v, want %v", c.accepted, c.offered, got, c.want)
+		}
+	}
+}
+
+// TestOfferedCountsDrops pins that Offered counts every measured packet
+// generated, dropped ones included, while Pending counts only admitted
+// ones, and that the collector's verdict is the summary's.
+func TestOfferedCountsDrops(t *testing.T) {
+	c := NewCollector(2, 100, 200)
+	in := pkt(100, 101, 150, 5, 1, true)
+	dropped := pkt(100, 101, 150, 5, 1, true)
+	warm := pkt(90, 91, 150, 5, 1, false)
+	c.OnCreated(in)
+	c.OnDropped(dropped)
+	c.OnDropped(warm)
+	c.OnEjected(in, 150)
+	s := c.Summary()
+	if want := 10.0 / 100 / 2; s.Offered != want {
+		t.Fatalf("Offered = %v, want %v (admitted and dropped measured flits)", s.Offered, want)
+	}
+	if c.Pending() != 0 {
+		t.Fatalf("Pending = %d, want 0: a dropped packet is not in flight", c.Pending())
+	}
+	if !s.Saturated() || !c.Saturated() {
+		t.Fatalf("accepted %v of %v offered: want saturated from both the summary and the collector", s.Throughput, s.Offered)
 	}
 }
 
@@ -221,17 +275,17 @@ func TestCapacityLoadAllGood(t *testing.T) {
 		{Load: 0.1, Throughput: 0.1},
 		{Load: 0.2, Throughput: 0.2},
 	}
-	if got := CapacityLoad(pts, 0.92); got != 0.2 {
+	if got := CapacityLoad(pts); got != 0.2 {
 		t.Fatalf("got %v, want highest load", got)
 	}
-	if CapacityLoad(nil, 0.92) != 0 {
+	if CapacityLoad(nil) != 0 {
 		t.Fatal("empty input should yield 0")
 	}
 }
 
 func TestCapacityLoadFirstPointSaturated(t *testing.T) {
 	pts := []CurvePoint{{Load: 0.1, Throughput: 0.01, Saturated: true}}
-	if got := CapacityLoad(pts, 0.92); got != 0.1 {
+	if got := CapacityLoad(pts); got != 0.1 {
 		t.Fatalf("got %v (degenerate case returns first load)", got)
 	}
 }

@@ -162,6 +162,11 @@ func TestWCMeshPatterns(t *testing.T) {
 	}
 }
 
+// TestBaselines1024 runs each 1024-core baseline at 0.001 on a window at
+// least 2x (warmup) and 6x (measure) the slowest one's latency, p-Clos's
+// 1 877 cycles: over a shorter window the saturation verdict reads how the
+// network fills (TestShortWindowReadsSaturated), and the run stops
+// undrained.
 func TestBaselines1024(t *testing.T) {
 	if testing.Short() {
 		t.Skip("1024-core baselines in -short mode")
@@ -173,7 +178,7 @@ func TestBaselines1024(t *testing.T) {
 		n := build(Params{Cores: 1024})
 		res := n.Run(
 			fabric.TrafficSpec{Pattern: traffic.Uniform, Rate: 0.001, Seed: 31},
-			fabric.RunSpec{Warmup: 1000, Measure: 2000},
+			fabric.RunSpec{Warmup: 4000, Measure: 12000},
 		)
 		if !res.Drained {
 			t.Fatalf("%s-1024: failed to drain", name)
@@ -181,5 +186,26 @@ func TestBaselines1024(t *testing.T) {
 		if err := n.CheckInvariants(); err != nil {
 			t.Fatalf("%s-1024: %v", name, err)
 		}
+	}
+}
+
+// TestShortWindowReadsSaturated pins the saturation verdict's
+// precondition: the window must be much longer than the network's latency.
+// p-Clos-1024 at 0.001 f/n/c has a latency of 1 877 cycles. Over
+// W1000/M2000 it accepts 0.66 of what it is offered, because the network
+// is still filling, and the verdict calls it saturated. Over W4000/M12000
+// it accepts 0.98 and drains.
+func TestShortWindowReadsSaturated(t *testing.T) {
+	if testing.Short() {
+		t.Skip("1024-core p-Clos in -short mode")
+	}
+	n := BuildPClos(Params{Cores: 1024})
+	ts := fabric.TrafficSpec{Pattern: traffic.Uniform, Rate: 0.001, Seed: 31}
+	if res := n.Run(ts, fabric.RunSpec{Warmup: 1000, Measure: 2000}); !res.Saturated() {
+		t.Errorf("W1000/M2000: accepted %.5f of %.5f offered, want saturated", res.Throughput, res.Offered)
+	}
+	if res := n.Run(ts, fabric.RunSpec{Warmup: 4000, Measure: 12000}); res.Saturated() || !res.Drained {
+		t.Errorf("W4000/M12000: accepted %.5f of %.5f offered, saturated = %v, drained = %v; want neither saturated nor undrained",
+			res.Throughput, res.Offered, res.Saturated(), res.Drained)
 	}
 }

@@ -58,6 +58,10 @@ func TestCMeshDeliversUniform(t *testing.T) {
 	}
 }
 
+// TestCMeshPermutationPatterns runs each permutation at 0.004. Transpose is
+// beyond CMESH's transpose plateau (0.0034, Figure 7a): its window accepts
+// 0.72 of what it offered, so it is saturated and stops with the window.
+// The other three carry the load and drain.
 func TestCMeshPermutationPatterns(t *testing.T) {
 	for _, pat := range []traffic.Pattern{traffic.BitReversal, traffic.Transpose, traffic.Shuffle, traffic.Neighbor} {
 		n := BuildCMesh(Params{Cores: 256})
@@ -65,7 +69,10 @@ func TestCMeshPermutationPatterns(t *testing.T) {
 			fabric.TrafficSpec{Pattern: pat, Rate: 0.004, Seed: 2},
 			fabric.RunSpec{Warmup: 500, Measure: 2000},
 		)
-		if !res.Drained {
+		if wantSat := pat == traffic.Transpose; res.Saturated() != wantSat {
+			t.Fatalf("%v: saturated = %v (accepted %.5f of %.5f offered), want %v", pat, res.Saturated(), res.Throughput, res.Offered, wantSat)
+		}
+		if !res.Saturated() && !res.Drained {
 			t.Fatalf("%v: failed to drain", pat)
 		}
 		if err := n.CheckInvariants(); err != nil {
@@ -87,6 +94,35 @@ func TestCMeshNeighborLowHops(t *testing.T) {
 	}
 }
 
+// TestDropsCountAsOffered: one-packet source queues under overload drop
+// most packets they generate. Counted over admitted packets only, the
+// window would accept about what it was offered; counted over every
+// generated packet, it is saturated, and the run ends with its window.
+func TestDropsCountAsOffered(t *testing.T) {
+	n := BuildCMesh(Params{Cores: 256})
+	for _, s := range n.Sources {
+		s.MaxQueue = 1
+	}
+	res := n.Run(
+		fabric.TrafficSpec{Pattern: traffic.Uniform, Rate: 0.05, Seed: 5},
+		fabric.RunSpec{Warmup: 500, Measure: 2000},
+	)
+	var dropped uint64
+	for _, s := range n.Sources {
+		dropped += s.Dropped
+	}
+	if dropped == 0 || !res.Saturated() {
+		t.Fatalf("%d packets dropped; accepted %.5f of %.5f f/n/c offered, saturated = %v, want true",
+			dropped, res.Throughput, res.Offered, res.Saturated())
+	}
+	if res.Offered < 0.045 || res.Offered > 0.055 {
+		t.Fatalf("offered %.5f f/n/c at a nominal 0.05", res.Offered)
+	}
+	if c := n.Eng.Cycle(); c != 2500 {
+		t.Fatalf("a saturated run simulated %d cycles, want its window's 2500", c)
+	}
+}
+
 func TestCMesh1024Scales(t *testing.T) {
 	if testing.Short() {
 		t.Skip("1024-core build in -short mode")
@@ -95,9 +131,11 @@ func TestCMesh1024Scales(t *testing.T) {
 	if len(n.Routers) != 256 {
 		t.Fatalf("routers = %d, want 256", len(n.Routers))
 	}
+	// A window of at least 2x (warmup) and 6x (measure) the 767-cycle
+	// latency, so that the saturation verdict reads capacity.
 	res := n.Run(
 		fabric.TrafficSpec{Pattern: traffic.Uniform, Rate: 0.001, Seed: 4},
-		fabric.RunSpec{Warmup: 500, Measure: 1500},
+		fabric.RunSpec{Warmup: 2000, Measure: 6000},
 	)
 	if !res.Drained {
 		t.Fatal("failed to drain")
