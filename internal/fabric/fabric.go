@@ -66,6 +66,11 @@ type Network struct {
 	// tile router); builders set it so diagnostics can aggregate
 	// per-tile. 0 is treated as 1 (one core per tile).
 	CoresPerTile int
+
+	// wheel delivers the latest run of wires; wheelEnd is the engine's
+	// Delivery component count after its last wire joined.
+	wheel    *noc.Wheel
+	wheelEnd int
 }
 
 // New creates an empty network shell. Cores (terminals) are added with
@@ -121,7 +126,9 @@ func (l LinkSpec) creditDelay() int {
 }
 
 // Connect wires output port aPort of router a to input port bPort of
-// router b. Buffer depth (credits) is taken from b's configuration.
+// router b. Buffer depth (credits) is taken from b's configuration. The
+// wire joins the network's current delivery wheel (see deliver), so
+// consecutive Connect calls cost the engine one component.
 func (n *Network) Connect(a *router.Router, aPort int, b *router.Router, bPort int, spec LinkSpec) *noc.Wire {
 	w := noc.NewWire(a, aPort, b, bPort, spec.Delay, spec.creditDelay())
 	switch {
@@ -132,13 +139,34 @@ func (n *Network) Connect(a *router.Router, aPort int, b *router.Router, bPort i
 	}
 	a.ConnectOutput(aPort, w, b.Cfg.BufDepth, spec.SerializeCy)
 	b.ConnectInput(bPort, w)
-	w.SetWaker(n.Eng.RegisterWakeable(sim.PhaseDelivery, w))
+	n.deliver(w)
 	kind := "elec"
 	if spec.Photonic {
 		kind = "photonic"
 	}
 	n.NoteEdge(a.Cfg.ID, b.Cfg.ID, kind)
 	return w
+}
+
+// wiresAlone registers every wire as its own Delivery component, the
+// reference the wheel is tested against (export_test.go).
+var wiresAlone bool
+
+// deliver puts w on the network's current wheel. A Delivery component
+// registered since the wheel's last wire starts a new wheel, registered
+// where w would have been: flits reach their receivers in the order that
+// registering every wire on its own gives.
+func (n *Network) deliver(w *noc.Wire) {
+	if wiresAlone {
+		w.SetWaker(n.Eng.RegisterWakeable(sim.PhaseDelivery, w))
+		return
+	}
+	if n.wheel == nil || n.Eng.Components(sim.PhaseDelivery) != n.wheelEnd {
+		n.wheel = &noc.Wheel{}
+		n.wheel.SetWaker(n.Eng.RegisterWakeable(sim.PhaseDelivery, n.wheel))
+		n.wheelEnd = n.Eng.Components(sim.PhaseDelivery)
+	}
+	n.wheel.Add(w)
 }
 
 // Edge is one directed inter-router connection for visualization.
@@ -165,7 +193,9 @@ func (n *Network) AddTerminal(coreID int, r *router.Router, inPort, outPort int)
 
 // AddTerminalSplit attaches a core whose injection and ejection sides sit
 // on different routers (the unfolded p-Clos attaches sources to ingress
-// switches and sinks to egress switches).
+// switches and sinks to egress switches). Its two terminal wires join the
+// current delivery wheel as Connect's do; the source is a Compute-phase
+// component of its own.
 func (n *Network) AddTerminalSplit(coreID int, in *router.Router, inPort int, out *router.Router, outPort int) {
 	if n.Sources[coreID] != nil {
 		panic(fmt.Sprintf("fabric: terminal %d added twice", coreID))
@@ -183,8 +213,8 @@ func (n *Network) AddTerminalSplit(coreID int, in *router.Router, inPort int, ou
 	out.ConnectOutput(outPort, wOut, out.Cfg.BufDepth, 1)
 	snk.SetUpstream(wOut)
 
-	wIn.SetWaker(n.Eng.RegisterWakeable(sim.PhaseDelivery, wIn))
-	wOut.SetWaker(n.Eng.RegisterWakeable(sim.PhaseDelivery, wOut))
+	n.deliver(wIn)
+	n.deliver(wOut)
 	src.SetWaker(n.Eng.RegisterWakeable(sim.PhaseCompute, src))
 
 	n.Sources[coreID] = src

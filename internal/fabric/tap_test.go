@@ -17,7 +17,12 @@ import (
 // crossbar16 assembles one 16-tile MWSR photonic crossbar, one core per
 // tile: the smallest network whose traffic crosses sources, routers,
 // token-arbitrated shared channels and sinks, so every tap emits.
-func crossbar16() *fabric.Network {
+func crossbar16() *fabric.Network { return crossbar16Split(0) }
+
+// crossbar16Split is crossbar16 with the terminals of the first early
+// tiles attached before the crossbar's channels are registered and the
+// rest after.
+func crossbar16Split(early int) *fabric.Network {
 	const tiles = 16
 	wp := func(w, t int) int {
 		if t < w {
@@ -40,13 +45,16 @@ func crossbar16() *fabric.Network {
 			},
 		})
 	}
+	for c := 0; c < early; c++ {
+		n.AddTerminal(c, routers[c], 0, 0)
+	}
 	photonic.BuildCrossbar(n, "xbar16", routers, photonic.PortMap{
 		WriterPort: wp,
 		ReaderPort: func(int) int { return 16 },
 	}, photonic.CrossbarSpec{
 		Tiles: tiles, SerializeCy: 1, PropCy: 2, TokenHopCy: 1, NumVCs: 2, BufDepth: 4,
 	})
-	for c := 0; c < tiles; c++ {
+	for c := early; c < tiles; c++ {
 		n.AddTerminal(c, routers[c], 0, 0)
 	}
 	return n

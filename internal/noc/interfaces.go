@@ -30,10 +30,3 @@ type Conduit interface {
 type CreditReturner interface {
 	ReturnCredit(vc int)
 }
-
-// NullCreditReturner discards credits. It is used for injection buffers
-// whose upstream (the source queue) applies its own backpressure.
-type NullCreditReturner struct{}
-
-// ReturnCredit implements CreditReturner.
-func (NullCreditReturner) ReturnCredit(int) {}

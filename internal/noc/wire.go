@@ -5,11 +5,13 @@ import "ownsim/internal/sim"
 // Wire is a pipelined point-to-point electrical link with a constant
 // forward (flit) delay and reverse (credit) delay, both in cycles.
 //
-// Wires are registered in the engine's Delivery phase. A flit handed to
-// Send during the Compute phase of cycle c is delivered to the downstream
-// FlitReceiver during the Delivery phase of cycle c+Delay, i.e. it becomes
-// visible to the downstream router's pipeline at cycle c+Delay. The same
-// holds for credits in the reverse direction.
+// A Wheel delivers the wire: a flit handed to Send during the Compute
+// phase of cycle c is delivered to the downstream FlitReceiver during the
+// Delivery phase of cycle c+Delay, i.e. it becomes visible to the
+// downstream router's pipeline at cycle c+Delay. The same holds for
+// credits in the reverse direction. A network puts its wires on shared
+// wheels (fabric.Connect); a wire used on its own — ticked by hand or
+// registered through SetWaker — is a wheel of one wire.
 //
 // Delay must cover switch traversal plus link traversal; topology builders
 // use 2+extra so that the canonical 5-stage router pipeline (RC, VCA, SA,
@@ -29,10 +31,9 @@ type Wire struct {
 	// prices link traversal from it.
 	Delivered uint64
 
-	now     uint64
-	waker   *sim.Waker
-	flits   TimedQueue[*Flit]
-	credits TimedQueue[int] // returned VC indices
+	wheel *Wheel
+	idx   int // bit of the wire in its wheel's slots
+	flits TimedQueue[*Flit]
 }
 
 // NewWire creates a wire from an upstream output port (src, srcPort) to a
@@ -55,96 +56,54 @@ func NewWire(src CreditReceiver, srcPort int, dst FlitReceiver, dstPort int, del
 	}
 }
 
-// SetWaker installs the wire's scheduling handle (from
-// sim.Engine.RegisterWakeable). A wire without a waker behaves as a plain
-// every-cycle Ticker and tracks time through its own Tick; with a waker
-// it reads the clock through the engine and sleeps whenever both queues
-// are empty.
-func (w *Wire) SetWaker(wk *sim.Waker) { w.waker = wk }
-
-// Reset rewinds the wire to what NewWire left: nothing in flight, count
-// and clock at zero. Wiring and the waker stay.
-func (w *Wire) Reset() {
-	w.Delivered, w.now = 0, 0
-	w.flits.Reset()
-	w.credits.Reset()
-}
-
-// clock returns the current cycle: the engine's when a waker is
-// installed (a sleeping wire's own copy goes stale), the last ticked
-// cycle otherwise.
-func (w *Wire) clock() uint64 {
-	if w.waker != nil {
-		return w.waker.Now()
+// on returns the wheel that delivers w; a wire no wheel took becomes a
+// wheel of its own on first use.
+func (w *Wire) on() *Wheel {
+	if w.wheel == nil {
+		wh := &Wheel{}
+		wh.Add(w)
+		wh.size()
 	}
-	return w.now
+	return w.wheel
 }
+
+// SetWaker installs the scheduling handle of a wire registered on its own
+// (sim.Engine.RegisterWakeable with the wire as the Ticker). Without one
+// the wire is a plain every-cycle Ticker and tracks time through its own
+// Tick; with one it reads the clock through the engine and sleeps
+// whenever nothing is in flight.
+func (w *Wire) SetWaker(wk *sim.Waker) { w.on().SetWaker(wk) }
+
+// Reset rewinds the wheel that delivers w (Wheel.Reset).
+func (w *Wire) Reset() { w.on().Reset() }
+
+// Tick ticks the wheel that delivers w (Wheel.Tick).
+func (w *Wire) Tick(cycle uint64) { w.on().Tick(cycle) }
 
 // Send implements Conduit. It is called during the Compute phase.
 func (w *Wire) Send(f *Flit) {
-	at := w.clock() + uint64(w.Delay)
+	wh := w.on()
+	at, s := wh.book(w.Delay)
 	w.flits.Push(at, f)
-	if w.waker != nil {
-		w.waker.WakeAt(at)
-	}
+	wh.due[int(s)*wh.words+w.idx>>6] |= 1 << (uint(w.idx) & 63)
 }
 
 // ReturnCredit implements CreditReturner: the downstream buffer returns a
 // freed slot, and the wire carries the credit back upstream.
 func (w *Wire) ReturnCredit(vc int) {
-	at := w.clock() + uint64(w.CreditDelay)
-	w.credits.Push(at, vc)
-	if w.waker != nil {
-		w.waker.WakeAt(at)
-	}
+	wh := w.on()
+	_, s := wh.book(w.CreditDelay)
+	wh.credits[s] = append(wh.credits[s], credit{w, vc})
 }
 
-// Tick implements sim.Ticker; it runs in the Delivery phase and hands over
-// everything whose latency has elapsed.
-func (w *Wire) Tick(cycle uint64) {
-	w.now = cycle
-	for {
-		tf, ok := w.flits.Peek()
-		if !ok || tf.At > cycle {
-			break
-		}
+// deliver hands over every flit due by cycle and returns how many.
+func (w *Wire) deliver(cycle uint64) int {
+	n := 0
+	for tf, ok := w.flits.Peek(); ok && tf.At <= cycle; tf, ok = w.flits.Peek() {
 		w.flits.Pop()
 		w.Delivered++
 		w.dst.ReceiveFlit(w.dstPort, tf.V)
+		n++
 	}
-	for {
-		tc, ok := w.credits.Peek()
-		if !ok || tc.At > cycle {
-			break
-		}
-		w.credits.Pop()
-		w.src.ReceiveCredit(w.srcPort, tc.V)
-	}
-	if w.waker != nil {
-		w.reschedule(cycle)
-	}
+	return n
 }
-
-// reschedule re-arms the waker for the earliest outstanding deadline, or
-// sleeps when both queues are empty. Send/ReturnCredit arriving while
-// asleep wake the wire directly. A deadline on the very next cycle keeps
-// the awake bit set instead of paying for a calendar round-trip.
-func (w *Wire) reschedule(cycle uint64) {
-	next := uint64(0)
-	if tf, ok := w.flits.Peek(); ok {
-		next = tf.At
-	}
-	if tc, ok := w.credits.Peek(); ok && (next == 0 || tc.At < next) {
-		next = tc.At
-	}
-	if next == cycle+1 {
-		return // stay awake
-	}
-	w.waker.Sleep()
-	if next != 0 {
-		w.waker.WakeAt(next)
-	}
-}
-
-// InFlight returns the number of flits currently traversing the wire.
-func (w *Wire) InFlight() int { return w.flits.Len() }

@@ -120,6 +120,8 @@ func TestWireDeliveredCount(t *testing.T) {
 	}
 }
 
+// Three flits sent on one cycle stay in flight for the whole delay and
+// land together.
 func TestWireInFlight(t *testing.T) {
 	var now uint64
 	cap := &captureReceiver{now: &now}
@@ -128,14 +130,14 @@ func TestWireInFlight(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		w.Send(&Flit{})
 	}
-	if w.InFlight() != 3 {
-		t.Fatalf("InFlight = %d, want 3", w.InFlight())
-	}
 	for now = 1; now <= 5; now++ {
+		if w.Delivered != 0 {
+			t.Fatalf("Delivered = %d before cycle %d, want 0", w.Delivered, now)
+		}
 		w.Tick(now)
 	}
-	if w.InFlight() != 0 {
-		t.Fatalf("InFlight = %d, want 0", w.InFlight())
+	if w.Delivered != 3 || len(cap.flits) != 3 || cap.flits[2].cycle != 5 {
+		t.Fatalf("Delivered = %d, want 3 at cycle 5: %+v", w.Delivered, cap.flits)
 	}
 }
 

@@ -1,15 +1,13 @@
 package rf
 
-import "math"
-
 // Named unit types for the link-budget math. Logarithmic units are the
 // easiest to silently miscompute: a relative gain (dB) and an absolute
 // power level (dBm) are both "decibels" to a float64, but adding two
 // absolute levels is meaningless while adding a gain to a level is the
 // whole point of a link budget. The types below encode that algebra —
 // the unitdim analyzer in internal/lint flags dBm+dBm and dB-vs-dBm
-// comparisons — and the converter methods are the sanctioned crossings
-// between the logarithmic and linear domains.
+// comparisons — and a crossing into the linear domain belongs in a
+// method of these types.
 
 // Decibels is a relative (dimensionless, logarithmic) quantity: gain,
 // loss, noise figure, margin, antenna directivity.
@@ -26,9 +24,4 @@ func (p DBm) PlusDB(g Decibels) DBm {
 // MinusDB shifts an absolute level down by a relative gain or loss.
 func (p DBm) MinusDB(g Decibels) DBm {
 	return DBm(float64(p) - float64(g))
-}
-
-// ToMW converts an absolute level to linear milliwatts.
-func (p DBm) ToMW() float64 {
-	return math.Pow(10, float64(p)/10)
 }

@@ -8,6 +8,12 @@ import (
 	"ownsim/internal/sim"
 )
 
+// nullCreditReturner discards credits: the upstream of an input buffer
+// whose feeder applies its own backpressure.
+type nullCreditReturner struct{}
+
+func (nullCreditReturner) ReturnCredit(int) {}
+
 func TestRRBefore(t *testing.T) {
 	// After granting 1 in a ring of 4, priority order is 2,3,0,1.
 	if !rrBefore(1, 2, 3, 4) || !rrBefore(1, 3, 0, 4) || !rrBefore(1, 0, 1, 4) {
@@ -44,18 +50,18 @@ func TestNewRouterValidation(t *testing.T) {
 
 func TestDoubleConnectPanics(t *testing.T) {
 	r := New(Config{NumPorts: 2, NumVCs: 2, BufDepth: 2, Route: nil})
-	r.ConnectInput(0, noc.NullCreditReturner{})
+	r.ConnectInput(0, nullCreditReturner{})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic on double input connect")
 		}
 	}()
-	r.ConnectInput(0, noc.NullCreditReturner{})
+	r.ConnectInput(0, nullCreditReturner{})
 }
 
 func TestBufferOverflowPanics(t *testing.T) {
 	r := New(Config{NumPorts: 1, NumVCs: 1, BufDepth: 1, Route: func(*noc.Packet, int) (int, uint32) { return 0, 1 }})
-	r.ConnectInput(0, noc.NullCreditReturner{})
+	r.ConnectInput(0, nullCreditReturner{})
 	p := &noc.Packet{NumFlits: 2}
 	fl := noc.MakeFlits(p)
 	r.ReceiveFlit(0, fl[0])

@@ -45,7 +45,7 @@ func newStallRig(nIn, credits, serializeCy int, disableSleep bool) *stallRig {
 	s.r = New(Config{NumPorts: nIn + 1, NumVCs: 1, BufDepth: 4,
 		Route: func(*noc.Packet, int) (int, uint32) { return nIn, 1 }})
 	for p := 0; p < nIn; p++ {
-		s.r.ConnectInput(p, noc.NullCreditReturner{})
+		s.r.ConnectInput(p, nullCreditReturner{})
 	}
 	s.r.ConnectOutput(nIn, s, credits, serializeCy)
 	s.r.SetWaker(s.eng.RegisterWakeable(sim.PhaseCompute, s))
@@ -154,7 +154,7 @@ func TestSwitchGrantsGoOutInOutputPortOrder(t *testing.T) {
 	var granted []int
 	r.Tap.Subscribe(noc.Mask(noc.EvSwitch), func(e noc.Event) { granted = append(granted, e.B) })
 	for in, out := range []int{65, 3, 40} {
-		r.ConnectInput(in, noc.NullCreditReturner{})
+		r.ConnectInput(in, nullCreditReturner{})
 		r.ConnectOutput(out, &stallRig{eng: sim.NewEngine()}, 4, 1)
 		r.ReceiveFlit(in, noc.MakeFlits(&noc.Packet{ID: uint64(in + 1), Dst: out, NumFlits: 1})[0])
 	}

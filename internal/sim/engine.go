@@ -17,9 +17,11 @@
 // they receive a Waker handle, put themselves to sleep when idle, and are
 // woken by the events that hand them work (a flit sent onto a wire, a
 // credit returned, a packet queued on a shared channel). At kilo-core
-// scale most wires, routers and channels are idle on any given cycle, so
-// the active-set walk is the difference between thousands of virtual calls
-// per cycle and a handful.
+// scale most routers, sources and channels are idle on any given cycle,
+// so the active-set walk is the difference between thousands of virtual
+// calls per cycle and a handful. Wires are not components of their own:
+// one delivery wheel per run of a network's wires (noc.Wheel) is, and it
+// is awake while anything is in flight on them.
 package sim
 
 import (
