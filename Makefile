@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all fmt vet build lint lint-fixtures test test-386 race check results results-check bench bench-compare bench-selftest loc ci
+.PHONY: all fmt vet build lint test test-386 race check results results-check bench bench-compare bench-selftest loc ci
 
 all: ci
 
@@ -21,13 +21,11 @@ vet:
 build:
 	$(GO) build ./...
 
-# lint runs ownsim's custom static-analysis suite (see internal/lint).
+# lint runs ownsim's custom static-analysis suite (see internal/lint)
+# under the race detector: the analyzer regression tests (golden
+# fixtures, seeded violations, broken-package loader) and
+# TestRealTreeClean, which lints the repository and prints every finding.
 lint:
-	$(GO) run ./cmd/ownlint ./...
-
-# lint-fixtures runs the analyzer regression tests (golden fixtures,
-# seeded violations, broken-package loader) under the race detector.
-lint-fixtures:
 	$(GO) test -race -count=1 ./internal/lint/...
 
 test:

@@ -2,8 +2,11 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"os"
 	"path/filepath"
+	"regexp"
 	"slices"
 	"strings"
 	"testing"
@@ -114,5 +117,49 @@ func TestUnknownItemIsOneLineExit2(t *testing.T) {
 		if code != 2 || stdout.Len() != 0 || strings.Count(stderr.String(), "\n") != 1 || !strings.HasPrefix(stderr.String(), "paper: unknown item ") {
 			t.Errorf("paper %s: exit %d, stdout %q, stderr %q; want exit 2 and one line", arg, code, &stdout, &stderr)
 		}
+	}
+}
+
+// runStamp matches the lines that name the run and not its result, the
+// ones make results-check strips too: "[wrote <path>]" (the directory),
+// claims.json's "generated_at" and claims.md's "Generated" (the time).
+var runStamp = regexp.MustCompile(`^(\[wrote |  "generated_at": |Generated )`)
+
+// TestQuickAllMatchesDigests runs `paper -quick -out DIR all` in process
+// and pins every file it writes, run-stamp lines removed, to
+// testdata/record.sha256: the tables, the figures' text and CSVs, and the
+// claims ledger at the quick budget. A moved digest is either a bug or a
+// change of results to state; the failure prints the complete new sums
+// file.
+func TestQuickAllMatchesDigests(t *testing.T) {
+	dir := t.TempDir()
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-quick", "-out", dir, "all"}, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d, stderr:\n%s", code, &stderr)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sums strings.Builder
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := sha256.New()
+		for _, line := range strings.SplitAfter(string(data), "\n") {
+			if !runStamp.MatchString(line) {
+				h.Write([]byte(line))
+			}
+		}
+		fmt.Fprintf(&sums, "%x  %s\n", h.Sum(nil), e.Name())
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "record.sha256"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sums.String(); got != string(want) {
+		t.Errorf("paper -quick all differs from testdata/record.sha256; its sums are:\n%s", got)
 	}
 }

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"ownsim/internal/fabric"
 	"ownsim/internal/power"
+	"ownsim/internal/topology"
 	"ownsim/internal/traffic"
 	"ownsim/internal/wireless"
 )
@@ -35,6 +37,45 @@ func TestReconfigChannelsRaiseDiagonalCapacity(t *testing.T) {
 	if boosted.Throughput < base.Throughput*1.05 && !base.Drained {
 		t.Fatalf("expected >=5%% gain at saturating transpose load: base %v (drained=%v), reconfig %v",
 			base.Throughput, base.Drained, boosted.Throughput)
+	}
+}
+
+// TestReconfigBondsReserveRate pins the bonded rate: each C2C channel
+// serializes at its band's rate plus its reserve band's (Table III links
+// 13-16), and every other channel is the plain build's. The capacity
+// test above only asks for a gain, which a wrong rate also gives.
+func TestReconfigBondsReserveRate(t *testing.T) {
+	p := Params{}
+	p.fill()
+	reserve := wireless.BandPlan(p.Scenario)[wireless.NumBands-4:]
+	want := map[string]int{}
+	for _, ch := range wireless.PlanOWN256(p.Config, p.Scenario).Channels {
+		if l := ch.Link; l.Class == wireless.C2C {
+			want[fmt.Sprintf("wl-%s-%s", l.TxAntenna, l.RxAntenna)] = topology.WirelessCyPerFlit(ch.Band.BWGbps + reserve[l.ID%4].BWGbps)
+		}
+	}
+	plain, bonded := BuildOWN256(Params{}), BuildOWN256(Params{Reconfig: true})
+	if len(bonded.Channels) != len(plain.Channels) {
+		t.Fatalf("reconfig build has %d channels, plain %d", len(bonded.Channels), len(plain.Channels))
+	}
+	c2c := 0
+	for i, ch := range bonded.Channels {
+		base := plain.Channels[i]
+		if ch.Name != base.Name {
+			t.Fatalf("channel %d is %s, plain build's is %s", i, ch.Name, base.Name)
+		}
+		cy, ok := want[ch.Name]
+		if ok {
+			c2c++
+		} else {
+			cy = base.SerializeCy
+		}
+		if ch.SerializeCy != cy {
+			t.Errorf("%s (%s): %d cycles per flit, want %d", ch.Name, ch.Class, ch.SerializeCy, cy)
+		}
+	}
+	if c2c != len(want) || c2c == 0 {
+		t.Errorf("found %d of the plan's %d C2C channels", c2c, len(want))
 	}
 }
 

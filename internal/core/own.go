@@ -303,26 +303,30 @@ func failoverTables(failedIDs []int) (failed [4][4]bool, relay [4][4]int, err er
 		}
 		failed[l.SrcCluster][l.DstCluster] = true
 	}
+	relay, err = relays(failed)
+	return failed, relay, err
+}
+
+// relays picks, for every failed channel c->d of a four-node wireless
+// level (OWN-256's clusters, OWN-1024's groups), the lowest-index relay r
+// whose hops c->r and r->d are both live.
+func relays(failed [4][4]bool) (relay [4][4]int, err error) {
 	for c := 0; c < 4; c++ {
 		for d := 0; d < 4; d++ {
 			if c == d || !failed[c][d] {
 				continue
 			}
-			found := false
-			for r := 0; r < 4; r++ {
-				if r == c || r == d || failed[c][r] || failed[r][d] {
-					continue
-				}
-				relay[c][d] = r
-				found = true
-				break
+			r := 0
+			for r < 4 && (r == c || r == d || failed[c][r] || failed[r][d]) {
+				r++
 			}
-			if !found {
-				return failed, relay, fmt.Errorf("no live relay for failed channel %d->%d", c, d)
+			if r == 4 {
+				return relay, fmt.Errorf("no live relay for failed channel %d->%d", c, d)
 			}
+			relay[c][d] = r
 		}
 	}
-	return failed, relay, nil
+	return relay, nil
 }
 
 // OWN256Policy is the injection VC policy matching the routing

@@ -47,41 +47,20 @@ func Classify1024(src, dst int) int {
 // failoverTables1024 derives the failed inter-group matrix and relay
 // groups from GroupLink IDs. Intra-group channels (IDs 12-15) cannot be
 // failed: they are each group's only internal path.
-func failoverTables1024(failedIDs []int) (failed [4][4]bool, relay [4][4]int) {
-	if len(failedIDs) == 0 {
-		return failed, relay
-	}
+func failoverTables1024(failedIDs []int) (failed [4][4]bool, relay [4][4]int, err error) {
 	links := wireless.OWN1024Links()
 	for _, id := range failedIDs {
 		if id < 0 || id >= len(links) {
-			panic(fmt.Sprintf("core: invalid failed group channel id %d", id))
+			return failed, relay, fmt.Errorf("invalid failed group channel id %d", id)
 		}
 		l := links[id]
 		if l.Intra() {
-			panic(fmt.Sprintf("core: intra-group channel %d cannot be failed (no alternative path)", id))
+			return failed, relay, fmt.Errorf("intra-group channel %d cannot be failed (no alternative path)", id)
 		}
 		failed[l.SrcGroup][l.DstGroup] = true
 	}
-	for g := 0; g < 4; g++ {
-		for d := 0; d < 4; d++ {
-			if g == d || !failed[g][d] {
-				continue
-			}
-			found := false
-			for r := 0; r < 4; r++ {
-				if r == g || r == d || failed[g][r] || failed[r][d] {
-					continue
-				}
-				relay[g][d] = r
-				found = true
-				break
-			}
-			if !found {
-				panic(fmt.Sprintf("core: no live relay for failed group channel %d->%d", g, d))
-			}
-		}
-	}
-	return failed, relay
+	relay, err = relays(failed)
+	return failed, relay, err
 }
 
 // BuildOWN1024 constructs the 1024-core OWN architecture: four OWN-256
@@ -100,7 +79,10 @@ func BuildOWN1024(p Params) *fabric.Network {
 	const numGroups = 4
 	totalTiles := numGroups * ClustersPerGroup * TilesPerCluster
 	routers := make([]*router.Router, totalTiles)
-	failed, relay := failoverTables1024(p.FailedChannels)
+	failed, relay, err := failoverTables1024(p.FailedChannels)
+	if err != nil {
+		panic(fmt.Sprintf("core: %v", err))
+	}
 	if len(p.FailedChannels) > 0 {
 		// Relayed inter-group paths traverse up to six routers.
 		n.Diameter = 6

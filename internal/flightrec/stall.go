@@ -36,7 +36,7 @@ type chanWait struct {
 // with exactly the cycles the span tracker charges to token_wait, so
 // TotalWaitCy reconciles with probe.SpanTracker.PhaseCycles(
 // probe.SpanTokenWait) cycle for cycle. All aggregates are
-// index-ordered slices (the package is inside ownlint's deterministic
+// index-ordered slices (the package is inside internal/lint's deterministic
 // scope), and a nil tracker records nothing.
 type StallTracker struct {
 	tiles int

@@ -106,7 +106,7 @@ func dropsError(p *Package, call *ast.CallExpr) bool {
 // calleeObject resolves the called function's object when the callee is
 // a plain identifier or selector.
 func calleeObject(p *Package, call *ast.CallExpr) types.Object {
-	switch f := unparen(call.Fun).(type) {
+	switch f := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
 		return p.Info.Uses[f]
 	case *ast.SelectorExpr:

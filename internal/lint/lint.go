@@ -7,17 +7,10 @@
 //
 //   - determinism: no wall-clock, global math/rand, or environment reads
 //     inside simulation packages
-//   - maporder: no iteration-order-dependent accumulation over maps in
-//     simulation packages
 //   - panicstyle: every panic in internal/... carries a "<pkg>: ..."
 //     contextual message
 //   - floatcmp: no ==/!= between floating-point expressions (use the
 //     tolerance helpers in internal/stats)
-//   - unitdim: no additions/comparisons across incompatible physical
-//     unit dimensions (pJ vs mW, dBm vs dB, ...) inferred from naming
-//     conventions and the named unit types in internal/power and
-//     internal/rf; dimensioned products must go through a conversion
-//     helper
 //   - lockguard: fields commented "guarded by <mu>" are only touched by
 //     functions that lock that mutex (or are *Locked helpers)
 //   - errcheck-own: no dropped error returns from the artifact-writer
@@ -30,7 +23,8 @@
 //	//lint:ignore <analyzer> <reason>
 //
 // The reason is mandatory; an ignore without one is itself reported.
-// cmd/ownlint is the command-line driver.
+// TestRealTreeClean runs the suite over the repository, so `go test`
+// runs it; there is no separate command.
 package lint
 
 import (
@@ -93,10 +87,8 @@ type Analyzer struct {
 func All() []*Analyzer {
 	return []*Analyzer{
 		DeterminismAnalyzer(),
-		MapOrderAnalyzer(),
 		PanicStyleAnalyzer(),
 		FloatCmpAnalyzer(),
-		UnitDimAnalyzer(),
 		LockGuardAnalyzer(),
 		ErrCheckOwnAnalyzer(),
 	}
@@ -113,8 +105,8 @@ func knownAnalyzerNames() map[string]bool {
 }
 
 // DeterministicPackages lists the module-relative package paths whose
-// results must be a pure function of config + seed. The determinism and
-// maporder analyzers restrict themselves to these subtrees.
+// results must be a pure function of config + seed. The determinism
+// analyzer restricts itself to these subtrees.
 var DeterministicPackages = []string{
 	"internal/sim",
 	"internal/noc",
@@ -234,7 +226,7 @@ func collectIgnores(p *Package) (ignoreSet, []Diagnostic) {
 					malformed = append(malformed, Diagnostic{
 						Pos:      position,
 						Analyzer: "lint",
-						Message:  fmt.Sprintf("lint:ignore names unknown analyzer %q (registered: see ownlint -list); the directive suppresses nothing", fields[0]),
+						Message:  fmt.Sprintf("lint:ignore names unknown analyzer %q (registered: see lint.All); the directive suppresses nothing", fields[0]),
 					})
 					continue
 				}

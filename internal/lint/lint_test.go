@@ -6,16 +6,22 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
 
-// loadFixtures type-checks the fixture module under testdata/src, a
-// miniature mirror of the real tree with deliberately seeded violations.
+// fixtures type-checks the fixture module under testdata/src, a
+// miniature mirror of the real tree with deliberately seeded violations,
+// once: analyzers only read packages, so every test shares one load.
+var fixtures = sync.OnceValues(func() ([]*Package, error) {
+	return LoadTree(filepath.Join("testdata", "src"))
+})
+
 func loadFixtures(t *testing.T) []*Package {
 	t.Helper()
-	pkgs, err := LoadTree(filepath.Join("testdata", "src"))
+	pkgs, err := fixtures()
 	if err != nil {
 		t.Fatalf("LoadTree: %v", err)
 	}
@@ -59,11 +65,6 @@ var expectedViolations = map[string][]struct{ file, marker string }{
 		{"internal/sim/determinism.go", "rand.Intn(10)"},
 		{"internal/sim/determinism.go", `os.Getenv("OWNSIM_MODE")`},
 	},
-	"maporder": {
-		{"internal/sim/maporder.go", "for k := range m {"},
-		{"internal/sim/maporder.go", "for _, v := range m {"},
-		{"internal/sim/maporder.go", "for _, v := range m {"},
-	},
 	"panicstyle": {
 		{"internal/fabric/panics.go", `panic(errors.New("boom"))`},
 		{"internal/fabric/panics.go", `panic("router: not this package")`},
@@ -73,13 +74,6 @@ var expectedViolations = map[string][]struct{ file, marker string }{
 		{"internal/power/floats.go", "return a == b"},
 		{"internal/power/floats.go", "return x != 0"},
 		{"internal/power/floats.go", "return a == b"},
-	},
-	"unitdim": {
-		{"internal/power/units.go", "bad := energyPJ + powerMW"},
-		{"internal/power/units.go", "energyPJ * spanNS"},
-		{"internal/power/units.go", "energyPJ > powerMW"},
-		{"internal/power/units.go", "e + Picojoules(p)"},
-		{"internal/power/units.go", "txDBm + rxDBm"},
 	},
 	"lockguard": {
 		{"internal/obs/locks.go", "t.cycle * 2"},
@@ -220,15 +214,15 @@ func TestUnknownIgnoreAnalyzerReported(t *testing.T) {
 	diags := Run(loadFixtures(t), All())
 	found := false
 	for _, d := range diags {
-		if d.Analyzer == "lint" && strings.Contains(d.Message, `unknown analyzer "unitdims"`) {
+		if d.Analyzer == "lint" && strings.Contains(d.Message, `unknown analyzer "floatcmps"`) {
 			found = true
-			if d.Pos.Filename != "internal/power/units.go" || d.Pos.Line == 0 {
+			if d.Pos.Filename != "internal/power/floats.go" || d.Pos.Line == 0 {
 				t.Errorf("unknown-analyzer finding has wrong position: %v", d)
 			}
 		}
 	}
 	if !found {
-		t.Errorf("typo'd lint:ignore directive (unitdims) was not reported:\n%s", render(diags))
+		t.Errorf("typo'd lint:ignore directive (floatcmps) was not reported:\n%s", render(diags))
 	}
 }
 

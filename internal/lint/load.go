@@ -195,7 +195,7 @@ func (l *loader) load(path string) (*Package, error) {
 		Implicits:  map[ast.Node]types.Object{},
 	}
 	// Type errors are collected as positioned diagnostics instead of
-	// aborting the load: a broken package must surface as an ownlint
+	// aborting the load: a broken package must surface as a lint
 	// finding ("typecheck"), never as a panic or a silently skipped
 	// package whose invariants then go unchecked. The checker keeps
 	// going after an error, so analyzers still see the well-typed parts

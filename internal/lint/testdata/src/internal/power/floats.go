@@ -40,3 +40,6 @@ func Malformed(a, b float64) bool {
 	//lint:ignore floatcmp
 	return a == b
 }
+
+//lint:ignore floatcmps typo'd analyzer name: reported, suppresses nothing
+var zero = 0.0

@@ -1,5 +1,5 @@
 // Package sim is a lint fixture mirroring ownsim/internal/sim; the
-// determinism and maporder analyzers are in scope here.
+// determinism analyzer is in scope here.
 package sim
 
 import (

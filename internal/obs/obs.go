@@ -16,7 +16,7 @@
 // the Session that writes the -out record — every artifact under a fixed
 // name, then manifest.json (session.go, artifacts.go).
 //
-// The package is inside ownlint's deterministic scope: it uses no wall
+// The package is inside internal/lint's deterministic scope: it uses no wall
 // clock, no global RNG and no environment reads; all timestamps in
 // served payloads are simulated cycles. (net/http keeps its own internal
 // timers, but none of them reach any payload byte.)
@@ -37,7 +37,7 @@ import (
 )
 
 // Server serves read-only telemetry snapshots over HTTP. The mutable
-// state below opts into ownlint's lockguard analyzer: every field
+// state below opts into internal/lint's lockguard analyzer: every field
 // carrying a "guarded by mu" comment may only be touched by methods that
 // take the lock (or by *Locked helpers whose callers hold it).
 type Server struct {

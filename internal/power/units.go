@@ -2,15 +2,14 @@ package power
 
 // Named unit types for the energy-accounting plane. The repository's
 // headline numbers are physical quantities (picojoule read-outs,
-// milliwatt reports), and before these types existed they flowed through
-// the code as bare float64s — exactly the class of silent unit mix-up
-// (pJ added to mW, energy divided by the wrong time base) that the
-// unitdim analyzer in internal/lint now rejects. The types carry the
-// unit in the type system where Go can enforce it, and the converter
-// methods below are the only sanctioned way to cross dimensions: each
-// one states the physics of the conversion (1 pJ / 1 ns = 1 mW) exactly
-// once. Constructing one unit directly from a value known to carry a
-// different unit (e.g. Picojoules(someMW)) is a unitdim finding.
+// milliwatt reports); as bare float64s a pJ added to a mW, or energy
+// divided by the wrong time base, would compile. The types carry the
+// unit in the type system, so the compiler rejects mixing two of them
+// without a conversion, and the converter methods below are the
+// sanctioned way to cross dimensions: each one states the physics of
+// the conversion (1 pJ / 1 ns = 1 mW) exactly once. A plain cast
+// between two units (Picojoules(someMW)) compiles and is wrong; the
+// goldens and the run records catch the numbers it moves.
 //
 // The Params table intentionally stays float64: its fields are
 // calibration constants whose unit is part of the field name

@@ -353,7 +353,6 @@ func (s *SpanTracker) LiveSpans() []LiveSpan {
 		return nil
 	}
 	out := make([]LiveSpan, 0, len(s.live))
-	//lint:ignore maporder the slice is fully sorted by packet ID before return
 	for id, st := range s.live {
 		out = append(out, LiveSpan{
 			ID: id, Src: st.src, Dst: st.dst,

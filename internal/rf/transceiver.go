@@ -37,7 +37,7 @@ func (t Transceiver) TotalPowerMW() float64 {
 // published mm-wave OOK links — versus the 0.1 pJ/bit Table III projects
 // for matured CMOS, which the paper presents as a technology target.
 func (t Transceiver) EnergyPerBitPJ() float64 {
-	//lint:ignore unitdim mW over Gb/s is pJ/bit by construction (10^-3 W / 10^9 bit/s = 10^-12 J/bit)
+	// mW over Gb/s is pJ/bit: 10^-3 W / 10^9 bit/s = 10^-12 J/bit.
 	return t.TotalPowerMW() / t.RateGbps
 }
 

@@ -4,10 +4,11 @@ package rf
 // easiest to silently miscompute: a relative gain (dB) and an absolute
 // power level (dBm) are both "decibels" to a float64, but adding two
 // absolute levels is meaningless while adding a gain to a level is the
-// whole point of a link budget. The types below encode that algebra —
-// the unitdim analyzer in internal/lint flags dBm+dBm and dB-vs-dBm
-// comparisons — and a crossing into the linear domain belongs in a
-// method of these types.
+// whole point of a link budget. The types below encode that algebra:
+// the compiler rejects mixing a DBm with a Decibels, PlusDB/MinusDB are
+// the way to shift a level by a gain, and a crossing into the linear
+// domain belongs in a method of these types. Two DBm values still add;
+// the link-budget and amplifier tests catch the numbers that moves.
 
 // Decibels is a relative (dimensionless, logarithmic) quantity: gain,
 // loss, noise figure, margin, antenna directivity.
