@@ -165,15 +165,16 @@ func TestRecordCorruptionsFail(t *testing.T) {
 	}
 }
 
-// TestLiveRecordedRun is the live run of a record: -out with -listen and
-// -pprof. At the first sample the sampler hook scrapes /metrics, which
+// TestLiveRecordedRun is the live run of a record: -out with -listen. At
+// the first sample the sampler hook scrapes /metrics, which
 // serves the snapshot just published and must carry the engine and pool
 // series, and requests /debug/dump, which the watchdog renders on the
-// simulation goroutine; a pprof endpoint is read after the run. The
-// record itself equals the record of the same run without a server.
+// simulation goroutine; a pprof endpoint, which -listen alone mounts, is
+// read after the run. The record itself equals the record of the same run
+// without a server.
 func TestLiveRecordedRun(t *testing.T) {
 	dir := t.TempDir()
-	f := parseFlags(t, "-out", dir, "-listen", "127.0.0.1:0", "-pprof")
+	f := parseFlags(t, "-out", dir, "-listen", "127.0.0.1:0")
 	man, err := f.OpenRecord("obs-test", 256, 1, map[string]string{})
 	if err != nil {
 		t.Fatal(err)

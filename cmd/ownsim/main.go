@@ -23,7 +23,6 @@ import (
 
 	"ownsim/internal/core"
 	"ownsim/internal/fabric"
-	"ownsim/internal/flightrec"
 	"ownsim/internal/obs"
 	"ownsim/internal/power"
 	"ownsim/internal/topology"
@@ -45,11 +44,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fail := fs.String("fail", "", "comma-separated OWN-256 wireless channel IDs to take out of service")
 	var of obs.Flags
 	of.Register(fs, "the run")
-	fs.Uint64Var(&of.Watchdog.StarveBudgetCy, "watchdog-starve", 0, "trip the watchdog when a writer waits more than this many cycles for a channel token (0 = off)")
-	fs.IntVar(&of.Watchdog.StallWindows, "watchdog-stall", 0, "trip the watchdog after this many check windows without ejection progress while flits are in flight (0 = off)")
-	fs.IntVar(&of.Watchdog.SatWindows, "watchdog-sat", 0, "trip the watchdog after this many consecutive check windows with a channel >=95% busy (0 = off)")
-	fs.Uint64Var(&of.Watchdog.CheckEveryCy, "watchdog-every", flightrec.DefaultCheckEveryCy, "watchdog check window in simulated cycles")
-	fs.DurationVar(&of.StallTimeout, "stall-timeout", 0, "dump goroutine stacks to stderr when the simulated cycle stops advancing for this long of wall time (0 = off)")
+	fs.Uint64Var(&of.Watchdog, "watchdog", 0, "trip the watchdog when a channel writer has waited for its token, or the network has ejected nothing while flits are in flight, for more than this many cycles (0 = off)")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
@@ -64,9 +59,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	pat, _, err := rf.Validate(*load)
-	if err == nil {
-		err = of.Validate()
-	}
 	if err != nil {
 		return usage(err)
 	}
@@ -98,20 +90,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	man, err := of.OpenRecord("ownsim", rf.Cores, rf.Seed, map[string]string{
-		"topo":            rf.Topo,
-		"cores":           strconv.Itoa(rf.Cores),
-		"pattern":         pat.String(),
-		"load":            strconv.FormatFloat(*load, 'g', -1, 64),
-		"config":          strconv.Itoa(*config),
-		"scenario":        *scenario,
-		"warmup":          strconv.FormatUint(rf.Warmup, 10),
-		"measure":         strconv.FormatUint(rf.Measure, 10),
-		"reconfig":        strconv.FormatBool(*reconfig),
-		"fail":            *fail,
-		"watchdog_every":  strconv.FormatUint(of.Watchdog.CheckEveryCy, 10),
-		"watchdog_starve": strconv.FormatUint(of.Watchdog.StarveBudgetCy, 10),
-		"watchdog_stall":  strconv.Itoa(of.Watchdog.StallWindows),
-		"watchdog_sat":    strconv.Itoa(of.Watchdog.SatWindows),
+		"topo":     rf.Topo,
+		"cores":    strconv.Itoa(rf.Cores),
+		"pattern":  pat.String(),
+		"load":     strconv.FormatFloat(*load, 'g', -1, 64),
+		"config":   strconv.Itoa(*config),
+		"scenario": *scenario,
+		"warmup":   strconv.FormatUint(rf.Warmup, 10),
+		"measure":  strconv.FormatUint(rf.Measure, 10),
+		"reconfig": strconv.FormatBool(*reconfig),
+		"fail":     *fail,
+		"watchdog": strconv.FormatUint(of.Watchdog, 10),
 	})
 	if err != nil {
 		lg.Print(err)

@@ -95,7 +95,6 @@ func TestBadInputExitStatus(t *testing.T) {
 		{[]string{"-pattern", "nope"}, 2},
 		{[]string{"-fail", "3,3"}, 2},
 		{[]string{"-load", "2"}, 2},
-		{[]string{"-pprof"}, 2},
 		{append(recordArgs, "-out", filepath.Join(notDir, "record")), 1},
 	} {
 		var stdout, stderr bytes.Buffer
@@ -111,13 +110,13 @@ func TestBadInputExitStatus(t *testing.T) {
 	}
 }
 
-// TestHelpListsFlags pins the surface: -h lists 22 flags and exits 0.
+// TestHelpListsFlags pins the surface: -h lists 17 flags and exits 0.
 func TestHelpListsFlags(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	if code := run([]string{"-h"}, &stdout, &stderr); code != 0 {
 		t.Fatalf("ownsim -h: exit %d", code)
 	}
-	if flags := regexp.MustCompile(`(?m)^  -\w`).FindAllString(stderr.String(), -1); len(flags) != 22 {
-		t.Errorf("ownsim -h lists %d flags, want 22:\n%s", len(flags), &stderr)
+	if flags := regexp.MustCompile(`(?m)^  -\w`).FindAllString(stderr.String(), -1); len(flags) != 17 {
+		t.Errorf("ownsim -h lists %d flags, want 17:\n%s", len(flags), &stderr)
 	}
 }

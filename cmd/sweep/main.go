@@ -73,9 +73,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	loads := core.SweepLoads(rf.Cores, *points)
 	pat, names, err := rf.Validate(loads[0])
-	if err == nil {
-		err = of.Validate()
-	}
 	if err != nil {
 		return usage(err)
 	}

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"regexp"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -19,20 +21,21 @@ import (
 
 // flightRun repeats the golden fixed-seed configuration with the flight
 // recorder installed ahead of a span-tracking, sampling probe — the full
-// diagnostics stack cmd/ownsim wires for an -out record.
-func flightRun(t *testing.T, cores int, rate float64) (fabric.Result, *fabric.Network, *flightrec.FlightRecorder) {
+// diagnostics stack cmd/ownsim wires for an -out record — and the
+// watchdog armed with the given budget in cycles (0 = off).
+func flightRun(t *testing.T, cores int, rate float64, watchdog uint64) (fabric.Result, *fabric.Network, *flightrec.FlightRecorder) {
 	t.Helper()
 	sys := NewSystem("own", cores, wireless.Config4, wireless.Ideal)
 	n := sys.Build(power.NewMeter(nil))
-	fr := flightrec.New(flightrec.Options{})
+	fr := flightrec.New(flightrec.Options{Watchdog: watchdog})
 	n.InstallFlightRecorder(fr)
-	p := probe.New(probe.Options{Spans: true, MetricsEvery: 256})
+	p := probe.New(probe.Options{Spans: true, MetricsEvery: flightrec.Window})
 	n.InstallProbe(p)
 	res := n.Run(
 		fabric.TrafficSpec{Pattern: traffic.Uniform, Rate: rate, Seed: 77, Policy: sys.Policy, Classify: sys.Classify},
 		fabric.RunSpec{Warmup: 500, Measure: 2500},
 	)
-	fr.Dog.Finish(n.Eng.Cycle())
+	fr.Dog.Finish()
 	return res, n, fr
 }
 
@@ -40,7 +43,7 @@ func flightRun(t *testing.T, cores int, rate float64) (fabric.Result, *fabric.Ne
 // the full flight-recorder stack must not change a single bit of the
 // simulation result.
 func TestFlightRecorderInertOWN256(t *testing.T) {
-	res, _, _ := flightRun(t, 256, 0.004)
+	res, _, _ := flightRun(t, 256, 0.004, 0)
 	if bare := goldenRun(t, 256, 0.004); res != bare {
 		t.Fatalf("flight-recorder run diverged from bare run:\n got %+v\nwant %+v", res, bare)
 	}
@@ -52,7 +55,7 @@ func TestFlightRecorderInertOWN256(t *testing.T) {
 // total cycle for cycle.
 func TestTokenWaitReconciliation(t *testing.T) {
 	check := func(cores int, rate float64) {
-		_, n, fr := flightRun(t, cores, rate)
+		_, n, fr := flightRun(t, cores, rate, 0)
 		sp := n.Probe.Spans()
 		if sp == nil {
 			t.Fatal("span tracker not installed")
@@ -75,7 +78,7 @@ func TestTokenWaitReconciliation(t *testing.T) {
 // sampler's windows, names aligned with the registry, with the token and
 // stall gauges registered behind the established columns.
 func TestFlightRecorderRingFollowsSampler(t *testing.T) {
-	_, n, fr := flightRun(t, 256, 0.004)
+	_, _, fr := flightRun(t, 256, 0.004, 0)
 	if fr.Rec.Total() == 0 {
 		t.Fatal("ring recorder observed no sampler windows")
 	}
@@ -110,11 +113,31 @@ func TestFlightRecorderRingFollowsSampler(t *testing.T) {
 	if firstFR < lastOther {
 		t.Errorf("flight-recorder gauges interleave the established columns (first at %d, others end at %d)", firstFR, lastOther)
 	}
-	// The watchdog saw the run and nothing tripped on the golden config.
-	if trips := fr.Dog.Trips(); trips != 0 {
-		t.Errorf("watchdog tripped %d times on the golden run: %v", trips, fr.Dog.TripReasons())
+}
+
+// TestWatchdogOnGoldenRun arms the watchdog on the golden OWN-256 run.
+// At README's budget of 20 000 cycles a healthy run never trips. At a
+// budget of one cycle every writer that waits for its token across a
+// window boundary is "starved", so the run trips, and the reason names
+// the waiting writer's router and the token owner. Either way the
+// Result is the bare run's.
+func TestWatchdogOnGoldenRun(t *testing.T) {
+	bare := goldenRun(t, 256, 0.004)
+	res, _, fr := flightRun(t, 256, 0.004, 20000)
+	if res != bare {
+		t.Errorf("budget 20000: watchdog run diverged from bare run")
 	}
-	_ = n
+	if trips := fr.Dog.Trips(); trips != 0 {
+		t.Errorf("budget 20000: watchdog tripped %d times on the golden run: %v", trips, fr.Dog.TripReasons())
+	}
+	res, _, fr = flightRun(t, 256, 0.004, 1)
+	if res != bare {
+		t.Errorf("budget 1: watchdog run diverged from bare run")
+	}
+	starved := regexp.MustCompile(`^token starvation on (photonic|wireless) "[^"]+": writer \d+ \(router \d+\) waiting \d+ cy > budget 1, token at writer \d+ \(router \d+\)$`)
+	if !slices.ContainsFunc(fr.Dog.TripReasons(), starved.MatchString) {
+		t.Errorf("budget 1: %d trips, none a starvation naming both routers: %v", fr.Dog.Trips(), fr.Dog.TripReasons())
+	}
 }
 
 // TestFairnessArtifactsByteStableAcrossGOMAXPROCS renders the fairness
@@ -124,7 +147,7 @@ func TestFairnessArtifactsByteStableAcrossGOMAXPROCS(t *testing.T) {
 	render := func(procs int) map[string][]byte {
 		old := runtime.GOMAXPROCS(procs)
 		defer runtime.GOMAXPROCS(old)
-		_, n, _ := flightRun(t, 256, 0.004)
+		_, n, _ := flightRun(t, 256, 0.004, 0)
 		dir := t.TempDir()
 		files, err := obs.EmitFairness(n, dir, nil)
 		if err != nil {

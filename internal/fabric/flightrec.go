@@ -107,7 +107,7 @@ func (n *Network) wireFlightRec(p *probe.Probe) {
 	reg.Gauge("stall.watchdog_trips", func() float64 { return float64(dog.Trips()) })
 	eng := n.Eng
 	chans := n.Channels
-	budget := dog.Config().StarveBudgetCy
+	budget := dog.Budget()
 	reg.Gauge("stall.starved_writers", func() float64 {
 		return float64(dog.Waits.StarvedWriters(eng.Cycle(), budget))
 	})

@@ -13,18 +13,19 @@
 // FlightRecorder into a built topology via InstallFlightRecorder; the
 // CLIs get one through obs.Start, which knows the install order.
 //
-// Two watchdog variants share one implementation: the deterministic
-// in-engine variant is a sim.Ticker whose checks run on simulated-cycle
-// boundaries (headless runs need no goroutine), and the wall-clock
-// variant (Watchdog.StartWall) is a goroutine that only reads an atomic
-// cycle counter and the process's goroutine stacks — it never touches
-// simulation state, so it cannot perturb results.
+// The watchdog is a sim.Ticker whose checks run on simulated-cycle
+// boundaries, so headless runs need no goroutine. A hung process is
+// diagnosed from outside it: SIGQUIT prints every goroutine's stack, and
+// the -listen server serves the cycle on /healthz and the stacks on
+// /debug/pprof/goroutine?debug=2 while the run goes on.
 package flightrec
 
 // Options parameterizes a FlightRecorder.
 type Options struct {
-	// Watchdog configures the in-engine stall detectors.
-	Watchdog WatchdogConfig
+	// Watchdog is the watchdog's liveness budget in cycles: it trips when
+	// a channel writer has waited for its token, or the network has
+	// ejected nothing while flits are in flight, for longer. 0 = off.
+	Watchdog uint64
 }
 
 // FlightRecorder bundles the three diagnostics facilities. Construct
@@ -37,7 +38,7 @@ type FlightRecorder struct {
 	// is installed on a network (the tile count comes from the
 	// topology).
 	Stall *StallTracker
-	// Dog is the stall watchdog.
+	// Dog is the liveness watchdog.
 	Dog *Watchdog
 }
 

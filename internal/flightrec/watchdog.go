@@ -4,40 +4,16 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"ownsim/internal/sbus"
 )
 
-// WatchdogConfig parameterizes the in-engine stall detectors. Each
-// detector is off until its threshold is set, so a watchdog with the
-// zero config only services dump requests.
-type WatchdogConfig struct {
-	// CheckEveryCy is the detector window in simulated cycles; 0 means
-	// DefaultCheckEveryCy.
-	CheckEveryCy uint64
-	// StarveBudgetCy trips the starvation detector when any channel
-	// writer has waited longer than this for the token; 0 disables.
-	StarveBudgetCy uint64
-	// StallWindows trips the quiescence-without-completion detector
-	// after this many consecutive windows with flits in flight but no
-	// ejection progress; 0 disables.
-	StallWindows int
-	// SatWindows trips the saturation detector after this many
-	// consecutive windows in which a channel was busy at least
-	// satFraction of the time; 0 disables.
-	SatWindows int
-}
-
-// DefaultCheckEveryCy is the default detector window.
-const DefaultCheckEveryCy = 256
-
-// satFraction is the busy fraction a channel must sustain over a window
-// to count as saturated.
-const satFraction = 0.95
+// Window is the watchdog's check window in simulated cycles. It is also
+// the sampling window of a record (obs.Start's probe), so a trip and the
+// metrics row it follows describe the same 256 cycles.
+const Window = 256
 
 // maxDumps bounds the automatic trip dumps per run; later trips still
 // count in Trips but emit nothing.
@@ -56,18 +32,24 @@ type dumpReply struct {
 	err  error
 }
 
-// Watchdog runs the stall detectors and serves state dumps. The
-// deterministic variant is its sim.Ticker face: fabric registers it in
-// the engine's Collect phase, so detection happens on simulated-cycle
-// boundaries and is reproducible under fixed seeds. Detection never
-// mutates simulation state, so an installed watchdog is inert.
+// Watchdog runs the liveness detectors and serves state dumps. It is a
+// sim.Ticker: fabric registers it in the engine's Collect phase, so
+// detection happens on simulated-cycle boundaries and is reproducible
+// under fixed seeds. Detection never mutates simulation state, so an
+// installed watchdog is inert.
+//
+// One budget in cycles arms both detectors, checked once per Window:
+// starvation (a channel writer has waited longer than the budget for its
+// token) and stall (the network has ejected nothing for longer than the
+// budget while flits are in flight). A zero budget turns both off; the
+// watchdog then only services dump requests.
 //
 // HTTP dump requests cross goroutines through a request channel that
 // Tick services on the simulation goroutine (reading live arbitration
 // state from any other goroutine would race); after Finish, requests
 // render directly under a mutex against the final state.
 type Watchdog struct {
-	cfg WatchdogConfig
+	budget uint64
 
 	// SnapshotFn builds a full state snapshot; OnTrip consumes trip
 	// dumps; Progress reports (ejected packets, flits in flight);
@@ -79,102 +61,70 @@ type Watchdog struct {
 	Channels   []*sbus.Channel
 	Waits      *WaitTable
 
-	// cycle and finished are the only state the wall-clock watchdog
-	// goroutine and HTTP handlers may read.
-	cycle    atomic.Uint64
+	// finished is the only state HTTP handlers may read.
 	finished atomic.Bool
 	// mu serializes RequestDump against Finish and post-run renders.
 	mu      sync.Mutex
 	dumpReq chan dumpRequest
 
-	lastEjected uint64
-	stallRuns   int
-	lastBusy    []uint64
-	satRuns     []int
+	// lastEjected is the ejection count at the previous window;
+	// lastProgress is the cycle of the last window that ejected something
+	// or had nothing in flight.
+	lastEjected  uint64
+	lastProgress uint64
 
 	trips       uint64
 	dumps       int
 	tripReasons []string
 }
 
-// NewWatchdog creates a watchdog with normalized configuration.
-func NewWatchdog(cfg WatchdogConfig) *Watchdog {
-	if cfg.CheckEveryCy == 0 {
-		cfg.CheckEveryCy = DefaultCheckEveryCy
-	}
-	return &Watchdog{cfg: cfg, dumpReq: make(chan dumpRequest, 4)}
+// NewWatchdog creates a watchdog with the given liveness budget in
+// cycles (0 = detectors off).
+func NewWatchdog(budget uint64) *Watchdog {
+	return &Watchdog{budget: budget, dumpReq: make(chan dumpRequest, 4)}
 }
 
-// Config returns the normalized configuration.
-func (w *Watchdog) Config() WatchdogConfig { return w.cfg }
+// Budget returns the liveness budget in cycles.
+func (w *Watchdog) Budget() uint64 { return w.budget }
 
-// Tick implements sim.Ticker: publish the cycle for the wall-clock
-// variant, service pending dump requests on the simulation goroutine,
-// and run the detectors once per window.
+// Tick implements sim.Ticker: service pending dump requests on the
+// simulation goroutine, and run the detectors once per window.
 func (w *Watchdog) Tick(cycle uint64) {
-	w.cycle.Store(cycle)
 	select {
 	case req := <-w.dumpReq:
 		req.reply <- w.renderReply(req.format, "request")
 	default:
 	}
-	if cycle == 0 || cycle%w.cfg.CheckEveryCy != 0 {
+	if w.budget == 0 || cycle == 0 || cycle%Window != 0 {
 		return
 	}
 	w.check(cycle)
 }
 
-// check runs the three detectors at a window boundary.
+// check runs both detectors at a window boundary.
 func (w *Watchdog) check(cycle uint64) {
-	if w.Progress != nil && w.cfg.StallWindows > 0 {
+	if w.Progress != nil {
 		ejected, inFlight := w.Progress()
-		if inFlight > 0 && ejected == w.lastEjected {
-			w.stallRuns++
-			if w.stallRuns >= w.cfg.StallWindows {
-				w.trip(fmt.Sprintf(
-					"quiescence without completion: no ejection progress for %d windows (%d cy) with %d flits in flight at cycle %d",
-					w.stallRuns, uint64(w.stallRuns)*w.cfg.CheckEveryCy, inFlight, cycle))
-				w.stallRuns = 0
-			}
-		} else {
-			w.stallRuns = 0
+		switch {
+		case inFlight == 0 || ejected != w.lastEjected:
+			w.lastProgress = cycle
+		case cycle-w.lastProgress > w.budget:
+			w.trip(fmt.Sprintf(
+				"quiescence without completion: no ejection progress for %d cy > budget %d with %d flits in flight at cycle %d",
+				cycle-w.lastProgress, w.budget, inFlight, cycle))
+			w.lastProgress = cycle // re-arm
 		}
 		w.lastEjected = ejected
 	}
-	if w.cfg.StarveBudgetCy > 0 {
-		for i, ch := range w.Channels {
-			wi, since := w.Waits.OldestWaiter(i)
-			if wi >= 0 && cycle-since > w.cfg.StarveBudgetCy {
-				tok := ch.Introspect().Token
-				w.trip(fmt.Sprintf(
-					"token starvation on %s %q: writer %d (router %d) waiting %d cy > budget %d, token at writer %d (router %d)",
-					ch.Kind, ch.Name, wi, ch.WriterID(wi), cycle-since, w.cfg.StarveBudgetCy,
-					tok, ch.WriterID(tok)))
-				break // one starvation trip per window is plenty
-			}
-		}
-	}
-	if w.cfg.SatWindows > 0 && len(w.Channels) > 0 {
-		if w.lastBusy == nil {
-			w.lastBusy = make([]uint64, len(w.Channels))
-			w.satRuns = make([]int, len(w.Channels))
-		}
-		thresh := satFraction * float64(w.cfg.CheckEveryCy)
-		for i, ch := range w.Channels {
-			busy := ch.Stats().BusyCy
-			delta := busy - w.lastBusy[i]
-			w.lastBusy[i] = busy
-			if float64(delta) >= thresh {
-				w.satRuns[i]++
-				if w.satRuns[i] >= w.cfg.SatWindows {
-					w.trip(fmt.Sprintf(
-						"sustained saturation on %s %q: busy %d of the last %d cy (>= %d consecutive windows) at cycle %d",
-						ch.Kind, ch.Name, delta, w.cfg.CheckEveryCy, w.satRuns[i], cycle))
-					w.satRuns[i] = 0
-				}
-			} else {
-				w.satRuns[i] = 0
-			}
+	for i, ch := range w.Channels {
+		wi, since := w.Waits.OldestWaiter(i)
+		if wi >= 0 && cycle-since > w.budget {
+			tok := ch.Introspect().Token
+			w.trip(fmt.Sprintf(
+				"token starvation on %s %q: writer %d (router %d) waiting %d cy > budget %d, token at writer %d (router %d)",
+				ch.Kind, ch.Name, wi, ch.WriterID(wi), cycle-since, w.budget,
+				tok, ch.WriterID(tok)))
+			break // one starvation trip per window is plenty
 		}
 	}
 }
@@ -260,13 +210,12 @@ func (w *Watchdog) RequestDump(format string) ([]byte, error) {
 // Finish marks the simulation complete and drains any dump requests
 // that raced the finish (the engine will tick no more). The CLI tools
 // call it right after the run, before artifact emission.
-func (w *Watchdog) Finish(cycle uint64) {
+func (w *Watchdog) Finish() {
 	if w == nil {
 		return
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	w.cycle.Store(cycle)
 	w.finished.Store(true)
 	for {
 		select {
@@ -276,43 +225,4 @@ func (w *Watchdog) Finish(cycle uint64) {
 			return
 		}
 	}
-}
-
-// StartWall starts the wall-clock watchdog goroutine: if the simulated
-// cycle has not advanced across one full interval, it captures every
-// goroutine's stack and calls onStuck once per stuck episode. The
-// goroutine reads only the atomic cycle counter — never simulation
-// state — so it cannot perturb results. The returned stop function
-// terminates it; it also exits by itself once Finish runs.
-func (w *Watchdog) StartWall(interval time.Duration, onStuck func(cycle uint64, stacks []byte)) (stop func()) {
-	done := make(chan struct{})
-	go func() {
-		tick := time.NewTicker(interval)
-		defer tick.Stop()
-		last := w.cycle.Load()
-		fired := false
-		for {
-			select {
-			case <-done:
-				return
-			case <-tick.C:
-				if w.finished.Load() {
-					return
-				}
-				now := w.cycle.Load()
-				if now != last {
-					last = now
-					fired = false
-					continue
-				}
-				if !fired {
-					fired = true
-					buf := make([]byte, 1<<20)
-					n := runtime.Stack(buf, true)
-					onStuck(now, buf[:n])
-				}
-			}
-		}
-	}()
-	return func() { close(done) }
 }

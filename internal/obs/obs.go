@@ -1,11 +1,13 @@
 // Package obs is the live telemetry plane: a small HTTP server that
 // exposes a running simulation's probe metrics as Prometheus text
-// (/metrics), a liveness/progress snapshot (/healthz) and a streaming
-// NDJSON feed of sampler windows (/events). It is strictly read-only:
-// the simulation goroutine publishes immutable snapshots through
-// Server.Publish (wired to probe.Sampler.OnSample by Attach), HTTP
-// handlers only ever read the latest snapshot under a mutex, and nothing
-// ever flows from the server back into the simulation. Enabling the
+// (/metrics), a liveness/progress snapshot (/healthz), a streaming
+// NDJSON feed of sampler windows (/events), the flight recorder's state
+// dump (/debug/dump) and Go's runtime profiles (/debug/pprof/). It is
+// strictly read-only: the simulation goroutine publishes immutable
+// snapshots through Server.Publish (wired to probe.Sampler.OnSample by
+// Attach), HTTP handlers only ever read the latest snapshot under a
+// mutex, and nothing ever flows from the server back into the
+// simulation. Enabling the
 // plane therefore cannot change simulation results or any file artifact
 // — the determinism tests assert byte-identical summaries and manifests
 // with the server on and off.
@@ -70,9 +72,6 @@ type Server struct {
 	ln  net.Listener
 	srv *http.Server
 
-	// pprof mounts the runtime profiling handlers under /debug/pprof/;
-	// set before Start via EnablePprof.
-	pprof bool
 	// dumpFn serves /debug/dump state dumps; set before Start via
 	// SetDumpProvider (typically flightrec.Watchdog.RequestDump, which
 	// hands the request to the simulation goroutine).
@@ -155,15 +154,13 @@ func (s *Server) SetDumpProvider(fn func(format string) ([]byte, error)) { s.dum
 // section.
 func (s *Server) SetBuildInfo(bi *probe.BuildInfo) { s.build = bi }
 
-// EnablePprof mounts Go's runtime profiling handlers (net/http/pprof)
-// under /debug/pprof/ on the telemetry server. Call before Start. The
-// profiler reads runtime state only — like every other endpoint it
-// cannot reach back into the simulation, so results and artifacts stay
-// byte-identical with it on.
-func (s *Server) EnablePprof() { s.pprof = true }
-
 // Start listens on addr (host:port; port 0 picks a free port) and serves
-// until Close. It returns the bound address.
+// until Close. It returns the bound address. Besides the telemetry
+// endpoints it mounts Go's runtime profiling handlers (net/http/pprof)
+// under /debug/pprof/; a hung run's goroutine stacks are
+// /debug/pprof/goroutine?debug=2. The profiler reads runtime state only —
+// like every other endpoint it cannot reach back into the simulation, so
+// results and artifacts stay byte-identical with it on.
 func (s *Server) Start(addr string) (string, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -176,13 +173,11 @@ func (s *Server) Start(addr string) (string, error) {
 	if s.dumpFn != nil {
 		mux.HandleFunc("/debug/dump", s.handleDump)
 	}
-	if s.pprof {
-		mux.HandleFunc("/debug/pprof/", pprof.Index)
-		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	}
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	s.ln = ln
 	s.srv = &http.Server{Handler: mux}
 	go func() {

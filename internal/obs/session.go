@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -9,7 +8,6 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
-	"time"
 
 	"ownsim/internal/check"
 	"ownsim/internal/fabric"
@@ -18,47 +16,32 @@ import (
 )
 
 // Flags is the observation surface of one simulated run. Register
-// declares the six flags cmd/ownsim and cmd/sweep share; Watchdog (the
-// four -watchdog-* flags) and StallTimeout (-stall-timeout) are flags
-// only cmd/ownsim registers (sweep leaves them zero).
+// declares the five flags cmd/ownsim and cmd/sweep share; Watchdog, the
+// watchdog's liveness budget in cycles (flightrec.Options.Watchdog), is
+// -watchdog, which only cmd/ownsim registers (sweep leaves it zero).
 type Flags struct {
 	Out       string
 	Listen    string
-	Pprof     bool
 	Check     bool
 	Reservoir int
 	Telemetry int
-
-	Watchdog     flightrec.WatchdogConfig
-	StallTimeout time.Duration
+	Watchdog  uint64
 }
 
-// A record traces every packet and samples the metrics once per window
-// of this many cycles; the manifest config says so under "sample" and
-// "window".
-const (
-	traceEvery = 1
-	window     = 256
-)
+// A record traces every packet and samples the metrics once per
+// flightrec.Window cycles, the watchdog's check window; the manifest
+// config says so under "sample" and "window".
+const traceEvery = 1
 
 // Register declares the shared observation flags on fs. what names the
 // run they observe in the help text ("the run", "the highest-load
 // point").
 func (f *Flags) Register(fs *flag.FlagSet, what string) {
 	fs.StringVar(&f.Out, "out", "", "write the record of "+what+" into this directory: every artifact under a fixed name, then manifest.json with their digests")
-	fs.StringVar(&f.Listen, "listen", "", "serve live telemetry (/metrics, /healthz, /events, /debug/dump) of "+what+" on this address while it runs (e.g. :9090; port 0 picks a free port)")
-	fs.BoolVar(&f.Pprof, "pprof", false, "mount Go runtime profiling under /debug/pprof/ on the -listen server")
+	fs.StringVar(&f.Listen, "listen", "", "serve live telemetry (/metrics, /healthz, /events, /debug/dump, /debug/pprof/) of "+what+" on this address while it runs (e.g. :9090; port 0 picks a free port)")
 	fs.BoolVar(&f.Check, "check", false, "audit protocol invariants with the conformance checker (internal/check); violations go to stderr and the exit code is non-zero if any fired")
 	fs.IntVar(&f.Reservoir, "reservoir", 0, "exact-percentile latency reservoir size in packets per run (0 = default 65536)")
 	fs.IntVar(&f.Telemetry, "telemetry", 0, "print the top-N busiest shared channels of "+what)
-}
-
-// Validate rejects flag values no run can honour.
-func (f *Flags) Validate() error {
-	if f.Pprof && f.Listen == "" {
-		return errors.New("-pprof requires -listen")
-	}
-	return nil
 }
 
 // OpenRecord creates the -out directory and starts the record's manifest
@@ -74,7 +57,7 @@ func (f *Flags) OpenRecord(tool string, cores int, seed uint64, config map[strin
 		return nil, err
 	}
 	config["sample"] = strconv.Itoa(traceEvery)
-	config["window"] = strconv.Itoa(window)
+	config["window"] = strconv.Itoa(flightrec.Window)
 	config["reservoir"] = strconv.Itoa(f.Reservoir)
 	config["check"] = strconv.FormatBool(f.Check)
 	return &probe.Manifest{Tool: tool, Config: config, Cores: cores, Seed: seed, Build: probe.ReadBuildInfo()}, nil
@@ -85,24 +68,22 @@ func (f *Flags) OpenRecord(tool string, cores int, seed uint64, config map[strin
 // behind. The lifecycle is Start, the caller's n.Run, Finish, Emit,
 // Close. Every observer is inert, so the run's Result is the bare run's.
 type Session struct {
-	n        *fabric.Network
-	f        *Flags
-	logf     func(format string, args ...any)
-	srv      *Server
-	stopWall func()
+	n    *fabric.Network
+	f    *Flags
+	logf func(format string, args ...any)
+	srv  *Server
 }
 
 // Start writes the record's topology.dot and installs on n what f asks
 // for, in the one order that composes: flight recorder (its stall
 // tracker and gauges are wired by the probe installer), then probe, then
-// checker; then it starts the live server and the wall-clock watchdog.
-// It is the single place that derives the observers from two facts. A
-// record, a live server or a watchdog threshold installs the recorder
-// and an aggregate probe with spans and a sampler: the recorder backs the
-// fairness and dump artifacts, the detectors and /debug/dump, and its
-// stall tracker is fed through the span tracker. Only a record adds the
-// tracer. Diagnostics — the live address, watchdog trips, invariant
-// violations — go to logf.
+// checker; then it starts the live server. It is the single place that
+// derives the observers from two facts. A record, a live server or a
+// watchdog budget installs the recorder and an aggregate probe with
+// spans and a sampler: the recorder backs the fairness and dump
+// artifacts, the detectors and /debug/dump, and its stall tracker is fed
+// through the span tracker. Only a record adds the tracer. Diagnostics —
+// the live address, watchdog trips, invariant violations — go to logf.
 func Start(n *fabric.Network, f *Flags, logf func(format string, args ...any)) (*Session, error) {
 	s := &Session{n: n, f: f, logf: logf}
 	if f.Out != "" {
@@ -110,14 +91,13 @@ func Start(n *fabric.Network, f *Flags, logf func(format string, args ...any)) (
 			return nil, err
 		}
 	}
-	wd := f.Watchdog
-	if f.Out != "" || f.Listen != "" || wd.StarveBudgetCy > 0 || wd.StallWindows > 0 || wd.SatWindows > 0 || f.StallTimeout > 0 {
-		fr := flightrec.New(flightrec.Options{Watchdog: wd})
+	if f.Out != "" || f.Listen != "" || f.Watchdog > 0 {
+		fr := flightrec.New(flightrec.Options{Watchdog: f.Watchdog})
 		fr.Dog.OnTrip = func(reason string, snap *flightrec.Snapshot) {
 			s.logDump("WATCHDOG TRIP: "+reason, snap)
 		}
 		n.InstallFlightRecorder(fr)
-		opts := probe.Options{Spans: true, MetricsEvery: window}
+		opts := probe.Options{Spans: true, MetricsEvery: flightrec.Window}
 		if f.Out != "" {
 			opts.TraceEvery = traceEvery
 		}
@@ -134,9 +114,6 @@ func Start(n *fabric.Network, f *Flags, logf func(format string, args ...any)) (
 	if f.Listen != "" {
 		srv := New()
 		srv.Attach(n.Probe)
-		if f.Pprof {
-			srv.EnablePprof()
-		}
 		srv.SetBuildInfo(probe.ReadBuildInfo())
 		srv.SetDumpProvider(n.FlightRec.Dog.RequestDump)
 		addr, err := srv.Start(f.Listen)
@@ -145,11 +122,6 @@ func Start(n *fabric.Network, f *Flags, logf func(format string, args ...any)) (
 		}
 		s.srv = srv
 		logf("live telemetry on http://%s/metrics", addr)
-	}
-	if f.StallTimeout > 0 {
-		s.stopWall = n.FlightRec.Dog.StartWall(f.StallTimeout, func(cycle uint64, stacks []byte) {
-			logf("no cycle progress for %s at cycle %d; goroutine stacks:\n%s", f.StallTimeout, cycle, stacks)
-		})
 	}
 	return s, nil
 }
@@ -177,7 +149,7 @@ func (s *Session) Finish() {
 		}
 	}
 	if fr := n.FlightRec; fr != nil {
-		fr.Dog.Finish(n.Eng.Cycle())
+		fr.Dog.Finish()
 	}
 	if s.srv != nil {
 		s.srv.MarkDone()
@@ -242,11 +214,8 @@ func (s *Session) Violations() uint64 {
 	return s.n.Checker.Total()
 }
 
-// Close stops the wall-clock watchdog and the live server.
+// Close stops the live server.
 func (s *Session) Close() {
-	if s.stopWall != nil {
-		s.stopWall()
-	}
 	if s.srv != nil {
 		if err := s.srv.Close(); err != nil {
 			s.logf("live telemetry server: %v", err)

@@ -83,13 +83,13 @@ func dirFiles(t *testing.T, dir string) []string {
 	return names
 }
 
-// TestRegisterDeclaresTheSharedFlags pins the surface: exactly the six
+// TestRegisterDeclaresTheSharedFlags pins the surface: exactly the five
 // shared names, with the defaults both CLIs always had.
 func TestRegisterDeclaresTheSharedFlags(t *testing.T) {
 	fs := flag.NewFlagSet("obs-test", flag.ContinueOnError)
 	new(Flags).Register(fs, "the run")
 	want := map[string]string{
-		"out": "", "listen": "", "pprof": "false", "check": "false", "reservoir": "0", "telemetry": "0",
+		"out": "", "listen": "", "check": "false", "reservoir": "0", "telemetry": "0",
 	}
 	got := map[string]string{}
 	fs.VisitAll(func(fl *flag.Flag) { got[fl.Name] = fl.DefValue })
@@ -98,29 +98,11 @@ func TestRegisterDeclaresTheSharedFlags(t *testing.T) {
 	}
 }
 
-// TestValidate pins the rule both CLIs apply identically.
-func TestValidate(t *testing.T) {
-	for _, tc := range []struct {
-		args []string
-		want string // substring of the error; "" = valid
-	}{
-		{nil, ""},
-		{[]string{"-listen", ":0", "-pprof"}, ""},
-		{[]string{"-pprof"}, "-listen"},
-	} {
-		err := parseFlags(t, tc.args...).Validate()
-		if (err == nil) != (tc.want == "") || (err != nil && !strings.Contains(err.Error(), tc.want)) {
-			t.Errorf("Validate(%v) = %v, want error containing %q", tc.args, err, tc.want)
-		}
-	}
-}
-
 // TestSweepRerunMatchesOwnsimRun is the property the two hand-copied
 // blocks only promised: sweep's observed re-run of its top point and
 // `ownsim -load loads[last] -seed seed+last` write byte-identical records
 // outside manifest.json. The sweep side drops -check for the re-run as
-// cmd/sweep does, the ownsim side carries the -watchdog-every default only
-// ownsim registers. (An ownsim -check run is not part of the property:
+// cmd/sweep does. (An ownsim -check run is not part of the property:
 // the checker's always-on collect-phase ticker shows in the engine.*
 // scheduler counters of the metrics, dump and manifest.)
 func TestSweepRerunMatchesOwnsimRun(t *testing.T) {
@@ -133,9 +115,7 @@ func TestSweepRerunMatchesOwnsimRun(t *testing.T) {
 	rerun.Check = false
 	sw := observe(t, &rerun, loads[last], seed+uint64(last))
 
-	of := parseFlags(t, "-out", ownsimDir)
-	of.Watchdog.CheckEveryCy = flightrec.DefaultCheckEveryCy
-	ow := observe(t, of, loads[last], seed+uint64(last))
+	ow := observe(t, parseFlags(t, "-out", ownsimDir), loads[last], seed+uint64(last))
 
 	if sw.err != nil || ow.err != nil {
 		t.Fatalf("Emit: sweep %v, ownsim %v", sw.err, ow.err)
@@ -253,7 +233,7 @@ func TestEmitUnwritablePath(t *testing.T) {
 // token.* gauges read what a recorded run reads, not zero.
 func TestRecorderFeedsTokenGauges(t *testing.T) {
 	acquisitions := func(f *Flags) float64 {
-		f.Watchdog.StallWindows = 1000
+		f.Watchdog = 1000 * flightrec.Window
 		smp := observe(t, f, 0.004, 1).n.Probe.Sampler()
 		i := slices.Index(smp.Names(), "token.photonic.acquisitions")
 		if i < 0 {

@@ -291,6 +291,45 @@ func TestMisroutedPacketPanicsAtSink(t *testing.T) {
 	s.ReceiveFlit(0, fl[0])
 }
 
+// TestSinkChecksOrderPerVC: the sink checks flit order per VC, not per
+// packet. Two packets interleaved flit by flit on two VCs eject, and so do
+// two packets back to back on one VC; two packets interleaved on one VC,
+// or one packet's flits swapped, panic.
+func TestSinkChecksOrderPerVC(t *testing.T) {
+	flits := func(id uint64, vc int) []*noc.Flit {
+		fl := noc.MakeFlits(&noc.Packet{ID: id, Dst: 3, NumFlits: 3})
+		for _, f := range fl {
+			f.VC = vc
+		}
+		return fl
+	}
+	deliver := func(order ...*noc.Flit) (ejected uint64, fault any) {
+		s := NewSink(3)
+		s.SetClock(sim.NewEngine())
+		defer func() { ejected, fault = s.Ejected, recover() }()
+		for _, f := range order {
+			s.ReceiveFlit(0, f)
+		}
+		return
+	}
+	a, b := flits(1, 0), flits(2, 1)
+	if ejected, fault := deliver(a[0], b[0], a[1], b[1], a[2], b[2]); fault != nil || ejected != 2 {
+		t.Errorf("two packets interleaved on two VCs: ejected %d, panic %v; want 2 and none", ejected, fault)
+	}
+	a, b = flits(1, 0), flits(2, 0)
+	if ejected, fault := deliver(append(a, b...)...); fault != nil || ejected != 2 {
+		t.Errorf("two packets back to back on one VC: ejected %d, panic %v; want 2 and none", ejected, fault)
+	}
+	a, b = flits(1, 0), flits(2, 0)
+	if _, fault := deliver(a[0], b[0], a[1], b[1], a[2], b[2]); fault == nil {
+		t.Error("two packets interleaved on one VC: no panic")
+	}
+	a = flits(1, 0)
+	if _, fault := deliver(a[0], a[2], a[1]); fault == nil {
+		t.Error("one packet's flits out of order: no panic")
+	}
+}
+
 // starNet wires two sources through one router to one sink to expose
 // switch-allocation constraints: both input ports compete for a single
 // output port.

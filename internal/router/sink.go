@@ -25,14 +25,18 @@ type Sink struct {
 	upstream noc.CreditReturner
 	eng      *sim.Engine
 
-	expected map[uint64]int // packet ID -> next expected seq, for ordering checks
+	// expected is the next flit sequence number each VC must deliver: a
+	// VC carries one packet's flits in order before the next packet's
+	// head, so it restarts at 0 after every tail. Indexed by VC; a VC
+	// mask is 32 bits wide.
+	expected [32]int
 	// Ejected counts completed packets.
 	Ejected uint64
 }
 
 // NewSink creates a sink for the given core.
 func NewSink(coreID int) *Sink {
-	return &Sink{CoreID: coreID, expected: make(map[uint64]int)}
+	return &Sink{CoreID: coreID}
 }
 
 // SetUpstream installs the credit-return path of the channel feeding this
@@ -46,7 +50,7 @@ func (s *Sink) SetClock(e *sim.Engine) { s.eng = e }
 
 // Reset rewinds the sink to what NewSink left; wiring and the tap stay.
 func (s *Sink) Reset() {
-	clear(s.expected)
+	s.expected = [32]int{}
 	s.Ejected = 0
 }
 
@@ -56,10 +60,10 @@ func (s *Sink) ReceiveFlit(_ int, f *noc.Flit) {
 	if p.Dst != s.CoreID {
 		panic(fmt.Sprintf("router: sink %d: misrouted packet %d (src %d dst %d)", s.CoreID, p.ID, p.Src, p.Dst))
 	}
-	if want := s.expected[p.ID]; f.Seq != want {
-		panic(fmt.Sprintf("router: sink %d: packet %d flit out of order: seq %d, want %d", s.CoreID, p.ID, f.Seq, want))
+	if want := s.expected[f.VC]; f.Seq != want {
+		panic(fmt.Sprintf("router: sink %d: packet %d flit out of order on VC %d: seq %d, want %d", s.CoreID, p.ID, f.VC, f.Seq, want))
 	}
-	s.expected[p.ID] = f.Seq + 1
+	s.expected[f.VC] = f.Seq + 1
 	if s.Tap.Wants(noc.EvArrive) {
 		s.Tap.Emit(noc.Event{Kind: noc.EvArrive, Cycle: s.eng.Cycle(), Pkt: p, Flit: f})
 	}
@@ -69,7 +73,7 @@ func (s *Sink) ReceiveFlit(_ int, f *noc.Flit) {
 	}
 	if f.IsTail() {
 		now := s.eng.Cycle()
-		delete(s.expected, p.ID)
+		s.expected[f.VC] = 0
 		p.EjectedAt = now
 		s.Ejected++
 		if s.OnPacket != nil {
