@@ -3,12 +3,13 @@
 // invariant, and the checkers here state each one. A CSV is a
 // rectangular table with at least one data row, and the energy,
 // latency-breakdown and Jain CSVs — recognized by their headers — add
-// their sum or bound; NDJSON is one object per line, with dump framing
-// when it starts with a meta record; an SVG is well-formed XML under an
-// svg root; JSON parses; a Prometheus exposition is HELP/TYPE comments
-// and `name value` samples. TestRecordInvariants applies them to a real
-// record, TestRecordCorruptionsFail proves each one bites on real
-// emitter bytes, and the TestCheck* tests pin each checker on its own.
+// their sum or bound; NDJSON is one object per line; an SVG is
+// well-formed XML under an svg root; JSON parses, and the state dump
+// decodes into flightrec.Snapshot with its cycle and reason; a
+// Prometheus exposition is HELP/TYPE comments and `name value` samples.
+// TestRecordInvariants applies them to a real record,
+// TestRecordCorruptionsFail proves each one bites on real emitter bytes,
+// and the TestCheck* tests pin each checker on its own.
 package obscheck
 
 import (
@@ -47,8 +48,11 @@ func checkFile(name string, b []byte) error {
 	case ".svg":
 		_, err = checkSVG(b)
 	case ".json":
-		if !json.Valid(b) {
+		switch {
+		case !json.Valid(b):
 			err = errors.New("invalid JSON")
+		case name == "dump.json":
+			err = checkDump(b)
 		}
 	case ".dot", ".txt":
 		// Text for people and Graphviz; the digests pin their bytes.
@@ -153,30 +157,15 @@ func checkJainCSV(recs [][]string) error {
 }
 
 // checkNDJSON validates one-JSON-object-per-line framing and returns the
-// number of records. A state dump is recognized by a first record with
-// rec=="meta", which must carry its cycle and reason; every later line
-// of a dump carries a "rec" tag.
+// number of records.
 func checkNDJSON(b []byte) (int, error) {
 	sc := bufio.NewScanner(bytes.NewReader(b))
 	sc.Buffer(nil, 1<<24)
-	n, dump := 0, false
+	n := 0
 	for sc.Scan() {
 		var v map[string]any
 		if err := json.Unmarshal(sc.Bytes(), &v); err != nil {
 			return n, fmt.Errorf("line %d: invalid JSON object: %v", n+1, err)
-		}
-		rec, tagged := v["rec"].(string)
-		switch {
-		case n == 0 && rec == "meta":
-			dump = true
-			if _, ok := v["cycle"].(float64); !ok {
-				return n, errors.New("dump meta record lacks a numeric cycle")
-			}
-			if reason, _ := v["reason"].(string); reason == "" {
-				return n, errors.New("dump meta record lacks a reason")
-			}
-		case dump && !tagged:
-			return n, fmt.Errorf("dump line %d lacks a \"rec\" tag", n+1)
 		}
 		n++
 	}
@@ -184,6 +173,29 @@ func checkNDJSON(b []byte) (int, error) {
 		return 0, errors.New("no NDJSON records")
 	}
 	return n, sc.Err()
+}
+
+// checkDump validates a state dump: one JSON document that decodes into
+// flightrec.Snapshot with no member the struct does not name, and that
+// carries its cycle and a non-empty reason.
+func checkDump(b []byte) error {
+	var members map[string]json.RawMessage
+	if err := json.Unmarshal(b, &members); err != nil {
+		return fmt.Errorf("dump is not a JSON object: %v", err)
+	}
+	if _, ok := members["cycle"]; !ok {
+		return errors.New("dump lacks a cycle")
+	}
+	var snap flightrec.Snapshot
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&snap); err != nil {
+		return fmt.Errorf("dump does not decode into flightrec.Snapshot: %v", err)
+	}
+	if snap.Reason == "" {
+		return errors.New("dump lacks a reason")
+	}
+	return nil
 }
 
 // checkSVG verifies well-formed XML under an svg root and returns the

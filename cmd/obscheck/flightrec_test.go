@@ -55,46 +55,39 @@ func TestCheckJainCSVEnforcesBound(t *testing.T) {
 	}
 }
 
-func TestCheckNDJSONAcceptsRealDump(t *testing.T) {
+func TestCheckDumpAcceptsRealDump(t *testing.T) {
 	snap := &flightrec.Snapshot{
 		Reason:     "exit",
 		Cycle:      3000,
 		Net:        "own-mini",
 		Engine:     probe.EngineIntro{Cycles: 3000},
-		Starved:    nil,
 		Frames:     []flightrec.Frame{{Cycle: 2816, Values: []float64{1}}},
 		FrameNames: []string{"m.a"},
 	}
 	var buf bytes.Buffer
-	if err := snap.WriteNDJSON(&buf); err != nil {
+	if err := snap.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	n, err := checkNDJSON(buf.Bytes())
-	if err != nil {
+	if err := checkFile("dump.json", buf.Bytes()); err != nil {
 		t.Fatal(err)
-	}
-	if n < 5 {
-		t.Fatalf("dump validated only %d records", n)
 	}
 }
 
-func TestCheckNDJSONDumpFraming(t *testing.T) {
-	// A dump line without a rec tag after the meta record is a framing
-	// violation.
-	bad := "{\"rec\":\"meta\",\"cycle\":5,\"reason\":\"exit\",\"watchdog_trips\":0}\n{\"cycle\":6}\n"
-	if _, err := checkNDJSON([]byte(bad)); err == nil {
-		t.Error("untagged dump line accepted")
+func TestCheckDumpRequiresCycleAndReason(t *testing.T) {
+	for _, tc := range []struct{ dump, want string }{
+		{`{"reason":"exit"}`, "cycle"},
+		{`{"reason":"","cycle":5}`, "reason"},
+		{`{"cycle":5}`, "reason"},
+		{`{"rec":"meta","reason":"exit","cycle":5}`, "unknown field"},
+		{`[{"reason":"exit","cycle":5}]`, "not a JSON object"},
+	} {
+		if err := checkFile("dump.json", []byte(tc.dump)); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("checkFile(dump.json, %s) = %v, want an error containing %q", tc.dump, err, tc.want)
+		}
 	}
-	// Meta records must carry a cycle and a non-empty reason.
-	if _, err := checkNDJSON([]byte("{\"rec\":\"meta\",\"reason\":\"exit\"}\n")); err == nil {
-		t.Error("meta without cycle accepted")
-	}
-	if _, err := checkNDJSON([]byte("{\"rec\":\"meta\",\"cycle\":5,\"reason\":\"\"}\n")); err == nil {
-		t.Error("meta with empty reason accepted")
-	}
-	// Plain sampler NDJSON (no meta record) stays valid: dump rules only
-	// engage on dumps.
-	if _, err := checkNDJSON([]byte("{\"cycle\":1}\n{\"cycle\":2}\n")); err != nil {
-		t.Errorf("plain NDJSON rejected: %v", err)
+	// The dump rules engage on the dump only: other JSON files need only
+	// parse.
+	if err := checkFile("trace.json", []byte(`{"reason":""}`)); err != nil {
+		t.Errorf("plain JSON rejected: %v", err)
 	}
 }

@@ -133,14 +133,16 @@ func TestRecordCorruptionsFail(t *testing.T) {
 		{"jain not a number", "fair_jain.csv", "bad jain_index", jain("bogus")},
 		{"ragged CSV", "metrics.csv", "wrong number of fields", setField(2, 1, "1,2")},
 		{"CSV without rows", "fair_tiles.csv", "no data rows", func(s string) string { return strings.SplitAfter(s, "\n")[0] }},
-		{"untagged dump line", "dump.ndjson", `"rec" tag`, func(s string) string { return s + "{\"cycle\":6}\n" }},
-		{"meta without cycle", "dump.ndjson", "cycle", func(s string) string {
+		{"dump without cycle", "dump.json", "cycle", func(s string) string {
 			return regexp.MustCompile(`"cycle":\d+,`).ReplaceAllString(s, "")
 		}},
-		{"meta without reason", "dump.ndjson", "reason", func(s string) string {
+		{"dump without reason", "dump.json", "reason", func(s string) string {
 			return strings.Replace(s, `"reason":"exit"`, `"reason":""`, 1)
 		}},
-		{"NDJSON line not an object", "breakdown.ndjson", "invalid JSON", func(s string) string { return "not json\n" + s }},
+		{"dump member Snapshot does not name", "dump.json", "unknown field", func(s string) string {
+			return strings.Replace(s, "{", `{"rec":"meta",`, 1)
+		}},
+		{"dump not JSON", "dump.json", "invalid JSON", func(s string) string { return "not json\n" + s }},
 		{"wrong SVG root", "breakdown.svg", "root", func(s string) string {
 			return strings.Replace(strings.Replace(s, "<svg", "<html", 1), "</svg>", "</html>", 1)
 		}},
@@ -241,7 +243,7 @@ func TestLiveRecordedRun(t *testing.T) {
 	if d.err != nil {
 		t.Fatal(d.err)
 	}
-	if _, err := checkNDJSON(d.body); err != nil || !bytes.HasPrefix(d.body, []byte(`{"rec":"meta","reason":"request",`)) {
+	if err := checkDump(d.body); err != nil || !bytes.HasPrefix(d.body, []byte(`{"reason":"request",`)) {
 		t.Errorf("/debug/dump requested at cycle %d: %v\n%.200s", sampled, err, d.body)
 	}
 	if prof := get(base + "/debug/pprof/heap"); prof.err != nil || len(prof.body) == 0 {

@@ -120,3 +120,23 @@ func TestHelpListsFlags(t *testing.T) {
 		t.Errorf("ownsim -h lists %d flags, want 17:\n%s", len(flags), &stderr)
 	}
 }
+
+// TestSaturatedRunPrintsNoLatency: a run past saturation prints
+// "saturated" where an unsaturated one prints its latencies, and the
+// verdict line below it.
+func TestSaturatedRunPrintsNoLatency(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if code := run(append(recordArgs, "-load", "0.02"), &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d, stderr:\n%s", code, &stderr)
+	}
+	out := stdout.String()
+	if !regexp.MustCompile(`(?m)^performance: pkts=\d+ saturated avgHops=[0-9.]+ thr=[0-9.]+ f/n/c$`).MatchString(out) ||
+		!strings.Contains(out, "no latency reported\n") {
+		t.Errorf("saturated run prints:\n%s", out)
+	}
+	for _, latency := range []string{"avgLat=", "p50=", "maxLat="} {
+		if strings.Contains(out, latency) {
+			t.Errorf("saturated run prints %q:\n%s", latency, out)
+		}
+	}
+}

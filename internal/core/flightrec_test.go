@@ -161,7 +161,7 @@ func TestFairnessArtifactsByteStableAcrossGOMAXPROCS(t *testing.T) {
 			t.Fatal(err)
 		}
 		if len(dumps) != 2 {
-			t.Fatalf("EmitDump returned %v, want ndjson+text", dumps)
+			t.Fatalf("EmitDump returned %v, want json+text", dumps)
 		}
 		arts := make(map[string][]byte)
 		for _, path := range append(files, dumps...) {

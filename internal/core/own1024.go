@@ -172,8 +172,8 @@ func BuildOWN1024(p Params) *fabric.Network {
 				PropCy:       1,
 				TokenHopCy:   swmrTokenHopCy,
 				NumVCs:       topology.NumVCs,
-				BufDepth:     topology.BufDepth,
-				TxQueueDepth: 2 * topology.BufDepth,
+				BufDepth:     p.BufDepth,
+				TxQueueDepth: 2 * p.BufDepth,
 			})
 	}
 

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
+	"ownsim/internal/check"
 	"ownsim/internal/fabric"
 	"ownsim/internal/power"
 	"ownsim/internal/traffic"
@@ -186,6 +188,50 @@ func TestOWN1024DeliversUniform(t *testing.T) {
 	}
 	if res.Power.WirelessMW <= 0 || res.Power.PhotonicMW <= 0 {
 		t.Fatalf("power breakdown: %+v", res.Power)
+	}
+}
+
+// TestOWN1024HonoursBufDepth runs OWN-1024 at per-VC buffer depths 2 and
+// 8 under the conformance checker. Every buffer, the wireless receivers'
+// included, is Params.BufDepth deep, so no flit overflows one and the
+// receivers hand out BufDepth credits per VC.
+func TestOWN1024HonoursBufDepth(t *testing.T) {
+	for _, depth := range []int{2, 8} {
+		n := BuildOWN1024(Params{Cores: 1024, BufDepth: depth})
+		ck := check.New()
+		n.InstallChecker(ck, nil)
+		res := n.Run(
+			fabric.TrafficSpec{
+				Pattern: traffic.Uniform, Rate: 0.001, Seed: 1,
+				Policy: OWN1024Policy, Classify: Classify1024,
+			},
+			fabric.RunSpec{Warmup: 500, Measure: 3000},
+		)
+		if !res.Drained {
+			t.Fatalf("depth %d: failed to drain: %v", depth, res)
+		}
+		if v := ck.Violations(); len(v) != 0 {
+			t.Errorf("depth %d: %d checker violations, first %v", depth, len(v), v[0])
+		}
+		if err := n.CheckInvariants(); err != nil {
+			t.Errorf("depth %d: %v", depth, err)
+		}
+		// A wireless receiver hands out one credit per buffer slot, so an
+		// idle one holds depth credits. The drain waits for measured
+		// packets only, so a few receivers still lend credits to later
+		// packets when the run ends.
+		most := 0
+		for _, ch := range n.Channels {
+			if ch.Kind != "wireless" {
+				continue
+			}
+			for _, credits := range ch.Introspect().RxCredits {
+				most = max(most, slices.Max(credits))
+			}
+		}
+		if most != depth {
+			t.Errorf("depth %d: wireless receivers hold at most %d credits per VC", depth, most)
+		}
 	}
 }
 

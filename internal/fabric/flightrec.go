@@ -47,25 +47,7 @@ func (n *Network) InstallFlightRecorder(fr *flightrec.FlightRecorder) {
 	dog.Channels = n.Channels
 	dog.Waits = flightrec.NewWaitTable(n.Channels)
 	dog.SnapshotFn = n.Snapshot
-	sinks, sources := n.Sinks, n.Sources
-	chans := n.Channels
-	dog.Progress = func() (ejected uint64, inFlight int) {
-		for _, s := range sinks {
-			if s != nil {
-				ejected += s.Ejected
-			}
-		}
-		inFlight = n.BufferedFlits()
-		for _, s := range sources {
-			if s != nil {
-				inFlight += s.QueueLen()
-			}
-		}
-		for _, ch := range chans {
-			inFlight += ch.Queued()
-		}
-		return ejected, inFlight
-	}
+	dog.Progress = n.Progress
 	// Registered before the probe's sampler (InstallProbe runs later),
 	// so dump requests served at a watchdog tick see the recorder ring
 	// as of the previous completed sampler window.
@@ -129,6 +111,32 @@ func (n *Network) wireFlightRec(p *probe.Probe) {
 	fr.Rec.Attach(p.Sampler())
 }
 
+// Progress reads the network's liveness counters: what the sources
+// generated, injected, dropped and still queue, what the sinks ejected,
+// and the flits buffered in routers and queued on shared channels. The
+// watchdog's stall detector and every Snapshot read this one sum.
+func (n *Network) Progress() flightrec.Progress {
+	var p flightrec.Progress
+	for _, s := range n.Sources {
+		if s != nil {
+			p.Generated += s.Generated
+			p.Injected += s.Injected
+			p.Dropped += s.Dropped
+			p.SrcQueued += s.QueueLen()
+		}
+	}
+	for _, s := range n.Sinks {
+		if s != nil {
+			p.Ejected += s.Ejected
+		}
+	}
+	p.BufferedFlits = n.BufferedFlits()
+	for _, ch := range n.Channels {
+		p.ChannelQueued += ch.Queued()
+	}
+	return p
+}
+
 // Snapshot assembles the full diagnostic state dump the watchdog and
 // the /debug/dump endpoint serve. It must run on the simulation
 // goroutine (the watchdog's Tick serves cross-goroutine requests); it
@@ -136,34 +144,19 @@ func (n *Network) wireFlightRec(p *probe.Probe) {
 func (n *Network) Snapshot(reason string) *flightrec.Snapshot {
 	cycle := n.Eng.Cycle()
 	snap := &flightrec.Snapshot{
-		Reason: reason,
-		Cycle:  cycle,
-		Net:    n.Name,
-		Cores:  n.NumCores,
-		Engine: n.EngineIntro(),
-		Pools:  n.PoolIntro(),
+		Reason:   reason,
+		Cycle:    cycle,
+		Net:      n.Name,
+		Cores:    n.NumCores,
+		Progress: n.Progress(),
+		Engine:   n.EngineIntro(),
+		Pools:    n.PoolIntro(),
 	}
-	for _, s := range n.Sources {
-		if s == nil {
-			continue
-		}
-		snap.Progress.Generated += s.Generated
-		snap.Progress.Injected += s.Injected
-		snap.Progress.Dropped += s.Dropped
-		snap.Progress.SrcQueued += s.QueueLen()
-	}
-	for _, s := range n.Sinks {
-		if s != nil {
-			snap.Progress.Ejected += s.Ejected
-		}
-	}
-	snap.Progress.BufferedFlits = n.BufferedFlits()
 	var waits *flightrec.WaitTable
 	if n.FlightRec != nil {
 		waits = n.FlightRec.Dog.Waits
 	}
 	for i, ch := range n.Channels {
-		snap.Progress.ChannelQueued += ch.Queued()
 		ci := ch.Introspect()
 		waits.Fill(i, &ci)
 		snap.Channels = append(snap.Channels, ci)
@@ -190,7 +183,6 @@ func (n *Network) Snapshot(reason string) *flightrec.Snapshot {
 			}
 		}
 	}
-	snap.Starved = flightrec.CollectStarved(cycle, n.Channels, waits)
 	if fr := n.FlightRec; fr != nil {
 		snap.Tiles = fr.Stall.Tiles()
 		snap.Trips = fr.Dog.Trips()

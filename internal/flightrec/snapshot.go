@@ -41,64 +41,14 @@ type PacketInfo struct {
 	MarkCy    uint64 `json:"phase_since_cy"`
 }
 
-// StarvedInfo names one writer currently waiting for a channel token,
-// with the token's current owner and lock holder so a starvation dump
-// answers "who is starving and who is holding the medium".
-type StarvedInfo struct {
-	Channel        string `json:"channel"`
-	Kind           string `json:"kind"`
-	Writer         int    `json:"writer"`
-	WriterID       int    `json:"writer_router"`
-	WaitingCy      uint64 `json:"waiting_cy"`
-	TokenAt        int    `json:"token_at"`
-	TokenOwnerID   int    `json:"token_router"`
-	LockedWriter   int    `json:"locked_writer"`
-	LockedWriterID int    `json:"locked_router"`
-	LockedVC       int    `json:"locked_vc"`
-	HeadPkt        uint64 `json:"head_pkt,omitempty"`
-	HeadSrc        int    `json:"head_src,omitempty"`
-	HeadDst        int    `json:"head_dst,omitempty"`
-}
-
-// CollectStarved lists every writer currently waiting for a token on
-// the given channels (network channel order) according to their wait
-// table, annotated with token and lock ownership. A nil table (no
-// flight recorder) yields nothing.
-func CollectStarved(cycle uint64, chans []*sbus.Channel, waits *WaitTable) []StarvedInfo {
-	var out []StarvedInfo
-	for i, ch := range chans {
-		ci := ch.Introspect()
-		waits.Fill(i, &ci)
-		for _, w := range ci.Writers {
-			if !w.Waiting {
-				continue
-			}
-			out = append(out, StarvedInfo{
-				Channel:        ci.Name,
-				Kind:           ci.Kind,
-				Writer:         w.Index,
-				WriterID:       w.ID,
-				WaitingCy:      cycle - w.WaitingSinceCy,
-				TokenAt:        ci.Token,
-				TokenOwnerID:   ch.WriterID(ci.Token),
-				LockedWriter:   ci.LockedWriter,
-				LockedWriterID: ch.WriterID(ci.LockedWriter),
-				LockedVC:       ci.LockedVC,
-				HeadPkt:        w.HeadPkt,
-				HeadSrc:        w.HeadSrc,
-				HeadDst:        w.HeadDst,
-			})
-		}
-	}
-	return out
-}
-
 // Snapshot is a full diagnostic state dump: liveness counters, engine
 // and pool introspection, every shared channel's arbitration state,
 // router occupancy, in-flight measured packets with their span phase,
-// starving writers with token ownership, and the flight-recorder tail.
-// All slices are index-ordered, so two snapshots of identical simulated
-// state marshal to identical bytes.
+// and the flight-recorder tail. Who waits for a token, since when, and
+// who holds it is in Channels: the channel's Token and lock, and each
+// writer's wait state from the WaitTable. All slices are index-ordered,
+// so two snapshots of identical simulated state marshal to identical
+// bytes.
 type Snapshot struct {
 	Reason      string              `json:"reason"`
 	Cycle       uint64              `json:"cycle"`
@@ -113,87 +63,26 @@ type Snapshot struct {
 	Channels    []sbus.ChannelIntro `json:"channels"`
 	Routers     []RouterInfo        `json:"routers"`
 	Packets     []PacketInfo        `json:"packets"`
-	Starved     []StarvedInfo       `json:"starved"`
 	FrameNames  []string            `json:"frame_names,omitempty"`
 	Frames      []Frame             `json:"frames,omitempty"`
 }
 
-// writeRecord tags one dump line with its record type so consumers can
-// dispatch without schema knowledge; every line carries "rec".
-func writeRecord(b *bytes.Buffer, rec string, payload any) error {
-	raw, err := json.Marshal(payload)
+// WriteJSON emits the snapshot as one JSON document, the encoding/json
+// rendering of its own fields. obscheck.TestRecordInvariants decodes it
+// back into a Snapshot. Nothing reaches w unless the whole snapshot
+// marshals (a NaN metric does not), and then in one Write.
+func (s *Snapshot) WriteJSON(w io.Writer) error {
+	b, err := json.Marshal(s)
 	if err != nil {
 		return err
 	}
-	// Splice the record tag ahead of the payload's own fields so each
-	// line stays a single flat object.
-	if len(raw) < 2 || raw[0] != '{' {
-		return fmt.Errorf("flightrec: record %q did not marshal to an object", rec)
-	}
-	fmt.Fprintf(b, "{\"rec\":%q", rec)
-	if len(raw) > 2 { // non-empty object: append its fields after a comma
-		b.WriteByte(',')
-	}
-	b.Write(raw[1:])
-	b.WriteByte('\n')
-	return nil
-}
-
-// WriteNDJSON emits the snapshot as newline-delimited JSON: a "meta"
-// record first, then one typed record per logical unit.
-// obscheck.TestRecordInvariants validates the framing. The dump is built in memory and reaches w in one
-// Write, whose error is the one returned; a record that does not marshal
-// (a NaN metric) writes nothing.
-func (s *Snapshot) WriteNDJSON(w io.Writer) error {
-	var b bytes.Buffer
-	var err error
-	record := func(rec string, payload any) {
-		if err == nil {
-			err = writeRecord(&b, rec, payload)
-		}
-	}
-	record("meta", struct {
-		Reason      string   `json:"reason"`
-		Cycle       uint64   `json:"cycle"`
-		Net         string   `json:"net,omitempty"`
-		Cores       int      `json:"cores,omitempty"`
-		Tiles       int      `json:"tiles,omitempty"`
-		Trips       uint64   `json:"watchdog_trips"`
-		TripReasons []string `json:"trip_reasons,omitempty"`
-	}{s.Reason, s.Cycle, s.Net, s.Cores, s.Tiles, s.Trips, s.TripReasons})
-	record("progress", s.Progress)
-	record("engine", s.Engine)
-	record("pools", s.Pools)
-	for i := range s.Channels {
-		record("channel", &s.Channels[i])
-	}
-	for i := range s.Routers {
-		record("router", &s.Routers[i])
-	}
-	for i := range s.Packets {
-		record("packet", &s.Packets[i])
-	}
-	for i := range s.Starved {
-		record("starved", &s.Starved[i])
-	}
-	if len(s.FrameNames) > 0 {
-		record("frame_names", struct {
-			Names []string `json:"names"`
-		}{s.FrameNames})
-	}
-	for i := range s.Frames {
-		record("frame", &s.Frames[i])
-	}
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(b.Bytes())
+	_, err = w.Write(append(b, '\n'))
 	return err
 }
 
 // WriteText emits a human-readable rendering of the snapshot. Routers
 // and frames print only when occupied/nonzero so a wedge dump leads
-// with the interesting state. Like WriteNDJSON it reaches w in one Write.
+// with the interesting state. Like WriteJSON it reaches w in one Write.
 func (s *Snapshot) WriteText(w io.Writer) error {
 	var b bytes.Buffer
 	pr := func(format string, args ...any) { fmt.Fprintf(&b, format, args...) }
@@ -251,14 +140,25 @@ func (s *Snapshot) WriteText(w io.Writer) error {
 		pr("  pkt %d %d->%d age=%d phase=%s since=%d\n",
 			p.ID, p.Src, p.Dst, p.AgeCy, p.Phase, p.MarkCy)
 	}
-	pr("starved writers: %d\n", len(s.Starved))
-	for i := range s.Starved {
-		st := &s.Starved[i]
-		pr("  %s %s writer %d (router %d) waiting %d cy; token at writer %d (router %d), lock w=%d (router %d) vc=%d head=%d(%d->%d)\n",
-			st.Kind, st.Channel, st.Writer, st.WriterID, st.WaitingCy,
-			st.TokenAt, st.TokenOwnerID, st.LockedWriter, st.LockedWriterID, st.LockedVC,
-			st.HeadPkt, st.HeadSrc, st.HeadDst)
+	// Starved writers are the channel writers that wait for the token,
+	// with the token's and the lock's owners read off the same record.
+	var starved bytes.Buffer
+	nstarved := 0
+	for i := range s.Channels {
+		c := &s.Channels[i]
+		for _, wr := range c.Writers {
+			if !wr.Waiting {
+				continue
+			}
+			nstarved++
+			fmt.Fprintf(&starved, "  %s %s writer %d (router %d) waiting %d cy; token at writer %d (router %d), lock w=%d (router %d) vc=%d head=%d(%d->%d)\n",
+				c.Kind, c.Name, wr.Index, wr.ID, s.Cycle-wr.WaitingSinceCy,
+				c.Token, writerRouter(c, c.Token), c.LockedWriter, writerRouter(c, c.LockedWriter), c.LockedVC,
+				wr.HeadPkt, wr.HeadSrc, wr.HeadDst)
+		}
 	}
+	pr("starved writers: %d\n", nstarved)
+	b.Write(starved.Bytes())
 	if len(s.Frames) > 0 {
 		pr("flight recorder tail: %d frames x %d metrics\n", len(s.Frames), len(s.FrameNames))
 		for i := range s.Frames {
@@ -279,4 +179,13 @@ func (s *Snapshot) WriteText(w io.Writer) error {
 	}
 	_, err := w.Write(b.Bytes())
 	return err
+}
+
+// writerRouter is the router ID of writer wi of channel c, or -1 when
+// wi names no writer (an unlocked channel's LockedWriter).
+func writerRouter(c *sbus.ChannelIntro, wi int) int {
+	if wi < 0 || wi >= len(c.Writers) {
+		return -1
+	}
+	return c.Writers[wi].ID
 }

@@ -1,12 +1,14 @@
 package flightrec
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
+	"math"
+	"reflect"
 	"strings"
 	"testing"
 
+	"ownsim/internal/noc"
 	"ownsim/internal/probe"
 	"ownsim/internal/sbus"
 )
@@ -22,74 +24,70 @@ func testSnapshot() *Snapshot {
 		TripReasons: []string{"token starvation on photonic \"bus0\""},
 		Progress:    Progress{Generated: 10, Injected: 9, Ejected: 7, BufferedFlits: 3},
 		Engine:      probe.EngineIntro{Cycles: 4096},
-		Channels: []sbus.ChannelIntro{
-			{Name: "bus0", Kind: "photonic", LockedWriter: -1},
-		},
+		Channels: []sbus.ChannelIntro{{
+			Name: "bus0", Kind: "photonic", LockedWriter: -1,
+			Writers: []sbus.WriterIntro{
+				{Index: 0, ID: 10},
+				{Index: 1, ID: 11, Queued: 2, Waiting: true, WaitingSinceCy: 3896, HeadPkt: 42, HeadSrc: 1, HeadDst: 6},
+			},
+		}},
 		Routers:    []RouterInfo{{ID: 0, Buffered: 2, BufHighWater: 5}},
 		Packets:    []PacketInfo{{ID: 42, Src: 1, Dst: 6, CreatedAt: 4000, AgeCy: 96, Phase: "token_wait"}},
-		Starved:    []StarvedInfo{{Channel: "bus0", Kind: "photonic", Writer: 1, WriterID: 11, WaitingCy: 200, TokenOwnerID: 10}},
 		FrameNames: []string{"m.a", "m.b"},
 		Frames:     []Frame{{Cycle: 3840, Values: []float64{1, 0}}, {Cycle: 4096, Values: []float64{2, 0.5}}},
 	}
 }
 
-// TestSnapshotNDJSONFraming checks the dump contract
-// obscheck.TestRecordInvariants relies on: every line is a flat JSON object tagged with "rec", and
-// the first record is "meta" carrying the cycle and reason.
-func TestSnapshotNDJSONFraming(t *testing.T) {
+// TestSnapshotJSONRoundTrip checks the dump contract
+// obscheck.TestRecordInvariants relies on: the document is the snapshot's
+// own JSON, so it decodes back into an equal Snapshot, and it carries the
+// cycle and reason as top-level members.
+func TestSnapshotJSONRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	if err := testSnapshot().WriteNDJSON(&buf); err != nil {
+	want := testSnapshot()
+	if err := want.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	counts := map[string]int{}
-	first := true
-	sc := bufio.NewScanner(bytes.NewReader(buf.Bytes()))
-	for sc.Scan() {
-		var v map[string]any
-		if err := json.Unmarshal(sc.Bytes(), &v); err != nil {
-			t.Fatalf("invalid NDJSON line %q: %v", sc.Text(), err)
-		}
-		rec, ok := v["rec"].(string)
-		if !ok {
-			t.Fatalf("line missing rec tag: %q", sc.Text())
-		}
-		if first {
-			first = false
-			if rec != "meta" {
-				t.Fatalf("first record is %q, want meta", rec)
-			}
-			if v["cycle"].(float64) != 4096 || v["reason"].(string) != "test" {
-				t.Fatalf("meta record %v missing cycle/reason", v)
-			}
-		}
-		counts[rec]++
+	var got Snapshot
+	dec := json.NewDecoder(bytes.NewReader(buf.Bytes()))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&got); err != nil {
+		t.Fatalf("dump does not decode into a Snapshot: %v\n%s", err, buf.Bytes())
 	}
-	if err := sc.Err(); err != nil {
+	if !reflect.DeepEqual(&got, want) {
+		t.Fatalf("round trip:\n got %+v\nwant %+v", &got, want)
+	}
+	var members map[string]json.RawMessage
+	if err := json.Unmarshal(buf.Bytes(), &members); err != nil {
 		t.Fatal(err)
 	}
-	want := map[string]int{
-		"meta": 1, "progress": 1, "engine": 1, "pools": 1,
-		"channel": 1, "router": 1, "packet": 1, "starved": 1,
-		"frame_names": 1, "frame": 2,
-	}
-	for rec, n := range want {
-		if counts[rec] != n {
-			t.Errorf("%d %q records, want %d", counts[rec], rec, n)
-		}
+	if string(members["cycle"]) != "4096" || string(members["reason"]) != `"test"` {
+		t.Fatalf("top-level cycle/reason = %s/%s", members["cycle"], members["reason"])
 	}
 }
 
-func TestSnapshotNDJSONDeterministic(t *testing.T) {
+func TestSnapshotJSONDeterministic(t *testing.T) {
 	var a, b bytes.Buffer
 	s := testSnapshot()
-	if err := s.WriteNDJSON(&a); err != nil {
+	if err := s.WriteJSON(&a); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.WriteNDJSON(&b); err != nil {
+	if err := s.WriteJSON(&b); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
 		t.Fatal("two renders of the same snapshot differ")
+	}
+}
+
+// TestSnapshotJSONRejectsNaN: a metric that does not marshal fails the
+// dump and writes nothing.
+func TestSnapshotJSONRejectsNaN(t *testing.T) {
+	s := testSnapshot()
+	s.Frames[0].Values[0] = math.NaN()
+	var buf bytes.Buffer
+	if err := s.WriteJSON(&buf); err == nil || buf.Len() != 0 {
+		t.Fatalf("NaN frame: err %v, %d bytes written", err, buf.Len())
 	}
 }
 
@@ -106,7 +104,7 @@ func TestSnapshotWriteText(t *testing.T) {
 		"trip: token starvation",
 		"photonic.bus0",
 		"starved writers: 1",
-		"writer 1 (router 11) waiting 200 cy",
+		"  photonic bus0 writer 1 (router 11) waiting 200 cy; token at writer 0 (router 10), lock w=-1 (router -1) vc=0 head=42(1->6)\n",
 		"flight recorder tail: 2 frames x 2 metrics",
 		"m.a=1",
 	} {
@@ -120,24 +118,19 @@ func TestSnapshotWriteText(t *testing.T) {
 	}
 }
 
-func TestWriteRecordRejectsNonObject(t *testing.T) {
+// TestSnapshotWithoutWaitTableListsNoStarved: a channel no wait table
+// tracks has no waiting writer, so a dump lists no starved writer even
+// with flits queued behind the token.
+func TestSnapshotWithoutWaitTableListsNoStarved(t *testing.T) {
+	ch := sbus.NewChannel("bus0", 1, 0, 1)
+	w := ch.AddWriter(chanSrc{}, 0, 1, 4)
+	sendFlits(w, &noc.Packet{ID: 1, NumFlits: 2}, 2)
+	snap := &Snapshot{Reason: "test", Cycle: 100, Channels: []sbus.ChannelIntro{ch.Introspect()}}
 	var buf bytes.Buffer
-	if err := writeRecord(&buf, "bad", []int{1, 2}); err == nil {
-		t.Fatal("non-object payload must be rejected")
-	}
-	if err := writeRecord(&buf, "empty", struct{}{}); err != nil {
+	if err := snap.WriteText(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if got := buf.String(); got != "{\"rec\":\"empty\"}\n" {
-		t.Fatalf("empty payload rendered %q", got)
-	}
-}
-
-func TestCollectStarvedSkipsUntrackedChannels(t *testing.T) {
-	ch := sbus.NewChannel("bus0", 1, 0, 1)
-	ch.AddWriter(chanSrc{}, 0, 1, 4)
-	// No WaitTable subscribed: nobody is known to wait.
-	if got := CollectStarved(100, []*sbus.Channel{ch}, nil); len(got) != 0 {
-		t.Fatalf("untracked channel produced starved entries: %+v", got)
+	if !strings.Contains(buf.String(), "starved writers: 0\n") {
+		t.Fatalf("untracked channel produced starved entries:\n%s", buf.String())
 	}
 }

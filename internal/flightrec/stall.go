@@ -109,14 +109,6 @@ func (st *StallTracker) Tiles() int {
 	return st.tiles
 }
 
-// NumChannels returns the registered channel count.
-func (st *StallTracker) NumChannels() int {
-	if st == nil {
-		return 0
-	}
-	return len(st.chans)
-}
-
 // KindTotals sums acquisitions, wait cycles and the per-tile max over
 // all tiles for one medium kind.
 func (st *StallTracker) KindTotals(k int) (count, sum, max uint64) {

@@ -52,12 +52,12 @@ type Watchdog struct {
 	budget uint64
 
 	// SnapshotFn builds a full state snapshot; OnTrip consumes trip
-	// dumps; Progress reports (ejected packets, flits in flight);
+	// dumps; Progress reads the liveness counters a snapshot carries;
 	// Channels are the shared media to scan and Waits their per-writer
 	// token-wait state, index-aligned. fabric's installer wires all five.
 	SnapshotFn func(reason string) *Snapshot
 	OnTrip     func(reason string, snap *Snapshot)
-	Progress   func() (ejected uint64, inFlight int)
+	Progress   func() Progress
 	Channels   []*sbus.Channel
 	Waits      *WaitTable
 
@@ -104,9 +104,10 @@ func (w *Watchdog) Tick(cycle uint64) {
 // check runs both detectors at a window boundary.
 func (w *Watchdog) check(cycle uint64) {
 	if w.Progress != nil {
-		ejected, inFlight := w.Progress()
+		p := w.Progress()
+		inFlight := p.BufferedFlits + p.SrcQueued + p.ChannelQueued
 		switch {
-		case inFlight == 0 || ejected != w.lastEjected:
+		case inFlight == 0 || p.Ejected != w.lastEjected:
 			w.lastProgress = cycle
 		case cycle-w.lastProgress > w.budget:
 			w.trip(fmt.Sprintf(
@@ -114,7 +115,7 @@ func (w *Watchdog) check(cycle uint64) {
 				cycle-w.lastProgress, w.budget, inFlight, cycle))
 			w.lastProgress = cycle // re-arm
 		}
-		w.lastEjected = ejected
+		w.lastEjected = p.Ejected
 	}
 	for i, ch := range w.Channels {
 		wi, since := w.Waits.OldestWaiter(i)
@@ -167,12 +168,12 @@ func (w *Watchdog) renderReply(format, reason string) dumpReply {
 	var buf bytes.Buffer
 	var err error
 	switch format {
-	case "", "ndjson":
-		err = snap.WriteNDJSON(&buf)
+	case "", "json":
+		err = snap.WriteJSON(&buf)
 	case "text":
 		err = snap.WriteText(&buf)
 	default:
-		return dumpReply{err: fmt.Errorf("flightrec: unknown dump format %q (want ndjson or text)", format)}
+		return dumpReply{err: fmt.Errorf("flightrec: unknown dump format %q (want json or text)", format)}
 	}
 	if err != nil {
 		return dumpReply{err: err}

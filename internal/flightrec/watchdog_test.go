@@ -1,6 +1,9 @@
 package flightrec
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -35,7 +38,7 @@ func sendFlits(w *sbus.Writer, p *noc.Packet, upto int) []*noc.Flit {
 func TestWatchdogStallDetectorTrips(t *testing.T) {
 	var snaps []string
 	dog := NewWatchdog(Window)
-	dog.Progress = func() (uint64, int) { return 0, 3 } // flits stuck, no ejections ever
+	dog.Progress = func() Progress { return Progress{BufferedFlits: 3} } // flits stuck, no ejections ever
 	dog.SnapshotFn = func(reason string) *Snapshot { return &Snapshot{Reason: reason} }
 	dog.OnTrip = func(reason string, snap *Snapshot) { snaps = append(snaps, snap.Reason) }
 
@@ -60,9 +63,9 @@ func TestWatchdogStallDetectorTrips(t *testing.T) {
 func TestWatchdogStallDetectorResetsOnProgress(t *testing.T) {
 	var ejected uint64
 	dog := NewWatchdog(Window)
-	dog.Progress = func() (uint64, int) {
+	dog.Progress = func() Progress {
 		ejected++ // progress every window: never trips
-		return ejected, 3
+		return Progress{Ejected: ejected, SrcQueued: 1, BufferedFlits: 1, ChannelQueued: 1}
 	}
 	for cy := uint64(0); cy <= 16*Window; cy++ {
 		dog.Tick(cy)
@@ -76,7 +79,7 @@ func TestWatchdogStallDetectorResetsOnProgress(t *testing.T) {
 // starved fixture: writer 0 wedges the channel mid-packet (its tail
 // never arrives), writer 1 queues a packet and waits forever. The
 // watchdog must trip with a reason naming the starved writer's router
-// and the token owner, and the dump's starved table must carry the
+// and the token owner, and the dump's channel record must carry the
 // same attribution.
 func TestWatchdogStarvationNamesWriterAndTokenOwner(t *testing.T) {
 	eng := sim.NewEngine()
@@ -94,11 +97,9 @@ func TestWatchdogStarvationNamesWriterAndTokenOwner(t *testing.T) {
 	dog.Channels = []*sbus.Channel{ch}
 	dog.Waits = NewWaitTable(dog.Channels)
 	dog.SnapshotFn = func(reason string) *Snapshot {
-		return &Snapshot{
-			Reason:  reason,
-			Cycle:   eng.Cycle(),
-			Starved: CollectStarved(eng.Cycle(), dog.Channels, dog.Waits),
-		}
+		ci := ch.Introspect()
+		dog.Waits.Fill(0, &ci)
+		return &Snapshot{Reason: reason, Cycle: eng.Cycle(), Channels: []sbus.ChannelIntro{ci}}
 	}
 	var tripped *Snapshot
 	dog.OnTrip = func(reason string, snap *Snapshot) { tripped = snap }
@@ -128,24 +129,40 @@ func TestWatchdogStarvationNamesWriterAndTokenOwner(t *testing.T) {
 	if tripped == nil {
 		t.Fatal("no trip dump emitted")
 	}
-	if len(tripped.Starved) != 1 {
-		t.Fatalf("dump lists %d starved writers, want 1: %+v", len(tripped.Starved), tripped.Starved)
+	c := tripped.Channels[0]
+	var waiting []sbus.WriterIntro
+	for _, wr := range c.Writers {
+		if wr.Waiting {
+			waiting = append(waiting, wr)
+		}
 	}
-	st := tripped.Starved[0]
-	if st.Writer != 1 || st.WriterID != 11 {
-		t.Errorf("starved writer = %d (router %d), want 1 (router 11)", st.Writer, st.WriterID)
+	if len(waiting) != 1 {
+		t.Fatalf("dump lists %d waiting writers, want 1: %+v", len(waiting), c.Writers)
 	}
-	if st.TokenAt != 0 || st.TokenOwnerID != 10 {
-		t.Errorf("token at writer %d (router %d), want 0 (router 10)", st.TokenAt, st.TokenOwnerID)
+	st := waiting[0]
+	if st.Index != 1 || st.ID != 11 {
+		t.Errorf("starved writer = %d (router %d), want 1 (router 11)", st.Index, st.ID)
 	}
-	if st.LockedWriter != 0 || st.LockedWriterID != 10 {
-		t.Errorf("lock at writer %d (router %d), want 0 (router 10)", st.LockedWriter, st.LockedWriterID)
+	if c.Token != 0 || c.Writers[c.Token].ID != 10 {
+		t.Errorf("token at writer %d (router %d), want 0 (router 10)", c.Token, c.Writers[c.Token].ID)
 	}
-	if st.WaitingCy <= dog.Budget() {
-		t.Errorf("starved wait %d cy, want > budget %d", st.WaitingCy, dog.Budget())
+	if c.LockedWriter != 0 || c.Writers[c.LockedWriter].ID != 10 {
+		t.Errorf("lock at writer %d (router %d), want 0 (router 10)", c.LockedWriter, c.Writers[c.LockedWriter].ID)
+	}
+	if wait := tripped.Cycle - st.WaitingSinceCy; wait <= dog.Budget() {
+		t.Errorf("starved wait %d cy, want > budget %d", wait, dog.Budget())
 	}
 	if st.HeadPkt != 2 {
 		t.Errorf("starved head packet %d, want 2", st.HeadPkt)
+	}
+	var text bytes.Buffer
+	if err := tripped.WriteText(&text); err != nil {
+		t.Fatal(err)
+	}
+	line := fmt.Sprintf("starved writers: 1\n  photonic bus0 writer 1 (router 11) waiting %d cy; token at writer 0 (router 10), lock w=0 (router 10) vc=0 head=2(0->0)\n",
+		tripped.Cycle-st.WaitingSinceCy)
+	if !strings.Contains(text.String(), line) {
+		t.Errorf("text dump lacks %q:\n%s", line, text.String())
 	}
 }
 
@@ -172,8 +189,9 @@ func TestWatchdogRequestDumpBridgesToTick(t *testing.T) {
 			if r.err != nil {
 				t.Fatal(r.err)
 			}
-			if !strings.Contains(string(r.data), `"rec":"meta"`) {
-				t.Fatalf("dump missing meta record: %s", r.data)
+			var snap Snapshot
+			if err := json.Unmarshal(r.data, &snap); err != nil || snap.Reason != "request" || snap.Cycle != 42 {
+				t.Fatalf("dump does not decode to the requested snapshot (%v): %s", err, r.data)
 			}
 			return
 		case <-deadline:

@@ -157,7 +157,6 @@ func EmitHeatmaps(n *fabric.Network, dir string, man *probe.Manifest) ([]string,
 //
 //	breakdown.csv    — per-phase cycle totals with the sum-identity total
 //	    row (obscheck.TestRecordInvariants verifies the identity);
-//	breakdown.ndjson — the same breakdown as one JSON object per phase;
 //	breakdown.svg    — a stacked-bar figure of the phase shares.
 //
 // It requires a probe with span decomposition enabled (Options.Spans).
@@ -179,7 +178,6 @@ func EmitLatencyBreakdown(n *fabric.Network, dir string, man *probe.Manifest) ([
 	}
 	return writeFiles(dir, man,
 		file{"latency_breakdown", "breakdown.csv", sp.WriteCSV},
-		file{"latency_breakdown_ndjson", "breakdown.ndjson", sp.WriteNDJSON},
 		file{"latency_breakdown_svg", "breakdown.svg", svg(bar)})
 }
 
@@ -211,7 +209,7 @@ func EmitFairness(n *fabric.Network, dir string, man *probe.Manifest) ([]string,
 		file{"token_fairness_heatmap", "fair_heatmap.svg", svg(hm)})
 }
 
-// EmitDump writes the end-of-run state dump into dir (dump.ndjson plus
+// EmitDump writes the end-of-run state dump into dir (dump.json plus
 // the human-readable dump.txt) and returns the files written. It
 // requires an installed flight recorder.
 func EmitDump(n *fabric.Network, dir string, man *probe.Manifest) ([]string, error) {
@@ -220,6 +218,6 @@ func EmitDump(n *fabric.Network, dir string, man *probe.Manifest) ([]string, err
 	}
 	snap := n.Snapshot("exit")
 	return writeFiles(dir, man,
-		file{"state_dump", "dump.ndjson", snap.WriteNDJSON},
+		file{"state_dump", "dump.json", snap.WriteJSON},
 		file{"state_dump_text", "dump.txt", snap.WriteText})
 }

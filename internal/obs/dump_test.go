@@ -21,7 +21,7 @@ func TestDebugDumpEndpoint(t *testing.T) {
 		if format == "text" {
 			return []byte("=== flight recorder dump ==="), nil
 		}
-		return []byte("{\"rec\":\"meta\",\"cycle\":1}\n"), nil
+		return []byte("{\"reason\":\"request\",\"cycle\":1}\n"), nil
 	})
 	addr, err := s.Start("127.0.0.1:0")
 	if err != nil {
@@ -35,10 +35,10 @@ func TestDebugDumpEndpoint(t *testing.T) {
 	}
 	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
-		t.Errorf("default dump Content-Type = %q, want application/x-ndjson", ct)
+	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+		t.Errorf("default dump Content-Type = %q, want application/json", ct)
 	}
-	if !strings.Contains(string(body), "\"rec\":\"meta\"") {
+	if !strings.Contains(string(body), "\"reason\":\"request\"") {
 		t.Errorf("dump body = %q", body)
 	}
 

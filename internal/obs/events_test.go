@@ -187,7 +187,7 @@ func TestEmitLatencyBreakdownRequiresSpans(t *testing.T) {
 }
 
 // TestEmitLatencyBreakdownArtifacts runs the ring with span attribution
-// on and checks the emission path end to end: three files, recorded in
+// on and checks the emission path end to end: two files, recorded in
 // the manifest under their logical names, with the identity holding.
 func TestEmitLatencyBreakdownArtifacts(t *testing.T) {
 	n := obsRing(4, power.NewMeter(nil))
@@ -211,13 +211,12 @@ func TestEmitLatencyBreakdownArtifacts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(files) != 3 {
-		t.Fatalf("files = %v, want CSV+NDJSON+SVG", files)
+	if len(files) != 2 {
+		t.Fatalf("files = %v, want CSV+SVG", files)
 	}
 	wantNames := map[string]bool{
-		"latency_breakdown":        false,
-		"latency_breakdown_ndjson": false,
-		"latency_breakdown_svg":    false,
+		"latency_breakdown":     false,
+		"latency_breakdown_svg": false,
 	}
 	for _, a := range man.Artifacts {
 		if _, ok := wantNames[a.Name]; ok {

@@ -94,7 +94,7 @@ func runObsRing(t *testing.T, live bool) (fabric.Result, *fabric.Network) {
 	)
 	s.Finish()
 	if live {
-		get(strings.TrimSuffix(url, "/metrics")+"/debug/dump", `"rec":"meta"`)
+		get(strings.TrimSuffix(url, "/metrics")+"/debug/dump", `{"reason":"request",`)
 	}
 	return res, n
 }

@@ -144,7 +144,7 @@ func (s *Server) MarkDone() {
 // SetDumpProvider mounts a /debug/dump endpoint serving full state
 // dumps from the given provider. Call before Start. The provider is
 // invoked once per request with the ?format= query value ("" means
-// ndjson); it must be safe to call from HTTP goroutines — the flight
+// json); it must be safe to call from HTTP goroutines — the flight
 // recorder's watchdog satisfies this by bridging requests onto the
 // simulation goroutine.
 func (s *Server) SetDumpProvider(fn func(format string) ([]byte, error)) { s.dumpFn = fn }
@@ -190,14 +190,6 @@ func (s *Server) Start(addr string) (string, error) {
 		}
 	}()
 	return ln.Addr().String(), nil
-}
-
-// Addr returns the bound address, or "" before Start.
-func (s *Server) Addr() string {
-	if s.ln == nil {
-		return ""
-	}
-	return s.ln.Addr().String()
 }
 
 // Close stops the listener and all in-flight handlers; it reports any
@@ -260,8 +252,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 }
 
 // handleDump serves a full simulation state dump. The default (and
-// "?format=ndjson") rendering is newline-delimited JSON; "?format=text"
-// is the human-readable variant. While the simulation runs the dump is
+// "?format=json") rendering is the snapshot's JSON; "?format=text" is
+// the human-readable variant. While the simulation runs the dump is
 // rendered on the simulation goroutine at the next engine tick, so the
 // bytes reflect one consistent cycle.
 func (s *Server) handleDump(w http.ResponseWriter, r *http.Request) {
@@ -274,7 +266,7 @@ func (s *Server) handleDump(w http.ResponseWriter, r *http.Request) {
 	if format == "text" {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	} else {
-		w.Header().Set("Content-Type", "application/x-ndjson")
+		w.Header().Set("Content-Type", "application/json")
 	}
 	if _, err := w.Write(data); err != nil {
 		s.noteWriteErr()

@@ -151,7 +151,7 @@ func TestSweepRerunMatchesOwnsimRun(t *testing.T) {
 // recordFiles is the record README documents: every file -out writes, in
 // name order.
 var recordFiles = []string{
-	"breakdown.csv", "breakdown.ndjson", "breakdown.svg", "dump.ndjson", "dump.txt", "energy.csv",
+	"breakdown.csv", "breakdown.svg", "dump.json", "dump.txt", "energy.csv",
 	"fair_heatmap.svg", "fair_jain.csv", "fair_tiles.csv",
 	"heat_congestion.csv", "heat_congestion.svg", "heat_energy.csv", "heat_energy.svg",
 	"manifest.json", "metrics.csv", "topology.dot", "trace.json",
@@ -178,7 +178,7 @@ func TestArtifactGroupFiles(t *testing.T) {
 	want := []string{
 		"metrics", "trace", "energy",
 		"congestion_heatmap", "congestion_heatmap_svg", "energy_heatmap", "energy_heatmap_svg",
-		"latency_breakdown", "latency_breakdown_ndjson", "latency_breakdown_svg",
+		"latency_breakdown", "latency_breakdown_svg",
 		"token_fairness_tiles", "token_fairness_jain", "token_fairness_heatmap",
 		"state_dump", "state_dump_text",
 	}

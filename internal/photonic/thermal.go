@@ -13,7 +13,11 @@ import (
 // temperature gradients. Its evaluation nevertheless folds this power
 // into the per-bit figure (OptXB is reported as the least-power network
 // despite ~half a million rings). This model quantifies what that
-// omission hides, feeding the ring-tuning ablation benchmark.
+// omission hides: heater power per ring from resonance-shift physics
+// (about 180 uW per ring with DefaultThermalModel), and per chip from a
+// ring Inventory. The ring-tuning ablation benchmark
+// (BenchmarkAblationRingTuning) does not call it; it charges the flat
+// power.Params.PRingTuneUW of 20 uW per ring.
 
 // ThermalModel captures ring-resonator tuning physics.
 type ThermalModel struct {

@@ -7,11 +7,12 @@
 // Everything in this package obeys the repository's determinism contract
 // (see DESIGN.md §9/§10): no wall clock, no global RNG, no map-order
 // iteration. All timestamps are simulated cycles, all iteration follows
-// registration order, and every exported artifact (metrics CSV/NDJSON,
-// Chrome-JSON trace, manifest JSON) is byte-identical across
-// repeated runs of the same configuration and seed, regardless of
-// GOMAXPROCS. Tests assert this, and tests also assert the layer is
-// inert: enabling probes must not change any stats.Summary.
+// registration order, and every exported artifact (metrics CSV,
+// latency-breakdown CSV, Chrome-JSON trace, manifest JSON) is
+// byte-identical across repeated runs of the same configuration and
+// seed, regardless of GOMAXPROCS. Tests assert this, and tests also
+// assert the layer is inert: enabling probes must not change any
+// stats.Summary.
 //
 // The hot-path contract is the disabled fast path: components keep their
 // own counts in plain integers (the registry only holds functions that

@@ -12,7 +12,8 @@ import (
 // implements sim.Ticker and is registered in the engine's Collect phase
 // by fabric.Network.InstallProbe, so samples observe a consistent
 // end-of-cycle view. Rows accumulate in memory (a 15k-cycle run sampled
-// every 256 cycles is ~60 rows) and are exported as CSV or NDJSON.
+// every 256 cycles is ~60 rows) and are exported as CSV; WriteNDJSON is
+// the reference rendering of the live /events stream.
 type Sampler struct {
 	reg    *Registry
 	every  uint64

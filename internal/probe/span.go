@@ -401,23 +401,3 @@ func (s *SpanTracker) WriteCSV(w io.Writer) error {
 	_, err := w.Write(b.Bytes())
 	return err
 }
-
-// WriteNDJSON writes one JSON object per phase in enum order, then a
-// total record carrying the packet count and mismatch counter.
-func (s *SpanTracker) WriteNDJSON(w io.Writer) error {
-	var b bytes.Buffer
-	latency := s.LatencyCycles()
-	for ph := SpanPhase(0); ph < NumSpanPhases; ph++ {
-		cy := s.PhaseCycles(ph)
-		share := 0.0
-		if latency > 0 {
-			share = float64(cy) / float64(latency)
-		}
-		fmt.Fprintf(&b, "{\"phase\":%q,\"cycles\":%d,\"share\":%s}\n",
-			ph.String(), cy, strconv.FormatFloat(share, 'f', -1, 64))
-	}
-	fmt.Fprintf(&b, "{\"phase\":\"total\",\"cycles\":%d,\"packets\":%d,\"mismatches\":%d}\n",
-		latency, s.Packets(), s.Mismatches())
-	_, err := w.Write(b.Bytes())
-	return err
-}

@@ -165,7 +165,7 @@ func TestWirelessSpanPhaseMapping(t *testing.T) {
 	}
 }
 
-func TestSpanCSVAndNDJSON(t *testing.T) {
+func TestSpanCSV(t *testing.T) {
 	s := newSpanTracker()
 	walkPacket(s, 4)
 
@@ -186,16 +186,8 @@ func TestSpanCSVAndNDJSON(t *testing.T) {
 		t.Fatalf("total row = %q, want total with 30 cycles", lines[len(lines)-1])
 	}
 
-	var ndjb strings.Builder
-	if err := s.WriteNDJSON(&ndjb); err != nil {
-		t.Fatal(err)
-	}
-	nd := strings.Split(strings.TrimRight(ndjb.String(), "\n"), "\n")
-	if want := int(NumSpanPhases) + 1; len(nd) != want {
-		t.Fatalf("NDJSON has %d lines, want %d", len(nd), want)
-	}
-	if !strings.Contains(nd[len(nd)-1], "\"mismatches\":0") {
-		t.Fatalf("NDJSON total record = %q, want mismatches:0", nd[len(nd)-1])
+	if lastFields[1] != "1" || s.Mismatches() != 0 {
+		t.Fatalf("total row = %q with %d mismatches, want 1 packet and none", lines[len(lines)-1], s.Mismatches())
 	}
 
 	// Determinism: a second render is byte-identical.

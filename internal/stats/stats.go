@@ -221,11 +221,16 @@ type Summary struct {
 // network fills rather than what it can carry.
 func (s Summary) Saturated() bool { return s.Throughput < 0.92*s.Offered }
 
-// String renders the summary as a single line.
+// String renders the summary as a single line. A saturated run prints
+// "saturated" in place of its latencies: they measure how long the
+// window's packets queued, not what the network delivers.
 func (s Summary) String() string {
-	if s.Packets == 0 {
+	switch {
+	case s.Packets == 0:
 		// Nothing measured ejected: there is no latency or hop count to print.
 		return fmt.Sprintf("pkts=0 avgLat=n/a p50=n/a p95=n/a p99=n/a (p99<=n/a) maxLat=n/a avgHops=n/a thr=%.4f f/n/c", s.Throughput)
+	case s.Saturated():
+		return fmt.Sprintf("pkts=%d saturated avgHops=%.2f thr=%.4f f/n/c", s.Packets, s.AvgHops, s.Throughput)
 	}
 	line := fmt.Sprintf("pkts=%d avgLat=%.1f p50=%d p95=%d p99=%d (p99<=%d) maxLat=%d avgHops=%.2f thr=%.4f f/n/c",
 		s.Packets, s.AvgLatency, s.P50Latency, s.P95Latency, s.P99Exact, s.P99Latency,

@@ -116,6 +116,8 @@ func TestSummaryString(t *testing.T) {
 			"pkts=0 avgLat=n/a p50=n/a p95=n/a p99=n/a (p99<=n/a) maxLat=n/a avgHops=n/a thr=0.0125 f/n/c"},
 		{"one packet", one.Summary(),
 			"pkts=1 avgLat=50.0 p50=50 p95=50 p99=50 (p99<=50) maxLat=50 avgHops=3.00 thr=0.0125 f/n/c"},
+		{"saturated", Summary{Packets: 7, AvgLatency: 1593.8, P50Latency: 1148, MaxLatency: 4000, AvgHops: 3.5, Throughput: 0.0100, Offered: 0.0125},
+			"pkts=7 saturated avgHops=3.50 thr=0.0100 f/n/c"},
 	} {
 		if got := tc.s.String(); got != tc.want {
 			t.Errorf("%s:\n got  %q\n want %q", tc.name, got, tc.want)

@@ -114,18 +114,6 @@ func Dest(p Pattern, src, n int, rng *sim.RNG) int {
 	panic(fmt.Sprintf("traffic: unknown pattern %d", int(p)))
 }
 
-// SelfTargets reports whether pattern p maps some sources to themselves
-// (e.g. bit-reversal palindromes). Sources drop such packets at
-// generation; the paper's permutation patterns implicitly do the same.
-func SelfTargets(p Pattern, src, n int) bool {
-	switch p {
-	case BitReversal, Transpose, Shuffle, Neighbor:
-		return Dest(p, src, n, nil) == src
-	default:
-		return false
-	}
-}
-
 func isqrt(n int) int {
 	r := 0
 	for (r+1)*(r+1) <= n {

@@ -110,18 +110,6 @@ func TestHotspotBias(t *testing.T) {
 	}
 }
 
-func TestSelfTargets(t *testing.T) {
-	if !SelfTargets(Transpose, 17, 256) {
-		t.Fatal("transpose diagonal should self-target")
-	}
-	if SelfTargets(Transpose, 18, 256) {
-		t.Fatal("off-diagonal should not self-target")
-	}
-	if SelfTargets(Uniform, 5, 256) {
-		t.Fatal("uniform never self-targets")
-	}
-}
-
 func TestParsePattern(t *testing.T) {
 	for _, p := range append(AllPaperPatterns(), Hotspot) {
 		got, err := ParsePattern(p.String())

@@ -84,11 +84,6 @@ func PlanOWN256(cfg Config, s Scenario) Plan {
 	return Plan{Config: cfg, Scenario: s, Channels: channels}
 }
 
-// ForPair returns the plan entry for the directed cluster pair.
-func (p Plan) ForPair(src, dst int) ChannelPlan {
-	return p.Channels[LinkBetween(src, dst).ID]
-}
-
 // MeanEPBpJ returns the unweighted mean energy per bit across the plan's
 // channels — the analytic counterpart of the paper's Figure 5 (uniform
 // traffic loads all cluster pairs equally).
@@ -166,12 +161,6 @@ func PlanOWN1024(cfg Config, s Scenario) GroupPlan {
 		next++
 	}
 	return GroupPlan{Config: cfg, Scenario: s, Channels: channels}
-}
-
-// ForGroups returns the plan entry for the directed group pair (equal
-// src/dst selects the intra-group channel).
-func (p GroupPlan) ForGroups(src, dst int) GroupChannelPlan {
-	return p.Channels[GroupLinkBetween(src, dst).ID]
 }
 
 // MeanEPBpJ mirrors Plan.MeanEPBpJ for the 1024-core plan.

@@ -52,21 +52,10 @@ func (o LinkOpts) txDepth() int {
 
 // BuildP2P wires a dedicated point-to-point wireless channel (the OWN-256
 // inter-cluster channels and the wireless-CMESH grid links) from tx to
-// rx and registers it with the network engine.
+// rx and registers it with the network engine: a BuildSWMR channel with
+// one transmitter and one receiver, which needs no receiver selection.
 func BuildP2P(n *fabric.Network, tx, rx Endpoint, o LinkOpts) *sbus.Channel {
-	ch := sbus.NewChannel(o.Name, o.SerializeCy, o.PropCy, o.TokenHopCy)
-	ch.Kind = "wireless"
-	ch.Class = o.ClassLabel
-	n.Meter.ReadWireless(o.ChannelID, o.ClassLabel, o.EPBpJ, 0, &ch.Transmitted)
-	w := ch.AddWriter(tx.Router, tx.Port, o.NumVCs, o.txDepth())
-	w.SetID(tx.Router.Cfg.ID)
-	tx.Router.ConnectOutput(tx.Port, w, o.txDepth(), 1)
-	r := ch.AddRx(rx.Router, rx.Port, o.NumVCs, o.BufDepth)
-	rx.Router.ConnectInput(rx.Port, r)
-	ch.SetWaker(n.Eng.RegisterWakeable(sim.PhaseDelivery, ch))
-	n.TrackChannel(ch)
-	n.NoteEdge(tx.Router.Cfg.ID, rx.Router.Cfg.ID, "wireless")
-	return ch
+	return BuildSWMR(n, []Endpoint{tx}, []Endpoint{rx}, nil, o)
 }
 
 // BuildSWMR wires an OWN-1024 single-writer multiple-reader multicast

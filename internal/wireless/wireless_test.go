@@ -271,23 +271,6 @@ func TestPlan1024IntraChannelsOnReservedBands(t *testing.T) {
 	}
 }
 
-func TestForPairLookups(t *testing.T) {
-	p := PlanOWN256(Config4, Ideal)
-	ch := p.ForPair(2, 1)
-	if ch.Link.SrcCluster != 2 || ch.Link.DstCluster != 1 {
-		t.Fatalf("ForPair(2,1) returned %+v", ch.Link)
-	}
-	gp := PlanOWN1024(Config4, Ideal)
-	g := gp.ForGroups(1, 1)
-	if !g.Link.Intra() {
-		t.Fatal("ForGroups(1,1) should select the intra-group channel")
-	}
-	g = gp.ForGroups(0, 2)
-	if g.Link.Class != C2C {
-		t.Fatalf("ForGroups(0,2) class %v, want C2C", g.Link.Class)
-	}
-}
-
 func TestScenarioBandwidth(t *testing.T) {
 	if Ideal.BWGbps() != 32 || Conservative.BWGbps() != 16 {
 		t.Fatal("scenario bandwidths must be 32/16 Gb/s")
