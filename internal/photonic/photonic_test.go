@@ -146,8 +146,37 @@ func TestCrossbarEndToEnd(t *testing.T) {
 	if err := xb.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
+	// Drained means every measured packet ejected; unmeasured ones may
+	// still be in flight. Silence the sources and step until nothing is
+	// scheduled: then no flit may be left and every credit must be home.
+	for _, src := range n.Sources {
+		src.SetGenerator(nil)
+	}
+	for budget := 10_000; !n.Eng.Quiescent(); budget-- {
+		if budget == 0 {
+			t.Fatal("the network did not go quiescent after its sources stopped")
+		}
+		n.Eng.Step()
+	}
 	if xb.Queued() != 0 {
 		t.Fatalf("crossbar still holds %d flits", xb.Queued())
+	}
+	for _, r := range n.Routers {
+		if r.BufferedFlits() != 0 {
+			t.Fatalf("router %d still buffers %d flits", r.Cfg.ID, r.BufferedFlits())
+		}
+	}
+	for _, ch := range xb.Channels {
+		for rx, credits := range ch.Introspect().RxCredits {
+			for vc, c := range credits {
+				if c != 4 {
+					t.Fatalf("%s receiver %d vc %d holds %d credits, want all 4 home", ch.Name, rx, vc, c)
+				}
+			}
+		}
+	}
+	if err := n.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 	if res.Power.PhotonicMW <= 0 {
 		t.Fatal("photonic energy not charged")

@@ -139,10 +139,12 @@ type Router struct {
 	Tap noc.Tap
 
 	// in holds the connected input ports in connection order, so a
-	// router pays nothing for an input it does not use; out holds every
-	// output port, and credits their per-VC credits (port p's VC vc at
-	// p*NumVCs+vc).
+	// router pays nothing for an input it does not use, and inAt maps a
+	// port number to 1 + its index in in (0: not connected); out holds
+	// every output port, and credits their per-VC credits (port p's VC vc
+	// at p*NumVCs+vc).
 	in      []inputPort
+	inAt    []int32
 	out     []outputPort
 	credits []int32
 
@@ -201,10 +203,13 @@ func New(cfg Config) *Router {
 	if cfg.NumPorts <= 0 || cfg.NumVCs <= 0 || cfg.NumVCs > 32 || cfg.BufDepth <= 0 {
 		panic(fmt.Sprintf("router %d: invalid config %+v", cfg.ID, cfg))
 	}
+	nc := cfg.NumPorts * cfg.NumVCs
+	ints := make([]int32, nc+cfg.NumPorts) // credits, then inAt
 	r := &Router{
 		Cfg:     cfg,
 		out:     make([]outputPort, cfg.NumPorts),
-		credits: make([]int32, cfg.NumPorts*cfg.NumVCs),
+		credits: ints[:nc:nc],
+		inAt:    ints[nc:],
 	}
 	cfg.Meter.RegisterRouter(cfg.NumPorts, cfg.NumVCs)
 	return r
@@ -212,10 +217,8 @@ func New(cfg Config) *Router {
 
 // input returns connected input port `port`, or nil.
 func (r *Router) input(port int) *inputPort {
-	for i := range r.in {
-		if r.in[i].port == port {
-			return &r.in[i]
-		}
+	if uint(port) < uint(len(r.inAt)) && r.inAt[port] > 0 {
+		return &r.in[r.inAt[port]-1]
 	}
 	return nil
 }
@@ -235,6 +238,7 @@ func (r *Router) ConnectInput(p int, upstream noc.CreditReturner) {
 		states[v] = vcState{port: p, in: len(r.in), vc: v, buf: bufs[v*d : (v+1)*d : (v+1)*d], outPort: -1, outVC: -1}
 	}
 	r.in = append(r.in, inputPort{port: p, vcs: states, upstream: upstream})
+	r.inAt[p] = int32(len(r.in))
 	r.active, r.sa = grow2(r.active, r.sa, len(r.in)*nv)
 	r.outReq, r.inReq = grow2(r.outReq, r.inReq, len(r.in))
 }
@@ -274,7 +278,8 @@ func (r *Router) ConnectOutput(p int, down noc.Conduit, creditsPerVC, serializeC
 
 // Reset rewinds the router to what New and the Connect calls left: empty
 // buffers, every credit home, no output VC held, arbiters and counts at
-// zero. What was installed since — waker, taps, CountStalls — stays.
+// zero. The wiring stays, the port → input table included, and so does
+// what was installed since: waker, taps, CountStalls.
 func (r *Router) Reset() {
 	for i := range r.in {
 		ip := &r.in[i]
