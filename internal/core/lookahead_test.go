@@ -58,11 +58,9 @@ func TestConformanceLookAheadMatchesPolling(t *testing.T) {
 	}
 }
 
-// The kilo-core low-load network the benchmark claims on: 1024 sources read
-// one producer's windows, and the run (2 800 cycles, then the drain)
-// crosses the window seams at 1024 and 2048. The reference twin polls every
-// coin on its cycle; the reused twin reads a second producer's windows on a
-// rewound network.
+// The kilo-core low-load network the benchmark claims on: 1024 sources
+// sleep from one arrival to the next. The reference twin polls every
+// generator on every cycle; the reused twin runs on a rewound network.
 func TestConformanceKiloCoreLowLoadMatchesPolling(t *testing.T) {
 	if testing.Short() {
 		t.Skip("kilo-core run in -short mode")

@@ -121,14 +121,13 @@ func (s *checkSweep) Tick(cycle uint64) {
 // deliberately simple sequential interpreter: every component ticks every
 // cycle (Waker.Sleep becomes a no-op, so the engine never goes quiescent
 // and RunUntil never fast-forwards), sources poll their generators once
-// per cycle and never ask them to look ahead (router.NextWaker) — Run
-// starts no arrival producer, so every coin is flipped on its own cycle —
-// and generators allocate every packet freshly instead of drawing from the
-// source freelists. By the engine's wake-protocol contract, the NextWaker
-// contract, the generators' fixed draw order and the pool-safety
-// guarantees all of that is semantically invisible, so a reference run
-// must match the optimized engine bit for bit — DiffRuns asserts exactly
-// that. Call after the topology builder and before Run.
+// per cycle and never ask them when their next packet is due
+// (router.NextWaker), and generators allocate every packet freshly instead
+// of drawing from the source freelists. By the engine's wake-protocol
+// contract, the NextWaker contract, the generators' fixed draw order and
+// the pool-safety guarantees all of that is semantically invisible, so a
+// reference run must match the optimized engine bit for bit — DiffRuns
+// asserts exactly that. Call after the topology builder and before Run.
 func (n *Network) SetReferenceMode() {
 	n.Eng.DisableSleep()
 	for _, src := range n.Sources {

@@ -97,6 +97,19 @@ func TestReadOutCountsEqualComponentCountsAfterRun(t *testing.T) {
 	if res := n.Run(ts, rs); !res.Drained || res.Power.ElecLinkMW <= 0 {
 		t.Fatalf("ring run: %+v %+v", res, res.Power)
 	}
+	// Drained means every measured packet ejected; unmeasured ones may
+	// still be in flight, buffered but not yet read. Silence the sources,
+	// step until nothing is scheduled, and price again.
+	for _, src := range n.Sources {
+		src.SetGenerator(nil)
+	}
+	for budget := 10_000; !n.Eng.Quiescent(); budget-- {
+		if budget == 0 {
+			t.Fatal("the ring did not go quiescent after its sources stopped")
+		}
+		n.Eng.Step()
+	}
+	n.Priced(fabric.Result{})
 	var delivered, grants uint64
 	for _, w := range wires {
 		delivered += w.Delivered
@@ -109,7 +122,7 @@ func TestReadOutCountsEqualComponentCountsAfterRun(t *testing.T) {
 		t.Fatalf("NElecFlit=%d NPhotFlit=%d NWirelessFlt=%d, the wires delivered %d", m.NElecFlit, m.NPhotFlit, m.NWirelessFlt, delivered)
 	}
 	if m.NXbar != grants || m.NBufRead != grants || m.NBufWrite != grants {
-		t.Fatalf("NBufWrite=%d NBufRead=%d NXbar=%d on a drained ring that granted %d", m.NBufWrite, m.NBufRead, m.NXbar, grants)
+		t.Fatalf("NBufWrite=%d NBufRead=%d NXbar=%d on an empty ring that granted %d", m.NBufWrite, m.NBufRead, m.NXbar, grants)
 	}
 
 	x := crossbar16()

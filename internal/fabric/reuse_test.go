@@ -79,35 +79,29 @@ func TestReuseRunTraceAfterRun(t *testing.T) {
 	}
 }
 
-// Run draws its arrivals on a second goroutine that lives exactly as long
-// as the call: the goroutine count is back where it was after a normal run
-// and after one that panics on an engine invariant (an empty VC policy
-// mask) halfway through.
+// Run starts no goroutine: the count during a run, after it and after one
+// that panics on an engine invariant (an empty VC policy mask) halfway
+// through is the count before it.
 func TestRunLeavesNoGoroutineBehind(t *testing.T) {
-	// producers counts arrival producers, this test's or an earlier one's,
-	// and runners the goroutines of tests, this one's or an earlier one's:
-	// a goroutine leaves the count a moment after it has said it is done.
-	count := func(frame string) int {
+	// runners counts the goroutines of tests, this one's or an earlier
+	// one's: a goroutine leaves the count a moment after it has said it is
+	// done.
+	runners := func() int {
 		buf := make([]byte, 1<<20)
-		return strings.Count(string(buf[:runtime.Stack(buf, true)]), frame)
+		return strings.Count(string(buf[:runtime.Stack(buf, true)]), "created by testing.(*T).Run")
 	}
-	producers := func() int { return count("traffic.(*pipeline).produce(") }
-	runners := func() int { return count("created by testing.(*T).Run") }
-	settled := func() int {
-		for i := 0; i < 1000 && (producers() > 0 || runners() > 1); i++ {
-			time.Sleep(time.Millisecond)
-		}
-		return runtime.NumGoroutine()
+	for i := 0; i < 1000 && runners() > 1; i++ {
+		time.Sleep(time.Millisecond)
 	}
-	before := settled()
+	before := runtime.NumGoroutine()
 	n := ring(4, power.NewMeter(nil))
-	during, producing := 0, 0
-	n.Sinks[0].Tap.Subscribe(noc.Mask(noc.EvEject), func(noc.Event) { during, producing = runtime.NumGoroutine(), producers() })
+	during := 0
+	n.Sinks[0].Tap.Subscribe(noc.Mask(noc.EvEject), func(noc.Event) { during = runtime.NumGoroutine() })
 	ts := TrafficSpec{Pattern: traffic.Uniform, Rate: 0.05, PktFlits: 3, Seed: 1}
-	if res := n.Run(ts, RunSpec{Warmup: 200, Measure: 3000}); !res.Drained || during != before+1 || producing != 1 {
-		t.Fatalf("drained %v with %d goroutines (%d producers) during the run, want %d: one producer", res.Drained, during, producing, before+1)
+	if res := n.Run(ts, RunSpec{Warmup: 200, Measure: 3000}); !res.Drained || during != before {
+		t.Fatalf("drained %v with %d goroutines during the run, want the %d before it", res.Drained, during, before)
 	}
-	if after := settled(); after != before {
+	if after := runtime.NumGoroutine(); after != before {
 		t.Fatalf("%d goroutines after a run, %d before", after, before)
 	}
 
@@ -125,7 +119,28 @@ func TestRunLeavesNoGoroutineBehind(t *testing.T) {
 		}()
 		n.Run(ts, RunSpec{Warmup: 200, Measure: 3000})
 	}()
-	if after := settled(); after != before {
+	if after := runtime.NumGoroutine(); after != before {
 		t.Fatalf("%d goroutines after a run that panicked, %d before", after, before)
+	}
+}
+
+// A network that has run can keep stepping: its sources keep generating
+// from where the run left them, and every invariant holds.
+func TestSteppingAfterRun(t *testing.T) {
+	n := ring(16, power.NewMeter(nil))
+	n.Run(TrafficSpec{Pattern: traffic.Uniform, Rate: 0.2, PktFlits: 3, Seed: 4}, RunSpec{Warmup: 100, Measure: 500})
+	generated := func() (sum uint64) {
+		for _, src := range n.Sources {
+			sum += src.Generated
+		}
+		return sum
+	}
+	before := generated()
+	n.Eng.Run(256)
+	if generated() == before {
+		t.Fatal("no source generated a packet in the 256 cycles after the run")
+	}
+	if err := n.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }

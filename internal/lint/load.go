@@ -158,7 +158,7 @@ func (l *loader) load(path string) (*Package, error) {
 			continue
 		}
 		// Only what the host's build compiles: a package may hold one file
-		// per architecture (internal/sim's rng_amd64.go and rng_other.go).
+		// per architecture or build tag.
 		if ok, err := build.Default.MatchFile(dir, e.Name()); err != nil {
 			return nil, fmt.Errorf("lint: %s: %w", path, err)
 		} else if !ok {

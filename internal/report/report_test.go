@@ -21,20 +21,20 @@ var quickMeasured = []string{
 	"4.99 dBm",
 	"20.0 GHz",
 	"10.0 dB at 90 GHz",
-	"c1=7.53 c2=3.67 c3=8.75 c4=1.79 mW",
+	"c1=7.51 c2=3.63 c3=8.75 c4=1.78 mW",
 	"76%",
-	"c1=4.49 c2=2.16 c3=5.26 c4=1.27 mW",
-	"72%",
-	"optxb 482 mW vs own4 774, pclos 819, wcmesh 890, cmesh 996",
-	"1.60x",
+	"c1=3.56 c2=2.09 c3=4.32 c4=1.14 mW",
+	"68%",
+	"optxb 478 mW vs own4 756, pclos 839, wcmesh 888, cmesh 973",
+	"1.58x",
 	"cmesh/own4 = 1.29x",
-	"1.15x",
-	"c1 842, c3 857 vs c4 774 mW",
-	"own 0.0072 vs cmesh 0.0051, optxb 0.0051, pclos 0.0029, wcmesh 0.0029 f/n/c",
-	"zero-load 55 vs 187 cycles (70% lower)",
-	"spread 21%",
-	"+5%",
-	"own 2793 vs wcmesh 4776 pJ/pkt",
+	"1.17x",
+	"c1 825, c3 840 vs c4 756 mW",
+	"own 0.0072 vs cmesh 0.0072, optxb 0.0051, pclos 0.0051, wcmesh 0.0029 f/n/c",
+	"zero-load 57 vs 172 cycles (67% lower)",
+	"spread 19%",
+	"+14%",
+	"own 2792 vs wcmesh 4749 pJ/pkt",
 }
 
 func checkQuickMeasured(t *testing.T, rep Report) {

@@ -21,10 +21,11 @@ type Generator interface {
 // gaps, so Generate is then not called on the cycles in between. A
 // generator may implement it only if that is unobservable: a known
 // schedule (trace replay), or randomness that is private to the generator
-// and drawn in a fixed order, so that the skipped cycles' draws can be made
-// ahead of them (traffic.Bernoulli). Called with every cycle
-// before from already offered to Generate; never called under
-// Engine.DisableSleep, where the source polls Generate every cycle.
+// and drawn in a fixed order that skipped cycles cannot move
+// (traffic.Bernoulli draws its next arrival's cycle at each arrival).
+// Called with every cycle before from already offered to Generate; never
+// called under Engine.DisableSleep, where the source polls Generate every
+// cycle.
 type NextWaker interface {
 	NextPending(from uint64) (uint64, bool)
 }

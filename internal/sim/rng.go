@@ -13,11 +13,17 @@ type RNG struct {
 	s [4]uint64
 }
 
-// NewRNG returns a generator seeded with seed. Distinct seeds (including
-// adjacent integers) yield decorrelated streams because the seed is first
-// diffused through SplitMix64.
+// NewRNG returns a generator seeded with seed.
 func NewRNG(seed uint64) *RNG {
 	r := &RNG{}
+	r.Seed(seed)
+	return r
+}
+
+// Seed restarts r on seed's stream. Distinct seeds (including adjacent
+// integers) yield decorrelated streams because the seed is first diffused
+// through SplitMix64.
+func (r *RNG) Seed(seed uint64) {
 	// SplitMix64 seeding, as recommended by the xoshiro authors.
 	sm := seed
 	next := func() uint64 {
@@ -34,7 +40,6 @@ func NewRNG(seed uint64) *RNG {
 	if r.s[0]|r.s[1]|r.s[2]|r.s[3] == 0 {
 		r.s[0] = 0x9e3779b97f4a7c15
 	}
-	return r
 }
 
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
@@ -75,10 +80,11 @@ func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
 }
 
-// Threshold converts a probability into the integer t for which Below
-// and ScanBelow decide draw for draw as Float64() < p does: Float64 is a
-// 53-bit integer u over 2^53 and p·2^53 is exact in float64, so
-// u/2^53 < p ⇔ u < ceil(p·2^53) with no rounding on either side.
+// Threshold converts a probability into the integer t for which
+// Uint64()>>11 < t decides draw for draw as Float64() < p does: Float64 is
+// a 53-bit integer u over 2^53 and p·2^53 is exact in float64, so
+// u/2^53 < p ⇔ u < ceil(p·2^53) with no rounding on either side. The
+// result is in [0, 2^53]: p is t/2^53 to within 2^-53.
 func Threshold(p float64) uint64 {
 	if !(p > 0) {
 		return 0
@@ -87,83 +93,6 @@ func Threshold(p float64) uint64 {
 		return 1 << 53
 	}
 	return uint64(math.Ceil(p * (1 << 53)))
-}
-
-// Below consumes one draw and reports whether it falls under t: with
-// t = Threshold(p) it is true with probability p.
-func (r *RNG) Below(t uint64) bool {
-	return r.Uint64()>>11 < t
-}
-
-// ScanBelow consumes draws until one falls under t or max are consumed,
-// and returns how many it consumed and whether the last one hit. The
-// generator ends up exactly where that many Below calls would leave it;
-// the state lives in locals meanwhile, which is what makes looking ahead
-// over an idle source's coin flips cheap.
-func (r *RNG) ScanBelow(t, max uint64) (n uint64, hit bool) {
-	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
-	for n < max {
-		u := rotl(s1*5, 7) * 9
-		x := s1 << 17
-		s2 ^= s0
-		s3 ^= s1
-		s1 ^= s2
-		s0 ^= s3
-		s2 ^= x
-		s3 = rotl(s3, 45)
-		n++
-		if u>>11 < t {
-			hit = true
-			break
-		}
-	}
-	r.s = [4]uint64{s0, s1, s2, s3}
-	return n, hit
-}
-
-// ScanBelow4 is ScanBelow over four generators in lockstep, lane k drawing
-// from r[k] against t[k]: it consumes the same number n of draws from each,
-// stopping after the first draw on which any lane falls under its
-// threshold or after max draws, and returns n and the bitmask of the lanes
-// whose n-th draw hit. Every lane ends exactly where n calls of Below
-// would leave it. Where VectorScan is true it is one AVX2 kernel, about twice
-// the flips per second of ScanBelow; elsewhere it is scalar scans, slower
-// than calling ScanBelow once per generator.
-func ScanBelow4(r *[4]*RNG, t *[4]uint64, max uint64) (n uint64, hits uint) {
-	if !vector {
-		return scanBelow4(r, t, max)
-	}
-	var s [4][4]uint64 // s[j] holds word j of every lane: one vector register
-	for k, g := range r {
-		s[0][k], s[1][k], s[2][k], s[3][k] = g.s[0], g.s[1], g.s[2], g.s[3]
-	}
-	n, hits = scan4(&s, t, max)
-	for k, g := range r {
-		g.s = [4]uint64{s[0][k], s[1][k], s[2][k], s[3][k]}
-	}
-	return n, hits
-}
-
-// VectorScan reports whether ScanBelow4 runs as its AVX2 kernel on this
-// host (amd64 with AVX2 enabled by the operating system).
-func VectorScan() bool { return vector }
-
-// scanBelow4 is ScanBelow4 by scalar scans: n is the earliest first hit
-// (scanned on copies), then every lane draws exactly n.
-func scanBelow4(r *[4]*RNG, t *[4]uint64, max uint64) (n uint64, hits uint) {
-	n = max
-	for k, g := range r {
-		c := *g
-		if m, hit := c.ScanBelow(t[k], n); hit {
-			n = m
-		}
-	}
-	for k, g := range r {
-		if _, hit := g.ScanBelow(t[k], n); hit {
-			hits |= 1 << k
-		}
-	}
-	return n, hits
 }
 
 // Perm fills dst with a uniform random permutation of [0, len(dst)).

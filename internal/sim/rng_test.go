@@ -77,7 +77,7 @@ func TestRNGBernoulli(t *testing.T) {
 	const p, draws = 0.3, 100000
 	hits := 0
 	for i := 0; i < draws; i++ {
-		if r.Below(Threshold(p)) {
+		if r.Uint64()>>11 < Threshold(p) {
 			hits++
 		}
 	}
@@ -180,162 +180,12 @@ func TestThresholdMatchesFloat64Compare(t *testing.T) {
 		}
 		a, b := NewRNG(99), NewRNG(99)
 		for i := 0; i < 1_000_000; i++ {
-			if asFloat, asInt := a.Float64() < p, b.Below(th); asFloat != asInt {
-				t.Fatalf("p=%v draw %d: Float64()<p is %v, Below is %v", p, i, asFloat, asInt)
+			if asFloat, asInt := a.Float64() < p, b.Uint64()>>11 < th; asFloat != asInt {
+				t.Fatalf("p=%v draw %d: Float64()<p is %v, the threshold compare is %v", p, i, asFloat, asInt)
 			}
 		}
 	}
 	if Threshold(-1) != 0 || Threshold(math.NaN()) != 0 || Threshold(2) != 1<<53 {
 		t.Fatal("Threshold must clamp outside [0, 1] the way Float64()<p decides")
-	}
-}
-
-// ScanBelow must be indistinguishable from calling Below until the first
-// hit: same count, same verdict, same generator state afterwards.
-func TestScanBelowMatchesBelowCalls(t *testing.T) {
-	for _, p := range thresholdProbs {
-		th := Threshold(p)
-		a, b := NewRNG(5), NewRNG(5)
-		for drawn := uint64(0); drawn < 1_000_000; {
-			limit := 1 + a.Uint64()%5000
-			b.Uint64()
-			n, hit := a.ScanBelow(th, limit)
-			var wantN uint64
-			wantHit := false
-			for wantN < limit && !wantHit {
-				wantHit = b.Below(th)
-				wantN++
-			}
-			if n != wantN || hit != wantHit || a.s != b.s {
-				t.Fatalf("p=%v after %d draws: scan (%d,%v), Below loop (%d,%v), states equal %v",
-					p, drawn, n, hit, wantN, wantHit, a.s == b.s)
-			}
-			drawn += n
-		}
-	}
-	r := NewRNG(1)
-	before := r.s
-	if n, hit := r.ScanBelow(1<<53, 0); n != 0 || hit || r.s != before {
-		t.Fatal("a zero-length scan must draw nothing")
-	}
-}
-
-// want4 is what ScanBelow4 must do, from four scalar ScanBelow calls: n is
-// the earliest first hit (or max), the hits are the lanes that first hit
-// there, and every lane ends where n Below calls leave it.
-func want4(r [4]RNG, th [4]uint64, max uint64) (n uint64, hits uint, end [4]RNG) {
-	n = max
-	var first [4]uint64
-	var hit [4]bool
-	for k := range r {
-		c := r[k]
-		if first[k], hit[k] = c.ScanBelow(th[k], max); hit[k] && first[k] < n {
-			n = first[k]
-		}
-	}
-	for k := range r {
-		if hit[k] && first[k] == n {
-			hits |= 1 << k
-		}
-		end[k] = r[k]
-		for i := uint64(0); i < n; i++ {
-			end[k].Below(th[k])
-		}
-	}
-	return n, hits, end
-}
-
-// scans4 are the two ScanBelow4 implementations: the one this host runs
-// (the AVX2 kernel where VectorScan holds) and the scalar one.
-var scans4 = []struct {
-	name string
-	scan func(*[4]*RNG, *[4]uint64, uint64) (uint64, uint)
-}{{"ScanBelow4", ScanBelow4}, {"scanBelow4", scanBelow4}}
-
-// check4 runs both implementations from lanes and compares each with want4.
-func check4(t *testing.T, lanes [4]RNG, th [4]uint64, max uint64) {
-	t.Helper()
-	wantN, wantHits, wantEnd := want4(lanes, th, max)
-	for _, s := range scans4 {
-		got := lanes
-		n, hits := s.scan(&[4]*RNG{&got[0], &got[1], &got[2], &got[3]}, &th, max)
-		if n != wantN || hits != wantHits || got != wantEnd {
-			t.Fatalf("%s(th=%v, max=%d) = (%d, %04b), want (%d, %04b); states equal %v",
-				s.name, th, max, n, hits, wantN, wantHits, got == wantEnd)
-		}
-	}
-}
-
-// ScanBelow4 must be four scalar scans in lockstep, lane by lane: same n,
-// same hit mask, same states, call after call, with max 0 and 1, a hit on
-// the last allowed draw and one just past it, at p = 0, p = 1 and mixed.
-func TestScanBelow4MatchesScanBelow(t *testing.T) {
-	t.Logf("VectorScan: %v", VectorScan())
-	p := Threshold
-	for _, th := range [][4]uint64{
-		{0, 0, 0, 0},
-		{1 << 53, 1 << 53, 1 << 53, 1 << 53},
-		{0, p(0.3), 0, 1 << 53},
-		{p(0.0002), p(0.001), p(0.01), p(1.0 / 3)},
-		{p(0.0005), 0, 0, 0},
-		{0, 0, 0, p(0.002)},
-		{p(0.5), p(0.75), p(1 - 0x1p-53), p(0x1p-53)},
-	} {
-		var lanes [4]RNG
-		for k := range lanes {
-			lanes[k] = *NewRNG(uint64(17 + k))
-		}
-		pick := NewRNG(3)
-		for call := 0; call < 1400; call++ {
-			next, _, _ := want4(lanes, th, 1<<12)
-			max := []uint64{0, 1, 2, next, next - 1, next + 1, 1 + pick.Uint64()%3000}[call%7]
-			if max > 1<<12 {
-				max = 1 << 12
-			}
-			check4(t, lanes, th, max)
-			_, _, lanes = want4(lanes, th, max)
-		}
-	}
-}
-
-// FuzzScanBelow4 checks ScanBelow4 against four scalar scans from any
-// four seeds and thresholds (reduced to [0, 2^53], the range Threshold
-// returns) and any max below 2^13.
-func FuzzScanBelow4(f *testing.F) {
-	f.Add(uint64(1), uint64(2), uint64(3), uint64(4), uint64(0), uint64(1<<53), uint64(1<<40), uint64(1<<44), uint64(100))
-	f.Fuzz(func(t *testing.T, s0, s1, s2, s3, t0, t1, t2, t3, max uint64) {
-		var lanes [4]RNG
-		for k, s := range [4]uint64{s0, s1, s2, s3} {
-			lanes[k] = *NewRNG(s)
-		}
-		th := [4]uint64{t0, t1, t2, t3}
-		for k := range th {
-			th[k] %= 1<<53 + 1
-		}
-		check4(t, lanes, th, max%(1<<13))
-	})
-}
-
-// The flips of idle sources: ns/op is per flip, p = 1e-4, as an
-// own1024-low source draws.
-func BenchmarkScanBelow(b *testing.B) {
-	r, th := NewRNG(1), Threshold(1e-4)
-	for n := uint64(0); n < uint64(b.N); {
-		m, _ := r.ScanBelow(th, uint64(b.N)-n)
-		n += m
-	}
-}
-
-func BenchmarkScanBelow4(b *testing.B) {
-	for _, s := range scans4 {
-		b.Run(s.name, func(b *testing.B) {
-			lanes := [4]*RNG{NewRNG(1), NewRNG(2), NewRNG(3), NewRNG(4)}
-			th := Threshold(1e-4)
-			ths := [4]uint64{th, th, th, th}
-			for n := uint64(0); 4*n < uint64(b.N); {
-				m, _ := s.scan(&lanes, &ths, (uint64(b.N)+3)/4-n)
-				n += m
-			}
-		})
 	}
 }

@@ -1,7 +1,8 @@
 package traffic
 
 import (
-	"math"
+	"fmt"
+	"math/bits"
 
 	"ownsim/internal/noc"
 	"ownsim/internal/sim"
@@ -42,82 +43,82 @@ func RequestReply() SizeDist {
 	return SizeDist{ShortFlits: 1, LongFlits: 5, LongFrac: 1.0 / 3}
 }
 
-// Bernoulli is a router.Generator offering open-loop load: each cycle it
-// creates a packet with probability rate/pktFlits, so the offered load is
-// `rate` flits per node per cycle.
+// Bernoulli is a router.Generator offering open-loop load: each cycle
+// carries a packet with probability q = sim.Threshold(rate/pktFlits)/2^53,
+// independently of every other cycle, so the offered load is `rate` flits
+// per node per cycle.
 //
-// Its RNG is private and drawn in a fixed order (one coin flip per cycle,
-// then the destination and the size right after a success), so the cycles,
-// destinations and sizes it emits are a pure function of (seed, source,
-// pattern, rate): drawing them ahead of the simulation cannot move a
-// packet. A generator that is only polled (Generate every cycle, never
-// NextPending: fabric.SetReferenceMode's twin) flips one coin per call.
-// Otherwise Generate reads arrivals from windows of lookahead cycles,
-// filled by a producer goroutine (Produce) or, without one, by the
-// generator itself when its window runs out, and NextPending names the
-// next one, so an idle source sleeps until it (router.NextWaker).
-// fabric.DiffRuns, whose reference twin polls, checks that the two agree
-// packet for packet. Packets created in [MeasureFrom, MeasureTo) carry
-// Measure=true.
+// It draws per packet, not per cycle: at each arrival it draws how many
+// idle cycles pass before the next one (gapTable), so it always knows the
+// cycle of its next packet and an idle source sleeps until it
+// (NextPending, router.NextWaker). Its RNG is private and drawn in a fixed
+// order: the first gap at the first cycle it is asked about (by Generate
+// or NextPending), then at each arrival cycle c the destination, the size
+// and the gap counted from c+1. So the packets it emits are a pure
+// function of (seed, source, pattern, rate) and that first cycle, and a
+// generator that is only polled (Generate every cycle, never NextPending:
+// fabric.SetReferenceMode's twin) emits what a sleeping one emits.
+// fabric.DiffRuns checks the two agree packet for packet. Packets created
+// in [MeasureFrom, MeasureTo) carry Measure=true.
 type Bernoulli struct {
-	// The draws. While a producer is attached rng is its alone, and the
-	// rest (src included) is read-only.
 	n        int
 	pattern  Pattern
 	pktFlits int
 	sizes    *SizeDist
 	prob     float64
-	thresh   uint64 // sim.Threshold(prob)
-	rng      *sim.RNG
+	gaps     gapTable
+	rng      sim.RNG
 
-	// Everything below is the simulation thread's.
 	emitter
 
-	// The window: win holds the arrivals of cycles [end-lookahead, end) in
-	// cycle order, next the first one not generated yet. While windowed is
-	// false the generator is polled and win holds the one cycle Generate
-	// just drew. With pipe nil the generator fills win itself; with a
-	// producer attached win is slot's share of its batch.
-	win      []arrival
-	next     int32
-	slot     int32
-	end      uint64
-	pipe     *pipeline
-	windowed bool
+	// due is the cycle of the next arrival once drawn is set.
+	due   uint64
+	drawn bool
 }
-
-// arrival is one packet the draws decided: its cycle as an offset into its
-// window, its length and its destination, in 8 bytes.
-type arrival struct {
-	off, flits uint16
-	dst        int32
-}
-
-// lookahead is the window, in cycles, that arrivals are drawn in. An idle
-// source wakes once per window to read the next (60 times in a 61 k-cycle
-// run), and nobody reads what is drawn past the end of a run: at most the
-// rest of the engine's window plus the producer's two ahead (Produce). The
-// offsets fit a uint16 up to 1<<16. Where windows start does not change
-// what is drawn, only when.
-const lookahead = 1 << 10
 
 // NewBernoulli creates a generator for core src out of n cores, offering
 // `rate` flits/node/cycle of `pattern` traffic in packets of pktFlits
 // flits. The seed should combine the run seed and src so that sources are
 // decorrelated but reproducible.
 func NewBernoulli(src, n int, pattern Pattern, rate float64, pktFlits int, seed uint64, classify Classifier) *Bernoulli {
-	if pktFlits <= 0 || pktFlits > math.MaxUint16 {
-		panic("traffic: pktFlits must be in [1, 65535]")
+	b := newBernoulli(n, pattern, rate, pktFlits, classify)
+	b.seed(src, seed)
+	return &b
+}
+
+// NewBernoullis returns the generators of sources 0 to n-1 of an n-core
+// network, generator src what NewBernoulli(src, ...) makes, followed by
+// SetSizes(*sizes) unless sizes is nil. They are allocated together and
+// share one gap table, so what a run's traffic allocates does not grow
+// with its core count.
+func NewBernoullis(n int, pattern Pattern, rate float64, pktFlits int, sizes *SizeDist, seed uint64, classify Classifier) []Bernoulli {
+	proto := newBernoulli(n, pattern, rate, pktFlits, classify)
+	if sizes != nil {
+		proto.SetSizes(*sizes)
 	}
-	b := &Bernoulli{
-		n:        n,
-		pattern:  pattern,
-		pktFlits: pktFlits,
-		rng:      sim.NewRNG(seed*0x9e3779b97f4a7c15 + uint64(src) + 1),
-		emitter:  emitter{src: src, classify: classify},
+	gens := make([]Bernoulli, n)
+	for src := range gens {
+		gens[src] = proto
+		gens[src].seed(src, seed)
 	}
+	return gens
+}
+
+// newBernoulli is a generator without its source: what every source of a
+// run shares.
+func newBernoulli(n int, pattern Pattern, rate float64, pktFlits int, classify Classifier) Bernoulli {
+	if pktFlits <= 0 {
+		panic("traffic: pktFlits must be positive")
+	}
+	b := Bernoulli{n: n, pattern: pattern, pktFlits: pktFlits, emitter: emitter{classify: classify}}
 	b.setProb(rate / float64(pktFlits))
 	return b
+}
+
+// seed makes b source src's generator, its RNG seeded from the run's seed.
+func (b *Bernoulli) seed(src int, seed uint64) {
+	b.src = src
+	b.rng.Seed(seed*0x9e3779b97f4a7c15 + uint64(src) + 1)
 }
 
 // setProb installs the per-cycle packet probability.
@@ -126,13 +127,14 @@ func (b *Bernoulli) setProb(p float64) {
 		panic("traffic: invalid rate: packets per cycle outside [0, 1]")
 	}
 	b.prob = p
-	b.thresh = sim.Threshold(p)
+	b.gaps = newGapTable(sim.Threshold(p))
 }
 
 // SetSizes switches the generator to a bimodal length distribution while
-// preserving the offered load in flits/node/cycle. Call it before Produce.
+// preserving the offered load in flits/node/cycle. Call it before the
+// first Generate or NextPending.
 func (b *Bernoulli) SetSizes(d SizeDist) {
-	if d.ShortFlits <= 0 || d.LongFlits <= 0 || max(d.ShortFlits, d.LongFlits) > math.MaxUint16 || d.LongFrac < 0 || d.LongFrac > 1 {
+	if d.ShortFlits <= 0 || d.LongFlits <= 0 || d.LongFrac < 0 || d.LongFrac > 1 {
 		panic("traffic: invalid size distribution")
 	}
 	rate := b.prob * float64(b.pktFlits)
@@ -140,98 +142,89 @@ func (b *Bernoulli) SetSizes(d SizeDist) {
 	b.setProb(rate / d.Mean())
 }
 
-// NextPending implements router.NextWaker: the cycle of the next arrival
-// in the window, or the window's end, where Generate reads the next one.
-// The first call turns a polled generator into a windowed one whose first
-// window starts at from. NextPending never moves the window: under a
-// producer the window the current cycle is in is shared, and another
-// source may still have to generate in this very cycle, so a source asking
-// from the last cycle of its window is told the end. False means no packet
-// can follow (zero rate).
+// NextPending implements router.NextWaker: the cycle of the next arrival,
+// which is from or later. False means no packet can follow (zero rate).
 func (b *Bernoulli) NextPending(from uint64) (uint64, bool) {
-	if b.thresh == 0 {
+	if b.gaps.thresh == 0 {
 		return 0, false
 	}
-	if !b.windowed {
-		b.windowed, b.end, b.win = true, from, nil
+	if !b.drawn {
+		b.due, b.drawn = from+b.gaps.draw(&b.rng), true
 	}
-	return b.due(), true
+	if b.due < from {
+		panic(fmt.Sprintf("traffic: source %d asked about cycle %d, past its packet at cycle %d", b.src, from, b.due))
+	}
+	return b.due, true
 }
 
-// Generate implements router.Generator. Polled, it draws its own cycle as
-// a window of one: one coin flip per call, then the destination and the
-// size on a hit.
+// Generate implements router.Generator: the packet at an arrival cycle,
+// nil before it. At the arrival it draws the destination, the size and the
+// gap to the next arrival.
 func (b *Bernoulli) Generate(cycle uint64) *noc.Packet {
-	if !b.windowed {
-		if b.win = b.fill(cycle, cycle+1, b.win[:0]); len(b.win) == 0 {
-			return nil
-		}
-		return b.packet(cycle, int(b.win[0].dst), int(b.win[0].flits))
-	}
-	if cycle >= b.end {
-		b.advance(cycle)
-	}
-	if b.due() != cycle {
+	if due, ok := b.NextPending(cycle); !ok || due != cycle {
 		return nil
 	}
-	a := b.win[b.next]
-	b.next++
-	return b.packet(cycle, int(a.dst), int(a.flits))
-}
-
-// due is the cycle of the next arrival in the window, or its end.
-func (b *Bernoulli) due() uint64 {
-	if int(b.next) == len(b.win) {
-		return b.end
-	}
-	return b.end - lookahead + uint64(b.win[b.next].off)
-}
-
-// advance moves the window on to the one holding cycle.
-func (b *Bernoulli) advance(cycle uint64) {
-	b.next = 0
-	if b.pipe != nil {
-		bt := b.pipe.window(cycle)
-		b.end = bt.base + lookahead
-		b.win = bt.arr[bt.start[b.slot]:bt.start[b.slot+1]]
-		return
-	}
-	for cycle >= b.end {
-		b.win = b.fill(b.end, b.end+lookahead, b.win[:0])
-		b.end += lookahead
-	}
-}
-
-// fill appends the arrivals of cycles [from, to) to out, drawing in the
-// order polling draws: flip by flip and, on a hit, the destination and then
-// the size (hit). A producer on a host with sim.VectorScan flips four
-// generators at a time instead (lanes.draw), with the same hit.
-func (b *Bernoulli) fill(from, to uint64, out []arrival) []arrival {
-	for c := from; b.thresh != 0 && c < to; {
-		n, hit := b.rng.ScanBelow(b.thresh, to-c)
-		if c += n; !hit {
-			break
-		}
-		out = b.hit(c-1-from, out)
-	}
-	return out
-}
-
-// hit draws the destination and the size of the packet whose flip hit at
-// offset off of a window, and appends it to out. It consumes no cycle.
-func (b *Bernoulli) hit(off uint64, out []arrival) []arrival {
-	dst := Dest(b.pattern, b.src, b.n, b.rng)
-	if dst == b.src {
-		return out // a permutation's fixed point: no size drawn, nothing sent
+	dst := Dest(b.pattern, b.src, b.n, &b.rng)
+	if dst == b.src { // a permutation's fixed point: no size drawn, nothing sent
+		b.due = cycle + 1 + b.gaps.draw(&b.rng)
+		return nil
 	}
 	flits := b.pktFlits
 	if b.sizes != nil {
-		flits = b.sizes.sample(b.rng)
+		flits = b.sizes.sample(&b.rng)
 	}
-	return append(out, arrival{off: uint16(off), flits: uint16(flits), dst: int32(dst)})
+	b.due = cycle + 1 + b.gaps.draw(&b.rng)
+	return b.packet(cycle, dst, flits)
 }
 
-// emitter makes a source's packets, on the simulation thread.
+// gapTable draws G, the number of idle cycles before the next arrival of a
+// process with arrival probability q = thresh/2^53 per cycle, from its
+// exact distribution P(G = k) = (1-q)^k·q, with integer operations only, so
+// that every host draws the same packets.
+//
+// The binary digits of G are independent: digit j is 1 with probability
+// r_j/(1+r_j), where r_j = (1-q)^(2^j) (P(G = k) is proportional to
+// (1-q)^k, the product over the digits). t[j] is that probability in 0.64
+// fixed point, and G sums 2^j over the digits whose draw falls under it:
+// about log2(1/q)+6 draws per arrival, where a coin per cycle takes 1/q.
+// R_0 = (2^53-thresh)<<11 is 1-q in 0.64 fixed point exactly, squaring it
+// (the high word) gives the next r, and t ends before the first zero,
+// which comes by j = 59 even at thresh = 1. At thresh = 2^53, t is empty
+// and G = 0. A zero thresh never arrives (NextPending).
+type gapTable struct {
+	thresh uint64
+	t      []uint64
+}
+
+func newGapTable(thresh uint64) gapTable {
+	g := gapTable{thresh: thresh}
+	if thresh == 0 {
+		return g
+	}
+	var t [64]uint64
+	k := 0
+	for r := (1<<53 - thresh) << 11; ; r, _ = bits.Mul64(r, r) {
+		if t[k], _ = bits.Div64(r>>1, 0, 1<<63+r>>1); t[k] == 0 {
+			break
+		}
+		k++
+	}
+	g.t = append([]uint64(nil), t[:k]...)
+	return g
+}
+
+// draw returns one gap, consuming one RNG draw per digit.
+func (g *gapTable) draw(rng *sim.RNG) uint64 {
+	var gap uint64
+	for j, t := range g.t {
+		if rng.Uint64() < t {
+			gap |= 1 << j
+		}
+	}
+	return gap
+}
+
+// emitter makes a source's packets.
 type emitter struct {
 	src      int
 	classify Classifier
