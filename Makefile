@@ -91,9 +91,11 @@ bench:
 	fi
 
 # bench-compare re-runs the benchmarks and gates allocs/op against the
-# checked-in baseline (BENCH_BASELINE.txt). ns/op differences are
-# reported but never fail: they vary with hardware. allocs/op is
-# deterministic for these fixed-seed benchmarks.
+# checked-in baseline (BENCH_BASELINE.txt) both ways: any increase fails,
+# and so does a fall of more than 2 % ("baseline stale: refresh
+# BENCH_BASELINE.txt"), so a saving is recorded before the gate goes
+# slack. ns/op differences are reported but never fail: they vary with
+# hardware. allocs/op is deterministic for these fixed-seed benchmarks.
 bench-compare:
 	@$(MAKE) --no-print-directory bench BENCHOUT=bench-new.txt
 	$(GO) run ./cmd/benchcmp -baseline BENCH_BASELINE.txt bench-new.txt

@@ -1,11 +1,12 @@
 // Command benchcmp compares a `go test -bench -benchmem` output file
 // against the checked-in baseline (BENCH_BASELINE.txt) and fails when a
-// benchmark's allocs/op regresses. allocs/op is deterministic for these
-// benchmarks — the simulation is fixed-seed and runs on one goroutine —
-// so it is gated strictly. ns/op and B/op vary with hardware and Go version,
-// so by default they are reported but never gate; -max-ns-ratio opts
-// into a loose wall-time gate for CI environments whose hardware is
-// stable enough to bound it.
+// benchmark's allocs/op regresses, or falls so far below its baseline that
+// the baseline no longer gates anything. allocs/op is deterministic for
+// these benchmarks — the simulation is fixed-seed and runs on one
+// goroutine — so it is gated strictly. ns/op and B/op vary with hardware
+// and Go version, so by default they are reported but never gate;
+// -max-ns-ratio opts into a loose wall-time gate for CI environments whose
+// hardware is stable enough to bound it.
 //
 // Usage:
 //
@@ -14,8 +15,10 @@
 //
 // Exit status is non-zero when any baseline benchmark is missing from
 // the new output, its allocs/op exceeds the baseline by more than
-// -allow-allocs-pct percent (default 0: any increase fails), or — with
-// -max-ns-ratio R set — its ns/op exceeds R times the baseline.
+// -allow-allocs-pct percent (default 0: any increase fails), its allocs/op
+// is more than 2 % below the baseline (a saving nobody recorded leaves the
+// gate slack by that much: refresh the baseline), or — with -max-ns-ratio
+// R set — its ns/op exceeds R times the baseline.
 package main
 
 import (
@@ -99,6 +102,26 @@ func ratio(new, old float64) string {
 	return fmt.Sprintf("%+.1f%%", (new-old)/old*100)
 }
 
+// staleAllocsPct is how far below its baseline a benchmark's allocs/op
+// may fall before the baseline counts as stale.
+const staleAllocsPct = 2
+
+// verdict judges one benchmark's new result against its baseline line:
+// "ok", or the reason it fails.
+func verdict(old, cur result, allowPct, maxNsRatio float64) string {
+	switch {
+	case old.allocs >= 0 && cur.allocs < 0:
+		return "FAIL new output missing allocs/op (run with -benchmem)"
+	case old.allocs >= 0 && cur.allocs > old.allocs*(1+allowPct/100):
+		return "FAIL allocs/op regressed"
+	case old.allocs >= 0 && cur.allocs < old.allocs*(1-staleAllocsPct/100.0):
+		return "FAIL baseline stale: refresh BENCH_BASELINE.txt"
+	case maxNsRatio > 0 && old.nsOp > 0 && cur.nsOp > old.nsOp*maxNsRatio:
+		return "FAIL ns/op regressed"
+	}
+	return "ok"
+}
+
 func main() {
 	baseline := flag.String("baseline", "BENCH_BASELINE.txt", "baseline benchmark output to compare against")
 	allowPct := flag.Float64("allow-allocs-pct", 0, "allowed allocs/op increase in percent before failing")
@@ -143,23 +166,12 @@ func main() {
 			failed = true
 			continue
 		}
-		verdict := "ok"
-		if old.allocs >= 0 && cur.allocs >= 0 {
-			limit := old.allocs * (1 + *allowPct/100)
-			if cur.allocs > limit {
-				verdict = "FAIL allocs/op regressed"
-				failed = true
-			}
-		} else if old.allocs >= 0 && cur.allocs < 0 {
-			verdict = "FAIL new output missing allocs/op (run with -benchmem)"
-			failed = true
-		}
-		if *maxNsRatio > 0 && old.nsOp > 0 && cur.nsOp > old.nsOp**maxNsRatio {
-			verdict = "FAIL ns/op regressed"
+		v := verdict(old, cur, *allowPct, *maxNsRatio)
+		if v != "ok" {
 			failed = true
 		}
 		fmt.Printf("%-8s %-28s ns/op %12.4g -> %12.4g (%s)  allocs/op %6.4g -> %6.4g (%s)\n",
-			verdict, name, old.nsOp, cur.nsOp, ratio(cur.nsOp, old.nsOp),
+			v, name, old.nsOp, cur.nsOp, ratio(cur.nsOp, old.nsOp),
 			old.allocs, cur.allocs, ratio(cur.allocs, old.allocs))
 	}
 	for name := range next {

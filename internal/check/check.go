@@ -10,20 +10,25 @@
 // mutates simulation state (a checked run's Result is bit-identical to an
 // unchecked one). The invariant catalog (see DESIGN.md §14):
 //
-//   - conserve: every flit a source launches is delivered exactly once; a
-//     packet's tail closes with launched == delivered == NumFlits, and a
-//     pooled packet is never recycled mid-flight
+//   - conserve: a source launches one packet at a time, in Seq order;
+//     every flit it launches is delivered exactly once; a packet's tail
+//     closes with launched == delivered == NumFlits, and a pooled packet
+//     is never recycled mid-flight
 //   - token: at most one (writer, packet) holds an MWSR waveguide or SWMR
 //     group at a time, and only the holder releases it
-//   - fifo: per virtual channel, a packet's flits cross every router and
-//     shared channel in strictly ascending Seq order
+//   - fifo: each stream — a router output VC, a shared channel, a sink
+//     VC — carries one packet at a time, its flits in strictly ascending
+//     Seq order
 //   - route: the output port a router's pipeline uses matches a fresh
 //     evaluation of the topology's routing table, no router is visited
 //     twice by one packet, and path lengths respect the diameter bound
-//   - timestamp: every event a packet participates in carries a
-//     non-decreasing cycle, and CreatedAt <= InjectedAt <= EjectedAt
+//   - timestamp: events carry non-decreasing cycles, across all packets
+//     (one clock), and CreatedAt <= InjectedAt <= EjectedAt
 //   - credit/state: periodic structural sweeps of router and channel
 //     CheckInvariants (credits within [0, depth], queue accounting)
+//
+// Per-flit events touch only fixed per-stream slots; the per-packet
+// ledger is looked up a few times per packet, in a noc.IDTable.
 //
 // Violations are recorded (bounded by MaxViolations) and surfaced through
 // OnViolation, which fabric.Network.InstallChecker wires to a
@@ -93,14 +98,19 @@ type Checker struct {
 	total      uint64
 	events     uint64
 
-	pkts map[uint64]*pktState
+	// clock is the cycle of the latest audited event. The network emits
+	// its events in simulation order, so one clock for all of them is the
+	// timestamp rule.
+	clock uint64
+
+	// pkts holds the ledgers of live packets; free keeps closed ones for
+	// reuse.
+	pkts noc.IDTable[pktState]
 	free []*pktState
 }
 
 // New returns an empty checker with default bounds.
-func New() *Checker {
-	return &Checker{pkts: make(map[uint64]*pktState)}
-}
+func New() *Checker { return &Checker{} }
 
 // Violations returns the recorded violations in detection order (at most
 // MaxViolations of them).
@@ -145,18 +155,17 @@ func (c *Checker) report(v Violation) {
 }
 
 // pktState is the checker's per-live-packet ledger, opened at the first
-// source flit and closed at the sink tail (or at recycle).
+// source flit and closed at the sink tail (or at recycle). It is touched
+// per packet, not per flit: at the first and the last launch, at every
+// route computation and at the tail's ejection or the recycle.
 type pktState struct {
-	numFlits  int
-	launched  int
-	delivered int
-	lastCycle uint64
-	visited   []int // router IDs the head traversed, in order
+	launched int   // flits the source launched, recorded at the last launch
+	visited  []int // router IDs the head traversed, in order
 }
 
-// state returns (creating if needed) the ledger for p.
-func (c *Checker) state(p *noc.Packet) *pktState {
-	if st, ok := c.pkts[p.ID]; ok {
+// open returns packet id's ledger, opening one if it has none.
+func (c *Checker) open(id uint64) *pktState {
+	if st := c.pkts.Get(id); st != nil {
 		return st
 	}
 	var st *pktState
@@ -167,57 +176,109 @@ func (c *Checker) state(p *noc.Packet) *pktState {
 	} else {
 		st = &pktState{}
 	}
-	c.pkts[p.ID] = st
+	c.pkts.Put(id, st)
 	return st
 }
 
-// drop closes p's ledger and returns its storage to the freelist.
-func (c *Checker) drop(id uint64) {
-	if st, ok := c.pkts[id]; ok {
-		delete(c.pkts, id)
+// close removes id's ledger, returns its storage to the freelist and
+// returns it for a last read, or nil when id had none.
+func (c *Checker) close(id uint64) *pktState {
+	st := c.pkts.Delete(id)
+	if st != nil {
 		c.free = append(c.free, st)
 	}
+	return st
 }
 
 // LiveStates returns the number of open per-packet ledgers (packets
 // launched but not yet ejected or recycled); diagnostics and leak tests
 // read it.
-func (c *Checker) LiveStates() int { return len(c.pkts) }
+func (c *Checker) LiveStates() int { return c.pkts.Len() }
 
-// touch audits the monotonic-timestamp invariant: events involving one
-// packet must carry non-decreasing cycles.
+// touch audits the monotonic-timestamp invariant: no event may carry a
+// cycle below one already audited, whichever packets the two events
+// concern.
 func (c *Checker) touch(cycle uint64, p *noc.Packet, component string) {
-	st := c.state(p)
-	if cycle < st.lastCycle {
-		c.report(Violation{Cycle: cycle, Rule: RuleTime, Component: component,
-			Detail: fmt.Sprintf("pkt %d event at cycle %d after cycle %d", p.ID, cycle, st.lastCycle)})
+	if cycle < c.clock {
+		c.reportTime(cycle, p, component)
 		return
 	}
-	st.lastCycle = cycle
+	c.clock = cycle
+}
+
+// reportTime reports an event that went back in time; kept out of touch,
+// which runs on every event.
+func (c *Checker) reportTime(cycle uint64, p *noc.Packet, component string) {
+	c.report(Violation{Cycle: cycle, Rule: RuleTime, Component: component,
+		Detail: fmt.Sprintf("pkt %d event at cycle %d after cycle %d", p.ID, cycle, c.clock)})
+}
+
+// stream is one FIFO audit slot of a medium that carries packets whole,
+// one after another: a router output VC, a shared channel, a source, a
+// sink VC. It holds the packet the medium is mid-way through and the Seq
+// that packet's next flit must carry; next == 0 means no packet is open,
+// so the next flit must be a Seq 0, of any packet. n counts the flits of
+// the current packet the stream saw.
+type stream struct {
+	pkt  uint64
+	next int
+	n    int
+}
+
+// holds reports whether the stream is mid-way through packet id.
+func (s *stream) holds(id uint64) bool { return s.next != 0 && s.pkt == id }
+
+// step moves the stream past f: a tail closes it, any other flit leaves
+// it open on f's packet. It returns the stream as it was before f and
+// whether f was the flit it expected.
+func (s *stream) step(f *noc.Flit) (prev stream, ok bool) {
+	prev = *s
+	id := f.Pkt.ID
+	same := prev.next != 0 && prev.pkt == id // f continues the open packet
+	ok = f.Seq == prev.next && (same || prev.next == 0)
+	if !same {
+		s.pkt, s.n = id, 0
+	}
+	s.n++
+	s.next = f.Seq + 1
+	if f.IsTail() {
+		s.next = 0
+	}
+	return prev, ok
+}
+
+// want renders what the stream expected next, for a violation's detail.
+func (s stream) want() string {
+	if s.next == 0 {
+		return "seq 0"
+	}
+	return fmt.Sprintf("pkt %d seq %d", s.pkt, s.next)
 }
 
 // Recycle audits a packet's return to its pool: a pooled packet whose
-// flits entered the network may only be recycled after full delivery.
-// SourceMonitor.Watch subscribes it to the source pool's EvRecycle.
+// flits entered the network may only be recycled after full delivery,
+// and the sink tail closes the ledger of a delivered one, so a ledger
+// still open here is a mid-flight recycle. SourceMonitor.Watch
+// subscribes it to the source pool's EvRecycle.
 func (c *Checker) Recycle(p *noc.Packet) {
 	c.events++
-	st, ok := c.pkts[p.ID]
-	if !ok {
-		return // never launched (dropped at the source queue): legal
+	st := c.close(p.ID)
+	if st == nil {
+		return // never launched (dropped at the source queue), or ejected: legal
 	}
-	if st.delivered != st.launched || st.delivered != p.NumFlits {
-		c.report(Violation{Cycle: st.lastCycle, Rule: RuleConserve,
-			Component: fmt.Sprintf("source %d", p.Src),
-			Detail: fmt.Sprintf("pkt %d recycled mid-flight: launched %d, delivered %d of %d flits",
-				p.ID, st.launched, st.delivered, p.NumFlits)})
+	detail := fmt.Sprintf("pkt %d recycled mid-flight: its tail of %d flits was not yet launched", p.ID, p.NumFlits)
+	if st.launched > 0 {
+		detail = fmt.Sprintf("pkt %d recycled mid-flight: launched %d of %d flits, tail not ejected", p.ID, st.launched, p.NumFlits)
 	}
-	c.drop(p.ID)
+	c.report(Violation{Cycle: c.clock, Rule: RuleConserve,
+		Component: fmt.Sprintf("source %d", p.Src), Detail: detail})
 }
 
 // SourceMonitor audits one traffic source's injection stream.
 type SourceMonitor struct {
 	c    *Checker
 	name string
+	s    stream // a source has one packet in flight at a time
 }
 
 // NewSourceMonitor returns the monitor for core coreID's source; Watch
@@ -226,19 +287,25 @@ func (c *Checker) NewSourceMonitor(coreID int) *SourceMonitor {
 	return &SourceMonitor{c: c, name: fmt.Sprintf("source %d", coreID)}
 }
 
-// Flit audits one injected flit: it must extend the packet's launch
-// ledger in Seq order.
+// Flit audits one injected flit: a source launches one packet at a time,
+// its flits in Seq order. The first launch opens the packet's ledger and
+// the last records how many flits were launched.
 func (m *SourceMonitor) Flit(cycle uint64, f *noc.Flit) {
 	c := m.c
 	c.events++
-	st := c.state(f.Pkt)
-	if f.Seq != st.launched {
+	p := f.Pkt
+	prev, ok := m.s.step(f)
+	if !ok {
 		c.report(Violation{Cycle: cycle, Rule: RuleConserve, Component: m.name,
-			Detail: fmt.Sprintf("pkt %d launched flit seq %d, want %d", f.Pkt.ID, f.Seq, st.launched)})
+			Detail: fmt.Sprintf("pkt %d launched flit seq %d, want %s", p.ID, f.Seq, prev.want())})
 	}
-	st.launched++
-	st.numFlits = f.Pkt.NumFlits
-	c.touch(cycle, f.Pkt, m.name)
+	if !prev.holds(p.ID) || f.IsTail() { // the packet's first or last launch
+		st := c.open(p.ID)
+		if f.IsTail() {
+			st.launched = m.s.n
+		}
+	}
+	c.touch(cycle, p, m.name)
 }
 
 // SinkMonitor audits one ejection sink's delivery stream.
@@ -246,6 +313,7 @@ type SinkMonitor struct {
 	c    *Checker
 	core int
 	name string
+	vcs  []stream // indexed by the arriving flit's VC
 }
 
 // NewSinkMonitor returns the monitor for core coreID's sink; Watch
@@ -254,33 +322,50 @@ func (c *Checker) NewSinkMonitor(coreID int) *SinkMonitor {
 	return &SinkMonitor{c: c, core: coreID, name: fmt.Sprintf("sink %d", coreID)}
 }
 
-// Flit audits one delivered flit; the tail closes the conservation ledger
-// (launched == delivered == NumFlits) and the packet's timestamp chain.
+// Streams sizes the monitor's per-VC slots for a sink fed over vcs VCs.
+// fabric.Network.InstallChecker calls it, so a checked run allocates no
+// slot; an unsized monitor grows its slots at a VC's first flit.
+func (m *SinkMonitor) Streams(vcs int) *SinkMonitor {
+	if vcs > len(m.vcs) {
+		m.vcs = append(m.vcs, make([]stream, vcs-len(m.vcs))...)
+	}
+	return m
+}
+
+// Flit audits one delivered flit: each VC delivers one packet at a time,
+// its flits in Seq order. The tail closes the conservation ledger
+// (launched == delivered == NumFlits) and checks the packet's timestamp
+// chain.
 func (m *SinkMonitor) Flit(cycle uint64, f *noc.Flit) {
 	c := m.c
 	c.events++
 	p := f.Pkt
-	st := c.state(p)
-	if f.Seq != st.delivered {
-		c.report(Violation{Cycle: cycle, Rule: RuleFIFO, Component: m.name,
-			Detail: fmt.Sprintf("pkt %d delivered flit seq %d, want %d", p.ID, f.Seq, st.delivered)})
+	if f.VC >= len(m.vcs) {
+		m.Streams(f.VC + 1)
 	}
-	st.delivered++
+	s := &m.vcs[f.VC]
+	if prev, ok := s.step(f); !ok {
+		c.report(Violation{Cycle: cycle, Rule: RuleFIFO, Component: m.name,
+			Detail: fmt.Sprintf("pkt %d delivered flit seq %d, want %s", p.ID, f.Seq, prev.want())})
+	}
 	c.touch(cycle, p, m.name)
 	if !f.IsTail() {
 		return
 	}
-	if st.launched != p.NumFlits || st.delivered != p.NumFlits {
+	launched := 0 // a packet no source launched has no ledger
+	if st := c.close(p.ID); st != nil {
+		launched = st.launched
+	}
+	if launched != p.NumFlits || s.n != p.NumFlits {
 		c.report(Violation{Cycle: cycle, Rule: RuleConserve, Component: m.name,
 			Detail: fmt.Sprintf("pkt %d tail ejected with %d launched / %d delivered of %d flits",
-				p.ID, st.launched, st.delivered, p.NumFlits)})
+				p.ID, launched, s.n, p.NumFlits)})
 	}
 	if p.InjectedAt < p.CreatedAt || cycle < p.InjectedAt {
 		c.report(Violation{Cycle: cycle, Rule: RuleTime, Component: m.name,
 			Detail: fmt.Sprintf("pkt %d timestamps out of order: created %d, injected %d, ejected %d",
 				p.ID, p.CreatedAt, p.InjectedAt, cycle)})
 	}
-	c.drop(p.ID)
 }
 
 // RouterMonitor audits one router's pipeline decisions.
@@ -290,7 +375,10 @@ type RouterMonitor struct {
 	route    router.RouteFunc
 	diameter int
 	name     string
-	nextSeq  map[uint64]int
+	// outs holds one stream per output VC, port-major (port*vcs + vc): an
+	// output VC is held by one packet from VC allocation to its tail.
+	outs []stream
+	vcs  int
 }
 
 // NewRouterMonitor returns the monitor for router id. route is the
@@ -305,8 +393,27 @@ func (c *Checker) NewRouterMonitor(id int, route router.RouteFunc, diameter int)
 		route:    route,
 		diameter: diameter,
 		name:     fmt.Sprintf("router %d", id),
-		nextSeq:  make(map[uint64]int),
 	}
+}
+
+// Streams sizes the monitor's output-VC slots for a router of ports
+// ports with vcs VCs each. fabric.Network.InstallChecker calls it, so a
+// checked run allocates no slot; an unsized monitor grows its slots at
+// the first flit that needs a larger layout.
+func (m *RouterMonitor) Streams(ports, vcs int) *RouterMonitor {
+	if m.vcs > 0 {
+		ports = max(ports, len(m.outs)/m.vcs)
+	}
+	vcs = max(vcs, m.vcs)
+	if ports*vcs == len(m.outs) {
+		return m
+	}
+	outs := make([]stream, ports*vcs)
+	for i, s := range m.outs {
+		outs[i/m.vcs*vcs+i%m.vcs] = s
+	}
+	m.outs, m.vcs = outs, vcs
+	return m
 }
 
 // Route audits one route computation: the pipeline's decision must match
@@ -323,7 +430,7 @@ func (m *RouterMonitor) Route(cycle uint64, p *noc.Packet, inPort, outPort int, 
 					p.ID, p.Src, p.Dst, inPort, outPort, vcMask, wantPort, wantMask)})
 		}
 	}
-	st := c.state(p)
+	st := c.open(p.ID)
 	for _, r := range st.visited {
 		if r == m.id {
 			c.report(Violation{Cycle: cycle, Rule: RuleRoute, Component: m.name,
@@ -339,22 +446,19 @@ func (m *RouterMonitor) Route(cycle uint64, p *noc.Packet, inPort, outPort int, 
 	c.touch(cycle, p, m.name)
 }
 
-// Flit audits one switch-allocation grant: a packet's flits cross the
-// router in strictly ascending Seq order (per-VC FIFO through the
-// wormhole pipeline).
+// Flit audits one switch-allocation grant: each output VC carries one
+// packet at a time, its flits in strictly ascending Seq order (wormhole
+// switching holds the VC from VC allocation to the tail).
 func (m *RouterMonitor) Flit(cycle uint64, f *noc.Flit, inPort, outPort, outVC int) {
 	c := m.c
 	c.events++
-	pid := f.Pkt.ID
-	if want := m.nextSeq[pid]; f.Seq != want {
-		c.report(Violation{Cycle: cycle, Rule: RuleFIFO, Component: m.name,
-			Detail: fmt.Sprintf("pkt %d crossed switch with flit seq %d, want %d (in %d -> out %d vc %d)",
-				pid, f.Seq, want, inPort, outPort, outVC)})
+	if outVC >= m.vcs || outPort*m.vcs+outVC >= len(m.outs) {
+		m.Streams(outPort+1, outVC+1)
 	}
-	if f.IsTail() {
-		delete(m.nextSeq, pid)
-	} else {
-		m.nextSeq[pid] = f.Seq + 1
+	if prev, ok := m.outs[outPort*m.vcs+outVC].step(f); !ok {
+		c.report(Violation{Cycle: cycle, Rule: RuleFIFO, Component: m.name,
+			Detail: fmt.Sprintf("pkt %d crossed switch with flit seq %d, want %s (in %d -> out %d vc %d)",
+				f.Pkt.ID, f.Seq, prev.want(), inPort, outPort, outVC)})
 	}
 	c.touch(cycle, f.Pkt, m.name)
 }
@@ -368,13 +472,15 @@ type ChannelMonitor struct {
 	held         bool
 	lockedPkt    uint64
 	lockedWriter int
-	nextSeq      map[uint64]int
+	// s is the delivery stream: the whole-packet lock and one flight
+	// time make the channel's deliveries packet-contiguous.
+	s stream
 }
 
 // NewChannelMonitor returns the monitor for the named shared channel;
 // Watch subscribes it.
 func (c *Checker) NewChannelMonitor(name string) *ChannelMonitor {
-	return &ChannelMonitor{c: c, name: name, lockedWriter: -1, nextSeq: make(map[uint64]int)}
+	return &ChannelMonitor{c: c, name: name, lockedWriter: -1}
 }
 
 // Acquire audits one token grant: the medium must be free (single token
@@ -412,21 +518,14 @@ func (m *ChannelMonitor) Release(cycle uint64, p *noc.Packet, writer int) {
 	c.touch(cycle, p, m.name)
 }
 
-// Deliver audits one flit landing at a receiver: whole-packet locking
-// plus constant propagation make per-channel deliveries arrive in Seq
-// order per packet.
+// Deliver audits one flit landing at a receiver: the channel delivers one
+// packet at a time, its flits in Seq order.
 func (m *ChannelMonitor) Deliver(cycle uint64, f *noc.Flit, rx int) {
 	c := m.c
 	c.events++
-	pid := f.Pkt.ID
-	if want := m.nextSeq[pid]; f.Seq != want {
+	if prev, ok := m.s.step(f); !ok {
 		c.report(Violation{Cycle: cycle, Rule: RuleFIFO, Component: m.name,
-			Detail: fmt.Sprintf("pkt %d delivered flit seq %d to rx %d, want %d", pid, f.Seq, rx, want)})
-	}
-	if f.IsTail() {
-		delete(m.nextSeq, pid)
-	} else {
-		m.nextSeq[pid] = f.Seq + 1
+			Detail: fmt.Sprintf("pkt %d delivered flit seq %d to rx %d, want %s", f.Pkt.ID, f.Seq, rx, prev.want())})
 	}
 	c.touch(cycle, f.Pkt, m.name)
 }

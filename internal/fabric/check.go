@@ -11,13 +11,14 @@ import (
 
 // InstallChecker subscribes the conformance checker c to every component
 // tap of the network: per-flit source/sink events close the
-// flit-conservation ledger, router events audit route legality and per-VC
-// FIFO order against the topology's own routing tables, shared-channel
-// events audit single-token-holder arbitration and delivery order, pool
-// events catch mid-flight recycles, and a periodic structural sweep
-// re-validates
-// credit bounds and queue accounting (see internal/check for the full
-// invariant catalog). Install before Run, and at most once.
+// flit-conservation ledger, router events audit route legality against
+// the topology's own routing tables and FIFO order per output VC,
+// shared-channel events audit single-token-holder arbitration and delivery
+// order, pool events catch mid-flight recycles, and a periodic structural
+// sweep re-validates credit bounds and queue accounting (see
+// internal/check for the full invariant catalog). The monitors' FIFO slots
+// are sized here, from each router's ports and VCs, so a checked run
+// allocates none. Install before Run, and at most once.
 //
 // Violations trip a flight-recorder-style dump: the first one captures a
 // full state snapshot (Snapshot, naming the offending component and cycle
@@ -61,14 +62,17 @@ func (n *Network) InstallChecker(c *check.Checker, onViolation func(v check.Viol
 		}
 		c.NewSourceMonitor(src.CoreID).Watch(&src.Tap, &src.Pool().Tap)
 	}
+	// A sink's VCs are its router's output VCs on the terminal port.
+	vcs := 0
+	for _, r := range n.Routers {
+		vcs = max(vcs, r.Cfg.NumVCs)
+		c.NewRouterMonitor(r.Cfg.ID, r.Cfg.Route, n.Diameter).Streams(r.Cfg.NumPorts, r.Cfg.NumVCs).Watch(&r.Tap)
+	}
 	for _, snk := range n.Sinks {
 		if snk == nil {
 			continue
 		}
-		c.NewSinkMonitor(snk.CoreID).Watch(&snk.Tap)
-	}
-	for _, r := range n.Routers {
-		c.NewRouterMonitor(r.Cfg.ID, r.Cfg.Route, n.Diameter).Watch(&r.Tap)
+		c.NewSinkMonitor(snk.CoreID).Streams(vcs).Watch(&snk.Tap)
 	}
 	for _, ch := range n.Channels {
 		c.NewChannelMonitor(channelLabel(ch)).Watch(&ch.Tap)

@@ -33,8 +33,10 @@ import (
 //
 // Like the rest of the probe layer the tracker is deterministic (hooks
 // fire in engine order, aggregation is integer arithmetic, exports
-// iterate phases in enum order — the live map is lookup-only) and inert
-// (a nil *SpanTracker is valid everywhere and does nothing).
+// iterate phases in enum order, live spans are listed by ID) and inert
+// (a nil *SpanTracker is valid everywhere and does nothing). Open
+// attributions are found through a noc.IDTable, looked up once per head
+// event, so no Go map sits on the event path.
 
 // SpanPhase is one latency attribution phase.
 type SpanPhase uint8
@@ -125,7 +127,7 @@ type spanState struct {
 // the source, sink and router taps (Watch) and feeds it the channel
 // transmissions (ChannelTx) when Options.Spans is set.
 type SpanTracker struct {
-	live map[uint64]*spanState // keyed by packet ID; lookup only, never iterated
+	live noc.IDTable[spanState] // keyed by packet ID
 	free []*spanState
 
 	totals     [NumSpanPhases]uint64
@@ -134,9 +136,7 @@ type SpanTracker struct {
 	mismatches uint64
 }
 
-func newSpanTracker() *SpanTracker {
-	return &SpanTracker{live: make(map[uint64]*spanState)}
-}
+func newSpanTracker() *SpanTracker { return &SpanTracker{} }
 
 // Watch subscribes the tracker to the attribution points a source, sink
 // or router tap emits: enqueue, inject, head switch and eject. Shared
@@ -181,7 +181,7 @@ func (s *SpanTracker) Enqueue(p *noc.Packet, cycle uint64) {
 	st.mark = cycle
 	st.residual = SpanElec
 	st.src, st.dst, st.created = p.Src, p.Dst, cycle
-	s.live[p.ID] = st
+	s.live.Put(p.ID, st)
 }
 
 // Inject charges the source-queue wait when the head flit leaves the
@@ -190,7 +190,7 @@ func (s *SpanTracker) Inject(p *noc.Packet, cycle uint64) {
 	if s == nil {
 		return
 	}
-	st := s.live[p.ID]
+	st := s.live.Get(p.ID)
 	if st == nil {
 		return
 	}
@@ -204,7 +204,7 @@ func (s *SpanTracker) Switch(cycle uint64, f *noc.Flit) {
 	if s == nil || !f.IsHead() {
 		return
 	}
-	st := s.live[f.Pkt.ID]
+	st := s.live.Get(f.Pkt.ID)
 	if st == nil {
 		return
 	}
@@ -229,7 +229,7 @@ func (s *SpanTracker) ChannelTx(cycle uint64, f *noc.Flit, serializeCy, propCy i
 	if s == nil || !f.IsHead() {
 		return 0, false
 	}
-	st := s.live[f.Pkt.ID]
+	st := s.live.Get(f.Pkt.ID)
 	if st == nil {
 		return 0, false
 	}
@@ -253,11 +253,10 @@ func (s *SpanTracker) Eject(p *noc.Packet, cycle uint64) {
 	if s == nil {
 		return
 	}
-	st := s.live[p.ID]
+	st := s.live.Delete(p.ID)
 	if st == nil {
 		return
 	}
-	delete(s.live, p.ID)
 	st.acc[SpanSinkEject] += cycle - st.mark
 	var sum uint64
 	for ph, cy := range st.acc {
@@ -326,7 +325,7 @@ func (s *SpanTracker) InFlight() int {
 	if s == nil {
 		return 0
 	}
-	return len(s.live)
+	return s.live.Len()
 }
 
 // LiveSpan describes one in-flight measured packet's open attribution
@@ -346,19 +345,19 @@ type LiveSpan struct {
 }
 
 // LiveSpans snapshots every in-flight attribution, sorted by packet ID
-// so the dump bytes are independent of map iteration order. It is a
+// so the dump bytes are independent of the table's slot order. It is a
 // diagnostic path (watchdog dumps, /debug/dump), not the hot path.
 func (s *SpanTracker) LiveSpans() []LiveSpan {
-	if s == nil || len(s.live) == 0 {
+	if s == nil || s.live.Len() == 0 {
 		return nil
 	}
-	out := make([]LiveSpan, 0, len(s.live))
-	for id, st := range s.live {
+	out := make([]LiveSpan, 0, s.live.Len())
+	s.live.Range(func(id uint64, st *spanState) {
 		out = append(out, LiveSpan{
 			ID: id, Src: st.src, Dst: st.dst,
 			CreatedAt: st.created, MarkCy: st.mark, Phase: st.residual,
 		})
-	}
+	})
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
