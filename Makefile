@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all fmt vet build lint test test-386 race check results results-check bench bench-compare bench-selftest loc ci
+.PHONY: all fmt vet build lint test test-386 race check campaign results results-check bench bench-compare bench-selftest loc ci
 
 all: ci
 
@@ -56,6 +56,13 @@ check:
 	$(GO) run ./cmd/ownsim -cores 256 -warmup 300 -measure 1500 -seed 101 -check >/dev/null
 	$(GO) run ./cmd/ownsim -topo pclos -cores 256 -warmup 300 -measure 1500 -seed 102 -check >/dev/null
 	$(GO) run ./cmd/sweep -topo all -cores 256 -points 3 -warmup 300 -measure 1200 -seed 103 -check >/dev/null
+
+# campaign runs the conformance tests at campaign depth (CHECK_CAMPAIGN=1:
+# 64 random up*/down* networks, the kilo-core DiffRuns legs), about 16 s on
+# two cores. CI runs it on every PR, so a red campaign shows on the change
+# that causes it; nightly runs the same tests verbosely.
+campaign:
+	CHECK_CAMPAIGN=1 $(GO) test -run Conformance -count=1 ./...
 
 # results regenerates results/ — the tables, every figure's text and CSVs,
 # the claims ledger — with the one reproduction command at full budget.
@@ -125,4 +132,4 @@ loc:
 	printf '%7d  support (lint probe flightrec obs check + fabric installers)\n' $$support; \
 	awk "BEGIN { printf \"%7.2f  support / core\n\", $$support / $$core }"
 
-ci: fmt vet build lint race test-386 bench-selftest results-check
+ci: fmt vet build lint race test-386 campaign bench-selftest results-check

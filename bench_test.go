@@ -365,7 +365,7 @@ func BenchmarkAblationBufferDepth(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				n := core.BuildOWN256(core.Params{BufDepth: depth, Meter: power.NewMeter(nil)})
 				res := n.Run(
-					fabric.TrafficSpec{Pattern: traffic.Uniform, Rate: 0.004, Seed: 1, Policy: core.OWN256Policy},
+					fabric.TrafficSpec{Pattern: traffic.Uniform, Rate: 0.004, Seed: 1, Policy: core.OWNPolicy},
 					fabric.RunSpec{Warmup: 200, Measure: 800},
 				)
 				if res.Packets == 0 {
@@ -384,7 +384,7 @@ func BenchmarkAblationFailover(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				n := core.BuildOWN256(core.Params{FailedChannels: failed})
 				res := n.Run(
-					fabric.TrafficSpec{Pattern: traffic.Uniform, Rate: 0.003, Seed: 1, Policy: core.OWN256Policy},
+					fabric.TrafficSpec{Pattern: traffic.Uniform, Rate: 0.003, Seed: 1, Policy: core.OWNPolicy},
 					fabric.RunSpec{Warmup: 200, Measure: 800},
 				)
 				if res.Packets == 0 {
@@ -408,7 +408,7 @@ func BenchmarkAblationRequestReply(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				n := core.BuildOWN256(core.Params{})
 				res := n.Run(
-					fabric.TrafficSpec{Pattern: traffic.Uniform, Rate: 0.004, Seed: 1, Policy: core.OWN256Policy, Sizes: c.mix},
+					fabric.TrafficSpec{Pattern: traffic.Uniform, Rate: 0.004, Seed: 1, Policy: core.OWNPolicy, Sizes: c.mix},
 					fabric.RunSpec{Warmup: 200, Measure: 800},
 				)
 				if res.Packets == 0 {

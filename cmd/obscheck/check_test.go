@@ -29,6 +29,7 @@ import (
 	"strings"
 
 	"ownsim/internal/flightrec"
+	"ownsim/internal/obs"
 	"ownsim/internal/power"
 	"ownsim/internal/probe"
 	"ownsim/internal/stats"
@@ -79,7 +80,7 @@ func checkCSV(b []byte) (int, error) {
 	}{
 		{power.EnergyCSVHeader, checkEnergyCSV},
 		{probe.SpanCSVHeader, checkBreakdownCSV},
-		{flightrec.FairnessJainCSVHeader, checkJainCSV},
+		{obs.FairnessJainCSVHeader, checkJainCSV},
 	} {
 		if slices.Equal(recs[0], a.header) {
 			return len(recs) - 1, a.check(recs)

@@ -6,25 +6,27 @@ import (
 	"testing"
 
 	"ownsim/internal/flightrec"
+	"ownsim/internal/noc"
+	"ownsim/internal/obs"
 	"ownsim/internal/probe"
+	"ownsim/internal/sbus"
 )
 
-// jainCSV renders a real Jain artifact through the stall tracker so the
-// validator is exercised against the emitter's actual bytes.
+// jainCSV renders a real Jain artifact through obs.WriteJainCSV, over
+// a token ledger booked through the span tracker, so the validator is
+// exercised against the emitter's actual bytes.
 func jainCSV(t *testing.T) []byte {
 	t.Helper()
-	st := flightrec.NewStallTracker(4)
-	ch := st.AddChannel("bus0", "photonic")
-	st.AddChannel("wl A", "wireless")
-	st.Observe(ch, 0, 10)
-	st.Observe(ch, 1, 12)
-	st.Observe(ch, 2, 200)
-	var buf bytes.Buffer
-	if err := st.WriteTileCSV(&buf); err != nil {
-		t.Fatal(err)
+	sp := probe.New(probe.Options{Spans: true}).Spans()
+	sp.SizeTokenLedger(2, 4, 1)
+	for src, wait := range []uint64{10, 12, 200} {
+		p := &noc.Packet{ID: uint64(src + 1), Src: src, Measure: true, NumFlits: 1}
+		sp.Enqueue(p, 0)
+		sp.ChannelTx(wait, noc.MakeFlits(p)[0], probe.ChannelHop{Ledger: 0})
 	}
-	buf.Reset()
-	if err := st.WriteJainCSV(&buf); err != nil {
+	chans := []*sbus.Channel{{Name: "bus0", Kind: "photonic"}, {Name: "wl A", Kind: "wireless"}}
+	var buf bytes.Buffer
+	if err := obs.WriteJainCSV(&buf, chans, sp); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -41,7 +43,7 @@ func TestCheckCSVAcceptsRealJainArtifact(t *testing.T) {
 }
 
 func TestCheckJainCSVEnforcesBound(t *testing.T) {
-	header := strings.Join(flightrec.FairnessJainCSVHeader, ",")
+	header := strings.Join(obs.FairnessJainCSVHeader, ",")
 	for _, bad := range []string{"0", "-0.5", "1.5", "NaN", "bogus"} {
 		csv := header + "\nbus0,photonic,2,2,8," + bad + "\n"
 		if _, err := checkCSV([]byte(csv)); err == nil {

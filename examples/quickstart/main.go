@@ -30,7 +30,7 @@ func main() {
 			Pattern: traffic.Uniform,
 			Rate:    load,
 			Seed:    42,
-			Policy:  core.OWN256Policy,
+			Policy:  core.OWNPolicy,
 		},
 		fabric.RunSpec{Warmup: 2000, Measure: 8000},
 	)

@@ -18,7 +18,7 @@ func TestBitForBitDeterminism(t *testing.T) {
 		m := power.NewMeter(nil)
 		n := BuildOWN256(Params{Meter: m})
 		res := n.Run(
-			fabric.TrafficSpec{Pattern: traffic.Uniform, Rate: 0.004, Seed: 77, Policy: OWN256Policy},
+			fabric.TrafficSpec{Pattern: traffic.Uniform, Rate: 0.004, Seed: 77, Policy: OWNPolicy},
 			fabric.RunSpec{Warmup: 500, Measure: 2500},
 		)
 		return res, m
@@ -43,7 +43,7 @@ func TestSeedsChangeOutcome(t *testing.T) {
 	run := func(seed uint64) fabric.Result {
 		n := BuildOWN256(Params{})
 		return n.Run(
-			fabric.TrafficSpec{Pattern: traffic.Uniform, Rate: 0.004, Seed: seed, Policy: OWN256Policy},
+			fabric.TrafficSpec{Pattern: traffic.Uniform, Rate: 0.004, Seed: seed, Policy: OWNPolicy},
 			fabric.RunSpec{Warmup: 500, Measure: 2500},
 		)
 	}

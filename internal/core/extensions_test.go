@@ -27,7 +27,7 @@ func TestReconfigChannelsRaiseDiagonalCapacity(t *testing.T) {
 	run := func(reconfig bool, load float64) fabric.Result {
 		n := BuildOWN256(Params{Reconfig: reconfig})
 		return n.Run(
-			fabric.TrafficSpec{Pattern: traffic.Transpose, Rate: load, Seed: 13, Policy: OWN256Policy},
+			fabric.TrafficSpec{Pattern: traffic.Transpose, Rate: load, Seed: 13, Policy: OWNPolicy},
 			fabric.RunSpec{Warmup: 1000, Measure: 5000},
 		)
 	}
@@ -88,7 +88,7 @@ func TestReconfigOnlyChangesC2C(t *testing.T) {
 	// hop bound.
 	n := BuildOWN256(Params{Reconfig: true, Meter: power.NewMeter(nil)})
 	res := n.Run(
-		fabric.TrafficSpec{Pattern: traffic.Uniform, Rate: 0.003, Seed: 14, Policy: OWN256Policy},
+		fabric.TrafficSpec{Pattern: traffic.Uniform, Rate: 0.003, Seed: 14, Policy: OWNPolicy},
 		fabric.RunSpec{Warmup: 500, Measure: 3000},
 	)
 	if !res.Drained || res.MaxHops > 4 {
@@ -112,7 +112,7 @@ func TestNominalScenario(t *testing.T) {
 	_ = cons
 	n := BuildOWN256(Params{Scenario: wireless.Nominal, Meter: power.NewMeter(nil)})
 	res := n.Run(
-		fabric.TrafficSpec{Pattern: traffic.Uniform, Rate: 0.002, Seed: 15, Policy: OWN256Policy},
+		fabric.TrafficSpec{Pattern: traffic.Uniform, Rate: 0.002, Seed: 15, Policy: OWNPolicy},
 		fabric.RunSpec{Warmup: 500, Measure: 3000},
 	)
 	if !res.Drained {
@@ -136,7 +136,7 @@ func TestWorkloadTraces(t *testing.T) {
 	}
 	for _, tc := range cases {
 		n := BuildOWN256(Params{Meter: power.NewMeter(nil)})
-		res := n.RunTrace(tc.trace, 5, fabric.TrafficSpec{Policy: OWN256Policy}, 60000)
+		res := n.RunTrace(tc.trace, 5, fabric.TrafficSpec{Policy: OWNPolicy}, 60000)
 		if !res.Drained {
 			t.Fatalf("%s: trace did not complete", tc.name)
 		}
@@ -175,7 +175,7 @@ func TestRequestReplyMixOnOWN(t *testing.T) {
 	res := n.Run(
 		fabric.TrafficSpec{
 			Pattern: traffic.Uniform, Rate: 0.003, Seed: 41,
-			Policy: OWN256Policy, Sizes: &sizes,
+			Policy: OWNPolicy, Sizes: &sizes,
 		},
 		fabric.RunSpec{Warmup: 500, Measure: 4000},
 	)

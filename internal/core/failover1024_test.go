@@ -13,7 +13,7 @@ func TestFailover1024SingleGroupChannel(t *testing.T) {
 	res := n.Run(
 		fabric.TrafficSpec{
 			Pattern: traffic.Uniform, Rate: 0.0008, Seed: 31,
-			Policy: OWN1024Policy, Classify: Classify1024,
+			Policy: OWNPolicy, Classify: Classify1024,
 		},
 		fabric.RunSpec{Warmup: 1000, Measure: 4000},
 	)
@@ -36,7 +36,7 @@ func TestFailover1024NoDeadlockUnderLoad(t *testing.T) {
 	res := n.Run(
 		fabric.TrafficSpec{
 			Pattern: traffic.Uniform, Rate: 0.01, Seed: 32,
-			Policy: OWN1024Policy, Classify: Classify1024,
+			Policy: OWNPolicy, Classify: Classify1024,
 		},
 		fabric.RunSpec{Warmup: 2000, Measure: 2000, DrainBudget: 1},
 	)

@@ -15,7 +15,7 @@ func TestFailoverSingleChannel(t *testing.T) {
 	// detour over a relay with at most 6 router hops and still drain.
 	n := BuildOWN256(Params{FailedChannels: []int{0}})
 	res := n.Run(
-		fabric.TrafficSpec{Pattern: traffic.Uniform, Rate: 0.003, Seed: 21, Policy: OWN256Policy},
+		fabric.TrafficSpec{Pattern: traffic.Uniform, Rate: 0.003, Seed: 21, Policy: OWNPolicy},
 		fabric.RunSpec{Warmup: 1000, Measure: 5000},
 	)
 	if !res.Drained {
@@ -43,7 +43,7 @@ func TestFailedChannelLeavesFigure5Average(t *testing.T) {
 	m := power.NewMeter(nil)
 	n := BuildOWN256(Params{FailedChannels: []int{0}, Meter: m})
 	res := n.Run(
-		fabric.TrafficSpec{Pattern: traffic.Uniform, Rate: 0.003, Seed: 21, Policy: OWN256Policy},
+		fabric.TrafficSpec{Pattern: traffic.Uniform, Rate: 0.003, Seed: 21, Policy: OWNPolicy},
 		fabric.RunSpec{Warmup: 500, Measure: 2500},
 	)
 	inService := 0
@@ -75,7 +75,7 @@ func TestFailoverAllDiagonals(t *testing.T) {
 	// edge/short-range two-hop path.
 	n := BuildOWN256(Params{FailedChannels: []int{0, 1, 2, 3}})
 	res := n.Run(
-		fabric.TrafficSpec{Pattern: traffic.Uniform, Rate: 0.002, Seed: 22, Policy: OWN256Policy},
+		fabric.TrafficSpec{Pattern: traffic.Uniform, Rate: 0.002, Seed: 22, Policy: OWNPolicy},
 		fabric.RunSpec{Warmup: 1000, Measure: 5000},
 	)
 	if !res.Drained {
@@ -92,7 +92,7 @@ func TestFailoverNoDeadlockUnderLoad(t *testing.T) {
 	// the relay path acyclic).
 	n := BuildOWN256(Params{FailedChannels: []int{0, 1}})
 	res := n.Run(
-		fabric.TrafficSpec{Pattern: traffic.Uniform, Rate: 0.02, Seed: 23, Policy: OWN256Policy},
+		fabric.TrafficSpec{Pattern: traffic.Uniform, Rate: 0.02, Seed: 23, Policy: OWNPolicy},
 		fabric.RunSpec{Warmup: 3000, Measure: 3000, DrainBudget: 1},
 	)
 	if res.Packets == 0 {
@@ -107,7 +107,7 @@ func TestFailoverDegradesCapacityGracefully(t *testing.T) {
 	run := func(failed []int) float64 {
 		n := BuildOWN256(Params{FailedChannels: failed})
 		res := n.Run(
-			fabric.TrafficSpec{Pattern: traffic.Uniform, Rate: 0.006, Seed: 24, Policy: OWN256Policy},
+			fabric.TrafficSpec{Pattern: traffic.Uniform, Rate: 0.006, Seed: 24, Policy: OWNPolicy},
 			fabric.RunSpec{Warmup: 1000, Measure: 5000},
 		)
 		return res.Throughput

@@ -49,20 +49,27 @@ func TestFlightRecorderInertOWN256(t *testing.T) {
 	}
 }
 
-// TestTokenWaitReconciliation checks the cross-layer identity: the stall
-// tracker is fed from the same channel-transmit hook that charges span
-// token_wait, so the per-tile sums must reconcile with the span phase
-// total cycle for cycle.
+// TestTokenWaitReconciliation checks the cross-layer identity: the span
+// tracker books each token wait it charges to token_wait in its token
+// ledger, so the ledger's channel rows, and its cells per row, sum to the
+// span phase total cycle for cycle.
 func TestTokenWaitReconciliation(t *testing.T) {
 	check := func(cores int, rate float64) {
-		_, n, fr := flightRun(t, cores, rate, 0)
+		_, n, _ := flightRun(t, cores, rate, 0)
 		sp := n.Probe.Spans()
 		if sp == nil {
 			t.Fatal("span tracker not installed")
 		}
-		got, want := fr.Stall.TotalWaitCy(), sp.PhaseCycles(probe.SpanTokenWait)
-		if got != want {
-			t.Errorf("%d cores: stall tracker total %d cy != span token_wait %d cy", cores, got, want)
+		var rows, cells uint64
+		for ci := range n.Channels {
+			rows += sp.TokenRow(ci).WaitCy
+			for tile := range n.Tiles() {
+				cells += sp.Token(ci, tile).WaitCy
+			}
+		}
+		want := sp.PhaseCycles(probe.SpanTokenWait)
+		if rows != want || cells != want {
+			t.Errorf("%d cores: token ledger rows %d cy, cells %d cy, span token_wait %d cy", cores, rows, cells, want)
 		}
 		if want == 0 {
 			t.Errorf("%d cores: no token waits recorded; fixture exercises nothing", cores)
@@ -75,8 +82,9 @@ func TestTokenWaitReconciliation(t *testing.T) {
 }
 
 // TestFlightRecorderRingFollowsSampler checks the ring recorder sees the
-// sampler's windows, names aligned with the registry, with the token and
-// stall gauges registered behind the established columns.
+// sampler's windows, names aligned with the registry, with the span,
+// token and stall gauges registered, in that order, behind the
+// established columns.
 func TestFlightRecorderRingFollowsSampler(t *testing.T) {
 	_, _, fr := flightRun(t, 256, 0.004, 0)
 	if fr.Rec.Total() == 0 {
@@ -95,23 +103,25 @@ func TestFlightRecorderRingFollowsSampler(t *testing.T) {
 			t.Fatalf("frame holds %d values for %d names", len(f.Values), len(names))
 		}
 	}
-	// The flight-recorder gauges ride behind every pre-existing column:
-	// no token.*/stall.* name may precede a non-flightrec name.
-	lastOther, firstFR := -1, len(names)
-	for i, name := range names {
-		if strings.HasPrefix(name, "token.") || strings.HasPrefix(name, "stall.") {
-			if i < firstFR {
-				firstFR = i
+	// The span, token and stall gauges ride, in that order, behind every
+	// other column.
+	rank := func(name string) int {
+		for r, prefix := range []string{"span.", "token.", "stall."} {
+			if strings.HasPrefix(name, prefix) {
+				return r + 1
 			}
-		} else if i > lastOther {
-			lastOther = i
 		}
+		return 0
 	}
-	if firstFR == len(names) {
-		t.Fatal("no token.*/stall.* gauges registered")
+	seen := [4]int{}
+	for i, name := range names {
+		if i > 0 && rank(name) < rank(names[i-1]) {
+			t.Errorf("%s (column %d) follows %s", name, i, names[i-1])
+		}
+		seen[rank(name)]++
 	}
-	if firstFR < lastOther {
-		t.Errorf("flight-recorder gauges interleave the established columns (first at %d, others end at %d)", firstFR, lastOther)
+	if seen[2] != 6 || seen[3] == 0 {
+		t.Errorf("%d token.* and %d stall.* gauges registered, want 6 and some", seen[2], seen[3])
 	}
 }
 
@@ -185,16 +195,21 @@ func TestFairnessArtifactsByteStableAcrossGOMAXPROCS(t *testing.T) {
 	}
 }
 
-// TestFairnessArtifactsRequireRecorder pins the error paths: both
-// emitters refuse to run without an installed flight recorder.
+// TestFairnessArtifactsRequireRecorder pins the error paths: each
+// emitter refuses to run without what it renders. The fairness artifacts
+// read the span tracker's token ledger, so a flight recorder under a
+// probe without spans does not make them; the dump needs the recorder.
 func TestFairnessArtifactsRequireRecorder(t *testing.T) {
 	sys := NewSystem("own", 256, wireless.Config4, wireless.Ideal)
 	n := sys.Build(power.NewMeter(nil))
+	n.InstallFlightRecorder(flightrec.New(flightrec.Options{}))
+	n.InstallProbe(probe.New(probe.Options{MetricsEvery: flightrec.Window}))
 	dir := t.TempDir()
-	if _, err := obs.EmitFairness(n, dir, nil); err == nil {
-		t.Error("EmitFairness without a flight recorder must error")
+	if _, err := obs.EmitFairness(n, dir, nil); err == nil || !strings.Contains(err.Error(), "span decomposition is not enabled") {
+		t.Errorf("EmitFairness under a probe without spans: err = %v, want span decomposition is not enabled", err)
 	}
-	if _, err := obs.EmitDump(n, dir, nil); err == nil {
+	bare := sys.Build(power.NewMeter(nil))
+	if _, err := obs.EmitDump(bare, dir, nil); err == nil {
 		t.Error("EmitDump without a flight recorder must error")
 	}
 }

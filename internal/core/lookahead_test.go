@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"os"
 	"strings"
 	"testing"
@@ -120,8 +121,9 @@ func TestConformanceObservedCountsMatchPerCycle(t *testing.T) {
 					if reference {
 						n.SetReferenceMode()
 					}
-					p := probe.New(probe.Options{MetricsEvery: 97, PerComponent: true})
+					p := probe.New(probe.Options{MetricsEvery: 97})
 					n.InstallProbe(p)
+					perComponentGauges(n, p.Registry())
 					n.Run(fabric.TrafficSpec{Pattern: traffic.Uniform, Rate: load, Seed: 19, Policy: sys.Policy, Classify: sys.Classify},
 						fabric.RunSpec{Warmup: 300, Measure: 2500})
 					return p.Sampler()
@@ -149,6 +151,22 @@ func TestConformanceObservedCountsMatchPerCycle(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// perComponentGauges registers, behind a probe's network-wide columns,
+// each router's pipeline counts and buffered flits and each source's
+// queue, so a sampler reads every component on its own.
+func perComponentGauges(n *fabric.Network, reg *probe.Registry) {
+	for _, r := range n.Routers {
+		base := fmt.Sprintf("router.%d.", r.Cfg.ID)
+		reg.CounterFunc(base+"sa_grants", func() uint64 { return r.Counts().SAGrants })
+		reg.CounterFunc(base+"credit_stall", func() uint64 { return r.Counts().CreditStall })
+		reg.CounterFunc(base+"busy_stall", func() uint64 { return r.Counts().BusyStall })
+		reg.Gauge(base+"buffered", func() float64 { return float64(r.BufferedFlits()) })
+	}
+	for id, s := range n.Sources {
+		reg.Gauge(fmt.Sprintf("src.%d.queued", id), func() float64 { return float64(s.QueueLen()) })
 	}
 }
 
@@ -193,7 +211,9 @@ func TestStalledRoutersSleepAtSaturation(t *testing.T) {
 		m := power.NewMeter(nil)
 		n := sys.Build(m)
 		if c.observed {
-			n.InstallProbe(probe.New(probe.Options{MetricsEvery: 1000, PerComponent: true}))
+			p := probe.New(probe.Options{MetricsEvery: 1000})
+			n.InstallProbe(p)
+			perComponentGauges(n, p.Registry())
 		}
 		res := n.Run(
 			fabric.TrafficSpec{Pattern: traffic.Uniform, Rate: c.load, Seed: 1, Policy: sys.Policy, Classify: sys.Classify},

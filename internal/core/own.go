@@ -329,9 +329,10 @@ func relays(failed [4][4]bool) (relay [4][4]int, err error) {
 	return relay, nil
 }
 
-// OWN256Policy is the injection VC policy matching the routing
-// discipline.
-func OWN256Policy(p *noc.Packet) uint32 {
+// OWNPolicy is the injection VC policy matching the routing discipline
+// of OWN at either scale: a packet that stays in its cluster starts on
+// the down VCs, any other on the up VCs.
+func OWNPolicy(p *noc.Packet) uint32 {
 	if p.Src/CoresPerCluster == p.Dst/CoresPerCluster {
 		return vcDownMask
 	}

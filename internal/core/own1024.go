@@ -213,13 +213,3 @@ func routeOWN1024(pk *noc.Packet, group, cluster, tile int, txTileForGroup *[4]i
 	}
 	return photonicWritePort(tile, tx), vcUpMask
 }
-
-// OWN1024Policy is the injection VC policy for OWN-1024.
-func OWN1024Policy(p *noc.Packet) uint32 {
-	srcCluster := p.Src / CoresPerCluster
-	dstCluster := p.Dst / CoresPerCluster
-	if srcCluster == dstCluster {
-		return vcDownMask
-	}
-	return vcUpMask
-}

@@ -15,7 +15,7 @@ func runOWN256(t *testing.T, pat traffic.Pattern, rate float64, warmup, measure 
 	t.Helper()
 	n := BuildOWN256(Params{Meter: power.NewMeter(nil)})
 	res := n.Run(
-		fabric.TrafficSpec{Pattern: pat, Rate: rate, Seed: 11, Policy: OWN256Policy},
+		fabric.TrafficSpec{Pattern: pat, Rate: rate, Seed: 11, Policy: OWNPolicy},
 		fabric.RunSpec{Warmup: warmup, Measure: measure},
 	)
 	return n, res
@@ -119,7 +119,7 @@ func TestOWN256NoDeadlockUnderOverload(t *testing.T) {
 	// (no credit/VC deadlock): packets keep ejecting throughout.
 	n := BuildOWN256(Params{})
 	res := n.Run(
-		fabric.TrafficSpec{Pattern: traffic.Transpose, Rate: 0.05, Seed: 3, Policy: OWN256Policy},
+		fabric.TrafficSpec{Pattern: traffic.Transpose, Rate: 0.05, Seed: 3, Policy: OWNPolicy},
 		fabric.RunSpec{Warmup: 2000, Measure: 2000, DrainBudget: 1},
 	)
 	if res.Packets == 0 {
@@ -136,7 +136,7 @@ func TestOWN256ConfigsChangeOnlyWirelessPower(t *testing.T) {
 	for i, cfg := range []wireless.Config{wireless.Config1, wireless.Config4} {
 		n := BuildOWN256(Params{Config: cfg, Meter: power.NewMeter(nil)})
 		res := n.Run(
-			fabric.TrafficSpec{Pattern: traffic.Uniform, Rate: 0.004, Seed: 17, Policy: OWN256Policy},
+			fabric.TrafficSpec{Pattern: traffic.Uniform, Rate: 0.004, Seed: 17, Policy: OWNPolicy},
 			fabric.RunSpec{Warmup: 500, Measure: 2000},
 		)
 		w[i] = float64(res.Power.WirelessMW)
@@ -173,7 +173,7 @@ func TestOWN1024DeliversUniform(t *testing.T) {
 	res := n.Run(
 		fabric.TrafficSpec{
 			Pattern: traffic.Uniform, Rate: 0.001, Seed: 5,
-			Policy: OWN1024Policy, Classify: Classify1024,
+			Policy: OWNPolicy, Classify: Classify1024,
 		},
 		fabric.RunSpec{Warmup: 1000, Measure: 3000},
 	)
@@ -203,7 +203,7 @@ func TestOWN1024HonoursBufDepth(t *testing.T) {
 		res := n.Run(
 			fabric.TrafficSpec{
 				Pattern: traffic.Uniform, Rate: 0.001, Seed: 1,
-				Policy: OWN1024Policy, Classify: Classify1024,
+				Policy: OWNPolicy, Classify: Classify1024,
 			},
 			fabric.RunSpec{Warmup: 500, Measure: 3000},
 		)
@@ -248,7 +248,7 @@ func TestOWN1024PatternsDrain(t *testing.T) {
 		res := n.Run(
 			fabric.TrafficSpec{
 				Pattern: pat, Rate: 0.0005, Seed: 7,
-				Policy: OWN1024Policy, Classify: Classify1024,
+				Policy: OWNPolicy, Classify: Classify1024,
 			},
 			fabric.RunSpec{Warmup: 500, Measure: 2000},
 		)

@@ -76,17 +76,15 @@ func NewSystem(name string, cores int, cfg wireless.Config, scen wireless.Scenar
 	}
 	switch name {
 	case "own":
-		s := System{Name: name, Cores: cores}
+		s := System{Name: name, Cores: cores, Policy: OWNPolicy}
 		if cores == 256 {
 			s.Build = func(m *power.Meter) *fabric.Network {
 				return BuildOWN256(Params{Cores: cores, Config: cfg, Scenario: scen, Meter: m})
 			}
-			s.Policy = OWN256Policy
 		} else {
 			s.Build = func(m *power.Meter) *fabric.Network {
 				return BuildOWN1024(Params{Cores: cores, Config: cfg, Scenario: scen, Meter: m})
 			}
-			s.Policy = OWN1024Policy
 			s.Classify = Classify1024
 		}
 		return s

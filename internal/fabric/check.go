@@ -75,7 +75,7 @@ func (n *Network) InstallChecker(c *check.Checker, onViolation func(v check.Viol
 		c.NewSinkMonitor(snk.CoreID).Streams(vcs).Watch(&snk.Tap)
 	}
 	for _, ch := range n.Channels {
-		c.NewChannelMonitor(channelLabel(ch)).Watch(&ch.Tap)
+		c.NewChannelMonitor(ChannelLabel(ch)).Watch(&ch.Tap)
 	}
 	n.Eng.Register(sim.PhaseCollect, &checkSweep{n: n, c: c})
 }
@@ -107,7 +107,7 @@ func (s *checkSweep) Tick(cycle uint64) {
 	}
 	for _, ch := range s.n.Channels {
 		if err := ch.CheckInvariants(); err != nil {
-			s.c.Report(cycle, check.RuleState, channelLabel(ch), err.Error())
+			s.c.Report(cycle, check.RuleState, ChannelLabel(ch), err.Error())
 		}
 	}
 	for _, src := range s.n.Sources {

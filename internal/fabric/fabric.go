@@ -39,8 +39,8 @@ type Network struct {
 	// Probe is the installed observability layer; nil (the default)
 	// disables all instrumentation. See InstallProbe.
 	Probe *probe.Probe
-	// FlightRec is the installed diagnostics layer (ring recorder, stall
-	// tracker, watchdog); nil disables it. See InstallFlightRecorder.
+	// FlightRec is the installed diagnostics layer (ring recorder,
+	// watchdog); nil disables it. See InstallFlightRecorder.
 	FlightRec *flightrec.FlightRecorder
 	// Checker is the installed conformance layer; nil (the default)
 	// disables it. See InstallChecker.
@@ -71,6 +71,13 @@ type Network struct {
 	// Delivery component count after its last wire joined.
 	wheel    *noc.Wheel
 	wheelEnd int
+}
+
+// Tiles returns the number of source tiles: the cores in groups of
+// CoresPerTile.
+func (n *Network) Tiles() int {
+	cpt := max(n.CoresPerTile, 1)
+	return (n.NumCores + cpt - 1) / cpt
 }
 
 // New creates an empty network shell. Cores (terminals) are added with

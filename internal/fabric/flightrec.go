@@ -9,19 +9,16 @@ import (
 )
 
 // InstallFlightRecorder wires a flight recorder into an assembled
-// network: it sizes the per-tile stall tracker from the topology,
-// subscribes the per-writer wait table to every shared channel, and
-// schedules the deterministic watchdog in the engine's Collect phase.
-// Call it after the topology builder and BEFORE InstallProbe — the probe
-// installer registers the token/stall gauges behind the established
-// columns and feeds the stall tracker. That feed runs through the span
-// tracker: each wait the stall tracker records is the one
-// probe.SpanTracker.ChannelTx charges to token_wait, so under a probe
-// without Options.Spans the token.* gauges and the fairness artifacts
-// stay zero and a Snapshot lists no in-flight packets (obs.Start turns
-// spans on whenever it installs a recorder). A nil recorder is a no-op.
-// Like the probe layer, the recorder is inert: it only reads state the
-// simulation already maintains, so installing it never changes a Result.
+// network: it subscribes the per-writer wait table to every shared
+// channel and schedules the deterministic watchdog in the engine's
+// Collect phase. Call it after the topology builder and BEFORE
+// InstallProbe: the watchdog then ticks before the probe's sampler, and
+// the probe installer registers the recorder's stall.* gauges behind
+// every other column and points the recorder at the sampler. The
+// token-fairness artifacts and token.* gauges are the probe's, read from
+// its span tracker's token ledger. A nil recorder is a no-op. Like the
+// probe layer, the recorder is inert: it only reads state the simulation
+// already maintains, so installing it never changes a Result.
 func (n *Network) InstallFlightRecorder(fr *flightrec.FlightRecorder) {
 	if fr == nil {
 		return
@@ -34,15 +31,6 @@ func (n *Network) InstallFlightRecorder(fr *flightrec.FlightRecorder) {
 	}
 	n.FlightRec = fr
 
-	cpt := n.CoresPerTile
-	if cpt < 1 {
-		cpt = 1
-	}
-	fr.InitStall((n.NumCores + cpt - 1) / cpt)
-	for _, ch := range n.Channels {
-		fr.Stall.AddChannel(channelLabel(ch), ch.Kind)
-	}
-
 	dog := fr.Dog
 	dog.Channels = n.Channels
 	dog.Waits = flightrec.NewWaitTable(n.Channels)
@@ -54,37 +42,16 @@ func (n *Network) InstallFlightRecorder(fr *flightrec.FlightRecorder) {
 	n.Eng.Register(sim.PhaseCollect, dog)
 }
 
-// wireFlightRec registers the token-fairness and stall gauges and
-// points the recorder at the sampler. InstallProbe calls it
-// last, so every flight-recorder column rides behind the established
-// metric layout and runs without a recorder are byte-identical to
-// before.
+// wireFlightRec registers the stall gauges and points the recorder at
+// the sampler. InstallProbe calls it last, so every flight-recorder
+// column rides behind the established metric layout and runs without a
+// recorder are byte-identical to before.
 func (n *Network) wireFlightRec(p *probe.Probe) {
 	fr := n.FlightRec
 	if fr == nil {
 		return
 	}
 	reg := p.Registry()
-	st := fr.Stall
-	kinds := [flightrec.NumKinds]string{
-		flightrec.KindPhotonic: "photonic",
-		flightrec.KindWireless: "wireless",
-	}
-	for k, name := range kinds {
-		k := k
-		reg.Gauge("token."+name+".acquisitions", func() float64 {
-			count, _, _ := st.KindTotals(k)
-			return float64(count)
-		})
-		reg.Gauge("token."+name+".wait_cy", func() float64 {
-			_, sum, _ := st.KindTotals(k)
-			return float64(sum)
-		})
-		reg.Gauge("token."+name+".max_wait_cy", func() float64 {
-			_, _, max := st.KindTotals(k)
-			return float64(max)
-		})
-	}
 	dog := fr.Dog
 	reg.Gauge("stall.watchdog_trips", func() float64 { return float64(dog.Trips()) })
 	eng := n.Eng
@@ -148,6 +115,7 @@ func (n *Network) Snapshot(reason string) *flightrec.Snapshot {
 		Cycle:    cycle,
 		Net:      n.Name,
 		Cores:    n.NumCores,
+		Tiles:    n.Tiles(),
 		Progress: n.Progress(),
 		Engine:   n.EngineIntro(),
 		Pools:    n.PoolIntro(),
@@ -184,7 +152,6 @@ func (n *Network) Snapshot(reason string) *flightrec.Snapshot {
 		}
 	}
 	if fr := n.FlightRec; fr != nil {
-		snap.Tiles = fr.Stall.Tiles()
 		snap.Trips = fr.Dog.Trips()
 		snap.TripReasons = fr.Dog.TripReasons()
 		snap.FrameNames = fr.Rec.Names()

@@ -15,24 +15,17 @@ import (
 // fuzznet.go (RandomUpDownNetwork) so the conformance campaign can reuse
 // it.
 //
-// Delivery is checked on a trace replay of the Bernoulli workload, which
-// runs until every packet has ejected. A Run would not do: on a 3-core
-// network a window holds a few dozen packets, so the few still in flight
-// at its edge can read "saturated", and a saturated run is not drained.
+// Delivery is checked on a trace replay of the Bernoulli workload
+// (UniformTrace), which runs until every packet has ejected. A Run would
+// not do: on a 3-core network a window holds a few dozen packets, so the
+// few still in flight at its edge can read "saturated", and a saturated
+// run is not drained.
 func TestFuzzRandomNetworksDeliver(t *testing.T) {
 	const rate, pktFlits, window = 0.02, 3, 1600
 	f := func(seed uint64) bool {
 		nRouters := int(seed%6) + 3 // 3..8 routers
 		n := RandomUpDownNetwork(seed, nRouters)
-		tr := &traffic.Trace{}
-		for src := range n.NumCores {
-			gen := traffic.NewBernoulli(src, n.NumCores, traffic.Uniform, rate, pktFlits, seed, nil)
-			for cy := range uint64(window) {
-				if p := gen.Generate(cy); p != nil {
-					tr.Entries = append(tr.Entries, traffic.TraceEntry{Cycle: cy, Src: src, Dst: p.Dst})
-				}
-			}
-		}
+		tr := UniformTrace(n.NumCores, rate, pktFlits, seed, window)
 		res := n.RunTrace(tr, pktFlits, TrafficSpec{}, 5*window)
 		if !res.Drained || n.BufferedFlits() != 0 {
 			t.Logf("seed %d: %d of %d packets delivered, %d flits buffered", seed, res.Packets, len(tr.Entries), n.BufferedFlits())

@@ -6,7 +6,27 @@ import (
 	"ownsim/internal/noc"
 	"ownsim/internal/router"
 	"ownsim/internal/sim"
+	"ownsim/internal/traffic"
 )
+
+// UniformTrace records the arrivals a uniform Bernoulli workload offers
+// cores terminals over the first window cycles, as a trace. The fuzz
+// tests and the conformance campaign check delivery on its replay:
+// RunTrace runs until every packet has ejected, where a Run on a few
+// cores would read the packets in flight at its window's edge as
+// "saturated" and skip the drain.
+func UniformTrace(cores int, rate float64, pktFlits int, seed, window uint64) *traffic.Trace {
+	tr := &traffic.Trace{}
+	for src := range cores {
+		gen := traffic.NewBernoulli(src, cores, traffic.Uniform, rate, pktFlits, seed, nil)
+		for cy := range window {
+			if p := gen.Generate(cy); p != nil {
+				tr.Entries = append(tr.Entries, traffic.TraceEntry{Cycle: cy, Src: src, Dst: p.Dst})
+			}
+		}
+	}
+	return tr
+}
 
 // RandomUpDownNetwork builds a random strongly-connected network of
 // nRouters routers — a bidirectional ring plus random chords — with

@@ -3,7 +3,6 @@ package fabric
 import (
 	"fmt"
 
-	"ownsim/internal/flightrec"
 	"ownsim/internal/noc"
 	"ownsim/internal/probe"
 	"ownsim/internal/router"
@@ -13,9 +12,11 @@ import (
 
 // InstallProbe wires an observability probe into an assembled network:
 // it registers metrics over the network's components, schedules the
-// cycle-windowed sampler in the engine's Collect phase, and subscribes
-// the per-packet tracer and span tracker to the component taps. Call it
-// after the topology builder and before Run; a nil probe is a no-op. The
+// cycle-windowed sampler in the engine's Collect phase, sizes the span
+// tracker's token ledger (one row per shared channel, one column per
+// tile), and subscribes the per-packet tracer and span tracker to the
+// component taps. Call it after the topology builder and before Run;
+// install a flight recorder first, if any. A nil probe is a no-op. The
 // probe layer is inert by construction: every metric is read from state
 // the simulation already maintains, and every subscriber only records —
 // enabling a probe never changes a Summary (tests assert this
@@ -28,12 +29,13 @@ func (n *Network) InstallProbe(p *probe.Probe) {
 		panic(fmt.Sprintf("fabric %s: probe installed twice", n.Name))
 	}
 	n.Probe = p
+	p.Spans().SizeTokenLedger(len(n.Channels), n.Tiles(), n.CoresPerTile)
 	n.registerMetrics(p)
 	if s := p.Sampler(); s != nil {
 		n.Eng.Register(sim.PhaseCollect, s)
 	}
 	n.watchPackets(p.Tracer(), p.Spans())
-	// Flight-recorder metrics ride behind every established column so
+	// The recorder's stall.* gauges ride behind every other column, so
 	// artifact layouts without a recorder are unchanged.
 	n.wireFlightRec(p)
 }
@@ -43,7 +45,6 @@ func (n *Network) InstallProbe(p *probe.Probe) {
 // thing it has to switch on.
 func (n *Network) registerMetrics(p *probe.Probe) {
 	reg := p.Registry()
-	perComp := p.Options().PerComponent
 
 	// Network-level aggregates, registered first so narrow dashboards
 	// can read just the leading columns.
@@ -93,8 +94,7 @@ func (n *Network) registerMetrics(p *probe.Probe) {
 		return float64(total)
 	})
 
-	// Router pipeline counts: summed over the network, or one set per
-	// router in per-component mode.
+	// Router pipeline counts, summed over the network.
 	for _, r := range routers {
 		r.CountStalls()
 	}
@@ -106,22 +106,14 @@ func (n *Network) registerMetrics(p *probe.Probe) {
 		{"credit_stall", func(c router.Counts) uint64 { return c.CreditStall }},
 		{"busy_stall", func(c router.Counts) uint64 { return c.BusyStall }},
 	}
-	if perComp {
-		for _, r := range routers {
-			for _, c := range counts {
-				reg.CounterFunc(fmt.Sprintf("router.%d.%s", r.Cfg.ID, c.name), func() uint64 { return c.of(r.Counts()) })
+	for _, c := range counts {
+		reg.CounterFunc("net."+c.name, func() uint64 {
+			var total uint64
+			for _, r := range routers {
+				total += c.of(r.Counts())
 			}
-		}
-	} else {
-		for _, c := range counts {
-			reg.CounterFunc("net."+c.name, func() uint64 {
-				var total uint64
-				for _, r := range routers {
-					total += c.of(r.Counts())
-				}
-				return total
-			})
-		}
+			return total
+		})
 	}
 
 	// Energy attribution gauges: the cumulative picojoules of one pricing
@@ -150,26 +142,11 @@ func (n *Network) registerMetrics(p *probe.Probe) {
 	// tracks, exported under the channel's name.
 	for _, ch := range n.Channels {
 		ch := ch
-		base := "ch." + channelLabel(ch)
+		base := "ch." + ChannelLabel(ch)
 		reg.Gauge(base+".transmitted", func() float64 { return float64(ch.Stats().Transmitted) })
 		reg.Gauge(base+".busy_cy", func() float64 { return float64(ch.Stats().BusyCy) })
 		reg.Gauge(base+".token_moves", func() float64 { return float64(ch.Stats().TokenMoves) })
 		reg.Gauge(base+".credit_stall_cy", func() float64 { return float64(ch.Stats().CreditStallCy) })
-	}
-
-	if perComp {
-		for _, r := range n.Routers {
-			r := r
-			reg.Gauge(fmt.Sprintf("router.%d.buffered", r.Cfg.ID), func() float64 {
-				return float64(r.BufferedFlits())
-			})
-		}
-		for id, s := range n.Sources {
-			s := s
-			reg.Gauge(fmt.Sprintf("src.%d.queued", id), func() float64 {
-				return float64(s.QueueLen())
-			})
-		}
 	}
 
 	// Engine-scheduler and packet-pool introspection: cumulative gauges
@@ -196,14 +173,33 @@ func (n *Network) registerMetrics(p *probe.Probe) {
 	// Latency attribution totals, present only when span decomposition
 	// is on: cumulative per-phase cycle counts plus the identity inputs
 	// (packets, summed latency, mismatches — the last must stay zero).
-	if sp := p.Spans(); sp != nil {
-		reg.Gauge("span.packets", func() float64 { return float64(sp.Packets()) })
-		reg.Gauge("span.latency_cy", func() float64 { return float64(sp.LatencyCycles()) })
-		reg.Gauge("span.mismatches", func() float64 { return float64(sp.Mismatches()) })
-		for ph := probe.SpanPhase(0); ph < probe.NumSpanPhases; ph++ {
-			ph := ph
-			reg.Gauge("span."+ph.String()+"_cy", func() float64 { return float64(sp.PhaseCycles(ph)) })
+	sp := p.Spans()
+	if sp == nil {
+		return
+	}
+	reg.Gauge("span.packets", func() float64 { return float64(sp.Packets()) })
+	reg.Gauge("span.latency_cy", func() float64 { return float64(sp.LatencyCycles()) })
+	reg.Gauge("span.mismatches", func() float64 { return float64(sp.Mismatches()) })
+	for ph := probe.SpanPhase(0); ph < probe.NumSpanPhases; ph++ {
+		ph := ph
+		reg.Gauge("span."+ph.String()+"_cy", func() float64 { return float64(sp.PhaseCycles(ph)) })
+	}
+	// Token waits per medium: the channel rows of the span tracker's
+	// token ledger, summed at each read.
+	chans := n.Channels
+	for _, medium := range []string{"photonic", "wireless"} {
+		total := func() probe.TokenCell {
+			var t probe.TokenCell
+			for ci, ch := range chans {
+				if TokenMedium(ch) == medium {
+					t.Add(sp.TokenRow(ci))
+				}
+			}
+			return t
 		}
+		reg.Gauge("token."+medium+".acquisitions", func() float64 { return float64(total().Acqs) })
+		reg.Gauge("token."+medium+".wait_cy", func() float64 { return float64(total().WaitCy) })
+		reg.Gauge("token."+medium+".max_wait_cy", func() float64 { return float64(total().MaxCy) })
 	}
 }
 
@@ -270,13 +266,24 @@ func (n *Network) CongestionValues() []float64 {
 	return vals
 }
 
-// channelLabel prefixes a channel's name with its medium kind so metric
-// names and trace threads read "photonic.c0/home3.1", "wireless.wl ...".
-func channelLabel(ch *sbus.Channel) string {
+// ChannelLabel prefixes a channel's name with its medium kind so metric
+// names, trace threads and fairness rows read "photonic.c0/home3.1",
+// "wireless.wl ...".
+func ChannelLabel(ch *sbus.Channel) string {
 	if ch.Kind == "" {
 		return ch.Name
 	}
 	return ch.Kind + "." + ch.Name
+}
+
+// TokenMedium names the medium a channel's token waits are reported
+// under: "wireless" for a wireless channel, "photonic" for every other
+// (every non-wireless shared medium is a waveguide).
+func TokenMedium(ch *sbus.Channel) string {
+	if ch.Kind == "wireless" {
+		return "wireless"
+	}
+	return "photonic"
 }
 
 // channelTransit maps a shared channel to the span phase its flight
@@ -314,32 +321,22 @@ func (n *Network) watchPackets(t *probe.Tracer, sp *probe.SpanTracker) {
 		sp.Watch(&r.Tap)
 		t.Watch(&r.Tap, fmt.Sprintf("router.%d", r.Cfg.ID))
 	}
-	// The channel-transmit subscriber feeds the stall tracker the exact
-	// wait the span tracker charges to token_wait, so fairness artifacts
-	// reconcile with the latency breakdown cycle for cycle. A nil
-	// tracker (no flight recorder) records nothing.
-	var st *flightrec.StallTracker
-	if n.FlightRec != nil {
-		st = n.FlightRec.Stall
-	}
-	cpt := n.CoresPerTile
-	if cpt < 1 {
-		cpt = 1
-	}
 	for ci, ch := range n.Channels {
-		t.Watch(&ch.Tap, channelLabel(ch))
+		t.Watch(&ch.Tap, ChannelLabel(ch))
 		if sp == nil {
 			continue
 		}
 		// Channel parameters are fixed once the topology is built, so the
 		// subscriber captures them resolved rather than re-deriving per flit.
-		serCy, propCy := ch.SerializeCy, ch.PropCy
-		transit := channelTransit(ch)
-		swmrFwd := ch.Kind == "wireless" && ch.NumRx() > 1
+		hop := probe.ChannelHop{
+			Ledger:      ci,
+			SerializeCy: ch.SerializeCy,
+			PropCy:      ch.PropCy,
+			Transit:     channelTransit(ch),
+			SWMRFwd:     ch.Kind == "wireless" && ch.NumRx() > 1,
+		}
 		ch.Tap.Subscribe(noc.Mask(noc.EvFlitTx), func(e noc.Event) {
-			if wait, ok := sp.ChannelTx(e.Cycle, e.Flit, serCy, propCy, transit, swmrFwd); ok {
-				st.Observe(ci, e.Pkt.Src/cpt, wait)
-			}
+			sp.ChannelTx(e.Cycle, e.Flit, hop)
 		})
 	}
 }

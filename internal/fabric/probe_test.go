@@ -40,7 +40,7 @@ func TestProbeInertOnSummary(t *testing.T) {
 			n.InstallProbe(probe.New(probe.Options{
 				MetricsEvery: 32,
 				TraceEvery:   1,
-				PerComponent: true,
+				Spans:        true,
 			}))
 		}
 		return n.Run(
@@ -179,23 +179,6 @@ func TestMetricsCoverRun(t *testing.T) {
 	}
 	if lastRow[col] != strconv.FormatUint(ejected, 10) {
 		t.Fatalf("final ejected gauge = %s, want %d", lastRow[col], ejected)
-	}
-}
-
-// TestPerComponentMetricNames checks per-component mode registers the
-// hierarchical per-router and per-source names in deterministic order.
-func TestPerComponentMetricNames(t *testing.T) {
-	n := ring(2, nil)
-	p := probe.New(probe.Options{MetricsEvery: 8, PerComponent: true})
-	n.InstallProbe(p)
-	names := strings.Join(p.Registry().Names(), " ")
-	for _, want := range []string{
-		"net.buffered_flits", "router.0.sa_grants", "router.1.sa_grants",
-		"router.0.buffered", "src.0.queued", "src.1.queued",
-	} {
-		if !strings.Contains(names, want) {
-			t.Fatalf("metric %q not registered; have: %s", want, names)
-		}
 	}
 }
 

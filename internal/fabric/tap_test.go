@@ -112,8 +112,12 @@ func TestAllObserversComposeAndStayInert(t *testing.T) {
 			t.Errorf("checkerFirst=%v: spans attributed %d packets (%d mismatches), collector measured %d",
 				checkerFirst, sp.Packets(), sp.Mismatches(), res.Packets)
 		}
-		if got, want := fr.Stall.TotalWaitCy(), sp.PhaseCycles(probe.SpanTokenWait); got != want || want == 0 {
-			t.Errorf("checkerFirst=%v: stall tracker total %d cy, span token_wait %d cy (want equal, nonzero)", checkerFirst, got, want)
+		var booked uint64
+		for ci := range n.Channels {
+			booked += sp.TokenRow(ci).WaitCy
+		}
+		if want := sp.PhaseCycles(probe.SpanTokenWait); booked != want || want == 0 {
+			t.Errorf("checkerFirst=%v: token ledger %d cy, span token_wait %d cy (want equal, nonzero)", checkerFirst, booked, want)
 		}
 	}
 }

@@ -6,11 +6,15 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 
 	"ownsim/internal/fabric"
 	"ownsim/internal/plot"
 	"ownsim/internal/power"
 	"ownsim/internal/probe"
+	"ownsim/internal/sbus"
+	"ownsim/internal/stats"
 )
 
 // Artifact emission for the record -out writes. groups is the ordered
@@ -181,32 +185,107 @@ func EmitLatencyBreakdown(n *fabric.Network, dir string, man *probe.Manifest) ([
 		file{"latency_breakdown_svg", "breakdown.svg", svg(bar)})
 }
 
+// FairnessTileCSVHeader is the fair_tiles.csv header: per source tile,
+// token waits booked on photonic and on wireless channels.
+var FairnessTileCSVHeader = []string{
+	"tile",
+	"photonic_acqs", "photonic_wait_cy", "photonic_max_cy",
+	"wireless_acqs", "wireless_wait_cy", "wireless_max_cy",
+	"total_wait_cy",
+}
+
+// FairnessJainCSVHeader is the fair_jain.csv header;
+// obscheck.TestRecordInvariants recognizes the artifact by it and enforces
+// the (0,1] bound on the jain_index column.
+var FairnessJainCSVHeader = []string{
+	"channel", "kind", "active_tiles", "acquisitions", "wait_cy", "jain_index",
+}
+
 // EmitFairness writes the token-fairness artifacts into dir and returns
 // the files written:
 //
 //	fair_tiles.csv   — per-tile token acquisitions, wait totals and max
-//	    single waits per medium kind;
+//	    single waits per medium;
 //	fair_jain.csv    — Jain's fairness index per shared channel over its
 //	    active tiles (obscheck.TestRecordInvariants enforces the (0,1] bound);
 //	fair_heatmap.svg — per-tile total token-wait heatmap.
 //
-// It requires an installed flight recorder (the stall tracker is fed the
-// wait the span tracker charges to token_wait, so these artifacts
-// reconcile with the latency breakdown).
+// It requires a probe with span decomposition enabled (Options.Spans):
+// every file renders the span tracker's token ledger, so the artifacts
+// reconcile with the latency breakdown's token_wait.
 func EmitFairness(n *fabric.Network, dir string, man *probe.Manifest) ([]string, error) {
-	if n.FlightRec == nil || n.FlightRec.Stall == nil {
-		return nil, fmt.Errorf("obs: token-fairness artifacts requested but no flight recorder is installed")
+	sp := n.Probe.Spans()
+	if sp == nil {
+		return nil, fmt.Errorf("obs: token-fairness artifacts requested but span decomposition is not enabled")
 	}
-	st := n.FlightRec.Stall
+	tiles := tileWaits(n.Channels, sp)
 	hm := &plot.Heatmap{
 		Title:  fmt.Sprintf("%s: per-tile token wait (cy)", n.Name),
-		Labels: st.TileLabels(),
-		Values: st.TileWaitValues(),
+		Labels: make([]string, len(tiles)),
+		Values: make([]float64, len(tiles)),
+	}
+	for t, w := range tiles {
+		hm.Labels[t] = fmt.Sprintf("t%d", t)
+		hm.Values[t] = float64(w[0].WaitCy + w[1].WaitCy)
 	}
 	return writeFiles(dir, man,
-		file{"token_fairness_tiles", "fair_tiles.csv", st.WriteTileCSV},
-		file{"token_fairness_jain", "fair_jain.csv", st.WriteJainCSV},
+		file{"token_fairness_tiles", "fair_tiles.csv", func(w io.Writer) error { return writeTileCSV(w, tiles) }},
+		file{"token_fairness_jain", "fair_jain.csv", func(w io.Writer) error { return WriteJainCSV(w, n.Channels, sp) }},
 		file{"token_fairness_heatmap", "fair_heatmap.svg", svg(hm)})
+}
+
+// tileWaits folds the token ledger per source tile and medium: [t][0] is
+// tile t's waits on photonic channels, [t][1] on wireless ones.
+func tileWaits(chans []*sbus.Channel, sp *probe.SpanTracker) [][2]probe.TokenCell {
+	tiles := make([][2]probe.TokenCell, sp.TokenTiles())
+	for ci, ch := range chans {
+		m := 0
+		if fabric.TokenMedium(ch) == "wireless" {
+			m = 1
+		}
+		for t := range tiles {
+			tiles[t][m].Add(sp.Token(ci, t))
+		}
+	}
+	return tiles
+}
+
+// writeTileCSV writes fair_tiles.csv: one row per tile with per-medium
+// acquisition counts, wait totals and max single waits, in one Write.
+func writeTileCSV(w io.Writer, tiles [][2]probe.TokenCell) error {
+	var b bytes.Buffer
+	b.WriteString(strings.Join(FairnessTileCSVHeader, ",") + "\n")
+	for t, c := range tiles {
+		ph, wl := c[0], c[1]
+		fmt.Fprintf(&b, "%d,%d,%d,%d,%d,%d,%d,%d\n", t,
+			ph.Acqs, ph.WaitCy, ph.MaxCy, wl.Acqs, wl.WaitCy, wl.MaxCy, ph.WaitCy+wl.WaitCy)
+	}
+	_, err := w.Write(b.Bytes())
+	return err
+}
+
+// WriteJainCSV writes fair_jain.csv: one row per shared channel, in
+// network order, with Jain's index over the tiles that booked a wait on
+// it, each tile's allocation being its mean wait per acquisition. A
+// channel nobody waited on is perfectly fair by the stats.JainIndex
+// convention. It reaches w in one Write.
+func WriteJainCSV(w io.Writer, chans []*sbus.Channel, sp *probe.SpanTracker) error {
+	var b bytes.Buffer
+	b.WriteString(strings.Join(FairnessJainCSVHeader, ",") + "\n")
+	xs := make([]float64, 0, sp.TokenTiles())
+	for ci, ch := range chans {
+		xs = xs[:0]
+		for t := range sp.TokenTiles() {
+			if c := sp.Token(ci, t); c.Acqs > 0 {
+				xs = append(xs, float64(c.WaitCy)/float64(c.Acqs))
+			}
+		}
+		row := sp.TokenRow(ci)
+		fmt.Fprintf(&b, "%s,%s,%d,%d,%d,%s\n", fabric.ChannelLabel(ch), fabric.TokenMedium(ch),
+			len(xs), row.Acqs, row.WaitCy, strconv.FormatFloat(stats.JainIndex(xs), 'f', -1, 64))
+	}
+	_, err := w.Write(b.Bytes())
+	return err
 }
 
 // EmitDump writes the end-of-run state dump into dir (dump.json plus

@@ -75,14 +75,14 @@ type Session struct {
 }
 
 // Start writes the record's topology.dot and installs on n what f asks
-// for, in the one order that composes: flight recorder (its stall
-// tracker and gauges are wired by the probe installer), then probe, then
-// checker; then it starts the live server. It is the single place that
-// derives the observers from two facts. A record, a live server or a
-// watchdog budget installs the recorder and an aggregate probe with
-// spans and a sampler: the recorder backs the fairness and dump
-// artifacts, the detectors and /debug/dump, and its stall tracker is fed
-// through the span tracker. Only a record adds the tracer. Diagnostics —
+// for, in the one order that composes: flight recorder (its watchdog
+// ticks before the sampler, and the probe installer registers its
+// stall.* gauges last), then probe, then checker; then it starts the
+// live server. It is the single place that derives the observers from
+// two facts. A record, a live server or a watchdog budget installs the
+// recorder and an aggregate probe with spans and a sampler: the spans
+// back the breakdown and fairness artifacts, the recorder the dump, the
+// detectors and /debug/dump. Only a record adds the tracer. Diagnostics —
 // the live address, watchdog trips, invariant violations — go to logf.
 func Start(n *fabric.Network, f *Flags, logf func(format string, args ...any)) (*Session, error) {
 	s := &Session{n: n, f: f, logf: logf}

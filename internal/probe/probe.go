@@ -39,15 +39,11 @@ type Options struct {
 	// MaxTraceEvents bounds tracer memory; events beyond the cap are
 	// dropped (and counted). Zero means DefaultMaxTraceEvents.
 	MaxTraceEvents int
-	// PerComponent additionally registers per-router and per-source
-	// metrics (router.<id>.*, src.<id>.*). Off, only network-level
-	// aggregates and per-channel metrics are registered, which keeps
-	// the metrics table narrow on kilo-core networks.
-	PerComponent bool
 	// Spans enables per-packet latency attribution: every measured
 	// packet's end-to-end latency is decomposed into per-phase cycle
-	// counts (see SpanTracker). Off by default; unlike the tracer it
-	// follows every measured packet, not a sampled subset.
+	// counts, and its token waits are booked per channel and source tile
+	// (see SpanTracker). Off by default; unlike the tracer it follows
+	// every measured packet, not a sampled subset.
 	Spans bool
 }
 

@@ -165,19 +165,25 @@ func TestTracerCapDrops(t *testing.T) {
 	cid := tr.Component("router.0")
 	pkt := &noc.Packet{ID: 0, Src: 1, Dst: 2}
 	for i := 0; i < 5; i++ {
-		tr.Emit(uint64(i), cid, EvRoute, pkt, 0)
+		tr.Emit(uint64(i), cid, noc.EvRoute, pkt, 0)
 	}
 	if tr.Len() != 2 || tr.Dropped() != 3 {
 		t.Fatalf("Len=%d Dropped=%d, want 2/3", tr.Len(), tr.Dropped())
 	}
 }
 
+// TestEventKindString pins the names the tracer gives the network event
+// kinds it records, and that it names, so subscribes to, no other kind.
 func TestEventKindString(t *testing.T) {
-	if EvEnqueue.String() != "enqueue" || EvEject.String() != "eject" {
-		t.Fatal("event kind names wrong")
+	want := map[noc.EventKind]string{
+		noc.EvEnqueue: "enqueue", noc.EvInject: "inject", noc.EvRoute: "route",
+		noc.EvVCAlloc: "vc_alloc", noc.EvSwitch: "switch", noc.EvGrant: "token_acquire",
+		noc.EvFlitTx: "transmit", noc.EvRelease: "token_release", noc.EvEject: "eject",
 	}
-	if !strings.Contains(EventKind(99).String(), "EventKind") {
-		t.Fatal("out-of-range kind should render numerically")
+	for k := noc.EventKind(0); k < noc.NumEventKinds; k++ {
+		if got := traceSteps[k].name; got != want[k] {
+			t.Errorf("kind %d traced as %q, want %q", k, got, want[k])
+		}
 	}
 }
 
@@ -190,12 +196,12 @@ func traceFixture() *Tracer {
 	tr.Component("sink.1") // never emits
 	snk := tr.Component("sink.0")
 	pkt := &noc.Packet{ID: 4, Src: 0, Dst: 1}
-	tr.Emit(3, src, EvEnqueue, pkt, 0)
-	tr.Emit(5, src, EvInject, pkt, 0)
-	tr.Emit(6, r0, EvRoute, pkt, 2)
-	tr.Emit(7, r0, EvVCAlloc, pkt, 1)
-	tr.Emit(8, r0, EvSwitch, pkt, 2)
-	tr.Emit(12, snk, EvEject, pkt, 0)
+	tr.Emit(3, src, noc.EvEnqueue, pkt, 0)
+	tr.Emit(5, src, noc.EvInject, pkt, 0)
+	tr.Emit(6, r0, noc.EvRoute, pkt, 2)
+	tr.Emit(7, r0, noc.EvVCAlloc, pkt, 1)
+	tr.Emit(8, r0, noc.EvSwitch, pkt, 2)
+	tr.Emit(12, snk, noc.EvEject, pkt, 0)
 	return tr
 }
 

@@ -37,6 +37,11 @@ import (
 // (a nil *SpanTracker is valid everywhere and does nothing). Open
 // attributions are found through a noc.IDTable, looked up once per head
 // event, so no Go map sits on the event path.
+//
+// The token wait ChannelTx charges is also booked, once, in the token
+// ledger: one TokenCell per (channel, source tile), plus one row total
+// per channel. The fairness artifacts and the token.* gauges read it, so
+// they reconcile with PhaseCycles(SpanTokenWait) cycle for cycle.
 
 // SpanPhase is one latency attribution phase.
 type SpanPhase uint8
@@ -106,6 +111,42 @@ func WirelessSpanPhase(class string) SpanPhase {
 	return SpanWireless
 }
 
+// TokenCell is one cell of the token ledger: how many token waits were
+// booked, their summed cycles and the longest single one.
+type TokenCell struct {
+	Acqs, WaitCy, MaxCy uint64
+}
+
+// Add folds o into c: counts and cycles sum, the longest wait is the
+// longer of the two.
+func (c *TokenCell) Add(o TokenCell) {
+	c.Acqs += o.Acqs
+	c.WaitCy += o.WaitCy
+	c.MaxCy = max(c.MaxCy, o.MaxCy)
+}
+
+func (c *TokenCell) book(waitCy uint64) {
+	c.Acqs++
+	c.WaitCy += waitCy
+	c.MaxCy = max(c.MaxCy, waitCy)
+}
+
+// ChannelHop is what ChannelTx needs of one shared channel: its row in
+// the token ledger and the fixed delays it pre-attributes. The installer
+// resolves it once per channel.
+type ChannelHop struct {
+	// Ledger is the channel's row in the token ledger.
+	Ledger int
+	// SerializeCy and PropCy are the channel's serialization and
+	// propagation delays; Transit is the phase the propagation is
+	// charged to.
+	SerializeCy, PropCy int
+	Transit             SpanPhase
+	// SWMRFwd labels the residual after the hop as the inter-group
+	// forward (a SWMR wireless channel).
+	SWMRFwd bool
+}
+
 // spanState is the open attribution of one in-flight measured packet.
 type spanState struct {
 	// mark is the cycle up to which the lifetime is attributed.
@@ -123,12 +164,18 @@ type spanState struct {
 
 // SpanTracker accumulates per-phase latency attribution over the
 // measured packets of one run. A nil tracker is valid everywhere and
-// records nothing; fabric.Network.InstallProbe points a non-nil one at
-// the source, sink and router taps (Watch) and feeds it the channel
-// transmissions (ChannelTx) when Options.Spans is set.
+// records nothing; fabric.Network.InstallProbe sizes its token ledger
+// (SizeTokenLedger), points it at the source, sink and router taps
+// (Watch) and feeds it the channel transmissions (ChannelTx) when
+// Options.Spans is set.
 type SpanTracker struct {
 	live noc.IDTable[spanState] // keyed by packet ID
 	free []*spanState
+
+	// The token ledger: cells[ch*tiles+tile] and one row total per
+	// channel. A tile is coresPerTile consecutive source cores.
+	cells, rows         []TokenCell
+	tiles, coresPerTile int
 
 	totals     [NumSpanPhases]uint64
 	packets    uint64
@@ -136,7 +183,19 @@ type SpanTracker struct {
 	mismatches uint64
 }
 
-func newSpanTracker() *SpanTracker { return &SpanTracker{} }
+func newSpanTracker() *SpanTracker { return &SpanTracker{coresPerTile: 1} }
+
+// SizeTokenLedger sizes the token ledger for channels shared channels and
+// tiles source tiles of coresPerTile cores each. The ledger never grows
+// afterwards; a wait outside it is charged to token_wait but not booked.
+func (s *SpanTracker) SizeTokenLedger(channels, tiles, coresPerTile int) {
+	if s == nil {
+		return
+	}
+	s.cells = make([]TokenCell, channels*tiles)
+	s.rows = make([]TokenCell, channels)
+	s.tiles, s.coresPerTile = tiles, max(coresPerTile, 1)
+}
 
 // Watch subscribes the tracker to the attribution points a source, sink
 // or router tap emits: enqueue, inject, head switch and eject. Shared
@@ -217,33 +276,32 @@ func (s *SpanTracker) Switch(cycle uint64, f *noc.Flit) {
 // serializing: the interval since the head switched into the channel
 // writer is token wait, then the channel's fixed serialization and
 // propagation delays are pre-attributed (the head is delivered exactly
-// serializeCy+propCy later). A SWMR wireless hop labels the following
-// residual interval as the inter-group forward.
-//
-// It returns the token-wait cycles just charged and whether anything
-// was charged at all (false for a nil tracker, non-head flits and
-// unmeasured packets), so per-tile fairness accounting can mirror the
-// span attribution exactly — the flight recorder's tile sums reconcile
-// with PhaseCycles(SpanTokenWait) by construction.
-func (s *SpanTracker) ChannelTx(cycle uint64, f *noc.Flit, serializeCy, propCy int, transit SpanPhase, swmrFwd bool) (tokenWaitCy uint64, ok bool) {
+// SerializeCy+PropCy later). A SWMR wireless hop labels the following
+// residual interval as the inter-group forward. The token wait is booked
+// in the ledger under the channel and the packet's source tile; body
+// flits and unmeasured packets charge and book nothing.
+func (s *SpanTracker) ChannelTx(cycle uint64, f *noc.Flit, h ChannelHop) {
 	if s == nil || !f.IsHead() {
-		return 0, false
+		return
 	}
 	st := s.live.Get(f.Pkt.ID)
 	if st == nil {
-		return 0, false
+		return
 	}
 	wait := cycle - st.mark
 	st.acc[SpanTokenWait] += wait
-	st.acc[SpanSerialize] += uint64(serializeCy)
-	st.acc[transit] += uint64(propCy)
-	st.mark = cycle + uint64(serializeCy) + uint64(propCy)
-	if swmrFwd {
+	st.acc[SpanSerialize] += uint64(h.SerializeCy)
+	st.acc[h.Transit] += uint64(h.PropCy)
+	st.mark = cycle + uint64(h.SerializeCy) + uint64(h.PropCy)
+	if h.SWMRFwd {
 		st.residual = SpanSWMRFwd
 	} else {
 		st.residual = SpanElec
 	}
-	return wait, true
+	if tile := st.src / s.coresPerTile; h.Ledger < len(s.rows) && tile < s.tiles {
+		s.cells[h.Ledger*s.tiles+tile].book(wait)
+		s.rows[h.Ledger].book(wait)
+	}
 }
 
 // Eject closes the packet's attribution at tail ejection, verifies the
@@ -326,6 +384,31 @@ func (s *SpanTracker) InFlight() int {
 		return 0
 	}
 	return s.live.Len()
+}
+
+// TokenTiles returns the number of source tiles the token ledger was
+// sized for.
+func (s *SpanTracker) TokenTiles() int {
+	if s == nil {
+		return 0
+	}
+	return s.tiles
+}
+
+// Token returns the ledger cell of one (channel, source tile).
+func (s *SpanTracker) Token(ch, tile int) TokenCell {
+	if s == nil {
+		return TokenCell{}
+	}
+	return s.cells[ch*s.tiles+tile]
+}
+
+// TokenRow returns one channel's ledger total over every source tile.
+func (s *SpanTracker) TokenRow(ch int) TokenCell {
+	if s == nil {
+		return TokenCell{}
+	}
+	return s.rows[ch]
 }
 
 // LiveSpan describes one in-flight measured packet's open attribution

@@ -23,7 +23,7 @@ func walkPacket(s *SpanTracker, id uint64) (*noc.Packet, uint64) {
 	// Channel hop: head switched into the writer at 110, serialization
 	// starts at 115 (token_wait += 5), 2 cy serialize + 6 cy photonic
 	// flight pre-attributed; mark lands at 123.
-	s.ChannelTx(115, head, 2, 6, SpanPhotonic, false)
+	s.ChannelTx(115, head, ChannelHop{SerializeCy: 2, PropCy: 6, Transit: SpanPhotonic})
 	s.Switch(125, head) // elec += 2
 	s.Eject(p, 130)     // sink_eject += 5
 	return p, 130
@@ -73,7 +73,7 @@ func TestSpanTrackerSWMRResidual(t *testing.T) {
 	s.Switch(2, head)
 	// SWMR wireless hop: the residual after delivery (mark = 14) up to
 	// the next switch is the inter-group forward.
-	s.ChannelTx(4, head, 8, 2, SpanWirelessE2E, true)
+	s.ChannelTx(4, head, ChannelHop{SerializeCy: 8, PropCy: 2, Transit: SpanWirelessE2E, SWMRFwd: true})
 	s.Switch(17, head) // swmr_fwd += 3
 	s.Eject(p, 19)
 	if got := s.PhaseCycles(SpanSWMRFwd); got != 3 {
@@ -102,7 +102,7 @@ func TestSpanTrackerIgnoresUnmeasuredAndUnknown(t *testing.T) {
 	// must be ignored, not crash or misattribute.
 	s.Inject(warm, 1)
 	s.Switch(2, head)
-	s.ChannelTx(3, head, 1, 1, SpanPhotonic, false)
+	s.ChannelTx(3, head, ChannelHop{SerializeCy: 1, PropCy: 1, Transit: SpanPhotonic})
 	s.Eject(warm, 5)
 	if s.Packets() != 0 || s.TotalPhaseCycles() != 0 {
 		t.Fatalf("unmeasured packet was attributed: %d packets, %d cy", s.Packets(), s.TotalPhaseCycles())
@@ -116,11 +116,97 @@ func TestSpanTrackerNilSafe(t *testing.T) {
 	s.Enqueue(p, 0)
 	s.Inject(p, 1)
 	s.Switch(2, head)
-	s.ChannelTx(3, head, 1, 1, SpanPhotonic, false)
+	s.ChannelTx(3, head, ChannelHop{SerializeCy: 1, PropCy: 1, Transit: SpanPhotonic})
 	s.Eject(p, 5)
 	if s.Packets() != 0 || s.LatencyCycles() != 0 || s.Mismatches() != 0 ||
 		s.TotalPhaseCycles() != 0 || s.PhaseCycles(SpanElec) != 0 || s.InFlight() != 0 {
 		t.Fatal("nil tracker reported nonzero state")
+	}
+}
+
+// TestTokenLedgerNilSafe: sizing, booking into and reading the token
+// ledger of a nil tracker does nothing and reports an empty ledger.
+func TestTokenLedgerNilSafe(t *testing.T) {
+	var s *SpanTracker
+	s.SizeTokenLedger(2, 4, 1)
+	p := &noc.Packet{ID: 3, Src: 1, Measure: true, NumFlits: 1}
+	head := noc.MakeFlits(p)[0]
+	s.Enqueue(p, 0)
+	s.ChannelTx(3, head, ChannelHop{Ledger: 1, SerializeCy: 1, PropCy: 1, Transit: SpanPhotonic})
+	if s.TokenTiles() != 0 || s.Token(1, 3) != (TokenCell{}) || s.TokenRow(1) != (TokenCell{}) {
+		t.Fatal("nil tracker reported a token ledger")
+	}
+}
+
+// TestTokenLedgerBooksPerChannelAndTile drives head flits through
+// ChannelTx and checks the ledger books each charged token wait once,
+// under its channel and its packet's source tile (two cores per tile
+// here), with the channel's row total beside it. Body flits, unmeasured
+// packets and channels outside the ledger book nothing.
+func TestTokenLedgerBooksPerChannelAndTile(t *testing.T) {
+	s := newSpanTracker()
+	s.SizeTokenLedger(2, 4, 2)
+	if s.TokenTiles() != 4 {
+		t.Fatalf("TokenTiles = %d, want 4", s.TokenTiles())
+	}
+	id := uint64(0)
+	tx := func(ch, src int, measure bool, wait uint64) {
+		id++
+		p := &noc.Packet{ID: id, Src: src, Measure: measure, NumFlits: 2}
+		fl := noc.MakeFlits(p)
+		s.Enqueue(p, 100)
+		s.ChannelTx(100+wait, fl[0], ChannelHop{Ledger: ch, SerializeCy: 1, PropCy: 1, Transit: SpanPhotonic})
+		s.ChannelTx(200, fl[1], ChannelHop{Ledger: ch, SerializeCy: 1, PropCy: 1, Transit: SpanPhotonic}) // the tail
+		s.Eject(p, 300)
+	}
+	tx(0, 0, true, 10)
+	tx(0, 1, true, 30) // core 1 shares tile 0 with core 0
+	tx(0, 4, true, 0)
+	tx(1, 3, true, 5)
+	tx(1, 3, false, 99) // unmeasured
+	tx(2, 0, true, 7)   // no such channel: charged, not booked
+
+	for _, c := range []struct {
+		ch, tile int
+		want     TokenCell
+	}{
+		{0, 0, TokenCell{Acqs: 2, WaitCy: 40, MaxCy: 30}},
+		{0, 1, TokenCell{}},
+		{0, 2, TokenCell{Acqs: 1}},
+		{1, 1, TokenCell{Acqs: 1, WaitCy: 5, MaxCy: 5}},
+		{1, 0, TokenCell{}},
+	} {
+		if got := s.Token(c.ch, c.tile); got != c.want {
+			t.Errorf("Token(%d, %d) = %+v, want %+v", c.ch, c.tile, got, c.want)
+		}
+	}
+	if got, want := s.TokenRow(0), (TokenCell{Acqs: 3, WaitCy: 40, MaxCy: 30}); got != want {
+		t.Errorf("TokenRow(0) = %+v, want %+v", got, want)
+	}
+	if got, want := s.TokenRow(1), (TokenCell{Acqs: 1, WaitCy: 5, MaxCy: 5}); got != want {
+		t.Errorf("TokenRow(1) = %+v, want %+v", got, want)
+	}
+	if got := s.PhaseCycles(SpanTokenWait); got != 40+5+7 {
+		t.Errorf("token_wait = %d cy, want 52 (the booked 45 and the unbooked 7)", got)
+	}
+}
+
+// TestChannelTxAllocFree: charging and booking a head flit's token wait
+// allocates nothing.
+func TestChannelTxAllocFree(t *testing.T) {
+	s := newSpanTracker()
+	s.SizeTokenLedger(4, 8, 1)
+	p := &noc.Packet{ID: 1, Src: 3, Measure: true, NumFlits: 1}
+	head := noc.MakeFlits(p)[0]
+	s.Enqueue(p, 0)
+	hop := ChannelHop{Ledger: 2, SerializeCy: 2, PropCy: 3, Transit: SpanPhotonic}
+	if allocs := testing.AllocsPerRun(100, func() {
+		s.ChannelTx(17, head, hop)
+	}); allocs != 0 {
+		t.Errorf("ChannelTx allocates %v per call, want 0", allocs)
+	}
+	if s.TokenRow(2).Acqs == 0 {
+		t.Error("ChannelTx booked nothing")
 	}
 }
 

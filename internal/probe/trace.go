@@ -9,51 +9,6 @@ import (
 	"ownsim/internal/noc"
 )
 
-// EventKind identifies one step of a packet's lifecycle.
-type EventKind uint8
-
-const (
-	// EvEnqueue is the packet entering its source queue.
-	EvEnqueue EventKind = iota
-	// EvInject is the head flit leaving the source queue into the
-	// network interface.
-	EvInject
-	// EvRoute is route computation (RC) finishing at a router; Arg is
-	// the chosen output port.
-	EvRoute
-	// EvVCAlloc is virtual-channel allocation (VCA) succeeding; Arg is
-	// the granted output VC.
-	EvVCAlloc
-	// EvSwitch is the head flit winning switch allocation and
-	// traversing the crossbar (SA+ST); Arg is the output port.
-	EvSwitch
-	// EvTokenAcquire is a shared channel (photonic waveguide or
-	// wireless link) locking onto the packet; Arg is the token-passing
-	// cost in cycles paid for the acquisition.
-	EvTokenAcquire
-	// EvTokenRelease is the tail flit releasing the channel lock.
-	EvTokenRelease
-	// EvTransmit is the head flit being serialized onto a shared
-	// photonic/wireless medium; Arg is the receiver index.
-	EvTransmit
-	// EvEject is the tail flit reaching the destination sink.
-	EvEject
-	numEventKinds
-)
-
-var eventKindNames = [numEventKinds]string{
-	"enqueue", "inject", "route", "vc_alloc", "switch",
-	"token_acquire", "token_release", "transmit", "eject",
-}
-
-// String implements fmt.Stringer.
-func (k EventKind) String() string {
-	if int(k) < len(eventKindNames) {
-		return eventKindNames[k]
-	}
-	return fmt.Sprintf("EventKind(%d)", uint8(k))
-}
-
 // Event is one recorded lifecycle step.
 type Event struct {
 	// Cycle is the simulated time of the event.
@@ -61,8 +16,8 @@ type Event struct {
 	// Comp indexes the component (router, source, sink, channel) that
 	// recorded the event, in the tracer's registration order.
 	Comp int32
-	// Kind is the lifecycle step.
-	Kind EventKind
+	// Kind is the network event, one of the kinds traceSteps names.
+	Kind noc.EventKind
 	// Pkt, Src and Dst identify the packet.
 	Pkt      uint64
 	Src, Dst int32
@@ -99,24 +54,23 @@ func (t *Tracer) Component(name string) int {
 	return len(t.comps) - 1
 }
 
-// traceSteps maps each network event the tracer records to its lifecycle
-// step and to the event operand kept as Arg (0 none, 1 A, 2 B, 3 C);
-// kinds with traced false are not subscribed to. Per-flit kinds record
-// the head flit only.
+// traceSteps names each network event the tracer records, as its
+// trace.json instant events show it, and picks the event operand kept
+// as Arg (0 none, 1 A, 2 B, 3 C); kinds without a name are not
+// subscribed to. Per-flit kinds record the head flit only.
 var traceSteps = [noc.NumEventKinds]struct {
-	traced bool
-	step   EventKind
-	arg    uint8
+	name string
+	arg  uint8
 }{
-	noc.EvEnqueue: {true, EvEnqueue, 0},
-	noc.EvInject:  {true, EvInject, 0},
-	noc.EvRoute:   {true, EvRoute, 2},        // output port
-	noc.EvVCAlloc: {true, EvVCAlloc, 2},      // output VC
-	noc.EvSwitch:  {true, EvSwitch, 2},       // output port
-	noc.EvGrant:   {true, EvTokenAcquire, 3}, // token cost
-	noc.EvFlitTx:  {true, EvTransmit, 1},     // receiver
-	noc.EvRelease: {true, EvTokenRelease, 0},
-	noc.EvEject:   {true, EvEject, 0},
+	noc.EvEnqueue: {"enqueue", 0},
+	noc.EvInject:  {"inject", 0},
+	noc.EvRoute:   {"route", 2},         // output port
+	noc.EvVCAlloc: {"vc_alloc", 2},      // output VC
+	noc.EvSwitch:  {"switch", 2},        // output port
+	noc.EvGrant:   {"token_acquire", 3}, // token cost
+	noc.EvFlitTx:  {"transmit", 1},      // receiver
+	noc.EvRelease: {"token_release", 0},
+	noc.EvEject:   {"eject", 0},
 }
 
 // Watch registers a component under name ("router.5", "src.0",
@@ -130,7 +84,7 @@ func (t *Tracer) Watch(tap *noc.Tap, name string) {
 	comp := t.Component(name)
 	var mask uint32
 	for k, st := range traceSteps {
-		if st.traced {
+		if st.name != "" {
 			mask |= noc.Mask(noc.EventKind(k))
 		}
 	}
@@ -138,15 +92,14 @@ func (t *Tracer) Watch(tap *noc.Tap, name string) {
 		if (e.Flit != nil && !e.Flit.IsHead()) || !t.Sampled(e.Pkt.ID) {
 			return
 		}
-		st := traceSteps[e.Kind]
 		// An array value indexed in place never escapes, so it does not allocate.
-		t.Emit(e.Cycle, comp, st.step, e.Pkt, [...]int{0, e.A, e.B, e.C}[st.arg])
+		t.Emit(e.Cycle, comp, e.Kind, e.Pkt, [...]int{0, e.A, e.B, e.C}[traceSteps[e.Kind].arg])
 	})
 }
 
 // Emit records one event for a sampled packet. Callers are expected to
 // have checked Sampled already.
-func (t *Tracer) Emit(cycle uint64, comp int, kind EventKind, p *noc.Packet, arg int) {
+func (t *Tracer) Emit(cycle uint64, comp int, kind noc.EventKind, p *noc.Packet, arg int) {
 	if len(t.events) >= t.max {
 		t.dropped++
 		return
@@ -216,15 +169,15 @@ func (t *Tracer) WriteChrome(w io.Writer) error {
 	}
 	for _, e := range t.events {
 		switch e.Kind {
-		case EvEnqueue:
+		case noc.EvEnqueue:
 			emit("{\"name\":\"pkt\",\"cat\":\"pkt\",\"ph\":\"b\",\"id\":%d,\"pid\":0,\"tid\":%d,\"ts\":%d,\"args\":{\"src\":%d,\"dst\":%d}}",
 				e.Pkt, e.Comp, e.Cycle, e.Src, e.Dst)
-		case EvEject:
+		case noc.EvEject:
 			emit("{\"name\":\"pkt\",\"cat\":\"pkt\",\"ph\":\"e\",\"id\":%d,\"pid\":0,\"tid\":%d,\"ts\":%d}",
 				e.Pkt, e.Comp, e.Cycle)
 		}
 		emit("{\"name\":%q,\"cat\":\"hop\",\"ph\":\"i\",\"s\":\"t\",\"pid\":0,\"tid\":%d,\"ts\":%d,\"args\":{\"pkt\":%d,\"src\":%d,\"dst\":%d,\"arg\":%d}}",
-			e.Kind, e.Comp, e.Cycle, e.Pkt, e.Src, e.Dst, e.Arg)
+			traceSteps[e.Kind].name, e.Comp, e.Cycle, e.Pkt, e.Src, e.Dst, e.Arg)
 	}
 	b.WriteString("\n]}\n")
 	_, err := w.Write(b.Bytes())
