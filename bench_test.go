@@ -287,7 +287,7 @@ func benchUniform(b *testing.B, cores int, rate float64) {
 		b.StartTimer()
 		n.Run(
 			fabric.TrafficSpec{Pattern: traffic.Uniform, Rate: rate, Seed: 1, Policy: sys.Policy, Classify: sys.Classify},
-			fabric.RunSpec{Warmup: 200, Measure: 10000, DrainBudget: 1, ReservoirCap: 4096},
+			fabric.RunSpec{Warmup: 200, Measure: 10000, DrainBudget: 1},
 		)
 	}
 }

@@ -4,9 +4,11 @@
 // rectangular table with at least one data row, and the energy,
 // latency-breakdown and Jain CSVs — recognized by their headers — add
 // their sum or bound; NDJSON is one object per line; an SVG is
-// well-formed XML under an svg root; JSON parses, and the state dump
-// decodes into flightrec.Snapshot with its cycle and reason; a
-// Prometheus exposition is HELP/TYPE comments and `name value` samples.
+// well-formed XML under an svg root; JSON parses, the state dump
+// decodes into flightrec.Snapshot with its cycle and reason, and a
+// manifest's run summary orders its latencies (p50 <= p95 <= p99 <=
+// max); a Prometheus exposition is HELP/TYPE comments and `name value`
+// samples.
 // TestRecordInvariants applies them to a real record,
 // TestRecordCorruptionsFail proves each one bites on real emitter bytes,
 // and the TestCheck* tests pin each checker on its own.
@@ -54,6 +56,8 @@ func checkFile(name string, b []byte) error {
 			err = errors.New("invalid JSON")
 		case name == "dump.json":
 			err = checkDump(b)
+		case name == "manifest.json":
+			err = checkManifest(b)
 		}
 	case ".dot", ".txt":
 		// Text for people and Graphviz; the digests pin their bytes.
@@ -195,6 +199,19 @@ func checkDump(b []byte) error {
 	}
 	if snap.Reason == "" {
 		return errors.New("dump lacks a reason")
+	}
+	return nil
+}
+
+// checkManifest validates a manifest: its run summary, when it has one,
+// orders the latency percentiles under the maximum.
+func checkManifest(b []byte) error {
+	var man probe.Manifest
+	if err := json.Unmarshal(b, &man); err != nil {
+		return fmt.Errorf("manifest does not decode into probe.Manifest: %v", err)
+	}
+	if s := man.Summary; s != nil && !(s.P50Latency <= s.P95Latency && s.P95Latency <= s.P99Latency && s.P99Latency <= s.MaxLatency) {
+		return fmt.Errorf("summary latencies out of order: p50 %d, p95 %d, p99 %d, max %d", s.P50Latency, s.P95Latency, s.P99Latency, s.MaxLatency)
 	}
 	return nil
 }

@@ -57,7 +57,8 @@ func dirFiles(t *testing.T, dir string) []string {
 }
 
 // record writes the record of the golden OWN-256 run into a fresh
-// directory the way both CLIs do and returns the directory.
+// directory the way cmd/ownsim does, run summary included, and returns
+// the directory.
 func record(t *testing.T) string {
 	t.Helper()
 	dir := t.TempDir()
@@ -72,7 +73,8 @@ func record(t *testing.T) string {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	n.Run(ts, rs)
+	sum := n.Run(ts, rs).Summary
+	man.Summary = &sum
 	s.Finish()
 	if v := s.Violations(); v != 0 {
 		t.Fatalf("%d invariant violations on a golden configuration", v)
@@ -143,6 +145,12 @@ func TestRecordCorruptionsFail(t *testing.T) {
 			return strings.Replace(s, "{", `{"rec":"meta",`, 1)
 		}},
 		{"dump not JSON", "dump.json", "invalid JSON", func(s string) string { return "not json\n" + s }},
+		{"p50 and max swapped", "manifest.json", "out of order", func(s string) string {
+			p50 := regexp.MustCompile(`"P50Latency": \d+`).FindString(s)
+			maxLat := regexp.MustCompile(`"MaxLatency": \d+`).FindString(s)
+			value := func(field string) string { return field[strings.Index(field, ":"):] }
+			return strings.NewReplacer(p50, `"P50Latency"`+value(maxLat), maxLat, `"MaxLatency"`+value(p50)).Replace(s)
+		}},
 		{"wrong SVG root", "breakdown.svg", "root", func(s string) string {
 			return strings.Replace(strings.Replace(s, "<svg", "<html", 1), "</svg>", "</html>", 1)
 		}},
@@ -227,7 +235,8 @@ func TestLiveRecordedRun(t *testing.T) {
 		scrape = get(base + "/metrics")
 		go func() { dump <- get(base + "/debug/dump") }()
 	}
-	n.Run(ts, rs)
+	sum := n.Run(ts, rs).Summary
+	man.Summary = &sum
 	s.Finish()
 
 	if scrape.err != nil {

@@ -129,7 +129,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	defer s.Close()
 	res := n.Run(
 		fabric.TrafficSpec{Pattern: pat, Rate: *load, Seed: rf.Seed, Policy: sys.Policy, Classify: sys.Classify},
-		fabric.RunSpec{Warmup: rf.Warmup, Measure: rf.Measure, ReservoirCap: of.Reservoir},
+		fabric.RunSpec{Warmup: rf.Warmup, Measure: rf.Measure},
 	)
 	s.Finish()
 

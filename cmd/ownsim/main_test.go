@@ -110,14 +110,14 @@ func TestBadInputExitStatus(t *testing.T) {
 	}
 }
 
-// TestHelpListsFlags pins the surface: -h lists 17 flags and exits 0.
+// TestHelpListsFlags pins the surface: -h lists 16 flags and exits 0.
 func TestHelpListsFlags(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	if code := run([]string{"-h"}, &stdout, &stderr); code != 0 {
 		t.Fatalf("ownsim -h: exit %d", code)
 	}
-	if flags := regexp.MustCompile(`(?m)^  -\w`).FindAllString(stderr.String(), -1); len(flags) != 17 {
-		t.Errorf("ownsim -h lists %d flags, want 17:\n%s", len(flags), &stderr)
+	if flags := regexp.MustCompile(`(?m)^  -\w`).FindAllString(stderr.String(), -1); len(flags) != 16 {
+		t.Errorf("ownsim -h lists %d flags, want 16:\n%s", len(flags), &stderr)
 	}
 }
 

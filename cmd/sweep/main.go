@@ -79,7 +79,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if rf.Topo == "all" && (of.Listen != "" || of.Telemetry > 0) {
 		return usage(errors.New("-listen and -telemetry need a single -topo"))
 	}
-	b := core.Budget{Warmup: rf.Warmup, Measure: rf.Measure, Loads: *points, Seed: rf.Seed, ReservoirCap: of.Reservoir}
+	b := core.Budget{Warmup: rf.Warmup, Measure: rf.Measure, Loads: *points, Seed: rf.Seed}
 	man, err := of.OpenRecord("sweep", rf.Cores, rf.Seed, map[string]string{
 		"topo":    rf.Topo,
 		"cores":   strconv.Itoa(rf.Cores),
@@ -164,7 +164,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		last := len(loads) - 1
 		res := n.Run(
 			fabric.TrafficSpec{Pattern: pat, Rate: loads[last], Seed: b.Seed + uint64(last), Policy: sys.Policy, Classify: sys.Classify},
-			fabric.RunSpec{Warmup: b.Warmup, Measure: b.Measure, ReservoirCap: b.ReservoirCap},
+			fabric.RunSpec{Warmup: b.Warmup, Measure: b.Measure},
 		)
 		s.Finish()
 		lg.Printf("instrumented %s @ load %.5f: %s", rf.Topo, loads[last], res.Summary)

@@ -128,13 +128,13 @@ func TestBadInputExitStatus(t *testing.T) {
 	}
 }
 
-// TestHelpListsFlags pins the surface: -h lists 13 flags and exits 0.
+// TestHelpListsFlags pins the surface: -h lists 12 flags and exits 0.
 func TestHelpListsFlags(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	if code := run([]string{"-h"}, &stdout, &stderr); code != 0 {
 		t.Fatalf("sweep -h: exit %d", code)
 	}
-	if flags := regexp.MustCompile(`(?m)^  -\w`).FindAllString(stderr.String(), -1); len(flags) != 13 {
-		t.Errorf("sweep -h lists %d flags, want 13:\n%s", len(flags), &stderr)
+	if flags := regexp.MustCompile(`(?m)^  -\w`).FindAllString(stderr.String(), -1); len(flags) != 12 {
+		t.Errorf("sweep -h lists %d flags, want 12:\n%s", len(flags), &stderr)
 	}
 }

@@ -25,7 +25,7 @@ func TestClassify1024AllocatesNothing(t *testing.T) {
 }
 
 // A rewound network's run allocates for its generators, its collector and
-// the latency reservoir's growth, and nothing per packet: four times the
+// the latency counts' growth, and nothing per packet: four times the
 // measured cycles carry four times the packets for at most runSlack more
 // allocations. Most of the slack is the sources' packet pools, which start
 // each run empty and grow to their in-flight high-water mark (four

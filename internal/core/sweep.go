@@ -23,9 +23,6 @@ type Budget struct {
 	Loads int
 	// Seed decorrelates repeated sweeps.
 	Seed uint64
-	// ReservoirCap sizes the exact-percentile latency reservoir per run;
-	// 0 keeps stats.LatencyReservoirCap.
-	ReservoirCap int
 }
 
 // FullBudget is the default used by cmd/paper.
@@ -36,7 +33,7 @@ func FullBudget() Budget {
 // runSpec is the run every point under b gets: the one place a Budget
 // becomes a fabric.RunSpec.
 func (b Budget) runSpec() fabric.RunSpec {
-	return fabric.RunSpec{Warmup: b.Warmup, Measure: b.Measure, ReservoirCap: b.ReservoirCap}
+	return fabric.RunSpec{Warmup: b.Warmup, Measure: b.Measure}
 }
 
 // QuickBudget is a reduced budget for tests and benchmarks; trends are

@@ -258,9 +258,8 @@ type RunSpec struct {
 	// DrainBudget bounds the drain phase of an unsaturated run; 0 means
 	// 4x Measure.
 	DrainBudget uint64
-	// ReservoirCap sizes the exact-percentile latency reservoir; 0 keeps
-	// stats.LatencyReservoirCap. Summary.Truncated reports whether the
-	// run overflowed it.
+	// ReservoirCap is ignored: the percentiles cover every measured
+	// packet. It stays only because the benchmark harness still sets it.
 	ReservoirCap int
 }
 
@@ -299,7 +298,6 @@ func (n *Network) Run(ts TrafficSpec, rs RunSpec) Result {
 	}
 	n.rewind()
 	col := stats.NewCollector(n.NumCores, rs.Warmup, rs.Warmup+rs.Measure)
-	col.SetReservoirCap(rs.ReservoirCap)
 	n.Collector = col
 	onDropped := col.OnDropped // shared by every source: a method value allocates
 	gens := traffic.NewBernoullis(n.NumCores, ts.Pattern, ts.Rate, ts.PktFlits, ts.Sizes, ts.Seed, ts.Classify)
@@ -318,7 +316,7 @@ func (n *Network) Run(ts TrafficSpec, rs RunSpec) Result {
 	}
 	n.Eng.Run(rs.Warmup + rs.Measure)
 	drained := col.Pending() == 0
-	if !col.Saturated() {
+	if !col.Summary().Saturated() {
 		drained = n.Eng.RunUntil(func() bool { return col.Pending() == 0 }, rs.drain())
 	}
 	n.Probe.Flush(n.Eng.Cycle())

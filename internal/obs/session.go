@@ -16,14 +16,13 @@ import (
 )
 
 // Flags is the observation surface of one simulated run. Register
-// declares the five flags cmd/ownsim and cmd/sweep share; Watchdog, the
+// declares the four flags cmd/ownsim and cmd/sweep share; Watchdog, the
 // watchdog's liveness budget in cycles (flightrec.Options.Watchdog), is
 // -watchdog, which only cmd/ownsim registers (sweep leaves it zero).
 type Flags struct {
 	Out       string
 	Listen    string
 	Check     bool
-	Reservoir int
 	Telemetry int
 	Watchdog  uint64
 }
@@ -40,7 +39,6 @@ func (f *Flags) Register(fs *flag.FlagSet, what string) {
 	fs.StringVar(&f.Out, "out", "", "write the record of "+what+" into this directory: every artifact under a fixed name, then manifest.json with their digests")
 	fs.StringVar(&f.Listen, "listen", "", "serve live telemetry (/metrics, /healthz, /events, /debug/dump, /debug/pprof/) of "+what+" on this address while it runs (e.g. :9090; port 0 picks a free port)")
 	fs.BoolVar(&f.Check, "check", false, "audit protocol invariants with the conformance checker (internal/check); violations go to stderr and the exit code is non-zero if any fired")
-	fs.IntVar(&f.Reservoir, "reservoir", 0, "exact-percentile latency reservoir size in packets per run (0 = default 65536)")
 	fs.IntVar(&f.Telemetry, "telemetry", 0, "print the top-N busiest shared channels of "+what)
 }
 
@@ -58,7 +56,6 @@ func (f *Flags) OpenRecord(tool string, cores int, seed uint64, config map[strin
 	}
 	config["sample"] = strconv.Itoa(traceEvery)
 	config["window"] = strconv.Itoa(flightrec.Window)
-	config["reservoir"] = strconv.Itoa(f.Reservoir)
 	config["check"] = strconv.FormatBool(f.Check)
 	return &probe.Manifest{Tool: tool, Config: config, Cores: cores, Seed: seed, Build: probe.ReadBuildInfo()}, nil
 }

@@ -44,7 +44,7 @@ func observe(t *testing.T, f *Flags, rate float64, seed uint64) observed {
 	defer s.Close()
 	n.Run(
 		fabric.TrafficSpec{Pattern: traffic.Uniform, Rate: rate, Seed: seed, Policy: sys.Policy, Classify: sys.Classify},
-		fabric.RunSpec{Warmup: 200, Measure: 800, ReservoirCap: f.Reservoir},
+		fabric.RunSpec{Warmup: 200, Measure: 800},
 	)
 	s.Finish()
 	if v := s.Violations(); v != 0 {
@@ -83,13 +83,13 @@ func dirFiles(t *testing.T, dir string) []string {
 	return names
 }
 
-// TestRegisterDeclaresTheSharedFlags pins the surface: exactly the five
+// TestRegisterDeclaresTheSharedFlags pins the surface: exactly the four
 // shared names, with the defaults both CLIs always had.
 func TestRegisterDeclaresTheSharedFlags(t *testing.T) {
 	fs := flag.NewFlagSet("obs-test", flag.ContinueOnError)
 	new(Flags).Register(fs, "the run")
 	want := map[string]string{
-		"out": "", "listen": "", "check": "false", "reservoir": "0", "telemetry": "0",
+		"out": "", "listen": "", "check": "false", "telemetry": "0",
 	}
 	got := map[string]string{}
 	fs.VisitAll(func(fl *flag.Flag) { got[fl.Name] = fl.DefValue })

@@ -36,9 +36,6 @@ type Options struct {
 	// stride); any stride selects a deterministic subset, identical
 	// across runs.
 	TraceEvery uint64
-	// MaxTraceEvents bounds tracer memory; events beyond the cap are
-	// dropped (and counted). Zero means DefaultMaxTraceEvents.
-	MaxTraceEvents int
 	// Spans enables per-packet latency attribution: every measured
 	// packet's end-to-end latency is decomposed into per-phase cycle
 	// counts, and its token waits are booked per channel and source tile
@@ -47,8 +44,8 @@ type Options struct {
 	Spans bool
 }
 
-// DefaultMaxTraceEvents bounds the tracer's in-memory event buffer when
-// Options.MaxTraceEvents is zero (~24 MiB of events).
+// DefaultMaxTraceEvents bounds the tracer's in-memory event buffer (~24
+// MiB of events); events beyond it are dropped and counted.
 const DefaultMaxTraceEvents = 1 << 20
 
 // Probe bundles the registry, sampler and tracer for one simulation run.
@@ -69,11 +66,7 @@ func New(o Options) *Probe {
 		p.smp = newSampler(p.reg, o.MetricsEvery)
 	}
 	if o.TraceEvery > 0 {
-		max := o.MaxTraceEvents
-		if max <= 0 {
-			max = DefaultMaxTraceEvents
-		}
-		p.trc = newTracer(o.TraceEvery, max)
+		p.trc = newTracer(o.TraceEvery, DefaultMaxTraceEvents)
 	}
 	if o.Spans {
 		p.spn = newSpanTracker()

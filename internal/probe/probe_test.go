@@ -160,8 +160,7 @@ func TestTracerSamplingStride(t *testing.T) {
 }
 
 func TestTracerCapDrops(t *testing.T) {
-	p := New(Options{TraceEvery: 1, MaxTraceEvents: 2})
-	tr := p.Tracer()
+	tr := newTracer(1, 2)
 	cid := tr.Component("router.0")
 	pkt := &noc.Packet{ID: 0, Src: 1, Dst: 2}
 	for i := 0; i < 5; i++ {

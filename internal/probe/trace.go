@@ -125,7 +125,7 @@ func (t *Tracer) Len() int {
 
 // Dropped returns the number of events discarded after the buffer cap
 // was reached; nonzero means the trace is truncated (raise the sampling
-// stride or the cap).
+// stride).
 func (t *Tracer) Dropped() uint64 {
 	if t == nil {
 		return 0

@@ -1,5 +1,5 @@
 // Package stats collects and summarizes network performance metrics:
-// per-packet latency (mean, p99, max), accepted throughput in
+// per-packet latency (mean, exact percentiles, max), accepted throughput in
 // flits/node/cycle, and saturation analysis over load-latency curves.
 //
 // Methodology follows the paper's cycle-accurate evaluation: a warmup
@@ -14,7 +14,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strconv"
 
 	"ownsim/internal/noc"
@@ -56,26 +55,12 @@ type Collector struct {
 	// measurement window regardless of creation time (throughput).
 	windowFlits uint64
 
-	// hist buckets latencies by power of two for percentile estimates.
-	hist [40]uint64
-
-	// lat retains the first reservoirCap() measured latencies for exact
-	// percentiles; see Summary.PctSamples for the saturation caveat.
-	lat []uint64
-
-	// ReservoirCap overrides the exact-percentile reservoir size when
-	// > 0 (see SetReservoirCap); 0 keeps LatencyReservoirCap.
-	ReservoirCap int
+	// latCount[l] is the number of measured packets whose latency was l
+	// cycles: the whole run's latency distribution, from which Summary
+	// reads exact percentiles. It grows by doubling to cover latencyMax,
+	// 4 bytes per cycle of the longest latency.
+	latCount []uint32
 }
-
-// LatencyReservoirCap is the default bound on the exact-percentile
-// latency reservoir: the first LatencyReservoirCap measured packets are
-// retained verbatim (512 KiB); beyond that, later packets fall back to
-// the power-of-two bucket estimate. The cutoff is deterministic
-// (ejection order), so summaries remain bit-for-bit reproducible.
-// SetReservoirCap (the -reservoir flag on the CLI tools) adjusts the
-// bound per run.
-const LatencyReservoirCap = 1 << 16
 
 // NewCollector creates a collector for a run measuring cycles
 // [measureFrom, measureTo) across numNodes terminals.
@@ -84,26 +69,6 @@ func NewCollector(numNodes int, measureFrom, measureTo uint64) *Collector {
 		panic("stats: invalid measurement window")
 	}
 	return &Collector{NumNodes: numNodes, MeasureFrom: measureFrom, MeasureTo: measureTo}
-}
-
-// SetReservoirCap sizes the exact-percentile reservoir (n latencies kept
-// verbatim; 8 bytes each). Call before the first ejection; n <= 0 keeps
-// the LatencyReservoirCap default. It panics if samples were already
-// collected — resizing mid-run would make the retained prefix depend on
-// when the call happened.
-func (c *Collector) SetReservoirCap(n int) {
-	if len(c.lat) > 0 {
-		panic("stats: reservoir resized after collection started")
-	}
-	c.ReservoirCap = n
-}
-
-// reservoirCap returns the effective reservoir bound.
-func (c *Collector) reservoirCap() int {
-	if c.ReservoirCap > 0 {
-		return c.ReservoirCap
-	}
-	return LatencyReservoirCap
 }
 
 // OnCreated notes a newly generated packet (fabric calls it for every
@@ -133,21 +98,18 @@ func (c *Collector) OnEjected(p *noc.Packet, cycle uint64) {
 	}
 	c.ejectedMeasured++
 	lat := p.Latency()
-	if rc := c.reservoirCap(); len(c.lat) < rc {
-		if c.lat == nil {
-			// Reserve what a run is likely to measure, not the cap: an
-			// evaluation's runs measure 100-1 500 packets each, and the
-			// default cap zeroed 512 KiB for every one of them (47 runs,
-			// 156.4 MB allocated per claims-quick evaluation; 134.4 with
-			// this reserve, BENCH_23.json). A run that measures more
-			// grows by append up to the cap, so the cutoff and every
-			// percentile are unchanged; a cap of 4096 or less (the
-			// benchmark's single-network workloads) is still one
-			// allocation per run.
-			c.lat = make([]uint64, 0, min(rc, 4096))
+	if lat >= uint64(len(c.latCount)) {
+		// 1 024 counts cover a low-load run's latencies in one 4 KiB
+		// allocation; a saturated OWN-256 run doubles three times more.
+		n := max(len(c.latCount), 1024)
+		for uint64(n) <= lat {
+			n *= 2
 		}
-		c.lat = append(c.lat, lat)
+		grown := make([]uint32, n)
+		copy(grown, c.latCount)
+		c.latCount = grown
 	}
+	c.latCount[lat]++
 	c.latencySum += float64(lat)
 	c.netLatencySum += float64(p.NetworkLatency())
 	if lat > c.latencyMax {
@@ -157,14 +119,6 @@ func (c *Collector) OnEjected(p *noc.Packet, cycle uint64) {
 	if p.Hops > c.hopMax {
 		c.hopMax = p.Hops
 	}
-	b := 0
-	for l := lat; l > 0; l >>= 1 {
-		b++
-	}
-	if b >= len(c.hist) {
-		b = len(c.hist) - 1
-	}
-	c.hist[b]++
 }
 
 // Pending returns the number of measured packets still in flight; drain
@@ -181,24 +135,10 @@ type Summary struct {
 	AvgLatency float64
 	// AvgNetLatency excludes source queueing.
 	AvgNetLatency float64
-	// P50Latency, P95Latency and P99Exact are exact nearest-rank
-	// percentiles over the latency reservoir. When more than
-	// LatencyReservoirCap packets were measured, they cover only the
-	// first LatencyReservoirCap ejections (PctSamples < Packets flags
-	// this), which biases them toward early — typically less congested
-	// — traffic; the bucket-based P99Latency bound stays valid for the
-	// whole run and is the fallback to quote in that regime.
+	// P50Latency, P95Latency and P99Latency are exact nearest-rank
+	// percentiles over every measured packet's latency.
 	P50Latency uint64
 	P95Latency uint64
-	P99Exact   uint64
-	// PctSamples is the number of latencies the exact percentiles were
-	// computed over.
-	PctSamples uint64
-	// Truncated reports that the reservoir overflowed: the exact
-	// percentiles cover only the first PctSamples of Packets ejections.
-	Truncated bool
-	// P99Latency is an upper estimate from power-of-two buckets over
-	// every measured packet.
 	P99Latency uint64
 	// MaxLatency is the worst measured packet latency.
 	MaxLatency uint64
@@ -228,82 +168,44 @@ func (s Summary) String() string {
 	switch {
 	case s.Packets == 0:
 		// Nothing measured ejected: there is no latency or hop count to print.
-		return fmt.Sprintf("pkts=0 avgLat=n/a p50=n/a p95=n/a p99=n/a (p99<=n/a) maxLat=n/a avgHops=n/a thr=%.4f f/n/c", s.Throughput)
+		return fmt.Sprintf("pkts=0 avgLat=n/a p50=n/a p95=n/a p99=n/a maxLat=n/a avgHops=n/a thr=%.4f f/n/c", s.Throughput)
 	case s.Saturated():
 		return fmt.Sprintf("pkts=%d saturated avgHops=%.2f thr=%.4f f/n/c", s.Packets, s.AvgHops, s.Throughput)
 	}
-	line := fmt.Sprintf("pkts=%d avgLat=%.1f p50=%d p95=%d p99=%d (p99<=%d) maxLat=%d avgHops=%.2f thr=%.4f f/n/c",
-		s.Packets, s.AvgLatency, s.P50Latency, s.P95Latency, s.P99Exact, s.P99Latency,
+	return fmt.Sprintf("pkts=%d avgLat=%.1f p50=%d p95=%d p99=%d maxLat=%d avgHops=%.2f thr=%.4f f/n/c",
+		s.Packets, s.AvgLatency, s.P50Latency, s.P95Latency, s.P99Latency,
 		s.MaxLatency, s.AvgHops, s.Throughput)
-	if s.Truncated {
-		line += fmt.Sprintf(" [pct over first %d]", s.PctSamples)
-	}
-	return line
 }
 
 // Summary computes the run digest.
 func (c *Collector) Summary() Summary {
-	s := Summary{Packets: c.ejectedMeasured, MaxLatency: c.latencyMax, MaxHops: c.hopMax}
-	if c.ejectedMeasured > 0 {
-		s.AvgLatency = c.latencySum / float64(c.ejectedMeasured)
-		s.AvgNetLatency = c.netLatencySum / float64(c.ejectedMeasured)
-		s.AvgHops = float64(c.hopSum) / float64(c.ejectedMeasured)
+	window, nodes := float64(c.MeasureTo-c.MeasureFrom), float64(c.NumNodes)
+	s := Summary{
+		Packets: c.ejectedMeasured, MaxLatency: c.latencyMax, MaxHops: c.hopMax,
+		Throughput: float64(c.windowFlits) / window / nodes,
+		Offered:    float64(c.offeredFlits) / window / nodes,
 	}
-	s.Throughput, s.Offered = c.rates()
-	// p99 from buckets: find the bucket containing the 99th percentile
-	// and report its upper bound.
-	if c.ejectedMeasured > 0 {
-		target := uint64(math.Ceil(float64(c.ejectedMeasured) * 0.99))
-		var cum uint64
-		for b, n := range c.hist {
-			cum += n
-			if cum >= target {
-				s.P99Latency = 1 << uint(b)
-				break
-			}
-		}
-		if s.P99Latency > c.latencyMax {
-			s.P99Latency = c.latencyMax
-		}
+	if c.ejectedMeasured == 0 {
+		return s
 	}
-	// Exact nearest-rank percentiles over the (possibly truncated)
-	// reservoir; the collector's copy stays in ejection order.
-	if len(c.lat) > 0 {
-		sorted := make([]uint64, len(c.lat))
-		copy(sorted, c.lat)
-		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-		s.PctSamples = uint64(len(sorted))
-		s.P50Latency = percentile(sorted, 0.50)
-		s.P95Latency = percentile(sorted, 0.95)
-		s.P99Exact = percentile(sorted, 0.99)
-	}
-	s.Truncated = s.PctSamples < s.Packets
+	s.AvgLatency = c.latencySum / float64(c.ejectedMeasured)
+	s.AvgNetLatency = c.netLatencySum / float64(c.ejectedMeasured)
+	s.AvgHops = float64(c.hopSum) / float64(c.ejectedMeasured)
+	s.P50Latency, s.P95Latency, s.P99Latency = c.quantile(0.50), c.quantile(0.95), c.quantile(0.99)
 	return s
 }
 
-// rates returns the window's accepted and offered flits/node/cycle.
-func (c *Collector) rates() (accepted, offered float64) {
-	window, nodes := float64(c.MeasureTo-c.MeasureFrom), float64(c.NumNodes)
-	return float64(c.windowFlits) / window / nodes, float64(c.offeredFlits) / window / nodes
-}
-
-// Saturated is Summary().Saturated() without computing the percentiles:
-// once the measurement window has closed, the verdict is final.
-func (c *Collector) Saturated() bool {
-	accepted, offered := c.rates()
-	return Summary{Throughput: accepted, Offered: offered}.Saturated()
-}
-
-// percentile returns the nearest-rank q-quantile of a sorted sample.
-func percentile(sorted []uint64, q float64) uint64 {
-	rank := int(math.Ceil(q * float64(len(sorted))))
-	if rank < 1 {
-		rank = 1
+// quantile returns the nearest-rank q-quantile of the measured latencies:
+// the smallest latency at or below which ceil(q*n) of the n packets lie.
+func (c *Collector) quantile(q float64) uint64 {
+	rank := uint64(math.Ceil(q * float64(c.ejectedMeasured)))
+	var below uint64
+	for lat, n := range c.latCount {
+		if below += uint64(n); below >= rank {
+			return uint64(lat)
+		}
 	}
-	if rank > len(sorted) {
-		rank = len(sorted)
-	}
-	return sorted[rank-1]
+	return c.latencyMax
 }
 
 // CurvePoint is one sample of a load-latency sweep.

@@ -92,8 +92,8 @@ func TestP99Estimate(t *testing.T) {
 		c.OnEjected(slow, 900)
 	}
 	s := c.Summary()
-	if s.P99Latency < 512 || s.P99Latency > 900 {
-		t.Fatalf("P99 = %d, want in [512, 900]", s.P99Latency)
+	if s.P99Latency != 900 {
+		t.Fatalf("P99 = %d, want 900", s.P99Latency)
 	}
 }
 
@@ -111,11 +111,11 @@ func TestSummaryString(t *testing.T) {
 		want string
 	}{
 		{"no packets", NewCollector(1, 0, 10).Summary(),
-			"pkts=0 avgLat=n/a p50=n/a p95=n/a p99=n/a (p99<=n/a) maxLat=n/a avgHops=n/a thr=0.0000 f/n/c"},
+			"pkts=0 avgLat=n/a p50=n/a p95=n/a p99=n/a maxLat=n/a avgHops=n/a thr=0.0000 f/n/c"},
 		{"no packets, flits in the window", Summary{Throughput: 0.0125},
-			"pkts=0 avgLat=n/a p50=n/a p95=n/a p99=n/a (p99<=n/a) maxLat=n/a avgHops=n/a thr=0.0125 f/n/c"},
+			"pkts=0 avgLat=n/a p50=n/a p95=n/a p99=n/a maxLat=n/a avgHops=n/a thr=0.0125 f/n/c"},
 		{"one packet", one.Summary(),
-			"pkts=1 avgLat=50.0 p50=50 p95=50 p99=50 (p99<=50) maxLat=50 avgHops=3.00 thr=0.0125 f/n/c"},
+			"pkts=1 avgLat=50.0 p50=50 p95=50 p99=50 maxLat=50 avgHops=3.00 thr=0.0125 f/n/c"},
 		{"saturated", Summary{Packets: 7, AvgLatency: 1593.8, P50Latency: 1148, MaxLatency: 4000, AvgHops: 3.5, Throughput: 0.0100, Offered: 0.0125},
 			"pkts=7 saturated avgHops=3.50 thr=0.0100 f/n/c"},
 	} {
@@ -250,7 +250,7 @@ func TestSaturatedVerdict(t *testing.T) {
 
 // TestOfferedCountsDrops pins that Offered counts every measured packet
 // generated, dropped ones included, while Pending counts only admitted
-// ones, and that the collector's verdict is the summary's.
+// ones.
 func TestOfferedCountsDrops(t *testing.T) {
 	c := NewCollector(2, 100, 200)
 	in := pkt(100, 101, 150, 5, 1, true)
@@ -267,8 +267,8 @@ func TestOfferedCountsDrops(t *testing.T) {
 	if c.Pending() != 0 {
 		t.Fatalf("Pending = %d, want 0: a dropped packet is not in flight", c.Pending())
 	}
-	if !s.Saturated() || !c.Saturated() {
-		t.Fatalf("accepted %v of %v offered: want saturated from both the summary and the collector", s.Throughput, s.Offered)
+	if !s.Saturated() {
+		t.Fatalf("accepted %v of %v offered: want saturated", s.Throughput, s.Offered)
 	}
 }
 
@@ -301,21 +301,15 @@ func TestExactPercentilesKnownDistribution(t *testing.T) {
 		c.OnEjected(p, i)
 	}
 	s := c.Summary()
-	if s.PctSamples != 100 {
-		t.Fatalf("PctSamples = %d, want 100", s.PctSamples)
-	}
-	if s.P50Latency != 50 || s.P95Latency != 95 || s.P99Exact != 99 {
+	if s.P50Latency != 50 || s.P95Latency != 95 || s.P99Latency != 99 {
 		t.Fatalf("percentiles p50=%d p95=%d p99=%d, want 50/95/99",
-			s.P50Latency, s.P95Latency, s.P99Exact)
-	}
-	if s.P99Exact > s.P99Latency {
-		t.Fatalf("exact p99 %d exceeds bucket upper bound %d", s.P99Exact, s.P99Latency)
+			s.P50Latency, s.P95Latency, s.P99Latency)
 	}
 }
 
 func TestExactPercentilesUnsortedInput(t *testing.T) {
 	c := NewCollector(1, 0, 1000)
-	// Ejection order is not latency order; Summary must sort a copy.
+	// Ejection order is not latency order.
 	for _, lat := range []uint64{40, 7, 99, 12, 63} {
 		p := pkt(0, 0, lat, 1, 1, true)
 		c.OnCreated(p)
@@ -325,10 +319,10 @@ func TestExactPercentilesUnsortedInput(t *testing.T) {
 	if s.P50Latency != 40 {
 		t.Fatalf("p50 = %d, want 40 (rank 3 of 5)", s.P50Latency)
 	}
-	if s.P95Latency != 99 || s.P99Exact != 99 {
-		t.Fatalf("tail percentiles %d/%d, want 99/99", s.P95Latency, s.P99Exact)
+	if s.P95Latency != 99 || s.P99Latency != 99 {
+		t.Fatalf("tail percentiles %d/%d, want 99/99", s.P95Latency, s.P99Latency)
 	}
-	// A second Summary() call must not observe the first call's sort.
+	// Summary reads the counts and leaves them as they were.
 	again := c.Summary()
 	if again != s {
 		t.Fatal("Summary() is not idempotent")
@@ -341,15 +335,15 @@ func TestPercentileSingleSample(t *testing.T) {
 	c.OnCreated(p)
 	c.OnEjected(p, 42)
 	s := c.Summary()
-	if s.P50Latency != 42 || s.P95Latency != 42 || s.P99Exact != 42 {
+	if s.P50Latency != 42 || s.P95Latency != 42 || s.P99Latency != 42 {
 		t.Fatalf("single-sample percentiles = %d/%d/%d, want all 42",
-			s.P50Latency, s.P95Latency, s.P99Exact)
+			s.P50Latency, s.P95Latency, s.P99Latency)
 	}
 }
 
 func TestPercentilesZeroPackets(t *testing.T) {
 	s := NewCollector(1, 0, 100).Summary()
-	if s.P50Latency != 0 || s.P95Latency != 0 || s.P99Exact != 0 || s.PctSamples != 0 {
+	if s.P50Latency != 0 || s.P95Latency != 0 || s.P99Latency != 0 || s.MaxLatency != 0 {
 		t.Fatalf("empty run percentiles nonzero: %+v", s)
 	}
 }
