@@ -58,8 +58,8 @@ const (
 const DefaultMaxViolations = 64
 
 // SweepEveryCy is the period in cycles of the structural invariant sweep
-// (router/channel CheckInvariants) fabric.Network.InstallChecker
-// schedules.
+// (fabric.Network.Audit: router, channel and source CheckInvariants)
+// fabric.Network.InstallChecker schedules.
 const SweepEveryCy = 1024
 
 // Violation is one detected invariant breach.
@@ -89,9 +89,10 @@ type Checker struct {
 	// The total count (Total) keeps running past the cap.
 	MaxViolations int
 	// OnViolation, when set, observes every counted violation as it
-	// happens. fabric.Network.InstallChecker owns it — it wraps any
-	// previously-set callback with the snapshot-on-first-violation
-	// machinery — so set it before installing.
+	// happens. The installer owns it: fabric.Network.InstallChecker sets
+	// it to the snapshot-on-first-violation callback, replacing any set
+	// before, and passes each violation on to its own onViolation
+	// argument.
 	OnViolation func(Violation)
 
 	violations []Violation

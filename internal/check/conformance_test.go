@@ -17,6 +17,7 @@ import (
 	"ownsim/internal/core"
 	"ownsim/internal/fabric"
 	"ownsim/internal/flightrec"
+	"ownsim/internal/fuzznet"
 	"ownsim/internal/noc"
 	"ownsim/internal/photonic"
 	"ownsim/internal/power"
@@ -195,7 +196,7 @@ func TestConformanceOracleRandomNetworks(t *testing.T) {
 	for i := 0; i < iters; i++ {
 		seed := uint64(0x9e3779b97f4a7c15) * uint64(i+1)
 		nR := int(seed%6) + 3
-		err := fabric.DiffRuns(func() *fabric.Network { return fabric.RandomUpDownNetwork(seed, nR) },
+		err := fabric.DiffRuns(func() *fabric.Network { return fuzznet.RandomUpDownNetwork(seed, nR) },
 			fabric.TrafficSpec{Pattern: traffic.Uniform, Rate: 0.02, PktFlits: 3, Seed: seed},
 			fabric.RunSpec{Warmup: 100, Measure: 1000})
 		if err != nil {
@@ -270,7 +271,7 @@ func TestConformanceCheckedSystems256(t *testing.T) {
 // TestConformanceCampaignRandomNetworks is the seeded fuzz campaign:
 // random up*/down* networks under the full checker, quick by default and
 // deep under CHECK_CAMPAIGN. The checked run replays a uniform Bernoulli
-// workload as a trace (fabric.UniformTrace), which runs until every
+// workload as a trace (fuzznet.UniformTrace), which runs until every
 // packet has ejected: a Run on 3 to 8 cores can read the few packets in
 // flight at its window's edge as "saturated" and skip the drain.
 func TestConformanceCampaignRandomNetworks(t *testing.T) {
@@ -279,10 +280,10 @@ func TestConformanceCampaignRandomNetworks(t *testing.T) {
 	for i := 0; i < iters; i++ {
 		seed := uint64(0xbf58476d1ce4e5b9) * uint64(i+1)
 		nR := int(seed%6) + 3
-		n := fabric.RandomUpDownNetwork(seed, nR)
+		n := fuzznet.RandomUpDownNetwork(seed, nR)
 		c := check.New()
 		n.InstallChecker(c, nil)
-		tr := fabric.UniformTrace(n.NumCores, rate, pktFlits, seed, window)
+		tr := fuzznet.UniformTrace(n.NumCores, rate, pktFlits, seed, window)
 		res := n.RunTrace(tr, pktFlits, fabric.TrafficSpec{}, 5*window)
 		if err := n.CheckInvariants(); err != nil {
 			t.Errorf("seed %#x: structural invariants after run: %v", seed, err)

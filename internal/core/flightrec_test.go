@@ -213,3 +213,37 @@ func TestFairnessArtifactsRequireRecorder(t *testing.T) {
 		t.Error("EmitDump without a flight recorder must error")
 	}
 }
+
+// TestNetGaugesReadProgress pins the one liveness sum: at every sample of
+// an observed OWN-256 run, the six leading net.* columns read the fields
+// of Network.Progress as of that moment.
+func TestNetGaugesReadProgress(t *testing.T) {
+	sys := NewSystem("own", 256, wireless.Config4, wireless.Ideal)
+	n := sys.Build(power.NewMeter(nil))
+	n.InstallFlightRecorder(flightrec.New(flightrec.Options{}))
+	p := probe.New(probe.Options{Spans: true, MetricsEvery: 250})
+	n.InstallProbe(p)
+	want := []string{"net.buffered_flits", "net.generated_pkts", "net.injected_pkts", "net.dropped_pkts", "net.src_queued_pkts", "net.ejected_pkts"}
+	if got := p.Registry().Names()[:len(want)]; !slices.Equal(got, want) {
+		t.Fatalf("leading columns %v, want %v", got, want)
+	}
+	samples, buffered := 0, 0
+	p.Sampler().OnSample = func(cycle uint64, values []float64) {
+		pr := n.Progress()
+		fields := []int{pr.BufferedFlits, int(pr.Generated), int(pr.Injected), int(pr.Dropped), pr.SrcQueued, int(pr.Ejected)}
+		for i, f := range fields {
+			if values[i] != float64(f) {
+				t.Errorf("cycle %d: %s = %v, Progress reads %d", cycle, want[i], values[i], f)
+			}
+		}
+		samples++
+		buffered += pr.BufferedFlits
+	}
+	n.Run(
+		fabric.TrafficSpec{Pattern: traffic.Uniform, Rate: 0.006, Seed: 5, Policy: sys.Policy, Classify: sys.Classify},
+		fabric.RunSpec{Warmup: 500, Measure: 2500},
+	)
+	if samples < 10 || buffered == 0 {
+		t.Fatalf("%d samples, %d flits buffered over them: the fixture exercises nothing", samples, buffered)
+	}
+}

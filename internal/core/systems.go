@@ -138,18 +138,15 @@ func (s System) run(n **fabric.Network, ts fabric.TrafficSpec, rs fabric.RunSpec
 
 // RunChecked is Run with the conformance checker (internal/check)
 // installed: every protocol invariant is audited while the simulation
-// runs, and a final structural audit (Network.CheckInvariants) closes the
-// run. It returns the result — bit-identical to Run's, the checker is
-// inert — together with the recorded violations (empty for a conformant
-// run). The CLIs' -check campaign mode is built on it. A checked network
+// runs, and a final structural audit (Network.Audit) closes the run. It
+// returns the result — bit-identical to Run's, the checker is inert —
+// together with the recorded violations (empty for a conformant run). The CLIs' -check campaign mode is built on it. A checked network
 // cannot run again, so every call builds one.
 func (s System) RunChecked(ts fabric.TrafficSpec, rs fabric.RunSpec) (fabric.Result, []check.Violation) {
 	n := s.Build(power.NewMeter(nil))
 	c := check.New()
 	n.InstallChecker(c, nil)
 	res := s.run(&n, ts, rs)
-	if err := n.CheckInvariants(); err != nil {
-		c.Report(n.Eng.Cycle(), check.RuleState, n.Name, err.Error())
-	}
+	n.Audit()
 	return res, c.Violations()
 }

@@ -24,7 +24,8 @@ import (
 // full state snapshot (Snapshot, naming the offending component and cycle
 // in its reason) retrievable through CheckerSnapshot. onViolation, which
 // may be nil, additionally observes every violation as it happens; only
-// the first call carries the snapshot, later ones pass nil.
+// the first call carries the snapshot, later ones pass nil. The installer
+// sets c.OnViolation to do both, replacing any callback set before.
 //
 // The checker is one more subscriber of the taps the probe and flight
 // recorder use, so it coexists with them in any order. Like them it is
@@ -41,15 +42,11 @@ func (n *Network) InstallChecker(c *check.Checker, onViolation func(v check.Viol
 	}
 	n.Checker = c
 
-	prev := c.OnViolation
 	c.OnViolation = func(v check.Violation) {
 		var snap *flightrec.Snapshot
 		if n.checkerSnap == nil {
 			n.checkerSnap = n.Snapshot("invariant violation: " + v.String())
 			snap = n.checkerSnap
-		}
-		if prev != nil {
-			prev(v)
 		}
 		if onViolation != nil {
 			onViolation(v, snap)
@@ -57,9 +54,6 @@ func (n *Network) InstallChecker(c *check.Checker, onViolation func(v check.Viol
 	}
 
 	for _, src := range n.Sources {
-		if src == nil {
-			continue
-		}
 		c.NewSourceMonitor(src.CoreID).Watch(&src.Tap, &src.Pool().Tap)
 	}
 	// A sink's VCs are its router's output VCs on the terminal port.
@@ -69,54 +63,39 @@ func (n *Network) InstallChecker(c *check.Checker, onViolation func(v check.Viol
 		c.NewRouterMonitor(r.Cfg.ID, r.Cfg.Route, n.Diameter).Streams(r.Cfg.NumPorts, r.Cfg.NumVCs).Watch(&r.Tap)
 	}
 	for _, snk := range n.Sinks {
-		if snk == nil {
-			continue
-		}
 		c.NewSinkMonitor(snk.CoreID).Streams(vcs).Watch(&snk.Tap)
 	}
 	for _, ch := range n.Channels {
 		c.NewChannelMonitor(ChannelLabel(ch)).Watch(&ch.Tap)
 	}
-	n.Eng.Register(sim.PhaseCollect, &checkSweep{n: n, c: c})
+	n.Eng.Register(sim.PhaseCollect, checkSweep{n})
 }
 
 // CheckerSnapshot returns the state snapshot captured at the checker's
 // first violation, or nil when the run was (so far) conformant.
 func (n *Network) CheckerSnapshot() *flightrec.Snapshot { return n.checkerSnap }
 
-// checkSweep is the checker's periodic structural auditor: every
-// check.SweepEveryCy cycles it re-runs the routers', channels' and
-// sources' CheckInvariants — each of which also names a lost wakeup, a
-// component asleep next to work it could do — reporting breaches as
-// credit/state violations. It reads state only, so it is as inert as the
-// rest of the checker.
-type checkSweep struct {
-	n *Network
-	c *check.Checker
+// Audit reports every breach the structural walk finds (routers, shared
+// channels and sources; see CheckInvariants) into the installed checker
+// at the current cycle. The checker's sweep calls it every
+// check.SweepEveryCy cycles, and a checked run's closing audit once after
+// Run. Call it only on a network with a checker installed.
+func (n *Network) Audit() {
+	c, cycle := n.Checker, n.Eng.Cycle()
+	n.audit(func(rule, component string, err error) {
+		c.Report(cycle, rule, component, err.Error())
+	})
 }
 
+// checkSweep is the checker's periodic structural auditor: every
+// check.SweepEveryCy cycles it runs Audit. It reads state only, so it is
+// as inert as the rest of the checker.
+type checkSweep struct{ n *Network }
+
 // Tick implements sim.Ticker (collect phase).
-func (s *checkSweep) Tick(cycle uint64) {
-	if cycle%check.SweepEveryCy != 0 {
-		return
-	}
-	for _, r := range s.n.Routers {
-		if err := r.CheckInvariants(); err != nil {
-			s.c.Report(cycle, check.RuleCredit, fmt.Sprintf("router %d", r.Cfg.ID), err.Error())
-		}
-	}
-	for _, ch := range s.n.Channels {
-		if err := ch.CheckInvariants(); err != nil {
-			s.c.Report(cycle, check.RuleState, ChannelLabel(ch), err.Error())
-		}
-	}
-	for _, src := range s.n.Sources {
-		if src == nil {
-			continue
-		}
-		if err := src.CheckInvariants(); err != nil {
-			s.c.Report(cycle, check.RuleState, fmt.Sprintf("source %d", src.CoreID), err.Error())
-		}
+func (s checkSweep) Tick(cycle uint64) {
+	if cycle%check.SweepEveryCy == 0 {
+		s.n.Audit()
 	}
 }
 
@@ -135,9 +114,7 @@ func (s *checkSweep) Tick(cycle uint64) {
 func (n *Network) SetReferenceMode() {
 	n.Eng.DisableSleep()
 	for _, src := range n.Sources {
-		if src != nil {
-			src.NoPool = true
-		}
+		src.NoPool = true
 	}
 }
 
@@ -147,9 +124,7 @@ func (n *Network) SetReferenceMode() {
 func (n *Network) RecordDeliveries() *check.DeliveryLog {
 	log := &check.DeliveryLog{}
 	for _, snk := range n.Sinks {
-		if snk != nil {
-			snk.Tap.Subscribe(noc.Mask(noc.EvEject), func(e noc.Event) { log.Record(e.Pkt, e.Cycle) })
-		}
+		snk.Tap.Subscribe(noc.Mask(noc.EvEject), func(e noc.Event) { log.Record(e.Pkt, e.Cycle) })
 	}
 	return log
 }

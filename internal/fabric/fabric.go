@@ -3,14 +3,13 @@
 // meter, all driven by one sim.Engine. Topology packages (CMESH, OptXB,
 // p-Clos, wireless-CMESH) and the OWN core build on it.
 //
-// A Network simulates on one goroutine (Run draws its traffic's arrivals
-// on a second); run many Networks concurrently (one per goroutine) for
-// parameter sweeps — see the core package's sweep runner.
+// A Network simulates on the goroutine that runs it; run many Networks
+// concurrently (one per goroutine) for parameter sweeps — see the core
+// package's sweep runner.
 package fabric
 
 import (
 	"fmt"
-	"reflect"
 	"sort"
 	"strings"
 
@@ -334,10 +333,8 @@ func (n *Network) rewind() {
 	if n.Collector == nil {
 		return // not run yet
 	}
-	for _, observer := range []any{n.Probe, n.FlightRec, n.Checker} {
-		if !reflect.ValueOf(observer).IsNil() {
-			panic(fmt.Sprintf("fabric %s: cannot run again: %T cannot be reset", n.Name, observer))
-		}
+	if n.Probe != nil || n.FlightRec != nil || n.Checker != nil {
+		panic(fmt.Sprintf("fabric %s: cannot run again: an observed network cannot be reset", n.Name))
 	}
 	n.Eng.Reset()
 	for _, snk := range n.Sinks {
@@ -402,13 +399,18 @@ func (n *Network) RunTrace(tr *traffic.Trace, pktFlits int, ts TrafficSpec, budg
 	return n.Priced(Result{Summary: col.Summary(), Drained: drained})
 }
 
-// CheckInvariants validates every router and the hop bound; tests call it
-// after Run.
+// CheckInvariants audits every router, shared channel and source (see
+// audit), then the hop bound, and returns the first breach; tests and the
+// benchmark harness call it after Run.
 func (n *Network) CheckInvariants() error {
-	for _, r := range n.Routers {
-		if err := r.CheckInvariants(); err != nil {
-			return err
+	var first error
+	n.audit(func(_, _ string, err error) {
+		if first == nil {
+			first = err
 		}
+	})
+	if first != nil {
+		return first
 	}
 	if n.Collector != nil && n.Diameter > 0 {
 		if mh := n.Collector.Summary().MaxHops; mh > n.Diameter {
@@ -416,6 +418,30 @@ func (n *Network) CheckInvariants() error {
 		}
 	}
 	return nil
+}
+
+// audit is the one list of what a structural audit covers: it runs the
+// CheckInvariants of every router, shared channel and source, in that
+// order, and hands each breach to report with the rule it breaks (credit
+// for a router, state for the others) and the component it names. Each of
+// them also names a lost wakeup, a component asleep next to work it could
+// do.
+func (n *Network) audit(report func(rule, component string, err error)) {
+	for _, r := range n.Routers {
+		if err := r.CheckInvariants(); err != nil {
+			report(check.RuleCredit, fmt.Sprintf("router %d", r.Cfg.ID), err)
+		}
+	}
+	for _, ch := range n.Channels {
+		if err := ch.CheckInvariants(); err != nil {
+			report(check.RuleState, ChannelLabel(ch), err)
+		}
+	}
+	for _, src := range n.Sources {
+		if err := src.CheckInvariants(); err != nil {
+			report(check.RuleState, fmt.Sprintf("source %d", src.CoreID), err)
+		}
+	}
 }
 
 // TrackChannel registers a shared channel for telemetry; the photonic

@@ -80,22 +80,19 @@ func (n *Network) wireFlightRec(p *probe.Probe) {
 
 // Progress reads the network's liveness counters: what the sources
 // generated, injected, dropped and still queue, what the sinks ejected,
-// and the flits buffered in routers and queued on shared channels. The
-// watchdog's stall detector and every Snapshot read this one sum.
+// and the flits buffered in routers and queued on shared channels. It is
+// the one sum of them: the watchdog's stall detector, every Snapshot and
+// the probe's net.* gauges read it.
 func (n *Network) Progress() flightrec.Progress {
 	var p flightrec.Progress
 	for _, s := range n.Sources {
-		if s != nil {
-			p.Generated += s.Generated
-			p.Injected += s.Injected
-			p.Dropped += s.Dropped
-			p.SrcQueued += s.QueueLen()
-		}
+		p.Generated += s.Generated
+		p.Injected += s.Injected
+		p.Dropped += s.Dropped
+		p.SrcQueued += s.QueueLen()
 	}
 	for _, s := range n.Sinks {
-		if s != nil {
-			p.Ejected += s.Ejected
-		}
+		p.Ejected += s.Ejected
 	}
 	p.BufferedFlits = n.BufferedFlits()
 	for _, ch := range n.Channels {

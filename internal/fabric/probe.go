@@ -3,6 +3,7 @@ package fabric
 import (
 	"fmt"
 
+	"ownsim/internal/flightrec"
 	"ownsim/internal/noc"
 	"ownsim/internal/probe"
 	"ownsim/internal/router"
@@ -47,54 +48,23 @@ func (n *Network) registerMetrics(p *probe.Probe) {
 	reg := p.Registry()
 
 	// Network-level aggregates, registered first so narrow dashboards
-	// can read just the leading columns.
-	routers := n.Routers
-	reg.Gauge("net.buffered_flits", func() float64 {
-		total := 0
-		for _, r := range routers {
-			total += r.BufferedFlits()
-		}
-		return float64(total)
-	})
-	sources := n.Sources
-	reg.Gauge("net.generated_pkts", func() float64 {
-		var total uint64
-		for _, s := range sources {
-			total += s.Generated
-		}
-		return float64(total)
-	})
-	reg.Gauge("net.injected_pkts", func() float64 {
-		var total uint64
-		for _, s := range sources {
-			total += s.Injected
-		}
-		return float64(total)
-	})
-	reg.Gauge("net.dropped_pkts", func() float64 {
-		var total uint64
-		for _, s := range sources {
-			total += s.Dropped
-		}
-		return float64(total)
-	})
-	reg.Gauge("net.src_queued_pkts", func() float64 {
-		total := 0
-		for _, s := range sources {
-			total += s.QueueLen()
-		}
-		return float64(total)
-	})
-	sinks := n.Sinks
-	reg.Gauge("net.ejected_pkts", func() float64 {
-		var total uint64
-		for _, s := range sinks {
-			total += s.Ejected
-		}
-		return float64(total)
-	})
+	// can read just the leading columns: the liveness sum's fields.
+	for _, g := range []struct {
+		name string
+		of   func(flightrec.Progress) float64
+	}{
+		{"buffered_flits", func(p flightrec.Progress) float64 { return float64(p.BufferedFlits) }},
+		{"generated_pkts", func(p flightrec.Progress) float64 { return float64(p.Generated) }},
+		{"injected_pkts", func(p flightrec.Progress) float64 { return float64(p.Injected) }},
+		{"dropped_pkts", func(p flightrec.Progress) float64 { return float64(p.Dropped) }},
+		{"src_queued_pkts", func(p flightrec.Progress) float64 { return float64(p.SrcQueued) }},
+		{"ejected_pkts", func(p flightrec.Progress) float64 { return float64(p.Ejected) }},
+	} {
+		reg.Gauge("net."+g.name, func() float64 { return g.of(n.Progress()) })
+	}
 
 	// Router pipeline counts, summed over the network.
+	routers := n.Routers
 	for _, r := range routers {
 		r.CountStalls()
 	}
@@ -141,7 +111,6 @@ func (n *Network) registerMetrics(p *probe.Probe) {
 	// Shared-medium channels: cumulative stats the channel already
 	// tracks, exported under the channel's name.
 	for _, ch := range n.Channels {
-		ch := ch
 		base := "ch." + ChannelLabel(ch)
 		reg.Gauge(base+".transmitted", func() float64 { return float64(ch.Stats().Transmitted) })
 		reg.Gauge(base+".busy_cy", func() float64 { return float64(ch.Stats().BusyCy) })
@@ -156,7 +125,6 @@ func (n *Network) registerMetrics(p *probe.Probe) {
 	eng := n.Eng
 	reg.Gauge("engine.fast_forwarded_cy", func() float64 { return float64(eng.FastForwarded()) })
 	for _, ph := range []sim.Phase{sim.PhaseDelivery, sim.PhaseCompute, sim.PhaseCollect} {
-		ph := ph
 		base := "engine." + ph.String()
 		reg.Gauge(base+".ticks", func() float64 { return float64(eng.PhaseStats(ph).Ticks) })
 		reg.Gauge(base+".wakes_event", func() float64 { return float64(eng.PhaseStats(ph).WakesEvent) })
@@ -181,7 +149,6 @@ func (n *Network) registerMetrics(p *probe.Probe) {
 	reg.Gauge("span.latency_cy", func() float64 { return float64(sp.LatencyCycles()) })
 	reg.Gauge("span.mismatches", func() float64 { return float64(sp.Mismatches()) })
 	for ph := probe.SpanPhase(0); ph < probe.NumSpanPhases; ph++ {
-		ph := ph
 		reg.Gauge("span."+ph.String()+"_cy", func() float64 { return float64(sp.PhaseCycles(ph)) })
 	}
 	// Token waits per medium: the channel rows of the span tracker's
@@ -232,9 +199,6 @@ func (n *Network) EngineIntro() probe.EngineIntro {
 func (n *Network) PoolIntro() probe.PoolIntro {
 	var pi probe.PoolIntro
 	for _, s := range n.Sources {
-		if s == nil {
-			continue
-		}
 		pl := s.Pool()
 		pi.Gets += pl.Gets
 		pi.Fresh += pl.News
@@ -306,16 +270,12 @@ func channelTransit(ch *sbus.Channel) probe.SpanPhase {
 // thread IDs — and therefore the exported trace bytes — are reproducible.
 func (n *Network) watchPackets(t *probe.Tracer, sp *probe.SpanTracker) {
 	for id, src := range n.Sources {
-		if src != nil {
-			sp.Watch(&src.Tap)
-			t.Watch(&src.Tap, fmt.Sprintf("src.%d", id))
-		}
+		sp.Watch(&src.Tap)
+		t.Watch(&src.Tap, fmt.Sprintf("src.%d", id))
 	}
 	for id, snk := range n.Sinks {
-		if snk != nil {
-			sp.Watch(&snk.Tap)
-			t.Watch(&snk.Tap, fmt.Sprintf("sink.%d", id))
-		}
+		sp.Watch(&snk.Tap)
+		t.Watch(&snk.Tap, fmt.Sprintf("sink.%d", id))
 	}
 	for _, r := range n.Routers {
 		sp.Watch(&r.Tap)

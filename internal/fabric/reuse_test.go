@@ -17,30 +17,27 @@ import (
 
 // Observers keep state of the run they watched — sampler rows, spans, the
 // recorder ring, the checker's ledgers — that nothing rewinds, so a second
-// run on an observed network is refused by name instead of appending to
-// them; Run and RunTrace alike, whichever came first.
+// run on an observed network is refused instead of appending to them; Run
+// and RunTrace alike, whichever came first, whichever observer.
 func TestReuseOfAnObservedNetworkIsRefused(t *testing.T) {
 	ts := TrafficSpec{Pattern: traffic.Uniform, Rate: 0.05, PktFlits: 3, Seed: 1}
 	rs := RunSpec{Warmup: 50, Measure: 200}
 	tr := &traffic.Trace{Entries: []traffic.TraceEntry{{Cycle: 3, Src: 0, Dst: 2}}}
-	for _, tc := range []struct {
-		install func(*Network)
-		want    string
-	}{
-		{func(n *Network) { n.InstallProbe(probe.New(probe.Options{MetricsEvery: 10})) }, "*probe.Probe"},
-		{func(n *Network) { n.InstallFlightRecorder(flightrec.New(flightrec.Options{})) }, "*flightrec.FlightRecorder"},
-		{func(n *Network) { n.InstallChecker(check.New(), nil) }, "*check.Checker"},
+	for _, install := range []func(*Network){
+		func(n *Network) { n.InstallProbe(probe.New(probe.Options{MetricsEvery: 10})) },
+		func(n *Network) { n.InstallFlightRecorder(flightrec.New(flightrec.Options{})) },
+		func(n *Network) { n.InstallChecker(check.New(), nil) },
 	} {
 		for _, again := range []func(*Network){
 			func(n *Network) { n.Run(ts, rs) },
 			func(n *Network) { n.RunTrace(tr, 3, TrafficSpec{}, 500) },
 		} {
 			n := ring(4, power.NewMeter(nil))
-			tc.install(n)
+			install(n)
 			n.Run(ts, rs)
 			func() {
 				defer func() {
-					want := "fabric ring: cannot run again: " + tc.want + " cannot be reset"
+					const want = "fabric ring: cannot run again: an observed network cannot be reset"
 					if msg := fmt.Sprint(recover()); msg != want {
 						t.Errorf("second run panicked with %q, want %q", msg, want)
 					}

@@ -119,6 +119,7 @@ var DeterministicPackages = []string{
 	"internal/obs",
 	"internal/flightrec",
 	"internal/check",
+	"internal/fuzznet",
 }
 
 // inScope reports whether relPath is within any of the listed

@@ -135,15 +135,14 @@ func (s *Session) logDump(what string, snap *flightrec.Snapshot) {
 	s.logf("%s\n%s", what, b.String())
 }
 
-// Finish closes the run: a checked run gets a final structural audit,
-// the watchdog stops expecting ticks (dump requests now render against
-// the final state) and /healthz reads "done". Call it right after n.Run.
+// Finish closes the run: a checked run gets a final structural audit
+// (fabric.Network.Audit), the watchdog stops expecting ticks (dump
+// requests now render against the final state) and /healthz reads
+// "done". Call it right after n.Run.
 func (s *Session) Finish() {
 	n := s.n
-	if ck := n.Checker; ck != nil {
-		if err := n.CheckInvariants(); err != nil {
-			ck.Report(n.Eng.Cycle(), check.RuleState, n.Name, err.Error())
-		}
+	if n.Checker != nil {
+		n.Audit()
 	}
 	if fr := n.FlightRec; fr != nil {
 		fr.Dog.Finish()

@@ -51,17 +51,16 @@ const DefaultMaxTraceEvents = 1 << 20
 // Probe bundles the registry, sampler and tracer for one simulation run.
 // A nil *Probe is valid everywhere and disables all instrumentation.
 type Probe struct {
-	opts Options
-	reg  *Registry
-	smp  *Sampler
-	trc  *Tracer
-	spn  *SpanTracker
+	reg *Registry
+	smp *Sampler
+	trc *Tracer
+	spn *SpanTracker
 }
 
 // New creates a probe. The registry always exists; the sampler and
 // tracer exist only when the corresponding option enables them.
 func New(o Options) *Probe {
-	p := &Probe{opts: o, reg: NewRegistry()}
+	p := &Probe{reg: NewRegistry()}
 	if o.MetricsEvery > 0 {
 		p.smp = newSampler(p.reg, o.MetricsEvery)
 	}
@@ -72,14 +71,6 @@ func New(o Options) *Probe {
 		p.spn = newSpanTracker()
 	}
 	return p
-}
-
-// Options returns the options the probe was created with.
-func (p *Probe) Options() Options {
-	if p == nil {
-		return Options{}
-	}
-	return p.opts
 }
 
 // Registry returns the metric registry, or nil on a nil probe (a nil

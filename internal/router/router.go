@@ -173,8 +173,7 @@ type Router struct {
 	// (incremented on ReceiveFlit, decremented at the switch-allocation
 	// pop); bufHighWater is its all-time peak. Both are always on — two
 	// integer ops per flit — so occupancy diagnostics never walk the
-	// buffers; CheckInvariants cross-checks the mirror against
-	// BufferedFlits' recount.
+	// buffers; CheckInvariants cross-checks the mirror against a recount.
 	buffered     int
 	bufHighWater int
 
@@ -730,13 +729,14 @@ func (r *Router) CheckInvariants() error {
 		}
 	}
 	// Every held output VC has one holder: an input VC in stActive on it.
-	holding, candidates := 0, 0
+	holding, candidates, recount := 0, 0, 0
 	for _, ip := range r.in {
 		for vc := range ip.vcs {
 			v := &ip.vcs[vc]
 			if v.size < 0 || v.size > r.Cfg.BufDepth {
 				return fmt.Errorf("router %d in %d vc %d: size %d", r.Cfg.ID, ip.port, vc, v.size)
 			}
+			recount += v.size
 			if v.stage == stActive {
 				holding++
 				if r.out[v.outPort].owned&(1<<uint(v.outVC)) == 0 {
@@ -771,23 +771,16 @@ func (r *Router) CheckInvariants() error {
 	if candidates != len(r.sa) {
 		return fmt.Errorf("router %d: %d switch candidates, %d listed", r.Cfg.ID, candidates, len(r.sa))
 	}
-	if got := r.BufferedFlits(); r.buffered != got {
-		return fmt.Errorf("router %d: buffered mirror %d != %d recounted flits", r.Cfg.ID, r.buffered, got)
+	if r.buffered != recount {
+		return fmt.Errorf("router %d: buffered mirror %d != %d recounted flits", r.Cfg.ID, r.buffered, recount)
 	}
 	return nil
 }
 
-// BufferedFlits returns the total number of flits currently buffered, used
-// by drain loops and conservation checks.
-func (r *Router) BufferedFlits() int {
-	total := 0
-	for _, ip := range r.in {
-		for vc := range ip.vcs {
-			total += ip.vcs[vc].size
-		}
-	}
-	return total
-}
+// BufferedFlits returns the total number of flits currently buffered (the
+// mirror CheckInvariants recounts), used by drain loops, conservation
+// checks and occupancy diagnostics.
+func (r *Router) BufferedFlits() int { return r.buffered }
 
 // BufferedHighWater returns the all-time peak of simultaneously
 // buffered flits, for queue-occupancy diagnostics.

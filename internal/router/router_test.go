@@ -1,6 +1,7 @@
 package router
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -198,6 +199,28 @@ func TestManyPacketsAllDelivered(t *testing.T) {
 	}
 	if n.r0.BufferedFlits() != 0 || n.r1.BufferedFlits() != 0 {
 		t.Fatal("flits left buffered after drain")
+	}
+}
+
+// BufferedFlits reads the buffered mirror; CheckInvariants recounts the
+// input VCs and names a mirror that drifted from them.
+func TestBufferedMirrorDriftTrips(t *testing.T) {
+	n := newLineNet(t, 2, 4, 1)
+	gen := &oneShotGen{}
+	gen.add(0, &noc.Packet{ID: 1, Src: 5, Dst: 9, NumFlits: 4})
+	n.src.Gen = gen
+	for i := 0; i < 20 && n.r0.BufferedFlits() == 0; i++ {
+		n.eng.Step()
+	}
+	if n.r0.BufferedFlits() == 0 {
+		t.Fatal("no flit reached r0's buffers")
+	}
+	if err := n.r0.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	n.r0.buffered++
+	if err := n.r0.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "buffered mirror") {
+		t.Fatalf("a drifted mirror passed the audit: %v", err)
 	}
 }
 
