@@ -95,6 +95,7 @@ func TestBadInputExitStatus(t *testing.T) {
 		{[]string{"-pattern", "nope"}, 2},
 		{[]string{"-fail", "3,3"}, 2},
 		{[]string{"-load", "2"}, 2},
+		{[]string{"-warmup", "18446744073709551615", "-measure", "1"}, 2},
 		{append(recordArgs, "-out", filepath.Join(notDir, "record")), 1},
 	} {
 		var stdout, stderr bytes.Buffer

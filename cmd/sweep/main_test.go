@@ -116,6 +116,7 @@ func TestBadInputExitStatus(t *testing.T) {
 	}{
 		{[]string{"-points", "1"}, 2},
 		{[]string{"-cores", "300"}, 2},
+		{[]string{"-warmup", "18446744073709551615", "-measure", "1"}, 2},
 		{[]string{"-listen", "127.0.0.1:0"}, 2},
 		{[]string{"-telemetry", "3"}, 2},
 		{append(recordArgs, "-out", filepath.Join(notDir, "record")), 1},

@@ -11,8 +11,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 
@@ -23,31 +25,45 @@ import (
 	"ownsim/internal/wireless"
 )
 
-func main() {
-	log.SetFlags(0)
-	log.SetPrefix("trace: ")
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	workload := flag.String("workload", "stencil", "workload: stencil|allreduce")
-	cores := flag.Int("cores", 256, "core count: 256 or 1024")
-	iters := flag.Int("iters", 6, "stencil iterations / all-reduce rounds (0 = full)")
-	period := flag.Uint64("period", 400, "cycles between iterations")
-	seed := flag.Uint64("seed", 1, "jitter seed")
-	run := flag.Bool("run", false, "replay the trace instead of printing it")
-	topo := flag.String("topo", "own", "replay topology: all|own|cmesh|wcmesh|optxb|pclos")
-	budget := flag.Uint64("budget", 200000, "replay cycle budget")
-	flag.Parse()
+func run(args []string, stdout, stderr io.Writer) int {
+	lg := log.New(stderr, "trace: ", 0)
+	fs := flag.NewFlagSet("trace", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	workload := fs.String("workload", "stencil", "workload: stencil|allreduce")
+	cores := fs.Int("cores", 256, "core count: 256 or 1024")
+	iters := fs.Int("iters", 6, "stencil iterations / all-reduce rounds (0 = full)")
+	period := fs.Uint64("period", 400, "cycles between iterations")
+	seed := fs.Uint64("seed", 1, "jitter seed")
+	replay := fs.Bool("run", false, "replay the trace instead of printing it")
+	topo := fs.String("topo", "own", "replay topology: all|own|cmesh|wcmesh|optxb|pclos")
+	budget := fs.Uint64("budget", 200000, "replay cycle budget")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
+	// A flag value no trace or replay can honour is one line and exit 2,
+	// before anything is built.
+	usage := func(err error) int {
+		lg.Print(err)
+		return 2
+	}
 	names := core.SystemNames()
 	if *topo != "all" {
 		names = []string{*topo}
 	}
 	for _, name := range names {
 		if err := core.CheckSystem(name, *cores); err != nil {
-			log.Print(err)
-			os.Exit(2)
+			return usage(err)
 		}
 	}
-
+	if *budget < 1 {
+		return usage(fmt.Errorf("budget must be >= 1 cycle, got %d", *budget))
+	}
 	var tr *traffic.Trace
 	switch *workload {
 	case "stencil":
@@ -55,19 +71,19 @@ func main() {
 	case "allreduce":
 		tr = traffic.AllReduceTrace(*cores, *iters, *period)
 	default:
-		log.Fatalf("unknown workload %q", *workload)
+		return usage(fmt.Errorf("unknown workload %q (want stencil|allreduce)", *workload))
 	}
 
-	if !*run {
-		fmt.Println("cycle,src,dst")
+	if !*replay {
+		fmt.Fprintln(stdout, "cycle,src,dst")
 		for _, e := range tr.Entries {
-			fmt.Printf("%d,%d,%d\n", e.Cycle, e.Src, e.Dst)
+			fmt.Fprintf(stdout, "%d,%d,%d\n", e.Cycle, e.Src, e.Dst)
 		}
-		return
+		return 0
 	}
 
-	fmt.Printf("workload=%s packets=%d cores=%d\n\n", *workload, len(tr.Entries), *cores)
-	fmt.Printf("%-8s %-10s %-9s %-10s %-12s %-12s\n",
+	fmt.Fprintf(stdout, "workload=%s packets=%d cores=%d\n\n", *workload, len(tr.Entries), *cores)
+	fmt.Fprintf(stdout, "%-8s %-10s %-9s %-10s %-12s %-12s\n",
 		"topology", "completed", "cycles", "avgLat", "maxLat", "E/pkt (pJ)")
 	for _, name := range names {
 		sys := core.NewSystem(name, *cores, wireless.Config4, wireless.Ideal)
@@ -77,7 +93,8 @@ func main() {
 		if res.Packets > 0 {
 			epkt = float64(res.Power.TotalMW()) * float64(n.Eng.Cycle()) * 0.5 / float64(res.Packets)
 		}
-		fmt.Printf("%-8s %-10v %-9d %-10.1f %-12d %-12.0f\n",
+		fmt.Fprintf(stdout, "%-8s %-10v %-9d %-10.1f %-12d %-12.0f\n",
 			name, res.Drained, n.Eng.Cycle(), res.AvgLatency, res.MaxLatency, epkt)
 	}
+	return 0
 }

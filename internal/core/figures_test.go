@@ -193,13 +193,15 @@ func TestBadInputIsAnError(t *testing.T) {
 		{"trace -topo mesh -run", CheckSystem("mesh", 256)},
 		{"sweep -points 1", CheckSweepPoints(1)},
 		{"sweep -points 0 -telemetry 1", CheckSweepPoints(0)},
-		{"ownsim -measure 0", CheckRun(0, 0.004)},
-		{"sweep -measure 0", CheckRun(0, SweepLoads(256, 2)[0])},
-		{"ownsim -load -1", CheckRun(1000, -1)},
-		{"ownsim -load 0", CheckRun(1000, 0)},
-		{"ownsim -load NaN", CheckRun(1000, math.NaN())},
-		{"ownsim -load +Inf", CheckRun(1000, math.Inf(1))},
-		{"ownsim -load 2", CheckRun(1000, 2)},
+		{"ownsim -measure 0", CheckRun(3000, 0, 0.004)},
+		{"sweep -measure 0", CheckRun(3000, 0, SweepLoads(256, 2)[0])},
+		{"ownsim -load -1", CheckRun(3000, 1000, -1)},
+		{"ownsim -load 0", CheckRun(3000, 1000, 0)},
+		{"ownsim -load NaN", CheckRun(3000, 1000, math.NaN())},
+		{"ownsim -load +Inf", CheckRun(3000, 1000, math.Inf(1))},
+		{"ownsim -load 2", CheckRun(3000, 1000, 2)},
+		{"ownsim -warmup 2^64-1 -measure 1", CheckRun(math.MaxUint64, 1, 0.004)},
+		{"sweep -warmup 1 -measure 2^64-1", CheckRun(1, math.MaxUint64, SweepLoads(256, 2)[0])},
 	} {
 		if tc.err == nil {
 			t.Errorf("%s: accepted, want an error", tc.what)
@@ -218,8 +220,12 @@ func TestBadInputIsAnError(t *testing.T) {
 	// Extreme but legal: one measured cycle, a load whose every arrival
 	// window is empty, one flit per terminal per cycle (128x capacity).
 	for _, load := range []float64{1e-9, 0.004, 1} {
-		if err := CheckRun(1, load); err != nil {
-			t.Errorf("CheckRun(1, %v) = %v", load, err)
+		if err := CheckRun(0, 1, load); err != nil {
+			t.Errorf("CheckRun(0, 1, %v) = %v", load, err)
 		}
+	}
+	// The last cycle a window can end on.
+	if err := CheckRun(math.MaxUint64-1, 1, 0.004); err != nil {
+		t.Errorf("CheckRun(2^64-2, 1, 0.004) = %v", err)
 	}
 }

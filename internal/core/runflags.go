@@ -58,5 +58,5 @@ func (f *RunFlags) Validate(lowestLoad float64) (traffic.Pattern, []string, erro
 			return 0, nil, err
 		}
 	}
-	return pat, names, CheckRun(f.Measure, lowestLoad)
+	return pat, names, CheckRun(f.Warmup, f.Measure, lowestLoad)
 }

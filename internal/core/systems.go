@@ -50,14 +50,18 @@ func CheckSystem(name string, cores int) error {
 }
 
 // CheckRun reports whether a run's methodology can be simulated: a
-// measurement window of at least one cycle and an offered load in (0, 1]
-// flits/node/cycle, since a terminal injects at most one flit per cycle (a
-// sweep passes its lowest). The CLIs call it on user input before
-// anything is built; stats.NewCollector and traffic.NewBernoulli keep
-// their panics as the engine invariants.
-func CheckRun(measure uint64, load float64) error {
+// measurement window of at least one cycle that ends (warmup + measure)
+// within uint64 cycles, and an offered load in (0, 1] flits/node/cycle,
+// since a terminal injects at most one flit per cycle (a sweep passes its
+// lowest). The CLIs call it on user input before anything is built;
+// stats.NewCollector and traffic.NewBernoulli keep their panics as the
+// engine invariants.
+func CheckRun(warmup, measure uint64, load float64) error {
 	if measure < 1 {
 		return fmt.Errorf("measure must be >= 1 cycle, got %d", measure)
+	}
+	if warmup+measure < warmup {
+		return fmt.Errorf("warmup %d + measure %d overflows the 64-bit cycle count", warmup, measure)
 	}
 	if !(load > 0 && load <= 1) {
 		return fmt.Errorf("load must be in (0, 1] flits/node/cycle (a terminal injects at most one flit per cycle), got %v", load)

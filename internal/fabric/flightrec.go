@@ -9,12 +9,12 @@ import (
 )
 
 // InstallFlightRecorder wires a flight recorder into an assembled
-// network: it subscribes the per-writer wait table to every shared
-// channel and schedules the deterministic watchdog in the engine's
-// Collect phase. Call it after the topology builder and BEFORE
-// InstallProbe: the watchdog then ticks before the probe's sampler, and
-// the probe installer registers the recorder's stall.* gauges behind
-// every other column and points the recorder at the sampler. The
+// network: it hands the watchdog every shared channel and schedules it
+// in the engine's Collect phase. Call it after the topology builder and
+// BEFORE InstallProbe: the watchdog then ticks before the probe's
+// sampler, and the probe installer registers the recorder's stall.*
+// gauges behind every other column and points the recorder at the
+// sampler. The
 // token-fairness artifacts and token.* gauges are the probe's, read from
 // its span tracker's token ledger. A nil recorder is a no-op. Like the
 // probe layer, the recorder is inert: it only reads state the simulation
@@ -33,7 +33,6 @@ func (n *Network) InstallFlightRecorder(fr *flightrec.FlightRecorder) {
 
 	dog := fr.Dog
 	dog.Channels = n.Channels
-	dog.Waits = flightrec.NewWaitTable(n.Channels)
 	dog.SnapshotFn = n.Snapshot
 	dog.Progress = n.Progress
 	// Registered before the probe's sampler (InstallProbe runs later),
@@ -58,7 +57,12 @@ func (n *Network) wireFlightRec(p *probe.Probe) {
 	chans := n.Channels
 	budget := dog.Budget()
 	reg.Gauge("stall.starved_writers", func() float64 {
-		return float64(dog.Waits.StarvedWriters(eng.Cycle(), budget))
+		total := 0
+		for _, ch := range chans {
+			_, _, starved := ch.OldestWaiter(eng.Cycle(), budget)
+			total += starved
+		}
+		return float64(total)
 	})
 	reg.Gauge("stall.ch_queue_high_water", func() float64 {
 		total := 0
@@ -117,14 +121,8 @@ func (n *Network) Snapshot(reason string) *flightrec.Snapshot {
 		Engine:   n.EngineIntro(),
 		Pools:    n.PoolIntro(),
 	}
-	var waits *flightrec.WaitTable
-	if n.FlightRec != nil {
-		waits = n.FlightRec.Dog.Waits
-	}
-	for i, ch := range n.Channels {
-		ci := ch.Introspect()
-		waits.Fill(i, &ci)
-		snap.Channels = append(snap.Channels, ci)
+	for _, ch := range n.Channels {
+		snap.Channels = append(snap.Channels, ch.Introspect())
 	}
 	for _, r := range n.Routers {
 		snap.Routers = append(snap.Routers, flightrec.RouterInfo{

@@ -138,7 +138,7 @@ func TestTapsWantOnlyWhatIsRead(t *testing.T) {
 	if !ch.Wants(noc.EvGrant) || !ch.Wants(noc.EvFlitTx) || !ch.Wants(noc.EvRelease) {
 		t.Error("tracer-only probe: channel tap must want grant, flit_tx and release")
 	}
-	if ch.Wants(noc.EvWait) || ch.Wants(noc.EvDeliver) || src.Wants(noc.EvLaunch) {
+	if ch.Wants(noc.EvDeliver) || src.Wants(noc.EvLaunch) {
 		t.Error("tracer-only probe: taps want kinds only the recorder or checker read")
 	}
 

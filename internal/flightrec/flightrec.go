@@ -1,17 +1,17 @@
 // Package flightrec is the simulator's black-box diagnostics layer: a
 // flight recorder showing the probe sampler's most recent metric
-// windows, per-writer wait state for the shared photonic and wireless
-// media, and a watchdog that detects wedged or starving runs and dumps
-// the full arbitration state.
+// windows, and a watchdog that detects wedged or starving runs and dumps
+// the full arbitration state, each shared photonic and wireless medium's
+// per-writer token waits included.
 //
 // The package follows the probe layer's contracts: everything is inert
 // (recording never feeds back into the simulation, so results are
 // bit-identical with the recorder on or off), deterministic (channel and
 // writer state lives in index-ordered slices, never maps; dump bytes
-// depend only on simulated state), and nil-safe (a nil wait table or
-// watchdog method receiver records nothing). fabric.Network wires a
-// FlightRecorder into a built topology via InstallFlightRecorder; the
-// CLIs get one through obs.Start, which knows the install order.
+// depend only on simulated state), and nil-safe (a nil watchdog method
+// receiver records nothing). fabric.Network wires a FlightRecorder into
+// a built topology via InstallFlightRecorder; the CLIs get one through
+// obs.Start, which knows the install order.
 //
 // The watchdog is a sim.Ticker whose checks run on simulated-cycle
 // boundaries, so headless runs need no goroutine. A hung process is
@@ -30,7 +30,7 @@ type Options struct {
 
 // FlightRecorder bundles the diagnostics facilities. Construct with New,
 // then hand to fabric.Network.InstallFlightRecorder, which gives the
-// watchdog its wait table and schedules it.
+// watchdog its channels and schedules it.
 type FlightRecorder struct {
 	// Rec is the view of the most recent sampler windows.
 	Rec *Recorder

@@ -46,9 +46,9 @@ type PacketInfo struct {
 // router occupancy, in-flight measured packets with their span phase,
 // and the flight-recorder tail. Who waits for a token, since when, and
 // who holds it is in Channels: the channel's Token and lock, and each
-// writer's wait state from the WaitTable. All slices are index-ordered,
-// so two snapshots of identical simulated state marshal to identical
-// bytes.
+// writer's wait state as the channel keeps it. All slices are
+// index-ordered, so two snapshots of identical simulated state marshal
+// to identical bytes.
 type Snapshot struct {
 	Reason      string              `json:"reason"`
 	Cycle       uint64              `json:"cycle"`

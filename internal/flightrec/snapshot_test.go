@@ -118,10 +118,10 @@ func TestSnapshotWriteText(t *testing.T) {
 	}
 }
 
-// TestSnapshotWithoutWaitTableListsNoStarved: a channel no wait table
-// tracks has no waiting writer, so a dump lists no starved writer even
-// with flits queued behind the token.
-func TestSnapshotWithoutWaitTableListsNoStarved(t *testing.T) {
+// TestSnapshotOfUnclockedChannelListsNoStarved: a channel without a
+// waker has no clock to time a token wait by, so a dump lists no starved
+// writer even with flits queued behind the token.
+func TestSnapshotOfUnclockedChannelListsNoStarved(t *testing.T) {
 	ch := sbus.NewChannel("bus0", 1, 0, 1)
 	w := ch.AddWriter(chanSrc{}, 0, 1, 4)
 	sendFlits(w, &noc.Packet{ID: 1, NumFlits: 2}, 2)

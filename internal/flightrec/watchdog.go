@@ -53,13 +53,12 @@ type Watchdog struct {
 
 	// SnapshotFn builds a full state snapshot; OnTrip consumes trip
 	// dumps; Progress reads the liveness counters a snapshot carries;
-	// Channels are the shared media to scan and Waits their per-writer
-	// token-wait state, index-aligned. fabric's installer wires all five.
+	// Channels are the shared media whose token waits to scan. fabric's
+	// installer wires all four.
 	SnapshotFn func(reason string) *Snapshot
 	OnTrip     func(reason string, snap *Snapshot)
 	Progress   func() Progress
 	Channels   []*sbus.Channel
-	Waits      *WaitTable
 
 	// finished is the only state HTTP handlers may read.
 	finished atomic.Bool
@@ -117,9 +116,8 @@ func (w *Watchdog) check(cycle uint64) {
 		}
 		w.lastEjected = p.Ejected
 	}
-	for i, ch := range w.Channels {
-		wi, since := w.Waits.OldestWaiter(i)
-		if wi >= 0 && cycle-since > w.budget {
+	for _, ch := range w.Channels {
+		if wi, since, starved := ch.OldestWaiter(cycle, w.budget); starved > 0 {
 			tok := ch.Introspect().Token
 			w.trip(fmt.Sprintf(
 				"token starvation on %s %q: writer %d (router %d) waiting %d cy > budget %d, token at writer %d (router %d)",

@@ -95,11 +95,8 @@ func TestWatchdogStarvationNamesWriterAndTokenOwner(t *testing.T) {
 
 	dog := NewWatchdog(100)
 	dog.Channels = []*sbus.Channel{ch}
-	dog.Waits = NewWaitTable(dog.Channels)
 	dog.SnapshotFn = func(reason string) *Snapshot {
-		ci := ch.Introspect()
-		dog.Waits.Fill(0, &ci)
-		return &Snapshot{Reason: reason, Cycle: eng.Cycle(), Channels: []sbus.ChannelIntro{ci}}
+		return &Snapshot{Reason: reason, Cycle: eng.Cycle(), Channels: []sbus.ChannelIntro{ch.Introspect()}}
 	}
 	var tripped *Snapshot
 	dog.OnTrip = func(reason string, snap *Snapshot) { tripped = snap }

@@ -3,7 +3,7 @@ package noc
 // EventKind identifies one observable step of the simulated network. The
 // set is closed: every component that can be watched emits a subset of
 // these kinds through its Tap, and every observer (tracer, span tracker,
-// wait table, conformance checker, delivery log) subscribes to the kinds
+// conformance checker, delivery log) subscribes to the kinds
 // it reads. DESIGN.md §10 tabulates emitter, operands and subscribers.
 type EventKind uint8
 
@@ -23,9 +23,6 @@ const (
 	// EvSwitch: Flit won switch allocation and crossed a Router's
 	// crossbar. A=input port, B=output port, C=output VC.
 	EvSwitch
-	// EvWait: a shared-channel writer with queued flits started waiting
-	// for the grant token. A=writer index; Pkt and Flit are nil.
-	EvWait
 	// EvGrant: a shared channel locked onto Pkt. A=winning writer,
 	// B=selected receiver, C=token-passing cost in cycles.
 	EvGrant
@@ -48,7 +45,7 @@ const (
 )
 
 // Event is one observation, passed by value so emitting never allocates.
-// Pkt is set for every kind but EvWait; Flit is set for the per-flit kinds
+// Pkt is set for every kind; Flit is set for the per-flit kinds
 // (EvLaunch, EvSwitch, EvFlitTx, EvDeliver, EvArrive), where Pkt is
 // Flit.Pkt. A, B and C are the per-kind operands documented on the kinds.
 // Subscribers may read Pkt and Flit only during the call (see Pool).

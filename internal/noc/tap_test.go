@@ -23,11 +23,11 @@ func TestZeroTapWantsNothing(t *testing.T) {
 
 func TestTapRoutesByMask(t *testing.T) {
 	var tap Tap
-	var grants, waits []Event
+	var grants, delivers []Event
 	tap.Subscribe(Mask(EvGrant, EvRelease), func(e Event) { grants = append(grants, e) })
-	tap.Subscribe(Mask(EvWait), func(e Event) { waits = append(waits, e) })
+	tap.Subscribe(Mask(EvDeliver), func(e Event) { delivers = append(delivers, e) })
 
-	for _, k := range []EventKind{EvGrant, EvRelease, EvWait} {
+	for _, k := range []EventKind{EvGrant, EvRelease, EvDeliver} {
 		if !tap.Wants(k) {
 			t.Errorf("tap does not want subscribed kind %d", k)
 		}
@@ -38,7 +38,7 @@ func TestTapRoutesByMask(t *testing.T) {
 
 	p := &Packet{ID: 7}
 	tap.Emit(Event{Kind: EvGrant, Cycle: 10, Pkt: p, A: 1, B: 2, C: 3})
-	tap.Emit(Event{Kind: EvWait, Cycle: 11, A: 4})
+	tap.Emit(Event{Kind: EvDeliver, Cycle: 11, Pkt: p, A: 4})
 	tap.Emit(Event{Kind: EvRelease, Cycle: 12, Pkt: p, A: 1})
 	tap.Emit(Event{Kind: EvFlitTx, Cycle: 13}) // forged: reaches nobody
 
@@ -49,8 +49,8 @@ func TestTapRoutesByMask(t *testing.T) {
 	if !reflect.DeepEqual(grants, want) {
 		t.Errorf("grant/release subscriber saw %+v, want %+v", grants, want)
 	}
-	if len(waits) != 1 || waits[0].A != 4 || waits[0].Cycle != 11 {
-		t.Errorf("wait subscriber saw %+v, want one EvWait{A: 4} at cycle 11", waits)
+	if len(delivers) != 1 || delivers[0].A != 4 || delivers[0].Cycle != 11 {
+		t.Errorf("deliver subscriber saw %+v, want one EvDeliver{A: 4} at cycle 11", delivers)
 	}
 }
 

@@ -55,14 +55,6 @@ func (s CrossbarSpec) groups() [][]int {
 	return [][]int{all}
 }
 
-// Crossbar is a built MWSR crossbar: Channels holds every subchannel
-// (len = Tiles x len(VCGroups)); tile t's home waveguide comprises the
-// consecutive group subchannels starting at t*len(VCGroups).
-type Crossbar struct {
-	Spec     CrossbarSpec
-	Channels []*sbus.Channel
-}
-
 // vcDemux fans a router output port out to the per-VC-group subchannel
 // writers.
 type vcDemux struct {
@@ -93,14 +85,16 @@ type PortMap struct {
 
 // BuildCrossbar wires an MWSR crossbar among the given tile routers and
 // registers its channels with the network engine and their
-// transmitted-flit counts with the network's power meter.
-func BuildCrossbar(n *fabric.Network, name string, routers []*router.Router, pm PortMap, spec CrossbarSpec) *Crossbar {
+// transmitted-flit counts with the network's power meter. It appends
+// every subchannel to n.Channels (Tiles x len(VCGroups) of them): tile
+// t's home waveguide is the consecutive group subchannels starting at
+// the crossbar's first plus t*len(VCGroups).
+func BuildCrossbar(n *fabric.Network, name string, routers []*router.Router, pm PortMap, spec CrossbarSpec) {
 	if len(routers) != spec.Tiles {
 		panic(fmt.Sprintf("photonic %s: %d routers for %d tiles", name, len(routers), spec.Tiles))
 	}
 	groups := spec.groups()
 	subSer := spec.SerializeCy * len(groups)
-	xb := &Crossbar{Spec: spec, Channels: make([]*sbus.Channel, 0, spec.Tiles*len(groups))}
 	// Each home channel is written by every other tile, so the crossbar's
 	// edges are known up front.
 	n.Edges = slices.Grow(n.Edges, spec.Tiles*(spec.Tiles-1))
@@ -157,7 +151,6 @@ func BuildCrossbar(n *fabric.Network, name string, routers []*router.Router, pm 
 			}
 			ch.SetWaker(n.Eng.RegisterWakeable(sim.PhaseDelivery, ch))
 			n.TrackChannel(ch)
-			xb.Channels = append(xb.Channels, ch)
 		}
 		routers[t].ConnectInput(rp, rx)
 		for w := range writerBy {
@@ -166,24 +159,4 @@ func BuildCrossbar(n *fabric.Network, name string, routers []*router.Router, pm 
 			}
 		}
 	}
-	return xb
-}
-
-// Queued sums flits buffered inside the crossbar.
-func (x *Crossbar) Queued() int {
-	total := 0
-	for _, ch := range x.Channels {
-		total += ch.Queued()
-	}
-	return total
-}
-
-// CheckInvariants validates all channels.
-func (x *Crossbar) CheckInvariants() error {
-	for _, ch := range x.Channels {
-		if err := ch.CheckInvariants(); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -69,7 +69,7 @@ func TestInventoryAddScaleProperties(t *testing.T) {
 // buildTestCluster wires 4 routers with a 4-tile crossbar: each router has
 // 1 terminal (port 0), 3 photonic write ports (1..3) and 1 photonic read
 // port (4).
-func buildTestCluster(t *testing.T) (*fabric.Network, *Crossbar) {
+func buildTestCluster(t *testing.T) *fabric.Network {
 	t.Helper()
 	n := fabric.New("photo-test", 4, power.NewMeter(nil))
 	const tiles, numPorts = 4, 5
@@ -115,17 +115,17 @@ func buildTestCluster(t *testing.T) (*fabric.Network, *Crossbar) {
 		},
 		ReaderPort: func(int) int { return 4 },
 	}
-	xb := BuildCrossbar(n, "c0", routers, pm, CrossbarSpec{
+	BuildCrossbar(n, "c0", routers, pm, CrossbarSpec{
 		Tiles: tiles, SerializeCy: 1, PropCy: 2, TokenHopCy: 1, NumVCs: 2, BufDepth: 4,
 	})
 	for c := 0; c < 4; c++ {
 		n.AddTerminal(c, routers[c], 0, 0)
 	}
-	return n, xb
+	return n
 }
 
 func TestCrossbarEndToEnd(t *testing.T) {
-	n, xb := buildTestCluster(t)
+	n := buildTestCluster(t)
 	res := n.Run(
 		fabric.TrafficSpec{Pattern: traffic.Uniform, Rate: 0.1, PktFlits: 3, Seed: 9},
 		fabric.RunSpec{Warmup: 200, Measure: 1000},
@@ -143,9 +143,6 @@ func TestCrossbarEndToEnd(t *testing.T) {
 	if err := n.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	if err := xb.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
 	// Drained means every measured packet ejected; unmeasured ones may
 	// still be in flight. Silence the sources and step until nothing is
 	// scheduled: then no flit may be left and every credit must be home.
@@ -158,15 +155,18 @@ func TestCrossbarEndToEnd(t *testing.T) {
 		}
 		n.Eng.Step()
 	}
-	if xb.Queued() != 0 {
-		t.Fatalf("crossbar still holds %d flits", xb.Queued())
+	if q := n.Progress().ChannelQueued; q != 0 {
+		t.Fatalf("crossbar still holds %d flits", q)
 	}
 	for _, r := range n.Routers {
 		if r.BufferedFlits() != 0 {
 			t.Fatalf("router %d still buffers %d flits", r.Cfg.ID, r.BufferedFlits())
 		}
 	}
-	for _, ch := range xb.Channels {
+	if len(n.Channels) != 4 {
+		t.Fatalf("crossbar built %d home channels, want one per tile", len(n.Channels))
+	}
+	for _, ch := range n.Channels {
 		for rx, credits := range ch.Introspect().RxCredits {
 			for vc, c := range credits {
 				if c != 4 {

@@ -46,8 +46,7 @@ type Channel struct {
 	// Transmitted counts the flits sent; Stats reports it and the power
 	// meter prices transmit energy from it.
 	Transmitted uint64
-	// Tap emits the arbitration events: EvWait when a writer with queued
-	// flits starts waiting for the token, EvGrant when the channel locks
+	// Tap emits the arbitration events: EvGrant when the channel locks
 	// onto a packet, EvFlitTx per serialized flit (A is the receiver
 	// index), EvRelease when the tail flit frees the whole-packet lock,
 	// and EvDeliver when a flit lands in a receiver's input buffer (the
@@ -123,6 +122,7 @@ func (c *Channel) Reset() {
 	clear(c.fifos)
 	for _, w := range c.writers {
 		w.rrVC = 0
+		w.waitFrom, w.maxWait = 0, 0
 	}
 	for _, r := range c.rxs {
 		for i := range r.credits {
@@ -148,6 +148,9 @@ type Writer struct {
 	// the starved tile.
 	id   int32
 	rrVC uint8
+	// waitFrom is the cycle the writer's current token wait opened and
+	// maxWait the longest wait closed so far (see waiting).
+	waitFrom, maxWait uint64
 }
 
 // SetID labels the writer with a stable external identifier — the
@@ -199,14 +202,14 @@ func (w *Writer) Send(f *noc.Flit) {
 	if c.totalQueued > c.qHighWater {
 		c.qHighWater = c.totalQueued
 	}
-	// A writer whose first flit just arrived while another writer holds
-	// (or will contend for) the grant starts waiting for the token now.
-	// The wait closes at EvGrant; the timestamp needs the engine clock,
-	// so only waker-driven channels report it.
-	if c.Tap.Wants(noc.EvWait) && c.waker != nil && c.lockedW != int(w.idx) && c.queued(int(w.idx)) == 1 {
-		c.Tap.Emit(noc.Event{Kind: noc.EvWait, Cycle: c.waker.Now(), A: int(w.idx)})
-	}
 	if c.waker != nil {
+		// A writer whose first flit just arrived while it does not hold
+		// the lock starts waiting for the token now; the wait closes at
+		// its grant. The timestamp needs the engine clock, so only
+		// waker-driven channels keep it.
+		if c.lockedW != int(w.idx) && q.size == 1 && c.queued(int(w.idx)) == 1 {
+			w.waitFrom = c.waker.Now()
+		}
 		c.waker.Wake()
 	}
 }
@@ -363,10 +366,9 @@ func (c *Channel) transmitLocked(cycle uint64) bool {
 	if f.IsTail() {
 		c.lockedW = -1
 		// A writer with more packets pending goes straight back to
-		// waiting for re-arbitration.
-		if c.Tap.Wants(noc.EvWait) && c.queued(int(w.idx)) > 0 {
-			c.Tap.Emit(noc.Event{Kind: noc.EvWait, Cycle: cycle, A: int(w.idx)})
-		}
+		// waiting for re-arbitration; one with none is not waiting, and
+		// its next first flit opens its next wait.
+		w.waitFrom = cycle
 		if c.Tap.Wants(noc.EvRelease) {
 			c.Tap.Emit(noc.Event{Kind: noc.EvRelease, Cycle: cycle, Pkt: f.Pkt, A: int(w.idx)})
 		}
@@ -400,6 +402,9 @@ func (c *Channel) acquire(cycle uint64) {
 			if rxIdx < 0 || rxIdx >= len(c.rxs) {
 				panic(fmt.Sprintf("sbus %s: SelectRx gave %d of %d", c.Name, rxIdx, len(c.rxs)))
 			}
+		}
+		if w := c.writers[wi]; c.waker != nil && cycle-w.waitFrom > w.maxWait {
+			w.maxWait = cycle - w.waitFrom // the writer's token wait closes
 		}
 		c.lockedW, c.lockedVC, c.lockedRx = wi, vc, rxIdx
 		c.busyUntil = cycle + uint64(d*c.TokenHopCy)
@@ -508,6 +513,36 @@ func (c *Channel) WriterID(wi int) int {
 	return int(c.writers[wi].id)
 }
 
+// waiting reports whether writer wi waits for the token: it has flits
+// queued and does not hold the lock. A wait opens when the writer's first
+// flit arrives without the lock (Send) or when its tail frees the lock
+// with more queued (transmitLocked), and closes at its grant (acquire).
+// A channel without a waker keeps no wait.
+func (c *Channel) waiting(wi int) bool {
+	return c.waker != nil && c.lockedW != wi && c.queued(wi) > 0
+}
+
+// OldestWaiter reports the channel's token waits at cycle: the writer
+// that has waited longest and the cycle its wait opened (ties go to the
+// lower index; -1 and 0 when no writer waits), and how many writers have
+// waited more than budget cycles. The watchdog's starvation detector and
+// the stall.starved_writers gauge read it.
+func (c *Channel) OldestWaiter(cycle, budget uint64) (wi int, since uint64, starved int) {
+	wi = -1
+	for i, w := range c.writers {
+		if !c.waiting(i) {
+			continue
+		}
+		if wi < 0 || w.waitFrom < since {
+			wi, since = i, w.waitFrom
+		}
+		if cycle-w.waitFrom > budget {
+			starved++
+		}
+	}
+	return wi, since, starved
+}
+
 // WriterIntro is one writer's slice of a ChannelIntro snapshot.
 type WriterIntro struct {
 	// Index is the writer's position on the channel's token ring.
@@ -517,8 +552,9 @@ type WriterIntro struct {
 	// Queued counts flits across the writer's VC queues.
 	Queued int `json:"queued"`
 	// Waiting, WaitingSinceCy and MaxWaitCy are the writer's token-wait
-	// state. The channel does not keep it: flightrec.WaitTable rebuilds
-	// it from EvWait/EvGrant and fills these in (all zero without one).
+	// state: whether it waits for the grant now, since which cycle, and
+	// its longest wait closed so far (all zero on a channel without a
+	// waker, which has no clock to time them by).
 	Waiting        bool   `json:"waiting,omitempty"`
 	WaitingSinceCy uint64 `json:"waiting_since_cy,omitempty"`
 	MaxWaitCy      uint64 `json:"max_wait_cy,omitempty"`
@@ -595,7 +631,10 @@ func (c *Channel) Introspect() ChannelIntro {
 		RxCredits:      make([][]int, len(c.rxs)),
 	}
 	for i, w := range c.writers {
-		wi := WriterIntro{Index: i, ID: int(w.id), Queued: c.queued(i)}
+		wi := WriterIntro{Index: i, ID: int(w.id), Queued: c.queued(i), MaxWaitCy: w.maxWait}
+		if c.waiting(i) {
+			wi.Waiting, wi.WaitingSinceCy = true, w.waitFrom
+		}
 		wi.HeadPkt, wi.HeadSrc, wi.HeadDst = c.headInfo(i)
 		ci.Writers[i] = wi
 	}

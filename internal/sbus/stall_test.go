@@ -18,55 +18,52 @@ func (r *engineRx) ReceiveFlit(port int, f *noc.Flit) {
 	}
 }
 
-// buildWatchedChannel assembles an engine-driven two-writer channel and
-// records the EvWait/EvGrant stream its tap emits (the first-flit EvWait
-// needs the engine clock, so it only fires on waker-driven channels).
-func buildWatchedChannel() (*sim.Engine, *Channel, *Writer, *Writer, *[]noc.Event) {
-	eng := sim.NewEngine()
-	ch := NewChannel("bus0", 1, 0, 1)
-	w0 := ch.AddWriter(&testSrc{}, 0, 1, 8)
-	w1 := ch.AddWriter(&testSrc{}, 0, 1, 8)
-	rx := &engineRx{}
-	rx.rx = ch.AddRx(rx, 0, 1, 4)
-	var evs []noc.Event
-	ch.Tap.Subscribe(noc.Mask(noc.EvWait, noc.EvGrant), func(e noc.Event) { evs = append(evs, e) })
-	ch.SetWaker(eng.RegisterWakeable(sim.PhaseDelivery, ch))
-	return eng, ch, w0, w1, &evs
-}
-
-// writerEvents filters the recorded stream down to one writer.
-func writerEvents(evs []noc.Event, writer int) []noc.Event {
-	var out []noc.Event
-	for _, e := range evs {
-		if e.A == writer {
-			out = append(out, e)
-		}
+// buildWatchedChannel assembles an engine-driven channel of n writers
+// with nvc VCs each (token waits are timed by the engine clock, so only
+// waker-driven channels keep them) and records the cycles of writer 1's
+// grants and releases.
+func buildWatchedChannel(n, nvc int) (eng *sim.Engine, ch *Channel, w []*Writer, grants, releases *[]uint64) {
+	eng = sim.NewEngine()
+	ch = NewChannel("bus0", 1, 0, 1)
+	for range n {
+		w = append(w, ch.AddWriter(&testSrc{}, 0, nvc, 8))
 	}
-	return out
+	rx := &engineRx{}
+	rx.rx = ch.AddRx(rx, 0, nvc, 4)
+	grants, releases = new([]uint64), new([]uint64)
+	ch.Tap.Subscribe(noc.Mask(noc.EvGrant, noc.EvRelease), func(e noc.Event) {
+		switch {
+		case e.A != 1:
+		case e.Kind == noc.EvGrant:
+			*grants = append(*grants, e.Cycle)
+		default:
+			*releases = append(*releases, e.Cycle)
+		}
+	})
+	ch.SetWaker(eng.RegisterWakeable(sim.PhaseDelivery, ch))
+	return eng, ch, w, grants, releases
 }
 
 // TestStallTrackingTokenWaitLifecycle pins where the channel opens and
-// closes a token wait: EvWait when a writer's first flit queues while it
-// does not hold the grant, EvGrant for that writer when it wins.
-// flightrec.WaitTable rebuilds the per-writer wait state from exactly
-// these two kinds.
+// closes a token wait: it opens when a writer's first flit queues while
+// the writer does not hold the grant, and closes at that writer's grant,
+// which books its length as the writer's longest wait.
 func TestStallTrackingTokenWaitLifecycle(t *testing.T) {
-	eng, ch, w0, w1, evs := buildWatchedChannel()
+	eng, ch, w, grants, _ := buildWatchedChannel(2, 1)
 
 	// Writer 0 wins the idle channel; run until it holds the lock.
-	sendPacket(w0, 1, 0, 0, 2)
+	sendPacket(w[0], 1, 0, 0, 2)
 	eng.Run(2)
 	// Writer 1 joins while the medium is held: its wait opens now.
 	since := eng.Cycle()
-	sendPacket(w1, 2, 0, 0, 2)
+	sendPacket(w[1], 2, 0, 0, 2)
 
-	got := writerEvents(*evs, 1)
-	if len(got) != 1 || got[0].Kind != noc.EvWait || got[0].Cycle != since || got[0].Pkt != nil {
-		t.Fatalf("writer 1 events after joining = %+v, want one EvWait at cycle %d", got, since)
+	ci := ch.Introspect()
+	if wr := ci.Writers[1]; !wr.Waiting || wr.WaitingSinceCy != since || wr.HeadPkt != 2 {
+		t.Errorf("writer 1 = %+v, want waiting since %d with packet 2 at its head", wr, since)
 	}
-	// Body flits of a queued packet open nothing further.
-	if n := len(writerEvents(*evs, 0)); n != 2 {
-		t.Fatalf("writer 0 saw %d events, want EvWait+EvGrant for its one packet", n)
+	if wr := ci.Writers[0]; wr.Waiting || wr.WaitingSinceCy != 0 || wr.MaxWaitCy != 0 {
+		t.Errorf("lock holder = %+v, want not waiting and no wait booked (granted on arrival)", wr)
 	}
 
 	// Drain; the wait closes at writer 1's grant.
@@ -74,43 +71,206 @@ func TestStallTrackingTokenWaitLifecycle(t *testing.T) {
 	if ch.Queued() != 0 {
 		t.Fatalf("channel not drained: Queued = %d", ch.Queued())
 	}
-	got = writerEvents(*evs, 1)
-	if len(got) != 2 || got[1].Kind != noc.EvGrant || got[1].Cycle <= since || got[1].Pkt.ID != 2 {
-		t.Fatalf("writer 1 events after drain = %+v, want EvWait then EvGrant for pkt 2 after cycle %d", got, since)
+	if len(*grants) != 1 || (*grants)[0] <= since {
+		t.Fatalf("writer 1 granted at %v, want once after cycle %d", *grants, since)
 	}
-	if got[1].C != 1 {
-		t.Errorf("grant token cost = %d cy, want 1 (one ring hop at TokenHopCy 1)", got[1].C)
+	if wr := ch.Introspect().Writers[1]; wr.Waiting || wr.WaitingSinceCy != 0 || wr.MaxWaitCy != (*grants)[0]-since {
+		t.Errorf("writer 1 after its grant = %+v, want a closed wait of %d cy", wr, (*grants)[0]-since)
 	}
 	if err := ch.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 }
 
-func TestStallTrackingReopensWaitOnBackToBackPackets(t *testing.T) {
-	eng, ch, w0, w1, evs := buildWatchedChannel()
-
-	// Writer 1 offers two packets; after its first tail releases the
-	// lock it must go straight back to waiting for re-arbitration.
-	sendPacket(w0, 1, 0, 0, 2)
+// TestOldestWaiterFollowsTheOpenWait: OldestWaiter names the writer whose
+// wait is open and counts it as starved once the wait exceeds the
+// budget, strictly; once every wait has closed there is no oldest waiter.
+func TestOldestWaiterFollowsTheOpenWait(t *testing.T) {
+	eng, ch, w, _, _ := buildWatchedChannel(2, 1)
+	sendPacket(w[0], 1, 0, 0, 2)
 	eng.Run(2)
-	sendPacket(w1, 2, 0, 0, 2)
-	sendPacket(w1, 3, 0, 0, 2)
-	eng.Run(40)
+	since := eng.Cycle()
+	sendPacket(w[1], 2, 0, 0, 2)
+
+	if wi, at, _ := ch.OldestWaiter(since, 0); wi != 1 || at != since {
+		t.Fatalf("OldestWaiter = (%d, %d), want (1, %d)", wi, at, since)
+	}
+	for _, tc := range []struct{ budget, starved int }{{9, 1}, {10, 0}, {20, 0}} {
+		if _, _, n := ch.OldestWaiter(since+10, uint64(tc.budget)); n != tc.starved {
+			t.Errorf("10 cy into the wait, budget %d: %d writers starved, want %d", tc.budget, n, tc.starved)
+		}
+	}
+
+	eng.Run(20)
 	if ch.Queued() != 0 {
 		t.Fatalf("channel not drained: Queued = %d", ch.Queued())
 	}
-	var kinds []noc.EventKind
-	for _, e := range writerEvents(*evs, 1) {
-		kinds = append(kinds, e.Kind)
+	if wi, _, n := ch.OldestWaiter(eng.Cycle(), 0); wi != -1 || n != 0 {
+		t.Fatalf("OldestWaiter after drain = writer %d with %d starved, want -1 with 0", wi, n)
 	}
-	want := []noc.EventKind{noc.EvWait, noc.EvGrant, noc.EvWait, noc.EvGrant}
-	if len(kinds) != len(want) {
-		t.Fatalf("writer 1 event kinds = %v, want %v", kinds, want)
-	}
-	for i := range want {
-		if kinds[i] != want[i] {
-			t.Fatalf("writer 1 event kinds = %v, want %v", kinds, want)
+}
+
+// A writer whose tail frees the lock with another packet queued goes
+// straight back to waiting, from the release cycle on.
+func TestStallTrackingReopensWaitOnBackToBackPackets(t *testing.T) {
+	eng, ch, w, grants, releases := buildWatchedChannel(2, 1)
+
+	sendPacket(w[0], 1, 0, 0, 2)
+	eng.Run(2)
+	sendPacket(w[1], 2, 0, 0, 2)
+	sendPacket(w[1], 3, 0, 0, 2)
+	reopened := false
+	for range 40 {
+		eng.Step()
+		if len(*releases) == 1 && len(*grants) == 1 {
+			if wr := ch.Introspect().Writers[1]; !wr.Waiting || wr.WaitingSinceCy != (*releases)[0] {
+				t.Fatalf("cycle %d, after writer 1's first tail: %+v, want waiting since %d", eng.Cycle(), wr, (*releases)[0])
+			}
+			reopened = true
 		}
+	}
+	if ch.Queued() != 0 || len(*grants) != 2 || !reopened {
+		t.Fatalf("Queued = %d, writer 1 granted at %v, reopened %v: want drained after two grants", ch.Queued(), *grants, reopened)
+	}
+}
+
+// A writer's longest wait over back-to-back packets is the longer of its
+// two waits: the first, behind another writer's packet, and the second,
+// from its own tail release to its next grant.
+func TestLongestWaitOverBackToBackPackets(t *testing.T) {
+	eng, ch, w, grants, releases := buildWatchedChannel(2, 1)
+
+	sendPacket(w[0], 1, 0, 0, 2)
+	eng.Run(2)
+	since := eng.Cycle()
+	sendPacket(w[1], 2, 0, 0, 2)
+	sendPacket(w[1], 3, 0, 0, 2)
+	eng.Run(40)
+	if ch.Queued() != 0 || len(*grants) != 2 || len(*releases) != 2 {
+		t.Fatalf("Queued = %d, writer 1 granted at %v and released at %v: want drained after two packets", ch.Queued(), *grants, *releases)
+	}
+	want := max((*grants)[0]-since, (*grants)[1]-(*releases)[0])
+	if got := ch.Introspect().Writers[1].MaxWaitCy; got != want || got < 2 {
+		t.Errorf("writer 1 MaxWaitCy = %d, want %d (the longer of its two waits, at least writer 0's packet)", got, want)
+	}
+}
+
+// A writer's wait opens with its first queued flit on any VC: a packet
+// that joins on another VC does not restart it.
+func TestWaitOpensOnTheWritersFirstFlit(t *testing.T) {
+	eng, ch, w, _, _ := buildWatchedChannel(2, 2)
+	sendPacket(w[0], 1, 0, 0, 2)
+	eng.Run(2)
+	since := eng.Cycle()
+	sendPacket(w[1], 2, 0, 0, 2)
+	eng.Step()
+	sendPacket(w[1], 3, 0, 1, 2)
+	if wr := ch.Introspect().Writers[1]; !wr.Waiting || wr.WaitingSinceCy != since || wr.Queued != 4 {
+		t.Errorf("writer 1 with packets on two VCs = %+v, want 4 flits waiting since %d", wr, since)
+	}
+}
+
+// OldestWaiter breaks ties on the lower writer index, and otherwise names
+// the writer whose wait opened first.
+func TestOldestWaiterOrder(t *testing.T) {
+	eng, ch, w, _, _ := buildWatchedChannel(3, 1)
+	sendPacket(w[0], 1, 0, 0, 2)
+	eng.Run(2)
+	sendPacket(w[2], 2, 0, 0, 2)
+	sendPacket(w[1], 3, 0, 0, 2)
+	if wi, _, n := ch.OldestWaiter(eng.Cycle()+5, 0); wi != 1 || n != 2 {
+		t.Errorf("two writers joined on one cycle: OldestWaiter = writer %d with %d starved, want writer 1 with 2", wi, n)
+	}
+
+	eng, ch, w, _, _ = buildWatchedChannel(3, 1)
+	sendPacket(w[0], 1, 0, 0, 2)
+	eng.Run(2)
+	sendPacket(w[2], 2, 0, 0, 2)
+	since := eng.Cycle()
+	eng.Step()
+	sendPacket(w[1], 3, 0, 0, 2)
+	if wi, at, _ := ch.OldestWaiter(eng.Cycle(), 0); wi != 2 || at != since {
+		t.Errorf("writer 2 joined a cycle before writer 1: OldestWaiter = (%d, %d), want (2, %d)", wi, at, since)
+	}
+}
+
+// A channel without a waker has no clock to time a wait by, so it reports
+// none, also with writers queued behind the lock and a tail released with
+// more queued.
+func TestUnclockedChannelKeepsNoWait(t *testing.T) {
+	ch := NewChannel("t", 1, 0, 1)
+	w0 := ch.AddWriter(&testSrc{}, 0, 1, 8)
+	w1 := ch.AddWriter(&testSrc{}, 0, 1, 8)
+	rx := &engineRx{}
+	rx.rx = ch.AddRx(rx, 0, 1, 4)
+	sendPacket(w0, 1, 0, 0, 2)
+	sendPacket(w0, 2, 0, 0, 2)
+	sendPacket(w1, 3, 0, 0, 2)
+	for c := uint64(0); c < 30; c++ {
+		ch.Tick(c)
+		if wi, _, n := ch.OldestWaiter(c, 0); wi != -1 || n != 0 {
+			t.Fatalf("cycle %d: OldestWaiter = writer %d with %d starved, want none", c, wi, n)
+		}
+		for _, wr := range ch.Introspect().Writers {
+			if wr.Waiting || wr.WaitingSinceCy != 0 || wr.MaxWaitCy != 0 {
+				t.Fatalf("cycle %d: untimed writer shows wait state: %+v", c, wr)
+			}
+		}
+	}
+	if ch.Queued() != 0 {
+		t.Fatalf("channel not drained: Queued = %d", ch.Queued())
+	}
+}
+
+// A rewound channel keeps no wait of the run before: DiffRuns cannot see
+// a forgotten wait field, since no Result reads one.
+func TestChannelResetForgetsTokenWaits(t *testing.T) {
+	eng, ch, w, grants, _ := buildWatchedChannel(2, 1)
+	sendPacket(w[0], 1, 0, 0, 2)
+	eng.Run(2)
+	sendPacket(w[1], 2, 0, 0, 2)
+	sendPacket(w[1], 3, 0, 0, 2)
+	for len(*grants) == 0 {
+		eng.Step()
+	}
+	// Writer 1 holds the lock with packet 3 queued: a wait closed, and
+	// writer 0's tail reopened nothing. Let writer 0 queue behind it.
+	sendPacket(w[0], 4, 0, 0, 2)
+	in := ch.Introspect()
+	if in.Writers[1].MaxWaitCy == 0 || !in.Writers[0].Waiting {
+		t.Fatalf("fixture holds no closed wait and no open one: %+v", in.Writers)
+	}
+	ch.Reset()
+	_, fresh, _, _, _ := buildWatchedChannel(2, 1)
+	if got, want := ch.Introspect(), fresh.Introspect(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("after Reset\n got  %+v\n want %+v", got, want)
+	}
+	for i, wr := range ch.writers {
+		if wr.waitFrom != 0 || wr.maxWait != 0 {
+			t.Errorf("writer %d after Reset: waitFrom %d, maxWait %d, want 0", i, wr.waitFrom, wr.maxWait)
+		}
+	}
+}
+
+// The wait bookkeeping of a waker-driven channel is stores into fields
+// sized at AddWriter: a contended send/grant path allocates nothing.
+func TestTokenWaitBookkeepingAllocFree(t *testing.T) {
+	eng, ch, w, _, _ := buildWatchedChannel(2, 1)
+	a, b := noc.MakeFlits(&noc.Packet{ID: 1, NumFlits: 2}), noc.MakeFlits(&noc.Packet{ID: 2, NumFlits: 2})
+	iter := func() {
+		for i := range a {
+			w[0].Send(a[i])
+			w[1].Send(b[i])
+		}
+		eng.Run(12)
+	}
+	iter() // warm the in-flight queue
+	iter()
+	if allocs := testing.AllocsPerRun(100, iter); allocs != 0 {
+		t.Errorf("contended send/grant path allocates %v per round, want 0", allocs)
+	}
+	if in := ch.Introspect(); in.Queued != 0 || in.Writers[0].MaxWaitCy == 0 {
+		t.Fatalf("the fixture did not drain or timed no wait: %+v", in)
 	}
 }
 
@@ -168,7 +328,7 @@ func TestChannelHotPathAllocFreeWithTracking(t *testing.T) {
 	rx := &engineRx{}
 	rx.rx = ch.AddRx(rx, 0, 1, 4)
 	var events, lastCy uint64
-	ch.Tap.Subscribe(noc.Mask(noc.EvWait, noc.EvGrant, noc.EvFlitTx, noc.EvRelease, noc.EvDeliver), func(e noc.Event) {
+	ch.Tap.Subscribe(noc.Mask(noc.EvGrant, noc.EvFlitTx, noc.EvRelease, noc.EvDeliver), func(e noc.Event) {
 		events, lastCy = events+1, e.Cycle
 	})
 	fl := noc.MakeFlits(&noc.Packet{ID: 1, NumFlits: 2})

@@ -114,7 +114,8 @@ func (r *Replay) Done() bool { return r.next >= len(r.entries) }
 // StencilTrace builds a 5-point stencil exchange over a sqrt(n) x sqrt(n)
 // core grid: for `iters` iterations spaced `period` cycles apart, every
 // core sends one packet to each of its four neighbours (with wraparound),
-// with per-core jitter to avoid pathological synchronization.
+// with per-core jitter in [0, period/4) to avoid pathological
+// synchronization (none, and no draw, when period/4 is 0).
 func StencilTrace(cores, iters int, period uint64, seed uint64) *Trace {
 	side := isqrt(cores)
 	rng := sim.NewRNG(seed)
@@ -123,7 +124,10 @@ func StencilTrace(cores, iters int, period uint64, seed uint64) *Trace {
 		base := uint64(it) * period
 		for c := 0; c < cores; c++ {
 			r, col := c/side, c%side
-			jitter := uint64(rng.Intn(int(period / 4)))
+			jitter := uint64(0)
+			if period >= 4 {
+				jitter = uint64(rng.Intn(int(period / 4)))
+			}
 			for _, d := range [][2]int{{0, 1}, {0, side - 1}, {1, 0}, {side - 1, 0}} {
 				dst := ((r+d[0])%side)*side + (col+d[1])%side
 				if dst == c {

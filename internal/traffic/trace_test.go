@@ -41,6 +41,25 @@ func TestStencilTraceSorted(t *testing.T) {
 	}
 }
 
+// A period shorter than four cycles leaves no room for jitter: every
+// iteration's sends go out on its first cycle, whatever the seed, and the
+// generator draws nothing rather than panic on an empty range.
+func TestStencilTraceShortPeriodHasNoJitter(t *testing.T) {
+	for _, period := range []uint64{0, 1, 3} {
+		for _, seed := range []uint64{1, 2} {
+			tr := StencilTrace(16, 3, period, seed)
+			if len(tr.Entries) != 16*4*3 {
+				t.Fatalf("period %d: %d entries, want %d", period, len(tr.Entries), 16*4*3)
+			}
+			for i, e := range tr.Entries {
+				if it := uint64(i / (16 * 4)); e.Cycle != it*period {
+					t.Fatalf("period %d seed %d: entry %d at cycle %d, want iteration %d's start %d", period, seed, i, e.Cycle, it, it*period)
+				}
+			}
+		}
+	}
+}
+
 func TestAllReduceTraceRounds(t *testing.T) {
 	tr := AllReduceTrace(16, 0, 100)
 	// log2(16) = 4 rounds x 16 cores.
