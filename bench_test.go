@@ -178,33 +178,6 @@ func BenchmarkFig8Kilocore(b *testing.B) {
 
 // --- Ablations (design knobs DESIGN.md calls out) ---
 
-// BenchmarkAblationRingTuning shows how charging ring-resonator thermal
-// tuning (which the paper's evaluation folds away) flips the Figure 6
-// verdict: OptXB's ~458k rings at 1024 cores dwarf OWN's 28k.
-func BenchmarkAblationRingTuning(b *testing.B) {
-	for _, uw := range []float64{0, 20} {
-		name := "off"
-		if uw > 0 {
-			name = "20uW_per_ring"
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				p := power.DefaultParams()
-				p.PRingTuneUW = uw
-				m := power.NewMeter(p)
-				n := topology.BuildOptXB(topology.Params{Cores: 256, Meter: m})
-				res := n.Run(
-					fabric.TrafficSpec{Pattern: traffic.Uniform, Rate: 0.003, Seed: 1},
-					fabric.RunSpec{Warmup: 200, Measure: 800},
-				)
-				if uw > 0 && res.Power.RouterStaticMW < 100 {
-					b.Fatal("ring tuning not applied")
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkAblationScenario compares the ideal (32 GHz) and conservative
 // (16 GHz) outlooks end to end on OWN-256.
 func BenchmarkAblationScenario(b *testing.B) {
@@ -392,39 +365,5 @@ func BenchmarkAblationFailover(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// BenchmarkAblationRequestReply compares fixed 5-flit packets against the
-// bimodal request/reply mix at equal offered flit load.
-func BenchmarkAblationRequestReply(b *testing.B) {
-	sizes := traffic.RequestReply()
-	cases := []struct {
-		name string
-		mix  *traffic.SizeDist
-	}{{"fixed5", nil}, {"bimodal", &sizes}}
-	for _, c := range cases {
-		b.Run(c.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				n := core.BuildOWN256(core.Params{})
-				res := n.Run(
-					fabric.TrafficSpec{Pattern: traffic.Uniform, Rate: 0.004, Seed: 1, Policy: core.OWNPolicy, Sizes: c.mix},
-					fabric.RunSpec{Warmup: 200, Measure: 800},
-				)
-				if res.Packets == 0 {
-					b.Fatal("no packets")
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkOOKBER measures the AWGN bit-error simulation rate.
-func BenchmarkOOKBER(b *testing.B) {
-	l := rf.OOKLink{SNRdB: 10}
-	for i := 0; i < b.N; i++ {
-		if ber := l.SimulateBER(10000, uint64(i)); ber < 0 {
-			b.Fatal("negative BER")
-		}
 	}
 }

@@ -64,6 +64,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *budget < 1 {
 		return usage(fmt.Errorf("budget must be >= 1 cycle, got %d", *budget))
 	}
+	if *period > traffic.MaxStencilPeriod {
+		return usage(fmt.Errorf("period must be <= %d cycles, got %d", traffic.MaxStencilPeriod, *period))
+	}
 	var tr *traffic.Trace
 	switch *workload {
 	case "stencil":

@@ -15,6 +15,8 @@ func TestBadInputExitStatus(t *testing.T) {
 		{"-workload", "foo"},
 		{"-run", "-budget", "0"},
 		{"-budget", "0"},
+		{"-period", "17179869184", "-iters", "1"},
+		{"-period", "8589934592", "-iters", "1"},
 	} {
 		var stdout, stderr bytes.Buffer
 		code := run(args, &stdout, &stderr)
@@ -44,6 +46,20 @@ func TestShortPeriodPrintsATrace(t *testing.T) {
 		if !strings.HasPrefix(l, "0,") && !strings.HasPrefix(l, "2,") {
 			t.Fatalf("entry %q is off its iteration's first cycle", l)
 		}
+	}
+}
+
+// TestLongestPeriodPrintsOneTrace: at the longest period, the jitter
+// range [0, period/4) is just within a 32-bit int, so every platform
+// draws and prints the same trace.
+func TestLongestPeriodPrintsOneTrace(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-period", "8589934591", "-iters", "1"}, &stdout, &stderr); code != 0 || stderr.Len() != 0 {
+		t.Fatalf("trace -period 8589934591: exit %d, stderr %q", code, &stderr)
+	}
+	out := strings.TrimSuffix(stdout.String(), "\n")
+	if last := out[strings.LastIndexByte(out, '\n')+1:]; last != "2146796149,78,62" {
+		t.Errorf("trace -period 8589934591 -iters 1 ends with %q, want %q", last, "2146796149,78,62")
 	}
 }
 

@@ -30,7 +30,7 @@ func TestConformanceEnabledHooksAllocFree(t *testing.T) {
 	sys := core.NewSystem("own", 256, wireless.Config4, wireless.Ideal)
 	build := func() *fabric.Network {
 		n := sys.Build(power.NewMeter(nil))
-		gens := traffic.NewBernoullis(n.NumCores, traffic.Uniform, 0.5*topology.UniformSaturationLoad(256), 5, nil, 1, sys.Classify)
+		gens := traffic.NewBernoullis(n.NumCores, traffic.Uniform, 0.5*topology.UniformSaturationLoad(256), 5, 1, sys.Classify)
 		for id, src := range n.Sources {
 			gens[id].MeasureTo = math.MaxUint64 // every packet is measured, so spans follow it
 			src.SetGenerator(&gens[id])

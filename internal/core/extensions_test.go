@@ -99,30 +99,6 @@ func TestReconfigOnlyChangesC2C(t *testing.T) {
 	}
 }
 
-// TestNominalScenario checks the in-between Table III outlook end to end.
-func TestNominalScenario(t *testing.T) {
-	plan := wireless.PlanOWN256(wireless.Config4, wireless.Nominal)
-	ideal := wireless.PlanOWN256(wireless.Config4, wireless.Ideal)
-	cons := wireless.PlanOWN256(wireless.Config4, wireless.Conservative)
-	// 24 Gb/s channels sit between 32 and 16.
-	if got := plan.Channels[0].Band.BWGbps; got != 24 {
-		t.Fatalf("nominal BW = %v, want 24", got)
-	}
-	_ = ideal
-	_ = cons
-	n := BuildOWN256(Params{Scenario: wireless.Nominal, Meter: power.NewMeter(nil)})
-	res := n.Run(
-		fabric.TrafficSpec{Pattern: traffic.Uniform, Rate: 0.002, Seed: 15, Policy: OWNPolicy},
-		fabric.RunSpec{Warmup: 500, Measure: 3000},
-	)
-	if !res.Drained {
-		t.Fatal("nominal scenario failed to drain")
-	}
-	if res.Power.WirelessMW <= 0 {
-		t.Fatal("no wireless energy under nominal scenario")
-	}
-}
-
 // TestWorkloadTraces runs the future-work trace-driven path end to end on
 // OWN-256: a 5-point stencil and a recursive-doubling all-reduce must
 // complete with every packet delivered.
@@ -163,29 +139,5 @@ func TestWorkloadTraceOnCMesh(t *testing.T) {
 	}
 	if res.Packets != uint64(len(tr.Entries)) {
 		t.Fatalf("delivered %d of %d", res.Packets, len(tr.Entries))
-	}
-}
-
-// TestRequestReplyMixOnOWN runs the bimodal request/reply packet mix on
-// OWN-256: single-flit control packets and 5-flit data packets share the
-// hybrid fabric without protocol issues.
-func TestRequestReplyMixOnOWN(t *testing.T) {
-	sizes := traffic.RequestReply()
-	n := BuildOWN256(Params{Meter: power.NewMeter(nil)})
-	res := n.Run(
-		fabric.TrafficSpec{
-			Pattern: traffic.Uniform, Rate: 0.003, Seed: 41,
-			Policy: OWNPolicy, Sizes: &sizes,
-		},
-		fabric.RunSpec{Warmup: 500, Measure: 4000},
-	)
-	if !res.Drained {
-		t.Fatal("bimodal mix failed to drain")
-	}
-	if res.MaxHops > 4 {
-		t.Fatalf("hop bound violated: %d", res.MaxHops)
-	}
-	if err := n.CheckInvariants(); err != nil {
-		t.Fatal(err)
 	}
 }

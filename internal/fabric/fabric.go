@@ -240,9 +240,6 @@ type TrafficSpec struct {
 	Classify traffic.Classifier
 	// Policy restricts injection VCs per packet; may be nil.
 	Policy router.VCPolicy
-	// Sizes switches to a bimodal packet-length mix (request/reply
-	// extension); nil keeps fixed PktFlits packets.
-	Sizes *traffic.SizeDist
 }
 
 // RunSpec sets the measurement methodology: Warmup cycles discarded,
@@ -297,22 +294,12 @@ func (n *Network) Run(ts TrafficSpec, rs RunSpec) Result {
 	}
 	n.rewind()
 	col := stats.NewCollector(n.NumCores, rs.Warmup, rs.Warmup+rs.Measure)
-	n.Collector = col
-	onDropped := col.OnDropped // shared by every source: a method value allocates
-	gens := traffic.NewBernoullis(n.NumCores, ts.Pattern, ts.Rate, ts.PktFlits, ts.Sizes, ts.Seed, ts.Classify)
-	for id, src := range n.Sources {
-		if src == nil {
-			panic(fmt.Sprintf("fabric: terminal %d missing", id))
-		}
+	gens := traffic.NewBernoullis(n.NumCores, ts.Pattern, ts.Rate, ts.PktFlits, ts.Seed, ts.Classify)
+	n.attach(col, ts.Policy, func(id int) router.Generator {
 		gen := &gens[id]
-		gen.MeasureFrom = rs.Warmup
-		gen.MeasureTo = rs.Warmup + rs.Measure
-		src.SetGenerator(gen)
-		src.Policy = ts.Policy
-		src.OnAccepted, src.OnDropped = col.OnCreated, onDropped
-		snk := n.Sinks[id]
-		snk.OnPacket = col.OnEjected
-	}
+		gen.MeasureFrom, gen.MeasureTo = rs.Warmup, rs.Warmup+rs.Measure
+		return gen
+	})
 	n.Eng.Run(rs.Warmup + rs.Measure)
 	drained := col.Pending() == 0
 	if !col.Summary().Saturated() {
@@ -320,6 +307,23 @@ func (n *Network) Run(ts TrafficSpec, rs RunSpec) Result {
 	}
 	n.Probe.Flush(n.Eng.Cycle())
 	return n.Priced(Result{Summary: col.Summary(), Drained: drained})
+}
+
+// attach makes col the run's collector and wires every terminal to it:
+// source id gets gen(id) and policy, and reports what it accepts and
+// drops to col, as its sink reports what it ejects.
+func (n *Network) attach(col *stats.Collector, policy router.VCPolicy, gen func(id int) router.Generator) {
+	n.Collector = col
+	onDropped := col.OnDropped // shared by every source: a method value allocates
+	for id, src := range n.Sources {
+		if src == nil {
+			panic(fmt.Sprintf("fabric: terminal %d missing", id))
+		}
+		src.SetGenerator(gen(id))
+		src.Policy = policy
+		src.OnAccepted, src.OnDropped = col.OnCreated, onDropped
+		n.Sinks[id].OnPacket = col.OnEjected
+	}
 }
 
 // rewind takes a network that has run back to the state its builder left:
@@ -370,19 +374,11 @@ func (n *Network) RunTrace(tr *traffic.Trace, pktFlits int, ts TrafficSpec, budg
 	}
 	n.rewind()
 	col := stats.NewCollector(n.NumCores, 0, budget)
-	n.Collector = col
-	onDropped := col.OnDropped
 	gens := tr.PerSource(n.NumCores, pktFlits, ts.Classify)
-	for id, src := range n.Sources {
-		if src == nil {
-			panic(fmt.Sprintf("fabric: terminal %d missing", id))
-		}
+	n.attach(col, ts.Policy, func(id int) router.Generator {
 		gens[id].MeasureFrom, gens[id].MeasureTo = 0, budget
-		src.SetGenerator(gens[id])
-		src.Policy = ts.Policy
-		src.OnAccepted, src.OnDropped = col.OnCreated, onDropped
-		n.Sinks[id].OnPacket = col.OnEjected
-	}
+		return gens[id]
+	})
 	done := func() bool {
 		if col.Pending() > 0 {
 			return false

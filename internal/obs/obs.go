@@ -31,7 +31,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"strconv"
 	"strings"
 	"sync"
 
@@ -123,7 +122,7 @@ func (s *Server) Publish(cycle uint64, values []float64) {
 	s.values = s.values[:len(values)]
 	copy(s.values, values)
 	s.samples++
-	s.line = ndjsonLine(cycle, s.meta, values)
+	s.line = string(probe.AppendNDJSON(nil, cycle, s.meta, values))
 	for _, sub := range s.subs {
 		select {
 		case sub.ch <- s.line:
@@ -329,19 +328,4 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-}
-
-// ndjsonLine renders one snapshot in the sampler's NDJSON member order
-// (cycle first, then metrics in registration order).
-func ndjsonLine(cycle uint64, meta []probe.MetricInfo, values []float64) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "{\"cycle\":%d", cycle)
-	for i, v := range values {
-		if i >= len(meta) {
-			break
-		}
-		fmt.Fprintf(&b, ",%s:%s", strconv.Quote(meta[i].Name), strconv.FormatFloat(v, 'f', -1, 64))
-	}
-	b.WriteString("}")
-	return b.String()
 }

@@ -10,8 +10,7 @@ type Inventory struct {
 	Photodetectors int
 	Waveguides     int
 	// Rings is the total ring-resonator count (modulator rings plus
-	// detector drop rings), the quantity that drives thermal tuning
-	// power in the ablation study.
+	// detector drop rings).
 	Rings int
 }
 

@@ -93,7 +93,7 @@ func (m *Meter) EnergyRows(cycles uint64) []EnergyRow {
 		{Component: "buffer_read", Class: "-", EnergyPJ: e.BufRead},
 		{Component: "crossbar", Class: "-", EnergyPJ: e.Xbar},
 		{Component: "arbiter", Class: "-", EnergyPJ: e.Arb},
-		{Component: "static", Class: "-", EnergyPJ: m.staticMW().TimesNS(ns)},
+		{Component: "static", Class: "-", EnergyPJ: m.leakMW.TimesNS(ns)},
 		{Component: "elec_link", Class: "-", EnergyPJ: e.ElecLink},
 		{Component: "photonic", Class: "-", EnergyPJ: e.Photonic},
 	}

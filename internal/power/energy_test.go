@@ -15,7 +15,6 @@ func chargedMeter() *Meter {
 	m := NewMeter(nil)
 	m.RegisterRouter(5, 2)
 	m.RegisterInputPort(2)
-	m.RegisterRings(8)
 	for i := 0; i < 3; i++ {
 		m.BufWrite()
 	}

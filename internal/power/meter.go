@@ -33,8 +33,7 @@ type Meter struct {
 	radios  []radioReader
 
 	// Static inventory.
-	leakMW    Milliwatts
-	ringCount int
+	leakMW Milliwatts
 }
 
 type routerReader struct {
@@ -146,15 +145,6 @@ func (m *Meter) RegisterInputPort(vcs int) {
 	m.leakMW += Milliwatts(m.P.PLeakPerVCBufMW * float64(vcs))
 }
 
-// RegisterRings adds ring resonators to the static inventory (thermal
-// tuning, costed at Params.PRingTuneUW each).
-func (m *Meter) RegisterRings(n int) {
-	if m == nil {
-		return
-	}
-	m.ringCount += n
-}
-
 // Energy is one pricing of the registered counts: dynamic energy so far
 // by component.
 type Energy struct {
@@ -207,7 +197,7 @@ func (r *radioReader) txPJ(flitBits float64) Picojoules {
 // stacking of the paper's Figure 6.
 type Breakdown struct {
 	RouterDynMW    Milliwatts // buffers + crossbar + allocators
-	RouterStaticMW Milliwatts // leakage + ring tuning
+	RouterStaticMW Milliwatts // leakage
 	ElecLinkMW     Milliwatts
 	PhotonicMW     Milliwatts
 	WirelessMW     Milliwatts // transmit + SWMR discard
@@ -227,11 +217,6 @@ func (b Breakdown) String() string {
 	return sb.String()
 }
 
-// staticMW is the leakage plus ring-tuning inventory.
-func (m *Meter) staticMW() Milliwatts {
-	return m.leakMW + Microwatts(float64(m.ringCount)*m.P.PRingTuneUW).ToMW()
-}
-
 // Report prices the counts so far and spreads the energy over the given
 // number of cycles as average power. It panics if cycles is zero.
 func (m *Meter) Report(cycles uint64) Breakdown {
@@ -242,7 +227,7 @@ func (m *Meter) Report(cycles uint64) Breakdown {
 	e := m.Energy()
 	return Breakdown{
 		RouterDynMW:    (e.BufWrite + e.BufRead + e.Xbar + e.Arb).OverNS(ns),
-		RouterStaticMW: m.staticMW(),
+		RouterStaticMW: m.leakMW,
 		ElecLinkMW:     e.ElecLink.OverNS(ns),
 		PhotonicMW:     e.Photonic.OverNS(ns),
 		WirelessMW:     (e.WirelessTx + e.WirelessRx).OverNS(ns),

@@ -40,14 +40,6 @@ type Params struct {
 	// off-chip laser share, per the paper's "1-2 pJ/bit".
 	EPhotonicPJPerBit float64
 
-	// PRingTuneUW is the thermal-tuning power per ring resonator in
-	// microwatts. The paper's evaluation treats photonic static power as
-	// folded into the per-bit figure (OptXB is reported as the
-	// least-power network despite its ~1M rings), so the default is 0;
-	// the ablation benchmarks raise it to show how ring count changes
-	// the Figure 6 conclusion.
-	PRingTuneUW float64
-
 	// Router leakage (45 nm LVT is leakage-heavy): a per-router base, a
 	// per-port term for the crossbar/allocator area, and a per-VC-buffer
 	// term for the input queues. Buffers leak only where they exist:
@@ -78,7 +70,6 @@ func DefaultParams() *Params {
 		EVCAArbPJ:                  0.08,
 		EElecPJPerBitMM:            0.10,
 		EPhotonicPJPerBit:          1.5,
-		PRingTuneUW:                0,
 		PRouterLeakBaseMW:          0.3,
 		PLeakPerPortMW:             0.002,
 		PLeakPerVCBufMW:            0.02,

@@ -25,7 +25,6 @@ func TestNilMeterIsSafe(t *testing.T) {
 	m.ReadWireless(0, "C2C", 0.5, 0, &n)
 	m.RegisterRouter(8, 4)
 	m.RegisterInputPort(4)
-	m.RegisterRings(100)
 	m.EachWirelessChannel(func(int, string, Picojoules) { t.Fatal("nil meter has no channels") })
 	if m.WirelessAvgChannelMW(100) != 0 || m.WirelessClasses() != nil {
 		t.Fatal("nil meter should report zero")
@@ -132,17 +131,6 @@ func TestStaticPower(t *testing.T) {
 	want := p.RouterLeakMW(20) + p.RouterLeakMW(8) + 2*4*p.PLeakPerVCBufMW
 	if math.Abs(float64(b.RouterStaticMW)-want) > 1e-12 {
 		t.Fatalf("static = %v, want %v", b.RouterStaticMW, want)
-	}
-}
-
-func TestRingTuningKnob(t *testing.T) {
-	p := DefaultParams()
-	p.PRingTuneUW = 20 // 20 uW per ring
-	m := NewMeter(p)
-	m.RegisterRings(1000) // -> 20 mW
-	b := m.Report(100)
-	if math.Abs(float64(b.RouterStaticMW)-20.0) > 1e-9 {
-		t.Fatalf("ring tuning = %v mW, want 20", b.RouterStaticMW)
 	}
 }
 

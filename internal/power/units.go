@@ -13,7 +13,7 @@ package power
 //
 // The Params table intentionally stays float64: its fields are
 // calibration constants whose unit is part of the field name
-// (EBufWritePJ, PRingTuneUW), and Meter.Energy — the one place a count
+// (EBufWritePJ, PLeakPerPortMW), and Meter.Energy — the one place a count
 // meets a constant — converts the products into the typed values.
 
 // Picojoules is dynamic energy, the unit of every priced count.
@@ -21,9 +21,6 @@ type Picojoules float64
 
 // Milliwatts is average or static power, the unit of every report.
 type Milliwatts float64
-
-// Microwatts is fine-grained static power (per-ring thermal tuning).
-type Microwatts float64
 
 // Nanoseconds is simulated wall time (cycles over the clock).
 type Nanoseconds float64
@@ -38,9 +35,4 @@ func (e Picojoules) OverNS(ns Nanoseconds) Milliwatts {
 // (the inverse of Picojoules.OverNS).
 func (p Milliwatts) TimesNS(ns Nanoseconds) Picojoules {
 	return Picojoules(float64(p) * float64(ns))
-}
-
-// ToMW converts microwatts to milliwatts.
-func (u Microwatts) ToMW() Milliwatts {
-	return Milliwatts(float64(u) / 1000.0)
 }

@@ -1,9 +1,7 @@
 package probe
 
 import (
-	"bytes"
 	"encoding/csv"
-	"fmt"
 	"io"
 	"strconv"
 )
@@ -12,8 +10,8 @@ import (
 // implements sim.Ticker and is registered in the engine's Collect phase
 // by fabric.Network.InstallProbe, so samples observe a consistent
 // end-of-cycle view. Rows accumulate in memory (a 15k-cycle run sampled
-// every 256 cycles is ~60 rows) and are exported as CSV; WriteNDJSON is
-// the reference rendering of the live /events stream.
+// every 256 cycles is ~60 rows) and are exported as CSV or NDJSON; the
+// live /events stream renders its lines with the same AppendNDJSON.
 type Sampler struct {
 	reg    *Registry
 	every  uint64
@@ -114,19 +112,28 @@ func (s *Sampler) WriteCSV(w io.Writer) error {
 	return cw.Error()
 }
 
-// WriteNDJSON writes one JSON object per sample, with the cycle first
-// and the metrics in registration order (JSON members keep insertion
-// order here because the encoder is hand-rolled over the ordered slice).
+// WriteNDJSON writes one JSON object per sample, each line what
+// AppendNDJSON renders.
 func (s *Sampler) WriteNDJSON(w io.Writer) error {
-	var b bytes.Buffer
-	names := s.reg.Names()
+	var b []byte
+	meta := s.reg.Meta()
 	for i, row := range s.rows {
-		fmt.Fprintf(&b, "{\"cycle\":%d", s.cycles[i])
-		for j, v := range row {
-			fmt.Fprintf(&b, ",%s:%s", strconv.Quote(names[j]), formatValue(v))
-		}
-		b.WriteString("}\n")
+		b = append(AppendNDJSON(b, s.cycles[i], meta, row), '\n')
 	}
-	_, err := w.Write(b.Bytes())
+	_, err := w.Write(b)
 	return err
+}
+
+// AppendNDJSON appends one sample as a JSON object, without a newline:
+// the cycle first, then each metric in registration order (JSON members
+// keep insertion order here because the encoder is hand-rolled over the
+// ordered slice), as far as both meta and values reach. It is the one
+// rendering of a sample, for WriteNDJSON and the live /events stream.
+func AppendNDJSON(b []byte, cycle uint64, meta []MetricInfo, values []float64) []byte {
+	b = strconv.AppendUint(append(b, `{"cycle":`...), cycle, 10)
+	for i, v := range values[:min(len(values), len(meta))] {
+		b = strconv.AppendQuote(append(b, ','), meta[i].Name)
+		b = strconv.AppendFloat(append(b, ':'), v, 'f', -1, 64)
+	}
+	return append(b, '}')
 }

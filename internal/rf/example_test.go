@@ -24,10 +24,3 @@ func ExamplePowerAmp() {
 	// Output:
 	// gain 3.5 dB, P1dB 5.0 dBm, BW(2dB) 20 GHz
 }
-
-// Grounding the link budget's SNR assumption with the OOK AWGN model.
-func ExampleRequiredSNRdB() {
-	fmt.Printf("SNR for 1e-3 BER: %.1f dB\n", rf.RequiredSNRdB(1e-3))
-	// Output:
-	// SNR for 1e-3 BER: 14.0 dB
-}

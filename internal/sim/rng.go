@@ -94,14 +94,3 @@ func Threshold(p float64) uint64 {
 	}
 	return uint64(math.Ceil(p * (1 << 53)))
 }
-
-// Perm fills dst with a uniform random permutation of [0, len(dst)).
-func (r *RNG) Perm(dst []int) {
-	for i := range dst {
-		dst[i] = i
-	}
-	for i := len(dst) - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		dst[i], dst[j] = dst[j], dst[i]
-	}
-}

@@ -4,7 +4,6 @@ import (
 	"math"
 	"strconv"
 	"testing"
-	"testing/quick"
 )
 
 func TestRNGDeterminism(t *testing.T) {
@@ -84,26 +83,6 @@ func TestRNGBernoulli(t *testing.T) {
 	got := float64(hits) / draws
 	if math.Abs(got-p) > 0.01 {
 		t.Fatalf("Bernoulli(%v) rate %v", p, got)
-	}
-}
-
-func TestRNGPermIsBijection(t *testing.T) {
-	f := func(seed uint64, size uint8) bool {
-		n := int(size%64) + 1
-		r := NewRNG(seed)
-		p := make([]int, n)
-		r.Perm(p)
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 

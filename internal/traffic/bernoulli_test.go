@@ -84,14 +84,12 @@ func TestLookAheadEmitsWhatPollingEmits(t *testing.T) {
 	// Busy for 40 cycles out of every 1000, and for one long stretch.
 	mixed := func(_ int, c uint64) bool { return c%1000 < 40 || (c > 150_000 && c < 170_000) }
 	classify := func(src, dst int) int { return (src + dst) % 3 }
-	rr := RequestReply()
 
 	cases := []struct {
 		name      string
 		src       int
 		pattern   Pattern
 		rate      float64
-		sizes     *SizeDist
 		wantEmpty bool
 	}{
 		{name: "uniform", src: 3, pattern: Uniform, rate: 0.001},
@@ -101,7 +99,6 @@ func TestLookAheadEmitsWhatPollingEmits(t *testing.T) {
 		// Source 0 is a fixed point of bit reversal: every arrival draws
 		// nothing further and builds no packet.
 		{name: "bitreversal-fixed-point", src: 0, pattern: BitReversal, rate: 0.002, wantEmpty: true},
-		{name: "sizes", src: 9, pattern: Uniform, rate: 0.001, sizes: &rr},
 		// Mean gap 50 000 cycles.
 		{name: "rare", src: 2, pattern: Uniform, rate: 0.0001},
 		{name: "prob-zero", src: 3, pattern: Uniform, rate: 0, wantEmpty: true},
@@ -110,9 +107,6 @@ func TestLookAheadEmitsWhatPollingEmits(t *testing.T) {
 	for _, tc := range cases {
 		mk := func() *Bernoulli {
 			g := NewBernoulli(tc.src, 64, tc.pattern, tc.rate, 5, 11, classify)
-			if tc.sizes != nil {
-				g.SetSizes(*tc.sizes)
-			}
 			g.MeasureFrom, g.MeasureTo = 1000, 300_000
 			return g
 		}
@@ -124,7 +118,7 @@ func TestLookAheadEmitsWhatPollingEmits(t *testing.T) {
 			got := engineOrder([]*Bernoulli{mk()}, cycles, busy)
 			sameEmissions(t, tc.name, got[0], want)
 		}
-		gens := NewBernoullis(64, tc.pattern, tc.rate, 5, tc.sizes, 11, classify)
+		gens := NewBernoullis(64, tc.pattern, tc.rate, 5, 11, classify)
 		g := &gens[tc.src]
 		g.MeasureFrom, g.MeasureTo = 1000, 300_000
 		sameEmissions(t, tc.name+"/NewBernoullis", engineOrder([]*Bernoulli{g}, cycles, mixed)[0], want)
@@ -132,20 +126,17 @@ func TestLookAheadEmitsWhatPollingEmits(t *testing.T) {
 }
 
 // The draws follow the documented order: the first gap at the first cycle
-// asked about, then at each arrival c the destination, the size and the
-// gap counted from c+1.
+// asked about, then at each arrival c the destination and the gap
+// counted from c+1.
 func TestDrawOrder(t *testing.T) {
-	sizes := RequestReply()
 	g := NewBernoulli(5, 64, Uniform, 0.05, 5, 3, nil)
-	g.SetSizes(sizes)
 	rng := g.rng
 	const first = 7
 	var want []emitted
 	due := first + g.gaps.draw(&rng)
 	for len(want) < 200 {
 		dst := Dest(Uniform, 5, 64, &rng)
-		flits := sizes.sample(&rng)
-		want = append(want, emitted{cycle: due, id: 5<<40 | uint64(len(want)+1), dst: dst, numFlits: flits})
+		want = append(want, emitted{cycle: due, id: 5<<40 | uint64(len(want)+1), dst: dst, numFlits: 5})
 		due += 1 + g.gaps.draw(&rng)
 	}
 	var got []emitted
@@ -259,7 +250,7 @@ func TestHorizonDoesNotMoveAPacket(t *testing.T) {
 // A run's generators are allocated together: one slice and one gap table
 // whatever the core count.
 func TestNewBernoullisAllocateTogether(t *testing.T) {
-	allocs := testing.AllocsPerRun(10, func() { NewBernoullis(1024, Uniform, 0.01, 5, nil, 1, nil) })
+	allocs := testing.AllocsPerRun(10, func() { NewBernoullis(1024, Uniform, 0.01, 5, 1, nil) })
 	if allocs != 2 {
 		t.Fatalf("NewBernoullis(1024) allocates %v times, want 2", allocs)
 	}
@@ -277,10 +268,6 @@ func TestNewBernoulliRejectsProbabilityAboveOne(t *testing.T) {
 	}
 	mustPanic("rate > pktFlits", func() { NewBernoulli(0, 64, Uniform, 5.5, 5, 1, nil) })
 	mustPanic("negative rate", func() { NewBernoulli(0, 64, Uniform, -0.1, 5, 1, nil) })
-	mustPanic("SetSizes past 1", func() {
-		g := NewBernoulli(0, 64, Uniform, 3, 5, 1, nil)
-		g.SetSizes(SizeDist{ShortFlits: 1, LongFlits: 2, LongFrac: 0})
-	})
 	NewBernoulli(0, 64, Uniform, 5, 5, 1, nil) // probability exactly 1 is legal
 }
 

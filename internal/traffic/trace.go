@@ -2,6 +2,7 @@ package traffic
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"ownsim/internal/noc"
@@ -22,8 +23,6 @@ type TraceEntry struct {
 	Cycle uint64
 	// Src and Dst are core identifiers.
 	Src, Dst int
-	// Flits is the packet length (0 means the run default).
-	Flits int
 }
 
 // Trace is a time-ordered list of packets for a whole chip.
@@ -56,7 +55,7 @@ func (tr *Trace) Validate(cores int) error {
 }
 
 // PerSource splits the trace into per-core replay generators. pktFlits is
-// the default packet length; classify may be nil.
+// every packet's length; classify may be nil.
 func (tr *Trace) PerSource(cores, pktFlits int, classify Classifier) []*Replay {
 	tr.Sort()
 	gens := make([]*Replay, cores)
@@ -101,22 +100,27 @@ func (r *Replay) Generate(cycle uint64) *noc.Packet {
 	}
 	e := r.entries[r.next]
 	r.next++
-	flits := e.Flits
-	if flits <= 0 {
-		flits = r.pktFlits
-	}
-	return r.packet(cycle, e.Dst, flits)
+	return r.packet(cycle, e.Dst, r.pktFlits)
 }
 
 // Done reports whether the replay has emitted every entry.
 func (r *Replay) Done() bool { return r.next >= len(r.entries) }
 
+// MaxStencilPeriod is the longest StencilTrace period: its jitter bound
+// period/4 is at most math.MaxInt32, so a 32-bit int holds it and every
+// platform draws the same jitter.
+const MaxStencilPeriod uint64 = 4*math.MaxInt32 + 3
+
 // StencilTrace builds a 5-point stencil exchange over a sqrt(n) x sqrt(n)
 // core grid: for `iters` iterations spaced `period` cycles apart, every
 // core sends one packet to each of its four neighbours (with wraparound),
 // with per-core jitter in [0, period/4) to avoid pathological
-// synchronization (none, and no draw, when period/4 is 0).
+// synchronization (none, and no draw, when period/4 is 0). It panics if
+// period exceeds MaxStencilPeriod.
 func StencilTrace(cores, iters int, period uint64, seed uint64) *Trace {
+	if period > MaxStencilPeriod {
+		panic(fmt.Sprintf("traffic: stencil period %d exceeds MaxStencilPeriod %d", period, MaxStencilPeriod))
+	}
 	side := isqrt(cores)
 	rng := sim.NewRNG(seed)
 	tr := &Trace{}

@@ -1,6 +1,7 @@
 package traffic
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -60,6 +61,24 @@ func TestStencilTraceShortPeriodHasNoJitter(t *testing.T) {
 	}
 }
 
+// The jitter bound period/4 fits a 32-bit int up to MaxStencilPeriod;
+// one cycle more panics and names the bound instead of drawing from a
+// range that differs between platforms.
+func TestStencilTracePeriodBound(t *testing.T) {
+	tr := StencilTrace(16, 1, MaxStencilPeriod, 1)
+	for _, e := range tr.Entries {
+		if e.Cycle >= MaxStencilPeriod/4 {
+			t.Fatalf("entry at cycle %d, past the jitter bound %d", e.Cycle, MaxStencilPeriod/4)
+		}
+	}
+	defer func() {
+		if msg, _ := recover().(string); !strings.Contains(msg, "MaxStencilPeriod 8589934591") {
+			t.Fatalf("StencilTrace past the bound: recovered %q, want a panic naming MaxStencilPeriod", msg)
+		}
+	}()
+	StencilTrace(16, 1, MaxStencilPeriod+1, 1)
+}
+
 func TestAllReduceTraceRounds(t *testing.T) {
 	tr := AllReduceTrace(16, 0, 100)
 	// log2(16) = 4 rounds x 16 cores.
@@ -105,28 +124,27 @@ func TestReplayEmitsInOrder(t *testing.T) {
 	tr := &Trace{Entries: []TraceEntry{
 		{Cycle: 5, Src: 0, Dst: 1},
 		{Cycle: 5, Src: 0, Dst: 2}, // same cycle: emitted next cycle
-		{Cycle: 20, Src: 0, Dst: 3, Flits: 9},
+		{Cycle: 20, Src: 0, Dst: 3},
 	}}
 	gens := tr.PerSource(4, 5, nil)
 	g := gens[0]
 	g.MeasureTo = 1000
-	var got []*TraceEntry
+	var got []emitted
 	for c := uint64(0); c < 40; c++ {
 		if p := g.Generate(c); p != nil {
-			got = append(got, &TraceEntry{Cycle: c, Src: p.Src, Dst: p.Dst, Flits: p.NumFlits})
+			got = append(got, emitted{cycle: c, dst: p.Dst, numFlits: p.NumFlits})
 		}
 	}
 	if len(got) != 3 {
 		t.Fatalf("emitted %d packets, want 3", len(got))
 	}
-	if got[0].Cycle != 5 || got[1].Cycle != 6 {
-		t.Fatalf("same-cycle entries must serialize: %d, %d", got[0].Cycle, got[1].Cycle)
+	if got[0].cycle != 5 || got[1].cycle != 6 {
+		t.Fatalf("same-cycle entries must serialize: %d, %d", got[0].cycle, got[1].cycle)
 	}
-	if got[2].Flits != 9 {
-		t.Fatalf("explicit flit count ignored: %d", got[2].Flits)
-	}
-	if got[1].Flits != 5 {
-		t.Fatalf("default flit count = %d, want 5", got[1].Flits)
+	for _, e := range got {
+		if e.numFlits != 5 {
+			t.Fatalf("packet to %d has %d flits, want the run's 5", e.dst, e.numFlits)
+		}
 	}
 	if !g.Done() {
 		t.Fatal("replay should be done")

@@ -240,49 +240,3 @@ func TestIsqrtPanicsOnNonSquare(t *testing.T) {
 	}()
 	isqrt(17)
 }
-
-func TestSizeDistMean(t *testing.T) {
-	d := RequestReply()
-	want := 1.0*(2.0/3) + 5.0*(1.0/3)
-	if math.Abs(d.Mean()-want) > 1e-12 {
-		t.Fatalf("Mean = %v, want %v", d.Mean(), want)
-	}
-}
-
-func TestBernoulliBimodalPreservesLoad(t *testing.T) {
-	const rate, cycles = 0.2, 400000
-	g := NewBernoulli(3, 64, Uniform, rate, 5, 42, nil)
-	g.SetSizes(RequestReply())
-	genFlits, short, long := 0, 0, 0
-	for c := uint64(0); c < cycles; c++ {
-		if p := g.Generate(c); p != nil {
-			genFlits += p.NumFlits
-			switch p.NumFlits {
-			case 1:
-				short++
-			case 5:
-				long++
-			default:
-				t.Fatalf("unexpected packet size %d", p.NumFlits)
-			}
-		}
-	}
-	got := float64(genFlits) / cycles
-	if math.Abs(got-rate) > 0.01 {
-		t.Fatalf("offered load %v flits/cycle with bimodal sizes, want %v", got, rate)
-	}
-	frac := float64(long) / float64(short+long)
-	if math.Abs(frac-1.0/3) > 0.02 {
-		t.Fatalf("long fraction %v, want ~1/3", frac)
-	}
-}
-
-func TestSetSizesValidation(t *testing.T) {
-	g := NewBernoulli(0, 64, Uniform, 0.1, 5, 1, nil)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	g.SetSizes(SizeDist{ShortFlits: 0, LongFlits: 5, LongFrac: 0.5})
-}

@@ -7,8 +7,8 @@ import (
 
 // Table-driven boundary tests for the Table-III/IV band-plan model:
 // per-band efficiency at the ramp endpoints (band 0 and band 15), the
-// LD scaling factors and their distance interpolation anchors, and all
-// four Table-IV transceiver-technology configurations.
+// LD scaling factors and the distances they belong to, and all four
+// Table-IV transceiver-technology configurations.
 
 const bandEPBTol = 1e-12
 
@@ -25,13 +25,10 @@ func TestBandEfficiencyRampEndpoints(t *testing.T) {
 		band15 float64 // pJ/bit at ramp index 15
 	}{
 		{CMOS, Ideal, 0.1, 0.1 + 15*0.05},
-		{CMOS, Nominal, 0.1, 0.1 + 15*0.05},
 		{CMOS, Conservative, 0.1, 0.1 + 15*0.05},
 		{BiCMOS, Ideal, 0.3, 0.3 + 15*0.07},
-		{BiCMOS, Nominal, 0.3, 0.3 + 15*0.065},
 		{BiCMOS, Conservative, 0.3, 0.3 + 15*0.06},
 		{SiGeHBT, Ideal, 0.5, 0.5 + 15*0.10},
-		{SiGeHBT, Nominal, 0.5, 0.5 + 15*0.085},
 		{SiGeHBT, Conservative, 0.5, 0.5 + 15*0.07},
 	}
 	for _, c := range cases {
@@ -63,8 +60,6 @@ func TestBandPlanFrequencyBoundaries(t *testing.T) {
 	}{
 		// Ideal: step 40 GHz. 90+4*40=250 first >=230; 90+6*40=330 first >=310.
 		{Ideal, 90 + 15*40, 4, 6},
-		// Nominal: step 30 GHz. 90+5*30=240; 90+8*30=330.
-		{Nominal, 90 + 15*30, 5, 8},
 		// Conservative: step 20 GHz. 90+7*20=230 (boundary is inclusive);
 		// 90+11*20=310 (likewise).
 		{Conservative, 90 + 15*20, 7, 11},
@@ -113,35 +108,6 @@ func TestLDScalingFactorTable(t *testing.T) {
 		}
 		if got := c.class.NominalMM(); got != c.mm {
 			t.Errorf("%v: NominalMM = %v, want %v", c.class, got, c.mm)
-		}
-		// Each class's nominal distance must interpolate back to exactly
-		// its own factor (the anchors of LDFactorForDistance).
-		if got := LDFactorForDistance(c.mm); got != c.factor {
-			t.Errorf("LDFactorForDistance(%v mm) = %v, want %v (anchor for %v)", c.mm, got, c.factor, c.class)
-		}
-	}
-}
-
-// TestLDFactorDistanceBoundaries sweeps the piecewise-linear
-// interpolation through its clamps, anchors, and segment midpoints.
-func TestLDFactorDistanceBoundaries(t *testing.T) {
-	cases := []struct {
-		mm   float64
-		want float64
-	}{
-		{0, 0.15}, // clamp below the SR anchor
-		{9.99, 0.15},
-		{10, 0.15},             // SR anchor
-		{20, (0.15 + 0.5) / 2}, // midpoint of the SR..E2E segment
-		{30, 0.5},              // E2E anchor
-		{45, (0.5 + 1.0) / 2},  // midpoint of the E2E..C2C segment
-		{60, 1.0},              // C2C anchor
-		{61, 1.0},              // clamp above the C2C anchor
-		{1000, 1.0},
-	}
-	for _, c := range cases {
-		if got := LDFactorForDistance(c.mm); math.Abs(got-c.want) > bandEPBTol {
-			t.Errorf("LDFactorForDistance(%v mm) = %v, want %v", c.mm, got, c.want)
 		}
 	}
 }

@@ -72,25 +72,6 @@ func (d DistClass) LDFactor() float64 {
 	panic("wireless: bad DistClass")
 }
 
-// LDFactorForDistance interpolates the LD factor for an arbitrary link
-// length from the three Table III anchors; wireless-CMESH grid links use
-// it for their 12.5 mm hops.
-func LDFactorForDistance(mm float64) float64 {
-	type anchor struct{ mm, ld float64 }
-	anchors := []anchor{{10, 0.15}, {30, 0.5}, {60, 1.0}}
-	if mm <= anchors[0].mm {
-		return anchors[0].ld
-	}
-	for i := 1; i < len(anchors); i++ {
-		if mm <= anchors[i].mm {
-			a, b := anchors[i-1], anchors[i]
-			t := (mm - a.mm) / (b.mm - a.mm)
-			return a.ld + t*(b.ld-a.ld)
-		}
-	}
-	return anchors[len(anchors)-1].ld
-}
-
 // Tech is a transceiver device technology.
 type Tech int
 
@@ -142,15 +123,6 @@ func (t Tech) RampPJPerBit(s Scenario) float64 {
 		case SiGeHBT:
 			return 0.10
 		}
-	case Nominal:
-		switch t {
-		case CMOS:
-			return 0.05
-		case BiCMOS:
-			return 0.065
-		case SiGeHBT:
-			return 0.085
-		}
 	case Conservative:
 		switch t {
 		case CMOS:
@@ -173,11 +145,6 @@ const (
 	// Conservative assumes 16 GHz channels with 4 GHz isolation,
 	// minimizing SiGe HBT usage.
 	Conservative
-	// Nominal sits between the two extremes (24 GHz channels, 6 GHz
-	// isolation, intermediate loss ramps) — the "additional scenario"
-	// the paper's Section V-B suggests "may correspond to actual
-	// process conditions in reality".
-	Nominal
 )
 
 // String implements fmt.Stringer.
@@ -187,8 +154,6 @@ func (s Scenario) String() string {
 		return "ideal"
 	case Conservative:
 		return "conservative"
-	case Nominal:
-		return "nominal"
 	}
 	return fmt.Sprintf("Scenario(%d)", int(s))
 }
@@ -198,8 +163,6 @@ func (s Scenario) BWGHz() float64 {
 	switch s {
 	case Ideal:
 		return 32
-	case Nominal:
-		return 24
 	default:
 		return 16
 	}
@@ -214,8 +177,6 @@ func (s Scenario) IsolationGHz() float64 {
 	switch s {
 	case Ideal:
 		return 8
-	case Nominal:
-		return 6
 	default:
 		return 4
 	}
@@ -241,16 +202,19 @@ type Band struct {
 }
 
 // EPBpJ returns the band's transceiver energy per bit (before LD
-// scaling).
+// scaling). The explicit float64 rounds the product before the add, so
+// no platform fuses the two into one multiply-add and every host prices
+// a band alike.
 func (b Band) EPBpJ(s Scenario) float64 {
-	return b.Tech.BasePJPerBit() + b.Tech.RampPJPerBit(s)*float64(b.Index)
+	return b.Tech.BasePJPerBit() + float64(b.Tech.RampPJPerBit(s)*float64(b.Index))
 }
 
 // techFor maps a center frequency to the required technology: CMOS below
-// 230 GHz, SiGe-only circuitry above the paper's ~300 GHz limit (here
-// 310 GHz so every scenario keeps at least two BiCMOS bands for SDM
-// pairing), BiCMOS between. The ideal plan still lands on exactly four
-// CMOS channels, the anchor of the paper's SDM discussion.
+// 230 GHz, SiGe-only circuitry from 310 GHz (the paper's ~300 GHz limit:
+// neither plan has a band in [300, 310) GHz, so the two readings agree),
+// BiCMOS between. Both scenarios keep at least two BiCMOS bands for SDM
+// pairing (ideal two, conservative four), and the ideal plan lands on
+// exactly four CMOS channels, the anchor of the paper's SDM discussion.
 func techFor(freqGHz float64) Tech {
 	switch {
 	case freqGHz < 230:
