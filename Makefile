@@ -102,7 +102,8 @@ bench:
 # and so does a fall of more than 2 % ("baseline stale: refresh
 # BENCH_BASELINE.txt"), so a saving is recorded before the gate goes
 # slack. ns/op differences are reported but never fail: they vary with
-# hardware. allocs/op is deterministic for these fixed-seed benchmarks.
+# hardware. allocs/op is nearly deterministic for these fixed-seed
+# benchmarks: two runs of one tree can differ by one allocation per op.
 bench-compare:
 	@$(MAKE) --no-print-directory bench BENCHOUT=bench-new.txt
 	$(GO) run ./cmd/benchcmp -baseline BENCH_BASELINE.txt bench-new.txt

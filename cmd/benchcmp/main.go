@@ -1,12 +1,13 @@
 // Command benchcmp compares a `go test -bench -benchmem` output file
 // against the checked-in baseline (BENCH_BASELINE.txt) and fails when a
 // benchmark's allocs/op regresses, or falls so far below its baseline that
-// the baseline no longer gates anything. allocs/op is deterministic for
-// these benchmarks — the simulation is fixed-seed and runs on one
-// goroutine — so it is gated strictly. ns/op and B/op vary with hardware
-// and Go version, so by default they are reported but never gate;
-// -max-ns-ratio opts into a loose wall-time gate for CI environments whose
-// hardware is stable enough to bound it.
+// the baseline no longer gates anything. allocs/op is nearly
+// deterministic for these benchmarks — the simulation is fixed-seed and
+// runs on one goroutine, yet two runs of one tree can differ by one
+// allocation per op — so it is gated strictly. ns/op and B/op vary with
+// hardware and Go version, so by default they are reported but never
+// gate; -max-ns-ratio opts into a loose wall-time gate for CI
+// environments whose hardware is stable enough to bound it.
 //
 // Usage:
 //

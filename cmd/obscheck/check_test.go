@@ -3,19 +3,16 @@
 // invariant, and the checkers here state each one. A CSV is a
 // rectangular table with at least one data row, and the energy,
 // latency-breakdown and Jain CSVs — recognized by their headers — add
-// their sum or bound; NDJSON is one object per line; an SVG is
-// well-formed XML under an svg root; JSON parses, the state dump
-// decodes into flightrec.Snapshot with its cycle and reason, and a
-// manifest's run summary orders its latencies (p50 <= p95 <= p99 <=
-// max); a Prometheus exposition is HELP/TYPE comments and `name value`
-// samples.
+// their sum or bound; an SVG is well-formed XML under an svg root; JSON
+// parses, the state dump decodes into flightrec.Snapshot with its cycle
+// and reason, and a manifest's run summary orders its latencies (p50 <=
+// p95 <= p99 <= max).
 // TestRecordInvariants applies them to a real record,
 // TestRecordCorruptionsFail proves each one bites on real emitter bytes,
 // and the TestCheck* tests pin each checker on its own.
 package obscheck
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/csv"
 	"encoding/json"
@@ -25,10 +22,8 @@ import (
 	"io"
 	"math"
 	"path/filepath"
-	"regexp"
 	"slices"
 	"strconv"
-	"strings"
 
 	"ownsim/internal/flightrec"
 	"ownsim/internal/obs"
@@ -46,8 +41,6 @@ func checkFile(name string, b []byte) error {
 	switch filepath.Ext(name) {
 	case ".csv":
 		_, err = checkCSV(b)
-	case ".ndjson":
-		_, err = checkNDJSON(b)
 	case ".svg":
 		_, err = checkSVG(b)
 	case ".json":
@@ -161,25 +154,6 @@ func checkJainCSV(recs [][]string) error {
 	return nil
 }
 
-// checkNDJSON validates one-JSON-object-per-line framing and returns the
-// number of records.
-func checkNDJSON(b []byte) (int, error) {
-	sc := bufio.NewScanner(bytes.NewReader(b))
-	sc.Buffer(nil, 1<<24)
-	n := 0
-	for sc.Scan() {
-		var v map[string]any
-		if err := json.Unmarshal(sc.Bytes(), &v); err != nil {
-			return n, fmt.Errorf("line %d: invalid JSON object: %v", n+1, err)
-		}
-		n++
-	}
-	if n == 0 {
-		return 0, errors.New("no NDJSON records")
-	}
-	return n, sc.Err()
-}
-
 // checkDump validates a state dump: one JSON document that decodes into
 // flightrec.Snapshot with no member the struct does not name, and that
 // carries its cycle and a non-empty reason.
@@ -240,39 +214,4 @@ func checkSVG(b []byte) (int, error) {
 		return n, fmt.Errorf("root element is %q, want svg", root)
 	}
 	return n, nil
-}
-
-// promLine is one line of the text exposition as the server renders it:
-// a HELP/TYPE comment or a `name value` sample, names in the Prometheus
-// alphabet.
-var promLine = regexp.MustCompile(`^(# (HELP|TYPE) [a-zA-Z_:][a-zA-Z0-9_:]* .+|[a-zA-Z_:][a-zA-Z0-9_:]* (\S+))$`)
-
-// checkProm validates Prometheus text exposition, requires each of the
-// named series to be present with a positive value, and returns the
-// number of samples.
-func checkProm(b []byte, require ...string) (int, error) {
-	samples := map[string]float64{}
-	for i, line := range strings.Split(strings.TrimSuffix(string(b), "\n"), "\n") {
-		m := promLine.FindStringSubmatch(line)
-		if m == nil {
-			return 0, fmt.Errorf("line %d: malformed %q", i+1, line)
-		}
-		if m[3] == "" {
-			continue
-		}
-		v, err := strconv.ParseFloat(m[3], 64)
-		if err != nil {
-			return 0, fmt.Errorf("line %d: bad sample value %q", i+1, m[3])
-		}
-		samples[strings.Fields(line)[0]] = v
-	}
-	if len(samples) == 0 {
-		return 0, errors.New("no samples")
-	}
-	for _, name := range require {
-		if v, ok := samples[name]; !ok || v <= 0 {
-			return 0, fmt.Errorf("series %q absent or not positive", name)
-		}
-	}
-	return len(samples), nil
 }

@@ -5,9 +5,7 @@ import (
 	"strings"
 	"testing"
 
-	"ownsim/internal/obs"
 	"ownsim/internal/power"
-	"ownsim/internal/probe"
 )
 
 // energyCSV renders a real meter's energy CSV.
@@ -79,65 +77,5 @@ func TestCheckSVG(t *testing.T) {
 	}
 	if _, err := checkSVG([]byte(`<html></html>`)); err == nil || !strings.Contains(err.Error(), "root") {
 		t.Fatalf("wrong root accepted (err = %v)", err)
-	}
-}
-
-// TestCheckProm checks a hand-written exposition, then seeds malformed
-// lines into the bytes the live server renders.
-func TestCheckProm(t *testing.T) {
-	good := []byte("# HELP ownsim_cycle Current cycle.\n# TYPE ownsim_cycle gauge\nownsim_cycle 512\nownsim_running 1\n")
-	n, err := checkProm(good)
-	if err != nil || n != 2 {
-		t.Fatalf("good exposition: n=%d err=%v", n, err)
-	}
-
-	p := probe.New(probe.Options{MetricsEvery: 16})
-	p.Registry().CounterFunc("net.sa_grants", func() uint64 { return 42 })
-	p.Registry().Gauge("net.buffered_flits", func() float64 { return 3 })
-	s := obs.New()
-	s.Attach(p)
-	s.Publish(512, []float64{42, 3})
-	rendered := s.PrometheusText()
-	if _, err := checkProm([]byte(rendered), "ownsim_net_sa_grants", "ownsim_cycle"); err != nil {
-		t.Fatalf("real exposition rejected: %v\n%s", err, rendered)
-	}
-	for name, bad := range map[string]string{
-		"bad comment":      rendered + "# NOPE ownsim_cycle x\n",
-		"bad name":         rendered + "9cycle 1\n",
-		"bad value":        rendered + "ownsim_cycle twelve\n",
-		"missing value":    rendered + "ownsim_cycle\n",
-		"no samples":       "# HELP ownsim_cycle c.\n",
-		"required is zero": strings.Replace(rendered, "ownsim_net_sa_grants 42", "ownsim_net_sa_grants 0", 1),
-	} {
-		if bad == rendered {
-			t.Fatalf("%s: the corruption changed nothing", name)
-		}
-		if _, err := checkProm([]byte(bad), "ownsim_net_sa_grants"); err == nil {
-			t.Errorf("%s accepted:\n%s", name, bad)
-		}
-	}
-}
-
-// TestValidPromName pins the metric-name alphabet checkProm accepts.
-func TestValidPromName(t *testing.T) {
-	for _, ok := range []string{"ownsim_cycle", "a:b_c9", "_x"} {
-		if _, err := checkProm([]byte(ok + " 1\n")); err != nil {
-			t.Fatalf("%q rejected: %v", ok, err)
-		}
-	}
-	for _, bad := range []string{"", "9x", "a-b", "a.b", "a b"} {
-		if _, err := checkProm([]byte(bad + " 1\n")); err == nil {
-			t.Fatalf("%q accepted", bad)
-		}
-	}
-}
-
-func TestCheckNDJSON(t *testing.T) {
-	n, err := checkNDJSON([]byte("{\"cycle\":1}\n{\"cycle\":2}\n"))
-	if err != nil || n != 2 {
-		t.Fatalf("good NDJSON: n=%d err=%v", n, err)
-	}
-	if _, err := checkNDJSON([]byte("not json\n")); err == nil {
-		t.Fatal("invalid NDJSON accepted")
 	}
 }

@@ -1,14 +1,10 @@
 package obscheck
 
 import (
-	"bytes"
 	"flag"
-	"fmt"
 	"io"
-	"net/http"
 	"os"
 	"path/filepath"
-	"reflect"
 	"regexp"
 	"strings"
 	"testing"
@@ -72,7 +68,6 @@ func record(t *testing.T) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
 	sum := n.Run(ts, rs).Summary
 	man.Summary = &sum
 	s.Finish()
@@ -171,107 +166,6 @@ func TestRecordCorruptionsFail(t *testing.T) {
 		}
 		if err := checkFile(tc.file, []byte(bad)); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: checkFile(%s) = %v, want an error containing %q", tc.name, tc.file, err, tc.want)
-		}
-	}
-}
-
-// TestLiveRecordedRun is the live run of a record: -out with -listen. At
-// the first sample the sampler hook scrapes /metrics, which
-// serves the snapshot just published and must carry the engine and pool
-// series, and requests /debug/dump, which the watchdog renders on the
-// simulation goroutine; a pprof endpoint, which -listen alone mounts, is
-// read after the run. The record itself equals the record of the same run
-// without a server.
-func TestLiveRecordedRun(t *testing.T) {
-	dir := t.TempDir()
-	f := parseFlags(t, "-out", dir, "-listen", "127.0.0.1:0")
-	man, err := f.OpenRecord("obs-test", 256, 1, map[string]string{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, n, ts, rs := golden()
-	var base string
-	s, err := obs.Start(n, f, func(format string, args ...any) {
-		if _, err := fmt.Sscanf(fmt.Sprintf(format, args...), "live telemetry on http://%s", &base); err != nil {
-			t.Errorf("unexpected session diagnostic: "+format, args...)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	base = "http://" + strings.TrimSuffix(base, "/metrics")
-
-	type reply struct {
-		body []byte
-		err  error
-	}
-	get := func(url string) reply {
-		resp, err := http.Get(url)
-		if err != nil {
-			return reply{err: err}
-		}
-		defer resp.Body.Close()
-		body, err := io.ReadAll(resp.Body)
-		if err == nil && resp.StatusCode != http.StatusOK {
-			err = fmt.Errorf("GET %s: %s", url, resp.Status)
-		}
-		return reply{body, err}
-	}
-	var scrape reply
-	var sampled uint64
-	dump := make(chan reply, 1)
-	smp := n.Probe.Sampler()
-	publish := smp.OnSample
-	smp.OnSample = func(cycle uint64, values []float64) {
-		publish(cycle, values)
-		if sampled != 0 || cycle == 0 {
-			return
-		}
-		sampled = cycle
-		// /metrics reads only the published snapshot, so the simulation
-		// goroutine may wait for it; /debug/dump needs that goroutine to
-		// tick, so it is requested from another one.
-		scrape = get(base + "/metrics")
-		go func() { dump <- get(base + "/debug/dump") }()
-	}
-	sum := n.Run(ts, rs).Summary
-	man.Summary = &sum
-	s.Finish()
-
-	if scrape.err != nil {
-		t.Fatal(scrape.err)
-	}
-	if _, err := checkProm(scrape.body, "ownsim_engine_compute_ticks", "ownsim_pool_gets"); err != nil {
-		t.Errorf("/metrics at cycle %d: %v", sampled, err)
-	}
-	if !strings.Contains(string(scrape.body), fmt.Sprintf("ownsim_cycle %d\n", sampled)) {
-		t.Errorf("/metrics does not serve the sample of cycle %d", sampled)
-	}
-	d := <-dump
-	if d.err != nil {
-		t.Fatal(d.err)
-	}
-	if err := checkDump(d.body); err != nil || !bytes.HasPrefix(d.body, []byte(`{"reason":"request",`)) {
-		t.Errorf("/debug/dump requested at cycle %d: %v\n%.200s", sampled, err, d.body)
-	}
-	if prof := get(base + "/debug/pprof/heap"); prof.err != nil || len(prof.body) == 0 {
-		t.Errorf("/debug/pprof/heap: %d bytes, %v", len(prof.body), prof.err)
-	}
-
-	if err := s.Emit(man, io.Discard); err != nil {
-		t.Fatal(err)
-	}
-	quiet := record(t)
-	names := dirFiles(t, quiet)
-	if got := dirFiles(t, dir); !reflect.DeepEqual(got, names) {
-		t.Errorf("the live record holds %v, the quiet one %v", got, names)
-	}
-	for _, name := range names {
-		a, errA := os.ReadFile(filepath.Join(dir, name))
-		b, errB := os.ReadFile(filepath.Join(quiet, name))
-		if errA != nil || errB != nil || !bytes.Equal(a, b) {
-			t.Errorf("%s differs with the live plane on (%v, %v)", name, errA, errB)
 		}
 	}
 }

@@ -126,7 +126,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		lg.Print(err)
 		return 1
 	}
-	defer s.Close()
 	res := n.Run(
 		fabric.TrafficSpec{Pattern: pat, Rate: *load, Seed: rf.Seed, Policy: sys.Policy, Classify: sys.Classify},
 		fabric.RunSpec{Warmup: rf.Warmup, Measure: rf.Measure},

@@ -104,21 +104,24 @@ func TestBadInputExitStatus(t *testing.T) {
 			t.Errorf("ownsim %v: exit %d, stdout %q, stderr %q; want exit %d and one line", tc.args, code, &stdout, &stderr, tc.code)
 		}
 	}
-	// A flag that no longer exists is a usage error too.
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-sample", "0"}, &stdout, &stderr); code != 2 || stdout.Len() != 0 {
-		t.Errorf("ownsim -sample 0: exit %d, stdout %q; want exit 2", code, &stdout)
+	// A flag that no longer exists is a usage error too: exit 2, with the
+	// flag list on stderr.
+	for _, args := range [][]string{{"-sample", "0"}, {"-listen", "127.0.0.1:0"}} {
+		var stdout, stderr bytes.Buffer
+		if code := run(args, &stdout, &stderr); code != 2 || stdout.Len() != 0 || !strings.Contains(stderr.String(), "flag provided but not defined: "+args[0]) || !strings.Contains(stderr.String(), "\n  -out ") {
+			t.Errorf("ownsim %v: exit %d, stdout %q, stderr %q; want exit 2 and the flag list", args, code, &stdout, &stderr)
+		}
 	}
 }
 
-// TestHelpListsFlags pins the surface: -h lists 16 flags and exits 0.
+// TestHelpListsFlags pins the surface: -h lists 15 flags and exits 0.
 func TestHelpListsFlags(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	if code := run([]string{"-h"}, &stdout, &stderr); code != 0 {
 		t.Fatalf("ownsim -h: exit %d", code)
 	}
-	if flags := regexp.MustCompile(`(?m)^  -\w`).FindAllString(stderr.String(), -1); len(flags) != 16 {
-		t.Errorf("ownsim -h lists %d flags, want 16:\n%s", len(flags), &stderr)
+	if flags := regexp.MustCompile(`(?m)^  -\w`).FindAllString(stderr.String(), -1); len(flags) != 15 {
+		t.Errorf("ownsim -h lists %d flags, want 15:\n%s", len(flags), &stderr)
 	}
 }
 

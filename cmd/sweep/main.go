@@ -4,20 +4,19 @@
 // per finished point goes to stderr.
 //
 // The observation flags are cmd/ownsim's (internal/obs.Flags). With a
-// single -topo, -out, -listen and -telemetry re-run the highest load point
-// as an observed run — exactly `ownsim -load <that load> -seed <its
-// seed>` — and -out DIR holds its record (the same files ownsim writes)
-// next to the sweep's manifest.json, which records the configuration,
-// every point and the artifact digests. With -topo all, -out writes the
+// single -topo, -out and -telemetry re-run the highest load point as an
+// observed run — exactly `ownsim -load <that load> -seed <its seed>` —
+// and -out DIR holds its record (the same files ownsim writes) next to
+// the sweep's manifest.json, which records the configuration, every
+// point and the artifact digests. With -topo all, -out writes the
 // manifest alone. -check runs every sweep point under the conformance
 // checker. Artifacts are deterministic: same flags and seed give
-// byte-identical files regardless of GOMAXPROCS, with or without -listen.
+// byte-identical files regardless of GOMAXPROCS.
 //
 // Examples:
 //
 //	sweep -topo all -cores 256 -pattern uniform -points 10
 //	sweep -topo own -points 8 -telemetry 5 -out hot
-//	sweep -topo own -points 6 -listen :9090 -out hot
 package main
 
 import (
@@ -76,8 +75,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return usage(err)
 	}
-	if rf.Topo == "all" && (of.Listen != "" || of.Telemetry > 0) {
-		return usage(errors.New("-listen and -telemetry need a single -topo"))
+	if rf.Topo == "all" && of.Telemetry > 0 {
+		return usage(errors.New("-telemetry needs a single -topo"))
 	}
 	b := core.Budget{Warmup: rf.Warmup, Measure: rf.Measure, Loads: *points, Seed: rf.Seed}
 	man, err := of.OpenRecord("sweep", rf.Cores, rf.Seed, map[string]string{
@@ -150,7 +149,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// Observed re-run of the highest-load point: every observer is inert,
 	// so its summary matches the sweep's last point exactly. -check already
 	// covered the sweep points, so the re-run carries no checker.
-	if rf.Topo != "all" && (of.Out != "" || of.Listen != "" || of.Telemetry > 0) {
+	if rf.Topo != "all" && (of.Out != "" || of.Telemetry > 0) {
 		sys := core.NewSystem(rf.Topo, rf.Cores, wireless.Config4, wireless.Ideal)
 		n := sys.Build(power.NewMeter(nil))
 		rerun := of
@@ -160,7 +159,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			lg.Print(err)
 			return 1
 		}
-		defer s.Close()
 		last := len(loads) - 1
 		res := n.Run(
 			fabric.TrafficSpec{Pattern: pat, Rate: loads[last], Seed: b.Seed + uint64(last), Policy: sys.Policy, Classify: sys.Classify},

@@ -117,7 +117,6 @@ func TestBadInputExitStatus(t *testing.T) {
 		{[]string{"-points", "1"}, 2},
 		{[]string{"-cores", "300"}, 2},
 		{[]string{"-warmup", "18446744073709551615", "-measure", "1"}, 2},
-		{[]string{"-listen", "127.0.0.1:0"}, 2},
 		{[]string{"-telemetry", "3"}, 2},
 		{append(recordArgs, "-out", filepath.Join(notDir, "record")), 1},
 	} {
@@ -127,15 +126,21 @@ func TestBadInputExitStatus(t *testing.T) {
 			t.Errorf("sweep %v: exit %d, stdout %q, stderr %q; want exit %d and one line", tc.args, code, &stdout, &stderr, tc.code)
 		}
 	}
+	// A flag that no longer exists is a usage error: exit 2, with the
+	// flag list on stderr.
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-listen", "127.0.0.1:0"}, &stdout, &stderr); code != 2 || stdout.Len() != 0 || !strings.Contains(stderr.String(), "flag provided but not defined: -listen") || !strings.Contains(stderr.String(), "\n  -out ") {
+		t.Errorf("sweep -listen 127.0.0.1:0: exit %d, stdout %q, stderr %q; want exit 2 and the flag list", code, &stdout, &stderr)
+	}
 }
 
-// TestHelpListsFlags pins the surface: -h lists 12 flags and exits 0.
+// TestHelpListsFlags pins the surface: -h lists 11 flags and exits 0.
 func TestHelpListsFlags(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	if code := run([]string{"-h"}, &stdout, &stderr); code != 0 {
 		t.Fatalf("sweep -h: exit %d", code)
 	}
-	if flags := regexp.MustCompile(`(?m)^  -\w`).FindAllString(stderr.String(), -1); len(flags) != 12 {
-		t.Errorf("sweep -h lists %d flags, want 12:\n%s", len(flags), &stderr)
+	if flags := regexp.MustCompile(`(?m)^  -\w`).FindAllString(stderr.String(), -1); len(flags) != 11 {
+		t.Errorf("sweep -h lists %d flags, want 11:\n%s", len(flags), &stderr)
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"ownsim/internal/obs"
 	"ownsim/internal/power"
 	"ownsim/internal/probe"
+	"ownsim/internal/sim"
 	"ownsim/internal/traffic"
 	"ownsim/internal/wireless"
 )
@@ -35,7 +36,6 @@ func flightRun(t *testing.T, cores int, rate float64, watchdog uint64) (fabric.R
 		fabric.TrafficSpec{Pattern: traffic.Uniform, Rate: rate, Seed: 77, Policy: sys.Policy, Classify: sys.Classify},
 		fabric.RunSpec{Warmup: 500, Measure: 2500},
 	)
-	fr.Dog.Finish()
 	return res, n, fr
 }
 
@@ -214,9 +214,16 @@ func TestFairnessArtifactsRequireRecorder(t *testing.T) {
 	}
 }
 
+// tickFunc adapts a function to sim.Ticker.
+type tickFunc func(cycle uint64)
+
+func (f tickFunc) Tick(cycle uint64) { f(cycle) }
+
 // TestNetGaugesReadProgress pins the one liveness sum: at every sample of
 // an observed OWN-256 run, the six leading net.* columns read the fields
-// of Network.Progress as of that moment.
+// of Network.Progress as of that moment. A Collect-phase ticker
+// registered after the probe's sampler checks each row right after the
+// sampler takes it; the final flushed row is checked after the run.
 func TestNetGaugesReadProgress(t *testing.T) {
 	sys := NewSystem("own", 256, wireless.Config4, wireless.Ideal)
 	n := sys.Build(power.NewMeter(nil))
@@ -227,22 +234,30 @@ func TestNetGaugesReadProgress(t *testing.T) {
 	if got := p.Registry().Names()[:len(want)]; !slices.Equal(got, want) {
 		t.Fatalf("leading columns %v, want %v", got, want)
 	}
+	smp := p.Sampler()
 	samples, buffered := 0, 0
-	p.Sampler().OnSample = func(cycle uint64, values []float64) {
-		pr := n.Progress()
-		fields := []int{pr.BufferedFlits, int(pr.Generated), int(pr.Injected), int(pr.Dropped), pr.SrcQueued, int(pr.Ejected)}
-		for i, f := range fields {
-			if values[i] != float64(f) {
-				t.Errorf("cycle %d: %s = %v, Progress reads %d", cycle, want[i], values[i], f)
+	checkNewRows := func(now uint64) {
+		for ; samples < smp.Rows(); samples++ {
+			cycle, values := smp.Row(samples)
+			if cycle != now {
+				t.Fatalf("sample of cycle %d read at cycle %d", cycle, now)
 			}
+			pr := n.Progress()
+			fields := []int{pr.BufferedFlits, int(pr.Generated), int(pr.Injected), int(pr.Dropped), pr.SrcQueued, int(pr.Ejected)}
+			for i, f := range fields {
+				if values[i] != float64(f) {
+					t.Errorf("cycle %d: %s = %v, Progress reads %d", cycle, want[i], values[i], f)
+				}
+			}
+			buffered += pr.BufferedFlits
 		}
-		samples++
-		buffered += pr.BufferedFlits
 	}
+	n.Eng.Register(sim.PhaseCollect, tickFunc(checkNewRows))
 	n.Run(
 		fabric.TrafficSpec{Pattern: traffic.Uniform, Rate: 0.006, Seed: 5, Policy: sys.Policy, Classify: sys.Classify},
 		fabric.RunSpec{Warmup: 500, Measure: 2500},
 	)
+	checkNewRows(n.Eng.Cycle())
 	if samples < 10 || buffered == 0 {
 		t.Fatalf("%d samples, %d flits buffered over them: the fixture exercises nothing", samples, buffered)
 	}

@@ -36,8 +36,8 @@ func (n *Network) InstallFlightRecorder(fr *flightrec.FlightRecorder) {
 	dog.SnapshotFn = n.Snapshot
 	dog.Progress = n.Progress
 	// Registered before the probe's sampler (InstallProbe runs later),
-	// so dump requests served at a watchdog tick see the recorder ring
-	// as of the previous completed sampler window.
+	// so a trip dump taken at a watchdog tick sees the recorder ring as
+	// of the previous completed sampler window.
 	n.Eng.Register(sim.PhaseCollect, dog)
 }
 
@@ -105,10 +105,9 @@ func (n *Network) Progress() flightrec.Progress {
 	return p
 }
 
-// Snapshot assembles the full diagnostic state dump the watchdog and
-// the /debug/dump endpoint serve. It must run on the simulation
-// goroutine (the watchdog's Tick serves cross-goroutine requests); it
-// reads but never mutates simulation state.
+// Snapshot assembles the full diagnostic state dump of a watchdog trip,
+// a checker violation and the record's dump.json. It must run on the
+// simulation goroutine; it reads but never mutates simulation state.
 func (n *Network) Snapshot(reason string) *flightrec.Snapshot {
 	cycle := n.Eng.Cycle()
 	snap := &flightrec.Snapshot{

@@ -8,16 +8,15 @@
 // (recording never feeds back into the simulation, so results are
 // bit-identical with the recorder on or off), deterministic (channel and
 // writer state lives in index-ordered slices, never maps; dump bytes
-// depend only on simulated state), and nil-safe (a nil watchdog method
-// receiver records nothing). fabric.Network wires a FlightRecorder into
-// a built topology via InstallFlightRecorder; the CLIs get one through
-// obs.Start, which knows the install order.
+// depend only on simulated state), and single-goroutine (everything runs
+// on the simulation goroutine; the package takes no lock).
+// fabric.Network wires a FlightRecorder into a built topology via
+// InstallFlightRecorder; the CLIs get one through obs.Start, which knows
+// the install order.
 //
 // The watchdog is a sim.Ticker whose checks run on simulated-cycle
 // boundaries, so headless runs need no goroutine. A hung process is
-// diagnosed from outside it: SIGQUIT prints every goroutine's stack, and
-// the -listen server serves the cycle on /healthz and the stacks on
-// /debug/pprof/goroutine?debug=2 while the run goes on.
+// diagnosed from outside it: SIGQUIT prints every goroutine's stack.
 package flightrec
 
 // Options parameterizes a FlightRecorder.

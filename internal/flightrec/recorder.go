@@ -18,8 +18,7 @@ type Frame struct {
 // Recorder is the flight recorder's window onto the probe sampler: the
 // sampler already retains every row of the run, so the recorder stores
 // nothing and presents the most recent RingFrames of them. It is read
-// only from dump paths on the simulation goroutine (the watchdog
-// services HTTP dump requests from its engine tick), so it needs no
+// only from dump paths on the simulation goroutine, so it needs no
 // locking. An unattached recorder (no sampling probe) reports nothing.
 type Recorder struct {
 	smp *probe.Sampler

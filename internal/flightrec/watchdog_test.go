@@ -2,11 +2,9 @@ package flightrec
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"strings"
 	"testing"
-	"time"
 
 	"ownsim/internal/noc"
 	"ownsim/internal/sbus"
@@ -160,77 +158,5 @@ func TestWatchdogStarvationNamesWriterAndTokenOwner(t *testing.T) {
 		tripped.Cycle-st.WaitingSinceCy)
 	if !strings.Contains(text.String(), line) {
 		t.Errorf("text dump lacks %q:\n%s", line, text.String())
-	}
-}
-
-func TestWatchdogRequestDumpBridgesToTick(t *testing.T) {
-	dog := NewWatchdog(0)
-	dog.SnapshotFn = func(reason string) *Snapshot {
-		return &Snapshot{Reason: reason, Cycle: 42, Net: "t"}
-	}
-	type result struct {
-		data []byte
-		err  error
-	}
-	got := make(chan result, 1)
-	go func() {
-		data, err := dog.RequestDump("")
-		got <- result{data, err}
-	}()
-	// Simulate the engine loop: tick until the bridged request is served.
-	deadline := time.After(5 * time.Second)
-	for cy := uint64(0); ; cy++ {
-		dog.Tick(cy)
-		select {
-		case r := <-got:
-			if r.err != nil {
-				t.Fatal(r.err)
-			}
-			var snap Snapshot
-			if err := json.Unmarshal(r.data, &snap); err != nil || snap.Reason != "request" || snap.Cycle != 42 {
-				t.Fatalf("dump does not decode to the requested snapshot (%v): %s", err, r.data)
-			}
-			return
-		case <-deadline:
-			t.Fatal("bridged dump request never served")
-		default:
-		}
-	}
-}
-
-func TestWatchdogRequestDumpAfterFinish(t *testing.T) {
-	dog := NewWatchdog(0)
-	dog.SnapshotFn = func(reason string) *Snapshot {
-		return &Snapshot{Reason: reason, Cycle: 99, Net: "t"}
-	}
-	dog.Finish()
-	data, err := dog.RequestDump("text")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(data), "flight recorder dump: request @ cycle 99") {
-		t.Fatalf("post-finish text dump: %s", data)
-	}
-	if _, err := dog.RequestDump("bogus"); err == nil {
-		t.Fatal("unknown dump format must error")
-	}
-}
-
-func TestWatchdogNilSafe(t *testing.T) {
-	var dog *Watchdog
-	if dog.Trips() != 0 || dog.TripReasons() != nil {
-		t.Fatal("nil watchdog must report nothing")
-	}
-	if _, err := dog.RequestDump(""); err == nil {
-		t.Fatal("nil watchdog RequestDump must error")
-	}
-	dog.Finish() // must not panic
-}
-
-func TestWatchdogNoSnapshotSource(t *testing.T) {
-	dog := NewWatchdog(0)
-	dog.Finish()
-	if _, err := dog.RequestDump(""); err == nil {
-		t.Fatal("dump without a snapshot source must error")
 	}
 }

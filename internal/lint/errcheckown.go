@@ -7,7 +7,7 @@ import (
 )
 
 // writerPackages are the artifact-writer subtrees: a dropped error there
-// means a silently truncated CSV/NDJSON/SVG on disk — the artifact looks
+// means a silently truncated CSV/JSON/SVG on disk — the artifact looks
 // complete and quietly isn't, which is worse than a crash for a
 // reproduction repo.
 var writerPackages = []string{

@@ -11,11 +11,9 @@
 //     contextual message
 //   - floatcmp: no ==/!= between floating-point expressions (use the
 //     tolerance helpers in internal/stats)
-//   - lockguard: fields commented "guarded by <mu>" are only touched by
-//     functions that lock that mutex (or are *Locked helpers)
 //   - errcheck-own: no dropped error returns from the artifact-writer
 //     packages (probe, obs, plot, report) — a dropped write error is a
-//     silently truncated CSV/NDJSON/SVG
+//     silently truncated CSV/JSON/SVG
 //
 // A finding can be suppressed with a directive on the same line or the
 // line immediately above:
@@ -89,7 +87,6 @@ func All() []*Analyzer {
 		DeterminismAnalyzer(),
 		PanicStyleAnalyzer(),
 		FloatCmpAnalyzer(),
-		LockGuardAnalyzer(),
 		ErrCheckOwnAnalyzer(),
 	}
 }

@@ -75,9 +75,6 @@ var expectedViolations = map[string][]struct{ file, marker string }{
 		{"internal/power/floats.go", "return x != 0"},
 		{"internal/power/floats.go", "return a == b"},
 	},
-	"lockguard": {
-		{"internal/obs/locks.go", "t.cycle * 2"},
-	},
 	"errcheck-own": {
 		{"internal/obs/writers.go", "f.WriteString(data)"},
 		{"internal/obs/writers.go", "_ = f.Close()"},

@@ -1,5 +1,5 @@
-// Dropped-error fixture for the errcheck-own analyzer: internal/obs is
-// an artifact-writer package, so every error return matters here.
+// Package obs is an errcheck-own fixture: internal/obs is an
+// artifact-writer package, so every error return matters here.
 package obs
 
 import (

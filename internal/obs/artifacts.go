@@ -21,8 +21,7 @@ import (
 // table of what a run leaves in the record directory; every group renders
 // its files through writeFiles, which builds each file in memory first so
 // the manifest digests exactly the bytes written. Content depends only on
-// simulation state, never on the live telemetry server or on where the
-// record is written.
+// simulation state, never on where the record is written.
 
 // groups lists the artifact groups in emission order — the order of the
 // status lines Session.Emit reports and of the manifest's artifact

@@ -2,9 +2,6 @@ package obs
 
 import (
 	"bytes"
-	"fmt"
-	"io"
-	"net/http"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -48,76 +45,6 @@ func obsRing(nRouters int, m *power.Meter) *fabric.Network {
 		n.AddTerminal(i, routers[i], 0, 1)
 	}
 	return n
-}
-
-// runObsRing runs the ring bare or, with live set, under a session that
-// serves it over HTTP (which implies flight recorder, span-tracking probe
-// and sampler), scraping /metrics before the run and /debug/dump after.
-func runObsRing(t *testing.T, live bool) (fabric.Result, *fabric.Network) {
-	t.Helper()
-	n := obsRing(4, power.NewMeter(nil))
-	f := &Flags{}
-	var url string
-	if live {
-		f.Listen = "127.0.0.1:0"
-	}
-	s, err := Start(n, f, func(format string, args ...any) {
-		// The one diagnostic: the bound address.
-		if _, err := fmt.Sscanf(fmt.Sprintf(format, args...), "live telemetry on %s", &url); err != nil {
-			t.Errorf("unexpected session diagnostic: "+format, args...)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	get := func(url, want string) {
-		t.Helper()
-		resp, err := http.Get(url)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		body, err := io.ReadAll(resp.Body)
-		if err != nil || resp.StatusCode != http.StatusOK || !strings.Contains(string(body), want) {
-			t.Fatalf("GET %s: status %d, err %v, body lacks %q", url, resp.StatusCode, err, want)
-		}
-	}
-	if live {
-		// Poll the live plane before the run to prove reads are harmless.
-		get(url, "ownsim_net_buffered_flits")
-	}
-	res := n.Run(
-		fabric.TrafficSpec{Pattern: traffic.Uniform, Rate: 0.08, PktFlits: 3, Seed: 11},
-		fabric.RunSpec{Warmup: 100, Measure: 800},
-	)
-	s.Finish()
-	if live {
-		get(strings.TrimSuffix(url, "/metrics")+"/debug/dump", `{"reason":"request",`)
-	}
-	return res, n
-}
-
-// TestLivePlaneInert extends the probe-inertness guarantee to the whole
-// observed-run path: a session with the HTTP server up, everything
-// -listen implies installed and a client scraping must leave the
-// Result and the energy attribution bit-for-bit unchanged.
-func TestLivePlaneInert(t *testing.T) {
-	bare, bn := runObsRing(t, false)
-	live, ln := runObsRing(t, true)
-	if bare != live {
-		t.Fatalf("live plane changed the result:\n  off: %+v\n  on:  %+v", bare, live)
-	}
-	var bBuf, lBuf bytes.Buffer
-	if err := bn.Meter.WriteEnergyCSV(&bBuf, bn.Eng.Cycle()); err != nil {
-		t.Fatal(err)
-	}
-	if err := ln.Meter.WriteEnergyCSV(&lBuf, ln.Eng.Cycle()); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(bBuf.Bytes(), lBuf.Bytes()) {
-		t.Fatalf("live plane changed energy.csv:\n--- off\n%s--- on\n%s", bBuf.String(), lBuf.String())
-	}
 }
 
 // TestHeatmapArtifactsByteStable renders the energy and congestion

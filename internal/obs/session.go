@@ -1,3 +1,13 @@
+// Package obs is the one path from a command line to an observed run:
+// Flags declares the observation flags cmd/ownsim and cmd/sweep share,
+// Start installs what they imply on a built network and returns the
+// Session that writes the -out record — every artifact under a fixed
+// name, then manifest.json (artifacts.go). The record, written once the
+// run has finished, is the run's one observation surface.
+//
+// The package is inside internal/lint's deterministic scope: it uses no
+// wall clock, no global RNG and no environment reads; every timestamp in
+// a record is a simulated cycle.
 package obs
 
 import (
@@ -16,12 +26,11 @@ import (
 )
 
 // Flags is the observation surface of one simulated run. Register
-// declares the four flags cmd/ownsim and cmd/sweep share; Watchdog, the
+// declares the three flags cmd/ownsim and cmd/sweep share; Watchdog, the
 // watchdog's liveness budget in cycles (flightrec.Options.Watchdog), is
 // -watchdog, which only cmd/ownsim registers (sweep leaves it zero).
 type Flags struct {
 	Out       string
-	Listen    string
 	Check     bool
 	Telemetry int
 	Watchdog  uint64
@@ -37,7 +46,6 @@ const traceEvery = 1
 // point").
 func (f *Flags) Register(fs *flag.FlagSet, what string) {
 	fs.StringVar(&f.Out, "out", "", "write the record of "+what+" into this directory: every artifact under a fixed name, then manifest.json with their digests")
-	fs.StringVar(&f.Listen, "listen", "", "serve live telemetry (/metrics, /healthz, /events, /debug/dump, /debug/pprof/) of "+what+" on this address while it runs (e.g. :9090; port 0 picks a free port)")
 	fs.BoolVar(&f.Check, "check", false, "audit protocol invariants with the conformance checker (internal/check); violations go to stderr and the exit code is non-zero if any fired")
 	fs.IntVar(&f.Telemetry, "telemetry", 0, "print the top-N busiest shared channels of "+what)
 }
@@ -61,26 +69,24 @@ func (f *Flags) OpenRecord(tool string, cores int, seed uint64, config map[strin
 }
 
 // Session is one observed run: the observers f asks for installed on a
-// built network, the live plane serving it, and the artifacts it leaves
-// behind. The lifecycle is Start, the caller's n.Run, Finish, Emit,
-// Close. Every observer is inert, so the run's Result is the bare run's.
+// built network, and the artifacts it leaves behind. The lifecycle is
+// Start, the caller's n.Run, Finish, Emit. Every observer is inert, so
+// the run's Result is the bare run's.
 type Session struct {
 	n    *fabric.Network
 	f    *Flags
 	logf func(format string, args ...any)
-	srv  *Server
 }
 
 // Start writes the record's topology.dot and installs on n what f asks
 // for, in the one order that composes: flight recorder (its watchdog
 // ticks before the sampler, and the probe installer registers its
-// stall.* gauges last), then probe, then checker; then it starts the
-// live server. It is the single place that derives the observers from
-// two facts. A record, a live server or a watchdog budget installs the
-// recorder and an aggregate probe with spans and a sampler: the spans
-// back the breakdown and fairness artifacts, the recorder the dump, the
-// detectors and /debug/dump. Only a record adds the tracer. Diagnostics —
-// the live address, watchdog trips, invariant violations — go to logf.
+// stall.* gauges last), then probe, then checker. It is the single place
+// that derives the observers from two facts. A record or a watchdog
+// budget installs the recorder and an aggregate probe with spans and a
+// sampler: the spans back the breakdown and fairness artifacts, the
+// recorder the dump and the detectors. Only a record adds the tracer.
+// Diagnostics — watchdog trips, invariant violations — go to logf.
 func Start(n *fabric.Network, f *Flags, logf func(format string, args ...any)) (*Session, error) {
 	s := &Session{n: n, f: f, logf: logf}
 	if f.Out != "" {
@@ -88,7 +94,7 @@ func Start(n *fabric.Network, f *Flags, logf func(format string, args ...any)) (
 			return nil, err
 		}
 	}
-	if f.Out != "" || f.Listen != "" || f.Watchdog > 0 {
+	if f.Out != "" || f.Watchdog > 0 {
 		fr := flightrec.New(flightrec.Options{Watchdog: f.Watchdog})
 		fr.Dog.OnTrip = func(reason string, snap *flightrec.Snapshot) {
 			s.logDump("WATCHDOG TRIP: "+reason, snap)
@@ -104,21 +110,6 @@ func Start(n *fabric.Network, f *Flags, logf func(format string, args ...any)) (
 		n.InstallChecker(check.New(), func(v check.Violation, snap *flightrec.Snapshot) {
 			s.logDump("INVARIANT VIOLATION: "+v.String(), snap)
 		})
-	}
-	// The live plane is read-only: it observes sampler snapshots over HTTP
-	// and feeds nothing back. Its address is deliberately kept out of the
-	// manifest (ephemeral ports would break byte-identical reruns).
-	if f.Listen != "" {
-		srv := New()
-		srv.Attach(n.Probe)
-		srv.SetBuildInfo(probe.ReadBuildInfo())
-		srv.SetDumpProvider(n.FlightRec.Dog.RequestDump)
-		addr, err := srv.Start(f.Listen)
-		if err != nil {
-			return nil, err
-		}
-		s.srv = srv
-		logf("live telemetry on http://%s/metrics", addr)
 	}
 	return s, nil
 }
@@ -136,19 +127,10 @@ func (s *Session) logDump(what string, snap *flightrec.Snapshot) {
 }
 
 // Finish closes the run: a checked run gets a final structural audit
-// (fabric.Network.Audit), the watchdog stops expecting ticks (dump
-// requests now render against the final state) and /healthz reads
-// "done". Call it right after n.Run.
+// (fabric.Network.Audit). Call it right after n.Run.
 func (s *Session) Finish() {
-	n := s.n
-	if n.Checker != nil {
-		n.Audit()
-	}
-	if fr := n.FlightRec; fr != nil {
-		fr.Dog.Finish()
-	}
-	if s.srv != nil {
-		s.srv.MarkDone()
+	if s.n.Checker != nil {
+		s.n.Audit()
 	}
 }
 
@@ -208,13 +190,4 @@ func (s *Session) Violations() uint64 {
 		return 0
 	}
 	return s.n.Checker.Total()
-}
-
-// Close stops the live server.
-func (s *Session) Close() {
-	if s.srv != nil {
-		if err := s.srv.Close(); err != nil {
-			s.logf("live telemetry server: %v", err)
-		}
-	}
 }

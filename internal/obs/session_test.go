@@ -28,7 +28,7 @@ type observed struct {
 }
 
 // observe drives a session the way both CLIs do: build, OpenRecord,
-// Start, Run, Finish, Emit, Close.
+// Start, Run, Finish, Emit.
 func observe(t *testing.T, f *Flags, rate float64, seed uint64) observed {
 	t.Helper()
 	man, err := f.OpenRecord("obs-test", 256, seed, map[string]string{})
@@ -41,7 +41,6 @@ func observe(t *testing.T, f *Flags, rate float64, seed uint64) observed {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
 	n.Run(
 		fabric.TrafficSpec{Pattern: traffic.Uniform, Rate: rate, Seed: seed, Policy: sys.Policy, Classify: sys.Classify},
 		fabric.RunSpec{Warmup: 200, Measure: 800},
@@ -83,13 +82,13 @@ func dirFiles(t *testing.T, dir string) []string {
 	return names
 }
 
-// TestRegisterDeclaresTheSharedFlags pins the surface: exactly the four
+// TestRegisterDeclaresTheSharedFlags pins the surface: exactly the three
 // shared names, with the defaults both CLIs always had.
 func TestRegisterDeclaresTheSharedFlags(t *testing.T) {
 	fs := flag.NewFlagSet("obs-test", flag.ContinueOnError)
 	new(Flags).Register(fs, "the run")
 	want := map[string]string{
-		"out": "", "listen": "", "check": "false", "telemetry": "0",
+		"out": "", "check": "false", "telemetry": "0",
 	}
 	got := map[string]string{}
 	fs.VisitAll(func(fl *flag.Flag) { got[fl.Name] = fl.DefValue })
@@ -229,8 +228,8 @@ func TestEmitUnwritablePath(t *testing.T) {
 
 // TestRecorderFeedsTokenGauges is the regression test for the drifted
 // derivation: a flight recorder installed for the watchdog alone (no
-// listener, no record) must still have its stall tracker fed, so the
-// token.* gauges read what a recorded run reads, not zero.
+// record) must still have its stall tracker fed, so the token.* gauges
+// read what a recorded run reads, not zero.
 func TestRecorderFeedsTokenGauges(t *testing.T) {
 	acquisitions := func(f *Flags) float64 {
 		f.Watchdog = 1000 * flightrec.Window
@@ -246,5 +245,17 @@ func TestRecorderFeedsTokenGauges(t *testing.T) {
 	recorded := acquisitions(parseFlags(t, "-out", t.TempDir()))
 	if alone == 0 || alone != recorded {
 		t.Fatalf("token.photonic.acquisitions = %v under the watchdog alone, %v in a record; want equal and > 0", alone, recorded)
+	}
+}
+
+// TestReadBuildInfoStampsTestBinary: the build block OpenRecord stamps
+// into a manifest names the toolchain and the module.
+func TestReadBuildInfoStampsTestBinary(t *testing.T) {
+	bi := probe.ReadBuildInfo()
+	if bi == nil {
+		t.Skip("runtime carries no build info")
+	}
+	if bi.GoVersion == "" || bi.Module == "" {
+		t.Errorf("build info incomplete: %+v", bi)
 	}
 }

@@ -116,23 +116,6 @@ func TestSamplerWindowsAndFlush(t *testing.T) {
 		t.Fatalf("CSV = %q, want %q", csvBuf.String(), want)
 	}
 
-	var nd bytes.Buffer
-	if err := s.WriteNDJSON(&nd); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSuffix(nd.String(), "\n"), "\n")
-	if len(lines) != 4 {
-		t.Fatalf("NDJSON lines = %d", len(lines))
-	}
-	if lines[0] != `{"cycle":0,"n":1}` {
-		t.Fatalf("NDJSON line 0 = %q", lines[0])
-	}
-	for _, ln := range lines {
-		var m map[string]float64
-		if err := json.Unmarshal([]byte(ln), &m); err != nil {
-			t.Fatalf("NDJSON line %q: %v", ln, err)
-		}
-	}
 }
 
 func TestFormatValueNoExponent(t *testing.T) {

@@ -3,9 +3,8 @@ package probe
 import "fmt"
 
 type metric struct {
-	name    string
-	counter bool // exporters type it as a monotonic counter
-	fn      func() float64
+	name string
+	fn   func() float64
 }
 
 // Registry holds the run's metrics: named functions over state their
@@ -33,13 +32,13 @@ func (r *Registry) register(m metric) {
 
 // CounterFunc registers a monotonic count its owner keeps, under the given
 // hierarchical name (e.g. "router.5.sa_grants"): fn is invoked at every
-// sampling window to read it. Exporters type it as a counter; otherwise it
-// is a Gauge, with the same contract for fn. No-op on a nil registry.
+// sampling window to read it. Otherwise it is a Gauge, with the same
+// contract for fn. No-op on a nil registry.
 func (r *Registry) CounterFunc(name string, fn func() uint64) {
 	if r == nil {
 		return
 	}
-	r.register(metric{name: name, counter: true, fn: func() float64 { return float64(fn()) }})
+	r.register(metric{name: name, fn: func() float64 { return float64(fn()) }})
 }
 
 // Gauge registers a sampled metric: fn is invoked at every sampling
@@ -62,29 +61,6 @@ func (r *Registry) Len() int {
 		return 0
 	}
 	return len(r.metrics)
-}
-
-// MetricInfo describes one registered metric for exporters that need
-// more than the name (the Prometheus exposition in internal/obs renders
-// counters and gauges with different TYPE lines).
-type MetricInfo struct {
-	// Name is the hierarchical metric name.
-	Name string
-	// Counter reports whether the metric is a monotonic counter (false:
-	// a sampled gauge).
-	Counter bool
-}
-
-// Meta returns the metric metadata in registration order.
-func (r *Registry) Meta() []MetricInfo {
-	if r == nil {
-		return nil
-	}
-	infos := make([]MetricInfo, len(r.metrics))
-	for i, m := range r.metrics {
-		infos[i] = MetricInfo{Name: m.name, Counter: m.counter}
-	}
-	return infos
 }
 
 // Names returns the metric names in registration order.

@@ -10,8 +10,8 @@ import (
 // implements sim.Ticker and is registered in the engine's Collect phase
 // by fabric.Network.InstallProbe, so samples observe a consistent
 // end-of-cycle view. Rows accumulate in memory (a 15k-cycle run sampled
-// every 256 cycles is ~60 rows) and are exported as CSV or NDJSON; the
-// live /events stream renders its lines with the same AppendNDJSON.
+// every 256 cycles is ~60 rows) and are exported as CSV, the record's
+// metrics.csv.
 type Sampler struct {
 	reg    *Registry
 	every  uint64
@@ -19,14 +19,6 @@ type Sampler struct {
 	rows   [][]float64
 	last   uint64
 	any    bool
-
-	// OnSample, when set, observes every snapshot as it is taken (cycle
-	// plus the values in registration order). The live telemetry plane
-	// (internal/obs) publishes each sample to HTTP subscribers through
-	// it. The callback runs on the simulation goroutine and must not
-	// feed anything back into the simulation; the slice is shared, so
-	// the observer must copy it if it retains the values.
-	OnSample func(cycle uint64, values []float64)
 }
 
 func newSampler(reg *Registry, every uint64) *Sampler {
@@ -54,9 +46,6 @@ func (s *Sampler) sample(cycle uint64) {
 	s.rows = append(s.rows, s.reg.snapshot(make([]float64, 0, s.reg.Len())))
 	s.last = cycle
 	s.any = true
-	if s.OnSample != nil {
-		s.OnSample(cycle, s.rows[len(s.rows)-1])
-	}
 }
 
 // Rows returns the number of samples taken.
@@ -110,30 +99,4 @@ func (s *Sampler) WriteCSV(w io.Writer) error {
 	}
 	cw.Flush()
 	return cw.Error()
-}
-
-// WriteNDJSON writes one JSON object per sample, each line what
-// AppendNDJSON renders.
-func (s *Sampler) WriteNDJSON(w io.Writer) error {
-	var b []byte
-	meta := s.reg.Meta()
-	for i, row := range s.rows {
-		b = append(AppendNDJSON(b, s.cycles[i], meta, row), '\n')
-	}
-	_, err := w.Write(b)
-	return err
-}
-
-// AppendNDJSON appends one sample as a JSON object, without a newline:
-// the cycle first, then each metric in registration order (JSON members
-// keep insertion order here because the encoder is hand-rolled over the
-// ordered slice), as far as both meta and values reach. It is the one
-// rendering of a sample, for WriteNDJSON and the live /events stream.
-func AppendNDJSON(b []byte, cycle uint64, meta []MetricInfo, values []float64) []byte {
-	b = strconv.AppendUint(append(b, `{"cycle":`...), cycle, 10)
-	for i, v := range values[:min(len(values), len(meta))] {
-		b = strconv.AppendQuote(append(b, ','), meta[i].Name)
-		b = strconv.AppendFloat(append(b, ':'), v, 'f', -1, 64)
-	}
-	return append(b, '}')
 }

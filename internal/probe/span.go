@@ -429,7 +429,7 @@ type LiveSpan struct {
 
 // LiveSpans snapshots every in-flight attribution, sorted by packet ID
 // so the dump bytes are independent of the table's slot order. It is a
-// diagnostic path (watchdog dumps, /debug/dump), not the hot path.
+// diagnostic path (state dumps), not the hot path.
 func (s *SpanTracker) LiveSpans() []LiveSpan {
 	if s == nil || s.live.Len() == 0 {
 		return nil
