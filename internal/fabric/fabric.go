@@ -146,9 +146,9 @@ func (n *Network) Connect(a *router.Router, aPort int, b *router.Router, bPort i
 	a.ConnectOutput(aPort, w, b.Cfg.BufDepth, spec.SerializeCy)
 	b.ConnectInput(bPort, w)
 	n.deliver(w)
-	kind := "elec"
+	kind := Elec
 	if spec.Photonic {
-		kind = "photonic"
+		kind = Photonic
 	}
 	n.NoteEdge(a.Cfg.ID, b.Cfg.ID, kind)
 	return w
@@ -175,18 +175,29 @@ func (n *Network) deliver(w *noc.Wire) {
 	n.wheel.Add(w)
 }
 
-// Edge is one directed inter-router connection for visualization.
+// Edge is one directed inter-router connection for visualization. It is
+// 12 bytes because a crossbar notes tiles² of them (OptXB-1024: 65 280).
 type Edge struct {
 	// From and To are router IDs.
-	From, To int
-	// Kind is "elec", "photonic" or "wireless".
-	Kind string
+	From, To int32
+	Kind     EdgeKind
 }
+
+// EdgeKind is the medium of an Edge: DOT draws electrical links solid,
+// photonic ones blue and wireless ones red dashed.
+type EdgeKind uint8
+
+// The edge media.
+const (
+	Elec EdgeKind = iota
+	Photonic
+	Wireless
+)
 
 // NoteEdge records connectivity for DOT export; Connect and the
 // photonic/wireless builders call it.
-func (n *Network) NoteEdge(from, to int, kind string) {
-	n.Edges = append(n.Edges, Edge{From: from, To: to, Kind: kind})
+func (n *Network) NoteEdge(from, to int, kind EdgeKind) {
+	n.Edges = append(n.Edges, Edge{From: int32(from), To: int32(to), Kind: kind})
 }
 
 // AddTerminal attaches core coreID to router r: a source feeding input
@@ -489,9 +500,9 @@ func (n *Network) DOT() string {
 	for _, e := range n.Edges {
 		attr := ""
 		switch e.Kind {
-		case "photonic":
+		case Photonic:
 			attr = " [color=blue]"
-		case "wireless":
+		case Wireless:
 			attr = " [color=red, style=dashed]"
 		}
 		fmt.Fprintf(&b, "  r%d -> r%d%s;\n", e.From, e.To, attr)

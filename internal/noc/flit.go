@@ -93,15 +93,19 @@ func (p *Packet) NetworkLatency() uint64 { return p.EjectedAt - p.InjectedAt }
 type Flit struct {
 	Pkt *Packet
 	// Seq is the flit's index within the packet, 0-based.
-	Seq  int
-	Type FlitType
+	Seq int
 	// VC is the virtual channel the flit occupies on the link it is
 	// currently traversing. Routers rewrite it during VC allocation.
 	VC int
+	// Type sits beside gen so that link fits in a 40-byte flit on a
+	// 64-bit host.
+	Type FlitType
 
 	// gen snapshots the packet's lifetime generation at materialization;
 	// see Live.
 	gen uint32
+	// link is the flit's successor in the FlitFIFO that holds it.
+	link *Flit
 }
 
 // IsHead reports whether the flit opens a packet.

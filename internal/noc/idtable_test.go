@@ -81,22 +81,25 @@ func TestIDTableZeroIDAndEmpty(t *testing.T) {
 }
 
 // TestIDTableGrowsLogarithmically pins the allocation bargain: holding up
-// to n IDs costs one allocation per doubling, and a steady churn of
-// insertions and deletions at that size allocates nothing.
+// to n IDs costs one table per doubling, and a steady churn of insertions
+// and deletions at that size allocates nothing. Growths are counted from
+// the table itself, since testing.AllocsPerRun counts every malloc in the
+// process.
 func TestIDTableGrowsLogarithmically(t *testing.T) {
 	state := new(int)
 	const live = 5000
-	fill := func(tab *IDTable[int]) {
-		for k := uint64(0); k < live; k++ {
-			tab.Put(k, state)
+	var tab IDTable[int]
+	growths := 0
+	for k := uint64(0); k < live; k++ {
+		size := len(tab.slots)
+		tab.Put(k, state)
+		if len(tab.slots) != size {
+			growths++
 		}
 	}
-	allocs := testing.AllocsPerRun(5, func() { fill(new(IDTable[int])) })
-	if allocs > 8 { // 64 → 8192 slots: 8 tables
-		t.Fatalf("filling %d IDs allocated %v times, want <= 8", live, allocs)
+	if growths != 8 || len(tab.slots) != 8192 { // 64 → 8192 slots: 8 tables
+		t.Fatalf("filling %d IDs grew the table %d times to %d slots, want 8 to 8192", live, growths, len(tab.slots))
 	}
-	var tab IDTable[int]
-	fill(&tab)
 	next := uint64(live)
 	churn := testing.AllocsPerRun(100, func() {
 		for i := 0; i < 100; i++ {

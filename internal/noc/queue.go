@@ -61,3 +61,53 @@ func (q *TimedQueue[T]) grow() {
 	q.buf = nb
 	q.head = 0
 }
+
+// FlitFIFO is an intrusive FIFO of flits: the queue threads its members
+// through their link fields, so it costs one pointer however deep it
+// grows. It is circular: tail.link is the front. A flit is in at most one
+// FlitFIFO at a time, and is popped before it is pushed anywhere else. The
+// zero value is an empty queue.
+type FlitFIFO struct{ tail *Flit }
+
+// Empty reports whether the queue holds no flit.
+func (q *FlitFIFO) Empty() bool { return q.tail == nil }
+
+// Front returns the oldest flit; the queue must not be empty.
+func (q *FlitFIFO) Front() *Flit { return q.tail.link }
+
+// Push appends f, which must be in no queue.
+func (q *FlitFIFO) Push(f *Flit) {
+	if q.tail == nil {
+		f.link = f
+	} else {
+		f.link, q.tail.link = q.tail.link, f
+	}
+	q.tail = f
+}
+
+// Pop removes and returns the oldest flit, its link cleared; the queue
+// must not be empty.
+func (q *FlitFIFO) Pop() *Flit {
+	f := q.tail.link
+	if f == q.tail {
+		q.tail = nil
+	} else {
+		q.tail.link = f.link
+	}
+	f.link = nil
+	return f
+}
+
+// Walk calls fn on the queued flits, front to tail, until fn returns
+// false. It also stops at a nil link, so a walk of a broken circle ends
+// when fn bounds the steps it takes.
+func (q *FlitFIFO) Walk(fn func(*Flit) bool) {
+	if q.tail == nil {
+		return
+	}
+	for f := q.tail.link; f != nil; f = f.link {
+		if !fn(f) || f == q.tail {
+			return
+		}
+	}
+}

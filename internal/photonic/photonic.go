@@ -146,7 +146,7 @@ func BuildCrossbar(n *fabric.Network, name string, routers []*router.Router, pm 
 					}
 				}
 				if gi == 0 {
-					n.NoteEdge(routers[w].Cfg.ID, routers[t].Cfg.ID, "photonic")
+					n.NoteEdge(routers[w].Cfg.ID, routers[t].Cfg.ID, fabric.Photonic)
 				}
 			}
 			ch.SetWaker(n.Eng.RegisterWakeable(sim.PhaseDelivery, ch))

@@ -60,13 +60,14 @@ type Channel struct {
 	// Writer storage, carved by AddWriter from blocks of 1, 2, 4, ...
 	// writers, so 15 or 255 writers fill them exactly: spare is what is
 	// left of the current Writer block, rings[k] holds the queues of
-	// writers 2^k-1 .. 2^(k+1)-2 (nvc rings of depth flits each), and
-	// fifos the positions of writer wi's VC vc at wi*nvc+vc. Every writer
-	// of a channel has the same nvc and depth.
+	// writers 2^k-1 .. 2^(k+1)-2 (nvc intrusive FIFOs each, one pointer
+	// apiece whatever the depth), and fifos the flit count of writer wi's
+	// VC vc at wi*nvc+vc. Every writer of a channel has the same nvc and
+	// depth.
 	nvc, depth int
 	spare      []Writer
-	rings      [][]*noc.Flit
-	fifos      []fifo
+	rings      [][]noc.FlitFIFO
+	fifos      []uint8
 
 	token       int
 	lockedW     int // -1 when free
@@ -179,8 +180,8 @@ func (c *Channel) AddWriter(src noc.CreditReceiver, srcPort, numVCs, queueDepth 
 		// The next block is one writer larger than all before it.
 		k := len(c.writers) + 1
 		c.spare = make([]Writer, k)
-		c.rings = append(c.rings, make([]*noc.Flit, k*numVCs*queueDepth))
-		c.fifos = append(make([]fifo, 0, len(c.fifos)+k*numVCs), c.fifos...)
+		c.rings = append(c.rings, make([]noc.FlitFIFO, k*numVCs))
+		c.fifos = append(make([]uint8, 0, len(c.fifos)+k*numVCs), c.fifos...)
 		c.writers = append(make([]*Writer, 0, len(c.writers)+k), c.writers...)
 	}
 	w := &c.spare[0]
@@ -194,7 +195,7 @@ func (c *Channel) AddWriter(src noc.CreditReceiver, srcPort, numVCs, queueDepth 
 func (w *Writer) Send(f *noc.Flit) {
 	c := w.ch
 	q := c.queue(int(w.idx), f.VC)
-	if q.full() {
+	if int(*q.n) == c.depth {
 		panic(fmt.Sprintf("sbus %s: writer %d vc %d queue overflow", c.Name, w.idx, f.VC))
 	}
 	q.push(f)
@@ -207,7 +208,7 @@ func (w *Writer) Send(f *noc.Flit) {
 		// the lock starts waiting for the token now; the wait closes at
 		// its grant. The timestamp needs the engine clock, so only
 		// waker-driven channels keep it.
-		if c.lockedW != int(w.idx) && q.size == 1 && c.queued(int(w.idx)) == 1 {
+		if c.lockedW != int(w.idx) && *q.n == 1 && c.queued(int(w.idx)) == 1 {
 			w.waitFrom = c.waker.Now()
 		}
 		c.waker.Wake()
@@ -340,10 +341,10 @@ func (c *Channel) transmitLocked(cycle uint64) bool {
 		c.creditStall += cycle - c.stalledAt - 1
 		c.stalledAt = 0
 	}
-	if q.empty() {
+	if q.fifo.Empty() {
 		return false // wormhole gap: body flits still upstream
 	}
-	f := q.front()
+	f := q.fifo.Front()
 	rx := c.rxs[c.lockedRx]
 	if rx.credits[f.VC] <= 0 {
 		c.creditStall++
@@ -389,7 +390,7 @@ func (c *Channel) acquire(cycle uint64) {
 		if vc < 0 {
 			continue
 		}
-		f := c.queue(wi, vc).front()
+		f := c.queue(wi, vc).fifo.Front()
 		if !f.IsHead() {
 			panic(fmt.Sprintf("sbus %s: writer %d vc %d front is %v, want head", c.Name, wi, vc, f.Type))
 		}
@@ -426,7 +427,7 @@ func (c *Channel) nextPendingVC(wi int) int {
 	w, fs := c.writers[wi], c.fifos[wi*c.nvc:]
 	for i := 1; i <= c.nvc; i++ {
 		vc := (int(w.rrVC) + i) % c.nvc
-		if fs[vc].size != 0 {
+		if fs[vc] != 0 {
 			w.rrVC = uint8(vc)
 			return vc
 		}
@@ -437,7 +438,7 @@ func (c *Channel) nextPendingVC(wi int) int {
 // queued returns the flits in writer wi's queues.
 func (c *Channel) queued(wi int) (n int) {
 	for _, q := range c.fifos[wi*c.nvc : (wi+1)*c.nvc] {
-		n += int(q.size)
+		n += int(q)
 	}
 	return n
 }
@@ -601,8 +602,8 @@ type ChannelIntro struct {
 // side-effect free).
 func (c *Channel) headInfo(wi int) (id uint64, src, dst int) {
 	for vc := 0; vc < c.nvc; vc++ {
-		if q := c.queue(wi, vc); !q.empty() {
-			p := q.front().Pkt
+		if q := c.queue(wi, vc); !q.fifo.Empty() {
+			p := q.fifo.Front().Pkt
 			return p.ID, p.Src, p.Dst
 		}
 	}
@@ -654,11 +655,11 @@ func (c *Channel) CheckInvariants() error {
 		}
 	}
 	sum := 0
-	for i, q := range c.fifos {
-		if int(q.size) > c.depth || int(q.head) >= c.depth {
-			return fmt.Errorf("sbus %s: writer %d vc %d queue at %d holding %d of %d", c.Name, i/c.nvc, i%c.nvc, q.head, q.size, c.depth)
+	for i, n := range c.fifos {
+		if err := c.checkQueue(i/c.nvc, i%c.nvc); err != nil {
+			return err
 		}
-		sum += int(q.size)
+		sum += int(n)
 	}
 	if sum != c.totalQueued {
 		return fmt.Errorf("sbus %s: writer queued sum %d != totalQueued %d", c.Name, sum, c.totalQueued)
@@ -674,7 +675,7 @@ func (c *Channel) CheckInvariants() error {
 		stuck := false
 		if c.lockedW >= 0 {
 			q := c.queue(c.lockedW, c.lockedVC)
-			stuck = q.empty() || c.rxs[c.lockedRx].credits[c.lockedVC] == 0
+			stuck = q.fifo.Empty() || c.rxs[c.lockedRx].credits[c.lockedVC] == 0
 		}
 		if !stuck {
 			return fmt.Errorf("sbus %s: asleep (timed wakeup at %d, busy until %d) with a flit that could move: locked writer %d vc %d, %d queued",
@@ -684,33 +685,44 @@ func (c *Channel) CheckInvariants() error {
 	return nil
 }
 
-// fifo is the position of one writer VC's queue in its ring.
-type fifo struct{ head, size uint8 }
+// checkQueue walks writer wi's VC vc: its circle of links must hold as
+// many flits as its count says, at most depth, each on that VC.
+func (c *Channel) checkQueue(wi, vc int) error {
+	q := c.queue(wi, vc)
+	n, stray := 0, -1
+	q.fifo.Walk(func(f *noc.Flit) bool {
+		if n++; f.VC != vc {
+			stray = f.VC
+		}
+		return stray < 0 && n <= c.depth
+	})
+	if stray >= 0 {
+		return fmt.Errorf("sbus %s: writer %d vc %d queue holds a flit of vc %d", c.Name, wi, vc, stray)
+	}
+	if n > c.depth || n != int(*q.n) {
+		return fmt.Errorf("sbus %s: writer %d vc %d queue holds %d flits (depth %d), counted %d", c.Name, wi, vc, n, c.depth, *q.n)
+	}
+	return nil
+}
 
-// queue is one writer VC's FIFO: its ring and its position.
+// queue is one writer VC's FIFO and its flit count.
 type queue struct {
-	ring []*noc.Flit
-	*fifo
+	fifo *noc.FlitFIFO
+	n    *uint8
 }
 
 // queue returns writer wi's VC vc.
 func (c *Channel) queue(wi, vc int) queue {
 	k := bits.Len(uint(wi+1)) - 1
-	lo := ((wi+1-1<<k)*c.nvc + vc) * c.depth
-	return queue{c.rings[k][lo : lo+c.depth], &c.fifos[wi*c.nvc : (wi+1)*c.nvc][vc]}
+	return queue{&c.rings[k][(wi+1-1<<k)*c.nvc+vc], &c.fifos[wi*c.nvc+vc]}
 }
 
-func (q queue) empty() bool      { return q.size == 0 }
-func (q queue) full() bool       { return int(q.size) == len(q.ring) }
-func (q queue) front() *noc.Flit { return q.ring[q.head] }
-
 func (q queue) push(f *noc.Flit) {
-	q.ring[(int(q.head)+int(q.size))%len(q.ring)] = f
-	q.size++
+	q.fifo.Push(f)
+	*q.n++
 }
 
 func (q queue) pop() {
-	q.ring[q.head] = nil
-	q.head = uint8((int(q.head) + 1) % len(q.ring))
-	q.size--
+	q.fifo.Pop()
+	*q.n--
 }

@@ -1,6 +1,7 @@
 package sbus
 
 import (
+	"strings"
 	"testing"
 
 	"ownsim/internal/noc"
@@ -275,8 +276,8 @@ func TestWriterQueueOverflowPanics(t *testing.T) {
 }
 
 // Writers are carved from blocks of 1, 2, 4, ... and their queues from
-// matching ring blocks: each keeps its index, its address and rings of
-// its own, and a writer of another shape is refused.
+// matching blocks of FIFOs: each keeps its index, its address and queues
+// of its own, and a writer of another shape is refused.
 func TestWritersCarvedFromBlocks(t *testing.T) {
 	ch := NewChannel("t", 1, 0, 1)
 	var ws []*Writer
@@ -301,7 +302,7 @@ func TestWritersCarvedFromBlocks(t *testing.T) {
 		for vc := 0; vc < 2; vc++ {
 			q := ch.queue(i, vc)
 			for k := 0; k < 3; k++ {
-				if f := q.front(); f.Seq != 100*i+10*vc+k {
+				if f := q.fifo.Front(); f.Seq != 100*i+10*vc+k {
 					t.Fatalf("writer %d vc %d: flit %d at position %d", i, vc, f.Seq, k)
 				}
 				q.pop()
@@ -314,6 +315,30 @@ func TestWritersCarvedFromBlocks(t *testing.T) {
 		}
 	}()
 	ch.AddWriter(&testSrc{}, 0, 2, 4)
+}
+
+// The audit walks each writer VC's circle of links: a count that
+// disagrees with the circle, or a flit of another VC in it, is a breach.
+func TestCheckInvariantsWalksWriterQueues(t *testing.T) {
+	ch := NewChannel("t", 1, 0, 1)
+	ch.AddWriter(&testSrc{}, 0, 2, 3)
+	w := ch.AddWriter(&testSrc{}, 1, 2, 3)
+	p := &noc.Packet{ID: 7, NumFlits: 3}
+	for k := 0; k < 2; k++ {
+		w.Send(&noc.Flit{Pkt: p, VC: 1, Seq: k})
+	}
+	if err := ch.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	ch.fifos[1*2+1]++
+	if err := ch.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "writer 1 vc 1 queue holds 2 flits (depth 3), counted 3") {
+		t.Fatalf("a corrupted count passed the audit: %v", err)
+	}
+	ch.fifos[1*2+1]--
+	ch.queue(1, 1).fifo.Front().VC = 0
+	if err := ch.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "holds a flit of vc 0") {
+		t.Fatalf("a flit of another VC passed the audit: %v", err)
+	}
 }
 
 func BenchmarkChannelThroughput(b *testing.B) {

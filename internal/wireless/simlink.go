@@ -82,7 +82,7 @@ func BuildSWMR(n *fabric.Network, txs, rxs []Endpoint, selectRx func(p *noc.Pack
 	n.TrackChannel(ch)
 	for _, tx := range txs {
 		for _, rx := range rxs {
-			n.NoteEdge(tx.Router.Cfg.ID, rx.Router.Cfg.ID, "wireless")
+			n.NoteEdge(tx.Router.Cfg.ID, rx.Router.Cfg.ID, fabric.Wireless)
 		}
 	}
 	return ch
