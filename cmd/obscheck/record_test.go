@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -93,6 +94,23 @@ func TestRecordInvariants(t *testing.T) {
 			t.Errorf("%s: %v", name, err)
 		}
 	}
+	if err := checkStarved(readDumps(t, dir)); err != nil {
+		t.Error(err)
+	}
+}
+
+// readDumps returns a record's dump.json and dump.txt.
+func readDumps(t *testing.T, dir string) (dumpJSON, dumpText []byte) {
+	t.Helper()
+	dumpJSON, err := os.ReadFile(filepath.Join(dir, "dump.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dumpText, err = os.ReadFile(filepath.Join(dir, "dump.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dumpJSON, dumpText
 }
 
 // TestRecordCorruptionsFail seeds one corruption per invariant into the
@@ -166,6 +184,35 @@ func TestRecordCorruptionsFail(t *testing.T) {
 		}
 		if err := checkFile(tc.file, []byte(bad)); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: checkFile(%s) = %v, want an error containing %q", tc.name, tc.file, err, tc.want)
+		}
+	}
+
+	// The text dump against the JSON one: the golden record ends with a
+	// writer waiting, so its starved writers line can be miscounted or
+	// name another router or wait.
+	dumpJSON, dumpText := readDumps(t, dir)
+	line := regexp.MustCompile(`(?m)^  \S+ \S+ writer \d+ \(router (\d+)\) waiting (\d+) cy;`)
+	m := line.FindSubmatchIndex(dumpText)
+	if m == nil {
+		t.Fatalf("dump.txt lists no starved writer:\n%s", dumpText)
+	}
+	bump := func(start, end int) func(string) string {
+		return func(s string) string {
+			v, _ := strconv.Atoi(s[start:end])
+			return s[:start] + strconv.Itoa(v+1) + s[end:]
+		}
+	}
+	count := regexp.MustCompile(`(?m)^starved writers: (\d+)$`).FindSubmatchIndex(dumpText)
+	for _, tc := range []struct {
+		name, want string
+		corrupt    func(string) string
+	}{
+		{"starved count", "waiting writers", bump(count[2], count[3])},
+		{"starved router", "names", bump(m[2], m[3])},
+		{"starved wait", "names", bump(m[4], m[5])},
+	} {
+		if err := checkStarved(dumpJSON, []byte(tc.corrupt(string(dumpText)))); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: checkStarved = %v, want an error containing %q", tc.name, err, tc.want)
 		}
 	}
 }

@@ -44,7 +44,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fail := fs.String("fail", "", "comma-separated OWN-256 wireless channel IDs to take out of service")
 	var of obs.Flags
 	of.Register(fs, "the run")
-	fs.Uint64Var(&of.Watchdog, "watchdog", 0, "trip the watchdog when a channel writer has waited for its token, or the network has ejected nothing while flits are in flight, for more than this many cycles (0 = off)")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
@@ -100,7 +99,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		"measure":  strconv.FormatUint(rf.Measure, 10),
 		"reconfig": strconv.FormatBool(*reconfig),
 		"fail":     *fail,
-		"watchdog": strconv.FormatUint(of.Watchdog, 10),
 	})
 	if err != nil {
 		lg.Print(err)

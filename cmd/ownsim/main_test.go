@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
@@ -77,6 +78,20 @@ func TestRecordMatchesDigests(t *testing.T) {
 			t.Errorf("stdout lacks %q:\n%s", line, &stdout)
 		}
 	}
+	// The observers register no engine component of their own: the one
+	// Collect-phase component is the probe's sampler, ticked every cycle.
+	data, err := os.ReadFile(filepath.Join(dir, "manifest.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var man probe.Manifest
+	if err := json.Unmarshal(data, &man); err != nil {
+		t.Fatal(err)
+	}
+	i := slices.IndexFunc(man.Engine.Phases, func(ph probe.PhaseIntro) bool { return ph.Phase == "collect" })
+	if i < 0 || man.Engine.Phases[i].Ticks != man.Engine.Cycles {
+		t.Errorf("engine phases %+v over %d cycles: want the collect phase ticked once per cycle", man.Engine.Phases, man.Engine.Cycles)
+	}
 }
 
 // TestBadInputExitStatus: a flag value no run can honour is one line on
@@ -106,7 +121,7 @@ func TestBadInputExitStatus(t *testing.T) {
 	}
 	// A flag that no longer exists is a usage error too: exit 2, with the
 	// flag list on stderr.
-	for _, args := range [][]string{{"-sample", "0"}, {"-listen", "127.0.0.1:0"}} {
+	for _, args := range [][]string{{"-sample", "0"}, {"-listen", "127.0.0.1:0"}, {"-watchdog", "1"}, {"-telemetry", "3"}} {
 		var stdout, stderr bytes.Buffer
 		if code := run(args, &stdout, &stderr); code != 2 || stdout.Len() != 0 || !strings.Contains(stderr.String(), "flag provided but not defined: "+args[0]) || !strings.Contains(stderr.String(), "\n  -out ") {
 			t.Errorf("ownsim %v: exit %d, stdout %q, stderr %q; want exit 2 and the flag list", args, code, &stdout, &stderr)
@@ -114,14 +129,14 @@ func TestBadInputExitStatus(t *testing.T) {
 	}
 }
 
-// TestHelpListsFlags pins the surface: -h lists 15 flags and exits 0.
+// TestHelpListsFlags pins the surface: -h lists 13 flags and exits 0.
 func TestHelpListsFlags(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	if code := run([]string{"-h"}, &stdout, &stderr); code != 0 {
 		t.Fatalf("ownsim -h: exit %d", code)
 	}
-	if flags := regexp.MustCompile(`(?m)^  -\w`).FindAllString(stderr.String(), -1); len(flags) != 15 {
-		t.Errorf("ownsim -h lists %d flags, want 15:\n%s", len(flags), &stderr)
+	if flags := regexp.MustCompile(`(?m)^  -\w`).FindAllString(stderr.String(), -1); len(flags) != 13 {
+		t.Errorf("ownsim -h lists %d flags, want 13:\n%s", len(flags), &stderr)
 	}
 }
 

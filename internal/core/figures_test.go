@@ -192,7 +192,7 @@ func TestBadInputIsAnError(t *testing.T) {
 		{"trace -cores 300 -run", CheckSystem("own", 300)},
 		{"trace -topo mesh -run", CheckSystem("mesh", 256)},
 		{"sweep -points 1", CheckSweepPoints(1)},
-		{"sweep -points 0 -telemetry 1", CheckSweepPoints(0)},
+		{"sweep -points 0", CheckSweepPoints(0)},
 		{"ownsim -measure 0", CheckRun(3000, 0, 0.004)},
 		{"sweep -measure 0", CheckRun(3000, 0, SweepLoads(256, 2)[0])},
 		{"ownsim -load -1", CheckRun(3000, 1000, -1)},

@@ -22,13 +22,12 @@ import (
 
 // flightRun repeats the golden fixed-seed configuration with the flight
 // recorder installed ahead of a span-tracking, sampling probe — the full
-// diagnostics stack cmd/ownsim wires for an -out record — and the
-// watchdog armed with the given budget in cycles (0 = off).
-func flightRun(t *testing.T, cores int, rate float64, watchdog uint64) (fabric.Result, *fabric.Network, *flightrec.FlightRecorder) {
+// diagnostics stack cmd/ownsim wires for an -out record.
+func flightRun(t *testing.T, cores int, rate float64) (fabric.Result, *fabric.Network, *flightrec.FlightRecorder) {
 	t.Helper()
 	sys := NewSystem("own", cores, wireless.Config4, wireless.Ideal)
 	n := sys.Build(power.NewMeter(nil))
-	fr := flightrec.New(flightrec.Options{Watchdog: watchdog})
+	fr := flightrec.New(flightrec.Options{})
 	n.InstallFlightRecorder(fr)
 	p := probe.New(probe.Options{Spans: true, MetricsEvery: flightrec.Window})
 	n.InstallProbe(p)
@@ -43,7 +42,7 @@ func flightRun(t *testing.T, cores int, rate float64, watchdog uint64) (fabric.R
 // the full flight-recorder stack must not change a single bit of the
 // simulation result.
 func TestFlightRecorderInertOWN256(t *testing.T) {
-	res, _, _ := flightRun(t, 256, 0.004, 0)
+	res, _, _ := flightRun(t, 256, 0.004)
 	if bare := goldenRun(t, 256, 0.004); res != bare {
 		t.Fatalf("flight-recorder run diverged from bare run:\n got %+v\nwant %+v", res, bare)
 	}
@@ -55,7 +54,7 @@ func TestFlightRecorderInertOWN256(t *testing.T) {
 // span phase total cycle for cycle.
 func TestTokenWaitReconciliation(t *testing.T) {
 	check := func(cores int, rate float64) {
-		_, n, _ := flightRun(t, cores, rate, 0)
+		_, n, _ := flightRun(t, cores, rate)
 		sp := n.Probe.Spans()
 		if sp == nil {
 			t.Fatal("span tracker not installed")
@@ -86,7 +85,7 @@ func TestTokenWaitReconciliation(t *testing.T) {
 // token and stall gauges registered, in that order, behind the
 // established columns.
 func TestFlightRecorderRingFollowsSampler(t *testing.T) {
-	_, _, fr := flightRun(t, 256, 0.004, 0)
+	_, _, fr := flightRun(t, 256, 0.004)
 	if fr.Rec.Total() == 0 {
 		t.Fatal("ring recorder observed no sampler windows")
 	}
@@ -125,28 +124,36 @@ func TestFlightRecorderRingFollowsSampler(t *testing.T) {
 	}
 }
 
-// TestWatchdogOnGoldenRun arms the watchdog on the golden OWN-256 run.
-// At README's budget of 20 000 cycles a healthy run never trips. At a
-// budget of one cycle every writer that waits for its token across a
-// window boundary is "starved", so the run trips, and the reason names
-// the waiting writer's router and the token owner. Either way the
-// Result is the bare run's.
-func TestWatchdogOnGoldenRun(t *testing.T) {
-	bare := goldenRun(t, 256, 0.004)
-	res, _, fr := flightRun(t, 256, 0.004, 20000)
-	if res != bare {
-		t.Errorf("budget 20000: watchdog run diverged from bare run")
+// TestExitDumpNamesWaitersOnGoldenRun reads token waits where a record
+// keeps them, in the exit state dump of the golden OWN-256 run: some
+// writer still waits for its token at the end, and its text line names
+// its router and the token owner's; some writer closed a wait during the
+// run. The Result is the bare run's.
+func TestExitDumpNamesWaitersOnGoldenRun(t *testing.T) {
+	res, n, _ := flightRun(t, 256, 0.004)
+	if bare := goldenRun(t, 256, 0.004); res != bare {
+		t.Errorf("recorded run diverged from bare run:\n got %+v\nwant %+v", res, bare)
 	}
-	if trips := fr.Dog.Trips(); trips != 0 {
-		t.Errorf("budget 20000: watchdog tripped %d times on the golden run: %v", trips, fr.Dog.TripReasons())
+	snap := n.Snapshot("exit")
+	waiting, longest := 0, uint64(0)
+	for _, c := range snap.Channels {
+		for _, wr := range c.Writers {
+			if wr.Waiting {
+				waiting++
+			}
+			longest = max(longest, wr.MaxWaitCy)
+		}
 	}
-	res, _, fr = flightRun(t, 256, 0.004, 1)
-	if res != bare {
-		t.Errorf("budget 1: watchdog run diverged from bare run")
+	if waiting == 0 || longest == 0 {
+		t.Fatalf("exit dump: %d waiting writers, longest closed wait %d cy; want some of each", waiting, longest)
 	}
-	starved := regexp.MustCompile(`^token starvation on (photonic|wireless) "[^"]+": writer \d+ \(router \d+\) waiting \d+ cy > budget 1, token at writer \d+ \(router \d+\)$`)
-	if !slices.ContainsFunc(fr.Dog.TripReasons(), starved.MatchString) {
-		t.Errorf("budget 1: %d trips, none a starvation naming both routers: %v", fr.Dog.Trips(), fr.Dog.TripReasons())
+	var text bytes.Buffer
+	if err := snap.WriteText(&text); err != nil {
+		t.Fatal(err)
+	}
+	line := regexp.MustCompile(`(?m)^  (photonic|wireless) \S+ writer \d+ \(router \d+\) waiting \d+ cy; token at writer \d+ \(router \d+\), `)
+	if got := len(line.FindAllString(text.String(), -1)); got != waiting {
+		t.Errorf("text dump names %d waiting writers with both routers, the channel records %d:\n%s", got, waiting, text.String())
 	}
 }
 
@@ -157,7 +164,7 @@ func TestFairnessArtifactsByteStableAcrossGOMAXPROCS(t *testing.T) {
 	render := func(procs int) map[string][]byte {
 		old := runtime.GOMAXPROCS(procs)
 		defer runtime.GOMAXPROCS(old)
-		_, n, _ := flightRun(t, 256, 0.004, 0)
+		_, n, _ := flightRun(t, 256, 0.004)
 		dir := t.TempDir()
 		files, err := obs.EmitFairness(n, dir, nil)
 		if err != nil {

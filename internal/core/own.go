@@ -223,7 +223,7 @@ func BuildOWN256(p Params) *fabric.Network {
 		if p.Reconfig && l.Class == wireless.C2C {
 			reserve := reserveBands[l.ID%4]
 			bw += reserve.BWGbps
-			epb = (ch.EPBpJ + reserve.EPBpJ(p.Scenario)*l.Class.LDFactor()) / 2
+			epb = (ch.EPBpJ + float64(reserve.EPBpJ(p.Scenario)*l.Class.LDFactor())) / 2
 		}
 		wireless.BuildP2P(n,
 			wireless.Endpoint{Router: tx, Port: PortWirelessTx},

@@ -10,7 +10,6 @@ package fabric
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"ownsim/internal/check"
@@ -38,8 +37,8 @@ type Network struct {
 	// Probe is the installed observability layer; nil (the default)
 	// disables all instrumentation. See InstallProbe.
 	Probe *probe.Probe
-	// FlightRec is the installed diagnostics layer (ring recorder,
-	// watchdog); nil disables it. See InstallFlightRecorder.
+	// FlightRec is the installed diagnostics layer (the recorder behind
+	// the record's state dump); nil disables it. See InstallFlightRecorder.
 	FlightRec *flightrec.FlightRecorder
 	// Checker is the installed conformance layer; nil (the default)
 	// disables it. See InstallChecker.
@@ -53,7 +52,7 @@ type Network struct {
 	Sources []*router.Source
 	Sinks   []*router.Sink
 	// Channels tracks the shared media (photonic subchannels, wireless
-	// links) for telemetry.
+	// links) for the probe's gauges, the state dump and the audit.
 	Channels []*sbus.Channel
 	// Edges records inter-router connectivity for visualization.
 	Edges []Edge
@@ -451,41 +450,10 @@ func (n *Network) audit(report func(rule, component string, err error)) {
 	}
 }
 
-// TrackChannel registers a shared channel for telemetry; the photonic
-// and wireless builders call it.
+// TrackChannel registers a shared channel with the network; the
+// photonic and wireless builders call it.
 func (n *Network) TrackChannel(ch *sbus.Channel) {
 	n.Channels = append(n.Channels, ch)
-}
-
-// Telemetry renders the top-N busiest shared channels with utilization,
-// token overhead and credit-stall counts — the first place to look when
-// a workload saturates.
-func (n *Network) Telemetry(topN int) string {
-	cycles := n.Eng.Cycle()
-	statsList := make([]sbus.Stats, 0, len(n.Channels))
-	for _, ch := range n.Channels {
-		statsList = append(statsList, ch.Stats())
-	}
-	// Busiest first; equally busy channels tie-break on name so the
-	// rendered order is deterministic (channel registration order is
-	// topology-dependent, and sort.Slice is not stable).
-	sort.Slice(statsList, func(i, j int) bool {
-		if statsList[i].BusyCy != statsList[j].BusyCy {
-			return statsList[i].BusyCy > statsList[j].BusyCy
-		}
-		return statsList[i].Name < statsList[j].Name
-	})
-	if topN > len(statsList) {
-		topN = len(statsList)
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "top %d of %d shared channels by utilization (over %d cycles):\n", topN, len(statsList), cycles)
-	fmt.Fprintf(&b, "%-24s %8s %6s %10s %12s\n", "channel", "flits", "util", "tokenHops", "creditStall")
-	for _, st := range statsList[:topN] {
-		fmt.Fprintf(&b, "%-24s %8d %5.1f%% %10d %12d\n",
-			st.Name, st.Transmitted, 100*st.Utilization(cycles), st.TokenMoves, st.CreditStallCy)
-	}
-	return b.String()
 }
 
 // DOT renders the router-level topology as a Graphviz digraph: electrical

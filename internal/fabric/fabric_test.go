@@ -219,12 +219,3 @@ func TestDOTExport(t *testing.T) {
 		t.Fatalf("Edges = %d, want 3", len(n.Edges))
 	}
 }
-
-func TestTelemetryReport(t *testing.T) {
-	n := ring(3, nil)
-	// No shared channels in a wire-only ring.
-	out := n.Telemetry(5)
-	if !strings.Contains(out, "0 shared channels") {
-		t.Fatalf("telemetry output: %q", out)
-	}
-}

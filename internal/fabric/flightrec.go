@@ -5,20 +5,17 @@ import (
 
 	"ownsim/internal/flightrec"
 	"ownsim/internal/probe"
-	"ownsim/internal/sim"
 )
 
 // InstallFlightRecorder wires a flight recorder into an assembled
-// network: it hands the watchdog every shared channel and schedules it
-// in the engine's Collect phase. Call it after the topology builder and
-// BEFORE InstallProbe: the watchdog then ticks before the probe's
-// sampler, and the probe installer registers the recorder's stall.*
-// gauges behind every other column and points the recorder at the
-// sampler. The
-// token-fairness artifacts and token.* gauges are the probe's, read from
-// its span tracker's token ledger. A nil recorder is a no-op. Like the
-// probe layer, the recorder is inert: it only reads state the simulation
-// already maintains, so installing it never changes a Result.
+// network. Call it after the topology builder and BEFORE InstallProbe:
+// the probe installer is what wires the recorder, registering its
+// stall.* gauges behind every other column and pointing it at the
+// sampler. The token-fairness artifacts and token.* gauges are the
+// probe's, read from its span tracker's token ledger. A nil recorder is
+// a no-op. Like the probe layer, the recorder is inert: it only reads
+// state the simulation already maintains, and it registers no engine
+// component, so installing it never changes a Result.
 func (n *Network) InstallFlightRecorder(fr *flightrec.FlightRecorder) {
 	if fr == nil {
 		return
@@ -30,15 +27,6 @@ func (n *Network) InstallFlightRecorder(fr *flightrec.FlightRecorder) {
 		panic(fmt.Sprintf("fabric %s: install the flight recorder before the probe", n.Name))
 	}
 	n.FlightRec = fr
-
-	dog := fr.Dog
-	dog.Channels = n.Channels
-	dog.SnapshotFn = n.Snapshot
-	dog.Progress = n.Progress
-	// Registered before the probe's sampler (InstallProbe runs later),
-	// so a trip dump taken at a watchdog tick sees the recorder ring as
-	// of the previous completed sampler window.
-	n.Eng.Register(sim.PhaseCollect, dog)
 }
 
 // wireFlightRec registers the stall gauges and points the recorder at
@@ -51,19 +39,7 @@ func (n *Network) wireFlightRec(p *probe.Probe) {
 		return
 	}
 	reg := p.Registry()
-	dog := fr.Dog
-	reg.Gauge("stall.watchdog_trips", func() float64 { return float64(dog.Trips()) })
-	eng := n.Eng
 	chans := n.Channels
-	budget := dog.Budget()
-	reg.Gauge("stall.starved_writers", func() float64 {
-		total := 0
-		for _, ch := range chans {
-			_, _, starved := ch.OldestWaiter(eng.Cycle(), budget)
-			total += starved
-		}
-		return float64(total)
-	})
 	reg.Gauge("stall.ch_queue_high_water", func() float64 {
 		total := 0
 		for _, ch := range chans {
@@ -85,8 +61,8 @@ func (n *Network) wireFlightRec(p *probe.Probe) {
 // Progress reads the network's liveness counters: what the sources
 // generated, injected, dropped and still queue, what the sinks ejected,
 // and the flits buffered in routers and queued on shared channels. It is
-// the one sum of them: the watchdog's stall detector, every Snapshot and
-// the probe's net.* gauges read it.
+// the one sum of them: every Snapshot and the probe's net.* gauges read
+// it.
 func (n *Network) Progress() flightrec.Progress {
 	var p flightrec.Progress
 	for _, s := range n.Sources {
@@ -105,8 +81,8 @@ func (n *Network) Progress() flightrec.Progress {
 	return p
 }
 
-// Snapshot assembles the full diagnostic state dump of a watchdog trip,
-// a checker violation and the record's dump.json. It must run on the
+// Snapshot assembles the full diagnostic state dump of a checker
+// violation and the record's dump.json. It must run on the
 // simulation goroutine; it reads but never mutates simulation state.
 func (n *Network) Snapshot(reason string) *flightrec.Snapshot {
 	cycle := n.Eng.Cycle()
@@ -146,8 +122,6 @@ func (n *Network) Snapshot(reason string) *flightrec.Snapshot {
 		}
 	}
 	if fr := n.FlightRec; fr != nil {
-		snap.Trips = fr.Dog.Trips()
-		snap.TripReasons = fr.Dog.TripReasons()
 		snap.FrameNames = fr.Rec.Names()
 		snap.Frames = fr.Rec.Tail(0)
 	}

@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"ownsim/internal/probe"
-	"ownsim/internal/sbus"
 	"ownsim/internal/traffic"
 )
 
@@ -201,25 +200,6 @@ func TestInstallNilProbeIsNoop(t *testing.T) {
 	)
 	if !res.Drained {
 		t.Fatal("unprobed network failed to drain")
-	}
-}
-
-// TestTelemetryTieBreakByName guards the deterministic channel ordering:
-// channels with equal busy counts must render sorted by name regardless
-// of registration order.
-func TestTelemetryTieBreakByName(t *testing.T) {
-	n := New("tie", 1, nil)
-	// Registered in reverse-alphabetical order; both idle (BusyCy 0).
-	n.TrackChannel(sbus.NewChannel("zeta", 1, 1, 1))
-	n.TrackChannel(sbus.NewChannel("alpha", 1, 1, 1))
-	out := n.Telemetry(2)
-	za := strings.Index(out, "zeta")
-	al := strings.Index(out, "alpha")
-	if za < 0 || al < 0 {
-		t.Fatalf("telemetry lost channels: %q", out)
-	}
-	if al > za {
-		t.Fatalf("equal-busy channels not sorted by name:\n%s", out)
 	}
 }
 

@@ -50,21 +50,19 @@ type PacketInfo struct {
 // index-ordered, so two snapshots of identical simulated state marshal
 // to identical bytes.
 type Snapshot struct {
-	Reason      string              `json:"reason"`
-	Cycle       uint64              `json:"cycle"`
-	Net         string              `json:"net,omitempty"`
-	Cores       int                 `json:"cores,omitempty"`
-	Tiles       int                 `json:"tiles,omitempty"`
-	Trips       uint64              `json:"watchdog_trips"`
-	TripReasons []string            `json:"trip_reasons,omitempty"`
-	Progress    Progress            `json:"progress"`
-	Engine      probe.EngineIntro   `json:"engine"`
-	Pools       probe.PoolIntro     `json:"pools"`
-	Channels    []sbus.ChannelIntro `json:"channels"`
-	Routers     []RouterInfo        `json:"routers"`
-	Packets     []PacketInfo        `json:"packets"`
-	FrameNames  []string            `json:"frame_names,omitempty"`
-	Frames      []Frame             `json:"frames,omitempty"`
+	Reason     string              `json:"reason"`
+	Cycle      uint64              `json:"cycle"`
+	Net        string              `json:"net,omitempty"`
+	Cores      int                 `json:"cores,omitempty"`
+	Tiles      int                 `json:"tiles,omitempty"`
+	Progress   Progress            `json:"progress"`
+	Engine     probe.EngineIntro   `json:"engine"`
+	Pools      probe.PoolIntro     `json:"pools"`
+	Channels   []sbus.ChannelIntro `json:"channels"`
+	Routers    []RouterInfo        `json:"routers"`
+	Packets    []PacketInfo        `json:"packets"`
+	FrameNames []string            `json:"frame_names,omitempty"`
+	Frames     []Frame             `json:"frames,omitempty"`
 }
 
 // WriteJSON emits the snapshot as one JSON document, the encoding/json
@@ -93,10 +91,6 @@ func (s *Snapshot) WriteText(w io.Writer) error {
 	pr("progress: generated=%d injected=%d dropped=%d ejected=%d src_queued=%d buffered=%d ch_queued=%d\n",
 		s.Progress.Generated, s.Progress.Injected, s.Progress.Dropped, s.Progress.Ejected,
 		s.Progress.SrcQueued, s.Progress.BufferedFlits, s.Progress.ChannelQueued)
-	pr("watchdog: trips=%d\n", s.Trips)
-	for _, r := range s.TripReasons {
-		pr("  trip: %s\n", r)
-	}
 	pr("engine: cycles=%d fast_forwarded=%d\n", s.Engine.Cycles, s.Engine.FastForwardedCy)
 	for _, ph := range s.Engine.Phases {
 		pr("  phase %-10s ticks=%d wakes(event=%d timer=%d spurious=%d) awake_cy=%d\n",

@@ -25,20 +25,16 @@ import (
 	"ownsim/internal/probe"
 )
 
-// Flags is the observation surface of one simulated run. Register
-// declares the three flags cmd/ownsim and cmd/sweep share; Watchdog, the
-// watchdog's liveness budget in cycles (flightrec.Options.Watchdog), is
-// -watchdog, which only cmd/ownsim registers (sweep leaves it zero).
+// Flags is the observation surface of one simulated run: the two flags
+// cmd/ownsim and cmd/sweep share, which Register declares.
 type Flags struct {
-	Out       string
-	Check     bool
-	Telemetry int
-	Watchdog  uint64
+	Out   string
+	Check bool
 }
 
 // A record traces every packet and samples the metrics once per
-// flightrec.Window cycles, the watchdog's check window; the manifest
-// config says so under "sample" and "window".
+// flightrec.Window cycles; the manifest config says so under "sample"
+// and "window".
 const traceEvery = 1
 
 // Register declares the shared observation flags on fs. what names the
@@ -47,7 +43,6 @@ const traceEvery = 1
 func (f *Flags) Register(fs *flag.FlagSet, what string) {
 	fs.StringVar(&f.Out, "out", "", "write the record of "+what+" into this directory: every artifact under a fixed name, then manifest.json with their digests")
 	fs.BoolVar(&f.Check, "check", false, "audit protocol invariants with the conformance checker (internal/check); violations go to stderr and the exit code is non-zero if any fired")
-	fs.IntVar(&f.Telemetry, "telemetry", 0, "print the top-N busiest shared channels of "+what)
 }
 
 // OpenRecord creates the -out directory and starts the record's manifest
@@ -79,32 +74,20 @@ type Session struct {
 }
 
 // Start writes the record's topology.dot and installs on n what f asks
-// for, in the one order that composes: flight recorder (its watchdog
-// ticks before the sampler, and the probe installer registers its
-// stall.* gauges last), then probe, then checker. It is the single place
-// that derives the observers from two facts. A record or a watchdog
-// budget installs the recorder and an aggregate probe with spans and a
-// sampler: the spans back the breakdown and fairness artifacts, the
-// recorder the dump and the detectors. Only a record adds the tracer.
-// Diagnostics — watchdog trips, invariant violations — go to logf.
+// for, in the one order that composes: flight recorder (the probe
+// installer wires it and registers its stall.* gauges last), then probe,
+// then checker. It is the single place that derives the observers from
+// two facts. A record installs the recorder and a probe with spans, a
+// sampler and the tracer: the spans back the breakdown and fairness
+// artifacts, the recorder the dump. Invariant violations go to logf.
 func Start(n *fabric.Network, f *Flags, logf func(format string, args ...any)) (*Session, error) {
 	s := &Session{n: n, f: f, logf: logf}
 	if f.Out != "" {
 		if err := os.WriteFile(filepath.Join(f.Out, "topology.dot"), []byte(n.DOT()), 0o644); err != nil {
 			return nil, err
 		}
-	}
-	if f.Out != "" || f.Watchdog > 0 {
-		fr := flightrec.New(flightrec.Options{Watchdog: f.Watchdog})
-		fr.Dog.OnTrip = func(reason string, snap *flightrec.Snapshot) {
-			s.logDump("WATCHDOG TRIP: "+reason, snap)
-		}
-		n.InstallFlightRecorder(fr)
-		opts := probe.Options{Spans: true, MetricsEvery: flightrec.Window}
-		if f.Out != "" {
-			opts.TraceEvery = traceEvery
-		}
-		n.InstallProbe(probe.New(opts))
+		n.InstallFlightRecorder(flightrec.New(flightrec.Options{}))
+		n.InstallProbe(probe.New(probe.Options{Spans: true, MetricsEvery: flightrec.Window, TraceEvery: traceEvery}))
 	}
 	if f.Check {
 		n.InstallChecker(check.New(), func(v check.Violation, snap *flightrec.Snapshot) {
@@ -114,8 +97,8 @@ func Start(n *fabric.Network, f *Flags, logf func(format string, args ...any)) (
 	return s, nil
 }
 
-// logDump reports a watchdog trip or invariant violation with the state
-// snapshot taken at it (nil after a checker's first violation).
+// logDump reports an invariant violation with the state snapshot taken
+// at it (nil after a checker's first violation).
 func (s *Session) logDump(what string, snap *flightrec.Snapshot) {
 	var b strings.Builder
 	if snap != nil {
@@ -134,13 +117,13 @@ func (s *Session) Finish() {
 	}
 }
 
-// Emit reports to out the -telemetry table and, for a record, the
-// energy breakdown table; then it writes the record into the -out
-// directory: every artifact group in table order, each file digested
-// into man with the engine/pool introspection, one status line per
-// group, and manifest.json last. Warnings close the report, which is
-// written once, also when a group fails; the first error is returned.
-// man is OpenRecord's manifest (nil without -out).
+// Emit writes the record into the -out directory and reports it to out:
+// the energy breakdown table, then every artifact group in table order,
+// each file digested into man with the engine/pool introspection, one
+// status line per group, and manifest.json last. Warnings close the
+// report, which is written once, also when a group fails; the first
+// error is returned. man is OpenRecord's manifest; without -out it is
+// nil and Emit writes nothing.
 func (s *Session) Emit(man *probe.Manifest, out io.Writer) error {
 	var b strings.Builder
 	err := s.emit(man, &b)
@@ -151,34 +134,29 @@ func (s *Session) Emit(man *probe.Manifest, out io.Writer) error {
 }
 
 func (s *Session) emit(man *probe.Manifest, b *strings.Builder) error {
-	n, f := s.n, s.f
-	if f.Telemetry > 0 {
-		fmt.Fprintf(b, "\n%s", n.Telemetry(f.Telemetry))
+	if man == nil {
+		return nil
 	}
-	if man != nil {
-		fmt.Fprintf(b, "\n%s", n.Meter.EnergyTable(n.Eng.Cycle()))
-		ei, pi := n.EngineIntro(), n.PoolIntro()
-		man.Engine, man.Pools = &ei, &pi
-		for _, g := range groups {
-			files, err := g.emit(n, f.Out, man)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(b, "%-12s %s\n", g.name+":", strings.Join(files, ", "))
-		}
-		if err := WriteManifest(man, f.Out); err != nil {
+	n, dir := s.n, s.f.Out
+	fmt.Fprintf(b, "\n%s", n.Meter.EnergyTable(n.Eng.Cycle()))
+	ei, pi := n.EngineIntro(), n.PoolIntro()
+	man.Engine, man.Pools = &ei, &pi
+	for _, g := range groups {
+		files, err := g.emit(n, dir, man)
+		if err != nil {
 			return err
 		}
-		fmt.Fprintf(b, "%-12s %s\n", "manifest:", filepath.Join(f.Out, "manifest.json"))
+		fmt.Fprintf(b, "%-12s %s\n", g.name+":", strings.Join(files, ", "))
 	}
+	if err := WriteManifest(man, dir); err != nil {
+		return err
+	}
+	fmt.Fprintf(b, "%-12s %s\n", "manifest:", filepath.Join(dir, "manifest.json"))
 	if d := n.Probe.Tracer().Dropped(); d > 0 {
 		fmt.Fprintf(b, "  WARNING: %d trace events dropped at the %d-event cap\n", d, probe.DefaultMaxTraceEvents)
 	}
 	if mm := n.Probe.Spans().Mismatches(); mm > 0 {
 		fmt.Fprintf(b, "  WARNING: %d packets failed the span sum identity\n", mm)
-	}
-	if fr := n.FlightRec; fr != nil && fr.Dog.Trips() > 0 {
-		fmt.Fprintf(b, "  WARNING: watchdog tripped %d time(s); first: %s\n", fr.Dog.Trips(), fr.Dog.TripReasons()[0])
 	}
 	return nil
 }

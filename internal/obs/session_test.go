@@ -6,13 +6,11 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"slices"
 	"strings"
 	"testing"
 
 	"ownsim/internal/core"
 	"ownsim/internal/fabric"
-	"ownsim/internal/flightrec"
 	"ownsim/internal/power"
 	"ownsim/internal/probe"
 	"ownsim/internal/traffic"
@@ -82,13 +80,13 @@ func dirFiles(t *testing.T, dir string) []string {
 	return names
 }
 
-// TestRegisterDeclaresTheSharedFlags pins the surface: exactly the three
+// TestRegisterDeclaresTheSharedFlags pins the surface: exactly the two
 // shared names, with the defaults both CLIs always had.
 func TestRegisterDeclaresTheSharedFlags(t *testing.T) {
 	fs := flag.NewFlagSet("obs-test", flag.ContinueOnError)
 	new(Flags).Register(fs, "the run")
 	want := map[string]string{
-		"out": "", "check": "false", "telemetry": "0",
+		"out": "", "check": "false",
 	}
 	got := map[string]string{}
 	fs.VisitAll(func(fl *flag.Flag) { got[fl.Name] = fl.DefValue })
@@ -223,28 +221,6 @@ func TestEmitUnwritablePath(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(dir, "manifest.json")); !os.IsNotExist(err) {
 		t.Errorf("manifest.json written after a failed group (stat: %v)", err)
-	}
-}
-
-// TestRecorderFeedsTokenGauges is the regression test for the drifted
-// derivation: a flight recorder installed for the watchdog alone (no
-// record) must still have its stall tracker fed, so the token.* gauges
-// read what a recorded run reads, not zero.
-func TestRecorderFeedsTokenGauges(t *testing.T) {
-	acquisitions := func(f *Flags) float64 {
-		f.Watchdog = 1000 * flightrec.Window
-		smp := observe(t, f, 0.004, 1).n.Probe.Sampler()
-		i := slices.Index(smp.Names(), "token.photonic.acquisitions")
-		if i < 0 {
-			t.Fatal("token.photonic.acquisitions is not registered")
-		}
-		_, values := smp.Row(smp.Rows() - 1)
-		return values[i]
-	}
-	alone := acquisitions(parseFlags(t))
-	recorded := acquisitions(parseFlags(t, "-out", t.TempDir()))
-	if alone == 0 || alone != recorded {
-		t.Fatalf("token.photonic.acquisitions = %v under the watchdog alone, %v in a record; want equal and > 0", alone, recorded)
 	}
 }
 

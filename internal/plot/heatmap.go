@@ -76,14 +76,18 @@ func heatColor(t float64) string {
 	var r, g, b float64
 	if t < 0.5 {
 		u := t * 2
-		r, g, b = 23+(32-23)*u, 42+(144-42)*u, 112+(140-112)*u
+		r, g, b = lerp(23, 32, u), lerp(42, 144, u), lerp(112, 140, u)
 	} else {
 		u := (t - 0.5) * 2
-		r, g, b = 32+(250-32)*u, 144+(204-144)*u, 140+(21-140)*u
+		r, g, b = lerp(32, 250, u), lerp(144, 204, u), lerp(140, 21, u)
 	}
 	round := func(v float64) int { return int(math.Round(v)) }
 	return fmt.Sprintf("#%02x%02x%02x", round(r), round(g), round(b))
 }
+
+// lerp is a + (b-a)*u with the product rounded, so no target fuses it
+// into a multiply-add and every architecture prints the same colors.
+func lerp(a, b, u float64) float64 { return a + float64((b-a)*u) }
 
 // SVG renders the grid as a standalone SVG document: one rect per cell
 // colored by normalized intensity, a hover tooltip (<title>) carrying

@@ -162,7 +162,7 @@ func (m *Meter) Energy() Energy {
 		grants, vcAllocs := r.read()
 		grantsAll += grants
 		e.Xbar += Picojoules(float64(grants) * p.XbarPJ(r.radix))
-		e.Arb += Picojoules(float64(grants)*p.SAArbPJ(r.radix) + float64(vcAllocs)*p.EVCAArbPJ)
+		e.Arb += Picojoules(float64(float64(grants)*p.SAArbPJ(r.radix)) + float64(float64(vcAllocs)*p.EVCAArbPJ))
 	}
 	for _, l := range m.links {
 		if l.mm > 0 {

@@ -83,17 +83,17 @@ func (p *Params) CycleNS() float64 { return 1.0 / p.ClockGHz }
 // XbarPJ returns the crossbar traversal energy for one flit through a
 // switch of the given radix.
 func (p *Params) XbarPJ(radix int) float64 {
-	return p.EXbarBasePJ + p.EXbarPerPortPJ*float64(radix)
+	return p.EXbarBasePJ + float64(p.EXbarPerPortPJ*float64(radix))
 }
 
 // SAArbPJ returns the switch-allocation energy for one grant at the given
 // radix.
 func (p *Params) SAArbPJ(radix int) float64 {
-	return p.ESAArbBasePJ + p.ESAPerPortPJ*float64(radix)
+	return p.ESAArbBasePJ + float64(p.ESAPerPortPJ*float64(radix))
 }
 
 // RouterLeakMW returns the static power of one router's base and crossbar
 // area (buffer leakage is added per connected input port).
 func (p *Params) RouterLeakMW(radix int) float64 {
-	return p.PRouterLeakBaseMW + p.PLeakPerPortMW*float64(radix)
+	return p.PRouterLeakBaseMW + float64(p.PLeakPerPortMW*float64(radix))
 }

@@ -159,9 +159,6 @@ type Writer struct {
 // tile behind a writer index. Unstamped writers report -1.
 func (w *Writer) SetID(id int) { w.id = int32(id) }
 
-// ID returns the stamped external identifier, or -1.
-func (w *Writer) ID() int { return int(w.id) }
-
 // Index returns the writer's index on its channel.
 func (w *Writer) Index() int { return int(w.idx) }
 
@@ -505,15 +502,6 @@ func (c *Channel) pendingStall() uint64 {
 // the channel's writers at once.
 func (c *Channel) QueueHighWater() int { return c.qHighWater }
 
-// WriterID returns the stamped external identifier of writer wi, or -1
-// when wi is out of range or unstamped.
-func (c *Channel) WriterID(wi int) int {
-	if wi < 0 || wi >= len(c.writers) {
-		return -1
-	}
-	return int(c.writers[wi].id)
-}
-
 // waiting reports whether writer wi waits for the token: it has flits
 // queued and does not hold the lock. A wait opens when the writer's first
 // flit arrives without the lock (Send) or when its tail frees the lock
@@ -521,27 +509,6 @@ func (c *Channel) WriterID(wi int) int {
 // A channel without a waker keeps no wait.
 func (c *Channel) waiting(wi int) bool {
 	return c.waker != nil && c.lockedW != wi && c.queued(wi) > 0
-}
-
-// OldestWaiter reports the channel's token waits at cycle: the writer
-// that has waited longest and the cycle its wait opened (ties go to the
-// lower index; -1 and 0 when no writer waits), and how many writers have
-// waited more than budget cycles. The watchdog's starvation detector and
-// the stall.starved_writers gauge read it.
-func (c *Channel) OldestWaiter(cycle, budget uint64) (wi int, since uint64, starved int) {
-	wi = -1
-	for i, w := range c.writers {
-		if !c.waiting(i) {
-			continue
-		}
-		if wi < 0 || w.waitFrom < since {
-			wi, since = i, w.waitFrom
-		}
-		if cycle-w.waitFrom > budget {
-			starved++
-		}
-	}
-	return wi, since, starved
 }
 
 // WriterIntro is one writer's slice of a ChannelIntro snapshot.

@@ -82,31 +82,39 @@ func TestStallTrackingTokenWaitLifecycle(t *testing.T) {
 	}
 }
 
-// TestOldestWaiterFollowsTheOpenWait: OldestWaiter names the writer whose
-// wait is open and counts it as starved once the wait exceeds the
-// budget, strictly; once every wait has closed there is no oldest waiter.
-func TestOldestWaiterFollowsTheOpenWait(t *testing.T) {
-	eng, ch, w, _, _ := buildWatchedChannel(2, 1)
-	sendPacket(w[0], 1, 0, 0, 2)
+// TestIntrospectFollowsTheOpenWait: on every cycle of an open wait the
+// channel record names the waiting writer and the cycle its wait opened,
+// so a dump taken then prints the wait's length; once every wait has
+// closed no writer waits.
+func TestIntrospectFollowsTheOpenWait(t *testing.T) {
+	eng, ch, w, grants, _ := buildWatchedChannel(3, 1)
+	sendPacket(w[0], 1, 0, 0, 4)
 	eng.Run(2)
 	since := eng.Cycle()
 	sendPacket(w[1], 2, 0, 0, 2)
 
-	if wi, at, _ := ch.OldestWaiter(since, 0); wi != 1 || at != since {
-		t.Fatalf("OldestWaiter = (%d, %d), want (1, %d)", wi, at, since)
-	}
-	for _, tc := range []struct{ budget, starved int }{{9, 1}, {10, 0}, {20, 0}} {
-		if _, _, n := ch.OldestWaiter(since+10, uint64(tc.budget)); n != tc.starved {
-			t.Errorf("10 cy into the wait, budget %d: %d writers starved, want %d", tc.budget, n, tc.starved)
+	open := 0
+	for len(*grants) == 0 {
+		for i, wr := range ch.Introspect().Writers {
+			if waits := i == 1; wr.Waiting != waits || (waits && wr.WaitingSinceCy != since) {
+				t.Fatalf("cycle %d, writer %d = %+v, want only writer 1 waiting, since %d", eng.Cycle(), i, wr, since)
+			}
 		}
+		open++
+		eng.Step()
+	}
+	if open < 2 {
+		t.Fatalf("writer 1 waited %d cycles: the fixture exercises nothing", open)
 	}
 
 	eng.Run(20)
 	if ch.Queued() != 0 {
 		t.Fatalf("channel not drained: Queued = %d", ch.Queued())
 	}
-	if wi, _, n := ch.OldestWaiter(eng.Cycle(), 0); wi != -1 || n != 0 {
-		t.Fatalf("OldestWaiter after drain = writer %d with %d starved, want -1 with 0", wi, n)
+	for i, wr := range ch.Introspect().Writers {
+		if wr.Waiting || wr.WaitingSinceCy != 0 {
+			t.Fatalf("writer %d after drain = %+v, want no open wait", i, wr)
+		}
 	}
 }
 
@@ -170,30 +178,6 @@ func TestWaitOpensOnTheWritersFirstFlit(t *testing.T) {
 	}
 }
 
-// OldestWaiter breaks ties on the lower writer index, and otherwise names
-// the writer whose wait opened first.
-func TestOldestWaiterOrder(t *testing.T) {
-	eng, ch, w, _, _ := buildWatchedChannel(3, 1)
-	sendPacket(w[0], 1, 0, 0, 2)
-	eng.Run(2)
-	sendPacket(w[2], 2, 0, 0, 2)
-	sendPacket(w[1], 3, 0, 0, 2)
-	if wi, _, n := ch.OldestWaiter(eng.Cycle()+5, 0); wi != 1 || n != 2 {
-		t.Errorf("two writers joined on one cycle: OldestWaiter = writer %d with %d starved, want writer 1 with 2", wi, n)
-	}
-
-	eng, ch, w, _, _ = buildWatchedChannel(3, 1)
-	sendPacket(w[0], 1, 0, 0, 2)
-	eng.Run(2)
-	sendPacket(w[2], 2, 0, 0, 2)
-	since := eng.Cycle()
-	eng.Step()
-	sendPacket(w[1], 3, 0, 0, 2)
-	if wi, at, _ := ch.OldestWaiter(eng.Cycle(), 0); wi != 2 || at != since {
-		t.Errorf("writer 2 joined a cycle before writer 1: OldestWaiter = (%d, %d), want (2, %d)", wi, at, since)
-	}
-}
-
 // A channel without a waker has no clock to time a wait by, so it reports
 // none, also with writers queued behind the lock and a tail released with
 // more queued.
@@ -208,9 +192,6 @@ func TestUnclockedChannelKeepsNoWait(t *testing.T) {
 	sendPacket(w1, 3, 0, 0, 2)
 	for c := uint64(0); c < 30; c++ {
 		ch.Tick(c)
-		if wi, _, n := ch.OldestWaiter(c, 0); wi != -1 || n != 0 {
-			t.Fatalf("cycle %d: OldestWaiter = writer %d with %d starved, want none", c, wi, n)
-		}
 		for _, wr := range ch.Introspect().Writers {
 			if wr.Waiting || wr.WaitingSinceCy != 0 || wr.MaxWaitCy != 0 {
 				t.Fatalf("cycle %d: untimed writer shows wait state: %+v", c, wr)
@@ -271,24 +252,6 @@ func TestTokenWaitBookkeepingAllocFree(t *testing.T) {
 	}
 	if in := ch.Introspect(); in.Queued != 0 || in.Writers[0].MaxWaitCy == 0 {
 		t.Fatalf("the fixture did not drain or timed no wait: %+v", in)
-	}
-}
-
-func TestWriterIDBounds(t *testing.T) {
-	ch := NewChannel("t", 1, 0, 1)
-	w := ch.AddWriter(&testSrc{}, 0, 1, 4)
-	if got := ch.WriterID(0); got != -1 {
-		t.Errorf("unstamped WriterID = %d, want -1", got)
-	}
-	w.SetID(7)
-	if got := ch.WriterID(0); got != 7 {
-		t.Errorf("WriterID = %d, want 7", got)
-	}
-	if ch.WriterID(-1) != -1 || ch.WriterID(5) != -1 {
-		t.Error("out-of-range WriterID must be -1")
-	}
-	if w.Index() != 0 || w.ID() != 7 {
-		t.Errorf("writer Index/ID = %d/%d, want 0/7", w.Index(), w.ID())
 	}
 }
 

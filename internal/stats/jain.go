@@ -17,7 +17,7 @@ func JainIndex(xs []float64) float64 {
 			continue
 		}
 		sum += x
-		sumSq += x * x
+		sumSq += float64(x * x)
 		n++
 	}
 	if n == 0 || ApproxZero(sumSq, 0) {

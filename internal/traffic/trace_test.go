@@ -1,6 +1,8 @@
 package traffic
 
 import (
+	"cmp"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -179,4 +181,82 @@ func TestStencilDeterministicProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// FuzzTrace builds a trace from (cycle, src, dst) byte triples — the
+// endpoints signed, so some fall below zero — over cores in [0, 64).
+// Validate must accept it exactly when every endpoint is a core and no
+// entry is a self-send. An accepted trace, split by PerSource and stepped
+// every cycle, must emit each entry exactly once, from its source to its
+// destination, in per-source cycle order, at its cycle or one cycle after
+// the source's previous emission, whichever is later; and a source's
+// NextPending must never name a cycle after its next emission, so a
+// source that sleeps until then misses nothing.
+func FuzzTrace(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte, coreByte uint8) {
+		cores := int(coreByte % 64)
+		tr := &Trace{}
+		valid := true
+		for i := 0; i+2 < len(data); i += 3 {
+			e := TraceEntry{Cycle: uint64(data[i]), Src: int(int8(data[i+1])), Dst: int(int8(data[i+2]))}
+			valid = valid && e.Src >= 0 && e.Src < cores && e.Dst >= 0 && e.Dst < cores && e.Src != e.Dst
+			tr.Entries = append(tr.Entries, e)
+		}
+		if err := tr.Validate(cores); (err == nil) != valid {
+			t.Fatalf("%d cores, entries %v: Validate = %v, want accepted %v", cores, tr.Entries, err, valid)
+		}
+		if !valid {
+			return
+		}
+		// What each source must emit: its entries in cycle order, ties
+		// in trace order.
+		want := make([][]TraceEntry, cores)
+		byCycle := slices.Clone(tr.Entries)
+		slices.SortStableFunc(byCycle, func(a, b TraceEntry) int { return cmp.Compare(a.Cycle, b.Cycle) })
+		last := uint64(0)
+		for _, e := range byCycle {
+			want[e.Src] = append(want[e.Src], e)
+			last = max(last, e.Cycle)
+		}
+
+		gens := tr.PerSource(cores, 2, nil)
+		emitted := make([]int, cores)
+		lastEmit := make([]uint64, cores)
+		promised := make([]uint64, cores) // latest NextPending since the last emission
+		for cycle := uint64(0); cycle <= last+uint64(len(byCycle)); cycle++ {
+			for s, g := range gens {
+				at, ok := g.NextPending(cycle)
+				if ok == g.Done() || (ok && at < cycle) {
+					t.Fatalf("source %d, cycle %d: NextPending = (%d, %v), Done = %v", s, cycle, at, ok, g.Done())
+				}
+				promised[s] = max(promised[s], at)
+				p := g.Generate(cycle)
+				if p == nil {
+					continue
+				}
+				k := emitted[s]
+				if k >= len(want[s]) {
+					t.Fatalf("source %d, cycle %d: packet to %d beyond its %d entries", s, cycle, p.Dst, len(want[s]))
+				}
+				e := want[s][k]
+				due := e.Cycle
+				if k > 0 {
+					due = max(due, lastEmit[s]+1)
+				}
+				if p.Src != s || p.Dst != e.Dst || cycle != due {
+					t.Fatalf("source %d, entry %d %+v: packet %d->%d at cycle %d, want %d->%d at cycle %d", s, k, e, p.Src, p.Dst, cycle, s, e.Dst, due)
+				}
+				if promised[s] > cycle {
+					t.Fatalf("source %d: NextPending named cycle %d, after its emission at %d", s, promised[s], cycle)
+				}
+				emitted[s]++
+				lastEmit[s], promised[s] = cycle, 0
+			}
+		}
+		for s, g := range gens {
+			if emitted[s] != len(want[s]) || !g.Done() {
+				t.Fatalf("source %d emitted %d of %d entries (Done %v)", s, emitted[s], len(want[s]), g.Done())
+			}
+		}
+	})
 }

@@ -83,13 +83,13 @@ func segmentDistance(s, t segment) float64 {
 // pointSegmentDistance returns the distance from p to segment s.
 func pointSegmentDistance(p Point, s segment) float64 {
 	dx, dy := s.b.X-s.a.X, s.b.Y-s.a.Y
-	l2 := dx*dx + dy*dy
+	l2 := float64(dx*dx) + float64(dy*dy)
 	if l2 <= 0 {
 		return p.Distance(s.a)
 	}
-	t := ((p.X-s.a.X)*dx + (p.Y-s.a.Y)*dy) / l2
+	t := (float64((p.X-s.a.X)*dx) + float64((p.Y-s.a.Y)*dy)) / l2
 	t = math.Max(0, math.Min(1, t))
-	proj := Point{s.a.X + t*dx, s.a.Y + t*dy}
+	proj := Point{s.a.X + float64(t*dx), s.a.Y + float64(t*dy)}
 	return p.Distance(proj)
 }
 
@@ -119,7 +119,7 @@ func touches(d float64, s segment, p Point) bool {
 
 // cross returns the z component of (b-a) x (p-a).
 func cross(a, b, p Point) float64 {
-	return (b.X-a.X)*(p.Y-a.Y) - (b.Y-a.Y)*(p.X-a.X)
+	return float64((b.X-a.X)*(p.Y-a.Y)) - float64((b.Y-a.Y)*(p.X-a.X))
 }
 
 // onSegment reports whether p (already collinear) lies within s's box.

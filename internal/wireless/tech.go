@@ -232,7 +232,7 @@ func BandPlan(s Scenario) []Band {
 	step := s.BWGHz() + s.IsolationGHz()
 	plan := make([]Band, NumBands)
 	for k := 0; k < NumBands; k++ {
-		f := StartGHz + float64(k)*step
+		f := StartGHz + float64(float64(k)*step)
 		plan[k] = Band{Index: k, CenterGHz: f, Tech: techFor(f), BWGbps: s.BWGbps()}
 	}
 	return plan
