@@ -15,21 +15,20 @@ fmt:
 # vet also type-checks a second architecture, arm64, where Go may fuse
 # floating-point multiply-adds: nothing that decides a simulated event may
 # depend on that (the arrival sampler draws with integers only). The last
-# leg builds the observed commands (ownsim, sweep, trace) for arm64 and
+# leg builds the four commands (paper, ownsim, sweep, trace) for arm64 and
 # fails on any fused multiply-add in a function of this module, so their
 # printed digits round as on amd64; a site rounds its product with an
-# explicit float64(...). cmd/paper is not gated yet: rf, dsp, report and
-# stats.SaturationLoad still fuse.
+# explicit float64(...).
 vet:
 	$(GO) vet ./...
 	GOARCH=arm64 $(GO) vet ./...
 	@tmp=$$(mktemp -d); trap "rm -rf $$tmp" EXIT; set -e; \
-	for c in ownsim sweep trace; do \
+	for c in paper ownsim sweep trace; do \
 		GOARCH=arm64 $(GO) build -o $$tmp/$$c ./cmd/$$c; \
 		fused=$$($(GO) tool objdump $$tmp/$$c | awk '/^TEXT/{f=$$2} /\t(FMADD|FMSUB|FNMADD|FNMSUB)[SD] / && f ~ /^ownsim\//{s[f]=1} END{for(k in s) print k}'); \
 		if [ -n "$$fused" ]; then echo "vet: arm64 $$c fuses floating-point multiply-adds in:"; echo "$$fused"; exit 1; fi; \
 	done; \
-	echo "vet: arm64 ownsim, sweep and trace hold no fused multiply-add"
+	echo "vet: arm64 paper, ownsim, sweep and trace hold no fused multiply-add"
 
 build:
 	$(GO) build ./...

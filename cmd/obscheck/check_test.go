@@ -3,11 +3,12 @@
 // invariant, and the checkers here state each one. A CSV is a
 // rectangular table with at least one data row, and the energy,
 // latency-breakdown and Jain CSVs — recognized by their headers — add
-// their sum or bound; an SVG is well-formed XML under an svg root; JSON
-// parses, the state dump decodes into flightrec.Snapshot with its cycle
-// and reason, its text view lists the writers it records as waiting,
-// and a manifest's run summary orders its latencies (p50 <= p95 <= p99
-// <= max).
+// their sum or bound; JSON parses, the state dump decodes into
+// flightrec.Snapshot with its cycle and reason, its text view lists the
+// writers it records as waiting, and a manifest's run summary orders its
+// latencies (p50 <= p95 <= p99 <= max). Across files, the heatmap and
+// fairness tables sum to the gauges metrics.csv sampled at the run's
+// last cycle (checkAgrees).
 // TestRecordInvariants applies them to a real record,
 // TestRecordCorruptionsFail proves each one bites on real emitter bytes,
 // and the TestCheck* tests pin each checker on its own.
@@ -17,10 +18,8 @@ import (
 	"bytes"
 	"encoding/csv"
 	"encoding/json"
-	"encoding/xml"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"path/filepath"
 	"regexp"
@@ -44,8 +43,6 @@ func checkFile(name string, b []byte) error {
 	switch filepath.Ext(name) {
 	case ".csv":
 		_, err = checkCSV(b)
-	case ".svg":
-		_, err = checkSVG(b)
 	case ".json":
 		switch {
 		case !json.Valid(b):
@@ -235,28 +232,86 @@ func checkManifest(b []byte) error {
 	return nil
 }
 
-// checkSVG verifies well-formed XML under an svg root and returns the
-// number of elements.
-func checkSVG(b []byte) (int, error) {
-	dec := xml.NewDecoder(bytes.NewReader(b))
-	root, n := "", 0
-	for {
-		tok, err := dec.Token()
-		if err == io.EOF {
-			break
+// checkAgrees holds a record's files to each other: the tables that
+// attribute a total per router, channel or tile sum to the gauge that
+// metrics.csv sampled at the run's last cycle (Probe.Flush writes that
+// final row), and the fairness ledger to the latency breakdown:
+//
+//   - heat_congestion.csv's values sum to net.credit_stall + net.busy_stall;
+//   - fair_tiles.csv's total_wait_cy sums to token.photonic.wait_cy +
+//     token.wireless.wait_cy, which is breakdown.csv's token_wait cycles;
+//   - heat_energy.csv's values, added in file order, are
+//     energy.wireless_tx_pj bit for bit (a record without wireless
+//     channels has no heat_energy.csv and charges no wireless energy).
+//
+// files maps each base name to its bytes.
+func checkAgrees(files map[string][]byte) error {
+	column := func(name, header string) ([]float64, error) {
+		recs, err := csv.NewReader(bytes.NewReader(files[name])).ReadAll()
+		if err != nil || len(recs) == 0 {
+			return nil, err
 		}
-		if err != nil {
-			return n, fmt.Errorf("invalid XML: %v", err)
+		col := slices.Index(recs[0], header)
+		if col < 0 {
+			return nil, fmt.Errorf("%s has no %s column", name, header)
 		}
-		if se, ok := tok.(xml.StartElement); ok {
-			if n == 0 {
-				root = se.Name.Local
+		vs := make([]float64, len(recs)-1)
+		for i, rec := range recs[1:] {
+			if vs[i], err = strconv.ParseFloat(rec[col], 64); err != nil {
+				return nil, fmt.Errorf("%s row %d: bad %s %q", name, i+1, header, rec[col])
 			}
-			n++
+		}
+		return vs, nil
+	}
+	sum := func(name, header string) (float64, error) {
+		vs, err := column(name, header)
+		s := 0.0
+		for _, v := range vs {
+			s += v
+		}
+		return s, err
+	}
+	final := func(headers ...string) (float64, error) {
+		s := 0.0
+		for _, h := range headers {
+			vs, err := column("metrics.csv", h)
+			if err != nil || len(vs) == 0 {
+				return 0, fmt.Errorf("metrics.csv has no final %s (%v)", h, err)
+			}
+			s += vs[len(vs)-1]
+		}
+		return s, nil
+	}
+	for _, id := range []struct {
+		what, file, header string
+		gauges             []string
+	}{
+		{"congestion", "heat_congestion.csv", "value", []string{"net.credit_stall", "net.busy_stall"}},
+		{"token wait", "fair_tiles.csv", "total_wait_cy", []string{"token.photonic.wait_cy", "token.wireless.wait_cy"}},
+		{"wireless energy", "heat_energy.csv", "value", []string{"energy.wireless_tx_pj"}},
+	} {
+		got, err := sum(id.file, id.header)
+		if err != nil {
+			return err
+		}
+		want, err := final(id.gauges...)
+		if err != nil {
+			return err
+		}
+		if got != want {
+			return fmt.Errorf("%s: %s %s sums to %v, metrics.csv's final %s to %v", id.what, id.file, id.header, got, strings.Join(id.gauges, " + "), want)
 		}
 	}
-	if root != "svg" {
-		return n, fmt.Errorf("root element is %q, want svg", root)
+	gauges, err := final("token.photonic.wait_cy", "token.wireless.wait_cy")
+	if err != nil {
+		return err
 	}
-	return n, nil
+	phases, err := column("breakdown.csv", "cycles")
+	if err != nil || len(phases) != int(probe.NumSpanPhases)+1 {
+		return fmt.Errorf("breakdown.csv has no row per phase (%v)", err)
+	}
+	if tokenWait := phases[probe.SpanTokenWait]; gauges != tokenWait {
+		return fmt.Errorf("token wait: the token.* gauges sum to %v, breakdown.csv's token_wait to %v", gauges, tokenWait)
+	}
+	return nil
 }

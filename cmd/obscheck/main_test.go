@@ -65,17 +65,3 @@ func TestCheckCSVPlainTableStillPasses(t *testing.T) {
 		t.Fatal("ragged CSV accepted")
 	}
 }
-
-func TestCheckSVG(t *testing.T) {
-	good := []byte(`<svg xmlns="http://www.w3.org/2000/svg"><rect/><text>x</text></svg>`)
-	n, err := checkSVG(good)
-	if err != nil || n != 3 {
-		t.Fatalf("good SVG: n=%d err=%v", n, err)
-	}
-	if _, err := checkSVG([]byte(`<svg><rect></svg>`)); err == nil {
-		t.Fatal("unclosed element accepted")
-	}
-	if _, err := checkSVG([]byte(`<html></html>`)); err == nil || !strings.Contains(err.Error(), "root") {
-		t.Fatalf("wrong root accepted (err = %v)", err)
-	}
-}

@@ -81,18 +81,32 @@ func record(t *testing.T) string {
 	return dir
 }
 
-// TestRecordInvariants checks every file of a real record against the
-// invariant of its format.
-func TestRecordInvariants(t *testing.T) {
-	dir := record(t)
+// readRecord returns every file of the record in dir by base name.
+func readRecord(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	files := make(map[string][]byte)
 	for _, name := range dirFiles(t, dir) {
 		b, err := os.ReadFile(filepath.Join(dir, name))
 		if err != nil {
 			t.Fatal(err)
 		}
+		files[name] = b
+	}
+	return files
+}
+
+// TestRecordInvariants checks every file of a real record against the
+// invariant of its format, and the files against each other.
+func TestRecordInvariants(t *testing.T) {
+	dir := record(t)
+	files := readRecord(t, dir)
+	for name, b := range files {
 		if err := checkFile(name, b); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}
+	}
+	if err := checkAgrees(files); err != nil {
+		t.Error(err)
 	}
 	if err := checkStarved(readDumps(t, dir)); err != nil {
 		t.Error(err)
@@ -164,10 +178,6 @@ func TestRecordCorruptionsFail(t *testing.T) {
 			value := func(field string) string { return field[strings.Index(field, ":"):] }
 			return strings.NewReplacer(p50, `"P50Latency"`+value(maxLat), maxLat, `"MaxLatency"`+value(p50)).Replace(s)
 		}},
-		{"wrong SVG root", "breakdown.svg", "root", func(s string) string {
-			return strings.Replace(strings.Replace(s, "<svg", "<html", 1), "</svg>", "</html>", 1)
-		}},
-		{"unclosed SVG", "fair_heatmap.svg", "invalid XML", func(s string) string { return strings.Replace(s, "</svg>", "", 1) }},
 		{"truncated JSON", "trace.json", "invalid JSON", func(s string) string { return s[:len(s)/2] }},
 		{"empty file", "heat_congestion.csv", "empty", func(string) string { return "" }},
 	} {
@@ -185,6 +195,41 @@ func TestRecordCorruptionsFail(t *testing.T) {
 		if err := checkFile(tc.file, []byte(bad)); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: checkFile(%s) = %v, want an error containing %q", tc.name, tc.file, err, tc.want)
 		}
+	}
+
+	// One file against the others: each corruption keeps the file's own
+	// format and moves one side of an identity checkAgrees holds.
+	record := readRecord(t, dir)
+	if err := checkAgrees(record); err != nil {
+		t.Fatalf("the uncorrupted record fails: %v", err)
+	}
+	for _, tc := range []struct {
+		name, file, want string
+		corrupt          func(string) string
+	}{
+		{"router stalls", "heat_congestion.csv", "congestion", setField(1, 4, "999999")},
+		{"tile waits", "fair_tiles.csv", "token wait", setField(1, 7, "999999")},
+		{"breakdown token_wait", "breakdown.csv", "token_wait", func(s string) string {
+			return regexp.MustCompile(`(?m)^token_wait,(\d+),\d+,`).ReplaceAllString(s, "token_wait,$1,1,")
+		}},
+		// Off by a part in 10⁹: inside any tolerance, so only the exact
+		// sum sees it.
+		{"channel energy off by 1e-9", "heat_energy.csv", "wireless energy", func(s string) string {
+			last := strings.LastIndex(s, ",") + 1
+			v, _ := strconv.ParseFloat(strings.TrimSpace(s[last:]), 64)
+			return s[:last] + strconv.FormatFloat(v*(1+1e-9), 'f', -1, 64) + "\n"
+		}},
+	} {
+		good := record[tc.file]
+		bad := tc.corrupt(string(good))
+		if bad == string(good) {
+			t.Fatalf("%s: the corruption changed nothing", tc.name)
+		}
+		record[tc.file] = []byte(bad)
+		if err := checkAgrees(record); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: checkAgrees = %v, want an error containing %q", tc.name, err, tc.want)
+		}
+		record[tc.file] = good
 	}
 
 	// The text dump against the JSON one: the golden record ends with a

@@ -73,7 +73,7 @@ func TestRecordMatchesDigests(t *testing.T) {
 	if got := recordSums(t, dir); got != string(want) {
 		t.Errorf("the record differs from testdata/record.sha256; its sums are:\n%s", got)
 	}
-	for _, line := range []string{"energy attribution over 1056 cycles:", "manifest:    " + filepath.Join(dir, "manifest.json")} {
+	for _, line := range []string{"energy:      " + filepath.Join(dir, "energy.csv"), "manifest:    " + filepath.Join(dir, "manifest.json")} {
 		if !strings.Contains(stdout.String(), line+"\n") {
 			t.Errorf("stdout lacks %q:\n%s", line, &stdout)
 		}

@@ -35,7 +35,6 @@ import (
 	"ownsim/internal/core"
 	"ownsim/internal/fabric"
 	"ownsim/internal/obs"
-	"ownsim/internal/plot"
 	"ownsim/internal/power"
 	"ownsim/internal/probe"
 	"ownsim/internal/stats"
@@ -51,7 +50,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var rf core.RunFlags
 	rf.Register(fs, "all")
 	points := fs.Int("points", 8, "number of load points")
-	doPlot := fs.Bool("plot", false, "render an ASCII latency-load chart on stderr")
 	var of obs.Flags
 	of.Register(fs, "the highest-load point (single -topo)")
 	if err := fs.Parse(args); err != nil {
@@ -95,7 +93,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	total := len(names) * len(loads)
 	var mu sync.Mutex
 	fmt.Fprintln(stdout, "topology,pattern,load_fnc,avg_latency_cy,throughput_fnc,saturated")
-	var chart []plot.Series
 	for _, name := range names {
 		name := name
 		sys := core.NewSystem(name, rf.Cores, wireless.Config4, wireless.Ideal)
@@ -122,13 +119,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		} else {
 			pts = core.SweepWithProgress(sys, pat, loads, b, onPoint)
 		}
-		series := plot.Series{Name: name}
 		for i, p := range pts {
 			fmt.Fprintf(stdout, "%s,%s,%.6f,%s,%.6f,%v\n", name, pat, p.Load, p.LatencyText(2), p.Throughput, p.Saturated)
-			if !p.Saturated {
-				series.X = append(series.X, p.Load)
-				series.Y = append(series.Y, p.Latency)
-			}
 			if man != nil {
 				man.Points = append(man.Points, probe.Point{
 					System: name, Load: loads[i], Latency: p.Latency,
@@ -136,11 +128,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 				})
 			}
 		}
-		chart = append(chart, series)
-	}
-	if *doPlot {
-		title := fmt.Sprintf("avg latency (cy) vs offered load (f/n/c), %s @ %d cores", pat, rf.Cores)
-		fmt.Fprint(stderr, plot.Chart(title, chart, 72, 18))
 	}
 
 	// Observed re-run of the highest-load point: every observer is inert,

@@ -127,7 +127,7 @@ func TestBadInputExitStatus(t *testing.T) {
 	}
 	// A flag that no longer exists is a usage error: exit 2, with the
 	// flag list on stderr.
-	for _, args := range [][]string{{"-listen", "127.0.0.1:0"}, {"-telemetry", "3"}} {
+	for _, args := range [][]string{{"-listen", "127.0.0.1:0"}, {"-telemetry", "3"}, {"-plot"}} {
 		var stdout, stderr bytes.Buffer
 		if code := run(args, &stdout, &stderr); code != 2 || stdout.Len() != 0 || !strings.Contains(stderr.String(), "flag provided but not defined: "+args[0]) || !strings.Contains(stderr.String(), "\n  -out ") {
 			t.Errorf("sweep %v: exit %d, stdout %q, stderr %q; want exit 2 and the flag list", args, code, &stdout, &stderr)
@@ -135,13 +135,13 @@ func TestBadInputExitStatus(t *testing.T) {
 	}
 }
 
-// TestHelpListsFlags pins the surface: -h lists 10 flags and exits 0.
+// TestHelpListsFlags pins the surface: -h lists 9 flags and exits 0.
 func TestHelpListsFlags(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	if code := run([]string{"-h"}, &stdout, &stderr); code != 0 {
 		t.Fatalf("sweep -h: exit %d", code)
 	}
-	if flags := regexp.MustCompile(`(?m)^  -\w`).FindAllString(stderr.String(), -1); len(flags) != 10 {
-		t.Errorf("sweep -h lists %d flags, want 10:\n%s", len(flags), &stderr)
+	if flags := regexp.MustCompile(`(?m)^  -\w`).FindAllString(stderr.String(), -1); len(flags) != 9 {
+		t.Errorf("sweep -h lists %d flags, want 9:\n%s", len(flags), &stderr)
 	}
 }

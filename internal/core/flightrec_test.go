@@ -170,8 +170,8 @@ func TestFairnessArtifactsByteStableAcrossGOMAXPROCS(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(files) != 3 {
-			t.Fatalf("EmitFairness returned %v, want tiles+jain+heatmap", files)
+		if len(files) != 2 {
+			t.Fatalf("EmitFairness returned %v, want tiles+jain", files)
 		}
 		dumps, err := obs.EmitDump(n, dir, nil)
 		if err != nil {

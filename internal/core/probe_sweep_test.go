@@ -76,8 +76,8 @@ func TestInstrumentedSweepArtifactsAcrossGOMAXPROCS(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(files) != 4 {
-			t.Fatalf("heatmap files = %v, want congestion + wireless energy pairs", files)
+		if len(files) != 2 {
+			t.Fatalf("heatmap files = %v, want congestion + wireless energy", files)
 		}
 		arts := map[string][]byte{"metrics.csv": metrics.Bytes(), "trace.json": trace.Bytes()}
 		for _, path := range append(files, filepath.Join(dir, "energy.csv")) {

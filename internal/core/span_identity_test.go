@@ -95,7 +95,7 @@ func TestSpanIdentityOWN1024(t *testing.T) {
 }
 
 // TestBreakdownArtifactsByteStableAcrossGOMAXPROCS renders the full
-// latency-breakdown artifact set (CSV, SVG) from identical runs
+// latency-breakdown artifact from identical runs
 // under different GOMAXPROCS settings; host parallelism must never leak
 // into the emitted bytes.
 func TestBreakdownArtifactsByteStableAcrossGOMAXPROCS(t *testing.T) {
@@ -108,8 +108,8 @@ func TestBreakdownArtifactsByteStableAcrossGOMAXPROCS(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(files) != 2 {
-			t.Fatalf("EmitLatencyBreakdown returned %v, want CSV+SVG", files)
+		if len(files) != 1 {
+			t.Fatalf("EmitLatencyBreakdown returned %v, want breakdown.csv", files)
 		}
 		arts := make(map[string][]byte, len(files))
 		for _, path := range files {

@@ -53,13 +53,21 @@ func fftDirection(x []complex128, inverse bool) {
 			w := complex(1, 0)
 			for k := 0; k < half; k++ {
 				a := x[start+k]
-				b := x[start+k+half] * w
+				b := mul(x[start+k+half], w)
 				x[start+k] = a + b
 				x[start+k+half] = a - b
-				w *= wBase
+				w = mul(w, wBase)
 			}
 		}
 	}
+}
+
+// mul is the complex product a*b in the operations, and the order, of
+// Go's complex128 multiply, with every real product rounded by an
+// explicit float64(...) so that no platform fuses it into a multiply-add
+// and every host computes the same spectrum.
+func mul(a, b complex128) complex128 {
+	return complex(float64(real(a)*real(b))-float64(imag(a)*imag(b)), float64(real(a)*imag(b))+float64(imag(a)*real(b)))
 }
 
 // Hann fills a Hann window of length n and returns it together with its
@@ -69,7 +77,7 @@ func Hann(n int) ([]float64, float64) {
 	var p float64
 	for i := range w {
 		w[i] = 0.5 * (1 - math.Cos(2*math.Pi*float64(i)/float64(n-1)))
-		p += w[i] * w[i]
+		p += float64(w[i] * w[i])
 	}
 	return w, p
 }
@@ -93,11 +101,11 @@ func Welch(x []complex128, fs float64, segLen int) []float64 {
 	count := 0
 	for start := 0; start+segLen <= len(x); start += hop {
 		for i := 0; i < segLen; i++ {
-			seg[i] = x[start+i] * complex(w[i], 0)
+			seg[i] = mul(x[start+i], complex(w[i], 0))
 		}
 		FFT(seg)
 		for i, v := range seg {
-			p := real(v)*real(v) + imag(v)*imag(v)
+			p := float64(real(v)*real(v)) + float64(imag(v)*imag(v))
 			acc[i] += p
 		}
 		count++
@@ -133,7 +141,7 @@ func PSDAt(psd []float64, freq, fs float64) float64 {
 }
 
 // DB converts a power ratio to decibels.
-func DB(p float64) float64 { return 10 * math.Log10(p) }
+func DB(p float64) float64 { return float64(10 * math.Log10(p)) }
 
 // FromDB converts decibels to a power ratio.
 func FromDB(db float64) float64 { return math.Pow(10, db/10) }

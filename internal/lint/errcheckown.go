@@ -7,13 +7,12 @@ import (
 )
 
 // writerPackages are the artifact-writer subtrees: a dropped error there
-// means a silently truncated CSV/JSON/SVG on disk — the artifact looks
+// means a silently truncated CSV/JSON on disk — the artifact looks
 // complete and quietly isn't, which is worse than a crash for a
 // reproduction repo.
 var writerPackages = []string{
 	"internal/probe",
 	"internal/obs",
-	"internal/plot",
 	"internal/report",
 }
 
@@ -33,7 +32,7 @@ var writerPackages = []string{
 func ErrCheckOwnAnalyzer() *Analyzer {
 	return &Analyzer{
 		Name: "errcheck-own",
-		Doc:  "forbid dropped error returns from the artifact-writer packages (probe, obs, plot, report)",
+		Doc:  "forbid dropped error returns from the artifact-writer packages (probe, obs, report)",
 		Run: func(p *Package, report Reporter) {
 			callerInWriter := inScope(p.RelPath, writerPackages)
 			module := p.Path

@@ -12,8 +12,8 @@
 //   - floatcmp: no ==/!= between floating-point expressions (use the
 //     tolerance helpers in internal/stats)
 //   - errcheck-own: no dropped error returns from the artifact-writer
-//     packages (probe, obs, plot, report) — a dropped write error is a
-//     silently truncated CSV/JSON/SVG
+//     packages (probe, obs, report) — a dropped write error is a
+//     silently truncated CSV/JSON
 //
 // A finding can be suppressed with a directive on the same line or the
 // line immediately above:

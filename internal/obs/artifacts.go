@@ -2,15 +2,16 @@ package obs
 
 import (
 	"bytes"
+	"encoding/csv"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
 
 	"ownsim/internal/fabric"
-	"ownsim/internal/plot"
 	"ownsim/internal/power"
 	"ownsim/internal/probe"
 	"ownsim/internal/sbus"
@@ -45,14 +46,6 @@ var groups = []struct {
 type file struct {
 	name, base string
 	render     func(w io.Writer) error
-}
-
-// svg adapts a plot figure to a file renderer.
-func svg(fig interface{ SVG() string }) func(io.Writer) error {
-	return func(w io.Writer) error {
-		_, err := io.WriteString(w, fig.SVG())
-		return err
-	}
 }
 
 // writeFiles renders each file, writes it into dir and digests it into
@@ -121,21 +114,13 @@ func EmitEnergyCSV(n *fabric.Network, dir string, man *probe.Manifest) ([]string
 // EmitHeatmaps writes the heatmap artifacts into dir and returns the
 // files written:
 //
-//	heat_congestion.csv/.svg — per-router stall counts (Router.Counts,
-//	    read whatever the probe registers);
-//	heat_energy.csv/.svg     — per-wireless-channel transmit energy,
-//	    labelled with the channel's link-distance class (skipped when the
-//	    network has no wireless channels).
+//	heat_congestion.csv — per-router stall counts (Router.Counts, read
+//	    whatever the probe registers);
+//	heat_energy.csv     — per-wireless-channel transmit energy, labelled
+//	    with the channel's link-distance class (skipped when the network
+//	    has no wireless channels).
 func EmitHeatmaps(n *fabric.Network, dir string, man *probe.Manifest) ([]string, error) {
-	congestion := &plot.Heatmap{
-		Title:  fmt.Sprintf("%s: router congestion (credit+busy stalls)", n.Name),
-		Labels: n.RouterLabels(),
-		Values: n.CongestionValues(),
-	}
-	files := []file{
-		{"congestion_heatmap", "heat_congestion.csv", congestion.WriteCSV},
-		{"congestion_heatmap_svg", "heat_congestion.svg", svg(congestion)},
-	}
+	files := []file{{"congestion_heatmap", "heat_congestion.csv", gridCSV(n.RouterLabels(), n.CongestionValues())}}
 	var labels []string
 	var values []float64
 	n.Meter.EachWirelessChannel(func(id int, class string, pj power.Picojoules) {
@@ -143,45 +128,39 @@ func EmitHeatmaps(n *fabric.Network, dir string, man *probe.Manifest) ([]string,
 		values = append(values, float64(pj))
 	})
 	if len(labels) > 0 {
-		energy := &plot.Heatmap{
-			Title:  fmt.Sprintf("%s: wireless channel energy (pJ)", n.Name),
-			Labels: labels,
-			Values: values,
-		}
-		files = append(files,
-			file{"energy_heatmap", "heat_energy.csv", energy.WriteCSV},
-			file{"energy_heatmap_svg", "heat_energy.svg", svg(energy)})
+		files = append(files, file{"energy_heatmap", "heat_energy.csv", gridCSV(labels, values)})
 	}
 	return writeFiles(dir, man, files...)
 }
 
-// EmitLatencyBreakdown writes the latency-attribution artifacts into dir
-// and returns the files written:
-//
-//	breakdown.csv    — per-phase cycle totals with the sum-identity total
-//	    row (obscheck.TestRecordInvariants verifies the identity);
-//	breakdown.svg    — a stacked-bar figure of the phase shares.
-//
-// It requires a probe with span decomposition enabled (Options.Spans).
+// gridCSV renders labelled values as a heatmap table: one
+// index,row,col,label,value row per value, laid out row-major on a
+// near-square grid of ceil(sqrt(len(values))) columns, each value the
+// shortest decimal that round-trips.
+func gridCSV(labels []string, values []float64) func(io.Writer) error {
+	return func(w io.Writer) error {
+		cols := max(1, int(math.Ceil(math.Sqrt(float64(len(values))))))
+		rows := [][]string{{"index", "row", "col", "label", "value"}}
+		for i, v := range values {
+			rows = append(rows, []string{
+				strconv.Itoa(i), strconv.Itoa(i / cols), strconv.Itoa(i % cols),
+				labels[i], strconv.FormatFloat(v, 'f', -1, 64),
+			})
+		}
+		return csv.NewWriter(w).WriteAll(rows)
+	}
+}
+
+// EmitLatencyBreakdown writes the latency attribution to dir/breakdown.csv:
+// per-phase cycle totals with the sum-identity total row
+// (obscheck.TestRecordInvariants verifies the identity). It requires a
+// probe with span decomposition enabled (Options.Spans).
 func EmitLatencyBreakdown(n *fabric.Network, dir string, man *probe.Manifest) ([]string, error) {
 	sp := n.Probe.Spans()
 	if sp == nil {
 		return nil, fmt.Errorf("obs: latency breakdown requested but span decomposition is not enabled")
 	}
-	labels := make([]string, probe.NumSpanPhases)
-	values := make([]float64, probe.NumSpanPhases)
-	for ph := probe.SpanPhase(0); ph < probe.NumSpanPhases; ph++ {
-		labels[ph] = ph.String()
-		values[ph] = float64(sp.PhaseCycles(ph))
-	}
-	bar := &plot.StackedBar{
-		Title:  fmt.Sprintf("%s: latency breakdown (%d packets, %d cy)", n.Name, sp.Packets(), sp.LatencyCycles()),
-		Labels: labels,
-		Values: values,
-	}
-	return writeFiles(dir, man,
-		file{"latency_breakdown", "breakdown.csv", sp.WriteCSV},
-		file{"latency_breakdown_svg", "breakdown.svg", svg(bar)})
+	return writeFiles(dir, man, file{"latency_breakdown", "breakdown.csv", sp.WriteCSV})
 }
 
 // FairnessTileCSVHeader is the fair_tiles.csv header: per source tile,
@@ -206,8 +185,7 @@ var FairnessJainCSVHeader = []string{
 //	fair_tiles.csv   — per-tile token acquisitions, wait totals and max
 //	    single waits per medium;
 //	fair_jain.csv    — Jain's fairness index per shared channel over its
-//	    active tiles (obscheck.TestRecordInvariants enforces the (0,1] bound);
-//	fair_heatmap.svg — per-tile total token-wait heatmap.
+//	    active tiles (obscheck.TestRecordInvariants enforces the (0,1] bound).
 //
 // It requires a probe with span decomposition enabled (Options.Spans):
 // every file renders the span tracker's token ledger, so the artifacts
@@ -218,19 +196,9 @@ func EmitFairness(n *fabric.Network, dir string, man *probe.Manifest) ([]string,
 		return nil, fmt.Errorf("obs: token-fairness artifacts requested but span decomposition is not enabled")
 	}
 	tiles := tileWaits(n.Channels, sp)
-	hm := &plot.Heatmap{
-		Title:  fmt.Sprintf("%s: per-tile token wait (cy)", n.Name),
-		Labels: make([]string, len(tiles)),
-		Values: make([]float64, len(tiles)),
-	}
-	for t, w := range tiles {
-		hm.Labels[t] = fmt.Sprintf("t%d", t)
-		hm.Values[t] = float64(w[0].WaitCy + w[1].WaitCy)
-	}
 	return writeFiles(dir, man,
 		file{"token_fairness_tiles", "fair_tiles.csv", func(w io.Writer) error { return writeTileCSV(w, tiles) }},
-		file{"token_fairness_jain", "fair_jain.csv", func(w io.Writer) error { return WriteJainCSV(w, n.Channels, sp) }},
-		file{"token_fairness_heatmap", "fair_heatmap.svg", svg(hm)})
+		file{"token_fairness_jain", "fair_jain.csv", func(w io.Writer) error { return WriteJainCSV(w, n.Channels, sp) }})
 }
 
 // tileWaits folds the token ledger per source tile and medium: [t][0] is

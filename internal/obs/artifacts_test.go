@@ -22,8 +22,8 @@ func TestEmitLatencyBreakdownRequiresSpans(t *testing.T) {
 }
 
 // TestEmitLatencyBreakdownArtifacts runs the ring with span attribution
-// on and checks the emission path end to end: two files, recorded in
-// the manifest under their logical names, with the identity holding.
+// on and checks the emission path end to end: one file, recorded in
+// the manifest under its logical name, with the identity holding.
 func TestEmitLatencyBreakdownArtifacts(t *testing.T) {
 	n := obsRing(4, power.NewMeter(nil))
 	pr := probe.New(probe.Options{Spans: true})
@@ -46,30 +46,14 @@ func TestEmitLatencyBreakdownArtifacts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(files) != 2 {
-		t.Fatalf("files = %v, want CSV+SVG", files)
+	if len(files) != 1 || len(man.Artifacts) != 1 || man.Artifacts[0].Name != "latency_breakdown" {
+		t.Fatalf("files = %v, manifest %+v; want breakdown.csv as latency_breakdown", files, man.Artifacts)
 	}
-	wantNames := map[string]bool{
-		"latency_breakdown":     false,
-		"latency_breakdown_svg": false,
+	raw, err := os.ReadFile(files[0])
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, a := range man.Artifacts {
-		if _, ok := wantNames[a.Name]; ok {
-			wantNames[a.Name] = true
-		}
-	}
-	for name, seen := range wantNames {
-		if !seen {
-			t.Errorf("manifest missing artifact %q", name)
-		}
-	}
-	for _, path := range files {
-		raw, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(raw) == 0 {
-			t.Errorf("%s is empty", path)
-		}
+	if len(raw) == 0 {
+		t.Errorf("%s is empty", files[0])
 	}
 }

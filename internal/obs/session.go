@@ -118,11 +118,10 @@ func (s *Session) Finish() {
 }
 
 // Emit writes the record into the -out directory and reports it to out:
-// the energy breakdown table, then every artifact group in table order,
-// each file digested into man with the engine/pool introspection, one
-// status line per group, and manifest.json last. Warnings close the
-// report, which is written once, also when a group fails; the first
-// error is returned. man is OpenRecord's manifest; without -out it is
+// every artifact group in table order, each file digested into man with
+// the engine/pool introspection, one status line per group, and
+// manifest.json last. Warnings close the report, which is written once,
+// also when a group fails; the first error is returned. man is OpenRecord's manifest; without -out it is
 // nil and Emit writes nothing.
 func (s *Session) Emit(man *probe.Manifest, out io.Writer) error {
 	var b strings.Builder
@@ -138,7 +137,6 @@ func (s *Session) emit(man *probe.Manifest, b *strings.Builder) error {
 		return nil
 	}
 	n, dir := s.n, s.f.Out
-	fmt.Fprintf(b, "\n%s", n.Meter.EnergyTable(n.Eng.Cycle()))
 	ei, pi := n.EngineIntro(), n.PoolIntro()
 	man.Engine, man.Pools = &ei, &pi
 	for _, g := range groups {

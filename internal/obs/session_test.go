@@ -148,9 +148,8 @@ func TestSweepRerunMatchesOwnsimRun(t *testing.T) {
 // recordFiles is the record README documents: every file -out writes, in
 // name order.
 var recordFiles = []string{
-	"breakdown.csv", "breakdown.svg", "dump.json", "dump.txt", "energy.csv",
-	"fair_heatmap.svg", "fair_jain.csv", "fair_tiles.csv",
-	"heat_congestion.csv", "heat_congestion.svg", "heat_energy.csv", "heat_energy.svg",
+	"breakdown.csv", "dump.json", "dump.txt", "energy.csv",
+	"fair_jain.csv", "fair_tiles.csv", "heat_congestion.csv", "heat_energy.csv",
 	"manifest.json", "metrics.csv", "topology.dot", "trace.json",
 }
 
@@ -174,9 +173,8 @@ func TestArtifactGroupFiles(t *testing.T) {
 	}
 	want := []string{
 		"metrics", "trace", "energy",
-		"congestion_heatmap", "congestion_heatmap_svg", "energy_heatmap", "energy_heatmap_svg",
-		"latency_breakdown", "latency_breakdown_svg",
-		"token_fairness_tiles", "token_fairness_jain", "token_fairness_heatmap",
+		"congestion_heatmap", "energy_heatmap", "latency_breakdown",
+		"token_fairness_tiles", "token_fairness_jain",
 		"state_dump", "state_dump_text",
 	}
 	if !reflect.DeepEqual(names, want) {

@@ -2,19 +2,17 @@ package power
 
 import (
 	"encoding/csv"
-	"fmt"
 	"io"
 	"slices"
 	"strconv"
-	"strings"
 )
 
 // Energy attribution: this file breaks one pricing read (Meter.Energy)
 // down into a deterministic row set — per component and, for the wireless
 // substrate, per link-distance class (C2C/E2E/SR) — that sums to the
-// Breakdown the Meter reports. The rows back the energy.csv artifact and
-// the paper-style breakdown table, and obscheck.TestRecordInvariants
-// re-verifies the sum invariant on the emitted file.
+// Breakdown the Meter reports. The rows back the energy.csv artifact, and
+// obscheck.TestRecordInvariants re-verifies the sum invariant on the
+// emitted file.
 
 // WirelessClasses returns the sorted set of class labels of the
 // registered wireless channels (ReadWireless), so the set is complete at
@@ -148,22 +146,4 @@ func (m *Meter) WriteEnergyCSV(w io.Writer, cycles uint64) error {
 	}
 	cw.Flush()
 	return cw.Error()
-}
-
-// EnergyTable renders the attribution as a paper-style breakdown table
-// (the Figure 6 stacking, extended with the per-class wireless split).
-func (m *Meter) EnergyTable(cycles uint64) string {
-	rows := m.EnergyRows(cycles)
-	var b strings.Builder
-	fmt.Fprintf(&b, "energy attribution over %d cycles:\n", cycles)
-	fmt.Fprintf(&b, "%-20s %-8s %14s %10s %7s\n", "component", "class", "energy (pJ)", "avg mW", "share")
-	var totPJ Picojoules
-	var totMW Milliwatts
-	for _, r := range rows {
-		totPJ += r.EnergyPJ
-		totMW += r.AvgPowerMW
-		fmt.Fprintf(&b, "%-20s %-8s %14.1f %10.3f %6.1f%%\n", r.Component, r.Class, r.EnergyPJ, r.AvgPowerMW, 100*r.Share)
-	}
-	fmt.Fprintf(&b, "%-20s %-8s %14.1f %10.3f %6.1f%%\n", "total", "-", totPJ, totMW, 100.0)
-	return b.String()
 }

@@ -155,15 +155,6 @@ func TestWriteEnergyCSV(t *testing.T) {
 	}
 }
 
-func TestEnergyTableRenders(t *testing.T) {
-	out := chargedMeter().EnergyTable(1000)
-	for _, want := range []string{"buffer_write", "crossbar", "static", "wireless_tx", "C2C", "total"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("table missing %q:\n%s", want, out)
-		}
-	}
-}
-
 func TestEnergyRowsZeroCyclesPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

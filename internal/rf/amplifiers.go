@@ -35,7 +35,7 @@ func DefaultPA() PowerAmp {
 // SmallSignalGainDB returns the gain at freqGHz.
 func (pa PowerAmp) SmallSignalGainDB(freqGHz float64) float64 {
 	d := (freqGHz - pa.CenterGHz) / pa.RollGHz
-	return pa.GainDB - 1.5*d*d
+	return pa.GainDB - float64(1.5*d*d)
 }
 
 // OutputDBm returns the output power for an input at pinDBm and freqGHz,
@@ -55,7 +55,9 @@ func (pa PowerAmp) P1dBOutDBm(freqGHz float64) float64 {
 	gDB := pa.SmallSignalGainDB(freqGHz)
 	lo, hi := -40.0, 30.0
 	for i := 0; i < 60; i++ {
-		mid := (lo + hi) / 2
+		// The halving compiles to a product with 0.5; rounding it keeps
+		// the gDB+mid below a plain add on every platform.
+		mid := float64((lo + hi) / 2)
 		comp := (gDB + mid) - pa.OutputDBm(mid, freqGHz)
 		if comp < 1 {
 			lo = mid
@@ -72,7 +74,7 @@ func (pa PowerAmp) BandwidthGHz(minGainDB float64) float64 {
 	if minGainDB >= pa.GainDB {
 		return 0
 	}
-	half := pa.RollGHz * math.Sqrt((pa.GainDB-minGainDB)/1.5)
+	half := float64(pa.RollGHz * math.Sqrt((pa.GainDB-minGainDB)/1.5))
 	return 2 * half
 }
 
@@ -106,5 +108,5 @@ func DefaultLNA() LNA {
 // GainAtDB returns the LNA gain at freqGHz.
 func (l LNA) GainAtDB(freqGHz float64) float64 {
 	d := (freqGHz - l.CenterGHz) / l.RollGHz
-	return l.GainDB - d*d
+	return l.GainDB - float64(d*d)
 }

@@ -43,7 +43,7 @@ func FSPLdB(distMM, freqGHz float64) Decibels {
 // roughly its bit rate in bandwidth).
 func (lb LinkBudget) SensitivityDBm(rateGbps float64) DBm {
 	bwHz := rateGbps * 1e9
-	floor := DBm(-174 + 10*math.Log10(bwHz))
+	floor := DBm(-174 + float64(10*math.Log10(bwHz)))
 	return floor.PlusDB(lb.NoiseFigureDB).PlusDB(lb.SNRRequiredDB)
 }
 

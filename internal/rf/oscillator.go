@@ -31,7 +31,7 @@ func DefaultOscillator() Oscillator {
 // given offset (Hz): -20 dB/decade from the 1 MHz anchor, which is the
 // far-from-carrier behavior of a random-walk-phase oscillator.
 func (o Oscillator) PhaseNoiseDBc(offsetHz float64) float64 {
-	return o.PN1MHzDBc - 20*math.Log10(offsetHz/1e6)
+	return o.PN1MHzDBc - float64(20*math.Log10(offsetHz/1e6))
 }
 
 // LinewidthHz returns the Lorentzian full linewidth implied by the phase
@@ -53,7 +53,7 @@ func (o Oscillator) Baseband(n int, fs float64, seed uint64) []complex128 {
 	phi := 0.0
 	for i := range x {
 		x[i] = cmplx.Exp(complex(0, phi))
-		phi += sigma * gauss(rng)
+		phi += float64(sigma * gauss(rng))
 	}
 	return x
 }

@@ -9,9 +9,11 @@
 // tail, as in Corona-style token arbitration), serializes each flit for
 // SerializeCy cycles and delivers it PropCy cycles later to the receiver
 // selected by SelectRx. Moving the grant token from writer i to writer j
-// costs ring-distance(i, j) * TokenHopCy cycles, which is the "token
+// costs ((j - i - 1) mod W + 1) * TokenHopCy cycles, which is the "token
 // transfer consumes a few extra cycles" effect the paper observes on the
-// optical crossbar.
+// optical crossbar: the ring distance, except that i itself is a full lap
+// away. An idle token rests at its last grantee (at writer 0 after
+// Reset), so a lone packet from the previous holder pays W * TokenHopCy.
 package sbus
 
 import (
@@ -448,9 +450,6 @@ func (c *Channel) Queued() int { return c.totalQueued + c.inflight.Len() }
 // SWMR medium whose delivered packets still face an intra-group
 // forward.
 func (c *Channel) NumRx() int { return len(c.rxs) }
-
-// NumWriters returns the number of transmit ports on the token ring.
-func (c *Channel) NumWriters() int { return len(c.writers) }
 
 // Stats is a channel's telemetry snapshot.
 type Stats struct {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"ownsim/internal/noc"
+	"ownsim/internal/sim"
 )
 
 // testRx records delivered flits and, when linked to its Rx, returns the
@@ -168,6 +169,53 @@ func TestChannelTokenHopCost(t *testing.T) {
 	// prop 0 -> deliver at 16.
 	if rx.at[0] != 16 {
 		t.Fatalf("delivered at %d, want 16", rx.at[0])
+	}
+}
+
+// TestIdleTokenRestsAtLastGrantee pins where an idle token waits and
+// what a lone packet pays to reach it. acquire scans d = 1..n writers on
+// from the token, so the token rests at the last grantee (at writer 0
+// after Reset), and a lone packet from writer v pays
+// ((v - token - 1) mod n + 1) * TokenHopCy: the previous holder pays a
+// full lap, n * TokenHopCy, not 0. The cost is EvGrant's C operand.
+func TestIdleTokenRestsAtLastGrantee(t *testing.T) {
+	const n, hop = 4, 3
+	eng := sim.NewEngine()
+	ch := NewChannel("ring4", 1, 0, hop)
+	var w []*Writer
+	for range n {
+		w = append(w, ch.AddWriter(&testSrc{}, 0, 1, 8))
+	}
+	rx := &engineRx{}
+	rx.rx = ch.AddRx(rx, 0, 1, 4)
+	type grant struct{ writer, cost int }
+	var grants []grant
+	ch.Tap.Subscribe(noc.Mask(noc.EvGrant), func(e noc.Event) { grants = append(grants, grant{e.A, e.C}) })
+	ch.SetWaker(eng.RegisterWakeable(sim.PhaseDelivery, ch))
+
+	// A first run leaves the token at writer 3; Reset puts it at 0.
+	sendPacket(w[3], 1, 0, 0, 2)
+	eng.Run(40)
+	eng.Reset()
+	grants = grants[:0]
+
+	id := uint64(2)
+	for _, tc := range []struct {
+		name         string
+		writer, cost int
+	}{
+		{"writer 0 first after Reset: a full lap", 0, n * hop},
+		{"writer 2 next: two positions on from 0", 2, 2 * hop},
+		{"writer 2 again after an idle gap: a full lap", 2, n * hop},
+		{"writer 1: three positions on from 2", 1, 3 * hop},
+	} {
+		sendPacket(w[tc.writer], id, 0, 0, 2)
+		id++
+		eng.Run(40)
+		if ch.Queued() != 0 || len(grants) != 1 || grants[0] != (grant{tc.writer, tc.cost}) {
+			t.Fatalf("%s: grants %+v, %d flits queued; want writer %d granted once at a cost of %d cy", tc.name, grants, ch.Queued(), tc.writer, tc.cost)
+		}
+		grants = grants[:0]
 	}
 }
 

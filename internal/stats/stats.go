@@ -240,7 +240,7 @@ func SaturationLoad(points []CurvePoint, threshold float64) float64 {
 		return 0
 	}
 	zero := points[0].Latency
-	limit := zero * threshold
+	limit := float64(zero * threshold)
 	for i := 1; i < len(points); i++ {
 		p := points[i]
 		if p.Saturated || p.Latency >= limit {
@@ -256,7 +256,7 @@ func SaturationLoad(points []CurvePoint, threshold float64) float64 {
 			if t > 1 {
 				t = 1
 			}
-			return prev.Load + t*(p.Load-prev.Load)
+			return prev.Load + float64(t*(p.Load-prev.Load))
 		}
 	}
 	return points[len(points)-1].Load
