@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all fmt vet build lint test test-386 race check campaign results results-check bench bench-compare bench-selftest loc ci
+.PHONY: all fmt vet build lint test test-386 race check campaign results results-check bench-selftest loc ci
 
 all: ci
 
@@ -98,27 +98,6 @@ results-check:
 	done; \
 	echo "results-check: results/ is byte-identical to a fresh run"
 
-# bench runs the simulator microbenchmarks (engine hot path, packet
-# pooling, end-to-end uniform-traffic runs) with allocation reporting.
-# Set BENCHOUT to also capture the raw output for bench-compare.
-bench:
-	@if [ -n "$(BENCHOUT)" ]; then \
-		$(GO) test -run '^$$' -bench . -benchmem . | tee "$(BENCHOUT)"; \
-	else \
-		$(GO) test -run '^$$' -bench . -benchmem .; \
-	fi
-
-# bench-compare re-runs the benchmarks and gates allocs/op against the
-# checked-in baseline (BENCH_BASELINE.txt) both ways: any increase fails,
-# and so does a fall of more than 2 % ("baseline stale: refresh
-# BENCH_BASELINE.txt"), so a saving is recorded before the gate goes
-# slack. ns/op differences are reported but never fail: they vary with
-# hardware. allocs/op is nearly deterministic for these fixed-seed
-# benchmarks: two runs of one tree can differ by one allocation per op.
-bench-compare:
-	@$(MAKE) --no-print-directory bench BENCHOUT=bench-new.txt
-	$(GO) run ./cmd/benchcmp -baseline BENCH_BASELINE.txt bench-new.txt
-
 # bench-selftest vets and tests the end-to-end benchmark harness (bench/
 # is its own module, so `go test ./...` at the root never reaches it):
 # BENCHMARK.json <-> harness identity, check failures fail the command,
@@ -144,4 +123,4 @@ loc:
 	printf '%7d  support (lint probe flightrec obs check + fabric installers)\n' $$support; \
 	awk "BEGIN { printf \"%7.2f  support / core\n\", $$support / $$core }"
 
-ci: fmt vet build lint race test-386 campaign bench-selftest bench-compare results-check
+ci: fmt vet build lint race test-386 campaign bench-selftest results-check

@@ -10,6 +10,6 @@
 //
 // See README.md for a tour, DESIGN.md for the system inventory and
 // modeling decisions, and EXPERIMENTS.md for paper-vs-measured results.
-// The root-level benchmarks in bench_test.go regenerate each table and
-// figure at a reduced budget; cmd/paper runs them at full budget.
+// cmd/paper regenerates each table and figure; bench/ (its own module)
+// is the benchmark.
 package ownsim

@@ -191,30 +191,39 @@ func TestOWN1024DeliversUniform(t *testing.T) {
 	}
 }
 
-// TestOWN1024HonoursBufDepth runs OWN-1024 at per-VC buffer depths 2 and
-// 8 under the conformance checker. Every buffer, the wireless receivers'
-// included, is Params.BufDepth deep, so no flit overflows one and the
-// receivers hand out BufDepth credits per VC.
-func TestOWN1024HonoursBufDepth(t *testing.T) {
-	for _, depth := range []int{2, 8} {
-		n := BuildOWN1024(Params{Cores: 1024, BufDepth: depth})
+// TestOWNHonoursBufDepth runs OWN-256 and OWN-1024 at per-VC buffer
+// depths 2 and 8 under the conformance checker. Every buffer, the
+// wireless receivers' included, is Params.BufDepth deep, so no flit
+// overflows one and the receivers hand out BufDepth credits per VC.
+func TestOWNHonoursBufDepth(t *testing.T) {
+	for _, tc := range []struct {
+		cores, depth int
+		rate         float64
+	}{{256, 2, 0.004}, {256, 8, 0.004}, {1024, 2, 0.001}, {1024, 8, 0.001}} {
+		depth := tc.depth
+		build := BuildOWN1024
+		if tc.cores == 256 {
+			build = BuildOWN256
+		}
+		n := build(Params{Cores: tc.cores, BufDepth: depth})
 		ck := check.New()
 		n.InstallChecker(ck, nil)
+		sys := NewSystem("own", tc.cores, wireless.Config4, wireless.Ideal)
 		res := n.Run(
 			fabric.TrafficSpec{
-				Pattern: traffic.Uniform, Rate: 0.001, Seed: 1,
-				Policy: OWNPolicy, Classify: Classify1024,
+				Pattern: traffic.Uniform, Rate: tc.rate, Seed: 1,
+				Policy: sys.Policy, Classify: sys.Classify,
 			},
 			fabric.RunSpec{Warmup: 500, Measure: 3000},
 		)
 		if !res.Drained {
-			t.Fatalf("depth %d: failed to drain: %v", depth, res)
+			t.Fatalf("OWN-%d depth %d: failed to drain: %v", tc.cores, depth, res)
 		}
 		if v := ck.Violations(); len(v) != 0 {
-			t.Errorf("depth %d: %d checker violations, first %v", depth, len(v), v[0])
+			t.Errorf("OWN-%d depth %d: %d checker violations, first %v", tc.cores, depth, len(v), v[0])
 		}
 		if err := n.CheckInvariants(); err != nil {
-			t.Errorf("depth %d: %v", depth, err)
+			t.Errorf("OWN-%d depth %d: %v", tc.cores, depth, err)
 		}
 		// A wireless receiver hands out one credit per buffer slot, so an
 		// idle one holds depth credits. The drain waits for measured
@@ -230,7 +239,7 @@ func TestOWN1024HonoursBufDepth(t *testing.T) {
 			}
 		}
 		if most != depth {
-			t.Errorf("depth %d: wireless receivers hold at most %d credits per VC", depth, most)
+			t.Errorf("OWN-%d depth %d: wireless receivers hold at most %d credits per VC", tc.cores, depth, most)
 		}
 	}
 }

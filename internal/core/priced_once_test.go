@@ -84,6 +84,9 @@ func TestFigure5PricedOnceMatchesPerConfigRuns(t *testing.T) {
 			// Why pricing once is sound: a configuration cannot move a flit.
 			if cfg == wireless.Config1 {
 				first = ref
+				if !ref.Drained {
+					t.Errorf("%v: OWN-256 did not drain at the Figure 5 load %v", scen, midLoad(256, scen))
+				}
 			} else if ref.Summary != first.Summary || ref.Drained != first.Drained || ref.Power.Cycles != first.Power.Cycles {
 				t.Errorf("%v: %v simulated differently from config1:\n%+v\n%+v", scen, cfg, ref.Summary, first.Summary)
 			}

@@ -151,10 +151,3 @@ func sweep(sys System, pattern traffic.Pattern, loads []float64, b Budget, onPoi
 	})
 	return points, slices.Concat(perPoint...)
 }
-
-// SaturationThroughput sweeps to saturation and reports the accepted
-// throughput plateau (the paper's Figure 7a / 8a metric).
-func SaturationThroughput(sys System, pattern traffic.Pattern, b Budget) float64 {
-	loads := SweepLoads(sys.Cores, b.Loads)
-	return stats.SaturationThroughput(Sweep(sys, pattern, loads, b))
-}
