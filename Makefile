@@ -77,7 +77,7 @@ campaign:
 
 # results regenerates results/ — the tables, every figure's text and CSVs,
 # the claims ledger — with the one reproduction command at full budget.
-# About 12 s on two cores: one core.Evaluation, 221 runs.
+# About 3.5 s on two cores: one core.Evaluation, 221 runs on 12 networks.
 results:
 	$(GO) run ./cmd/paper -out results all >/dev/null
 

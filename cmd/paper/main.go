@@ -3,9 +3,9 @@
 // inventory, the data behind Figures 3-8, and the pass/fail ledger of
 // every tracked claim (the executable form of EXPERIMENTS.md). Items are
 // positional and print in the order below whatever the argument order; one
-// invocation plans one core.Evaluation, so the claims read the rows the
-// figures simulated. The plan's census goes to stderr; a failed claim is
-// exit 1.
+// invocation plans one core.Evaluation, every selected item's runs at once
+// before anything prints, so the claims read the rows the figures
+// simulated. The plan's census goes to stderr; a failed claim is exit 1.
 //
 //	table1 table2 table3 table4 inventory    (group: tables)
 //	fig3 fig4 fig5 fig6 fig7a fig7bc fig8    (group: figures)
@@ -17,7 +17,7 @@
 //
 // Examples:
 //
-//	paper                       # everything, full budget (~12 s on two cores)
+//	paper                       # everything, full budget (about 3.5 s on two cores)
 //	paper -quick claims         # the ledger at the reduced budget
 //	paper fig6                  # just the Figure 6 power comparison
 //	paper -out results all      # regenerate results/ (make results)
@@ -64,6 +64,16 @@ var items = []struct {
 	{"fig6", "figures", figure6}, {"fig7a", "figures", figure7a}, {"fig7bc", "figures", figure7bc},
 	{"fig8", "figures", figure8},
 	{"claims", "claims", claims},
+}
+
+// views are the rows each simulating item reads; run plans the selected
+// items' views as one pool before anything prints, and the figures print
+// the patterns named here.
+var views = map[string][]core.View{
+	"fig5": {{Figure: 5}}, "fig6": {{Figure: 6}}, "fig7a": {{Figure: 7, Patterns: traffic.AllPaperPatterns()}},
+	"fig7bc": {{Figure: 7, Patterns: []traffic.Pattern{traffic.Uniform, traffic.BitReversal}}},
+	"fig8":   {{Figure: 8, Patterns: []traffic.Pattern{traffic.Uniform, traffic.BitReversal, traffic.Transpose}}},
+	"claims": report.Views(),
 }
 
 // groups names the file that holds each group's text under -out.
@@ -126,10 +136,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 		b = core.QuickBudget()
 	}
 
-	// One evaluation per invocation: 7b/7c are lookups after 7a, Figure
-	// 6's OWN bars are Figure 5's, and every row a claim reads is a row a
-	// figure simulated.
+	// One evaluation per invocation, planned whole before anything
+	// prints: each run any selected item reads is simulated once, and
+	// every item reads the memo.
 	p := &printer{e: core.NewEvaluation(b), out: *out}
+	var vs []core.View
+	for _, it := range items {
+		if sel[it.key] {
+			vs = append(vs, views[it.key]...)
+		}
+	}
+	p.e.Plan(vs...)
 	for _, g := range groups {
 		var text bytes.Buffer
 		p.w = io.MultiWriter(stdout, &text)
@@ -339,12 +356,10 @@ func figure7a(p *printer) {
 }
 
 func figure7bc(p *printer) {
-	for _, pc := range []struct {
-		fig string
-		pat traffic.Pattern
-	}{{"7b", traffic.Uniform}, {"7c", traffic.BitReversal}} {
-		p.header(fmt.Sprintf("Figure %s — latency vs load, %s traffic (256 cores)", pc.fig, pc.pat), "=")
-		series := p.e.Figure7bc(pc.pat)
+	for i, pat := range views["fig7bc"][0].Patterns {
+		fig := fmt.Sprintf("7%c", 'b'+i)
+		p.header(fmt.Sprintf("Figure %s — latency vs load, %s traffic (256 cores)", fig, pat), "=")
+		series := p.e.Figure7bc(pat)
 		lines := []string{"system,load_fnc,latency_cy,throughput_fnc,saturated"}
 		for _, s := range series {
 			p.printf("%-9s capacity knee %.5f f/n/c, zero-load %s cy\n",
@@ -354,14 +369,14 @@ func figure7bc(p *printer) {
 					s.SystemName, pt.Load, pt.LatencyText(2), pt.Throughput, pt.Saturated))
 			}
 		}
-		p.writeCSV(fmt.Sprintf("fig%s_latency.csv", pc.fig), lines)
+		p.writeCSV(fmt.Sprintf("fig%s_latency.csv", fig), lines)
 		p.printf("\n")
 	}
 }
 
 func figure8(p *printer) {
 	p.header("Figure 8 — 1024 cores: throughput and energy per packet", "=")
-	rows := p.e.Figure8(traffic.Uniform, traffic.BitReversal, traffic.Transpose)
+	rows := p.e.Figure8(views["fig8"][0].Patterns...)
 	lines := []string{"system,pattern,throughput_fnc,energy_per_packet_pj,total_mw"}
 	p.printf("%-9s %-13s %-12s %-14s %-10s\n", "system", "pattern", "thr (f/n/c)", "E/packet (pJ)", "total mW")
 	for _, r := range rows {

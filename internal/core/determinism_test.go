@@ -53,7 +53,7 @@ func TestSeedsChangeOutcome(t *testing.T) {
 }
 
 // TestParallelSweepMatchesSerial verifies the worker-pool sweep returns
-// exactly what serial execution would (ParallelMap must not introduce
+// exactly what serial execution would (parallelEach must not introduce
 // cross-run state).
 func TestParallelSweepMatchesSerial(t *testing.T) {
 	loads := SweepLoads(256, 4)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -35,8 +36,11 @@ func TestEvaluationViewsEqualFreshRuns(t *testing.T) {
 	if got := fresh.Figure7a(); !reflect.DeepEqual(got, rows7a) {
 		t.Errorf("Figure7a after Figure7bc:\n%+v\nFigure7a first:\n%+v", got, rows7a)
 	}
-	if c := fresh.Census(); c != (Census{Simulated: 75, Served: 30, Built: 25}) {
-		t.Errorf("Figure7bc twice, then Figure7a: %+v, want 75 simulated, 30 served, 25 built", c)
+	// Three plan calls, each missing on five specs: 3 runs per spec for
+	// each Figure7bc, 9 for Figure7a.
+	lo, hi := builtBounds(3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 9, 9, 9, 9, 9)
+	if c := fresh.Census(); c.Simulated != 75 || c.Served != 30 || c.Built < lo || c.Built > hi {
+		t.Errorf("Figure7bc twice, then Figure7a: %+v, want 75 simulated, 30 served, %d..%d built", c, lo, hi)
 	}
 
 	plan.Figure5()
@@ -76,4 +80,16 @@ func TestEvaluationConcurrentViews(t *testing.T) {
 			t.Errorf("goroutine %d read\n%+v\n%+v\na serial evaluation reads\n%+v\n%+v", g, got[g], got6[g], want, want6)
 		}
 	}
+}
+
+// builtBounds is the range of Census.Built for plan calls whose misses
+// per spec are misses: a spec's network is built once at GOMAXPROCS 1 and
+// at most once per task of it running at a time otherwise, since an idle
+// one is taken before a new one is built.
+func builtBounds(misses ...int) (lo, hi int64) {
+	for _, m := range misses {
+		lo++
+		hi += int64(min(runtime.GOMAXPROCS(0), m))
+	}
+	return lo, hi
 }

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -14,17 +16,18 @@ import (
 )
 
 // Evaluation is the paper's evaluation (Figures 5-8) as a plan of unique
-// runs under one budget. Figures and claims are views over it: each asks
-// for the rows it reads, and a run whose full spec was simulated before is
-// served from the memo, whichever view asked first. The memo lives in the
-// value and nowhere else. Methods are safe for concurrent use; goroutines
-// that miss one key at once each simulate it and store equal results.
+// runs under one budget. Figures and claims are views over it: each reads
+// the rows its key list names (keys), and a run whose full spec was
+// simulated before is served from the memo, whichever view asked first.
+// Plan simulates the misses of several views as one pool of runs. The memo
+// lives in the value and nowhere else. Methods are safe for concurrent
+// use; goroutines that miss one key at once each simulate it and store
+// equal results.
 type Evaluation struct {
 	b         Budget
 	newSystem systemFunc
-	mu        sync.Mutex // guards the two memos
-	runs      map[runKey]fabric.Result
-	priced    map[runKey][]fabric.Result // ownPerConfig's rows, by the run they price
+	mu        sync.Mutex                 // guards runs and a plan call's pool
+	runs      map[runKey][]fabric.Result // one Result per run; a priced run's four rows
 
 	simulated, served, built atomic.Int64
 }
@@ -32,19 +35,28 @@ type Evaluation struct {
 // systemFunc is NewSystem's signature; tests count builds through it.
 type systemFunc func(name string, cores int, cfg wireless.Config, scen wireless.Scenario) System
 
+// spec is what a network is built from: runs of one spec share networks.
+type spec struct {
+	name  string
+	cores int
+	cfg   wireless.Config
+	scen  wireless.Scenario
+}
+
 // runKey is the full spec of one run under the evaluation's budget.
 type runKey struct {
-	name    string
-	cores   int
-	cfg     wireless.Config
-	scen    wireless.Scenario
+	spec
 	pattern traffic.Pattern
 	rate    float64
 	seed    uint64
+	// priced marks the run Figures 5 and 6 price under every Table IV
+	// configuration (OWN-256 built under the first): its value is four
+	// rows, and its network, re-priced, never runs again.
+	priced bool
 }
 
-// Census counts runs simulated, requests served from the plan
-// (ownPerConfig's four rows are one request) and networks built.
+// Census counts runs simulated, runs served (read by a figure that did
+// not simulate them itself; a priced run is one) and networks built.
 type Census struct{ Simulated, Served, Built int64 }
 
 func (c Census) String() string {
@@ -55,7 +67,7 @@ func (c Census) String() string {
 func NewEvaluation(b Budget) *Evaluation { return newEvaluation(b, NewSystem) }
 
 func newEvaluation(b Budget, newSystem systemFunc) *Evaluation {
-	return &Evaluation{b: b, newSystem: newSystem, runs: map[runKey]fabric.Result{}, priced: map[runKey][]fabric.Result{}}
+	return &Evaluation{b: b, newSystem: newSystem, runs: map[runKey][]fabric.Result{}}
 }
 
 // Budget returns the budget every run of the plan shares.
@@ -66,59 +78,148 @@ func (e *Evaluation) Census() Census {
 	return Census{e.simulated.Load(), e.served.Load(), e.built.Load()}
 }
 
-// planned returns memo[k], simulating it with run (lock not held) on a miss.
-func planned[V any](e *Evaluation, memo map[runKey]V, k runKey, run func() V) V {
+// View is the rows one figure reads, as Plan takes it. Figure is 5, 6, 7
+// or 8; a Figure 7 view is a 256-core load sweep of every system per
+// pattern (7a sweeps every paper pattern, 7b uniform, 7c bit reversal),
+// and a Figure 8 view one 1024-core run of every system per pattern.
+type View struct {
+	Figure   int
+	Patterns []traffic.Pattern
+}
+
+// keys lists the runs the views read, in the order their figures read
+// them: the one list of a figure's rows, read by the figure and by Plan.
+func (e *Evaluation) keys(views ...View) []runKey {
+	b := e.b
+	run := func(name string, cores int, pat traffic.Pattern, rate float64, seed uint64) runKey {
+		return runKey{spec: spec{name, cores, wireless.Config4, wireless.Ideal}, pattern: pat, rate: rate, seed: seed}
+	}
+	priced := func(scen wireless.Scenario) runKey {
+		return runKey{spec{"own", 256, wireless.AllConfigs()[0], scen}, traffic.Uniform, midLoad(256, scen), b.Seed, true}
+	}
+	var ks []runKey
+	for _, v := range views {
+		switch v.Figure {
+		case 5:
+			ks = append(ks, priced(wireless.Ideal), priced(wireless.Conservative))
+		case 6:
+			ks = append(ks, priced(wireless.Ideal))
+			for _, name := range []string{"wcmesh", "optxb", "pclos", "cmesh"} {
+				ks = append(ks, run(name, 256, traffic.Uniform, midLoad(256, wireless.Ideal), b.Seed))
+			}
+		case 7:
+			// Point j of a load sweep has seed b.Seed+j, like Sweep's.
+			for _, pat := range v.Patterns {
+				for _, name := range SystemNames() {
+					for j, load := range SweepLoads(256, b.Loads) {
+						ks = append(ks, run(name, 256, pat, load, b.Seed+uint64(j)))
+					}
+				}
+			}
+		case 8:
+			// Permutation patterns concentrate load: well below uniform saturation.
+			for _, pat := range v.Patterns {
+				for _, name := range SystemNames() {
+					ks = append(ks, run(name, 1024, pat, 0.3*topology.UniformSaturationLoad(1024), b.Seed))
+				}
+			}
+		default:
+			panic(fmt.Sprintf("core: unknown figure %d", v.Figure))
+		}
+	}
+	return ks
+}
+
+// Plan simulates every run the views read that e does not hold yet, as
+// one pool (plan). A figure called afterwards on one of the views reads
+// the memo: it simulates and builds nothing.
+func (e *Evaluation) Plan(views ...View) { e.plan(e.keys(views...)) }
+
+// plan simulates each key of ks that e does not hold, once, and returns
+// how many it simulated. One task per run over parallelEach's workers,
+// longest first: 1024 cores before 256, then higher rate first, in ks
+// order otherwise. A task takes an idle network of its spec or builds one
+// (System.run), and gives it back after the run; a network is dropped
+// once no pending task has its spec, so networks live as long as their
+// spec's runs, not as long as the call. A priced run's network never goes
+// back: Meter.PriceWireless survives the rewind.
+func (e *Evaluation) plan(ks []runKey) int {
+	var miss []runKey
+	pending := map[spec]int{} // tasks not yet started, per spec
+	idle := map[spec][]*fabric.Network{}
 	e.mu.Lock()
-	v, ok := memo[k]
+	for _, k := range ks {
+		if _, ok := e.runs[k]; !ok && !slices.Contains(miss, k) {
+			miss = append(miss, k)
+			pending[k.spec]++
+		}
+	}
 	e.mu.Unlock()
-	if ok {
-		e.served.Add(1)
-		return v
-	}
-	v = run()
-	e.simulated.Add(1)
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	memo[k] = v
-	return v
+	slices.SortStableFunc(miss, func(a, b runKey) int {
+		return cmp.Or(cmp.Compare(b.cores, a.cores), cmp.Compare(b.rate, a.rate))
+	})
+	parallelEach(len(miss), func(_ *struct{}, i int) {
+		k := miss[i]
+		var n *fabric.Network
+		e.mu.Lock()
+		if free := idle[k.spec]; len(free) > 0 {
+			n, idle[k.spec] = free[len(free)-1], free[:len(free)-1]
+		}
+		if pending[k.spec]--; pending[k.spec] == 0 {
+			delete(idle, k.spec)
+		}
+		e.mu.Unlock()
+		v := e.simulate(k, &n)
+		e.mu.Lock()
+		defer e.mu.Unlock()
+		e.runs[k] = v
+		if !k.priced && pending[k.spec] > 0 {
+			idle[k.spec] = append(idle[k.spec], n)
+		}
+		e.simulated.Add(1)
+	})
+	return len(miss)
 }
 
-// system returns the named system with a Build that counts into the census.
-func (e *Evaluation) system(name string, cores int, cfg wireless.Config, scen wireless.Scenario) System {
-	sys := e.newSystem(name, cores, cfg, scen)
-	build := sys.Build
-	sys.Build = func(m *power.Meter) *fabric.Network {
+// simulate runs k on *n, building it first if it is nil, and returns its
+// value: the Result, or for a priced run the Result priced under each
+// configuration's PlanOWN256 energy-per-bit table, in AllConfigs order, on
+// the network it ran on. A configuration changes what a wireless bit
+// costs and nothing a flit can see: band bandwidth follows the scenario
+// alone (wireless.BandPlan), so the four would simulate the same traffic
+// cycle for cycle.
+func (e *Evaluation) simulate(k runKey, n **fabric.Network) []fabric.Result {
+	if *n == nil {
 		e.built.Add(1)
-		return build(m)
 	}
-	return sys
-}
-
-// runEach returns the named config-4, ideal-scenario system's runs of
-// points, in order. The first miss builds the network and every miss runs
-// on that one (System.run): a row group costs the cycles nobody simulated
-// before and at most one build, and reads what a fresh build per point
-// reads.
-func (e *Evaluation) runEach(name string, cores int, points []fabric.TrafficSpec) []fabric.Result {
-	sys := e.system(name, cores, wireless.Config4, wireless.Ideal)
-	var net *fabric.Network
-	out := make([]fabric.Result, len(points))
-	for j, ts := range points {
-		k := runKey{name, cores, wireless.Config4, wireless.Ideal, ts.Pattern, ts.Rate, ts.Seed}
-		out[j] = planned(e, e.runs, k, func() fabric.Result { return sys.run(&net, ts, e.b.runSpec()) })
+	res := e.newSystem(k.name, k.cores, k.cfg, k.scen).run(n, fabric.TrafficSpec{Pattern: k.pattern, Rate: k.rate, Seed: k.seed}, e.b.runSpec())
+	if !k.priced {
+		return []fabric.Result{res}
+	}
+	var out []fabric.Result
+	for _, cfg := range wireless.AllConfigs() {
+		plan := wireless.PlanOWN256(cfg, k.scen)
+		epb := make([]float64, len(plan.Channels))
+		for id, ch := range plan.Channels {
+			epb[id] = ch.EPBpJ
+		}
+		(*n).Meter.PriceWireless(epb)
+		out = append(out, (*n).Priced(res))
 	}
 	return out
 }
 
-// loadSweep runs pattern on the named 256-core system across the load axis,
-// point j with seed b.Seed+j like Sweep, serially (figures parallelize systems).
-func (e *Evaluation) loadSweep(name string, pattern traffic.Pattern) ([]float64, []fabric.Result) {
-	loads := SweepLoads(256, e.b.Loads)
-	points := make([]fabric.TrafficSpec, len(loads))
-	for j, load := range loads {
-		points[j] = fabric.TrafficSpec{Pattern: pattern, Rate: load, Seed: e.b.Seed + uint64(j)}
+// read plans v and returns its keys and their values, in keys order.
+func (e *Evaluation) read(v View) ([]runKey, [][]fabric.Result) {
+	ks := e.keys(v)
+	e.served.Add(int64(len(ks) - e.plan(ks)))
+	out := make([][]fabric.Result, len(ks))
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	for i, k := range ks {
+		out[i] = e.runs[k]
 	}
-	return loads, e.runEach(name, 256, points)
+	return ks, out
 }
 
 // midLoad returns the half-saturation operating point used for the power
@@ -144,53 +245,19 @@ type Fig5Row struct {
 	PlanMeanEPBpJ float64
 }
 
-// ownPerConfig simulates OWN-256 under scen once and prices the run under
-// each Table IV configuration's PlanOWN256 energy-per-bit table, in
-// AllConfigs order (Figure 6's OWN bars are Figure 5's ideal rows). A
-// configuration changes what a wireless bit costs and nothing a flit can
-// see: band bandwidth follows the scenario alone (wireless.BandPlan), so
-// the four would simulate the same traffic cycle for cycle.
-func (e *Evaluation) ownPerConfig(scen wireless.Scenario, load float64) []fabric.Result {
-	cfgs := wireless.AllConfigs()
-	k := runKey{"own", 256, cfgs[0], scen, traffic.Uniform, load, e.b.Seed}
-	return planned(e, e.priced, k, func() []fabric.Result {
-		var n *fabric.Network
-		ts := fabric.TrafficSpec{Pattern: k.pattern, Rate: k.rate, Seed: k.seed}
-		res := e.system(k.name, k.cores, k.cfg, k.scen).run(&n, ts, e.b.runSpec())
-		out := make([]fabric.Result, 0, len(cfgs))
-		for _, cfg := range cfgs {
-			plan := wireless.PlanOWN256(cfg, scen)
-			epb := make([]float64, len(plan.Channels))
-			for id, ch := range plan.Channels {
-				epb[id] = ch.EPBpJ
-			}
-			n.Meter.PriceWireless(epb)
-			out = append(out, n.Priced(res))
-		}
-		return out
-	})
-}
-
 // Figure5 measures the average wireless link power for the four Table IV
 // configurations under both Table III scenarios (OWN-256, uniform random
 // traffic at half saturation): one simulation per scenario, priced per
 // configuration.
 func (e *Evaluation) Figure5() []Fig5Row {
-	scens := []wireless.Scenario{wireless.Ideal, wireless.Conservative}
-	cfgs := wireless.AllConfigs()
-	rows := make([]Fig5Row, len(scens)*len(cfgs))
-	ParallelMap(len(scens), func(i int) {
-		scen := scens[i]
-		priced := e.ownPerConfig(scen, midLoad(256, scen))
-		for j, cfg := range cfgs {
-			rows[i*len(cfgs)+j] = Fig5Row{
-				Scenario:      scen,
-				Config:        cfg,
-				AvgChannelMW:  priced[j].AvgWirelessChannelMW,
-				PlanMeanEPBpJ: wireless.PlanOWN256(cfg, scen).MeanEPBpJ(),
-			}
+	ks, runs := e.read(View{Figure: 5})
+	var rows []Fig5Row
+	for i, k := range ks {
+		for j, cfg := range wireless.AllConfigs() {
+			rows = append(rows, Fig5Row{Scenario: k.scen, Config: cfg, AvgChannelMW: runs[i][j].AvgWirelessChannelMW,
+				PlanMeanEPBpJ: wireless.PlanOWN256(cfg, k.scen).MeanEPBpJ()})
 		}
-	})
+	}
 	return rows
 }
 
@@ -205,23 +272,19 @@ type Fig6Row struct {
 // Figure6 measures total power for CMESH, wireless-CMESH, OptXB, p-Clos
 // and OWN-256 in all four configurations (ideal scenario), at the shared
 // half-saturation uniform load. The four OWN bars are one simulation
-// priced per configuration (ownPerConfig).
+// priced per configuration: Figure 5's ideal run.
 func (e *Evaluation) Figure6() []Fig6Row {
-	cfgs := wireless.AllConfigs()
-	others := []string{"wcmesh", "optxb", "pclos", "cmesh"}
-	rows := make([]Fig6Row, len(cfgs)+len(others))
-	load := midLoad(256, wireless.Ideal)
-	ParallelMap(1+len(others), func(i int) {
-		if i == 0 {
-			for j, res := range e.ownPerConfig(wireless.Ideal, load) {
-				rows[j] = Fig6Row{Label: "own-" + cfgs[j].String(), Power: res.Power, Result: res}
+	ks, runs := e.read(View{Figure: 6})
+	var rows []Fig6Row
+	for i, k := range ks {
+		for j, res := range runs[i] {
+			label := k.name
+			if k.priced {
+				label = "own-" + wireless.AllConfigs()[j].String()
 			}
-			return
+			rows = append(rows, Fig6Row{Label: label, Power: res.Power, Result: res})
 		}
-		name := others[i-1]
-		res := e.runEach(name, 256, []fabric.TrafficSpec{{Pattern: traffic.Uniform, Rate: load, Seed: e.b.Seed}})[0]
-		rows[len(cfgs)+i-1] = Fig6Row{Label: name, Power: res.Power, Result: res}
-	})
+	}
 	return rows
 }
 
@@ -233,20 +296,14 @@ type Fig7aRow struct {
 	Throughput float64 // accepted flits/node/cycle at saturation
 }
 
-// Figure7a sweeps every paper pattern on every architecture.
+// Figure7a sweeps every paper pattern on every architecture: a row is the
+// plateau of one Figure 7 curve.
 func (e *Evaluation) Figure7a() []Fig7aRow {
+	pats := traffic.AllPaperPatterns()
 	var rows []Fig7aRow
-	for _, pat := range traffic.AllPaperPatterns() {
-		for _, name := range SystemNames() {
-			rows = append(rows, Fig7aRow{Pattern: pat, SystemName: name})
-		}
+	for i, s := range e.Figure7bc(pats...) {
+		rows = append(rows, Fig7aRow{Pattern: pats[i/len(SystemNames())], SystemName: s.SystemName, Throughput: stats.SaturationThroughput(s.Points)})
 	}
-	ParallelMap(len(rows), func(i int) {
-		_, results := e.loadSweep(rows[i].SystemName, rows[i].Pattern)
-		for _, res := range results {
-			rows[i].Throughput = max(rows[i].Throughput, res.Throughput)
-		}
-	})
 	return rows
 }
 
@@ -262,24 +319,21 @@ type Fig7bcSeries struct {
 	CapacityLoad float64
 }
 
-// Figure7bc produces the latency-load curves for the given pattern
-// (uniform for 7b, bit reversal for 7c) at 256 cores: Figure7a's runs.
-func (e *Evaluation) Figure7bc(pattern traffic.Pattern) []Fig7bcSeries {
-	names := SystemNames()
-	series := make([]Fig7bcSeries, len(names))
-	ParallelMap(len(names), func(i int) {
-		loads, results := e.loadSweep(names[i], pattern)
-		pts := make([]stats.CurvePoint, len(loads))
-		for j, res := range results {
-			pts[j] = stats.CurvePoint{Load: loads[j], Latency: res.AvgLatency, Throughput: res.Throughput, Saturated: res.Saturated()}
+// Figure7bc produces the latency-load curves of every architecture for
+// the given patterns (uniform for 7b, bit reversal for 7c) at 256 cores,
+// pattern-major: Figure7a's runs.
+func (e *Evaluation) Figure7bc(patterns ...traffic.Pattern) []Fig7bcSeries {
+	ks, runs := e.read(View{Figure: 7, Patterns: patterns})
+	var series []Fig7bcSeries
+	for i := 0; i < len(ks); i += e.b.Loads {
+		pts := make([]stats.CurvePoint, e.b.Loads)
+		for j := range pts {
+			res := runs[i+j][0]
+			pts[j] = stats.CurvePoint{Load: ks[i+j].rate, Latency: res.AvgLatency, Throughput: res.Throughput, Saturated: res.Saturated()}
 		}
-		series[i] = Fig7bcSeries{
-			SystemName:     names[i],
-			Points:         pts,
-			SaturationLoad: stats.SaturationLoad(pts, 3.0),
-			CapacityLoad:   stats.CapacityLoad(pts),
-		}
-	})
+		series = append(series, Fig7bcSeries{SystemName: ks[i].name, Points: pts,
+			SaturationLoad: stats.SaturationLoad(pts, 3.0), CapacityLoad: stats.CapacityLoad(pts)})
+	}
 	return series
 }
 
@@ -297,24 +351,15 @@ type Fig8Row struct {
 
 // Figure8 evaluates the 1024-core architectures on the given patterns (the
 // figure has uniform, bit reversal and transpose; its claims read uniform)
-// at a shared sub-saturation load, one network per architecture, pattern-major.
+// at a shared sub-saturation load, pattern-major.
 func (e *Evaluation) Figure8(patterns ...traffic.Pattern) []Fig8Row {
-	names := SystemNames()
-	rows := make([]Fig8Row, len(patterns)*len(names))
-	// Permutation patterns concentrate load: well below uniform saturation.
-	points := make([]fabric.TrafficSpec, len(patterns))
-	for j, pat := range patterns {
-		points[j] = fabric.TrafficSpec{Pattern: pat, Rate: 0.3 * topology.UniformSaturationLoad(1024), Seed: e.b.Seed}
+	ks, runs := e.read(View{Figure: 8, Patterns: patterns})
+	rows := make([]Fig8Row, len(ks))
+	for i, k := range ks {
+		res := runs[i][0]
+		rows[i] = Fig8Row{SystemName: k.name, Pattern: k.pattern, Throughput: res.Throughput,
+			EnergyPerPacketPJ: EnergyPerPacketPJ(res, 1024), Power: res.Power}
 	}
-	ParallelMap(len(names), func(i int) {
-		results := e.runEach(names[i], 1024, points)
-		for j, res := range results {
-			rows[j*len(names)+i] = Fig8Row{
-				SystemName: names[i], Pattern: patterns[j], Throughput: res.Throughput,
-				EnergyPerPacketPJ: EnergyPerPacketPJ(res, 1024), Power: res.Power,
-			}
-		}
-	})
 	return rows
 }
 

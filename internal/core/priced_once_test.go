@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"runtime"
 	"sync/atomic"
 	"testing"
 
@@ -135,9 +136,31 @@ func TestFigure6PricedOnceMatchesPerConfigRuns(t *testing.T) {
 	}
 }
 
+// A priced run's network is re-priced, and Meter.PriceWireless survives
+// the rewind, so it never goes back to the pool: a plain run of the same
+// spec, next in the same plan, builds its own network and reads a fresh
+// build's result, wireless power included.
+func TestPricedNetworkIsNotReused(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	b := Budget{Warmup: 100, Measure: 400, Loads: 2, Seed: 3}
+	var builds atomic.Int64
+	e := newEvaluation(b, countingSystems(&builds))
+	priced := e.keys(View{Figure: 5})[0]
+	plain := priced
+	plain.priced = false
+	if n := e.plan([]runKey{priced, plain}); n != 2 || builds.Load() != 2 {
+		t.Fatalf("%d runs on %d networks, want 2 on 2", n, builds.Load())
+	}
+	want := NewSystem(plain.name, plain.cores, plain.cfg, plain.scen).Run(
+		fabric.TrafficSpec{Pattern: plain.pattern, Rate: plain.rate, Seed: plain.seed}, b.runSpec())
+	if got := e.runs[plain][0]; got != want {
+		t.Fatalf("plain run after a priced one:\n got  %+v\n want %+v", got.Power, want.Power)
+	}
+}
+
 // TestRepricingRoundTrip: pricing is a function of the counts and the
 // table, so configuration 1 -> 4 -> 1 returns the first numbers bit for
-// bit, and each step equals what ownPerConfig reported for it.
+// bit, and each step equals what Figure 6's OWN bars report for it.
 func TestRepricingRoundTrip(t *testing.T) {
 	b := QuickBudget()
 	sys := NewSystem("own", 256, wireless.Config1, wireless.Ideal)
@@ -165,9 +188,9 @@ func TestRepricingRoundTrip(t *testing.T) {
 	if !(c4.Power.WirelessMW < c1.Power.WirelessMW) || c4.Summary != c1.Summary || c4.Power.PhotonicMW != c1.Power.PhotonicMW {
 		t.Fatalf("config4 must change the wireless price and nothing else:\n%+v\n%+v", c4.Power, c1.Power)
 	}
-	per := NewEvaluation(b).ownPerConfig(wireless.Ideal, midLoad(256, wireless.Ideal))
-	if per[0] != c1 || per[3] != c4 {
-		t.Fatalf("ownPerConfig disagrees with pricing by hand:\n%+v\n%+v\n%+v\n%+v", per[0].Power, c1.Power, per[3].Power, c4.Power)
+	per := NewEvaluation(b).Figure6()
+	if per[0].Result != c1 || per[3].Result != c4 {
+		t.Fatalf("Figure 6's OWN bars disagree with pricing by hand:\n%+v\n%+v\n%+v\n%+v", per[0].Power, c1.Power, per[3].Power, c4.Power)
 	}
 	// All twelve Table I channels have ids, so nothing is unattributed.
 	for _, r := range n.Meter.EnergyRows(n.Eng.Cycle()) {

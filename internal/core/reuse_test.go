@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"reflect"
 	"runtime"
 	"slices"
 	"sync/atomic"
@@ -61,13 +62,16 @@ func TestReuseFourSpecsOnOneNetworkMatchFreshBuilds(t *testing.T) {
 	}
 }
 
-// An evaluation builds each network once and simulates each run once: one
-// build per row group that misses, counted through the build closure and
-// through Census, over the sequence `paper figures` runs — and the rows,
-// served ones included, are what a fresh build per run gives: the
-// reference is System.Run per point, which shares no network with the path
-// it checks.
+// An evaluation simulates each run once, and each plan call builds one
+// network per spec (system, scale, configuration, scenario) that misses
+// and rewinds it for every later run of that spec, across patterns and
+// loads. At GOMAXPROCS 1 the count is exact: builds are counted through
+// the build closure and through Census over the sequence `paper figures`
+// runs when each figure plans itself. The rows, served ones included, are
+// what a fresh build per run gives: the reference is System.Run per
+// point, which shares no network with the path it checks.
 func TestReuseFiguresBuildEachNetworkOnce(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	b := Budget{Warmup: 100, Measure: 400, Loads: 3, Seed: 7}
 	var builds atomic.Int64
 	e := newEvaluation(b, countingSystems(&builds))
@@ -87,7 +91,7 @@ func TestReuseFiguresBuildEachNetworkOnce(t *testing.T) {
 	e.Figure6()
 	step("Figure6 after 5 (the OWN bars are Figure 5's ideal run)", 4, 1, 4)
 	rows7a := e.Figure7a()
-	step("Figure7a (one build per pattern and system)", 75, 0, 25)
+	step("Figure7a (one build per system)", 75, 0, 5)
 	if len(rows7a) != 25 {
 		t.Fatalf("Figure7a: %d rows, want 25", len(rows7a))
 	}
@@ -100,8 +104,21 @@ func TestReuseFiguresBuildEachNetworkOnce(t *testing.T) {
 	if len(rows8) != 15 {
 		t.Fatalf("Figure8: %d rows, want 15", len(rows8))
 	}
-	if c := e.Census(); c.String() != "plan: 96 runs simulated, 31 served, 36 networks built" {
+	if c := e.Census(); c.String() != "plan: 96 runs simulated, 31 served, 16 networks built" {
 		t.Fatalf("census line: %q", c)
+	}
+
+	// The same views planned as one pool: one build per spec with a miss
+	// (two priced OWN-256, five 256-core, five 1024-core), and the
+	// figures read the memo afterwards.
+	whole := newEvaluation(b, countingSystems(&builds))
+	whole.Plan(View{Figure: 5}, View{Figure: 6}, View{Figure: 7, Patterns: traffic.AllPaperPatterns()},
+		View{Figure: 7, Patterns: []traffic.Pattern{traffic.Uniform, traffic.BitReversal}}, View{Figure: 8, Patterns: patterns})
+	if c := whole.Census(); c != (Census{Simulated: 96, Built: 12}) || builds.Swap(0) != 12 {
+		t.Fatalf("Plan of every view: %+v, want 96 runs simulated on 12 networks", c)
+	}
+	if got := whole.Figure7bc(traffic.BitReversal); !reflect.DeepEqual(got, series) {
+		t.Fatalf("Figure7bc(BitReversal) after one Plan:\n%+v\nafter each figure planned itself:\n%+v", got, series)
 	}
 
 	loads := SweepLoads(256, b.Loads)

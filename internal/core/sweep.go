@@ -42,16 +42,12 @@ func QuickBudget() Budget {
 	return Budget{Warmup: 800, Measure: 2500, Loads: 5, Seed: 1}
 }
 
-// ParallelMap runs f(0..n-1) across min(GOMAXPROCS, n) workers. Every
-// simulation is an independent single-threaded network, so independent
-// runs parallelize without sharing anything — this is where the
-// repository uses host parallelism.
-func ParallelMap(n int, f func(i int)) {
-	parallelEach(n, func(_ *struct{}, i int) { f(i) })
-}
-
-// parallelEach is ParallelMap with one W per worker, zero at the start and
-// passed to every f that worker runs: a sweep keeps its network there.
+// parallelEach runs f(w, 0..n-1) across min(GOMAXPROCS, n) workers, in
+// index order as workers free up. Every simulation is an independent
+// single-threaded network, so independent runs parallelize without
+// sharing anything: this is where the repository uses host parallelism.
+// Each worker has one W, zero at the start and passed to every f it runs:
+// a sweep keeps its network there.
 func parallelEach[W any](n int, f func(w *W, i int)) {
 	var wg sync.WaitGroup
 	next := make(chan int)

@@ -9,7 +9,7 @@ import (
 	"ownsim/internal/wireless"
 )
 
-// TestSweepUnderRace exercises the ParallelMap sweep path so the race
+// TestSweepUnderRace exercises the parallelEach sweep path so the race
 // detector (CI runs `go test -race ./...`) can observe the worker pool:
 // workers must write disjoint result slots and every network must own
 // its RNGs — any shared-RNG aliasing between sweep points shows up here.

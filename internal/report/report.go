@@ -82,16 +82,26 @@ func Evaluate(b core.Budget, now time.Time) Report {
 	return Score(core.NewEvaluation(b), now)
 }
 
-// Score scores the claims on e, simulating only the rows they read that
-// e has not served before: after the figures ran on e (cmd/paper) the
-// ledger adds served requests and no run. Census is e's count so far.
+// uniform is the one pattern the Figure 7b and Figure 8 claims read.
+var uniform = []traffic.Pattern{traffic.Uniform}
+
+// Views are the rows the claims read: Figures 5 and 6 whole, and the
+// uniform rows of Figures 7b and 8.
+func Views() []core.View {
+	return []core.View{{Figure: 5}, {Figure: 6}, {Figure: 7, Patterns: uniform}, {Figure: 8, Patterns: uniform}}
+}
+
+// Score plans Views on e as one pool, simulating only the rows e does not
+// hold, and scores the claims on them: after the figures ran on e
+// (cmd/paper) the ledger adds served runs and no simulation. Census is e's
+// count so far.
 func Score(e *core.Evaluation, now time.Time) Report {
+	e.Plan(Views()...)
 	b := e.Budget()
 	r := Report{
 		GeneratedAt: now,
 		Budget:      fmt.Sprintf("warmup=%d measure=%d loads=%d seed=%d", b.Warmup, b.Measure, b.Loads, b.Seed),
 	}
-	// In order: Figure 6's OWN bars are served from Figure 5's ideal run.
 	r.Claims = slices.Concat(rfClaims(), fig5Claims(e), fig6Claims(e), fig7Claims(e), fig8Claims(e))
 	r.Census = e.Census()
 	return r
@@ -163,7 +173,7 @@ func fig6Claims(e *core.Evaluation) []Claim {
 }
 
 func fig7Claims(e *core.Evaluation) []Claim {
-	series := e.Figure7bc(traffic.Uniform)
+	series := e.Figure7bc(uniform...)
 	cap := map[string]float64{}
 	zl := map[string]float64{}
 	for _, s := range series {
@@ -185,7 +195,7 @@ func fig7Claims(e *core.Evaluation) []Claim {
 func fig8Claims(e *core.Evaluation) []Claim {
 	epkt := map[string]float64{}
 	thrMin, thrMax := math.Inf(1), 0.0
-	for _, row := range e.Figure8(traffic.Uniform) {
+	for _, row := range e.Figure8(uniform...) {
 		epkt[row.SystemName] = row.EnergyPerPacketPJ
 		if row.Throughput < thrMin {
 			thrMin = row.Throughput

@@ -3,6 +3,7 @@ package report
 import (
 	"encoding/json"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -53,6 +54,7 @@ func TestEvaluateQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full evaluation in -short mode")
 	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	rep := Evaluate(core.QuickBudget(), time.Unix(0, 0).UTC())
 	if len(rep.Claims) < 15 {
 		t.Fatalf("only %d claims tracked", len(rep.Claims))
@@ -68,9 +70,12 @@ func TestEvaluateQuick(t *testing.T) {
 		t.Fatalf("%d/%d claims reproduced; expected near-complete", rep.Passed(), len(rep.Claims))
 	}
 	checkQuickMeasured(t, rep)
-	// The claims read 36 runs on 16 networks — Figure 8's uniform rows
-	// only — and Figure 6's OWN bars are Figure 5's ideal run.
-	if want := (core.Census{Simulated: 36, Served: 1, Built: 16}); rep.Census != want {
+	// The claims read 36 runs, Figure 8's uniform rows only, planned as
+	// one pool: Figure 6's OWN bars are Figure 5's ideal run, and the
+	// figures then read 37 runs from the memo. At GOMAXPROCS 1 the pool
+	// builds one network per spec that misses: 12 (the two priced OWN-256
+	// runs, five 256-core and five 1024-core systems).
+	if want := (core.Census{Simulated: 36, Served: 37, Built: 12}); rep.Census != want {
 		t.Errorf("plan %+v, want %+v", rep.Census, want)
 	}
 	data, err := rep.JSON()
@@ -126,17 +131,76 @@ func TestScoreAfterFiguresSimulatesNothing(t *testing.T) {
 	}
 }
 
-// The plan lives in one Evaluate call: a second call simulates as many
-// runs as the first, so a loop over Evaluate measures an evaluation each
-// time.
+// The plan lives in one Evaluate call: a second call simulates and builds
+// as much as the first, so a loop over Evaluate measures an evaluation
+// each time. GOMAXPROCS 1 makes Built exact.
 func TestEvaluateSharesNothingBetweenCalls(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	b := core.Budget{Warmup: 100, Measure: 400, Loads: 3, Seed: 7}
 	first, second := Evaluate(b, time.Unix(0, 0).UTC()), Evaluate(b, time.Unix(0, 0).UTC())
-	if want := (core.Census{Simulated: 26, Served: 1, Built: 16}); first.Census != want || second.Census != want {
+	if want := (core.Census{Simulated: 26, Served: 27, Built: 12}); first.Census != want || second.Census != want {
 		t.Fatalf("two Evaluate calls planned %+v then %+v, want %+v both times", first.Census, second.Census, want)
 	}
 	if !reflect.DeepEqual(first, second) {
 		t.Fatalf("two Evaluate calls differ:\n%+v\n%+v", first, second)
+	}
+}
+
+// allViews are the five figures' views as cmd/paper plans them.
+var allViews = []core.View{{Figure: 5}, {Figure: 6}, {Figure: 7, Patterns: traffic.AllPaperPatterns()},
+	{Figure: 7, Patterns: []traffic.Pattern{traffic.Uniform, traffic.BitReversal}},
+	{Figure: 8, Patterns: []traffic.Pattern{traffic.Uniform, traffic.BitReversal, traffic.Transpose}}}
+
+// figures reads what allViews plans, in its order, Figure 7b/c as two
+// calls.
+var figures = []func(e *core.Evaluation) any{
+	func(e *core.Evaluation) any { return e.Figure5() },
+	func(e *core.Evaluation) any { return e.Figure6() },
+	func(e *core.Evaluation) any { return e.Figure7a() },
+	func(e *core.Evaluation) any { return e.Figure7bc(traffic.Uniform) },
+	func(e *core.Evaluation) any { return e.Figure7bc(traffic.BitReversal) },
+	func(e *core.Evaluation) any {
+		return e.Figure8(traffic.Uniform, traffic.BitReversal, traffic.Transpose)
+	},
+}
+
+// One result for any schedule: the ledger and all five figures read the
+// same at GOMAXPROCS 1 and 4, whether one Plan of every view ran first or
+// each view ran alone on a fresh evaluation; and after the Plan the
+// figures simulate and build nothing. Run under -race (make race).
+func TestOneResultForAnySchedule(t *testing.T) {
+	if testing.Short() {
+		t.Skip("two evaluations and three full figure sets in -short mode")
+	}
+	b := core.QuickBudget()
+	var reps []Report
+	var planned [][]any
+	for _, procs := range []int{1, 4} {
+		old := runtime.GOMAXPROCS(procs)
+		reps = append(reps, Evaluate(b, time.Unix(0, 0).UTC()))
+		e := core.NewEvaluation(b)
+		e.Plan(allViews...)
+		before := e.Census()
+		var rows []any
+		for _, f := range figures {
+			rows = append(rows, f(e))
+		}
+		planned = append(planned, rows)
+		if after := e.Census(); after.Simulated != before.Simulated || after.Built != before.Built || after.Served != before.Served+197 {
+			t.Errorf("GOMAXPROCS %d: the figures after Plan moved the census from %+v to %+v, want 197 served and nothing else", procs, before, after)
+		}
+		runtime.GOMAXPROCS(old)
+	}
+	if !reflect.DeepEqual(reps[0].Claims, reps[1].Claims) {
+		t.Errorf("the ledger depends on GOMAXPROCS:\n%+v\n%+v", reps[0].Claims, reps[1].Claims)
+	}
+	if !reflect.DeepEqual(planned[0], planned[1]) {
+		t.Errorf("the figures depend on GOMAXPROCS")
+	}
+	for i, f := range figures {
+		if alone := f(core.NewEvaluation(b)); !reflect.DeepEqual(planned[0][i], alone) {
+			t.Errorf("figure %d after one Plan:\n%+v\nalone on a fresh evaluation:\n%+v", i, planned[0][i], alone)
+		}
 	}
 }
 
