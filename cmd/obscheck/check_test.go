@@ -4,9 +4,8 @@
 // rectangular table with at least one data row, and the energy,
 // latency-breakdown and Jain CSVs — recognized by their headers — add
 // their sum or bound; JSON parses, the state dump decodes into
-// flightrec.Snapshot with its cycle and reason, its text view lists the
-// writers it records as waiting, and a manifest's run summary orders its
-// latencies (p50 <= p95 <= p99 <= max). Across files, the heatmap and
+// flightrec.Snapshot with its cycle and reason, and a manifest's run
+// summary orders its latencies (p50 <= p95 <= p99 <= max). Across files, the heatmap and
 // fairness tables sum to the gauges metrics.csv sampled at the run's
 // last cycle (checkAgrees).
 // TestRecordInvariants applies them to a real record,
@@ -22,7 +21,6 @@ import (
 	"fmt"
 	"math"
 	"path/filepath"
-	"regexp"
 	"slices"
 	"strconv"
 	"strings"
@@ -52,8 +50,8 @@ func checkFile(name string, b []byte) error {
 		case name == "manifest.json":
 			err = checkManifest(b)
 		}
-	case ".dot", ".txt":
-		// Text for people and Graphviz; the digests pin their bytes.
+	case ".dot":
+		// Graphviz; the digests pin its bytes.
 	default:
 		err = fmt.Errorf("unknown extension %q", filepath.Ext(name))
 	}
@@ -173,48 +171,6 @@ func checkDump(b []byte) error {
 	}
 	if snap.Reason == "" {
 		return errors.New("dump lacks a reason")
-	}
-	return nil
-}
-
-// starvedLine reads a "starved writers" line of dump.txt: the channel's
-// kind and name, the writer's index and router, and the wait in cycles.
-var starvedLine = regexp.MustCompile(`^  (\S+) (\S+) writer (\d+) \(router (-?\d+)\) waiting (\d+) cy;`)
-
-// checkStarved validates dump.txt against dump.json, the view against the
-// record: "starved writers: N" counts the writers dump.json lists as
-// waiting, and the N lines under it name, in channel and writer order,
-// the same channel, writer, router and wait (the dump cycle less the
-// cycle the wait opened).
-func checkStarved(dumpJSON, dumpText []byte) error {
-	var snap flightrec.Snapshot
-	if err := json.Unmarshal(dumpJSON, &snap); err != nil {
-		return fmt.Errorf("dump.json: %v", err)
-	}
-	var want []string
-	for _, c := range snap.Channels {
-		for _, wr := range c.Writers {
-			if wr.Waiting {
-				want = append(want, fmt.Sprintf("%s %s writer %d router %d wait %d", c.Kind, c.Name, wr.Index, wr.ID, snap.Cycle-wr.WaitingSinceCy))
-			}
-		}
-	}
-	lines := strings.Split(string(dumpText), "\n")
-	at := slices.IndexFunc(lines, func(l string) bool { return strings.HasPrefix(l, "starved writers: ") })
-	if at < 0 {
-		return errors.New("dump.txt lacks the starved writers count")
-	}
-	if n, err := strconv.Atoi(strings.TrimPrefix(lines[at], "starved writers: ")); err != nil || n != len(want) {
-		return fmt.Errorf("dump.txt %q, dump.json lists %d waiting writers", lines[at], len(want))
-	}
-	for i, w := range want {
-		m := starvedLine.FindStringSubmatch(lines[at+1+i])
-		if m == nil {
-			return fmt.Errorf("dump.txt starved writer line %d %q is not a starved writer", i+1, lines[at+1+i])
-		}
-		if got := fmt.Sprintf("%s %s writer %s router %s wait %s", m[1], m[2], m[3], m[4], m[5]); got != w {
-			return fmt.Errorf("dump.txt starved writer line %d names %s, dump.json %s", i+1, got, w)
-		}
 	}
 	return nil
 }

@@ -12,6 +12,7 @@ import (
 	"strings"
 	"testing"
 
+	"ownsim/internal/flightrec"
 	"ownsim/internal/probe"
 )
 
@@ -80,17 +81,18 @@ func TestRecordMatchesDigests(t *testing.T) {
 	}
 	// The observers register no engine component of their own: the one
 	// Collect-phase component is the probe's sampler, ticked every cycle.
-	data, err := os.ReadFile(filepath.Join(dir, "manifest.json"))
+	data, err := os.ReadFile(filepath.Join(dir, "dump.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var man probe.Manifest
-	if err := json.Unmarshal(data, &man); err != nil {
+	var snap flightrec.Snapshot
+	if err := json.Unmarshal(data, &snap); err != nil {
 		t.Fatal(err)
 	}
-	i := slices.IndexFunc(man.Engine.Phases, func(ph probe.PhaseIntro) bool { return ph.Phase == "collect" })
-	if i < 0 || man.Engine.Phases[i].Ticks != man.Engine.Cycles {
-		t.Errorf("engine phases %+v over %d cycles: want the collect phase ticked once per cycle", man.Engine.Phases, man.Engine.Cycles)
+	eng := snap.Engine
+	i := slices.IndexFunc(eng.Phases, func(ph probe.PhaseIntro) bool { return ph.Phase == "collect" })
+	if i < 0 || eng.Phases[i].Ticks != eng.Cycles {
+		t.Errorf("engine phases %+v over %d cycles: want the collect phase ticked once per cycle", eng.Phases, eng.Cycles)
 	}
 }
 

@@ -31,8 +31,9 @@
 // ledger is looked up a few times per packet, in a noc.IDTable.
 //
 // Violations are recorded (bounded by MaxViolations) and surfaced through
-// OnViolation, which fabric.Network.InstallChecker wires to a
-// flight-recorder snapshot naming the offending component and cycle.
+// OnViolation; fabric.Network.InstallChecker hands the first one to its
+// caller with a flight-recorder snapshot naming the offending component
+// and cycle.
 package check
 
 import (
@@ -89,10 +90,9 @@ type Checker struct {
 	// The total count (Total) keeps running past the cap.
 	MaxViolations int
 	// OnViolation, when set, observes every counted violation as it
-	// happens. The installer owns it: fabric.Network.InstallChecker sets
-	// it to the snapshot-on-first-violation callback, replacing any set
-	// before, and passes each violation on to its own onViolation
-	// argument.
+	// happens. The installer owns it: fabric.Network.InstallChecker
+	// replaces any set before, and passes each violation, the first with
+	// a state snapshot, on to its own onViolation argument.
 	OnViolation func(Violation)
 
 	violations []Violation

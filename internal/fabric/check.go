@@ -20,12 +20,12 @@ import (
 // are sized here, from each router's ports and VCs, so a checked run
 // allocates none. Install before Run, and at most once.
 //
-// Violations trip a flight-recorder-style dump: the first one captures a
-// full state snapshot (Snapshot, naming the offending component and cycle
-// in its reason) retrievable through CheckerSnapshot. onViolation, which
-// may be nil, additionally observes every violation as it happens; only
-// the first call carries the snapshot, later ones pass nil. The installer
-// sets c.OnViolation to do both, replacing any callback set before.
+// onViolation, which may be nil, observes every violation as it happens.
+// The first call also carries a full state snapshot (Snapshot, naming
+// the offending component and cycle in its reason); later calls pass
+// nil. Without a callback no snapshot is taken, and the violations are
+// read from the checker itself. The installer sets c.OnViolation,
+// replacing any callback set before.
 //
 // The checker is one more subscriber of the taps the probe and flight
 // recorder use, so it coexists with them in any order. Like them it is
@@ -42,13 +42,15 @@ func (n *Network) InstallChecker(c *check.Checker, onViolation func(v check.Viol
 	}
 	n.Checker = c
 
-	c.OnViolation = func(v check.Violation) {
-		var snap *flightrec.Snapshot
-		if n.checkerSnap == nil {
-			n.checkerSnap = n.Snapshot("invariant violation: " + v.String())
-			snap = n.checkerSnap
-		}
-		if onViolation != nil {
+	c.OnViolation = nil
+	if onViolation != nil {
+		first := true
+		c.OnViolation = func(v check.Violation) {
+			var snap *flightrec.Snapshot
+			if first {
+				first = false
+				snap = n.Snapshot("invariant violation: " + v.String())
+			}
 			onViolation(v, snap)
 		}
 	}
@@ -70,10 +72,6 @@ func (n *Network) InstallChecker(c *check.Checker, onViolation func(v check.Viol
 	}
 	n.Eng.Register(sim.PhaseCollect, checkSweep{n})
 }
-
-// CheckerSnapshot returns the state snapshot captured at the checker's
-// first violation, or nil when the run was (so far) conformant.
-func (n *Network) CheckerSnapshot() *flightrec.Snapshot { return n.checkerSnap }
 
 // Audit reports every breach the structural walk finds (routers, shared
 // channels and sources; see CheckInvariants) into the installed checker

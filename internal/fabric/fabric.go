@@ -44,10 +44,6 @@ type Network struct {
 	// disables it. See InstallChecker.
 	Checker *check.Checker
 
-	// checkerSnap is the state snapshot taken at the checker's first
-	// violation; see CheckerSnapshot.
-	checkerSnap *flightrec.Snapshot
-
 	Routers []*router.Router
 	Sources []*router.Source
 	Sinks   []*router.Sink

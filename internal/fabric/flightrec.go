@@ -121,9 +121,5 @@ func (n *Network) Snapshot(reason string) *flightrec.Snapshot {
 			}
 		}
 	}
-	if fr := n.FlightRec; fr != nil {
-		snap.FrameNames = fr.Rec.Names()
-		snap.Frames = fr.Rec.Tail(0)
-	}
 	return snap
 }

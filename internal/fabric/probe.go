@@ -170,8 +170,8 @@ func (n *Network) registerMetrics(p *probe.Probe) {
 	}
 }
 
-// EngineIntro snapshots the engine's scheduler counters for the run
-// manifest.
+// EngineIntro snapshots the engine's scheduler counters for the state
+// dump.
 func (n *Network) EngineIntro() probe.EngineIntro {
 	ei := probe.EngineIntro{
 		Cycles:          n.Eng.Cycle(),

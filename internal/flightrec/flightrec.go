@@ -1,8 +1,9 @@
-// Package flightrec is the simulator's black-box diagnostics layer: a
-// flight recorder showing the probe sampler's most recent metric
-// windows, and the state dump that carries them next to the full
-// arbitration state, each shared photonic and wireless medium's
-// per-writer token waits included.
+// Package flightrec is the simulator's black-box diagnostics layer: the
+// state dump (Snapshot) — liveness counters, engine and pool
+// introspection, and the full arbitration state, each shared photonic and
+// wireless medium's per-writer token waits included — and the Recorder
+// that counts the probe sampler's windows. The sampled metrics themselves
+// live in the record's metrics.csv, not in the dump.
 //
 // The package follows the probe layer's contracts: everything is inert
 // (recording never feeds back into the simulation, so results are
@@ -17,8 +18,7 @@
 package flightrec
 
 // Window is the sampling window of a record in simulated cycles
-// (obs.Start's probe): one metrics.csv row, and one recorder frame, per
-// Window cycles.
+// (obs.Start's probe): one metrics.csv row per Window cycles.
 const Window = 256
 
 // Options parameterizes a FlightRecorder. It has no fields; New keeps
@@ -29,7 +29,7 @@ type Options struct{}
 // FlightRecorder bundles the diagnostics facilities. Construct with New,
 // then hand to fabric.Network.InstallFlightRecorder.
 type FlightRecorder struct {
-	// Rec is the view of the most recent sampler windows.
+	// Rec counts the sampler's windows.
 	Rec *Recorder
 }
 

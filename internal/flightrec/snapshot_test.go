@@ -3,10 +3,8 @@ package flightrec
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
-	"math"
+	"errors"
 	"reflect"
-	"strings"
 	"testing"
 
 	"ownsim/internal/noc"
@@ -53,10 +51,8 @@ func testSnapshot() *Snapshot {
 				{Index: 1, ID: 11, Queued: 2, Waiting: true, WaitingSinceCy: 3896, HeadPkt: 42, HeadSrc: 1, HeadDst: 6},
 			},
 		}},
-		Routers:    []RouterInfo{{ID: 0, Buffered: 2, BufHighWater: 5}},
-		Packets:    []PacketInfo{{ID: 42, Src: 1, Dst: 6, CreatedAt: 4000, AgeCy: 96, Phase: "token_wait"}},
-		FrameNames: []string{"m.a", "m.b"},
-		Frames:     []Frame{{Cycle: 3840, Values: []float64{1, 0}}, {Cycle: 4096, Values: []float64{2, 0.5}}},
+		Routers: []RouterInfo{{ID: 0, Buffered: 2, BufHighWater: 5}},
+		Packets: []PacketInfo{{ID: 42, Src: 1, Dst: 6, CreatedAt: 4000, AgeCy: 96, Phase: "token_wait"}},
 	}
 }
 
@@ -102,64 +98,56 @@ func TestSnapshotJSONDeterministic(t *testing.T) {
 	}
 }
 
-// TestSnapshotJSONRejectsNaN: a metric that does not marshal fails the
-// dump and writes nothing.
-func TestSnapshotJSONRejectsNaN(t *testing.T) {
-	s := testSnapshot()
-	s.Frames[0].Values[0] = math.NaN()
-	var buf bytes.Buffer
-	if err := s.WriteJSON(&buf); err == nil || buf.Len() != 0 {
-		t.Fatalf("NaN frame: err %v, %d bytes written", err, buf.Len())
-	}
+// countingWriter counts the Write calls it sees and fails them with err.
+type countingWriter struct {
+	writes int
+	err    error
 }
 
-func TestSnapshotWriteText(t *testing.T) {
-	var buf bytes.Buffer
-	if err := testSnapshot().WriteText(&buf); err != nil {
-		t.Fatal(err)
+func (w *countingWriter) Write(p []byte) (int, error) {
+	w.writes++
+	return len(p), w.err
+}
+
+// TestSnapshotJSONIsOneWrite: the document reaches the writer in one
+// Write, and a failing writer's error is the dump's.
+func TestSnapshotJSONIsOneWrite(t *testing.T) {
+	w := &countingWriter{}
+	if err := testSnapshot().WriteJSON(w); err != nil || w.writes != 1 {
+		t.Fatalf("WriteJSON: err %v, %d writes, want nil and 1", err, w.writes)
 	}
-	out := buf.String()
-	for _, want := range []string{
-		"=== flight recorder dump: test @ cycle 4096 ===",
-		"net=own-mini cores=8 tiles=2",
-		"photonic.bus0",
-		"starved writers: 1",
-		"  photonic bus0 writer 1 (router 11) waiting 200 cy; token at writer 0 (router 10), lock w=-1 (router -1) vc=0 head=42(1->6)\n",
-		"flight recorder tail: 2 frames x 2 metrics",
-		"m.a=1",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("text dump missing %q:\n%s", want, out)
-		}
-	}
-	// Zero metric values are elided from frame lines.
-	if strings.Contains(out, "m.b=0 ") || strings.Contains(out, "m.b=0\n") {
-		t.Error("text dump prints zero-valued frame metrics")
+	broken := errors.New("disk full")
+	w = &countingWriter{err: broken}
+	if err := testSnapshot().WriteJSON(w); !errors.Is(err, broken) || w.writes != 1 {
+		t.Fatalf("WriteJSON to a failing writer: err %v, %d writes, want %v and 1", err, w.writes, broken)
 	}
 }
 
 // TestSnapshotOfUnclockedChannelListsNoStarved: a channel without a
-// waker has no clock to time a token wait by, so a dump lists no starved
-// writer even with flits queued behind the token.
+// waker has no clock to time a token wait by, so a dump lists no writer
+// as waiting even with flits queued behind the token.
 func TestSnapshotOfUnclockedChannelListsNoStarved(t *testing.T) {
 	ch := sbus.NewChannel("bus0", 1, 0, 1)
 	w := ch.AddWriter(chanSrc{}, 0, 1, 4)
 	sendFlits(w, &noc.Packet{ID: 1, NumFlits: 2}, 2)
 	snap := &Snapshot{Reason: "test", Cycle: 100, Channels: []sbus.ChannelIntro{ch.Introspect()}}
-	var buf bytes.Buffer
-	if err := snap.WriteText(&buf); err != nil {
-		t.Fatal(err)
+	c := snap.Channels[0]
+	if c.Writers[0].Queued == 0 {
+		t.Fatal("fixture queued no flits")
 	}
-	if !strings.Contains(buf.String(), "starved writers: 0\n") {
-		t.Fatalf("untracked channel produced starved entries:\n%s", buf.String())
+	for _, wr := range c.Writers {
+		if wr.Waiting {
+			t.Fatalf("untracked channel lists a waiting writer: %+v", wr)
+		}
 	}
 }
 
 // TestSnapshotNamesStarvedWriterAndTokenOwner is the deliberately
 // starved fixture: writer 0 wedges the channel mid-packet (its tail
 // never arrives), writer 1 queues a packet and waits forever. The dump's
-// channel record and its text view must name the starved writer's
-// router, the token owner's and the lock holder's, and the wait length.
+// channel record, as dump.json carries it, must name the starved
+// writer's router, the token owner's and the lock holder's, and the
+// wait length.
 func TestSnapshotNamesStarvedWriterAndTokenOwner(t *testing.T) {
 	eng := sim.NewEngine()
 	ch := sbus.NewChannel("bus0", 1, 0, 1)
@@ -181,7 +169,14 @@ func TestSnapshotNamesStarvedWriterAndTokenOwner(t *testing.T) {
 	sendFlits(w1, &noc.Packet{ID: 2, NumFlits: 2}, 2)
 	eng.Run(300)
 
-	snap := &Snapshot{Reason: "test", Cycle: eng.Cycle(), Channels: []sbus.ChannelIntro{ch.Introspect()}}
+	var buf bytes.Buffer
+	if err := (&Snapshot{Reason: "test", Cycle: eng.Cycle(), Channels: []sbus.ChannelIntro{ch.Introspect()}}).WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var snap Snapshot
+	if err := json.Unmarshal(buf.Bytes(), &snap); err != nil {
+		t.Fatal(err)
+	}
 	c := snap.Channels[0]
 	var waiting []sbus.WriterIntro
 	for _, wr := range c.Writers {
@@ -202,13 +197,7 @@ func TestSnapshotNamesStarvedWriterAndTokenOwner(t *testing.T) {
 	if c.LockedWriter != 0 || c.Writers[c.LockedWriter].ID != 10 {
 		t.Errorf("lock at writer %d (router %d), want 0 (router 10)", c.LockedWriter, c.Writers[c.LockedWriter].ID)
 	}
-	var text bytes.Buffer
-	if err := snap.WriteText(&text); err != nil {
-		t.Fatal(err)
-	}
-	line := fmt.Sprintf("starved writers: 1\n  photonic bus0 writer 1 (router 11) waiting %d cy; token at writer 0 (router 10), lock w=0 (router 10) vc=0 head=2(0->0)\n",
-		snap.Cycle-since)
-	if !strings.Contains(text.String(), line) {
-		t.Errorf("text dump lacks %q:\n%s", line, text.String())
+	if wait := snap.Cycle - st.WaitingSinceCy; wait != eng.Cycle()-since || wait < 200 {
+		t.Errorf("wait = %d cy, want %d (at least the 200 cycles run since the packet queued)", wait, eng.Cycle()-since)
 	}
 }

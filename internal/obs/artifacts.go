@@ -255,15 +255,11 @@ func WriteJainCSV(w io.Writer, chans []*sbus.Channel, sp *probe.SpanTracker) err
 	return err
 }
 
-// EmitDump writes the end-of-run state dump into dir (dump.json plus
-// the human-readable dump.txt) and returns the files written. It
-// requires an installed flight recorder.
+// EmitDump writes the end-of-run state dump into dir as dump.json and
+// returns the file written. It requires an installed flight recorder.
 func EmitDump(n *fabric.Network, dir string, man *probe.Manifest) ([]string, error) {
 	if n.FlightRec == nil {
 		return nil, fmt.Errorf("obs: state dump requested but no flight recorder is installed")
 	}
-	snap := n.Snapshot("exit")
-	return writeFiles(dir, man,
-		file{"state_dump", "dump.json", snap.WriteJSON},
-		file{"state_dump_text", "dump.txt", snap.WriteText})
+	return writeFiles(dir, man, file{"state_dump", "dump.json", n.Snapshot("exit").WriteJSON})
 }

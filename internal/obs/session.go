@@ -97,12 +97,13 @@ func Start(n *fabric.Network, f *Flags, logf func(format string, args ...any)) (
 	return s, nil
 }
 
-// logDump reports an invariant violation with the state snapshot taken
-// at it (nil after a checker's first violation).
+// logDump reports an invariant violation: the what line, then the state
+// snapshot taken at it as one line of JSON, the document dump.json
+// holds. Later violations carry no snapshot and log the line alone.
 func (s *Session) logDump(what string, snap *flightrec.Snapshot) {
 	var b strings.Builder
 	if snap != nil {
-		if err := snap.WriteText(&b); err != nil {
+		if err := snap.WriteJSON(&b); err != nil {
 			fmt.Fprintf(&b, "(dump failed: %v)", err)
 		}
 	}
@@ -118,10 +119,10 @@ func (s *Session) Finish() {
 }
 
 // Emit writes the record into the -out directory and reports it to out:
-// every artifact group in table order, each file digested into man with
-// the engine/pool introspection, one status line per group, and
-// manifest.json last. Warnings close the report, which is written once,
-// also when a group fails; the first error is returned. man is OpenRecord's manifest; without -out it is
+// every artifact group in table order, each file digested into man, one
+// status line per group, and manifest.json last. Warnings close the
+// report, which is written once, also when a group fails; the first
+// error is returned. man is OpenRecord's manifest; without -out it is
 // nil and Emit writes nothing.
 func (s *Session) Emit(man *probe.Manifest, out io.Writer) error {
 	var b strings.Builder
@@ -137,8 +138,6 @@ func (s *Session) emit(man *probe.Manifest, b *strings.Builder) error {
 		return nil
 	}
 	n, dir := s.n, s.f.Out
-	ei, pi := n.EngineIntro(), n.PoolIntro()
-	man.Engine, man.Pools = &ei, &pi
 	for _, g := range groups {
 		files, err := g.emit(n, dir, man)
 		if err != nil {

@@ -2,15 +2,19 @@ package obs
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 
+	"ownsim/internal/check"
 	"ownsim/internal/core"
 	"ownsim/internal/fabric"
+	"ownsim/internal/flightrec"
 	"ownsim/internal/power"
 	"ownsim/internal/probe"
 	"ownsim/internal/traffic"
@@ -98,7 +102,8 @@ func TestRegisterDeclaresTheSharedFlags(t *testing.T) {
 // TestSweepRerunMatchesOwnsimRun is the property the two hand-copied
 // blocks only promised: sweep's observed re-run of its top point and
 // `ownsim -load loads[last] -seed seed+last` write byte-identical records
-// outside manifest.json. The sweep side drops -check for the re-run as
+// outside manifest.json, dump.json's engine and pool introspection
+// included. The sweep side drops -check for the re-run as
 // cmd/sweep does. (An ownsim -check run is not part of the property:
 // the checker's always-on collect-phase ticker shows in the engine.*
 // scheduler counters of the metrics, dump and manifest.)
@@ -140,15 +145,12 @@ func TestSweepRerunMatchesOwnsimRun(t *testing.T) {
 	if !reflect.DeepEqual(sw.man.Artifacts, ow.man.Artifacts) {
 		t.Errorf("manifest artifacts:\n sweep  %+v\n ownsim %+v", sw.man.Artifacts, ow.man.Artifacts)
 	}
-	if !reflect.DeepEqual(sw.man.Engine, ow.man.Engine) || !reflect.DeepEqual(sw.man.Pools, ow.man.Pools) {
-		t.Error("engine/pool introspection differs between the two runs")
-	}
 }
 
 // recordFiles is the record README documents: every file -out writes, in
 // name order.
 var recordFiles = []string{
-	"breakdown.csv", "dump.json", "dump.txt", "energy.csv",
+	"breakdown.csv", "dump.json", "energy.csv",
 	"fair_jain.csv", "fair_tiles.csv", "heat_congestion.csv", "heat_energy.csv",
 	"manifest.json", "metrics.csv", "topology.dot", "trace.json",
 }
@@ -175,7 +177,7 @@ func TestArtifactGroupFiles(t *testing.T) {
 		"metrics", "trace", "energy",
 		"congestion_heatmap", "energy_heatmap", "latency_breakdown",
 		"token_fairness_tiles", "token_fairness_jain",
-		"state_dump", "state_dump_text",
+		"state_dump",
 	}
 	if !reflect.DeepEqual(names, want) {
 		t.Errorf("manifest artifact order:\n got %v\nwant %v", names, want)
@@ -219,6 +221,42 @@ func TestEmitUnwritablePath(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(dir, "manifest.json")); !os.IsNotExist(err) {
 		t.Errorf("manifest.json written after a failed group (stat: %v)", err)
+	}
+}
+
+// TestViolationLogsJSONDump: under -check, an invariant violation logs
+// the INVARIANT VIOLATION line and then the state snapshot taken at it as
+// one line of JSON that decodes into a flightrec.Snapshot naming the
+// violation; a second violation logs its line alone.
+func TestViolationLogsJSONDump(t *testing.T) {
+	var logged []string
+	logf := func(format string, args ...any) { logged = append(logged, fmt.Sprintf(format, args...)) }
+	sys := core.NewSystem("own", 256, wireless.Config4, wireless.Ideal)
+	n := sys.Build(power.NewMeter(nil))
+	if _, err := Start(n, parseFlags(t, "-check"), logf); err != nil {
+		t.Fatal(err)
+	}
+	n.Checker.Report(7, check.RuleCredit, "router 3", "forged")
+	n.Checker.Report(8, check.RuleCredit, "router 4", "forged again")
+	if len(logged) != 2 {
+		t.Fatalf("logged %d reports, want 2: %q", len(logged), logged)
+	}
+	v := check.Violation{Cycle: 7, Rule: check.RuleCredit, Component: "router 3", Detail: "forged"}
+	lines := strings.Split(strings.TrimSuffix(logged[0], "\n"), "\n")
+	if len(lines) != 2 || lines[0] != "INVARIANT VIOLATION: "+v.String() {
+		t.Fatalf("first report is not the violation line and one dump line:\n%s", logged[0])
+	}
+	var snap flightrec.Snapshot
+	dec := json.NewDecoder(strings.NewReader(lines[1]))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&snap); err != nil {
+		t.Fatalf("dump line does not decode into a Snapshot: %v\n%s", err, lines[1])
+	}
+	if !strings.Contains(snap.Reason, v.String()) || snap.Net != n.Name || len(snap.Routers) != len(n.Routers) {
+		t.Errorf("dump reason %q, net %q, %d routers: want the violation, %q and %d routers", snap.Reason, snap.Net, len(snap.Routers), n.Name, len(n.Routers))
+	}
+	if want := "INVARIANT VIOLATION: cycle 8: router 4: credit: forged again\n"; logged[1] != want {
+		t.Errorf("second report = %q, want %q", logged[1], want)
 	}
 }
 

@@ -31,12 +31,6 @@ type Manifest struct {
 	Summary *stats.Summary `json:"summary,omitempty"`
 	// Points holds sweep results, one per (system, load).
 	Points []Point `json:"points,omitempty"`
-	// Engine is the engine-scheduler introspection record, present when
-	// the emitting tool ran an instrumented simulation.
-	Engine *EngineIntro `json:"engine,omitempty"`
-	// Pools is the packet-pool introspection record, aggregated over
-	// every source pool of the instrumented simulation.
-	Pools *PoolIntro `json:"pools,omitempty"`
 	// Artifacts digests the files emitted alongside the manifest.
 	Artifacts []Artifact `json:"artifacts,omitempty"`
 	// Build stamps the emitting binary's provenance (module version and
@@ -44,8 +38,8 @@ type Manifest struct {
 	Build *BuildInfo `json:"build,omitempty"`
 }
 
-// EngineIntro is the run manifest's view of the engine's active-set
-// scheduler: per-phase wake/tick counters plus whole-run fast-forward
+// EngineIntro is the state dump's view of the engine's active-set
+// scheduler (flightrec.Snapshot, the record's dump.json): per-phase wake/tick counters plus whole-run fast-forward
 // accounting. All values are deterministic functions of the simulated
 // configuration and seed.
 type EngineIntro struct {
@@ -57,7 +51,7 @@ type EngineIntro struct {
 	Phases []PhaseIntro `json:"phases"`
 }
 
-// PhaseIntro is one engine phase's scheduler counters (the manifest
+// PhaseIntro is one engine phase's scheduler counters (the dump's
 // mirror of sim.PhaseStats).
 type PhaseIntro struct {
 	Phase         string `json:"phase"`
